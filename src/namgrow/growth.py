@@ -23,7 +23,12 @@ import numpy as np
 
 from .clustering import ClusterConfig, cluster_network
 from .data_io import Dataset, InputRange, base_grid_ranges, extract_patches
-from .matching import match_all
+from .matching import (
+    match_all,
+    prepare_summaries,
+    stats_from_points,
+    transfer_first_layer,
+)
 from .nam_model import (
     SIGMA_FLOOR,
     Branch,
@@ -220,31 +225,36 @@ def match_candidates(ranges, ref_images_by_class, summary_pairs,
 
     summary_pairs are (branch_id, cluster summary) pairs; at each range every
     pair is matched to its best reference class, then per reference class the
-    closest pair wins.  Ties keep the earliest pair in scan order.
+    closest pair wins.  Ties keep the earliest pair in scan order.  Only the
+    winners get their first layer transferred.
     """
+    prepared = prepare_summaries(summary_pairs)
     candidates = []
     for input_range in ranges:
         refs = {c: extract_patches(images, [input_range])[0]
                 for c, images in ref_images_by_class.items()}
         results = match_all(input_range, refs, summary_pairs,
-                            first_layer_of, keep_fraction)
+                            keep_fraction=keep_fraction, prepared=prepared)
         best = {}
-        for res in results:
+        for i, res in enumerate(results):
             if not res.matched:
                 continue
             cur = best.get(res.target_class)
-            if cur is None or res.distance < cur.distance:
-                best[res.target_class] = res
+            if cur is None or res.distance < results[cur].distance:
+                best[res.target_class] = i
         for target in sorted(best):
-            res = best[target]
+            res = results[best[target]]
+            w, b = transfer_first_layer(first_layer_of[res.branch_id],
+                                        prepared.stats[best[target]],
+                                        stats_from_points(refs[target]))
             candidates.append(CandidateBranch(
                 source_branch_id=res.branch_id,
                 branch_class=res.branch_class,
                 target_class=target,
                 input_range=input_range,
                 distance=res.distance,
-                first_layer_weights=res.transferred_weights,
-                first_layer_bias=res.transferred_bias,
+                first_layer_weights=w,
+                first_layer_bias=b,
                 source_mlp=source_mlps[res.branch_id],
             ))
     return candidates

@@ -96,9 +96,15 @@ def partial_average_distance(ref_samples: np.ndarray, centers: np.ndarray,
         return float("inf"), np.empty(0, dtype=np.int64)
     if centers.shape[0] == 0:
         raise ValueError("no cluster centers")
+    if ref_samples.shape[1] != centers.shape[1]:
+        raise ValueError("samples and centers differ in dimension")
     weights = cluster_softmax_weights(max_outputs)
-    diff = ref_samples[:, None, :] - centers[None, :, :]
-    d2 = np.sum(np.square(diff), axis=2)
+    # dimensions are added one after another, in order, whatever the memory
+    # layout of the inputs
+    d2 = np.zeros((ref_samples.shape[0], centers.shape[0]))
+    for r_j, c_j in zip(ref_samples.T, centers.T):
+        diff = r_j[:, None] - c_j[None, :]
+        d2 += diff * diff
     nearest = np.argmin(d2, axis=1)
     dist = np.sqrt(d2[np.arange(ref_samples.shape[0]), nearest])
     n_keep = max(1, int(ref_samples.shape[0] * keep_fraction))
@@ -116,8 +122,6 @@ class MatchResult:
     distance: float
     class_distances: dict             # reference class -> d, for audit
     matched: bool
-    transferred_weights: np.ndarray | None = None
-    transferred_bias: np.ndarray | None = None
 
     def to_json_line(self) -> str:
         return json.dumps({
@@ -170,50 +174,219 @@ def transfer_branch_mlp(mlp: BranchMlp, branch_stats: NormalizationStats,
     return new
 
 
+@dataclass
+class PreparedSummaries:
+    """Range-independent side of matching for one candidate list.
+
+    Built once by `prepare_summaries` and reused for every input range.  The
+    normalized centers of all summaries are concatenated in candidate order,
+    summary i owning center rows offsets[i]:offsets[i+1].
+    """
+
+    stats: list[NormalizationStats]  # per summary, from its sample set
+    centers: np.ndarray              # [dim, n_centers], normalized
+    gram_rows: np.ndarray            # [n_centers, dim + 1], centers | |c|^2
+    max_sq_norm: np.ndarray          # [n_summaries], largest |c|^2
+    weights: np.ndarray              # [n_centers], softmax weights per summary
+    offsets: np.ndarray              # [n_summaries + 1]
+    segment: np.ndarray              # [n_centers], owning summary of each row
+
+
+def prepare_summaries(candidates: list[tuple[int, BranchClassClusters]]
+                      ) -> PreparedSummaries:
+    """Normalize the centers of every candidate summary once, for
+    `match_all`.  Rejects summaries without centers, with non-finite ones,
+    or with one max_output per center missing."""
+    stats, centers, weights = [], [], []
+    for _, summary in candidates:
+        b_stats = stats_from_summary(summary)
+        normed, _ = normalize_sorted(summary.centers, b_stats)
+        if normed.shape[0] == 0:
+            raise ValueError("no cluster centers")
+        w = cluster_softmax_weights(summary.max_outputs)
+        if w.shape != (normed.shape[0],):
+            raise ValueError("max_outputs do not match the cluster centers")
+        stats.append(b_stats)
+        centers.append(normed)
+        weights.append(w)
+    counts = np.array([c.shape[0] for c in centers], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    centers = np.concatenate(centers or [np.empty((0, 0))])
+    sq_norms = np.einsum("ij,ij->i", centers, centers)
+    # a finite |c|^2 keeps every Gram value finite: normalized references
+    # lie in [-1, 1] per dimension
+    if not np.all(np.isfinite(sq_norms)):
+        raise ValueError("non-finite or overflowing cluster center")
+    return PreparedSummaries(
+        stats=stats,
+        centers=np.ascontiguousarray(centers.T),
+        gram_rows=np.hstack([centers, sq_norms[:, None]]),
+        max_sq_norm=np.maximum.reduceat(sq_norms, offsets[:-1]),
+        weights=np.concatenate(weights or [np.empty(0)]),
+        offsets=offsets,
+        segment=np.repeat(np.arange(counts.size), counts),
+    )
+
+
+# Entries of one Gram block.  A block and its candidate mask take 9 bytes
+# per entry, ~18 MiB, whatever the number of summaries (a single summary
+# wider than this runs one reference per block).
+GRAM_BLOCK_ENTRIES = 1 << 21
+
+
+def _gram_slack_factor(dim: int) -> float:
+    """Multiplier of (|r|^2 + max |c|^2) that bounds Gram-order mistakes.
+
+    With unit roundoff u = eps/2, gamma_n = n u / (1 - n u) and d = dim, for
+    one reference r and center c:
+    - the exact score D = fl(sum_i fl(fl(r_i - c_i)^2)), summed in order,
+      has relative error gamma_{d+2} on nonnegative terms, so
+      |D - |r-c|^2| <= gamma_{d+2} |r-c|^2 <= 2 gamma_{d+2} (|r|^2 + |c|^2);
+    - the Gram value G = fl([c, s] . [-2 r, 1]), s = fl(|c|^2), is a dot
+      product of d + 1 terms, so for any BLAS summation order or FMA use
+      |G - (s - 2 c.r)| <= gamma_{d+1} (2 |c||r| + s), and
+      |s - |c|^2| <= gamma_d |c|^2; hence
+      |G - (|r-c|^2 - |r|^2)| <= gamma_{3d+3} (|r|^2 + |c|^2).
+    If k minimizes D and m minimizes G, then G_k <= G_m + 2 (e_D + e_G)
+    with both errors taken at M, the summary's largest |c|^2: at most
+    (10 d + 14) u (|r|^2 + M).  Forming the limit G_m + slack in floating
+    point adds a few u (|r|^2 + M) more.  32 (d + 1) u keeps a margin of
+    about three over the sum.
+    """
+    return 32.0 * (dim + 1) * (np.finfo(np.float64).eps / 2.0)
+
+
+def _sequential_sq_dist(refs_t: np.ndarray, centers_t: np.ndarray,
+                        ref_idx: np.ndarray, center_idx: np.ndarray
+                        ) -> np.ndarray:
+    """Squared distances of (ref, center) pairs, dimensions added in order.
+
+    Arrays are [dim, n].  This is the order `partial_average_distance` sums
+    in; NumPy's pairwise sum over a contiguous axis would differ by ulps.
+    """
+    d2 = np.zeros(ref_idx.size)
+    for r_j, c_j in zip(refs_t, centers_t):
+        diff = r_j[ref_idx] - c_j[center_idx]
+        d2 += diff * diff
+    return d2
+
+
+def _nearest_block(prepared: PreparedSummaries, s0: int, s1: int,
+                   refs_t: np.ndarray, gram_cols: np.ndarray,
+                   ref_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[n_refs, s1 - s0] nearest center row and its exact squared distance
+    for summaries s0..s1-1; ties keep the first row."""
+    k0, k1 = prepared.offsets[s0], prepared.offsets[s1]
+    n_summaries = s1 - s0
+    bounds = prepared.offsets[s0:s1 + 1] - k0
+    gram = gram_cols @ prepared.gram_rows[k0:k1].T       # [n_refs, k1 - k0]
+    best = np.minimum.reduceat(gram, bounds[:-1], axis=1)
+    limit = best + _gram_slack_factor(refs_t.shape[0]) * (
+        ref_sq[:, None] + prepared.max_sq_norm[None, s0:s1])
+    candidate = np.empty(gram.shape, dtype=bool)
+    for s, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        np.less_equal(gram[:, a:b], limit[:, s:s + 1], out=candidate[:, a:b])
+    del gram
+    flat = np.flatnonzero(candidate)
+    ref_idx, row = np.divmod(flat, k1 - k0)
+    row += k0
+    d2 = _sequential_sq_dist(refs_t, prepared.centers, ref_idx, row)
+    # candidates come sorted by group = (reference, summary), rows ascending
+    # within a group, and every group holds at least its Gram minimum
+    group = ref_idx * n_summaries + prepared.segment[row] - s0
+    group_min = np.minimum.reduceat(
+        d2, np.flatnonzero(np.diff(group, prepend=-1)))
+    at_min = np.flatnonzero(d2 == group_min[group])
+    first = at_min[np.diff(group[at_min], prepend=-1) != 0]
+    return (row[first].reshape(-1, n_summaries),
+            d2[first].reshape(-1, n_summaries))
+
+
+def _nearest_centers(prepared: PreparedSummaries, refs: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """[n_summaries, n_refs] nearest center rows and exact squared distances.
+
+    A Gram-form pass (|c|^2 - 2 c.r, the FAISS decomposition of arXiv
+    1702.08734) finds each summary's approximate minimum; every center
+    within the proven rounding slack of it is re-scored exactly, so the
+    result is the argmin of the exact distances, first index on ties,
+    whatever the BLAS or its thread count.
+    """
+    if not np.all(np.isfinite(refs)):
+        raise ValueError("non-finite reference samples")
+    n_summaries = prepared.offsets.size - 1
+    n_refs = refs.shape[0]
+    nearest = np.empty((n_summaries, n_refs), dtype=np.int64)
+    sq_dist = np.empty((n_summaries, n_refs))
+    refs_t = np.ascontiguousarray(refs.T)
+    gram_cols = np.hstack([-2.0 * refs, np.ones((n_refs, 1))])
+    ref_sq = np.einsum("ij,ij->i", refs, refs)
+    widest = int(np.max(np.diff(prepared.offsets)))
+    col_step = max(1, min(n_refs, GRAM_BLOCK_ENTRIES // widest))
+    for c0 in range(0, n_refs, col_step):
+        cols = slice(c0, min(c0 + col_step, n_refs))
+        row_cap = max(1, GRAM_BLOCK_ENTRIES // (cols.stop - c0))
+        s0 = 0
+        while s0 < n_summaries:
+            s1 = int(np.searchsorted(prepared.offsets,
+                                     prepared.offsets[s0] + row_cap,
+                                     side="right")) - 1
+            s1 = max(s0 + 1, s1)
+            near, d2 = _nearest_block(prepared, s0, s1, refs_t[:, cols],
+                                      gram_cols[cols], ref_sq[cols])
+            nearest[s0:s1, cols] = near.T
+            sq_dist[s0:s1, cols] = d2.T
+            s0 = s1
+    return nearest, sq_dist
+
+
 def match_all(reference_range: InputRange,
               ref_samples_by_class: dict[int, np.ndarray],
               candidates: list[tuple[int, BranchClassClusters]],
-              first_layer_of: dict[int, DenseLayer] | None = None,
-              keep_fraction: float = 0.8) -> list[MatchResult]:
+              keep_fraction: float = 0.8,
+              prepared: PreparedSummaries | None = None) -> list[MatchResult]:
     """Best reference class per (branch, branch-class) at one input range.
 
     candidates are (branch_id, cluster summary) pairs.  A candidate matches
     the reference class with strictly the smallest partial average distance;
-    an exact tie yields no match.  When first_layer_of maps branch ids to
-    their first hidden layers, matched results carry the transferred
-    parameters.
+    an exact tie yields no match.  `prepared`, from
+    `prepare_summaries(candidates)`, saves rebuilding the range-independent
+    side on every call; its `stats` are what `transfer_first_layer` needs on
+    the branch side.
+
+    All summaries are scored against all classes at once; the distances are
+    bit-for-bit those of `partial_average_distance`.
     """
-    ref_stats = {}
-    ref_normed = {}
-    for c, samples in ref_samples_by_class.items():
-        normed, stats = normalize_sorted(samples)
-        ref_stats[c] = stats
-        ref_normed[c] = normed
+    if prepared is None:
+        prepared = prepare_summaries(candidates)
+    if len(prepared.stats) != len(candidates):
+        raise ValueError("prepared summaries do not match the candidates")
+    if not candidates:
+        return []
+    classes = sorted(ref_samples_by_class)
+    ref_normed = [normalize_sorted(ref_samples_by_class[c])[0]
+                  for c in classes]
+    nearest, sq_dist = _nearest_centers(prepared, np.concatenate(ref_normed))
+    dist = np.sqrt(sq_dist)
+
+    class_dist = np.empty((len(candidates), len(classes)))
+    start = 0
+    for j, normed in enumerate(ref_normed):
+        cols = slice(start, start + normed.shape[0])
+        start = cols.stop
+        n_keep = max(1, int(normed.shape[0] * keep_fraction))
+        kept = np.argsort(dist[:, cols], axis=1, kind="stable")[:, :n_keep]
+        terms = (prepared.weights[np.take_along_axis(nearest[:, cols], kept, 1)]
+                 * np.take_along_axis(dist[:, cols], kept, 1))
+        class_dist[:, j] = np.sum(terms, axis=1) / n_keep
 
     results = []
-    for branch_id, summary in candidates:
-        b_stats = stats_from_summary(summary)
-        centers_n, _ = normalize_sorted(summary.centers, b_stats)
-        dists = {}
-        for c in sorted(ref_samples_by_class):
-            d, _ = partial_average_distance(ref_normed[c], centers_n,
-                                            summary.max_outputs, keep_fraction)
-            dists[c] = d
+    for i, (branch_id, summary) in enumerate(candidates):
+        dists = {c: float(class_dist[i, j]) for j, c in enumerate(classes)}
         d_min = min(dists.values())
         winners = [c for c, d in dists.items() if d == d_min]
-        if len(winners) == 1 and np.isfinite(d_min):
-            target = winners[0]
-            result = MatchResult(
-                branch_id, summary.branch_class, reference_range, target,
-                d_min, dists, True)
-            if first_layer_of is not None:
-                w, b = transfer_first_layer(first_layer_of[branch_id],
-                                            b_stats, ref_stats[target])
-                result.transferred_weights = w
-                result.transferred_bias = b
-            results.append(result)
-        else:
-            results.append(MatchResult(
-                branch_id, summary.branch_class, reference_range, None,
-                d_min, dists, False))
+        matched = len(winners) == 1 and bool(np.isfinite(d_min))
+        results.append(MatchResult(
+            branch_id, summary.branch_class, reference_range,
+            winners[0] if matched else None, d_min, dists, matched))
     return results

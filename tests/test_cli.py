@@ -7,11 +7,15 @@ tops out early and growth has genuine headroom; the rest of the pipeline
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import namgrow
 from namgrow.cli import main
 
 BLOCKS = [(0, 0), (0, 6), (6, 0), (6, 6), (0, 3),
@@ -173,6 +177,30 @@ class TestGrow:
         for name in ("checkpoint.json", "growth_log.jsonl", "metrics.csv"):
             assert ((out / name).read_bytes()
                     == (grow_run / name).read_bytes())
+
+    def test_growing_is_identical_across_blas_thread_counts(
+            self, tmp_path, config_file, base_run):
+        """Each run is its own process: the --threads cap only takes effect
+        before NumPy is first imported."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(namgrow.__file__).parents[1]),
+             env.get("PYTHONPATH", "")])
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "namgrow.cli", "grow",
+                 "--config", str(config_file),
+                 "--checkpoint", str(base_run / "checkpoint.json"),
+                 "--out-dir", str(out), "--seed", "3",
+                 "--threads", str(threads)],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out)
+        for name in ("checkpoint.json", "candidates.jsonl"):
+            assert ((outputs[0] / name).read_bytes()
+                    == (outputs[1] / name).read_bytes())
 
     def test_zero_iterations_returns_input_checkpoint(self, tmp_path,
                                                       config_file, base_run):

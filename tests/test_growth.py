@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from namgrow.checkpoint import network_to_json
+from namgrow.clustering import BranchClassClusters
 from namgrow.data_io import Dataset, InputRange, extract_patches
 from namgrow.growth import (
     BranchPoint,
@@ -17,8 +18,15 @@ from namgrow.growth import (
     frozen_parameter_hash,
     grow_iteration,
     mask_gradients,
+    match_candidates,
     start_growth,
     tune_masks,
+)
+from namgrow.matching import (
+    match_all,
+    stats_from_points,
+    stats_from_summary,
+    transfer_first_layer,
 )
 from namgrow.nam_model import (
     Branch,
@@ -158,6 +166,56 @@ class TestCandidateRanges:
         assert ranges[1] == InputRange(0, 0, 1)
         assert ranges[2] == InputRange(0, 1, 0)
         assert ranges[4] == InputRange(1, 0, 0)
+
+
+class TestMatchCandidates:
+    def test_winners_get_the_closed_form_transfer(self):
+        """Per range and reference class the closest matched pair wins, and
+        its first layer is transferred from its own sample statistics to
+        the winning class's references."""
+        rng = np.random.default_rng(4)
+        pairs = []
+        for branch_id in range(3):
+            for branch_class in range(N_CLASSES):
+                samples = rng.normal(size=(12, 9)) * rng.uniform(0.1, 1, 9)
+                pairs.append((branch_id, BranchClassClusters(
+                    branch_class=branch_class, centers=samples[:8],
+                    max_outputs=rng.normal(size=8),
+                    sample_mean=samples.mean(axis=0),
+                    sample_min=samples.min(axis=0),
+                    sample_max=samples.max(axis=0), n_pairs=12)))
+        mlps = {b: init_branch_mlp(rng, N_CLASSES) for b in range(3)}
+        layers = {b: mlp.hidden_layers[0] for b, mlp in mlps.items()}
+        images = {c: rng.uniform(-0.5, 0.5, size=(15, 1, 6, 6))
+                  for c in range(N_CLASSES)}
+        ranges = candidate_ranges((1, 6, 6))
+        got = match_candidates(ranges, images, pairs, layers, mlps)
+
+        expected = []
+        for input_range in ranges:
+            refs = {c: extract_patches(im, [input_range])[0]
+                    for c, im in images.items()}
+            best = {}
+            for res, (_, summary) in zip(match_all(input_range, refs, pairs),
+                                         pairs):
+                cur = best.get(res.target_class)
+                if res.matched and (cur is None
+                                    or res.distance < cur[0].distance):
+                    best[res.target_class] = (res, summary, refs)
+            expected += [best[c] for c in sorted(best)]
+        assert len(got) == len(expected) > 0
+        for cand, (res, summary, refs) in zip(got, expected):
+            assert (cand.source_branch_id, cand.branch_class,
+                    cand.target_class, cand.input_range, cand.distance) == (
+                res.branch_id, res.branch_class, res.target_class,
+                res.reference_range, res.distance)
+            w, b = transfer_first_layer(layers[res.branch_id],
+                                        stats_from_summary(summary),
+                                        stats_from_points(
+                                            refs[res.target_class]))
+            np.testing.assert_array_equal(cand.first_layer_weights, w)
+            np.testing.assert_array_equal(cand.first_layer_bias, b)
+            assert cand.source_mlp is mlps[res.branch_id]
 
 
 class TestGrowIterationTuning:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from namgrow import matching
 from namgrow.clustering import BranchClassClusters
 from namgrow.data_io import InputRange
 from namgrow.matching import (
@@ -14,6 +15,7 @@ from namgrow.matching import (
     match_all,
     normalize_sorted,
     partial_average_distance,
+    prepare_summaries,
     stats_from_points,
     stats_from_summary,
     transfer_branch_mlp,
@@ -138,6 +140,30 @@ def test_distance_invariant_to_orderings():
     np.testing.assert_allclose(d1, d2, rtol=0, atol=1e-12)
 
 
+def test_distance_bits_do_not_depend_on_memory_order():
+    """`normalize_sorted` returns F-ordered arrays; C-ordered copies of the
+    same points must give the same bits (a pairwise sum over the 9
+    dimensions would differ from the in-order sum by ulps)."""
+    rng = np.random.default_rng(11)
+    F = np.asfortranarray
+    for _ in range(50):
+        samples = rng.uniform(-1, 1, size=(30, 9))
+        centers = rng.uniform(-1, 1, size=(60, 9))
+        y_max = rng.normal(size=60)
+        d, kept = partial_average_distance(samples, centers, y_max)
+        for s, c in [(F(samples), F(centers)), (F(samples), centers),
+                     (samples, F(centers))]:
+            d2, kept2 = partial_average_distance(s, c, y_max)
+            assert d2 == d
+            assert kept2.tolist() == kept.tolist()
+
+
+def test_distance_rejects_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension"):
+        partial_average_distance(np.zeros((3, 9)), np.zeros((2, 8)),
+                                 np.zeros(2))
+
+
 def test_distance_drops_farthest_samples():
     center = np.zeros((1, 2))
     samples = np.zeros((10, 2))
@@ -249,6 +275,129 @@ def test_match_all_is_deterministic():
     assert a[0].matched == b[0].matched
     assert a[0].distance == b[0].distance
     assert a[0].class_distances == b[0].class_distances
+
+
+# ------------------------------------------- batched kernel vs the oracle
+
+def oracle_match(refs, candidates, keep_fraction=0.8):
+    """(class distances, target) per candidate from one
+    partial_average_distance call per (summary, class)."""
+    ref_normed = {c: normalize_sorted(refs[c])[0] for c in sorted(refs)}
+    out = []
+    for _, summary in candidates:
+        centers, _ = normalize_sorted(summary.centers,
+                                      stats_from_summary(summary))
+        dists = {c: partial_average_distance(ref_normed[c], centers,
+                                             summary.max_outputs,
+                                             keep_fraction)[0]
+                 for c in sorted(refs)}
+        d_min = min(dists.values())
+        winners = [c for c, d in dists.items() if d == d_min]
+        unique = len(winners) == 1 and np.isfinite(d_min)
+        out.append((dists, winners[0] if unique else None))
+    return out
+
+
+def random_summary(rng, n_centers, branch_class=0, far=False,
+                   duplicates=False):
+    """Summary whose sample statistics come from a random sample set; with
+    `far` its centers sit in a tight knot far outside that sample span, and
+    with `duplicates` half of them are copies with other peak outputs."""
+    samples = rng.normal(size=(max(2, n_centers), 9)) * rng.uniform(0.1, 2, 9)
+    centers = samples[:n_centers].copy()
+    if far:
+        span = samples.max(axis=0) - samples.min(axis=0)
+        centers = (samples.mean(axis=0) + span * rng.uniform(1e3, 1e5, 9)
+                   + span * 1e-12 * rng.normal(size=(n_centers, 9)))
+    if duplicates and n_centers > 1:
+        half = n_centers // 2
+        centers[half:2 * half] = centers[:half]
+    return BranchClassClusters(
+        branch_class=branch_class,
+        centers=centers,
+        max_outputs=rng.normal(size=n_centers),
+        sample_mean=samples.mean(axis=0),
+        sample_min=samples.min(axis=0),
+        sample_max=samples.max(axis=0),
+        n_pairs=samples.shape[0],
+    )
+
+
+def random_refs(rng, counts, identical=False, flat_dim=None):
+    refs = {}
+    for c, n in enumerate(counts):
+        refs[c] = (refs[0].copy() if identical and c > 0 else
+                   rng.integers(0, 256, size=(n, 9)).astype(np.float64) / 255)
+        if flat_dim is not None:
+            refs[c][:, flat_dim] = 0.25
+    return refs
+
+
+MATCH_CASES = {
+    "unequal centers": dict(centers=[1, 7, 60, 1, 23], refs=[30, 30, 30]),
+    "unequal refs": dict(centers=[12, 5, 30], refs=[2, 5, 13, 41]),
+    "duplicate centers": dict(centers=[8, 20, 2, 33], refs=[30, 12],
+                              duplicates=True),
+    "identical classes": dict(centers=[9, 1, 16], refs=[20, 20, 20],
+                              identical=True),
+    "flat reference dim": dict(centers=[10, 4, 25], refs=[30, 25],
+                               flat_dim=3),
+    "far centers": dict(centers=[6, 1, 40, 15], refs=[30, 17], far=True),
+}
+
+
+@pytest.mark.parametrize("block_entries",
+                         [matching.GRAM_BLOCK_ENTRIES, 7, 100])
+@pytest.mark.parametrize("case", sorted(MATCH_CASES))
+def test_match_all_equals_oracle_exactly(case, block_entries, monkeypatch):
+    spec = MATCH_CASES[case]
+    monkeypatch.setattr(matching, "GRAM_BLOCK_ENTRIES", block_entries)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        candidates = [
+            (i % 3, random_summary(rng, n, branch_class=i % 2,
+                                   far=spec.get("far", False),
+                                   duplicates=spec.get("duplicates", False)))
+            for i, n in enumerate(spec["centers"])]
+        prepared = prepare_summaries(candidates)
+        for keep_fraction in (0.8, 0.5, 1.0):
+            refs = random_refs(rng, spec["refs"],
+                               identical=spec.get("identical", False),
+                               flat_dim=spec.get("flat_dim"))
+            results = match_all(InputRange(0, 1, 2), refs, candidates,
+                                keep_fraction=keep_fraction,
+                                prepared=prepared)
+            expected = oracle_match(refs, candidates, keep_fraction)
+            for res, (dists, target) in zip(results, expected):
+                assert res.class_distances == dists
+                assert res.target_class == target
+                assert res.matched == (target is not None)
+                assert res.distance == min(dists.values())
+    if spec.get("identical"):
+        assert not any(r.matched for r in results)
+
+
+def test_match_all_without_candidates_is_empty():
+    refs = random_refs(np.random.default_rng(0), [5, 5])
+    assert match_all(InputRange(0, 0, 0), refs, []) == []
+    assert match_all(InputRange(0, 0, 0), refs, [],
+                     prepared=prepare_summaries([])) == []
+
+
+def test_prepare_summaries_rejects_non_finite_centers():
+    rng = np.random.default_rng(0)
+    summary = random_summary(rng, 4)
+    summary.centers[2, 5] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        prepare_summaries([(0, summary)])
+
+
+def test_match_all_rejects_prepared_side_of_other_candidates():
+    rng = np.random.default_rng(0)
+    candidates = [(0, random_summary(rng, 4)), (1, random_summary(rng, 5))]
+    with pytest.raises(ValueError, match="do not match"):
+        match_all(InputRange(0, 0, 0), random_refs(rng, [5, 5]),
+                  candidates, prepared=prepare_summaries(candidates[:1]))
 
 
 def test_match_result_json_line():
