@@ -411,7 +411,7 @@ def cmd_transfer(args, cfg) -> int:
     empty = state.net.n_branches == 0
     if empty:
         log.warning("no placement qualified: transfer produced an empty "
-                    "election network (prediction on it will fail)")
+                    "election network (eval refuses it)")
     final = state.records[-1] if state.records else None
     _write_json(out_dir / "run_meta.json", {
         "command": "transfer",
@@ -475,17 +475,17 @@ def cmd_eval(args, cfg) -> int:
     import numpy as np
 
     from .checkpoint import load_checkpoint
-    from .nam_model import (elect_batch, evaluate, network_forward_batch,
-                            parameter_count)
+    from .nam_model import network_scores, parameter_count, score_metrics
 
     net = load_checkpoint(args.checkpoint)
+    if net.n_branches == 0:
+        raise ValueError(f"checkpoint {args.checkpoint} has no branches: "
+                         f"there is nothing to evaluate")
     dataset = _load_split(cfg, args.split)
     _check_geometry(net, dataset)
-    accuracy, loss = evaluate(net, dataset)
-    if net.mode == "election":
-        _, preds = elect_batch(net, dataset.images)
-    else:
-        preds = np.argmax(network_forward_batch(net, dataset.images), axis=1)
+    scores = network_scores(net, dataset.images)
+    accuracy, loss = score_metrics(scores, dataset.labels)
+    preds = np.argmax(scores, axis=1)
     per_class = [float(np.mean(preds[dataset.labels == c] == c))
                  for c in range(net.n_classes)]
     doc = {

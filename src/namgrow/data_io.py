@@ -64,8 +64,11 @@ class Dataset:
 
 
 def normalize_pixels(raw: np.ndarray) -> np.ndarray:
-    """uint8 pixels -> float64 in [-0.5, 0.5]."""
-    return raw.astype(np.float64) / 255.0 - 0.5
+    """uint8 pixels -> float64 in [-0.5, 0.5], scaled in place in one copy."""
+    images = raw.astype(np.float64)
+    images /= 255.0
+    images -= 0.5
+    return images
 
 
 def _open_maybe_gzip(path: Path):
@@ -108,8 +111,11 @@ def load_cifar10(data_dir: str | Path, split: str = "train") -> Dataset:
     if missing:
         raise FileNotFoundError(f"missing CIFAR-10 files: {missing}")
     parts = [load_cifar10_batch(f) for f in files]
-    images = np.concatenate([p[0] for p in parts])
-    labels = np.concatenate([p[1] for p in parts])
+    if len(parts) == 1:
+        images, labels = parts[0]
+    else:
+        images = np.concatenate([p[0] for p in parts])
+        labels = np.concatenate([p[1] for p in parts])
     return Dataset(images, labels, f"cifar10-{split}", 10)
 
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_io import Dataset, InputRange, base_grid_ranges, extract_patches, \
-    full_perception_ranges
+from .data_io import Dataset, InputRange, base_grid_ranges, \
+    full_perception_ranges, range_flat_indices
 from .nn_core import BranchMlp, init_branch_mlp, mlp_forward_batch, \
     mlp_parameter_count, softmax_cross_entropy_batch
 
@@ -154,109 +154,89 @@ def branch_raw_scalar_batch(branch: Branch, patches: np.ndarray) -> np.ndarray:
     return mlp_forward_batch(branch.mlp, patches)[:, branch.branch_class]
 
 
-def branch_output_batch(branch: Branch, patches: np.ndarray, mode: str,
-                        n_classes: int) -> np.ndarray:
-    """Class-output matrix [n, n_classes] this branch contributes to the sum."""
-    if branch.origin == "base":
-        return mlp_forward_batch(branch.mlp, patches)
-    raw = branch_raw_scalar_batch(branch, patches)
-    out = np.zeros((patches.shape[0], n_classes))
-    if mode == "tuning":
-        out[:, branch.target_class] = apply_class_mask(branch.mask, raw)
-    else:
-        out[:, branch.target_class] = (raw > branch.mask.thd).astype(np.float64)
-    return out
+def _branch_sum(net: NamNetwork, images: np.ndarray,
+                zscored: bool) -> np.ndarray:
+    """The forward engine: branch contributions summed into [n, n_classes].
 
-
-def network_forward_batch(net: NamNetwork, images: np.ndarray) -> np.ndarray:
-    """Summed class-outputs (logits) [n, n_classes] over all branches."""
+    Walks the branches in list order over chunks of _EVAL_CHUNK images.
+    Each branch reads its window straight from the flattened chunk, so the
+    only per-branch temporaries are [chunk, 9] and [chunk, n_classes].  A
+    base branch adds its full output row.  An added branch adds one scalar,
+    masked (tuning) or flagged at its threshold (election), to its target
+    column; its other outputs are zero.  When `zscored`, every contribution
+    is a z-score under the network's election stats, (output - mean) / std,
+    over the whole class row.  Each output element receives its additions
+    in branch order, whatever the chunking.
+    """
     if not net.branches:
         raise ValueError("network has no branches")
     if images.shape[1:] != net.input_shape:
         raise ValueError(f"image shape {images.shape[1:]} != {net.input_shape}")
+    stats = net.election_stats if zscored else None
+    if zscored and stats is None:
+        raise ValueError("election stats not fitted")
+    if zscored and stats.means.shape[0] != net.n_branches:
+        raise ValueError("election stats out of date with branch list")
+    windows = [range_flat_indices(br.input_range, net.input_shape)
+               for br in net.branches]
     n = images.shape[0]
-    logits = np.zeros((n, net.n_classes))
+    total = np.zeros((n, net.n_classes))
     for lo in range(0, n, _EVAL_CHUNK):
         hi = min(lo + _EVAL_CHUNK, n)
-        chunk = images[lo:hi]
-        patches = extract_patches(chunk, [b.input_range for b in net.branches])
-        for k, br in enumerate(net.branches):
-            logits[lo:hi] += branch_output_batch(br, patches[k], net.mode,
-                                                 net.n_classes)
-    return logits
+        rows = images[lo:hi].reshape(hi - lo, -1)
+        out = total[lo:hi]
+        for k, (br, window) in enumerate(zip(net.branches, windows)):
+            y = mlp_forward_batch(br.mlp, rows[:, window])
+            if br.origin == "base":
+                out += y if stats is None else (y - stats.means[k]) / stats.stds[k]
+                continue
+            raw = y[:, br.branch_class]
+            if net.mode == "tuning":
+                value = apply_class_mask(br.mask, raw)
+            else:
+                value = (raw > br.mask.thd).astype(np.float64)
+            t = br.target_class
+            if stats is not None:
+                # The zero outputs of the other classes add one constant
+                # z-score row; the target column adds its value's z-score.
+                zero_z = (0.0 - stats.means[k]) / stats.stds[k]
+                zero_z[t] = 0.0
+                out += zero_z
+                value = (value - stats.means[k, t]) / stats.stds[k, t]
+            out[:, t] += value
+    return total
 
 
-def network_forward(net: NamNetwork, image: np.ndarray) -> np.ndarray:
-    return network_forward_batch(net, image[None])[0]
-
-
-def branch_outputs_batch(net: NamNetwork, images: np.ndarray) -> np.ndarray:
-    """Per-branch class-output tensor [n_branches, n, n_classes]."""
-    if not net.branches:
-        raise ValueError("network has no branches")
-    patches = extract_patches(images, [b.input_range for b in net.branches])
-    return np.stack([
-        branch_output_batch(br, patches[k], net.mode, net.n_classes)
-        for k, br in enumerate(net.branches)
-    ])
-
-
-def fit_election_stats(net: NamNetwork, dataset: Dataset) -> ElectionStats:
-    """Per-branch, per-class mean and population std of outputs on the dataset."""
-    if dataset.n == 0:
-        raise ValueError("empty fitting set")
-    k = net.n_branches
-    sums = np.zeros((k, net.n_classes))
-    sq_sums = np.zeros((k, net.n_classes))
-    for lo in range(0, dataset.n, _EVAL_CHUNK):
-        hi = min(lo + _EVAL_CHUNK, dataset.n)
-        chunk = dataset.images[lo:hi]
-        patches = extract_patches(chunk, [b.input_range for b in net.branches])
-        for i, br in enumerate(net.branches):
-            out = branch_output_batch(br, patches[i], net.mode, net.n_classes)
-            sums[i] += out.sum(axis=0)
-            sq_sums[i] += np.square(out).sum(axis=0)
-    means = sums / dataset.n
-    variances = np.maximum(sq_sums / dataset.n - np.square(means), 0.0)
-    stds = np.maximum(np.sqrt(variances), SIGMA_FLOOR)
-    return ElectionStats(means, stds)
+def network_forward_batch(net: NamNetwork, images: np.ndarray) -> np.ndarray:
+    """Summed class-outputs (logits) [n, n_classes] over all branches."""
+    return _branch_sum(net, images, zscored=False)
 
 
 def elect_batch(net: NamNetwork, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Summed z-scores [n, n_classes] and the per-sample argmax class."""
-    if net.election_stats is None:
-        raise ValueError("election stats not fitted")
-    stats = net.election_stats
-    if stats.means.shape[0] != net.n_branches:
-        raise ValueError("election stats out of date with branch list")
-    n = images.shape[0]
-    scores = np.zeros((n, net.n_classes))
-    for lo in range(0, n, _EVAL_CHUNK):
-        hi = min(lo + _EVAL_CHUNK, n)
-        chunk = images[lo:hi]
-        patches = extract_patches(chunk, [b.input_range for b in net.branches])
-        for k, br in enumerate(net.branches):
-            out = branch_output_batch(br, patches[k], net.mode, net.n_classes)
-            scores[lo:hi] += (out - stats.means[k]) / stats.stds[k]
+    scores = _branch_sum(net, images, zscored=True)
     return scores, np.argmax(scores, axis=1)
 
 
-def elect(net: NamNetwork, image: np.ndarray) -> tuple[np.ndarray, int]:
-    scores, preds = elect_batch(net, image[None])
-    return scores[0], int(preds[0])
+def network_scores(net: NamNetwork, images: np.ndarray) -> np.ndarray:
+    """The scores a network predicts from: summed z-scores in election mode,
+    summed class-outputs in tuning mode."""
+    if net.mode == "election":
+        return elect_batch(net, images)[0]
+    return network_forward_batch(net, images)
+
+
+def score_metrics(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    """(accuracy of the argmax, mean cross-entropy of softmax(scores))."""
+    accuracy = float(np.mean(np.argmax(scores, axis=1) == labels))
+    loss, _ = softmax_cross_entropy_batch(scores, labels)
+    return accuracy, loss
 
 
 def evaluate(net: NamNetwork, dataset: Dataset) -> tuple[float, float]:
     """(accuracy, mean cross-entropy).  Election networks are scored on their
     summed z-scores; the loss is the cross-entropy of softmax(scores)."""
-    if net.mode == "election":
-        scores, preds = elect_batch(net, dataset.images)
-    else:
-        scores = network_forward_batch(net, dataset.images)
-        preds = np.argmax(scores, axis=1)
-    accuracy = float(np.mean(preds == dataset.labels))
-    loss, _ = softmax_cross_entropy_batch(scores, dataset.labels)
-    return accuracy, loss
+    return score_metrics(network_scores(net, dataset.images), dataset.labels)
 
 
 def build_base_network(input_shape: tuple[int, int, int], n_classes: int,

@@ -36,12 +36,10 @@ from namgrow.nam_model import (
     ElectionStats,
     NamNetwork,
     apply_class_mask,
-    branch_outputs_batch,
     build_base_network,
     build_full_perception_network,
     class_mask_grads,
     evaluate,
-    fit_election_stats,
     parameter_count,
 )
 from namgrow.nn_core import (
@@ -61,6 +59,7 @@ from namgrow.qualification import (
     qualify,
 )
 from namgrow.training import TrainConfig, train_network
+from oracles import branch_outputs_batch, fit_election_stats
 
 DATA_ROOT = Path(os.environ.get("NAMGROW_DATA_DIR", "data"))
 

@@ -41,6 +41,19 @@ def _block_images(rng, n_per_class):
     return np.clip(images, 0, 255)[order], labels[order]
 
 
+def _run_in_subprocess(args, threads, cwd=None):
+    """Run the CLI in its own process: the --threads cap only takes effect
+    before NumPy is first imported."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(namgrow.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "namgrow.cli", *args,
+         "--threads", str(threads)],
+        env=env, cwd=cwd, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("idx-mini")
@@ -180,23 +193,14 @@ class TestGrow:
 
     def test_growing_is_identical_across_blas_thread_counts(
             self, tmp_path, config_file, base_run):
-        """Each run is its own process: the --threads cap only takes effect
-        before NumPy is first imported."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(namgrow.__file__).parents[1]),
-             env.get("PYTHONPATH", "")])
         outputs = []
         for threads in (1, 2):
             out = tmp_path / f"threads{threads}"
-            proc = subprocess.run(
-                [sys.executable, "-m", "namgrow.cli", "grow",
-                 "--config", str(config_file),
-                 "--checkpoint", str(base_run / "checkpoint.json"),
-                 "--out-dir", str(out), "--seed", "3",
-                 "--threads", str(threads)],
-                env=env, capture_output=True, text=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr
+            _run_in_subprocess(["grow", "--config", str(config_file),
+                                "--checkpoint",
+                                str(base_run / "checkpoint.json"),
+                                "--out-dir", str(out), "--seed", "3"],
+                               threads)
             outputs.append(out)
         for name in ("checkpoint.json", "candidates.jsonl"):
             assert ((outputs[0] / name).read_bytes()
@@ -328,6 +332,33 @@ class TestTransfer:
         assert all(b["origin"] == "transferred" for b in doc["branches"])
         assert meta["test_accuracy"] > 0.1
 
+    def test_transfer_and_eval_are_identical_across_blas_thread_counts(
+            self, tmp_path, config_file, data_dir, base_run, grow_run):
+        """eval of the transferred (election) and the grown (tuning)
+        network runs in the transfer's output directory, so eval.json names
+        the same checkpoint path in both runs."""
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            _run_in_subprocess(["transfer", "--config", str(config_file),
+                                "--checkpoint",
+                                str(base_run / "checkpoint.json"),
+                                "--out-dir", str(out), "--seed", "3"],
+                               threads)
+            for name, checkpoint in (
+                    ("eval_transferred.json", "checkpoint.json"),
+                    ("eval_grown.json", str(grow_run / "checkpoint.json"))):
+                _run_in_subprocess(["eval", "--checkpoint", checkpoint,
+                                    "--dataset", "mnist",
+                                    "--data-dir", str(data_dir),
+                                    "--out", name], threads, cwd=out)
+            outputs.append(out)
+        for name in ("checkpoint.json", "candidates.jsonl",
+                     "transfer_series.csv", "eval_transferred.json",
+                     "eval_grown.json"):
+            assert ((outputs[0] / name).read_bytes()
+                    == (outputs[1] / name).read_bytes()), name
+
     def test_transfer_series_tracks_iterations(self, transfer_run):
         meta = json.loads((transfer_run / "run_meta.json").read_text())
         lines = (transfer_run / "transfer_series.csv").read_text().splitlines()
@@ -351,6 +382,46 @@ class TestEval:
         assert printed["loss"] == meta["test_loss"]
         assert printed["branch_count"] == 4
         assert len(printed["per_class_accuracy"]) == 10
+
+    @pytest.mark.parametrize("run", ["base_run", "grow_run", "transfer_run"])
+    def test_eval_scores_each_branch_once_per_chunk(
+            self, request, monkeypatch, tmp_path, data_dir, run, capsys):
+        """accuracy, loss and per-class accuracy all come from one pass."""
+        from namgrow import nam_model
+
+        checkpoint = request.getfixturevalue(run) / "checkpoint.json"
+        monkeypatch.setattr(nam_model, "_EVAL_CHUNK", 7)
+        calls = []
+        original = nam_model.mlp_forward_batch
+
+        def counting(mlp, x):
+            calls.append(x.shape[0])
+            return original(mlp, x)
+
+        monkeypatch.setattr(nam_model, "mlp_forward_batch", counting)
+        assert main(["eval", "--checkpoint", str(checkpoint),
+                     "--dataset", "mnist", "--data-dir", str(data_dir),
+                     "--split", "test"]) == 0
+        branches = json.loads(capsys.readouterr().out)["branch_count"]
+        chunks = -(-100 // 7)  # the test split holds 100 images
+        assert len(calls) == branches * chunks
+        assert sum(calls) == branches * 100
+
+    @pytest.mark.parametrize("mode", ["tuning", "election"])
+    def test_empty_network_is_a_data_error(self, tmp_path, data_dir, caplog,
+                                           mode):
+        from namgrow.checkpoint import save_checkpoint
+        from namgrow.nam_model import NamNetwork
+
+        empty = tmp_path / "empty.json"
+        save_checkpoint(NamNetwork(10, (1, 12, 12), mode=mode), empty)
+        code = main(["eval", "--checkpoint", str(empty), "--dataset", "mnist",
+                     "--data-dir", str(data_dir)])
+        assert code == 2
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert errors == [f"checkpoint {empty} has no branches: "
+                          f"there is nothing to evaluate"]
 
     def test_geometry_mismatch_is_a_data_error(self, tmp_path, base_run):
         other = tmp_path / "other"

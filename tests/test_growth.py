@@ -34,7 +34,6 @@ from namgrow.nam_model import (
     NamNetwork,
     apply_class_mask,
     evaluate,
-    fit_election_stats,
     network_forward_batch,
     parameter_count,
 )
@@ -46,6 +45,7 @@ from namgrow.nn_core import (
     optimizer_step_count,
     reset_optimizer_step_count,
 )
+from oracles import fit_election_stats
 
 N_CLASSES = 3
 RANGE0 = InputRange(0, 0, 0)

@@ -3,28 +3,31 @@
 import numpy as np
 import pytest
 
+from namgrow import nam_model
 from namgrow.checkpoint import load_checkpoint, network_from_json, \
     network_to_json, save_checkpoint
-from namgrow.data_io import Dataset, InputRange, extract_patch
+from namgrow.data_io import Dataset, InputRange, extract_patch, \
+    extract_patches
 from namgrow.nam_model import (
     Branch,
     ClassMask,
     ElectionStats,
     NamNetwork,
     apply_class_mask,
-    branch_outputs_batch,
     build_base_network,
     build_full_perception_network,
+    branch_raw_scalar_batch,
     class_mask_grads,
-    elect,
     elect_batch,
     evaluate,
-    fit_election_stats,
-    network_forward,
     network_forward_batch,
+    network_scores,
     parameter_count,
+    score_metrics,
 )
 from namgrow.nn_core import init_branch_mlp, mlp_forward
+from oracles import branch_outputs_batch, elect, fit_election_stats, \
+    loop_elect_batch, loop_forward_batch, network_forward
 
 SHAPE = (3, 32, 32)
 
@@ -89,9 +92,15 @@ def test_forward_additivity_over_partitions():
 
 
 def test_empty_network_errors():
-    net = NamNetwork(10, SHAPE)
-    with pytest.raises(ValueError):
-        network_forward_batch(net, np.zeros((1,) + SHAPE))
+    images = np.zeros((1,) + SHAPE)
+    ds = Dataset(images, np.zeros(1, dtype=np.int64), "t", 10)
+    for mode in ("tuning", "election"):
+        net = NamNetwork(10, SHAPE, mode=mode)
+        for call in (lambda: network_forward_batch(net, images),
+                     lambda: elect_batch(net, images),
+                     lambda: evaluate(net, ds)):
+            with pytest.raises(ValueError, match="no branches"):
+                call()
 
 
 def test_grown_branch_contributes_only_target_class():
@@ -104,6 +113,81 @@ def test_grown_branch_contributes_only_target_class():
     others = np.delete(out, 7, axis=1)
     assert np.all(others == 0.0)
     assert np.all(out[:, 7] >= 0.0)
+
+
+# ---------------------------------------------------------------- engine
+
+MIXED_SHAPE = (2, 8, 8)
+
+
+def mixed_network(rng, mode, n_base=3, n_added=9):
+    """Base, grown and transferred branches in one list, on random windows,
+    with thresholds at a quantile of each added branch's raw outputs so that
+    masks and flags switch on part of the images."""
+    probe = rng.uniform(-0.5, 0.5, size=(64,) + MIXED_SHAPE)
+    ranges = [InputRange(int(rng.integers(2)), int(rng.integers(6)),
+                         int(rng.integers(6))) for _ in range(n_base + n_added)]
+    branches = [Branch(init_branch_mlp(rng, 10), r) for r in ranges[:n_base]]
+    for k, r in enumerate(ranges[n_base:]):
+        br = make_grown_branch(
+            rng, r, branch_class=int(rng.integers(10)),
+            # repeated targets: several branches add into one column
+            target_class=int(rng.integers(3)),
+            a=float(rng.uniform(-0.5, 2.0)), b=float(rng.uniform(-0.5, 1.0)),
+            origin=("grown", "transferred")[k % 2])
+        raw = branch_raw_scalar_batch(br, extract_patches(probe, [r])[0])
+        br.mask = ClassMask(br.mask.a, br.mask.b,
+                            float(np.quantile(raw, rng.uniform(0.2, 0.8))),
+                            float(rng.uniform(0.1, 2.0)))
+        branches.append(br)
+    # interleave base and added branches
+    order = rng.permutation(len(branches))
+    net = NamNetwork(10, MIXED_SHAPE, mode=mode,
+                     branches=[branches[i] for i in order])
+    if mode == "election":
+        net.election_stats = ElectionStats(
+            rng.normal(size=(net.n_branches, 10)),
+            rng.uniform(0.1, 2.0, size=(net.n_branches, 10)))
+    return net
+
+
+@pytest.mark.parametrize("n", [1, 7, 25, 40])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_engine_equals_loop_oracle_bit_for_bit(monkeypatch, n, seed):
+    monkeypatch.setattr(nam_model, "_EVAL_CHUNK", 7)
+    rng = np.random.default_rng(seed)
+    images = rng.uniform(-0.5, 0.5, size=(n,) + MIXED_SHAPE)
+    labels = rng.integers(0, 10, size=n)
+    for mode in ("tuning", "election"):
+        net = mixed_network(rng, mode)
+        want = loop_forward_batch(net, images)
+        assert np.array_equal(network_forward_batch(net, images), want)
+        if mode == "election":
+            scores, preds = elect_batch(net, images)
+            want, want_preds = loop_elect_batch(net, images)
+            assert np.array_equal(scores, want)
+            assert np.array_equal(preds, want_preds)
+        assert np.array_equal(network_scores(net, images), want)
+        ds = Dataset(images, labels, "t", 10)
+        assert evaluate(net, ds) == score_metrics(want, labels)
+
+
+def test_engine_reads_one_chunk_of_windows_per_call(monkeypatch):
+    """Each MLP call reads one branch's windows of one chunk, [<= chunk, 9],
+    chunk by chunk and, within a chunk, branch by branch."""
+    rng = np.random.default_rng(4)
+    net = mixed_network(rng, "tuning")
+    monkeypatch.setattr(nam_model, "_EVAL_CHUNK", 7)
+    rows = []
+    original = nam_model.mlp_forward_batch
+
+    def recording(mlp, x):
+        rows.append(x.shape)
+        return original(mlp, x)
+
+    monkeypatch.setattr(nam_model, "mlp_forward_batch", recording)
+    network_forward_batch(net, rng.uniform(-0.5, 0.5, size=(25,) + MIXED_SHAPE))
+    assert rows == [(m, 9) for m in (7, 7, 7, 4) for _ in net.branches]
 
 
 # ---------------------------------------------------------------- masks
