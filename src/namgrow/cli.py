@@ -116,7 +116,7 @@ def _set_thread_limit(cfg) -> None:
             os.environ[var] = str(threads)
 
 
-def _growth_config(cfg, mode):
+def _growth_config(cfg):
     from .clustering import ClusterConfig
     from .growth import GrowthConfig
 
@@ -131,7 +131,6 @@ def _growth_config(cfg, mode):
             max_shift_iterations=c.getint("max_shift_iterations"),
         )
         return GrowthConfig(
-            mode=mode,
             selection_size=g.getint("selection_size"),
             max_per_iteration=g.getint("max_per_iteration"),
             tuning_epochs=g.getint("tuning_epochs"),
@@ -330,7 +329,7 @@ def cmd_grow(args, cfg) -> int:
     train = _load_split(cfg, "train")
     test = _load_split(cfg, "test")
     _check_geometry(net, train)
-    growth_config = _growth_config(cfg, "tuning")
+    growth_config = _growth_config(cfg)
     max_iterations = cfg["growth"].getint("max_iterations")
     if max_iterations < 0:
         max_iterations = None
@@ -381,7 +380,7 @@ def cmd_transfer(args, cfg) -> int:
     base_net = load_checkpoint(args.checkpoint)
     train = _load_split(cfg, "train")
     test = _load_split(cfg, "test")
-    growth_config = _growth_config(cfg, "election")
+    growth_config = _growth_config(cfg)
     cluster_table = (_load_cluster_cache(args.cluster_cache)
                      if args.cluster_cache else None)
     out_dir = _prepare_out_dir(cfg, args)
@@ -449,7 +448,7 @@ def cmd_cluster_cache(args, cfg) -> int:
         mlps = [br.mlp for br in net.branches]
         if not mlps:
             raise ValueError("checkpoint has no branches to cluster")
-    growth_config = _growth_config(cfg, "tuning")
+    growth_config = _growth_config(cfg)
     out_dir = _prepare_out_dir(cfg, args)
     log.info("clustering %d branch MLPs (cache for %s)", len(mlps),
              args.target_command)

@@ -1,14 +1,18 @@
-"""Iterative network growth: match, qualify, add, tune or elect, roll back.
+"""Iterative network growth: match, qualify, add, fit, keep or roll back.
 
-Same-task growth runs in tuning mode: candidate placements of trained
-branches are matched by cluster distance, qualified on a class-balanced
-selection set, added behind trainable class masks, tuned for a couple of
-epochs, and kept only when the selection-set loss did not increase.
+Both ways of growing run one loop, `grow_iteration`.  Candidate placements
+of source branches are matched by cluster distance, qualified on a
+class-balanced selection set and added in batches.  The batch is fitted on
+the training set, scored into the cached scores of every split, and kept
+only when the selection-set loss did not increase.  The network's mode
+decides the rest:
 
-Trans-task transfer runs in election mode: placements are qualified by
-precision, added with binarized outputs and election statistics fitted on
-the new task's training set, and kept only when the selection-set accuracy
-did not decrease.  No gradient step ever runs in election mode.
+- same-task growth runs in tuning mode: each added branch sits behind a
+  class mask whose two scalars are tuned for a couple of epochs;
+- trans-task transfer runs in election mode: each added branch emits a
+  0/1 flag, z-scored with statistics fitted on the new task's training set,
+  and a batch is also rolled back when the selection-set accuracy drops.
+  No gradient step ever runs in election mode.
 """
 
 from __future__ import annotations
@@ -35,13 +39,14 @@ from .nam_model import (
     ClassMask,
     ElectionStats,
     NamNetwork,
+    added_branch_output,
     apply_class_mask,
     branch_raw_scalar_batch,
     class_mask_grads,
-    elect_batch,
-    evaluate,
     network_forward_batch,
+    network_scores,
     parameter_count,
+    score_metrics,
 )
 from .nn_core import (
     AdamState,
@@ -58,9 +63,9 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class GrowthConfig:
-    """Knobs of the growth loop; `mode` picks tuning or election behaviour."""
+    """Knobs of the growth loop; the network's mode picks tuning or election
+    behaviour."""
 
-    mode: str = "tuning"
     selection_size: int = 5000
     max_per_iteration: int = 64
     tuning_epochs: int = 2
@@ -73,8 +78,6 @@ class GrowthConfig:
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
 
     def __post_init__(self):
-        if self.mode not in ("tuning", "election"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.selection_size < 1:
             raise ValueError("selection_size must be >= 1")
         if self.max_per_iteration < 1:
@@ -128,7 +131,6 @@ class BranchPoint:
     branch_count: int
     accuracy: float                  # test accuracy (NaN without a test set)
     loss: float
-    train_accuracy: float | None = None
 
 
 @dataclass
@@ -150,10 +152,11 @@ class CandidateBranch:
 class GrowthState:
     """Evolving network plus the caches that keep iterations incremental.
 
-    In tuning mode `sel/test/train_logits` hold the summed class-outputs of
-    the current network on each split.  In election mode `sel_logits` holds
-    the raw binarized sums backing the qualification weights while
-    `sel/test/train_scores` hold the standardized election scores.
+    `sel/train/test_scores` hold what `network_scores` gives for the current
+    network on each split: the summed class-outputs in tuning mode, the
+    summed z-scores in election mode.  `sel_votes` holds the summed
+    class-outputs on the selection set (`network_forward_batch`), which
+    weigh the qualification gates; in tuning mode they equal `sel_scores`.
     """
 
     net: NamNetwork
@@ -168,12 +171,10 @@ class GrowthState:
     train_accuracy_series: list = field(default_factory=list)
     selection_accuracy_series: list = field(default_factory=list)
     iteration: int = 0
-    sel_logits: np.ndarray = None
-    test_logits: np.ndarray = None
-    train_logits: np.ndarray = None
     sel_scores: np.ndarray = None
-    test_scores: np.ndarray = None
     train_scores: np.ndarray = None
+    test_scores: np.ndarray = None
+    sel_votes: np.ndarray = None
     stats_rows: list = field(default_factory=list)
     prev_selection_loss: float = None
     prev_selection_accuracy: float = None
@@ -268,15 +269,11 @@ def _candidate_mlp(candidate: CandidateBranch) -> BranchMlp:
     return mlp
 
 
-def _network_logits(net: NamNetwork, dataset: Dataset) -> np.ndarray:
+def _scores(net: NamNetwork, images: np.ndarray, forward) -> np.ndarray:
+    """`forward(net, images)`, or zeros for a network without branches."""
     if not net.branches:
-        return np.zeros((dataset.n, net.n_classes))
-    return network_forward_batch(net, dataset.images)
-
-
-def _ce_loss(logits: np.ndarray, labels: np.ndarray) -> float:
-    loss, _ = softmax_cross_entropy_batch(logits, labels)
-    return loss
+        return np.zeros((images.shape[0], net.n_classes))
+    return forward(net, images)
 
 
 def _accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -287,43 +284,29 @@ def start_growth(net: NamNetwork, selection: Dataset, config: GrowthConfig,
                  train_set: Dataset | None = None,
                  test_set: Dataset | None = None,
                  rng: np.random.Generator | None = None) -> GrowthState:
-    """Snapshot the network's outputs on every split and open a growth run."""
-    if net.mode != config.mode:
-        raise ValueError(f"network mode {net.mode!r} != config mode {config.mode!r}")
+    """Snapshot the network's scores on every split and open a growth run."""
     state = GrowthState(net=net, config=config, selection=selection,
                         train_set=train_set, test_set=test_set,
                         rng=rng or np.random.default_rng(config.seed))
-    state.sel_logits = _network_logits(net, selection)
-    if test_set is not None:
-        state.test_logits = _network_logits(net, test_set)
-    if train_set is not None:
-        state.train_logits = _network_logits(net, train_set)
-    if config.mode == "election":
+    if net.mode == "election":
         if net.election_stats is not None:
             state.stats_rows = [(net.election_stats.means[k].copy(),
                                  net.election_stats.stds[k].copy())
                                 for k in range(net.n_branches)]
         elif net.branches:
             raise ValueError("election network needs fitted stats to grow")
-        state.sel_scores = _election_score_cache(net, selection)
-        if test_set is not None:
-            state.test_scores = _election_score_cache(net, test_set)
-        if train_set is not None:
-            state.train_scores = _election_score_cache(net, train_set)
-        state.prev_selection_accuracy = _accuracy(state.sel_scores, selection.labels)
-        state.prev_selection_loss = _ce_loss(state.sel_scores, selection.labels)
-    else:
-        state.prev_selection_loss = _ce_loss(state.sel_logits, selection.labels)
-        state.prev_selection_accuracy = _accuracy(state.sel_logits, selection.labels)
+    state.sel_scores = _scores(net, selection.images, network_scores)
+    # In tuning mode the scores are the votes; election votes take a pass
+    # of their own.
+    state.sel_votes = (state.sel_scores.copy() if net.mode == "tuning" else
+                       _scores(net, selection.images, network_forward_batch))
+    if test_set is not None:
+        state.test_scores = _scores(net, test_set.images, network_scores)
+    if train_set is not None:
+        state.train_scores = _scores(net, train_set.images, network_scores)
+    state.prev_selection_accuracy, state.prev_selection_loss = score_metrics(
+        state.sel_scores, selection.labels)
     return state
-
-
-def _election_score_cache(net: NamNetwork, dataset: Dataset) -> np.ndarray:
-    """Summed z-scores of the current branches (zeros for an empty network)."""
-    if not net.branches:
-        return np.zeros((dataset.n, net.n_classes))
-    scores, _ = elect_batch(net, dataset.images)
-    return scores
 
 
 def _flag_stat_rows(p: float, target_class: int,
@@ -347,16 +330,17 @@ class _Tentative:
 def grow_iteration(state: GrowthState, candidates, config: GrowthConfig
                    ) -> IterationRecord:
     """Consume candidates until `max_per_iteration` qualify (or none remain),
-    then tune (tuning mode) or fit stats (election mode) and accept or roll
-    back the whole batch on the selection set.  Appends one IterationRecord
-    (and the per-branch metric points) to the state."""
+    then fit the batch and keep or roll it back as a whole on the selection
+    set.  Appends one IterationRecord (and the per-branch metric points) to
+    the state."""
     net = state.net
+    mode = net.mode
     labels = state.selection.labels
     row_idx = np.arange(state.selection.n)
     seen = 0
     tentative: list[_Tentative] = []
     rejected_records = []
-    work_logits = state.sel_logits.copy()
+    work_votes = state.sel_votes.copy()
     memo_range, memo_patches = None, None
 
     for cand in candidates:
@@ -381,51 +365,45 @@ def grow_iteration(state: GrowthState, candidates, config: GrowthConfig
             "qualified": False,
             "kept": False,
         }
-        if config.mode == "tuning" and v_span <= 0.0:
+        if mode == "tuning" and v_span <= 0.0:
             record["reason"] = "no output spread above threshold"
             rejected_records.append(record)
             continue
-        cums = work_logits[row_idx, labels]
+        cums = work_votes[row_idx, labels]
         table = ClassOutputTable(values[:, None], labels, cand.target_class)
-        if config.mode == "tuning":
-            report = qualify(table, 0, "tuning", cums)
-        else:
-            report = qualify(table, 0, "election", cums, thd=thd,
-                             n_classes=net.n_classes)
+        report = qualify(table, 0, mode, cums, thd=thd, n_classes=net.n_classes)
         record["qualified"] = bool(report.verdict)
         if not report.verdict:
             rejected_records.append(record)
             continue
-        mask = ClassMask(1.0, 0.0, thd, v_span)
-        origin = "grown" if config.mode == "tuning" else "transferred"
         branch = Branch(mlp=mlp, input_range=cand.input_range,
                         branch_class=cand.branch_class,
                         target_class=cand.target_class,
-                        mask=mask, origin=origin)
-        if config.mode == "tuning":
-            work_logits[:, cand.target_class] += apply_class_mask(mask, values)
-        else:
-            work_logits[:, cand.target_class] += (values > thd).astype(np.float64)
+                        mask=ClassMask(1.0, 0.0, thd, v_span),
+                        origin="grown" if mode == "tuning" else "transferred")
+        work_votes[:, cand.target_class] += added_branch_output(branch, values,
+                                                                mode)
         tentative.append(_Tentative(branch, cand, values, record))
         if len(tentative) >= config.max_per_iteration:
             break
 
     net.branches.extend(t.branch for t in tentative)
-    if config.mode == "tuning":
-        accepted = _finish_tuning_iteration(state, tentative, work_logits)
-    else:
-        accepted = _finish_election_iteration(state, tentative, work_logits)
+    accepted = _finish_iteration(state, tentative)
 
     state.candidate_records.extend(rejected_records)
     state.candidate_records.extend(t.record for t in tentative)
+    test_accuracy = test_loss = float("nan")
+    if state.test_set is not None:
+        test_accuracy, test_loss = score_metrics(state.test_scores,
+                                                 state.test_set.labels)
     record = IterationRecord(
         iteration=state.iteration,
         candidates_seen=seen,
         accepted=accepted,
         rejected=seen - accepted,
         selection_loss=state.prev_selection_loss,
-        test_loss=_current_test_loss(state),
-        test_accuracy=_current_test_accuracy(state),
+        test_loss=test_loss,
+        test_accuracy=test_accuracy,
         branch_count=net.n_branches,
         parameter_count=parameter_count(net),
     )
@@ -441,156 +419,96 @@ def grow_iteration(state: GrowthState, candidates, config: GrowthConfig
     return record
 
 
-def _current_test_loss(state: GrowthState) -> float:
-    if state.test_set is None:
-        return float("nan")
-    cache = state.test_scores if state.config.mode == "election" else state.test_logits
-    return _ce_loss(cache, state.test_set.labels)
-
-
-def _current_test_accuracy(state: GrowthState) -> float:
-    if state.test_set is None:
-        return float("nan")
-    cache = state.test_scores if state.config.mode == "election" else state.test_logits
-    return _accuracy(cache, state.test_set.labels)
-
-
 def _raw_values(branch: Branch, dataset: Dataset) -> np.ndarray:
     patches = extract_patches(dataset.images, [branch.input_range])[0]
     return branch_raw_scalar_batch(branch, patches)
 
 
-def _finish_tuning_iteration(state: GrowthState, tentative, work_logits) -> int:
-    """Tune the new masks, then keep or revert this iteration's additions."""
-    net = state.net
-    config = state.config
+def _finish_iteration(state: GrowthState, tentative: list[_Tentative]) -> int:
+    """Fit the new branches, score them, then keep or revert the batch.
+
+    The branches are fitted on the train split, or on the selection set
+    when there is none: tuning mode tunes their masks, election mode fits
+    the flag statistics that z-score their outputs.  The batch is kept only
+    when the selection-set loss did not increase and, in election mode, the
+    selection-set accuracy did not drop, so both recorded series are
+    monotone there.  A kept batch is added to every split's cached scores.
+    """
     if not tentative:
         return 0
-    tune_set = state.train_set if state.train_set is not None else state.selection
-    frozen = state.train_logits if state.train_set is not None else state.sel_logits
-    raw_tune = [_raw_values(t.branch, tune_set) for t in tentative]
-    if config.tuning_epochs > 0:
-        tune_masks(net, tune_set, config.tuning_epochs,
+    net, config = state.net, state.config
+    if state.train_set is None:
+        fit_set, fit_scores = state.selection, state.sel_scores
+        raw_fit = [t.values_sel for t in tentative]
+    else:
+        fit_set, fit_scores = state.train_set, state.train_scores
+        raw_fit = [_raw_values(t.branch, fit_set) for t in tentative]
+    new_rows = None
+    if net.mode == "election":
+        new_rows = []
+        for t, raw in zip(tentative, raw_fit):
+            flags = added_branch_output(t.branch, raw, net.mode)
+            new_rows.append(_flag_stat_rows(float(flags.mean()),
+                                            t.branch.target_class,
+                                            net.n_classes))
+    elif config.tuning_epochs > 0:
+        tune_masks(net, fit_set, config.tuning_epochs,
                    learning_rate=config.mask_learning_rate,
                    batch_size=config.mask_batch_size,
                    seed=int(state.rng.integers(2 ** 31)),
-                   frozen_logits=frozen, raw_values=raw_tune)
-    # Contributions with the tuned masks decide acceptance.
-    sel_new = state.sel_logits.copy()
-    for t in tentative:
-        sel_new[:, t.branch.target_class] += apply_class_mask(t.branch.mask,
-                                                              t.values_sel)
-    new_loss = _ce_loss(sel_new, state.selection.labels)
-    if new_loss > state.prev_selection_loss:
-        del net.branches[-len(tentative):]
-        log.info("iteration %d rolled back: selection loss %.6f > %.6f",
-                 state.iteration, new_loss, state.prev_selection_loss)
-        return 0
-    for t in tentative:
-        t.branch.mask_frozen = True
-        t.record["kept"] = True
-    state.sel_logits = sel_new
-    state.prev_selection_loss = new_loss
-    state.prev_selection_accuracy = _accuracy(sel_new, state.selection.labels)
-    if state.train_set is not None:
-        for t, raw in zip(tentative, raw_tune):
-            state.train_logits[:, t.branch.target_class] += \
-                apply_class_mask(t.branch.mask, raw)
-    if state.test_set is not None:
-        running = state.test_logits.copy()
-        base_count = net.n_branches - len(tentative)
-        for offset, t in enumerate(tentative):
-            raw = _raw_values(t.branch, state.test_set)
-            running[:, t.branch.target_class] += apply_class_mask(t.branch.mask, raw)
-            state.branch_points.append(BranchPoint(
-                iteration=state.iteration,
-                branch_count=base_count + offset + 1,
-                accuracy=_accuracy(running, state.test_set.labels),
-                loss=_ce_loss(running, state.test_set.labels)))
-        state.test_logits = running
-    else:
-        base_count = net.n_branches - len(tentative)
-        for offset, t in enumerate(tentative):
-            state.branch_points.append(BranchPoint(
-                iteration=state.iteration, branch_count=base_count + offset + 1,
-                accuracy=float("nan"), loss=float("nan")))
-    return len(tentative)
+                   frozen_logits=fit_scores, raw_values=raw_fit)
 
+    def score(k: int, out: np.ndarray) -> np.ndarray:
+        """Added branch k's output as it enters its target class's score."""
+        if new_rows is None:
+            return out
+        c = tentative[k].branch.target_class
+        mean, std = new_rows[k]
+        return (out - mean[c]) / std[c]
 
-def _finish_election_iteration(state: GrowthState, tentative, work_logits) -> int:
-    """Fit stats for the new branches, then keep or revert.
-
-    An iteration is kept only when the selection-set loss of the summed
-    z-scores did not increase and the selection-set accuracy did not drop,
-    so both recorded series are monotone by construction.
-    """
-    net = state.net
-    if not tentative:
-        return 0
-    stats_set = state.train_set if state.train_set is not None else state.selection
-    new_rows = []
-    stats_flags = []
-    for t in tentative:
-        if stats_set is state.selection:
-            flags = (t.values_sel > t.branch.mask.thd).astype(np.float64)
-        else:
-            flags = (_raw_values(t.branch, stats_set)
-                     > t.branch.mask.thd).astype(np.float64)
-        p = float(flags.mean())
-        new_rows.append(_flag_stat_rows(p, t.branch.target_class, net.n_classes))
-        stats_flags.append(flags)
+    out_sel = [added_branch_output(t.branch, t.values_sel, net.mode)
+               for t in tentative]
     sel_new = state.sel_scores.copy()
-    for t, (mean, std) in zip(tentative, new_rows):
-        c = t.branch.target_class
-        flags_sel = (t.values_sel > t.branch.mask.thd).astype(np.float64)
-        sel_new[:, c] += (flags_sel - mean[c]) / std[c]
-    new_acc = _accuracy(sel_new, state.selection.labels)
-    new_loss = _ce_loss(sel_new, state.selection.labels)
-    if new_acc < state.prev_selection_accuracy or new_loss > state.prev_selection_loss:
+    for k, (t, out) in enumerate(zip(tentative, out_sel)):
+        sel_new[:, t.branch.target_class] += score(k, out)
+    new_acc, new_loss = score_metrics(sel_new, state.selection.labels)
+    if new_loss > state.prev_selection_loss or (
+            net.mode == "election" and new_acc < state.prev_selection_accuracy):
         del net.branches[-len(tentative):]
-        log.info("iteration %d rolled back: selection accuracy %.4f (prev %.4f),"
-                 " loss %.6f (prev %.6f)", state.iteration, new_acc,
-                 state.prev_selection_accuracy, new_loss,
-                 state.prev_selection_loss)
+        log.info("iteration %d rolled back: selection loss %.6f (prev %.6f),"
+                 " accuracy %.4f (prev %.4f)", state.iteration, new_loss,
+                 state.prev_selection_loss, new_acc,
+                 state.prev_selection_accuracy)
         return 0
     for t in tentative:
         t.branch.mask_frozen = True
         t.record["kept"] = True
-    state.stats_rows.extend(new_rows)
-    net.election_stats = ElectionStats(
-        np.stack([m for m, _ in state.stats_rows]),
-        np.stack([s for _, s in state.stats_rows]))
+    if new_rows is not None:
+        state.stats_rows.extend(new_rows)
+        net.election_stats = ElectionStats(
+            np.stack([m for m, _ in state.stats_rows]),
+            np.stack([s for _, s in state.stats_rows]))
     state.sel_scores = sel_new
-    state.sel_logits = work_logits
     state.prev_selection_accuracy = new_acc
     state.prev_selection_loss = new_loss
+    for t, out in zip(tentative, out_sel):
+        state.sel_votes[:, t.branch.target_class] += out
     if state.train_set is not None:
-        for t, (mean, std), flags in zip(tentative, new_rows, stats_flags):
-            c = t.branch.target_class
-            state.train_scores[:, c] += (flags - mean[c]) / std[c]
-    if state.test_set is not None:
-        running = state.test_scores.copy()
-        base_count = net.n_branches - len(tentative)
-        train_acc = (None if state.train_scores is None else
-                     _accuracy(state.train_scores, state.train_set.labels))
-        for offset, (t, (mean, std)) in enumerate(zip(tentative, new_rows)):
-            c = t.branch.target_class
-            flags = (_raw_values(t.branch, state.test_set)
-                     > t.branch.mask.thd).astype(np.float64)
-            running[:, c] += (flags - mean[c]) / std[c]
-            state.branch_points.append(BranchPoint(
-                iteration=state.iteration,
-                branch_count=base_count + offset + 1,
-                accuracy=_accuracy(running, state.test_set.labels),
-                loss=_ce_loss(running, state.test_set.labels),
-                train_accuracy=train_acc))
-        state.test_scores = running
-    else:
-        base_count = net.n_branches - len(tentative)
-        for offset, t in enumerate(tentative):
-            state.branch_points.append(BranchPoint(
-                iteration=state.iteration, branch_count=base_count + offset + 1,
-                accuracy=float("nan"), loss=float("nan")))
+        for k, (t, raw) in enumerate(zip(tentative, raw_fit)):
+            out = added_branch_output(t.branch, raw, net.mode)
+            state.train_scores[:, t.branch.target_class] += score(k, out)
+    base_count = net.n_branches - len(tentative)
+    for k, t in enumerate(tentative):
+        accuracy = loss = float("nan")
+        if state.test_set is not None:
+            out = added_branch_output(
+                t.branch, _raw_values(t.branch, state.test_set), net.mode)
+            state.test_scores[:, t.branch.target_class] += score(k, out)
+            accuracy, loss = score_metrics(state.test_scores,
+                                           state.test_set.labels)
+        state.branch_points.append(BranchPoint(
+            iteration=state.iteration, branch_count=base_count + k + 1,
+            accuracy=accuracy, loss=loss))
     return len(tentative)
 
 
@@ -657,11 +575,12 @@ def tune_masks(net: NamNetwork, dataset: Dataset, epochs: int,
     return net
 
 
-def frozen_parameter_hash(net: NamNetwork) -> str:
-    """SHA-256 over everything growth must never change: MLP weights, mask
-    thresholds and spans, and the scale/bias of already-frozen masks."""
+def frozen_parameter_hash(branches: list[Branch]) -> str:
+    """SHA-256 over everything growth must never change in `branches`: MLP
+    weights, mask thresholds and spans, and the scale/bias of already-frozen
+    masks."""
     h = hashlib.sha256()
-    for branch in net.branches:
+    for branch in branches:
         for layer in branch.mlp.hidden_layers:
             h.update(np.ascontiguousarray(layer.weights).tobytes())
             if layer.bias is not None:
@@ -672,22 +591,6 @@ def frozen_parameter_hash(net: NamNetwork) -> str:
             if branch.mask_frozen:
                 h.update(np.float64([branch.mask.a, branch.mask.b]).tobytes())
     return h.hexdigest()
-
-
-def accept_or_rollback(net_before: NamNetwork, net_after: NamNetwork,
-                       selection: Dataset) -> NamNetwork:
-    """Return whichever network the selection set prefers.
-
-    Tuning networks must not increase the selection loss; election networks
-    must not decrease the selection accuracy.  Equal metrics keep `net_after`.
-    """
-    if net_before.mode != net_after.mode:
-        raise ValueError("snapshots disagree on mode")
-    acc_before, loss_before = evaluate(net_before, selection)
-    acc_after, loss_after = evaluate(net_after, selection)
-    if net_after.mode == "tuning":
-        return net_after if loss_after <= loss_before else net_before
-    return net_after if acc_after >= acc_before else net_before
 
 
 def _source_summaries(branch_mlps, config: GrowthConfig, seed: int,
@@ -722,10 +625,9 @@ def run_growth(net: NamNetwork, train_set: Dataset, config: GrowthConfig,
     `max_iterations` bounds the number of iterations (None runs until the
     candidate scan is exhausted; 0 returns the network untouched).
     `on_iteration`, when given, is called with each IterationRecord as soon
-    as it is final, so callers can stream logs.
+    as it is final, so callers can stream logs.  Raises RuntimeError when
+    the branches the network started with have changed by the end.
     """
-    if config.mode != "tuning":
-        raise ValueError("same-task growth runs in tuning mode")
     if net.mode != "tuning":
         raise ValueError("network must be in tuning mode")
     sources = [(i, br) for i, br in enumerate(net.branches)
@@ -737,6 +639,7 @@ def run_growth(net: NamNetwork, train_set: Dataset, config: GrowthConfig,
     if max_iterations == 0:
         return start_growth(net, selection, config, train_set, test_set,
                             np.random.default_rng(seeds[3]))
+    n_start, start_hash = net.n_branches, frozen_parameter_hash(net.branches)
     summaries = _source_summaries([br.mlp for _, br in sources], config,
                                   int(seeds[1].generate_state(1)[0]),
                                   cluster_table)
@@ -765,6 +668,8 @@ def run_growth(net: NamNetwork, train_set: Dataset, config: GrowthConfig,
         remaining -= record.candidates_seen
         if on_iteration is not None:
             on_iteration(record)
+    if frozen_parameter_hash(net.branches[:n_start]) != start_hash:
+        raise RuntimeError("growth changed the branches it started from")
     return state
 
 
@@ -777,11 +682,11 @@ def transfer_task(base_net: NamNetwork, train_set: Dataset,
     Each source branch is one iteration; its matched placements are
     qualified, binarized, and kept only when the selection accuracy does not
     drop.  Returns the growth state; the grown network may be empty when no
-    placement qualifies (prediction on it then fails as an empty network)."""
-    if config.mode != "election":
-        raise ValueError("trans-task transfer runs in election mode")
+    placement qualifies (prediction on it then fails as an empty network).
+    Raises RuntimeError when the source branches have changed by the end."""
     if not base_net.branches:
         raise ValueError("source network has no branches")
+    source_hash = frozen_parameter_hash(base_net.branches)
     seeds = np.random.SeedSequence(config.seed).spawn(4)
     selection = build_selection_set(train_set, config.selection_size, seeds[0])
     summaries = _source_summaries([br.mlp for br in base_net.branches], config,
@@ -811,4 +716,6 @@ def transfer_task(base_net: NamNetwork, train_set: Dataset,
             record = grow_iteration(state, iter(()), config)
             if on_iteration is not None:
                 on_iteration(record)
+    if frozen_parameter_hash(base_net.branches) != source_hash:
+        raise RuntimeError("transfer changed the source branches")
     return state

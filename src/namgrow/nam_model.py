@@ -154,6 +154,15 @@ def branch_raw_scalar_batch(branch: Branch, patches: np.ndarray) -> np.ndarray:
     return mlp_forward_batch(branch.mlp, patches)[:, branch.branch_class]
 
 
+def added_branch_output(branch: Branch, raw: np.ndarray, mode: str) -> np.ndarray:
+    """An added branch's contribution to its target class from its raw
+    scalars: masked (tuning mode) or flagged at the mask threshold
+    (election mode)."""
+    if mode == "tuning":
+        return apply_class_mask(branch.mask, raw)
+    return (raw > branch.mask.thd).astype(np.float64)
+
+
 def _branch_sum(net: NamNetwork, images: np.ndarray,
                 zscored: bool) -> np.ndarray:
     """The forward engine: branch contributions summed into [n, n_classes].
@@ -190,11 +199,7 @@ def _branch_sum(net: NamNetwork, images: np.ndarray,
             if br.origin == "base":
                 out += y if stats is None else (y - stats.means[k]) / stats.stds[k]
                 continue
-            raw = y[:, br.branch_class]
-            if net.mode == "tuning":
-                value = apply_class_mask(br.mask, raw)
-            else:
-                value = (raw > br.mask.thd).astype(np.float64)
+            value = added_branch_output(br, y[:, br.branch_class], net.mode)
             t = br.target_class
             if stats is not None:
                 # The zero outputs of the other classes add one constant

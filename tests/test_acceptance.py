@@ -183,8 +183,7 @@ def test_criterion_3_same_task_growth(cifar):
     train, test = cifar
     base, _ = _trained_cifar_base(train)
     acc0, loss0 = _shared.get("base_test_metrics") or evaluate(base, test)
-    state = run_growth(base.copy(), train, GrowthConfig(mode="tuning"),
-                       test_set=test)
+    state = run_growth(base.copy(), train, GrowthConfig(), test_set=test)
     accepted = sum(r.accepted for r in state.records)
     acc1, loss1 = evaluate(state.net, test)
     losses = [r.selection_loss for r in state.records]
@@ -218,7 +217,7 @@ def test_criterion_4_transfer_cifar_to_mnist(cifar, mnist):
     base, _ = _trained_cifar_base(cifar[0])
     mnist_train, mnist_test = mnist
     reset_optimizer_step_count()
-    state = transfer_task(base, mnist_train, GrowthConfig(mode="election"),
+    state = transfer_task(base, mnist_train, GrowthConfig(),
                           test_set=mnist_test)
     steps = optimizer_step_count()
     series = state.selection_accuracy_series

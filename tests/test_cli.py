@@ -220,6 +220,26 @@ class TestGrow:
         lines = (out / "metrics.csv").read_text().splitlines()
         assert lines == ["iteration,branches,accuracy,loss"]
 
+    def test_moved_base_weight_is_an_internal_error(self, tmp_path,
+                                                    config_file, base_run,
+                                                    monkeypatch, caplog):
+        """The run-time frozen-weight check turns a base weight that moved
+        during growth into exit code 3."""
+        from namgrow import growth
+
+        def nudging_tune_masks(net, *args, **kwargs):
+            net.branches[0].mlp.hidden_layers[0].weights[0, 0] += 1e-9
+            return real_tune_masks(net, *args, **kwargs)
+
+        real_tune_masks = growth.tune_masks
+        monkeypatch.setattr(growth, "tune_masks", nudging_tune_masks)
+        code = main(["grow", "--config", str(config_file),
+                     "--checkpoint", str(base_run / "checkpoint.json"),
+                     "--out-dir", str(tmp_path / "moved"), "--seed", "3",
+                     "--max-iterations", "1"])
+        assert code == 3
+        assert "changed the branches it started from" in caplog.text
+
 
 @pytest.fixture(scope="module")
 def cache_run(tmp_path_factory, config_file, base_run):
@@ -454,7 +474,7 @@ class TestShippedConfigs:
             TrainConfig(epochs=cfg["train"].getint("epochs"),
                         batch_size=cfg["train"].getint("batch_size"),
                         learning_rate=cfg["train"].getfloat("learning_rate"))
-            _growth_config(cfg, "tuning")
+            _growth_config(cfg)
 
 
 class TestErrorPaths:

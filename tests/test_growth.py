@@ -11,7 +11,6 @@ from namgrow.growth import (
     CandidateBranch,
     GrowthConfig,
     IterationRecord,
-    accept_or_rollback,
     build_selection_set,
     candidate_ranges,
     draw_reference_images,
@@ -35,6 +34,7 @@ from namgrow.nam_model import (
     apply_class_mask,
     evaluate,
     network_forward_batch,
+    network_scores,
     parameter_count,
 )
 from namgrow.nn_core import (
@@ -101,7 +101,7 @@ def patch_mean_dataset(means_by_class, n_per_class, noise=0.02, seed=0,
 
 def fresh_state(mode="tuning", selection=None, test_set=None, train_set=None,
                 **config_kw):
-    config = GrowthConfig(mode=mode, selection_size=selection.n,
+    config = GrowthConfig(selection_size=selection.n,
                           max_per_iteration=config_kw.pop("max_per_iteration", 64),
                           tuning_epochs=config_kw.pop("tuning_epochs", 2),
                           **config_kw)
@@ -403,7 +403,7 @@ class TestTuneMasks:
         net = self.grown_network(data, n_grown=2, frozen_extra=True)
         frozen_branch = net.branches[-1]
         frozen_before = (frozen_branch.mask.a, frozen_branch.mask.b)
-        hash_before = frozen_parameter_hash(net)
+        hash_before = frozen_parameter_hash(net.branches)
         weights_before = [br.mlp.hidden_layers[0].weights.copy()
                           for br in net.branches]
         tuned = [br for br in net.branches
@@ -412,7 +412,7 @@ class TestTuneMasks:
 
         tune_masks(net, data, epochs=2, seed=1)
 
-        assert frozen_parameter_hash(net) == hash_before
+        assert frozen_parameter_hash(net.branches) == hash_before
         assert (frozen_branch.mask.a, frozen_branch.mask.b) == frozen_before
         for br, w in zip(net.branches, weights_before):
             np.testing.assert_array_equal(br.mlp.hidden_layers[0].weights, w)
@@ -437,66 +437,126 @@ class TestFrozenParameterHash:
 
     def test_sensitive_to_mlp_weights(self):
         net, _ = self.net()
-        before = frozen_parameter_hash(net)
+        before = frozen_parameter_hash(net.branches)
         net.branches[0].mlp.hidden_layers[0].weights[0, 0] += 1e-9
-        assert frozen_parameter_hash(net) != before
+        assert frozen_parameter_hash(net.branches) != before
 
     def test_ignores_unfrozen_scale_but_not_frozen_scale(self):
         net, _ = self.net()
         grown = net.branches[-1]
-        before = frozen_parameter_hash(net)
+        before = frozen_parameter_hash(net.branches)
         grown.mask.a = 3.0
-        assert frozen_parameter_hash(net) == before
+        assert frozen_parameter_hash(net.branches) == before
         grown.mask_frozen = True
-        frozen_now = frozen_parameter_hash(net)
+        frozen_now = frozen_parameter_hash(net.branches)
         grown.mask.a = 4.0
-        assert frozen_parameter_hash(net) != frozen_now
+        assert frozen_parameter_hash(net.branches) != frozen_now
 
 
-class TestAcceptOrRollback:
-    def setup_nets(self):
-        data = patch_mean_dataset([0.4, -0.2, -0.4], 20, seed=2)
-        selection = build_selection_set(data, 30, seed=0)
-        mlp = ramp_mlp(1)
-        patches = extract_patches(selection.images, [RANGE0])[0]
-        values = mlp_forward_batch(mlp, patches)[:, 1]
-        thd = float(np.quantile(values, 0.8))
-        good = Branch(mlp=mlp, input_range=RANGE0, branch_class=1,
-                      target_class=0,
-                      mask=ClassMask(1.0, 0.0, thd, float(values.max() - thd)),
-                      origin="grown", mask_frozen=True)
-        before = NamNetwork(n_classes=N_CLASSES, input_shape=data.shape,
-                            mode="tuning", branches=[good])
-        return before, selection
+MODES = ["tuning", "election"]
 
-    def test_equal_networks_accepted(self):
-        before, selection = self.setup_nets()
-        after = before.copy()
-        assert accept_or_rollback(before, after, selection) is after
 
-    def test_improvement_accepted(self):
-        before, selection = self.setup_nets()
-        after = before.copy()
-        after.branches[0].mask.a = 1.2  # steeper ramp on a separating branch
-        chosen = accept_or_rollback(before, after, selection)
-        _, loss_before = evaluate(before, selection)
-        _, loss_after = evaluate(after, selection)
-        assert loss_after <= loss_before
-        assert chosen is after
+class TestAcceptanceRule:
+    """A batch is kept only when the selection loss does not increase and,
+    in election mode, the selection accuracy does not drop.  Each case
+    replays one batch against previous metrics set relative to its own."""
 
-    def test_regression_reverted(self):
-        before, selection = self.setup_nets()
-        after = before.copy()
-        bad_mlp = ramp_mlp(2)
-        patches = extract_patches(selection.images, [RANGE0])[0]
-        values = mlp_forward_batch(bad_mlp, patches)[:, 2]
-        thd = float(np.quantile(values, 0.8))
-        # fires on class-0 samples but credits class 2
-        after.branches.append(Branch(
-            mlp=bad_mlp, input_range=RANGE0, branch_class=2, target_class=2,
-            mask=ClassMask(5.0, 5.0, thd, float(values.max() - thd)),
-            origin="grown", mask_frozen=True))
-        assert accept_or_rollback(before, after, selection) is before
+    TASKS = {"tuning": ([0.4, -0.2, -0.4], 0),
+             "election": ([-0.2, -0.4, 0.4], 2)}
+
+    def kept(self, mode, shift=None):
+        """Whether grow_iteration keeps the batch when the previous
+        selection (accuracy, loss) are the batch's own plus `shift`, or the
+        empty network's when `shift` is None."""
+        means, target = self.TASKS[mode]
+        selection = build_selection_set(patch_mean_dataset(means, 40, seed=1),
+                                        60, seed=0)
+        state, config = fresh_state(mode, selection)
+        if shift is not None:
+            accuracy, loss = self.batch_metrics(mode)
+            state.prev_selection_accuracy = accuracy + shift[0]
+            state.prev_selection_loss = loss + shift[1]
+        before = (state.prev_selection_accuracy, state.prev_selection_loss)
+        record = grow_iteration(state, [hand_candidate(ramp_mlp(1), 1, target)],
+                                config)
+        assert state.net.n_branches == record.accepted
+        if not record.accepted:
+            after = (state.prev_selection_accuracy, state.prev_selection_loss)
+            assert after == before
+        return record.accepted == 1
+
+    def batch_metrics(self, mode):
+        means, target = self.TASKS[mode]
+        selection = build_selection_set(patch_mean_dataset(means, 40, seed=1),
+                                        60, seed=0)
+        state, config = fresh_state(mode, selection)
+        record = grow_iteration(state, [hand_candidate(ramp_mlp(1), 1, target)],
+                                config)
+        assert record.accepted == 1
+        return state.prev_selection_accuracy, state.prev_selection_loss
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_equal_metrics_keep_the_batch(self, mode):
+        assert self.kept(mode, (0.0, 0.0))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("accuracy_shift", [0.0, -1 / 60],
+                             ids=["equal_accuracy", "higher_accuracy"])
+    def test_a_loss_increase_rolls_back(self, mode, accuracy_shift):
+        # The batch's accuracy equals or beats the previous one, so only the
+        # loss gate can reject it.
+        assert not self.kept(mode, (accuracy_shift, -1e-9))
+
+    def test_an_accuracy_drop_rolls_back_election_only(self):
+        # The loss falls by 0.1 while the accuracy drops by one sample.
+        assert not self.kept("election", (1 / 60, 0.1))
+        assert self.kept("tuning", (1 / 60, 0.1))
+
+
+def two_window_dataset(n_per_class, seed, tag):
+    """Noisy images with class evidence in two disjoint 3x3 windows."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(N_CLASSES), n_per_class)
+    images = rng.uniform(-0.25, 0.25, size=(labels.size, 1, 6, 6))
+    images[:, 0, 0:3, 0:3] += np.array([0.2, 0.0, -0.2])[labels, None, None]
+    images[:, 0, 3:6, 3:6] += np.array([-0.1, 0.2, 0.0])[labels, None, None]
+    return Dataset(images=images, labels=labels, tag=tag,
+                   n_classes=N_CLASSES)
+
+
+class TestScoreCaches:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_caches_equal_a_fresh_forward_after_every_iteration(self, mode):
+        """The incrementally updated caches hold exactly what a full forward
+        of the current network gives, through kept and rolled-back batches."""
+        train = two_window_dataset(40, seed=1, tag="train")
+        test = two_window_dataset(20, seed=2, tag="test")
+        selection = build_selection_set(train, 60, seed=0)
+        state, config = fresh_state(mode, selection, test_set=test,
+                                    train_set=train, max_per_iteration=1,
+                                    tuning_epochs=1)
+        candidates = iter([hand_candidate(ramp_mlp(1), 1, target, r)
+                           for r in candidate_ranges(selection.shape)
+                           for target in range(N_CLASSES)])
+        kept = rolled_back = 0
+        while True:
+            record = grow_iteration(state, candidates, config)
+            if record.candidates_seen == 0:
+                break
+            qualified = any(r["qualified"] for r in state.candidate_records
+                            if r["iteration"] == record.iteration)
+            kept += record.accepted
+            rolled_back += qualified and not record.accepted
+            net = state.net
+            assert net.branches
+            for split, cache in ((selection, state.sel_scores),
+                                 (train, state.train_scores),
+                                 (test, state.test_scores)):
+                assert np.array_equal(cache,
+                                      network_scores(net, split.images))
+            assert np.array_equal(state.sel_votes,
+                                  network_forward_batch(net, selection.images))
+        assert kept >= 2 and rolled_back >= 1
 
 
 class TestGrowIterationElection:

@@ -14,6 +14,7 @@ import json
 import numpy as np
 import pytest
 
+from namgrow import growth
 from namgrow.checkpoint import network_from_json, network_to_json
 from namgrow.clustering import ClusterConfig
 from namgrow.data_io import Dataset, base_grid_ranges
@@ -71,8 +72,8 @@ def make_base_network(train_set, seed=0):
     return net
 
 
-def small_growth_config(mode="tuning"):
-    return GrowthConfig(mode=mode, selection_size=120, max_per_iteration=8,
+def small_growth_config():
+    return GrowthConfig(selection_size=120, max_per_iteration=8,
                         reference_per_class=20, seed=5,
                         cluster=ClusterConfig(n_samples=300))
 
@@ -154,12 +155,31 @@ class TestGrowthRun:
 
     def test_mode_guards(self, task_a, base_net):
         train, _ = task_a
+        election_net = copy.deepcopy(base_net)
+        election_net.mode = "election"
         with pytest.raises(ValueError, match="tuning"):
-            run_growth(copy.deepcopy(base_net), train,
-                       small_growth_config(mode="election"))
+            run_growth(election_net, train, small_growth_config())
         bare = NamNetwork(n_classes=N_CLASSES, input_shape=SHAPE, mode="tuning")
         with pytest.raises(ValueError, match="base"):
             run_growth(bare, train, small_growth_config())
+
+    def test_moved_base_weight_is_caught(self, task_a, base_net, monkeypatch):
+        """run_growth hashes the branches it starts from on entry and again
+        on exit; a mask-tuning step that also moves a base weight fails."""
+        calls = []
+
+        def nudging_tune_masks(net, *args, **kwargs):
+            calls.append(net.n_branches)
+            net.branches[0].mlp.hidden_layers[0].weights[0, 0] += 1e-9
+            return real_tune_masks(net, *args, **kwargs)
+
+        real_tune_masks = growth.tune_masks
+        monkeypatch.setattr(growth, "tune_masks", nudging_tune_masks)
+        train, test = task_a
+        with pytest.raises(RuntimeError, match="started from"):
+            run_growth(copy.deepcopy(base_net), train, small_growth_config(),
+                       test_set=test, max_iterations=1)
+        assert calls
 
 
 @pytest.fixture(scope="module")
@@ -171,7 +191,7 @@ def task_b(task_a):
 def transferred(grown, task_b):
     train, test = task_b
     reset_optimizer_step_count()
-    state = transfer_task(grown.net, train, small_growth_config("election"),
+    state = transfer_task(grown.net, train, small_growth_config(),
                           test_set=test)
     state.optimizer_steps = optimizer_step_count()
     return state
@@ -216,15 +236,13 @@ class TestTransferRun:
     def test_transfer_is_deterministic(self, transferred, grown, task_b):
         train, test = task_b
         again = transfer_task(grown.net, train,
-                              small_growth_config("election"), test_set=test)
+                              small_growth_config(), test_set=test)
         assert ([r.to_json_line() for r in again.records]
                 == [r.to_json_line() for r in transferred.records])
         assert network_to_json(again.net) == network_to_json(transferred.net)
 
     def test_mode_guards(self, grown, task_b):
-        with pytest.raises(ValueError, match="election"):
-            transfer_task(grown.net, task_b[0], small_growth_config("tuning"))
         bare = NamNetwork(n_classes=N_CLASSES, input_shape=SHAPE,
                           mode="election")
         with pytest.raises(ValueError, match="branches"):
-            transfer_task(bare, task_b[0], small_growth_config("election"))
+            transfer_task(bare, task_b[0], small_growth_config())
