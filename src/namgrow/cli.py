@@ -298,10 +298,14 @@ def cmd_train_base(args, cfg) -> int:
             log.info("epoch %d: train loss %.4f, test accuracy %.4f",
                      metrics.epoch, metrics.train_loss, metrics.eval_accuracy)
 
-        train_network(net, train, train_config, eval_dataset=test,
-                      on_epoch=on_epoch)
+        history = train_network(net, train, train_config, eval_dataset=test,
+                                on_epoch=on_epoch)
     save_checkpoint(net, out_dir / "checkpoint.json")
-    accuracy, loss = evaluate(net, test)
+    # The last epoch already scored the trained network on the test split.
+    if history:
+        accuracy, loss = history[-1].eval_accuracy, history[-1].eval_loss
+    else:
+        accuracy, loss = evaluate(net, test)
     _write_json(out_dir / "run_meta.json", {
         "command": "train-base",
         "dataset": name,

@@ -11,7 +11,7 @@ member sample with the highest class-output (its center, in original space).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,9 +40,6 @@ class ClusterConfig:
             raise ValueError("min shift distance must be below neighbor distance")
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
-
-    def covariance(self, dim: int) -> np.ndarray:
-        return np.eye(dim) * self.bandwidth ** 2
 
 
 @dataclass
@@ -87,20 +84,6 @@ def generate_branch_pairs(mlp: BranchMlp, n_samples: int,
     return pairs
 
 
-def gaussian_weight(sp1: np.ndarray, sp2: np.ndarray, cov: np.ndarray) -> float:
-    """Multivariate Gaussian kernel weight between two points."""
-    sp1 = np.asarray(sp1, dtype=np.float64)
-    sp2 = np.asarray(sp2, dtype=np.float64)
-    cov = np.atleast_2d(np.asarray(cov, dtype=np.float64))
-    diag = np.diag(cov)
-    if not np.array_equal(cov, np.diag(diag)) or np.any(diag <= 0):
-        raise ValueError("covariance must be positive-definite diagonal")
-    d = sp1 - sp2
-    n = d.shape[0]
-    norm = (2.0 * np.pi) ** (-n / 2.0) / np.sqrt(np.prod(diag))
-    return float(norm * np.exp(-0.5 * np.sum(d * d / diag)))
-
-
 def mean_shift_step(point: np.ndarray, samples: np.ndarray,
                     cov: np.ndarray) -> np.ndarray:
     """Kernel-weighted average of the samples around `point`.
@@ -125,11 +108,6 @@ def standardize(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     mean = samples.mean(axis=0)
     std = np.maximum(samples.std(axis=0), _STD_FLOOR)
     return (samples - mean) / std, mean, std
-
-
-def destandardize(points: np.ndarray, mean: np.ndarray,
-                  std: np.ndarray) -> np.ndarray:
-    return points * std + mean
 
 
 def cluster_branch_class(pairs: BranchPairs, config: ClusterConfig,

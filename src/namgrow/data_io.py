@@ -216,17 +216,6 @@ def range_flat_indices(input_range: InputRange,
     return grid.reshape(-1)
 
 
-def extract_patch(image: np.ndarray, input_range: InputRange) -> np.ndarray:
-    """One image [C,H,W] -> the window's 9-vector (row-major)."""
-    r = input_range
-    patch = image[r.channel,
-                  r.row_start:r.row_start + r.size,
-                  r.col_start:r.col_start + r.size]
-    if patch.shape != (r.size, r.size):
-        raise ValueError(f"input range {r} out of bounds for image {image.shape}")
-    return patch.reshape(-1).astype(np.float64)
-
-
 def extract_patches(images: np.ndarray,
                     ranges: list[InputRange]) -> np.ndarray:
     """Images [n,C,H,W] -> per-range windows [len(ranges), n, size*size]."""

@@ -220,14 +220,15 @@ def candidate_ranges(input_shape: tuple[int, int, int],
 
 
 def match_candidates(ranges, ref_images_by_class, summary_pairs,
-                     first_layer_of, source_mlps,
+                     source_mlps,
                      keep_fraction: float = 0.8) -> list[CandidateBranch]:
     """Scan input ranges and emit at most one candidate per (range, class).
 
-    summary_pairs are (branch_id, cluster summary) pairs; at each range every
-    pair is matched to its best reference class, then per reference class the
-    closest pair wins.  Ties keep the earliest pair in scan order.  Only the
-    winners get their first layer transferred.
+    summary_pairs are (branch_id, cluster summary) pairs and source_mlps
+    maps each branch_id to its MLP; at each range every pair is matched to
+    its best reference class, then per reference class the closest pair
+    wins.  Ties keep the earliest pair in scan order.  Only the winners get
+    the first layer of their MLP transferred.
     """
     prepared = prepare_summaries(summary_pairs)
     candidates = []
@@ -245,9 +246,9 @@ def match_candidates(ranges, ref_images_by_class, summary_pairs,
                 best[res.target_class] = i
         for target in sorted(best):
             res = results[best[target]]
-            w, b = transfer_first_layer(first_layer_of[res.branch_id],
-                                        prepared.stats[best[target]],
-                                        stats_from_points(refs[target]))
+            w, b = transfer_first_layer(
+                source_mlps[res.branch_id].hidden_layers[0],
+                prepared.stats[best[target]], stats_from_points(refs[target]))
             candidates.append(CandidateBranch(
                 source_branch_id=res.branch_id,
                 branch_class=res.branch_class,
@@ -593,22 +594,23 @@ def frozen_parameter_hash(branches: list[Branch]) -> str:
     return h.hexdigest()
 
 
-def _source_summaries(branch_mlps, config: GrowthConfig, seed: int,
-                      cluster_table=None):
+def _source_summaries(branch_mlps, config: GrowthConfig, cluster_table=None):
     if cluster_table is None:
         log.info("clustering %d branch MLPs", len(branch_mlps))
-        cluster_table = cluster_network(branch_mlps, config.cluster, seed)
+        cluster_table = source_cluster_table(branch_mlps, config)
     if len(cluster_table) != len(branch_mlps):
         raise ValueError("cluster table does not cover every branch")
     return cluster_table
 
 
 def source_cluster_table(branch_mlps, config: GrowthConfig):
-    """Cluster source branches exactly as `run_growth`/`transfer_task` would.
+    """Cluster source branches as `run_growth`/`transfer_task` do.
 
-    Precomputing the table with this function and passing it back through
-    their `cluster_table` parameter reproduces the uncached run bit for bit,
-    because the clustering seed is derived from `config.seed` the same way.
+    Both call this when they are given no `cluster_table`, so a table
+    precomputed with it and passed back through that parameter reproduces
+    the uncached run bit for bit.  The clustering seed is child 1 of the
+    four seeds a run derives from `config.seed` (selection, clustering,
+    references, growth).
     """
     seeds = np.random.SeedSequence(config.seed).spawn(4)
     return cluster_network(branch_mlps, config.cluster,
@@ -641,20 +643,17 @@ def run_growth(net: NamNetwork, train_set: Dataset, config: GrowthConfig,
                             np.random.default_rng(seeds[3]))
     n_start, start_hash = net.n_branches, frozen_parameter_hash(net.branches)
     summaries = _source_summaries([br.mlp for _, br in sources], config,
-                                  int(seeds[1].generate_state(1)[0]),
                                   cluster_table)
     refs = draw_reference_images(train_set, config.reference_per_class,
                                  np.random.default_rng(seeds[2]))
     summary_pairs = [(i, summary)
                      for (i, (_, br)) in enumerate(sources)
                      for summary in summaries[i]]
-    first_layers = {i: br.mlp.hidden_layers[0]
-                    for i, (_, br) in enumerate(sources)}
     source_mlps = {i: br.mlp for i, (_, br) in enumerate(sources)}
     log.info("matching %d ranges against %d cluster summaries",
              len(candidate_ranges(net.input_shape)), len(summary_pairs))
     candidates = match_candidates(candidate_ranges(net.input_shape), refs,
-                                  summary_pairs, first_layers, source_mlps,
+                                  summary_pairs, source_mlps,
                                   config.keep_fraction)
     log.info("%d matched candidates", len(candidates))
     state = start_growth(net, selection, config, train_set, test_set,
@@ -690,7 +689,6 @@ def transfer_task(base_net: NamNetwork, train_set: Dataset,
     seeds = np.random.SeedSequence(config.seed).spawn(4)
     selection = build_selection_set(train_set, config.selection_size, seeds[0])
     summaries = _source_summaries([br.mlp for br in base_net.branches], config,
-                                  int(seeds[1].generate_state(1)[0]),
                                   cluster_table)
     refs = draw_reference_images(train_set, config.reference_per_class,
                                  np.random.default_rng(seeds[2]))
@@ -703,8 +701,8 @@ def transfer_task(base_net: NamNetwork, train_set: Dataset,
     for branch_id, branch in enumerate(base_net.branches):
         pairs = [(branch_id, summary) for summary in summaries[branch_id]]
         candidates = match_candidates(
-            ranges, refs, pairs, {branch_id: branch.mlp.hidden_layers[0]},
-            {branch_id: branch.mlp}, config.keep_fraction)
+            ranges, refs, pairs, {branch_id: branch.mlp},
+            config.keep_fraction)
         iterator = iter(candidates)
         consumed = 0
         while consumed < len(candidates):

@@ -12,7 +12,6 @@ if they were its own training distribution.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .clustering import BranchClassClusters
 from .data_io import InputRange
-from .nn_core import BranchMlp, DenseLayer
+from .nn_core import DenseLayer
 
 log = logging.getLogger(__name__)
 
@@ -123,18 +122,6 @@ class MatchResult:
     class_distances: dict             # reference class -> d, for audit
     matched: bool
 
-    def to_json_line(self) -> str:
-        return json.dumps({
-            "branch_id": self.branch_id,
-            "branch_class": self.branch_class,
-            "reference_range": list(self.reference_range.as_tuple()),
-            "target_class": self.target_class,
-            "distance": self.distance,
-            "class_distances": {str(k): v
-                                for k, v in self.class_distances.items()},
-            "matched": self.matched,
-        }, separators=(",", ":"))
-
 
 def transfer_first_layer(layer: DenseLayer,
                          branch_stats: NormalizationStats,
@@ -161,17 +148,6 @@ def transfer_first_layer(layer: DenseLayer,
     w_new[:, ir] = w[:, ib] * (sigma_b[ib] / sigma_r[ir])[None, :]
     b_new = layer.bias - w_new @ ref_stats.mean + w @ branch_stats.mean
     return w_new, b_new
-
-
-def transfer_branch_mlp(mlp: BranchMlp, branch_stats: NormalizationStats,
-                        ref_stats: NormalizationStats) -> BranchMlp:
-    """Copy of the MLP with its first hidden layer transferred."""
-    if not mlp.hidden_layers:
-        raise ValueError("branch MLP has no hidden layer to transfer")
-    new = mlp.copy()
-    w, b = transfer_first_layer(mlp.hidden_layers[0], branch_stats, ref_stats)
-    new.hidden_layers[0] = DenseLayer(w, b)
-    return new
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Minimal dense-MLP engine: forward, analytic backward, Adam, softmax cross-entropy.
+"""Minimal dense-MLP engine: batched forward, Adam, softmax cross-entropy.
 
 Everything is float64 numpy and pure-functional except the optimizer, which
 mutates its own state and the parameter arrays it is given.
@@ -6,7 +6,7 @@ mutates its own state and the parameter arrays it is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,17 +123,6 @@ def _activate(x: np.ndarray, activation: str) -> np.ndarray:
     return x
 
 
-def mlp_forward(mlp: BranchMlp, x: np.ndarray) -> np.ndarray:
-    """Class-output vector of one branch for a single input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (mlp.in_dim,):
-        raise ValueError(f"input shape {x.shape}, expected ({mlp.in_dim},)")
-    h = x
-    for layer in mlp.hidden_layers:
-        h = _activate(layer.weights @ h + layer.bias, mlp.activation)
-    return mlp.output_layer.weights @ h
-
-
 def mlp_forward_batch(mlp: BranchMlp, x: np.ndarray) -> np.ndarray:
     """Vectorised forward over rows of x [n, in_dim] -> [n, n_classes]."""
     x = np.asarray(x, dtype=np.float64)
@@ -143,69 +132,6 @@ def mlp_forward_batch(mlp: BranchMlp, x: np.ndarray) -> np.ndarray:
     for layer in mlp.hidden_layers:
         h = _activate(h @ layer.weights.T + layer.bias, mlp.activation)
     return h @ mlp.output_layer.weights.T
-
-
-@dataclass
-class MlpGradients:
-    """Parameter gradients mirroring BranchMlp shapes, plus the input gradient."""
-
-    hidden: list[tuple[np.ndarray, np.ndarray]]  # (dW, db) per hidden layer
-    output: np.ndarray  # dW of the output layer
-    input: np.ndarray  # dL/dx
-
-
-def mlp_backward(mlp: BranchMlp, x: np.ndarray, upstream_grad: np.ndarray) -> MlpGradients:
-    """Analytic gradients of upstream_grad . mlp_forward(x) w.r.t. all parameters."""
-    x = np.asarray(x, dtype=np.float64)
-    upstream_grad = np.asarray(upstream_grad, dtype=np.float64)
-    if x.shape != (mlp.in_dim,):
-        raise ValueError(f"input shape {x.shape}, expected ({mlp.in_dim},)")
-    if upstream_grad.shape != (mlp.n_classes,):
-        raise ValueError(
-            f"upstream gradient shape {upstream_grad.shape}, "
-            f"expected ({mlp.n_classes},)"
-        )
-    if not np.all(np.isfinite(upstream_grad)):
-        raise ValueError("non-finite upstream gradient")
-
-    # Forward, caching pre-activations.
-    pre, post = [], [x]
-    h = x
-    for layer in mlp.hidden_layers:
-        z = layer.weights @ h + layer.bias
-        pre.append(z)
-        h = _activate(z, mlp.activation)
-        post.append(h)
-
-    d_out = np.outer(upstream_grad, post[-1])
-    delta = mlp.output_layer.weights.T @ upstream_grad
-    hidden_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(mlp.hidden_layers)
-    for i in reversed(range(len(mlp.hidden_layers))):
-        if mlp.activation == "relu":
-            delta = delta * (pre[i] > 0.0)
-        hidden_grads[i] = (np.outer(delta, post[i]), delta.copy())
-        delta = mlp.hidden_layers[i].weights.T @ delta
-    return MlpGradients(hidden=hidden_grads, output=d_out, input=delta)
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
-
-
-def softmax_cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Loss and gradient w.r.t. logits; grad = softmax(logits) - one_hot(label)."""
-    logits = np.asarray(logits, dtype=np.float64)
-    n = logits.shape[0]
-    if not 0 <= label < n:
-        raise ValueError(f"label {label} out of range [0, {n})")
-    z = logits - np.max(logits)
-    log_norm = np.log(np.sum(np.exp(z)))
-    loss = log_norm - z[label]
-    grad = np.exp(z - log_norm)
-    grad[label] -= 1.0
-    return float(loss), grad
 
 
 def softmax_cross_entropy_batch(

@@ -10,14 +10,13 @@ Gates (strict inequalities everywhere):
   election mode -> precision of the thresholded (0/1) output above chance,
                    and the same weighted sum computed on the 0/1 outputs.
 
-Hoeffding bounds and the loss-derivative values are diagnostics only; they
-never gate acceptance.
+The Hoeffding tail bounds and loss-derivative values that motivate these
+gates never gate acceptance; they live with the tests, in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,14 +29,12 @@ class UndefinedPrecisionError(ValueError):
 class ClassOutputTable:
     """Per-sample scalar outputs of candidate branches on a labelled sample set.
 
-    values[j, k] is candidate k's class-output on sample j; bounds[k] is the
-    interval [l_k, u_k] known to contain candidate k's outputs.
+    values[j, k] is candidate k's class-output on sample j.
     """
 
     values: np.ndarray        # [n_samples, n_branches]
     labels: np.ndarray        # [n_samples]
     target_class: int
-    bounds: np.ndarray = None  # [n_branches, 2], derived when omitted
 
     def __post_init__(self):
         self.values = np.atleast_2d(np.asarray(self.values, dtype=np.float64))
@@ -46,23 +43,10 @@ class ClassOutputTable:
             raise ValueError("values/labels length mismatch")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("non-finite class-output value")
-        if self.bounds is None:
-            self.bounds = np.stack([self.values.min(axis=0),
-                                    self.values.max(axis=0)], axis=1)
-        else:
-            self.bounds = np.asarray(self.bounds, dtype=np.float64)
-            lo_ok = np.all(self.values >= self.bounds[None, :, 0] - 1e-12)
-            hi_ok = np.all(self.values <= self.bounds[None, :, 1] + 1e-12)
-            if not (lo_ok and hi_ok):
-                raise ValueError("bounds do not contain stored values")
 
     @property
     def n_samples(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def n_branches(self) -> int:
-        return self.values.shape[1]
 
     def target_mask(self) -> np.ndarray:
         return self.labels == self.target_class
@@ -80,23 +64,6 @@ def mean_condition(table: ClassOutputTable, k: int) -> bool:
     t, nt = _partitions(table)
     col = table.values[:, k]
     return bool(col[t].mean() > col[nt].mean())
-
-
-def clamp_weighted_sum(table: ClassOutputTable, k: int) -> float:
-    """Diagnostic weighted sum whose weights vanish once the candidate fully
-    separates target from non-target samples.
-
-    Target samples are weighted by how far the worst non-target output still
-    exceeds them (clamped at 0); non-target samples by how far they exceed the
-    worst target output (negative, clamped at 0)."""
-    t, nt = _partitions(table)
-    col = table.values[:, k]
-    w = np.where(
-        t,
-        np.maximum(col[nt].max() - col, 0.0),
-        np.minimum(col[t].min() - col, 0.0),
-    )
-    return float(np.sum(w * col))
 
 
 def variance_weighted_sum(table: ClassOutputTable, k: int,
@@ -162,9 +129,6 @@ class QualificationReport:
     threshold: float | None
     verdict: bool
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), separators=(",", ":"))
-
 
 def qualify(table: ClassOutputTable, k: int, mode: str,
             cumulative_sums: np.ndarray,
@@ -172,8 +136,9 @@ def qualify(table: ClassOutputTable, k: int, mode: str,
             n_classes: int | None = None) -> QualificationReport:
     """Apply the mode's gates to candidate k and report every condition.
 
-    Election mode thresholds the candidate's outputs at thd (required in that
-    mode) and applies both gates to the 0/1 values.  A weight vector that is
+    Election mode thresholds the candidate's outputs at thd, applies both
+    gates to the 0/1 values and sets chance precision at 1/n_classes; it
+    requires thd and n_classes.  A weight vector that is
     identically zero (an ensemble with no spread, e.g. an empty network)
     passes the weighted-sum gate vacuously; otherwise strictly positive sums
     are required.
@@ -194,9 +159,9 @@ def qualify(table: ClassOutputTable, k: int, mode: str,
 
     if thd is None:
         raise ValueError("election mode requires a threshold")
-    flags = threshold_binarize(table.values[:, k], thd)
     if n_classes is None:
-        n_classes = _n_classes(table)
+        raise ValueError("election mode requires the class count")
+    flags = threshold_binarize(table.values[:, k], thd)
     try:
         prc, prc_ok = precision_condition(flags, table.labels,
                                           table.target_class, n_classes)
@@ -211,71 +176,3 @@ def qualify(table: ClassOutputTable, k: int, mode: str,
         mean_condition=None, weighted_sum=wsum, weighted_sum_pass=wsum_ok,
         precision=prc, precision_pass=prc_ok, threshold=float(thd),
         verdict=bool(prc_ok and wsum_ok))
-
-
-def _n_classes(table: ClassOutputTable) -> int:
-    # Pass condition uses the chance level 1/N_c; infer N_c from the labels.
-    return int(np.max(table.labels)) + 1
-
-
-def hoeffding_bound(t: float, bounds: np.ndarray) -> float:
-    """Two-sided tail bound for a sum of independent bounded variables.
-
-    bounds is a list of [l_k, u_k] intervals.  Diagnostic only.
-    """
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    bounds = np.atleast_2d(np.asarray(bounds, dtype=np.float64))
-    spans = bounds[:, 1] - bounds[:, 0]
-    if np.any(spans < 0):
-        raise ValueError("interval with u < l")
-    denom = float(np.sum(np.square(spans)))
-    if denom == 0.0:
-        return 1.0 if t == 0.0 else 0.0
-    return min(1.0, 2.0 * float(np.exp(-2.0 * t * t / denom)))
-
-
-def binary_hoeffding_bound(eps: float, n_subnetworks: int) -> float:
-    """One-sided tail bound for a sum of N 0/1 outputs drifting by eps·N."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must be in (0, 1)")
-    if n_subnetworks < 1:
-        raise ValueError("need at least one subnetwork")
-    return float(np.exp(-2.0 * eps * eps * n_subnetworks))
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
-def loss_descent_diagnostics(table: ClassOutputTable, k: int,
-                             logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample odds ratio tau and the loss-derivative magnitude of adding
-    candidate k's output to the target-class logit.
-
-    On target-label samples the value is the loss *descent* (1 - 1/(tau+1));
-    on other samples it is the loss *increase* (1/(tau+1)).  Both lie in
-    (0, 1); tau is the non-target-to-target odds after the candidate's
-    contribution.  Matches finite differences of softmax cross-entropy.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2 or logits.shape[0] != table.n_samples \
-            or logits.shape[1] <= table.target_class:
-        raise ValueError("logits shape mismatch")
-    ct = table.target_class
-    contrib = table.values[:, k]
-    z_t = logits[:, ct] + contrib
-    others = np.delete(logits, ct, axis=1)
-    m = others.max(axis=1)
-    log_rest = m + np.log(np.exp(others - m[:, None]).sum(axis=1))
-    log_tau = log_rest - z_t
-    tau = np.exp(log_tau)
-    target = table.target_mask()
-    # descent tau/(tau+1) on target rows, increase 1/(tau+1) elsewhere
-    value = np.where(target, _sigmoid(log_tau), _sigmoid(-log_tau))
-    return tau, value

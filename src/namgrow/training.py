@@ -17,10 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data_io import extract_patches
-from .nam_model import NamNetwork
+from .nam_model import evaluate
 from .nn_core import AdamState, adam_step, softmax_cross_entropy_batch
-
-_EVAL_CHUNK = 2048
 
 
 @dataclass
@@ -132,12 +130,6 @@ def unstack_into_network(stacked, net):
         mlp.output_layer.weights[...] = stacked.output_weights[k]
 
 
-def stacked_forward(stacked, patches):
-    """Summed class logits for per-branch patches [n_branches, n, in_dim]."""
-    logits, _ = _forward_with_cache(stacked, patches)
-    return logits
-
-
 def _forward_with_cache(stacked, patches):
     patches = np.asarray(patches, dtype=np.float64)
     if patches.ndim != 3 or patches.shape[0] != stacked.n_branches:
@@ -188,20 +180,15 @@ def stacked_loss_and_grads(stacked, patches, labels):
     return loss, grads
 
 
-def evaluate_stacked(stacked, dataset, ranges):
-    """(accuracy, mean cross-entropy) of the stacked model on a dataset."""
-    n = dataset.n
-    correct = 0
-    loss_sum = 0.0
-    for start in range(0, n, _EVAL_CHUNK):
-        sl = slice(start, min(start + _EVAL_CHUNK, n))
-        patches = extract_patches(dataset.images[sl], ranges)
-        logits = stacked_forward(stacked, patches)
-        labels = dataset.labels[sl]
-        correct += int(np.sum(np.argmax(logits, axis=1) == labels))
-        loss, _ = softmax_cross_entropy_batch(logits, labels)
-        loss_sum += loss * labels.size
-    return correct / n, loss_sum / n
+def evaluate_stacked(stacked, net, dataset):
+    """(accuracy, mean cross-entropy) of the stacked parameters on a dataset.
+
+    Writes them back into `net` and scores it with the network's own
+    forward engine, so training reports what `evaluate` of the saved
+    network reports.
+    """
+    unstack_into_network(stacked, net)
+    return evaluate(net, dataset)
 
 
 def train_network(net, train_dataset, config, eval_dataset=None,
@@ -236,9 +223,9 @@ def train_network(net, train_dataset, config, eval_dataset=None,
             loss_sum += loss * idx.size
         train_loss = loss_sum / train_dataset.n
         if eval_dataset is not None:
-            acc, eval_loss = evaluate_stacked(stacked, eval_dataset, ranges)
+            acc, eval_loss = evaluate_stacked(stacked, net, eval_dataset)
         else:
-            acc, eval_loss = evaluate_stacked(stacked, train_dataset, ranges)
+            acc, eval_loss = evaluate_stacked(stacked, net, train_dataset)
         history.append(EpochMetrics(epoch, train_loss, acc, eval_loss))
         if on_epoch is not None:
             on_epoch(history[-1])

@@ -1,4 +1,4 @@
-"""Reference implementations that only tests use.
+"""Reference implementations and paper diagnostics that only tests use.
 
 The loops here take another memory path than `namgrow.nam_model`'s
 branch-by-branch engine and must give the same bits: each chunk gathers
@@ -6,14 +6,24 @@ every branch's window into one [n_branches, chunk, 9] tensor, and every
 branch, added ones too, adds a full [chunk, n_classes] output matrix.  They
 read `nam_model._EVAL_CHUNK` at call time, so a test that patches the chunk
 size chunks the oracle and the engine alike.
+
+The single-sample forward, backward and cross-entropy, the per-image patch
+and the stacked forward are the per-sample references the batched library
+code is checked against.  The Hoeffding tail bounds, the loss-descent
+values, the clamp-weighted sum and the Gaussian kernel are the paper's
+formulas behind qualification and clustering; the library never evaluates
+them, and the tests check them as properties of the paper's theory.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from namgrow import nam_model
-from namgrow.data_io import Dataset, extract_patches
+from namgrow.data_io import Dataset, InputRange, extract_patches
+from namgrow.matching import NormalizationStats, transfer_first_layer
 from namgrow.nam_model import (
     SIGMA_FLOOR,
     Branch,
@@ -24,8 +34,211 @@ from namgrow.nam_model import (
     elect_batch,
     network_forward_batch,
 )
-from namgrow.nn_core import mlp_forward_batch
+from namgrow.nn_core import BranchMlp, DenseLayer, _activate, mlp_forward_batch
+from namgrow.qualification import ClassOutputTable, _partitions
+from namgrow.training import StackedNam, _forward_with_cache
 
+
+# ------------------------------------------------ per-sample references
+
+def mlp_forward(mlp: BranchMlp, x: np.ndarray) -> np.ndarray:
+    """Class-output vector of one branch for a single input vector."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (mlp.in_dim,):
+        raise ValueError(f"input shape {x.shape}, expected ({mlp.in_dim},)")
+    h = x
+    for layer in mlp.hidden_layers:
+        h = _activate(layer.weights @ h + layer.bias, mlp.activation)
+    return mlp.output_layer.weights @ h
+
+
+@dataclass
+class MlpGradients:
+    """Parameter gradients mirroring BranchMlp shapes, plus the input gradient."""
+
+    hidden: list[tuple[np.ndarray, np.ndarray]]  # (dW, db) per hidden layer
+    output: np.ndarray  # dW of the output layer
+    input: np.ndarray  # dL/dx
+
+
+def mlp_backward(mlp: BranchMlp, x: np.ndarray, upstream_grad: np.ndarray) -> MlpGradients:
+    """Analytic gradients of upstream_grad . mlp_forward(x) w.r.t. all parameters."""
+    x = np.asarray(x, dtype=np.float64)
+    upstream_grad = np.asarray(upstream_grad, dtype=np.float64)
+    if x.shape != (mlp.in_dim,):
+        raise ValueError(f"input shape {x.shape}, expected ({mlp.in_dim},)")
+    if upstream_grad.shape != (mlp.n_classes,):
+        raise ValueError(
+            f"upstream gradient shape {upstream_grad.shape}, "
+            f"expected ({mlp.n_classes},)"
+        )
+    if not np.all(np.isfinite(upstream_grad)):
+        raise ValueError("non-finite upstream gradient")
+
+    # Forward, caching pre-activations.
+    pre, post = [], [x]
+    h = x
+    for layer in mlp.hidden_layers:
+        z = layer.weights @ h + layer.bias
+        pre.append(z)
+        h = _activate(z, mlp.activation)
+        post.append(h)
+
+    d_out = np.outer(upstream_grad, post[-1])
+    delta = mlp.output_layer.weights.T @ upstream_grad
+    hidden_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(mlp.hidden_layers)
+    for i in reversed(range(len(mlp.hidden_layers))):
+        if mlp.activation == "relu":
+            delta = delta * (pre[i] > 0.0)
+        hidden_grads[i] = (np.outer(delta, post[i]), delta.copy())
+        delta = mlp.hidden_layers[i].weights.T @ delta
+    return MlpGradients(hidden=hidden_grads, output=d_out, input=delta)
+
+
+def softmax_cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
+    """Loss and gradient w.r.t. logits; grad = softmax(logits) - one_hot(label)."""
+    logits = np.asarray(logits, dtype=np.float64)
+    n = logits.shape[0]
+    if not 0 <= label < n:
+        raise ValueError(f"label {label} out of range [0, {n})")
+    z = logits - np.max(logits)
+    log_norm = np.log(np.sum(np.exp(z)))
+    loss = log_norm - z[label]
+    grad = np.exp(z - log_norm)
+    grad[label] -= 1.0
+    return float(loss), grad
+
+
+def extract_patch(image: np.ndarray, input_range: InputRange) -> np.ndarray:
+    """One image [C,H,W] -> the window's 9-vector (row-major)."""
+    r = input_range
+    patch = image[r.channel,
+                  r.row_start:r.row_start + r.size,
+                  r.col_start:r.col_start + r.size]
+    if patch.shape != (r.size, r.size):
+        raise ValueError(f"input range {r} out of bounds for image {image.shape}")
+    return patch.reshape(-1).astype(np.float64)
+
+
+def stacked_forward(stacked: StackedNam, patches: np.ndarray) -> np.ndarray:
+    """Summed class logits for per-branch patches [n_branches, n, in_dim]."""
+    logits, _ = _forward_with_cache(stacked, patches)
+    return logits
+
+
+def transfer_branch_mlp(mlp: BranchMlp, branch_stats: NormalizationStats,
+                        ref_stats: NormalizationStats) -> BranchMlp:
+    """Copy of the MLP with its first hidden layer transferred."""
+    if not mlp.hidden_layers:
+        raise ValueError("branch MLP has no hidden layer to transfer")
+    new = mlp.copy()
+    w, b = transfer_first_layer(mlp.hidden_layers[0], branch_stats, ref_stats)
+    new.hidden_layers[0] = DenseLayer(w, b)
+    return new
+
+
+def destandardize(points: np.ndarray, mean: np.ndarray,
+                  std: np.ndarray) -> np.ndarray:
+    return points * std + mean
+
+
+# ---------------------------------------------------- paper diagnostics
+
+def gaussian_weight(sp1: np.ndarray, sp2: np.ndarray, cov: np.ndarray) -> float:
+    """Multivariate Gaussian kernel weight between two points."""
+    sp1 = np.asarray(sp1, dtype=np.float64)
+    sp2 = np.asarray(sp2, dtype=np.float64)
+    cov = np.atleast_2d(np.asarray(cov, dtype=np.float64))
+    diag = np.diag(cov)
+    if not np.array_equal(cov, np.diag(diag)) or np.any(diag <= 0):
+        raise ValueError("covariance must be positive-definite diagonal")
+    d = sp1 - sp2
+    n = d.shape[0]
+    norm = (2.0 * np.pi) ** (-n / 2.0) / np.sqrt(np.prod(diag))
+    return float(norm * np.exp(-0.5 * np.sum(d * d / diag)))
+
+
+def clamp_weighted_sum(table: ClassOutputTable, k: int) -> float:
+    """Diagnostic weighted sum whose weights vanish once the candidate fully
+    separates target from non-target samples.
+
+    Target samples are weighted by how far the worst non-target output still
+    exceeds them (clamped at 0); non-target samples by how far they exceed the
+    worst target output (negative, clamped at 0)."""
+    t, nt = _partitions(table)
+    col = table.values[:, k]
+    w = np.where(
+        t,
+        np.maximum(col[nt].max() - col, 0.0),
+        np.minimum(col[t].min() - col, 0.0),
+    )
+    return float(np.sum(w * col))
+
+
+def hoeffding_bound(t: float, bounds: np.ndarray) -> float:
+    """Two-sided tail bound for a sum of independent bounded variables.
+
+    bounds is a list of [l_k, u_k] intervals.  Diagnostic only.
+    """
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    bounds = np.atleast_2d(np.asarray(bounds, dtype=np.float64))
+    spans = bounds[:, 1] - bounds[:, 0]
+    if np.any(spans < 0):
+        raise ValueError("interval with u < l")
+    denom = float(np.sum(np.square(spans)))
+    if denom == 0.0:
+        return 1.0 if t == 0.0 else 0.0
+    return min(1.0, 2.0 * float(np.exp(-2.0 * t * t / denom)))
+
+
+def binary_hoeffding_bound(eps: float, n_subnetworks: int) -> float:
+    """One-sided tail bound for a sum of N 0/1 outputs drifting by eps·N."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must be in (0, 1)")
+    if n_subnetworks < 1:
+        raise ValueError("need at least one subnetwork")
+    return float(np.exp(-2.0 * eps * eps * n_subnetworks))
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def loss_descent_diagnostics(table: ClassOutputTable, k: int,
+                             logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample odds ratio tau and the loss-derivative magnitude of adding
+    candidate k's output to the target-class logit.
+
+    On target-label samples the value is the loss *descent* (1 - 1/(tau+1));
+    on other samples it is the loss *increase* (1/(tau+1)).  Both lie in
+    (0, 1); tau is the non-target-to-target odds after the candidate's
+    contribution.  Matches finite differences of softmax cross-entropy.
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 2 or logits.shape[0] != table.n_samples \
+            or logits.shape[1] <= table.target_class:
+        raise ValueError("logits shape mismatch")
+    ct = table.target_class
+    contrib = table.values[:, k]
+    z_t = logits[:, ct] + contrib
+    others = np.delete(logits, ct, axis=1)
+    m = others.max(axis=1)
+    log_rest = m + np.log(np.exp(others - m[:, None]).sum(axis=1))
+    log_tau = log_rest - z_t
+    tau = np.exp(log_tau)
+    target = table.target_mask()
+    # descent tau/(tau+1) on target rows, increase 1/(tau+1) elsewhere
+    value = np.where(target, _sigmoid(log_tau), _sigmoid(-log_tau))
+    return tau, value
+
+
+# ------------------------------------------------------ network loops
 
 def branch_output_batch(branch: Branch, patches: np.ndarray, mode: str,
                         n_classes: int) -> np.ndarray:

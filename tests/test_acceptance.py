@@ -45,21 +45,21 @@ from namgrow.nam_model import (
 from namgrow.nn_core import (
     DenseLayer,
     init_branch_mlp,
-    mlp_backward,
-    mlp_forward,
     optimizer_step_count,
     reset_optimizer_step_count,
-    softmax_cross_entropy,
 )
-from namgrow.qualification import (
-    ClassOutputTable,
+from namgrow.qualification import ClassOutputTable, qualify
+from namgrow.training import TrainConfig, train_network
+from oracles import (
     binary_hoeffding_bound,
+    branch_outputs_batch,
+    fit_election_stats,
     hoeffding_bound,
     loss_descent_diagnostics,
-    qualify,
+    mlp_backward,
+    mlp_forward,
+    softmax_cross_entropy,
 )
-from namgrow.training import TrainConfig, train_network
-from oracles import branch_outputs_batch, fit_election_stats
 
 DATA_ROOT = Path(os.environ.get("NAMGROW_DATA_DIR", "data"))
 

@@ -136,6 +136,44 @@ class TestTrainBase:
             "train-images-idx3-ubyte", "train-labels-idx1-ubyte",
             "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"}
 
+    def test_last_epoch_row_is_the_reported_test_metrics(self, base_run):
+        rows = (base_run / "epochs.csv").read_text().splitlines()
+        last = rows[-1].split(",")
+        meta = json.loads((base_run / "run_meta.json").read_text())
+        assert float(last[2]) == meta["test_accuracy"]
+        assert float(last[3]) == meta["test_loss"]
+
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_scores_the_test_split_once_per_epoch(
+            self, monkeypatch, tmp_path, config_file, epochs):
+        """Each epoch scores the test split through the network's engine,
+        and the reported metrics reuse the last epoch's score; without
+        epochs the untrained network is scored once."""
+        from namgrow import nam_model
+
+        scored = []
+        original = nam_model.network_scores
+
+        def counting(net, images):
+            scored.append(images.shape[0])
+            return original(net, images)
+
+        monkeypatch.setattr(nam_model, "network_scores", counting)
+        out = tmp_path / "run"
+        assert main(["train-base", "--config", str(config_file),
+                     "--out-dir", str(out), "--seed", "3",
+                     "--epochs", str(epochs)]) == 0
+        assert scored == [100] * max(epochs, 1)  # the test split holds 100
+        rows = (out / "epochs.csv").read_text().splitlines()
+        assert len(rows) == 1 + epochs
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert isinstance(meta["test_accuracy"], float)
+        assert isinstance(meta["test_loss"], float)
+        if epochs:
+            last = rows[-1].split(",")
+            assert float(last[2]) == meta["test_accuracy"]
+            assert float(last[3]) == meta["test_loss"]
+
     def test_training_is_reproducible(self, tmp_path, config_file, base_run):
         out = tmp_path / "again"
         code = main(["train-base", "--config", str(config_file),

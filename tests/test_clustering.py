@@ -12,14 +12,13 @@ from namgrow.clustering import (
     cluster_network,
     clusters_from_json,
     clusters_to_json,
-    destandardize,
-    gaussian_weight,
     generate_branch_pairs,
     mean_shift_step,
     standardize,
     summarize_clusters,
 )
 from namgrow.nn_core import init_branch_mlp
+from oracles import destandardize, gaussian_weight
 
 FAST = ClusterConfig(n_samples=400, max_shift_iterations=50)
 

@@ -11,7 +11,6 @@ from namgrow.data_io import (
     Dataset,
     InputRange,
     base_grid_ranges,
-    extract_patch,
     extract_patches,
     full_perception_ranges,
     load_cifar10,
@@ -21,6 +20,7 @@ from namgrow.data_io import (
     range_flat_indices,
     sha256_file,
 )
+from oracles import extract_patch
 
 
 def write_cifar_batch(path, images_u8, labels):

@@ -189,7 +189,7 @@ class TestMatchCandidates:
         images = {c: rng.uniform(-0.5, 0.5, size=(15, 1, 6, 6))
                   for c in range(N_CLASSES)}
         ranges = candidate_ranges((1, 6, 6))
-        got = match_candidates(ranges, images, pairs, layers, mlps)
+        got = match_candidates(ranges, images, pairs, mlps)
 
         expected = []
         for input_range in ranges:

@@ -1,7 +1,5 @@
 """Normalization, partial average distance, match assignment, and transfer tests."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from namgrow import matching
 from namgrow.clustering import BranchClassClusters
 from namgrow.data_io import InputRange
 from namgrow.matching import (
-    MatchResult,
     NormalizationStats,
     cluster_softmax_weights,
     match_all,
@@ -18,10 +15,10 @@ from namgrow.matching import (
     prepare_summaries,
     stats_from_points,
     stats_from_summary,
-    transfer_branch_mlp,
     transfer_first_layer,
 )
-from namgrow.nn_core import DenseLayer, init_branch_mlp, mlp_forward
+from namgrow.nn_core import DenseLayer, init_branch_mlp
+from oracles import mlp_forward, transfer_branch_mlp
 
 
 # ------------------------------------------------------------ normalization
@@ -398,14 +395,6 @@ def test_match_all_rejects_prepared_side_of_other_candidates():
     with pytest.raises(ValueError, match="do not match"):
         match_all(InputRange(0, 0, 0), random_refs(rng, [5, 5]),
                   candidates, prepared=prepare_summaries(candidates[:1]))
-
-
-def test_match_result_json_line():
-    r = MatchResult(3, 1, InputRange(0, 6, 12), 4, 0.25, {0: 0.3, 4: 0.25},
-                    True)
-    doc = json.loads(r.to_json_line())
-    assert doc["branch_id"] == 3 and doc["target_class"] == 4
-    assert doc["reference_range"] == [0, 6, 12, 3]
 
 
 # ------------------------------------------------------- parameter transfer

@@ -6,8 +6,7 @@ import pytest
 from namgrow import nam_model
 from namgrow.checkpoint import load_checkpoint, network_from_json, \
     network_to_json, save_checkpoint
-from namgrow.data_io import Dataset, InputRange, extract_patch, \
-    extract_patches
+from namgrow.data_io import Dataset, InputRange, extract_patches
 from namgrow.nam_model import (
     Branch,
     ClassMask,
@@ -25,9 +24,10 @@ from namgrow.nam_model import (
     parameter_count,
     score_metrics,
 )
-from namgrow.nn_core import init_branch_mlp, mlp_forward
-from oracles import branch_outputs_batch, elect, fit_election_stats, \
-    loop_elect_batch, loop_forward_batch, network_forward
+from namgrow.nn_core import init_branch_mlp
+from oracles import branch_outputs_batch, elect, extract_patch, \
+    fit_election_stats, loop_elect_batch, loop_forward_batch, mlp_forward, \
+    network_forward
 
 SHAPE = (3, 32, 32)
 

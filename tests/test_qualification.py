@@ -1,25 +1,26 @@
 """Qualification gates against hand examples, loop oracles, and finite differences."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 
-from namgrow.nn_core import softmax_cross_entropy
 from namgrow.qualification import (
     ClassOutputTable,
     UndefinedPrecisionError,
-    binary_hoeffding_bound,
     branch_threshold,
-    clamp_weighted_sum,
-    hoeffding_bound,
-    loss_descent_diagnostics,
     mean_condition,
     precision_condition,
     qualify,
     threshold_binarize,
     variance_weighted_sum,
+)
+from oracles import (
+    binary_hoeffding_bound,
+    clamp_weighted_sum,
+    hoeffding_bound,
+    loss_descent_diagnostics,
+    softmax_cross_entropy,
 )
 
 
@@ -320,14 +321,6 @@ def test_qualify_verdict_invariant_under_sample_duplication():
             0, mode, np.tile(cum, 2), thd=thd, n_classes=4)
         assert one.verdict == two.verdict
         assert one.precision == two.precision
-
-
-def test_qualification_report_json_roundtrip():
-    t = table_of([[1.0], [0.0]], [0, 1], target=0)
-    rep = qualify(t, 0, "tuning", np.zeros(2))
-    doc = json.loads(rep.to_json())
-    assert doc["verdict"] == rep.verdict
-    assert doc["mode"] == "tuning"
 
 
 # ----------------------------------------------------------- Hoeffding
