@@ -101,18 +101,39 @@ def _branch_from_record(rec: dict) -> tuple[Branch, tuple | None]:
     if rec["election_stats"] is not None:
         stats_row = (np.array(rec["election_stats"]["mean"], dtype=np.float64),
                      np.array(rec["election_stats"]["std"], dtype=np.float64))
+        want = (mlp.n_classes,)
+        if stats_row[0].shape != want or stats_row[1].shape != want:
+            raise ValueError(f"election stats have shapes {stats_row[0].shape}"
+                             f" and {stats_row[1].shape}, expected {want}")
     return branch, stats_row
 
 
 def network_from_json(text: str) -> NamNetwork:
+    """Parse and validate a checkpoint; any malformed record is a
+    ValueError that names the branch and the field at fault."""
     doc = json.loads(text)
-    if doc.get("format") != FORMAT_NAME:
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ValueError(f"not a {FORMAT_NAME} document")
     if doc.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
+    try:
+        return _network_from_doc(doc)
+    except KeyError as exc:
+        raise ValueError(f"checkpoint has no {exc} key") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed checkpoint: {exc}") from exc
+
+
+def _network_from_doc(doc: dict) -> NamNetwork:
     branches, stats_rows = [], []
-    for rec in doc["branches"]:
-        br, row = _branch_from_record(rec)
+    for k, rec in enumerate(doc["branches"]):
+        try:
+            br, row = _branch_from_record(rec)
+        except KeyError as exc:
+            raise ValueError(f"checkpoint branch {k} has no {exc} key"
+                             ) from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"checkpoint branch {k}: {exc}") from exc
         branches.append(br)
         stats_rows.append(row)
     stats = None

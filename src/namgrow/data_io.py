@@ -205,6 +205,8 @@ def range_flat_indices(input_range: InputRange,
     """Flat pixel indices (into a flattened [C*H*W] image) of one window, row-major."""
     channels, height, width = shape
     r = input_range
+    if not all(isinstance(v, (int, np.integer)) for v in r.as_tuple()):
+        raise ValueError(f"input range {r.as_tuple()} has non-integer fields")
     if not (0 <= r.channel < channels
             and 0 <= r.row_start <= height - r.size
             and 0 <= r.col_start <= width - r.size):

@@ -15,7 +15,7 @@ import numpy as np
 from .data_io import Dataset, InputRange, base_grid_ranges, \
     full_perception_ranges, range_flat_indices
 from .nn_core import BranchMlp, init_branch_mlp, mlp_forward_batch, \
-    mlp_parameter_count, softmax_cross_entropy_batch
+    mlp_parameter_count, softmax_cross_entropy_loss
 
 SIGMA_FLOOR = 1e-6  # stand-in std for branches that are constant on a class
 
@@ -90,6 +90,16 @@ class Branch:
                 raise ValueError("added branches need branch_class and target_class")
             if self.mask is None:
                 raise ValueError("added branches need a mask")
+        window = self.input_range.size ** 2
+        if self.mlp.in_dim != window:
+            raise ValueError(f"MLP takes {self.mlp.in_dim} inputs, its "
+                             f"window {self.input_range} has {window} pixels")
+        for name in ("branch_class", "target_class"):
+            c = getattr(self, name)
+            if c is not None and not (isinstance(c, (int, np.integer))
+                                      and 0 <= c < self.mlp.n_classes):
+                raise ValueError(f"{name} {c!r} is not a class index below "
+                                 f"{self.mlp.n_classes}")
 
     def copy(self) -> "Branch":
         return Branch(self.mlp.copy(), self.input_range, self.branch_class,
@@ -121,9 +131,14 @@ class NamNetwork:
     def __post_init__(self):
         if self.mode not in ("tuning", "election"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        for br in self.branches:
+        for k, br in enumerate(self.branches):
             if br.mlp.n_classes != self.n_classes:
-                raise ValueError("branch class count differs from network")
+                raise ValueError(f"branch {k} has {br.mlp.n_classes} class "
+                                 f"outputs, the network {self.n_classes}")
+            try:
+                range_flat_indices(br.input_range, self.input_shape)
+            except ValueError as exc:
+                raise ValueError(f"branch {k}: {exc}") from exc
 
     @property
     def n_branches(self) -> int:
@@ -234,8 +249,7 @@ def network_scores(net: NamNetwork, images: np.ndarray) -> np.ndarray:
 def score_metrics(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     """(accuracy of the argmax, mean cross-entropy of softmax(scores))."""
     accuracy = float(np.mean(np.argmax(scores, axis=1) == labels))
-    loss, _ = softmax_cross_entropy_batch(scores, labels)
-    return accuracy, loss
+    return accuracy, softmax_cross_entropy_loss(scores, labels)
 
 
 def evaluate(net: NamNetwork, dataset: Dataset) -> tuple[float, float]:

@@ -33,6 +33,9 @@ class DenseLayer:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
+        if self.weights.ndim != 2:
+            raise ValueError(f"weights must be a matrix, got shape "
+                             f"{self.weights.shape}")
         if self.bias is not None:
             self.bias = np.asarray(self.bias, dtype=np.float64)
             if self.bias.shape != (self.weights.shape[0],):
@@ -72,6 +75,14 @@ class BranchMlp:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.output_layer.bias is not None:
             raise ValueError("output layer must be bias-free")
+        layers = [*self.hidden_layers, self.output_layer]
+        for i in range(1, len(layers)):
+            if layers[i].in_dim != layers[i - 1].out_dim:
+                name = ("output layer" if i == len(layers) - 1
+                        else f"hidden layer {i}")
+                raise ValueError(f"{name} takes {layers[i].in_dim} inputs, "
+                                 f"but the layer before it has "
+                                 f"{layers[i - 1].out_dim} outputs")
 
     @property
     def in_dim(self) -> int:
@@ -117,27 +128,32 @@ def init_branch_mlp(
     return BranchMlp(hidden, DenseLayer(w_out, None), activation)
 
 
-def _activate(x: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return np.maximum(x, 0.0)
-    return x
-
-
 def mlp_forward_batch(mlp: BranchMlp, x: np.ndarray) -> np.ndarray:
-    """Vectorised forward over rows of x [n, in_dim] -> [n, n_classes]."""
+    """Vectorised forward over rows of x [n, in_dim] -> [n, n_classes].
+
+    The hidden layers run feature-major on h = x.T (a view): each is one
+    GEMM W @ h whose long dimension is n, then the bias and ReLU in place.
+    The output layer reads h.T, so the result is a C-ordered [n, n_classes]
+    array, as the row-major forward h @ W.T + b returns.  For the 9-wide
+    MLPs the library builds, the two also agree bit for bit at any n and
+    BLAS thread count; wider layers can take other BLAS kernels and differ
+    in the last bits.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != mlp.in_dim:
         raise ValueError(f"input shape {x.shape}, expected (n, {mlp.in_dim})")
-    h = x
+    h = x.T
     for layer in mlp.hidden_layers:
-        h = _activate(h @ layer.weights.T + layer.bias, mlp.activation)
-    return h @ mlp.output_layer.weights.T
+        h = layer.weights @ h
+        h += layer.bias[:, None]
+        if mlp.activation == "relu":
+            np.maximum(h, 0.0, out=h)
+    return h.T @ mlp.output_layer.weights.T
 
 
-def softmax_cross_entropy_batch(
-    logits: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean loss over rows and the per-row gradient (already divided by n)."""
+def _cross_entropy_terms(logits: np.ndarray, labels: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(shifted logits z, log of the softmax normaliser, per-row losses)."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
     n, c = logits.shape
@@ -146,6 +162,20 @@ def softmax_cross_entropy_batch(
     z = logits - logits.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(z).sum(axis=1))
     losses = log_norm - z[np.arange(n), labels]
+    return z, log_norm, losses
+
+
+def softmax_cross_entropy_loss(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Mean softmax cross-entropy over rows, without the gradient."""
+    return float(_cross_entropy_terms(logits, labels)[2].mean())
+
+
+def softmax_cross_entropy_batch(
+    logits: np.ndarray, labels: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Mean loss over rows and the per-row gradient (already divided by n)."""
+    z, log_norm, losses = _cross_entropy_terms(logits, labels)
+    n = z.shape[0]
     grad = np.exp(z - log_norm[:, None])
     grad[np.arange(n), labels] -= 1.0
     return float(losses.mean()), grad / n

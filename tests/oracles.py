@@ -7,8 +7,8 @@ branch, added ones too, adds a full [chunk, n_classes] output matrix.  They
 read `nam_model._EVAL_CHUNK` at call time, so a test that patches the chunk
 size chunks the oracle and the engine alike.
 
-The single-sample forward, backward and cross-entropy, the per-image patch
-and the stacked forward are the per-sample references the batched library
+The single-sample forward, backward and cross-entropy, the row-major
+batched forward, the per-image patch and the stacked forward are the per-sample references the batched library
 code is checked against.  The Hoeffding tail bounds, the loss-descent
 values, the clamp-weighted sum and the Gaussian kernel are the paper's
 formulas behind qualification and clustering; the library never evaluates
@@ -34,12 +34,31 @@ from namgrow.nam_model import (
     elect_batch,
     network_forward_batch,
 )
-from namgrow.nn_core import BranchMlp, DenseLayer, _activate, mlp_forward_batch
+from namgrow.nn_core import BranchMlp, DenseLayer, mlp_forward_batch
 from namgrow.qualification import ClassOutputTable, _partitions
 from namgrow.training import StackedNam, _forward_with_cache
 
 
 # ------------------------------------------------ per-sample references
+
+def _activate(x: np.ndarray, activation: str) -> np.ndarray:
+    if activation == "relu":
+        return np.maximum(x, 0.0)
+    return x
+
+
+def mlp_forward_batch_row_major(mlp: BranchMlp, x: np.ndarray) -> np.ndarray:
+    """Row-major batched forward, h @ W.T + b per layer, [n, n_classes].
+
+    The library's feature-major kernel computes the same dot products on
+    transposed operands and must return the same bits.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    h = x
+    for layer in mlp.hidden_layers:
+        h = _activate(h @ layer.weights.T + layer.bias, mlp.activation)
+    return h @ mlp.output_layer.weights.T
+
 
 def mlp_forward(mlp: BranchMlp, x: np.ndarray) -> np.ndarray:
     """Class-output vector of one branch for a single input vector."""

@@ -185,6 +185,20 @@ class TestTrainBase:
                 == (base_run / "epochs.csv").read_bytes())
 
 
+    def test_training_is_identical_across_blas_thread_counts(
+            self, tmp_path, config_file):
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            _run_in_subprocess(["train-base", "--config", str(config_file),
+                                "--out-dir", str(out), "--seed", "3"],
+                               threads)
+            outputs.append(out)
+        for name in ("checkpoint.json", "epochs.csv"):
+            assert ((outputs[0] / name).read_bytes()
+                    == (outputs[1] / name).read_bytes()), name
+
+
 class TestGrow:
     def test_outputs_present(self, grow_run):
         for name in ("checkpoint.json", "growth_log.jsonl", "metrics.csv",
@@ -307,6 +321,20 @@ class TestClusterCache:
             [len(rec["centers"]) for rec in per_branch]
             for per_branch in doc["branches"]]
         assert set(meta["input_hashes"]) == {"checkpoint", "config"}
+
+    def test_cache_is_identical_across_blas_thread_counts(
+            self, tmp_path, config_file, base_run):
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            _run_in_subprocess(["cluster-cache", "--config", str(config_file),
+                                "--checkpoint",
+                                str(base_run / "checkpoint.json"),
+                                "--out-dir", str(out), "--seed", "3"],
+                               threads)
+            outputs.append(out)
+        assert ((outputs[0] / "cluster_cache.json").read_bytes()
+                == (outputs[1] / "cluster_cache.json").read_bytes())
 
     def test_transfer_cache_of_base_network_matches_grow_cache(
             self, tmp_path, config_file, base_run, cache_run):
@@ -565,3 +593,100 @@ class TestErrorPaths:
                      str(base_run / "checkpoint.json"), "--dataset", "mnist",
                      "--data-dir", str(broken)])
         assert code == 2
+
+
+def _drop_mask(doc, k):
+    del doc["branches"][k]["mask"]
+
+
+def _narrow_hidden_layer(doc, k):
+    layer = doc["branches"][k]["hidden_layers"][1]
+    layer["weights"] = [row[:-1] for row in layer["weights"]]
+
+
+def _narrow_output_layer(doc, k):
+    rec = doc["branches"][k]
+    rec["output_weights"] = [row[:-1] for row in rec["output_weights"]]
+
+
+def _flatten_first_layer(doc, k):
+    layer = doc["branches"][k]["hidden_layers"][0]
+    layer["weights"] = [w for row in layer["weights"] for w in row]
+
+
+def _fractional_window_row(doc, k):
+    doc["branches"][k]["input_range"][1] += 0.5
+
+
+def _shrink_window(doc, k):
+    doc["branches"][k]["input_range"][3] = 2
+
+
+def _move_window_off_image(doc, k):
+    doc["branches"][k]["input_range"][1] = 10  # rows 10..12 of 12
+
+
+def _branch_class_out_of_range(doc, k):
+    doc["branches"][k]["branch_class"] = 10
+
+
+def _negative_target_class(doc, k):
+    doc["branches"][k]["target_class"] = -1
+
+
+def _short_stats_row(doc, k):
+    stats = doc["branches"][k]["election_stats"]
+    stats["mean"] = stats["mean"][:-1]
+
+
+class TestMalformedCheckpoints:
+    """Every structural defect of a checkpoint is a data error (exit 2)
+    found at load time, whose message names the branch at fault."""
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (_drop_mask, "checkpoint branch {k} has no 'mask' key"),
+        (_narrow_hidden_layer, "checkpoint branch {k}: hidden layer 1 takes "
+                               "8 inputs, but the layer before it has 9"),
+        (_narrow_output_layer, "checkpoint branch {k}: output layer takes "
+                               "8 inputs, but the layer before it has 9"),
+        (_flatten_first_layer, "checkpoint branch {k}: weights must be a "
+                               "matrix, got shape (81,)"),
+        (_fractional_window_row, "branch {k}: input range (0, {row}, "),
+        (_shrink_window, "checkpoint branch {k}: MLP takes 9 inputs, its "
+                         "window c0[{row}:{row_end},"),
+        (_move_window_off_image, "branch {k}: input range c0[10:13,"),
+        (_branch_class_out_of_range, "checkpoint branch {k}: branch_class "
+                                     "10 is not a class index below 10"),
+        (_negative_target_class, "checkpoint branch {k}: target_class -1 is "
+                                 "not a class index below 10"),
+        (_short_stats_row, "checkpoint branch {k}: election stats have "
+                           "shapes (9,) and (10,), expected (10,)"),
+    ])
+    def test_is_a_data_error_naming_the_branch(
+            self, tmp_path, data_dir, transfer_run, caplog, corrupt,
+            message):
+        doc = json.loads((transfer_run / "checkpoint.json").read_text())
+        k = 1
+        assert doc["branches"][k]["origin"] == "transferred"
+        corrupt(doc, k)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["eval", "--checkpoint", str(bad), "--dataset", "mnist",
+                     "--data-dir", str(data_dir)])
+        assert code == 2
+        row = doc["branches"][k]["input_range"][1]
+        expected = message.format(k=k, row=row, row_end=row + 2)
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].startswith(expected), errors
+
+    def test_missing_network_field_is_a_data_error(self, tmp_path, data_dir,
+                                                   base_run, caplog):
+        doc = json.loads((base_run / "checkpoint.json").read_text())
+        del doc["n_classes"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["eval", "--checkpoint", str(bad), "--dataset", "mnist",
+                     "--data-dir", str(data_dir)])
+        assert code == 2
+        assert "checkpoint has no 'n_classes' key" in caplog.text

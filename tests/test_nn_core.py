@@ -13,8 +13,18 @@ from namgrow.nn_core import (
     mlp_forward_batch,
     mlp_parameter_count,
     softmax_cross_entropy_batch,
+    softmax_cross_entropy_loss,
 )
-from oracles import mlp_backward, mlp_forward, softmax_cross_entropy
+from oracles import (
+    mlp_backward,
+    mlp_forward,
+    mlp_forward_batch_row_major,
+    softmax_cross_entropy,
+)
+
+# Row counts for the kernel's differential test: every tiny n (the GEMM's
+# long dimension), a ragged medium one, the eval chunk and past it.
+KERNEL_ROWS = list(range(1, 18)) + [127, 2000, 8192, 10000]
 
 
 def naive_forward(mlp, x):
@@ -73,6 +83,61 @@ def test_forward_batch_matches_single():
     batch = mlp_forward_batch(mlp, xs)
     singles = np.stack([mlp_forward(mlp, x) for x in xs])
     np.testing.assert_allclose(batch, singles, rtol=0, atol=1e-12)
+
+
+def _kernel_mlps(hidden_width=9):
+    """relu and linear MLPs on 9-pixel windows with nonzero biases, and an
+    MLP with no hidden layer at all."""
+    rng = np.random.default_rng(2024)
+    mlps = []
+    for activation in ("relu", "linear"):
+        for n_hidden, n_classes in ((4, 10), (2, 3), (1, 7), (3, 2)):
+            mlp = init_branch_mlp(rng, n_classes, hidden_width=hidden_width,
+                                  n_hidden=n_hidden, activation=activation)
+            for layer in mlp.hidden_layers:
+                layer.bias[:] = rng.normal(scale=0.3, size=layer.bias.shape)
+            mlps.append(mlp)
+    mlps.append(init_branch_mlp(rng, 10, n_hidden=0))
+    return mlps
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_forward_batch_is_bit_equal_to_row_major_forward(order):
+    """Bit equality holds for the 9-wide MLPs the library builds; the GEMMs
+    are W @ h over 9 inputs, for any n and either input layout."""
+    rng = np.random.default_rng(31)
+    for mlp in _kernel_mlps():
+        for n in KERNEL_ROWS:
+            x = np.asarray(rng.uniform(-0.5, 0.5, size=(n, mlp.in_dim)),
+                           order=order)
+            got = mlp_forward_batch(mlp, x)
+            want = mlp_forward_batch_row_major(mlp, x)
+            assert got.shape == (n, mlp.n_classes)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want), (mlp.activation, n, order)
+
+
+def test_forward_batch_of_wide_mlps_agrees_to_rounding():
+    """Wider hidden layers can take other BLAS kernels in the two layouts,
+    so only agreement to float64 rounding is required there."""
+    rng = np.random.default_rng(32)
+    for width in (5, 16, 32):
+        for mlp in _kernel_mlps(hidden_width=width):
+            for n in (2, 17, 255, 2000):
+                x = rng.uniform(-0.5, 0.5, size=(n, mlp.in_dim))
+                np.testing.assert_allclose(
+                    mlp_forward_batch(mlp, x),
+                    mlp_forward_batch_row_major(mlp, x), rtol=1e-12,
+                    atol=1e-13)
+
+
+def test_forward_batch_leaves_its_input_alone():
+    rng = np.random.default_rng(8)
+    mlp = _kernel_mlps()[0]
+    x = rng.uniform(-0.5, 0.5, size=(50, 9))
+    before = x.copy()
+    mlp_forward_batch(mlp, x)
+    assert np.array_equal(x, before)
 
 
 def test_forward_is_pure_and_deterministic():
@@ -193,6 +258,22 @@ def test_softmax_cross_entropy_batch_matches_single():
                           for l, y in zip(logits, labels)])
     np.testing.assert_allclose(loss_b, np.mean(losses), rtol=0, atol=1e-12)
     np.testing.assert_allclose(grad_b, np.stack(grads) / 16, rtol=0, atol=1e-12)
+
+
+def test_loss_only_cross_entropy_equals_batch_loss():
+    rng = np.random.default_rng(19)
+    for n, c, scale in ((1, 2, 1.0), (16, 10, 3.0), (2000, 10, 30.0),
+                        (777, 4, 1e3)):
+        logits = rng.normal(scale=scale, size=(n, c))
+        labels = rng.integers(0, c, size=n)
+        loss = softmax_cross_entropy_loss(logits, labels)
+        assert isinstance(loss, float)
+        assert loss == softmax_cross_entropy_batch(logits, labels)[0]
+
+
+def test_loss_only_cross_entropy_rejects_bad_labels():
+    with pytest.raises(ValueError, match="label out of range"):
+        softmax_cross_entropy_loss(np.zeros((3, 4)), np.array([0, 4, 1]))
 
 
 def hand_adam(params, grads_seq, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
