@@ -144,7 +144,7 @@ def _network_from_doc(doc: dict) -> NamNetwork:
                               np.stack([r[1] for r in stats_rows]))
     return NamNetwork(
         doc["n_classes"],
-        tuple(doc["input_shape"]),
+        doc["input_shape"],
         doc["mode"],
         doc["tag"],
         branches,

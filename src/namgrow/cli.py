@@ -23,6 +23,7 @@ Exit codes: 0 success, 1 usage/config error, 2 data or format error,
 import argparse
 import configparser
 import csv
+import functools
 import json
 import logging
 import os
@@ -323,67 +324,24 @@ def cmd_train_base(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_grow(args, cfg) -> int:
+def cmd_growth(args, cfg) -> int:
+    """`grow` and `transfer`: grow a network from a checkpoint's branches
+    and write the run's outputs."""
     from .checkpoint import load_checkpoint, save_checkpoint
-    from .growth import run_growth
+    from .growth import run_growth, transfer_task
     from .nam_model import parameter_count
     from .nn_core import optimizer_step_count, reset_optimizer_step_count
 
+    transfer = args.command == "transfer"
     net = load_checkpoint(args.checkpoint)
     train = _load_split(cfg, "train")
     test = _load_split(cfg, "test")
-    _check_geometry(net, train)
-    growth_config = _growth_config(cfg)
-    max_iterations = cfg["growth"].getint("max_iterations")
-    if max_iterations < 0:
-        max_iterations = None
-    cluster_table = (_load_cluster_cache(args.cluster_cache)
-                     if args.cluster_cache else None)
-    out_dir = _prepare_out_dir(cfg, args)
-    reset_optimizer_step_count()
-    writer = _IterationWriter(out_dir)
-    try:
-        state = run_growth(net, train, growth_config, test_set=test,
-                           cluster_table=cluster_table,
-                           max_iterations=max_iterations,
-                           on_iteration=writer)
-    finally:
-        writer.close()
-    save_checkpoint(state.net, out_dir / "checkpoint.json")
-    _write_branch_series(out_dir / "branch_series.csv", state.branch_points)
-    _write_candidates(out_dir / "candidates.jsonl", state.candidate_records)
-    accepted = sum(r.accepted for r in state.records)
-    final = state.records[-1] if state.records else None
-    _write_json(out_dir / "run_meta.json", {
-        "command": "grow",
-        "dataset": cfg["data"]["dataset"].strip().lower(),
-        "seed": cfg["run"].getint("seed"),
-        "input_hashes": _input_hashes(cfg, args),
-        "optimizer_steps": optimizer_step_count(),
-        "iterations": len(state.records),
-        "candidates_seen": sum(r.candidates_seen for r in state.records),
-        "accepted_branches": accepted,
-        "branch_count": state.net.n_branches,
-        "parameter_count": parameter_count(state.net),
-        "selection_loss": state.prev_selection_loss,
-        "test_accuracy": _json_num(final.test_accuracy) if final else None,
-        "test_loss": _json_num(final.test_loss) if final else None,
-    })
-    log.info("growth done: %d branches accepted, test accuracy %s -> %s",
-             accepted, f"{final.test_accuracy:.4f}" if final else "n/a",
-             out_dir)
-    return EXIT_OK
-
-
-def cmd_transfer(args, cfg) -> int:
-    from .checkpoint import load_checkpoint, save_checkpoint
-    from .growth import transfer_task
-    from .nam_model import parameter_count
-    from .nn_core import optimizer_step_count, reset_optimizer_step_count
-
-    base_net = load_checkpoint(args.checkpoint)
-    train = _load_split(cfg, "train")
-    test = _load_split(cfg, "test")
+    run = transfer_task
+    if not transfer:
+        _check_geometry(net, train)
+        limit = cfg["growth"].getint("max_iterations")
+        run = functools.partial(run_growth,
+                                max_iterations=None if limit < 0 else limit)
     growth_config = _growth_config(cfg)
     cluster_table = (_load_cluster_cache(args.cluster_cache)
                      if args.cluster_cache else None)
@@ -391,49 +349,54 @@ def cmd_transfer(args, cfg) -> int:
     reset_optimizer_step_count()
     writer = _IterationWriter(out_dir)
     try:
-        state = transfer_task(base_net, train, growth_config, test_set=test,
-                              cluster_table=cluster_table,
-                              on_iteration=writer)
+        state = run(net, train, growth_config, test_set=test,
+                    cluster_table=cluster_table, on_iteration=writer)
     finally:
         writer.close()
     steps = optimizer_step_count()
-    if steps != 0:
+    if transfer and steps != 0:
         raise RuntimeError(
             f"transfer must never train, but {steps} optimizer steps ran")
     save_checkpoint(state.net, out_dir / "checkpoint.json")
     _write_branch_series(out_dir / "branch_series.csv", state.branch_points)
     _write_candidates(out_dir / "candidates.jsonl", state.candidate_records)
-    with open(out_dir / "transfer_series.csv", "w", newline="") as fh:
-        series_writer = csv.writer(fh)
-        series_writer.writerow(["iteration", "branches", "train_accuracy",
-                                "test_accuracy"])
-        for record, train_accuracy in zip(state.records,
-                                          state.train_accuracy_series):
-            series_writer.writerow([record.iteration, record.branch_count,
-                                    train_accuracy, record.test_accuracy])
-    empty = state.net.n_branches == 0
-    if empty:
-        log.warning("no placement qualified: transfer produced an empty "
-                    "election network (eval refuses it)")
+    accepted = sum(r.accepted for r in state.records)
     final = state.records[-1] if state.records else None
-    _write_json(out_dir / "run_meta.json", {
-        "command": "transfer",
+    meta = {
+        "command": args.command,
         "dataset": cfg["data"]["dataset"].strip().lower(),
         "seed": cfg["run"].getint("seed"),
         "input_hashes": _input_hashes(cfg, args),
         "optimizer_steps": steps,
         "iterations": len(state.records),
-        "accepted_branches": state.net.n_branches,
+        "accepted_branches": accepted,
         "branch_count": state.net.n_branches,
         "parameter_count": parameter_count(state.net),
-        "empty_network": empty,
-        "train_accuracy": (state.train_accuracy_series[-1]
-                           if state.train_accuracy_series else None),
         "test_accuracy": _json_num(final.test_accuracy) if final else None,
         "test_loss": _json_num(final.test_loss) if final else None,
-    })
-    log.info("transfer done: %d branches kept, optimizer steps %d -> %s",
-             state.net.n_branches, steps, out_dir)
+    }
+    if transfer:
+        with open(out_dir / "transfer_series.csv", "w", newline="") as fh:
+            series = csv.writer(fh)
+            series.writerow(["iteration", "branches", "train_accuracy",
+                             "test_accuracy"])
+            for record, train_accuracy in zip(state.records,
+                                              state.train_accuracy_series):
+                series.writerow([record.iteration, record.branch_count,
+                                 train_accuracy, record.test_accuracy])
+        meta["empty_network"] = state.net.n_branches == 0
+        if meta["empty_network"]:
+            log.warning("no placement qualified: transfer produced an empty "
+                        "election network (eval refuses it)")
+        meta["train_accuracy"] = (state.train_accuracy_series[-1]
+                                  if state.train_accuracy_series else None)
+    else:
+        meta["candidates_seen"] = sum(r.candidates_seen for r in state.records)
+        meta["selection_loss"] = state.prev_selection_loss
+    _write_json(out_dir / "run_meta.json", meta)
+    log.info("%s done: %d branches accepted, %d optimizer steps, test "
+             "accuracy %s -> %s", args.command, accepted, steps,
+             f"{final.test_accuracy:.4f}" if final else "n/a", out_dir)
     return EXIT_OK
 
 
@@ -441,17 +404,11 @@ def cmd_cluster_cache(args, cfg) -> int:
     from .checkpoint import load_checkpoint
     from .clustering import clusters_to_json
     from .data_io import sha256_file
-    from .growth import source_cluster_table
+    from .growth import source_branches, source_cluster_table
 
     net = load_checkpoint(args.checkpoint)
-    if args.target_command == "grow":
-        mlps = [br.mlp for br in net.branches if br.origin == "base"]
-        if not mlps:
-            raise ValueError("checkpoint has no base branches to cluster")
-    else:
-        mlps = [br.mlp for br in net.branches]
-        if not mlps:
-            raise ValueError("checkpoint has no branches to cluster")
+    mlps = [br.mlp for br in source_branches(
+        net, transfer=args.target_command == "transfer")]
     growth_config = _growth_config(cfg)
     out_dir = _prepare_out_dir(cfg, args)
     log.info("clustering %d branch MLPs (cache for %s)", len(mlps),
@@ -543,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override [growth] max_iterations (-1 = no limit)")
     p.add_argument("--cluster-cache", dest="cluster_cache",
                    help="precomputed cluster_cache.json (skips clustering)")
-    p.set_defaults(handler=cmd_grow)
+    p.set_defaults(handler=cmd_growth)
 
     p = sub.add_parser("transfer",
                        help="transfer branches to a new task (election mode)")
@@ -552,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="source-task checkpoint JSON")
     p.add_argument("--cluster-cache", dest="cluster_cache",
                    help="precomputed cluster_cache.json (skips clustering)")
-    p.set_defaults(handler=cmd_transfer)
+    p.set_defaults(handler=cmd_growth)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
     _add_common_arguments(p)

@@ -18,6 +18,7 @@ decides the rest:
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -28,6 +29,7 @@ import numpy as np
 from .clustering import ClusterConfig, cluster_network
 from .data_io import Dataset, InputRange, base_grid_ranges, extract_patches
 from .matching import (
+    PreparedSummaries,
     match_all,
     prepare_summaries,
     stats_from_points,
@@ -219,46 +221,44 @@ def candidate_ranges(input_shape: tuple[int, int, int],
     return base_grid_ranges(input_shape, size=size, spacing=1)
 
 
-def match_candidates(ranges, ref_images_by_class, summary_pairs,
-                     source_mlps,
+def match_candidates(input_range: InputRange, ref_images_by_class,
+                     summary_pairs, source_mlps, prepared: PreparedSummaries,
                      keep_fraction: float = 0.8) -> list[CandidateBranch]:
-    """Scan input ranges and emit at most one candidate per (range, class).
+    """Match one input range and emit at most one candidate per class.
 
-    summary_pairs are (branch_id, cluster summary) pairs and source_mlps
-    maps each branch_id to its MLP; at each range every pair is matched to
-    its best reference class, then per reference class the closest pair
-    wins.  Ties keep the earliest pair in scan order.  Only the winners get
-    the first layer of their MLP transferred.
+    summary_pairs are (branch_id, cluster summary) pairs, `prepared` is
+    `prepare_summaries(summary_pairs)` and source_mlps maps each branch_id
+    to its MLP; every pair is matched to its best reference class, then per
+    reference class the closest pair wins.  Ties keep the earliest pair.
+    Only the winners get the first layer of their MLP transferred.
     """
-    prepared = prepare_summaries(summary_pairs)
+    refs = {c: extract_patches(images, [input_range])[0]
+            for c, images in ref_images_by_class.items()}
+    results = match_all(input_range, refs, summary_pairs,
+                        keep_fraction=keep_fraction, prepared=prepared)
+    best = {}
+    for i, res in enumerate(results):
+        if not res.matched:
+            continue
+        cur = best.get(res.target_class)
+        if cur is None or res.distance < results[cur].distance:
+            best[res.target_class] = i
     candidates = []
-    for input_range in ranges:
-        refs = {c: extract_patches(images, [input_range])[0]
-                for c, images in ref_images_by_class.items()}
-        results = match_all(input_range, refs, summary_pairs,
-                            keep_fraction=keep_fraction, prepared=prepared)
-        best = {}
-        for i, res in enumerate(results):
-            if not res.matched:
-                continue
-            cur = best.get(res.target_class)
-            if cur is None or res.distance < results[cur].distance:
-                best[res.target_class] = i
-        for target in sorted(best):
-            res = results[best[target]]
-            w, b = transfer_first_layer(
-                source_mlps[res.branch_id].hidden_layers[0],
-                prepared.stats[best[target]], stats_from_points(refs[target]))
-            candidates.append(CandidateBranch(
-                source_branch_id=res.branch_id,
-                branch_class=res.branch_class,
-                target_class=target,
-                input_range=input_range,
-                distance=res.distance,
-                first_layer_weights=w,
-                first_layer_bias=b,
-                source_mlp=source_mlps[res.branch_id],
-            ))
+    for target in sorted(best):
+        res = results[best[target]]
+        w, b = transfer_first_layer(
+            source_mlps[res.branch_id].hidden_layers[0],
+            prepared.stats[best[target]], stats_from_points(refs[target]))
+        candidates.append(CandidateBranch(
+            source_branch_id=res.branch_id,
+            branch_class=res.branch_class,
+            target_class=target,
+            input_range=input_range,
+            distance=res.distance,
+            first_layer_weights=w,
+            first_layer_bias=b,
+            source_mlp=source_mlps[res.branch_id],
+        ))
     return candidates
 
 
@@ -594,15 +594,6 @@ def frozen_parameter_hash(branches: list[Branch]) -> str:
     return h.hexdigest()
 
 
-def _source_summaries(branch_mlps, config: GrowthConfig, cluster_table=None):
-    if cluster_table is None:
-        log.info("clustering %d branch MLPs", len(branch_mlps))
-        cluster_table = source_cluster_table(branch_mlps, config)
-    if len(cluster_table) != len(branch_mlps):
-        raise ValueError("cluster table does not cover every branch")
-    return cluster_table
-
-
 def source_cluster_table(branch_mlps, config: GrowthConfig):
     """Cluster source branches as `run_growth`/`transfer_task` do.
 
@@ -617,6 +608,17 @@ def source_cluster_table(branch_mlps, config: GrowthConfig):
                            int(seeds[1].generate_state(1)[0]))
 
 
+def source_branches(net: NamNetwork, transfer: bool) -> list[Branch]:
+    """The branches a run re-uses: every branch of the network for a
+    transfer to a new task, only its trained base branches for growth on
+    its own task."""
+    sources = [br for br in net.branches if transfer or br.origin == "base"]
+    if not sources:
+        raise ValueError(f"network has no {'' if transfer else 'base '}"
+                         "branches to re-use")
+    return sources
+
+
 def run_growth(net: NamNetwork, train_set: Dataset, config: GrowthConfig,
                test_set: Dataset | None = None, cluster_table=None,
                max_iterations: int | None = None,
@@ -625,51 +627,17 @@ def run_growth(net: NamNetwork, train_set: Dataset, config: GrowthConfig,
     branches iteration by iteration, and return the full growth state.
 
     `max_iterations` bounds the number of iterations (None runs until the
-    candidate scan is exhausted; 0 returns the network untouched).
-    `on_iteration`, when given, is called with each IterationRecord as soon
-    as it is final, so callers can stream logs.  Raises RuntimeError when
-    the branches the network started with have changed by the end.
+    candidate scan is exhausted; 0 returns the network untouched).  Windows
+    are matched as iterations consume their candidates, so a bounded run
+    matches none past the last window it uses.  `on_iteration`, when given,
+    is called with each IterationRecord as soon as it is final, so callers
+    can stream logs.  Raises RuntimeError when the branches the network
+    started with have changed by the end.
     """
     if net.mode != "tuning":
         raise ValueError("network must be in tuning mode")
-    sources = [(i, br) for i, br in enumerate(net.branches)
-               if br.origin == "base"]
-    if not sources:
-        raise ValueError("growth needs trained base branches to re-use")
-    seeds = np.random.SeedSequence(config.seed).spawn(4)
-    selection = build_selection_set(train_set, config.selection_size, seeds[0])
-    if max_iterations == 0:
-        return start_growth(net, selection, config, train_set, test_set,
-                            np.random.default_rng(seeds[3]))
-    n_start, start_hash = net.n_branches, frozen_parameter_hash(net.branches)
-    summaries = _source_summaries([br.mlp for _, br in sources], config,
-                                  cluster_table)
-    refs = draw_reference_images(train_set, config.reference_per_class,
-                                 np.random.default_rng(seeds[2]))
-    summary_pairs = [(i, summary)
-                     for (i, (_, br)) in enumerate(sources)
-                     for summary in summaries[i]]
-    source_mlps = {i: br.mlp for i, (_, br) in enumerate(sources)}
-    log.info("matching %d ranges against %d cluster summaries",
-             len(candidate_ranges(net.input_shape)), len(summary_pairs))
-    candidates = match_candidates(candidate_ranges(net.input_shape), refs,
-                                  summary_pairs, source_mlps,
-                                  config.keep_fraction)
-    log.info("%d matched candidates", len(candidates))
-    state = start_growth(net, selection, config, train_set, test_set,
-                         np.random.default_rng(seeds[3]))
-    iterator = iter(candidates)
-    remaining = len(candidates)
-    while remaining > 0:
-        if max_iterations is not None and state.iteration >= max_iterations:
-            break
-        record = grow_iteration(state, iterator, config)
-        remaining -= record.candidates_seen
-        if on_iteration is not None:
-            on_iteration(record)
-    if frozen_parameter_hash(net.branches[:n_start]) != start_hash:
-        raise RuntimeError("growth changed the branches it started from")
-    return state
+    return _grow(net, net, train_set, config, test_set, cluster_table,
+                 max_iterations, on_iteration)
 
 
 def transfer_task(base_net: NamNetwork, train_set: Dataset,
@@ -678,42 +646,70 @@ def transfer_task(base_net: NamNetwork, train_set: Dataset,
     """Trans-task transfer: apply the source branches one by one to the new
     task's input ranges in election mode, never calling the optimizer.
 
-    Each source branch is one iteration; its matched placements are
-    qualified, binarized, and kept only when the selection accuracy does not
-    drop.  Returns the growth state; the grown network may be empty when no
-    placement qualifies (prediction on it then fails as an empty network).
-    Raises RuntimeError when the source branches have changed by the end."""
-    if not base_net.branches:
-        raise ValueError("source network has no branches")
-    source_hash = frozen_parameter_hash(base_net.branches)
-    seeds = np.random.SeedSequence(config.seed).spawn(4)
-    selection = build_selection_set(train_set, config.selection_size, seeds[0])
-    summaries = _source_summaries([br.mlp for br in base_net.branches], config,
-                                  cluster_table)
-    refs = draw_reference_images(train_set, config.reference_per_class,
-                                 np.random.default_rng(seeds[2]))
+    Each source branch is one iteration at least; its matched placements
+    are qualified, binarized, and kept only when the selection accuracy does
+    not drop.  Returns the growth state; the grown network may be empty when
+    no placement qualifies (prediction on it then fails as an empty
+    network).  Raises RuntimeError when the source branches have changed by
+    the end."""
     net = NamNetwork(n_classes=train_set.n_classes,
                      input_shape=train_set.shape, mode="election",
                      tag=f"{base_net.tag}->{train_set.tag}")
+    return _grow(base_net, net, train_set, config, test_set, cluster_table,
+                 None, on_iteration)
+
+
+def _grow(source_net: NamNetwork, net: NamNetwork, train_set: Dataset,
+          config: GrowthConfig, test_set: Dataset | None, cluster_table,
+          max_iterations: int | None, on_iteration) -> GrowthState:
+    """Grow `net` from the source branches of `source_net`.
+
+    Candidates stream window by window, matched as iterations pull them.
+    Growth runs iterations while its one stream over all source branches
+    yields.  Transfer (an election-mode `net`) has one stream per source
+    branch, and each stream gets one iteration at least.
+    """
+    transfer = net.mode == "election"
+    sources = source_branches(source_net, transfer)
+    seeds = np.random.SeedSequence(config.seed).spawn(4)
+    selection = build_selection_set(train_set, config.selection_size, seeds[0])
     state = start_growth(net, selection, config, train_set, test_set,
                          np.random.default_rng(seeds[3]))
-    ranges = candidate_ranges(train_set.shape)
-    for branch_id, branch in enumerate(base_net.branches):
-        pairs = [(branch_id, summary) for summary in summaries[branch_id]]
-        candidates = match_candidates(
-            ranges, refs, pairs, {branch_id: branch.mlp},
-            config.keep_fraction)
-        iterator = iter(candidates)
-        consumed = 0
-        while consumed < len(candidates):
-            record = grow_iteration(state, iterator, config)
-            consumed += record.candidates_seen
+    if max_iterations == 0:
+        return state
+    started = list(source_net.branches)
+    start_hash = frozen_parameter_hash(started)
+    if cluster_table is None:
+        log.info("clustering %d branch MLPs", len(sources))
+        cluster_table = source_cluster_table([br.mlp for br in sources],
+                                             config)
+    if len(cluster_table) != len(sources):
+        raise ValueError("cluster table does not cover every branch")
+    refs = draw_reference_images(train_set, config.reference_per_class,
+                                 np.random.default_rng(seeds[2]))
+    ranges = candidate_ranges(net.input_shape)
+    source_mlps = {i: br.mlp for i, br in enumerate(sources)}
+    per_branch = [[(i, summary) for summary in summaries]
+                  for i, summaries in enumerate(cluster_table)]
+    streams = (per_branch if transfer else
+               [[pair for pairs in per_branch for pair in pairs]])
+    log.info("matching %d ranges against %d cluster summaries",
+             len(ranges), sum(map(len, per_branch)))
+    for pairs in streams:
+        prepared = prepare_summaries(pairs)
+        stream = itertools.chain.from_iterable(
+            match_candidates(input_range, refs, pairs, source_mlps, prepared,
+                             config.keep_fraction) for input_range in ranges)
+        ran = False
+        while max_iterations is None or state.iteration < max_iterations:
+            head = next(stream, None)
+            if head is None and (ran or not transfer):
+                break
+            batch = stream if head is None else itertools.chain([head], stream)
+            record = grow_iteration(state, batch, config)
+            ran = True
             if on_iteration is not None:
                 on_iteration(record)
-        if not candidates:
-            record = grow_iteration(state, iter(()), config)
-            if on_iteration is not None:
-                on_iteration(record)
-    if frozen_parameter_hash(base_net.branches) != source_hash:
-        raise RuntimeError("transfer changed the source branches")
+    if frozen_parameter_hash(started) != start_hash:
+        raise RuntimeError("growth changed the branches it started from")
     return state

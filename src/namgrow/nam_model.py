@@ -119,6 +119,12 @@ class ElectionStats:
         return ElectionStats(self.means.copy(), self.stds.copy())
 
 
+def _is_count(value) -> bool:
+    """An integer >= 1 (bools are not counts)."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= 1)
+
+
 @dataclass
 class NamNetwork:
     n_classes: int
@@ -131,6 +137,15 @@ class NamNetwork:
     def __post_init__(self):
         if self.mode not in ("tuning", "election"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not _is_count(self.n_classes):
+            raise ValueError(f"n_classes {self.n_classes!r} is not an "
+                             "integer >= 1")
+        shape = self.input_shape
+        if not (isinstance(shape, (tuple, list)) and len(shape) == 3
+                and all(map(_is_count, shape))):
+            raise ValueError(f"input_shape {shape!r} is not three positive "
+                             "integers")
+        self.input_shape = tuple(shape)
         for k, br in enumerate(self.branches):
             if br.mlp.n_classes != self.n_classes:
                 raise ValueError(f"branch {k} has {br.mlp.n_classes} class "

@@ -445,6 +445,28 @@ class TestTransfer:
             assert ((outputs[0] / name).read_bytes()
                     == (outputs[1] / name).read_bytes()), name
 
+    def test_moved_source_weight_is_an_internal_error(self, tmp_path,
+                                                      config_file, base_run,
+                                                      monkeypatch, caplog):
+        """The run-time frozen-weight check turns a source weight that
+        moved during transfer into exit code 3."""
+        from namgrow import growth
+
+        def nudging_grow_iteration(state, candidates, config):
+            def nudged():
+                for cand in candidates:
+                    cand.source_mlp.hidden_layers[0].weights[0, 0] += 1e-9
+                    yield cand
+            return real_grow_iteration(state, nudged(), config)
+
+        real_grow_iteration = growth.grow_iteration
+        monkeypatch.setattr(growth, "grow_iteration", nudging_grow_iteration)
+        code = main(["transfer", "--config", str(config_file),
+                     "--checkpoint", str(base_run / "checkpoint.json"),
+                     "--out-dir", str(tmp_path / "moved"), "--seed", "3"])
+        assert code == 3
+        assert "changed the branches it started from" in caplog.text
+
     def test_transfer_series_tracks_iterations(self, transfer_run):
         meta = json.loads((transfer_run / "run_meta.json").read_text())
         lines = (transfer_run / "transfer_series.csv").read_text().splitlines()
@@ -690,3 +712,25 @@ class TestMalformedCheckpoints:
                      "--data-dir", str(data_dir)])
         assert code == 2
         assert "checkpoint has no 'n_classes' key" in caplog.text
+
+    @pytest.mark.parametrize("field, value, branchless, message", [
+        ("n_classes", "10", False, "n_classes '10' is not an integer >= 1"),
+        ("n_classes", True, True, "n_classes True is not an integer >= 1"),
+        ("input_shape", [12, 12], True,
+         "input_shape [12, 12] is not three positive integers"),
+    ])
+    def test_mistyped_network_field_is_a_data_error(
+            self, tmp_path, data_dir, base_run, caplog, field, value,
+            branchless, message):
+        doc = json.loads((base_run / "checkpoint.json").read_text())
+        doc[field] = value
+        if branchless:
+            doc["branches"] = []
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["eval", "--checkpoint", str(bad), "--dataset", "mnist",
+                     "--data-dir", str(data_dir)])
+        assert code == 2
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert errors == [message]

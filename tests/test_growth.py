@@ -23,6 +23,7 @@ from namgrow.growth import (
 )
 from namgrow.matching import (
     match_all,
+    prepare_summaries,
     stats_from_points,
     stats_from_summary,
     transfer_first_layer,
@@ -188,11 +189,11 @@ class TestMatchCandidates:
         layers = {b: mlp.hidden_layers[0] for b, mlp in mlps.items()}
         images = {c: rng.uniform(-0.5, 0.5, size=(15, 1, 6, 6))
                   for c in range(N_CLASSES)}
-        ranges = candidate_ranges((1, 6, 6))
-        got = match_candidates(ranges, images, pairs, mlps)
+        prepared = prepare_summaries(pairs)
 
-        expected = []
-        for input_range in ranges:
+        total = 0
+        for input_range in candidate_ranges((1, 6, 6)):
+            got = match_candidates(input_range, images, pairs, mlps, prepared)
             refs = {c: extract_patches(im, [input_range])[0]
                     for c, im in images.items()}
             best = {}
@@ -201,21 +202,24 @@ class TestMatchCandidates:
                 cur = best.get(res.target_class)
                 if res.matched and (cur is None
                                     or res.distance < cur[0].distance):
-                    best[res.target_class] = (res, summary, refs)
-            expected += [best[c] for c in sorted(best)]
-        assert len(got) == len(expected) > 0
-        for cand, (res, summary, refs) in zip(got, expected):
-            assert (cand.source_branch_id, cand.branch_class,
-                    cand.target_class, cand.input_range, cand.distance) == (
-                res.branch_id, res.branch_class, res.target_class,
-                res.reference_range, res.distance)
-            w, b = transfer_first_layer(layers[res.branch_id],
-                                        stats_from_summary(summary),
-                                        stats_from_points(
-                                            refs[res.target_class]))
-            np.testing.assert_array_equal(cand.first_layer_weights, w)
-            np.testing.assert_array_equal(cand.first_layer_bias, b)
-            assert cand.source_mlp is mlps[res.branch_id]
+                    best[res.target_class] = (res, summary)
+            expected = [best[c] for c in sorted(best)]
+            assert len(got) == len(expected)
+            total += len(got)
+            for cand, (res, summary) in zip(got, expected):
+                assert (cand.source_branch_id, cand.branch_class,
+                        cand.target_class, cand.input_range,
+                        cand.distance) == (
+                    res.branch_id, res.branch_class, res.target_class,
+                    res.reference_range, res.distance)
+                w, b = transfer_first_layer(layers[res.branch_id],
+                                            stats_from_summary(summary),
+                                            stats_from_points(
+                                                refs[res.target_class]))
+                np.testing.assert_array_equal(cand.first_layer_weights, w)
+                np.testing.assert_array_equal(cand.first_layer_bias, b)
+                assert cand.source_mlp is mlps[res.branch_id]
+        assert total > 0
 
 
 class TestGrowIterationTuning:

@@ -181,6 +181,53 @@ class TestGrowthRun:
                        test_set=test, max_iterations=1)
         assert calls
 
+    def test_bounded_run_matches_only_the_windows_it_consumes(
+            self, task_a, base_net, monkeypatch):
+        """A one-iteration run matches windows up to the one holding the
+        last candidate it consumed, and none after it."""
+        windows, matched = [], []
+
+        def counting_match_all(input_range, *args, **kwargs):
+            matched.append(input_range)
+            return real_match_all(input_range, *args, **kwargs)
+
+        def recording_match_candidates(input_range, *args, **kwargs):
+            found = real_match_candidates(input_range, *args, **kwargs)
+            windows.append((input_range, len(found)))
+            return found
+
+        real_match_all = growth.match_all
+        real_match_candidates = growth.match_candidates
+        monkeypatch.setattr(growth, "match_all", counting_match_all)
+        monkeypatch.setattr(growth, "match_candidates",
+                            recording_match_candidates)
+        train, test = task_a
+        state = run_growth(copy.deepcopy(base_net), train,
+                           small_growth_config(), test_set=test,
+                           max_iterations=1)
+        assert len(state.records) == 1
+        seen = state.records[0].candidates_seen
+        total, last = 0, None
+        for index, (_, found) in enumerate(windows):
+            total += found
+            if total >= seen:
+                last = index
+                break
+        ranges = growth.candidate_ranges(SHAPE)
+        assert [r for r, _ in windows] == ranges[:len(windows)]
+        assert matched == ranges[:last + 1]
+        assert last + 1 < len(ranges)
+
+    def test_empty_stream_runs_no_iteration(self, task_a, base_net,
+                                            monkeypatch):
+        monkeypatch.setattr(growth, "match_candidates",
+                            lambda *args, **kwargs: [])
+        train, test = task_a
+        net = copy.deepcopy(base_net)
+        state = run_growth(net, train, small_growth_config(), test_set=test)
+        assert state.records == [] and state.candidate_records == []
+        assert network_to_json(net) == network_to_json(base_net)
+
 
 @pytest.fixture(scope="module")
 def task_b(task_a):
@@ -246,3 +293,41 @@ class TestTransferRun:
                           mode="election")
         with pytest.raises(ValueError, match="branches"):
             transfer_task(bare, task_b[0], small_growth_config())
+
+    def test_branch_without_candidates_gets_one_iteration(
+            self, grown, task_b, monkeypatch):
+        """Source branch 0 matches nothing: its stream still closes one
+        empty iteration, and branch 1's candidates start the next."""
+        def without_branch_0(*args, **kwargs):
+            return [cand for cand in real_match_candidates(*args, **kwargs)
+                    if cand.source_branch_id != 0]
+
+        real_match_candidates = growth.match_candidates
+        monkeypatch.setattr(growth, "match_candidates", without_branch_0)
+        train, test = task_b
+        state = transfer_task(grown.net, train, small_growth_config(),
+                              test_set=test)
+        first = state.records[0]
+        assert (first.candidates_seen, first.accepted) == (0, 0)
+        sources = {rec["source_branch"] for rec in state.candidate_records
+                   if rec["iteration"] == 1}
+        assert sources == {1}
+        assert all(rec["source_branch"] != 0
+                   for rec in state.candidate_records)
+
+    def test_moved_source_weight_is_caught(self, grown, task_b, monkeypatch):
+        """transfer_task hashes the source branches on entry and again on
+        exit; an iteration that moves a source weight fails the run."""
+        def nudging_grow_iteration(state, candidates, config):
+            def nudged():
+                for cand in candidates:
+                    cand.source_mlp.hidden_layers[0].weights[0, 0] += 1e-9
+                    yield cand
+            return real_grow_iteration(state, nudged(), config)
+
+        real_grow_iteration = growth.grow_iteration
+        monkeypatch.setattr(growth, "grow_iteration", nudging_grow_iteration)
+        train, test = task_b
+        with pytest.raises(RuntimeError, match="started from"):
+            transfer_task(copy.deepcopy(grown.net), train,
+                          small_growth_config(), test_set=test)
