@@ -99,12 +99,17 @@ def _branch_from_record(rec: dict) -> tuple[Branch, tuple | None]:
     )
     stats_row = None
     if rec["election_stats"] is not None:
-        stats_row = (np.array(rec["election_stats"]["mean"], dtype=np.float64),
-                     np.array(rec["election_stats"]["std"], dtype=np.float64))
+        mean = np.array(rec["election_stats"]["mean"], dtype=np.float64)
+        std = np.array(rec["election_stats"]["std"], dtype=np.float64)
         want = (mlp.n_classes,)
-        if stats_row[0].shape != want or stats_row[1].shape != want:
-            raise ValueError(f"election stats have shapes {stats_row[0].shape}"
-                             f" and {stats_row[1].shape}, expected {want}")
+        if mean.shape != want or std.shape != want:
+            raise ValueError(f"election stats have shapes {mean.shape}"
+                             f" and {std.shape}, expected {want}")
+        if not np.all(np.isfinite(mean)):
+            raise ValueError("election stats mean is not finite")
+        if not np.all(np.isfinite(std) & (std > 0.0)):
+            raise ValueError("election stats std is not finite and positive")
+        stats_row = (mean, std)
     return branch, stats_row
 
 

@@ -339,7 +339,10 @@ def cmd_growth(args, cfg) -> int:
     run = transfer_task
     if not transfer:
         _check_geometry(net, train)
-        limit = cfg["growth"].getint("max_iterations")
+        try:
+            limit = cfg["growth"].getint("max_iterations")
+        except ValueError as exc:
+            raise ConfigError(f"max_iterations: {exc}") from exc
         run = functools.partial(run_growth,
                                 max_iterations=None if limit < 0 else limit)
     growth_config = _growth_config(cfg)

@@ -58,7 +58,7 @@ from .nn_core import (
     mlp_forward_batch,
     softmax_cross_entropy_batch,
 )
-from .qualification import ClassOutputTable, branch_threshold, qualify
+from .qualification import branch_threshold, qualify
 
 log = logging.getLogger(__name__)
 
@@ -156,9 +156,9 @@ class GrowthState:
 
     `sel/train/test_scores` hold what `network_scores` gives for the current
     network on each split: the summed class-outputs in tuning mode, the
-    summed z-scores in election mode.  `sel_votes` holds the summed
-    class-outputs on the selection set (`network_forward_batch`), which
-    weigh the qualification gates; in tuning mode they equal `sel_scores`.
+    summed z-scores in election mode.  `sel_votes[j]` holds selection
+    sample j's summed class-output (`network_forward_batch`) at its own
+    label, which weighs the qualification gates.
     """
 
     net: NamNetwork
@@ -297,10 +297,11 @@ def start_growth(net: NamNetwork, selection: Dataset, config: GrowthConfig,
         elif net.branches:
             raise ValueError("election network needs fitted stats to grow")
     state.sel_scores = _scores(net, selection.images, network_scores)
-    # In tuning mode the scores are the votes; election votes take a pass
-    # of their own.
-    state.sel_votes = (state.sel_scores.copy() if net.mode == "tuning" else
-                       _scores(net, selection.images, network_forward_batch))
+    # In tuning mode the scores are the class-outputs; election votes take
+    # a pass of their own.
+    outputs = (state.sel_scores if net.mode == "tuning" else
+               _scores(net, selection.images, network_forward_batch))
+    state.sel_votes = outputs[np.arange(selection.n), selection.labels]
     if test_set is not None:
         state.test_scores = _scores(net, test_set.images, network_scores)
     if train_set is not None:
@@ -337,11 +338,10 @@ def grow_iteration(state: GrowthState, candidates, config: GrowthConfig
     net = state.net
     mode = net.mode
     labels = state.selection.labels
-    row_idx = np.arange(state.selection.n)
     seen = 0
     tentative: list[_Tentative] = []
     rejected_records = []
-    work_votes = state.sel_votes.copy()
+    votes = state.sel_votes.copy()
     memo_range, memo_patches = None, None
 
     for cand in candidates:
@@ -370,9 +370,8 @@ def grow_iteration(state: GrowthState, candidates, config: GrowthConfig
             record["reason"] = "no output spread above threshold"
             rejected_records.append(record)
             continue
-        cums = work_votes[row_idx, labels]
-        table = ClassOutputTable(values[:, None], labels, cand.target_class)
-        report = qualify(table, 0, mode, cums, thd=thd, n_classes=net.n_classes)
+        report = qualify(values, labels, cand.target_class, votes, mode,
+                         thd=thd, n_classes=net.n_classes)
         record["qualified"] = bool(report.verdict)
         if not report.verdict:
             rejected_records.append(record)
@@ -382,8 +381,8 @@ def grow_iteration(state: GrowthState, candidates, config: GrowthConfig
                         target_class=cand.target_class,
                         mask=ClassMask(1.0, 0.0, thd, v_span),
                         origin="grown" if mode == "tuning" else "transferred")
-        work_votes[:, cand.target_class] += added_branch_output(branch, values,
-                                                                mode)
+        on = labels == cand.target_class
+        votes[on] += added_branch_output(branch, values, mode)[on]
         tentative.append(_Tentative(branch, cand, values, record))
         if len(tentative) >= config.max_per_iteration:
             break
@@ -453,11 +452,10 @@ def _finish_iteration(state: GrowthState, tentative: list[_Tentative]) -> int:
                                             t.branch.target_class,
                                             net.n_classes))
     elif config.tuning_epochs > 0:
-        tune_masks(net, fit_set, config.tuning_epochs,
+        tune_masks(net, fit_set, config.tuning_epochs, fit_scores, raw_fit,
                    learning_rate=config.mask_learning_rate,
                    batch_size=config.mask_batch_size,
-                   seed=int(state.rng.integers(2 ** 31)),
-                   frozen_logits=fit_scores, raw_values=raw_fit)
+                   seed=int(state.rng.integers(2 ** 31)))
 
     def score(k: int, out: np.ndarray) -> np.ndarray:
         """Added branch k's output as it enters its target class's score."""
@@ -493,7 +491,8 @@ def _finish_iteration(state: GrowthState, tentative: list[_Tentative]) -> int:
     state.prev_selection_accuracy = new_acc
     state.prev_selection_loss = new_loss
     for t, out in zip(tentative, out_sel):
-        state.sel_votes[:, t.branch.target_class] += out
+        on = state.selection.labels == t.branch.target_class
+        state.sel_votes[on] += out[on]
     if state.train_set is not None:
         for k, (t, raw) in enumerate(zip(tentative, raw_fit)):
             out = added_branch_output(t.branch, raw, net.mode)
@@ -534,17 +533,17 @@ def mask_gradients(frozen_logits: np.ndarray, labels: np.ndarray,
 
 
 def tune_masks(net: NamNetwork, dataset: Dataset, epochs: int,
+               frozen_logits: np.ndarray, raw_values: list[np.ndarray],
                learning_rate: float = 1e-2, batch_size: int = 128,
-               seed: int = 0, frozen_logits: np.ndarray | None = None,
-               raw_values: list[np.ndarray] | None = None) -> NamNetwork:
+               seed: int = 0) -> NamNetwork:
     """Train the scale/bias of every not-yet-frozen mask with minibatch Adam.
 
-    All MLP weights and frozen masks stay untouched, so the hash of the
-    frozen parameters is invariant across the call; freezing the tuned masks
-    is the acceptance step's job.  Zero epochs (or nothing to tune) is a
-    no-op.  The caller may pass `frozen_logits` (class-output sums of all
-    other branches on `dataset`) and the per-branch `raw_values` to skip
-    their recomputation.
+    `frozen_logits` are the class-output sums of every other branch on
+    `dataset`, and `raw_values[k]` are the k-th unfrozen branch's pre-mask
+    scalars there.  All MLP weights and frozen masks stay untouched, so the
+    hash of the frozen parameters is invariant across the call; freezing
+    the tuned masks is the acceptance step's job.  Zero epochs (or nothing
+    to tune) is a no-op.
     """
     unfrozen = [br for br in net.branches
                 if br.mask is not None and not br.mask_frozen]
@@ -552,12 +551,6 @@ def tune_masks(net: NamNetwork, dataset: Dataset, epochs: int,
         return net
     if net.mode != "tuning":
         raise ValueError("masks are tuned in tuning mode only")
-    if raw_values is None:
-        raw_values = [_raw_values(br, dataset) for br in unfrozen]
-    if frozen_logits is None:
-        frozen_logits = network_forward_batch(net, dataset.images)
-        for br, raw in zip(unfrozen, raw_values):
-            frozen_logits[:, br.target_class] -= apply_class_mask(br.mask, raw)
     a = np.array([br.mask.a for br in unfrozen])
     b = np.array([br.mask.b for br in unfrozen])
     params = [a, b]

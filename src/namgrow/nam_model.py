@@ -97,6 +97,7 @@ class Branch:
         for name in ("branch_class", "target_class"):
             c = getattr(self, name)
             if c is not None and not (isinstance(c, (int, np.integer))
+                                      and not isinstance(c, bool)
                                       and 0 <= c < self.mlp.n_classes):
                 raise ValueError(f"{name} {c!r} is not a class index below "
                                  f"{self.mlp.n_classes}")

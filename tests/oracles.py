@@ -35,7 +35,6 @@ from namgrow.nam_model import (
     network_forward_batch,
 )
 from namgrow.nn_core import BranchMlp, DenseLayer, mlp_forward_batch
-from namgrow.qualification import ClassOutputTable, _partitions
 from namgrow.training import StackedNam, _forward_with_cache
 
 
@@ -177,21 +176,22 @@ def gaussian_weight(sp1: np.ndarray, sp2: np.ndarray, cov: np.ndarray) -> float:
     return float(norm * np.exp(-0.5 * np.sum(d * d / diag)))
 
 
-def clamp_weighted_sum(table: ClassOutputTable, k: int) -> float:
-    """Diagnostic weighted sum whose weights vanish once the candidate fully
-    separates target from non-target samples.
+def clamp_weighted_sum(values: np.ndarray, labels: np.ndarray,
+                       target_class: int) -> float:
+    """Diagnostic weighted sum whose weights vanish once the candidate's
+    outputs `values` fully separate target from non-target samples.
 
     Target samples are weighted by how far the worst non-target output still
     exceeds them (clamped at 0); non-target samples by how far they exceed the
     worst target output (negative, clamped at 0)."""
-    t, nt = _partitions(table)
-    col = table.values[:, k]
+    values = np.asarray(values, dtype=np.float64)
+    t = np.asarray(labels) == target_class
     w = np.where(
         t,
-        np.maximum(col[nt].max() - col, 0.0),
-        np.minimum(col[t].min() - col, 0.0),
+        np.maximum(values[~t].max() - values, 0.0),
+        np.minimum(values[t].min() - values, 0.0),
     )
-    return float(np.sum(w * col))
+    return float(np.sum(w * values))
 
 
 def hoeffding_bound(t: float, bounds: np.ndarray) -> float:
@@ -229,10 +229,11 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def loss_descent_diagnostics(table: ClassOutputTable, k: int,
-                             logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def loss_descent_diagnostics(values: np.ndarray, labels: np.ndarray,
+                             target_class: int, logits: np.ndarray
+                             ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample odds ratio tau and the loss-derivative magnitude of adding
-    candidate k's output to the target-class logit.
+    a candidate's outputs `values` to the target-class logit.
 
     On target-label samples the value is the loss *descent* (1 - 1/(tau+1));
     on other samples it is the loss *increase* (1/(tau+1)).  Both lie in
@@ -240,18 +241,18 @@ def loss_descent_diagnostics(table: ClassOutputTable, k: int,
     contribution.  Matches finite differences of softmax cross-entropy.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2 or logits.shape[0] != table.n_samples \
-            or logits.shape[1] <= table.target_class:
+    contrib = np.asarray(values, dtype=np.float64)
+    ct = target_class
+    if logits.ndim != 2 or logits.shape[0] != contrib.shape[0] \
+            or logits.shape[1] <= ct:
         raise ValueError("logits shape mismatch")
-    ct = table.target_class
-    contrib = table.values[:, k]
     z_t = logits[:, ct] + contrib
     others = np.delete(logits, ct, axis=1)
     m = others.max(axis=1)
     log_rest = m + np.log(np.exp(others - m[:, None]).sum(axis=1))
     log_tau = log_rest - z_t
     tau = np.exp(log_tau)
-    target = table.target_mask()
+    target = np.asarray(labels) == ct
     # descent tau/(tau+1) on target rows, increase 1/(tau+1) elsewhere
     value = np.where(target, _sigmoid(log_tau), _sigmoid(-log_tau))
     return tau, value

@@ -48,7 +48,7 @@ from namgrow.nn_core import (
     optimizer_step_count,
     reset_optimizer_step_count,
 )
-from namgrow.qualification import ClassOutputTable, qualify
+from namgrow.qualification import qualify
 from namgrow.training import TrainConfig, train_network
 from oracles import (
     binary_hoeffding_bound,
@@ -313,8 +313,7 @@ def _check_loss_descent_diagnostics():
     labels[0] = ct
     logits = rng.normal(scale=2.0, size=(n, n_classes))
     contrib = rng.normal(size=n)
-    table = ClassOutputTable(contrib[:, None], labels, ct)
-    tau, value = loss_descent_diagnostics(table, 0, logits)
+    tau, value = loss_descent_diagnostics(contrib, labels, ct, logits)
     h = 1e-5
     for j in range(n):
         z_t = logits[j, ct] + contrib[j]
@@ -423,8 +422,8 @@ def _check_qualification_oracle():
         cum = np.zeros(n) if trial % 3 == 0 else rng.normal(size=n)
         mode = "tuning" if trial % 2 == 0 else "election"
         thd = float(np.quantile(vals, 0.8)) if mode == "election" else None
-        rep = qualify(ClassOutputTable(vals[:, None], labels, ct), 0, mode,
-                      cum, thd=thd, n_classes=n_classes)
+        rep = qualify(vals, labels, ct, cum, mode, thd=thd,
+                      n_classes=n_classes)
         expected = _oracle_qualify(vals.tolist(), labels.tolist(), ct, mode,
                                    cum.tolist(), thd, n_classes)
         assert rep.verdict == expected, f"trial {trial}"

@@ -593,6 +593,20 @@ class TestErrorPaths:
                      "--data-dir", str(data_dir), "--threads", "-2"])
         assert code == 1
 
+    def test_non_integer_max_iterations_is_usage_error(
+            self, tmp_path, data_dir, base_run, caplog):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[data]\ndataset = mnist\ndata_dir = {data_dir}\n"
+                       "[growth]\nmax_iterations = abc\n")
+        code = main(["grow", "--config", str(cfg),
+                     "--checkpoint", str(base_run / "checkpoint.json"),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert errors == ["max_iterations: invalid literal for int() with "
+                          "base 10: 'abc'"]
+
     def test_missing_data_dir_is_data_error(self, tmp_path, base_run):
         code = main(["eval", "--checkpoint",
                      str(base_run / "checkpoint.json"), "--dataset", "mnist",
@@ -656,9 +670,21 @@ def _negative_target_class(doc, k):
     doc["branches"][k]["target_class"] = -1
 
 
+def _bool_branch_class(doc, k):
+    doc["branches"][k]["branch_class"] = True
+
+
 def _short_stats_row(doc, k):
     stats = doc["branches"][k]["election_stats"]
     stats["mean"] = stats["mean"][:-1]
+
+
+def _nan_stats_mean(doc, k):
+    doc["branches"][k]["election_stats"]["mean"][0] = float("nan")
+
+
+def _zero_stats_std(doc, k):
+    doc["branches"][k]["election_stats"]["std"][0] = 0.0
 
 
 class TestMalformedCheckpoints:
@@ -681,8 +707,14 @@ class TestMalformedCheckpoints:
                                      "10 is not a class index below 10"),
         (_negative_target_class, "checkpoint branch {k}: target_class -1 is "
                                  "not a class index below 10"),
+        (_bool_branch_class, "checkpoint branch {k}: branch_class True is "
+                             "not a class index below 10"),
         (_short_stats_row, "checkpoint branch {k}: election stats have "
                            "shapes (9,) and (10,), expected (10,)"),
+        (_nan_stats_mean, "checkpoint branch {k}: election stats mean is "
+                          "not finite"),
+        (_zero_stats_std, "checkpoint branch {k}: election stats std is not "
+                          "finite and positive"),
     ])
     def test_is_a_data_error_naming_the_branch(
             self, tmp_path, data_dir, transfer_run, caplog, corrupt,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from namgrow import growth
 from namgrow.checkpoint import network_to_json
 from namgrow.clustering import BranchClassClusters
 from namgrow.data_io import Dataset, InputRange, extract_patches
@@ -46,6 +47,7 @@ from namgrow.nn_core import (
     optimizer_step_count,
     reset_optimizer_step_count,
 )
+from namgrow.qualification import qualify
 from oracles import fit_election_stats
 
 N_CLASSES = 3
@@ -221,6 +223,59 @@ class TestMatchCandidates:
                 assert cand.source_mlp is mlps[res.branch_id]
         assert total > 0
 
+    def test_flat_reference_windows_transfer_finite_weights(self):
+        """References that are constant across a window, as on MNIST
+        borders, floor the reference span at RANGE_FLOOR, so the transfer
+        scales weights by ~1e8.  The weights stay finite, and on the flat
+        patch the transferred first layer gives the source layer's
+        pre-activation at the branch-side sample mean, up to the rounding
+        of dot products at that scale."""
+        u = np.finfo(np.float64).eps / 2
+        gamma = 12 * u / (1 - 12 * u)  # two 9-term dot products, 3 adds
+        window = InputRange(0, 0, 0)
+        for trial in range(10):
+            rng = np.random.default_rng(trial)
+            pairs = []
+            for branch_id in range(2):
+                for branch_class in range(N_CLASSES):
+                    samples = (rng.normal(size=(12, 9))
+                               * rng.uniform(0.1, 1, 9))
+                    pairs.append((branch_id, BranchClassClusters(
+                        branch_class=branch_class, centers=samples[:8],
+                        max_outputs=rng.normal(size=8),
+                        sample_mean=samples.mean(axis=0),
+                        sample_min=samples.min(axis=0),
+                        sample_max=samples.max(axis=0), n_pairs=12)))
+            mlps = {b: init_branch_mlp(rng, N_CLASSES) for b in range(2)}
+            prepared = prepare_summaries(pairs)
+            levels = rng.uniform(-0.5, 0.5, size=N_CLASSES)
+            images = {c: np.full((10, 1, 6, 6), levels[c])
+                      for c in range(N_CLASSES)}
+            # Flat classes normalize to (near) the same zero patch and may
+            # tie, so each is matched on its own and is the target.
+            for c in range(N_CLASSES):
+                got = match_candidates(window, {c: images[c]}, pairs, mlps,
+                                       prepared)
+                assert got
+                patch = extract_patches(images[c], [window])[0]
+                ref_mean = stats_from_points(patch).mean
+                for cand in got:
+                    w, b = cand.first_layer_weights, cand.first_layer_bias
+                    assert np.all(np.isfinite(w)) and np.all(np.isfinite(b))
+                    assert np.abs(w).max() > 1e6
+                    i = next(i for i, (bid, summary) in enumerate(pairs)
+                             if bid == cand.source_branch_id
+                             and summary.branch_class == cand.branch_class)
+                    branch_mean = prepared.stats[i].mean
+                    layer = cand.source_mlp.hidden_layers[0]
+                    got_pre = w @ patch[0] + b
+                    want_pre = layer.weights @ branch_mean + layer.bias
+                    scale = (np.abs(w) @ (np.abs(patch[0]) + np.abs(ref_mean))
+                             + np.abs(layer.weights) @ np.abs(branch_mean)
+                             + np.abs(layer.bias))
+                    assert np.all(np.abs(got_pre - want_pre)
+                                  <= gamma * scale)
+
 
 class TestGrowIterationTuning:
     def test_empty_candidates_appends_record(self):
@@ -367,11 +422,24 @@ class TestTuneMasks:
         return NamNetwork(n_classes=N_CLASSES, input_shape=data.shape,
                           mode="tuning", branches=branches)
 
+    def tuning_inputs(self, net, data):
+        """The class-output sums of every branch but the unfrozen masked
+        ones, and those branches' raw scalars, on `data`."""
+        unfrozen = [br for br in net.branches
+                    if br.mask is not None and not br.mask_frozen]
+        raw = [mlp_forward_batch(
+                   br.mlp, extract_patches(data.images, [br.input_range])[0]
+               )[:, br.branch_class] for br in unfrozen]
+        frozen_logits = network_forward_batch(net, data.images)
+        for br, r in zip(unfrozen, raw):
+            frozen_logits[:, br.target_class] -= apply_class_mask(br.mask, r)
+        return frozen_logits, raw
+
     def test_zero_epochs_bit_identical(self):
         data = patch_mean_dataset([0.4, -0.2, -0.4], 20, seed=3)
         net = self.grown_network(data)
         before = network_to_json(net)
-        tune_masks(net, data, epochs=0)
+        tune_masks(net, data, 0, *self.tuning_inputs(net, data))
         assert network_to_json(net) == before
 
     def test_gradients_match_finite_differences(self):
@@ -380,12 +448,7 @@ class TestTuneMasks:
         unfrozen = [br for br in net.branches if br.mask is not None]
         for br, (a, b) in zip(unfrozen, [(0.8, 0.3), (1.2, 0.6)]):
             br.mask.a, br.mask.b = a, b
-        raw = [mlp_forward_batch(
-                   br.mlp, extract_patches(data.images, [br.input_range])[0]
-               )[:, br.branch_class] for br in unfrozen]
-        frozen_logits = network_forward_batch(net, data.images)
-        for br, r in zip(unfrozen, raw):
-            frozen_logits[:, br.target_class] -= apply_class_mask(br.mask, r)
+        frozen_logits, raw = self.tuning_inputs(net, data)
 
         loss, da, db = mask_gradients(frozen_logits, data.labels, unfrozen, raw)
         h = 1e-5
@@ -414,7 +477,7 @@ class TestTuneMasks:
                  if br.mask is not None and not br.mask_frozen]
         ab_before = [(br.mask.a, br.mask.b) for br in tuned]
 
-        tune_masks(net, data, epochs=2, seed=1)
+        tune_masks(net, data, 2, *self.tuning_inputs(net, data), seed=1)
 
         assert frozen_parameter_hash(net.branches) == hash_before
         assert (frozen_branch.mask.a, frozen_branch.mask.b) == frozen_before
@@ -429,7 +492,7 @@ class TestTuneMasks:
         results = []
         for _ in range(2):
             net = self.grown_network(data)
-            tune_masks(net, data, epochs=3, seed=9)
+            tune_masks(net, data, 3, *self.tuning_inputs(net, data), seed=9)
             results.append(network_to_json(net))
         assert results[0] == results[1]
 
@@ -558,9 +621,57 @@ class TestScoreCaches:
                                  (test, state.test_scores)):
                 assert np.array_equal(cache,
                                       network_scores(net, split.images))
-            assert np.array_equal(state.sel_votes,
-                                  network_forward_batch(net, selection.images))
+            outputs = network_forward_batch(net, selection.images)
+            assert np.array_equal(
+                state.sel_votes,
+                outputs[np.arange(selection.n), selection.labels])
         assert kept >= 2 and rolled_back >= 1
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_each_candidate_is_qualified_against_the_batch_so_far(
+            self, mode, monkeypatch):
+        """A candidate's votes are a fresh forward's class-output at each
+        selection label, plus the outputs of the candidates qualified
+        earlier in the same iteration, on their target-label rows only."""
+        train = two_window_dataset(40, seed=1, tag="train")
+        selection = build_selection_set(train, 60, seed=0)
+        state, config = fresh_state(mode, selection, train_set=train,
+                                    tuning_epochs=1)
+        calls = []
+
+        def recording_qualify(values, labels, target_class, votes, mode,
+                              thd=None, n_classes=None):
+            report = qualify(values, labels, target_class, votes, mode,
+                             thd=thd, n_classes=n_classes)
+            calls.append((values.copy(), target_class, votes.copy(), thd,
+                          report.verdict))
+            return report
+
+        monkeypatch.setattr(growth, "qualify", recording_qualify)
+        candidates = iter([hand_candidate(ramp_mlp(1), 1, target, r)
+                           for r in candidate_ranges(selection.shape)
+                           for target in range(N_CLASSES)])
+        rows = np.arange(selection.n)
+        most_qualified = 0
+        while True:
+            expected = (network_forward_batch(state.net, selection.images)
+                        [rows, selection.labels] if state.net.branches
+                        else np.zeros(selection.n))
+            calls.clear()
+            if grow_iteration(state, candidates, config).candidates_seen == 0:
+                break
+            for values, target, votes, thd, verdict in calls:
+                assert np.array_equal(votes, expected)
+                if verdict:
+                    out = ((values > thd).astype(np.float64)
+                           if mode == "election" else apply_class_mask(
+                               ClassMask(1.0, 0.0, thd, values.max() - thd),
+                               values))
+                    expected = expected + np.where(
+                        selection.labels == target, out, 0.0)
+            most_qualified = max(most_qualified,
+                                 sum(call[-1] for call in calls))
+        assert most_qualified >= 2
 
 
 class TestGrowIterationElection:

@@ -5,16 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from namgrow.qualification import (
-    ClassOutputTable,
-    UndefinedPrecisionError,
-    branch_threshold,
-    mean_condition,
-    precision_condition,
-    qualify,
-    threshold_binarize,
-    variance_weighted_sum,
-)
+from namgrow.qualification import branch_threshold, qualify
 from oracles import (
     binary_hoeffding_bound,
     clamp_weighted_sum,
@@ -24,35 +15,46 @@ from oracles import (
 )
 
 
-def table_of(values, labels, target=0):
-    return ClassOutputTable(np.asarray(values, dtype=np.float64),
-                            np.asarray(labels), target)
+def tuning(values, labels, target=0, votes=None):
+    """Tuning-mode report; zero votes unless given (an empty ensemble)."""
+    values = np.asarray(values, dtype=np.float64)
+    votes = np.zeros(values.size) if votes is None else votes
+    return qualify(values, np.asarray(labels), target, votes, "tuning")
+
+
+def election(values, labels, target, thd, n_classes, votes=None):
+    """Election-mode report; zero votes unless given (an empty ensemble)."""
+    values = np.asarray(values, dtype=np.float64)
+    votes = np.zeros(values.size) if votes is None else votes
+    return qualify(values, np.asarray(labels), target, votes, "election",
+                   thd=thd, n_classes=n_classes)
 
 
 # ------------------------------------------------------------ mean condition
 
 def test_mean_condition_basic():
-    t = table_of([[0.5], [0.7], [0.1], [0.2]], [0, 0, 1, 1], target=0)
-    assert mean_condition(t, 0) is True
+    assert tuning([0.5, 0.7, 0.1, 0.2], [0, 0, 1, 1]).mean_condition is True
 
 
 def test_mean_condition_equal_means_rejects():
-    t = table_of([[0.3], [0.5], [0.4], [0.4]], [0, 0, 1, 1], target=0)
-    assert mean_condition(t, 0) is False  # both means 0.4, strict comparison
+    rep = tuning([0.3, 0.5, 0.4, 0.4], [0, 0, 1, 1])
+    assert rep.mean_condition is False  # both means 0.4, strict comparison
+    assert rep.verdict is False
 
 
 def test_mean_condition_random_agrees_with_direct_comparison():
     rng = np.random.default_rng(42)
-    vals = rng.normal(size=(100, 1))
+    vals = rng.normal(size=100)
     labels = rng.integers(0, 4, size=100)
-    t = ClassOutputTable(vals, labels, 2)
-    direct = vals[labels == 2, 0].mean() > vals[labels != 2, 0].mean()
-    assert mean_condition(t, 0) == direct
+    direct = vals[labels == 2].mean() > vals[labels != 2].mean()
+    assert tuning(vals, labels, target=2).mean_condition == direct
 
 
 def test_mean_condition_needs_both_partitions():
-    with pytest.raises(ValueError):
-        mean_condition(table_of([[1.0], [2.0]], [0, 0], target=0), 0)
+    for mode in ("tuning", "election"):
+        with pytest.raises(ValueError, match="non-target"):
+            qualify(np.array([1.0, 2.0]), np.array([0, 0]), 0, np.zeros(2),
+                    mode, thd=1.5, n_classes=2)
 
 
 # ------------------------------------------------------- clamp weighted sum
@@ -72,14 +74,14 @@ def oracle_clamp(values, labels, ct):
 
 
 def test_clamp_weighted_sum_separated_is_zero():
-    t = table_of([[1.0], [2.0], [0.1], [0.2]], [0, 0, 1, 1], target=0)
-    assert clamp_weighted_sum(t, 0) == 0.0
+    assert clamp_weighted_sum(np.array([1.0, 2.0, 0.1, 0.2]),
+                              np.array([0, 0, 1, 1]), 0) == 0.0
 
 
 def test_clamp_weighted_sum_hand_example():
     # one target at 0, one non-target at 1: weights 1 and -1, sum -1
-    t = table_of([[0.0], [1.0]], [0, 1], target=0)
-    assert clamp_weighted_sum(t, 0) == -1.0
+    assert clamp_weighted_sum(np.array([0.0, 1.0]), np.array([0, 1]),
+                              0) == -1.0
 
 
 def test_clamp_weighted_sum_matches_loop_oracle():
@@ -89,8 +91,7 @@ def test_clamp_weighted_sum_matches_loop_oracle():
         labels = rng.integers(0, 3, size=n)
         labels[0], labels[1] = 0, 1  # both partitions nonempty
         vals = rng.normal(size=n)
-        t = ClassOutputTable(vals[:, None], labels, 0)
-        np.testing.assert_allclose(clamp_weighted_sum(t, 0),
+        np.testing.assert_allclose(clamp_weighted_sum(vals, labels, 0),
                                    oracle_clamp(vals.tolist(), labels.tolist(), 0),
                                    rtol=0, atol=1e-12)
 
@@ -100,12 +101,11 @@ def test_clamp_weighted_sum_zero_iff_separated():
     for _ in range(50):
         labels = np.array([0, 0, 0, 1, 1, 1])
         vals = rng.normal(size=6) + 10.0  # keep everything positive
-        t = ClassOutputTable(vals[:, None], labels, 0)
         separated = vals[:3].min() > vals[3:].max()
         if separated:
-            assert clamp_weighted_sum(t, 0) == 0.0
+            assert clamp_weighted_sum(vals, labels, 0) == 0.0
         else:
-            assert clamp_weighted_sum(t, 0) != 0.0
+            assert clamp_weighted_sum(vals, labels, 0) != 0.0
 
 
 # ---------------------------------------------------- variance weighted sum
@@ -123,18 +123,22 @@ def oracle_variance_sum(values, labels, ct, cumulative):
 
 
 def test_variance_weighted_sum_zero_variance_gives_zero():
-    t = table_of([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1], target=0)
     s = np.array([5.0, 5.0, -2.0, -2.0])  # constant within each partition
-    assert variance_weighted_sum(t, 0, s) == 0.0
+    rep = tuning([1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1], votes=s)
+    assert rep.weighted_sum == 0.0
+    assert rep.weighted_sum_pass is True  # all-zero weights pass vacuously
 
 
 def test_variance_weighted_sum_hand_example():
-    # target cumulative sums 0 and 2 (mean 1) give weights 1 and -1;
-    # candidate outputs 1 and 0 produce sum 1.  Non-target rows are inert.
-    t = table_of([[1.0], [0.0], [0.0], [0.0]], [0, 0, 1, 1], target=0)
+    # target votes 0 and 2 (mean 1) give weights 1 and -1; candidate
+    # outputs 1 and 0 produce sum 1.  Non-target rows are inert.
     s = np.array([0.0, 2.0, 5.0, 5.0])
-    np.testing.assert_allclose(variance_weighted_sum(t, 0, s), 1.0,
-                               rtol=0, atol=1e-15)
+    rep = tuning([1.0, 0.0, 0.0, 0.0], [0, 0, 1, 1], votes=s)
+    np.testing.assert_allclose(rep.weighted_sum, 1.0, rtol=0, atol=1e-15)
+    assert rep.weighted_sum_pass is True
+    rep = tuning([0.0, 1.0, 0.0, 0.0], [0, 0, 1, 1], votes=s)
+    np.testing.assert_allclose(rep.weighted_sum, -1.0, rtol=0, atol=1e-15)
+    assert rep.weighted_sum_pass is False and rep.verdict is False
 
 
 def test_variance_weighted_sum_matches_loop_oracle():
@@ -145,9 +149,8 @@ def test_variance_weighted_sum_matches_loop_oracle():
         labels[0], labels[1] = 1, 0
         vals = rng.normal(size=n)
         cum = rng.normal(size=n)
-        t = ClassOutputTable(vals[:, None], labels, 1)
         np.testing.assert_allclose(
-            variance_weighted_sum(t, 0, cum),
+            tuning(vals, labels, target=1, votes=cum).weighted_sum,
             oracle_variance_sum(vals.tolist(), labels.tolist(), 1, cum.tolist()),
             rtol=0, atol=1e-10)
 
@@ -155,42 +158,48 @@ def test_variance_weighted_sum_matches_loop_oracle():
 # ------------------------------------------------------------- binarization
 
 def test_threshold_binarize_strict_boundary():
-    np.testing.assert_array_equal(
-        threshold_binarize(np.array([-1.0, 0.0, 1.0]), 0.0),
-        np.array([0.0, 0.0, 1.0]))
+    # only the value strictly above thd is flagged: the sample sitting on
+    # thd (label 0) would halve the precision
+    rep = election([-1.0, 0.0, 1.0], [0, 0, 1], target=1, thd=0.0,
+                   n_classes=2)
+    assert rep.precision == 1.0
 
 
 def test_threshold_binarize_below_min_flags_all():
-    vals = np.array([0.3, 0.5, 0.9])
-    np.testing.assert_array_equal(threshold_binarize(vals, 0.2), np.ones(3))
+    rep = election([0.3, 0.5, 0.9], [0, 1, 1], target=1, thd=0.2,
+                   n_classes=2)
+    assert rep.precision == pytest.approx(2.0 / 3.0)
 
 
 def test_threshold_binarize_quantile_count_sort_oracle():
     rng = np.random.default_rng(42)
     vals = rng.normal(size=100)  # continuous, no ties
     thd = branch_threshold(vals, top_fraction=0.2)
-    flags = threshold_binarize(vals, thd)
+    # the top sample is the only target one, so precision is 1/flag count
+    labels = np.zeros(100, dtype=int)
+    labels[np.argmax(vals)] = 1
+    rep = election(vals, labels, target=1, thd=thd, n_classes=2)
     above = np.sort(vals)[::-1]
     expected = int(np.sum(above > thd))
-    assert flags.sum() == expected
+    assert rep.precision == 1.0 / expected
     assert expected == 20  # linear-interpolated quantile sits between order stats
 
 
 # ---------------------------------------------------------------- precision
 
 def test_precision_all_target_flags():
-    flags = np.array([1.0, 1.0, 0.0, 0.0])
-    labels = np.array([3, 3, 1, 2])
-    prc, ok = precision_condition(flags, labels, 3, 10)
-    assert prc == 1.0 and ok
+    rep = election([1.0, 1.0, 0.0, 0.0], [3, 3, 1, 2], target=3, thd=0.5,
+                   n_classes=10)
+    assert rep.precision == 1.0 and rep.precision_pass is True
+    assert rep.mean_condition is None
 
 
 def test_precision_chance_level_fails_strictly():
     labels = np.repeat(np.arange(10), 5)
-    flags = np.ones(50)
-    prc, ok = precision_condition(flags, labels, 4, 10)
-    assert prc == pytest.approx(0.1)
-    assert not ok  # exactly 1/N_c, strict comparison rejects
+    rep = election(np.ones(50), labels, target=4, thd=0.5, n_classes=10)
+    assert rep.precision == pytest.approx(0.1)
+    # exactly 1/N_c, strict comparison rejects
+    assert rep.precision_pass is False and rep.verdict is False
 
 
 def test_precision_counting_oracle():
@@ -198,50 +207,52 @@ def test_precision_counting_oracle():
     for _ in range(25):
         n = int(rng.integers(5, 40))
         labels = rng.integers(0, 5, size=n)
+        labels[0], labels[1] = 2, 3  # both partitions nonempty
         flags = (rng.uniform(size=n) < 0.5).astype(float)
         if flags.sum() == 0:
             flags[0] = 1.0
         hits = sum(1 for f, l in zip(flags, labels) if f > 0 and l == 2)
-        prc, ok = precision_condition(flags, labels, 2, 5)
-        assert prc == pytest.approx(hits / flags.sum())
-        assert ok == (prc > 0.2)
+        rep = election(flags, labels, target=2, thd=0.5, n_classes=5)
+        assert rep.precision == pytest.approx(hits / flags.sum())
+        assert rep.precision_pass == (rep.precision > 0.2)
 
 
-def test_precision_no_flags_is_error():
-    with pytest.raises(UndefinedPrecisionError):
-        precision_condition(np.zeros(4), np.array([0, 1, 2, 3]), 0, 4)
+def test_precision_no_flags_fails_the_gate():
+    rep = election(np.zeros(4), [0, 1, 2, 3], target=0, thd=0.0, n_classes=4)
+    assert rep.precision is None
+    assert rep.precision_pass is False and rep.verdict is False
 
 
 def test_precision_permutation_invariant():
     rng = np.random.default_rng(8)
     labels = rng.integers(0, 5, size=30)
+    labels[:2] = [1, 0]
     flags = (rng.uniform(size=30) < 0.4).astype(float)
     flags[0] = 1.0
-    prc1, _ = precision_condition(flags, labels, 1, 5)
+    one = election(flags, labels, target=1, thd=0.5, n_classes=5)
     perm = rng.permutation(30)
-    prc2, _ = precision_condition(flags[perm], labels[perm], 1, 5)
-    assert prc1 == prc2
+    two = election(flags[perm], labels[perm], target=1, thd=0.5, n_classes=5)
+    assert one.precision == two.precision
 
 
 # ------------------------------------------------------------------ qualify
 
 def test_qualify_perfect_separator_passes_both_modes():
-    vals = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])[:, None]
+    vals = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
     labels = np.array([2, 2, 2, 0, 1, 3])
-    t = ClassOutputTable(vals, labels, 2)
-    zero = np.zeros(6)  # empty ensemble: weighted sum passes vacuously
-    assert qualify(t, 0, "tuning", zero).verdict
-    rep = qualify(t, 0, "election", zero, thd=0.5, n_classes=4)
+    # empty ensemble: the weighted sum passes vacuously
+    rep = tuning(vals, labels, target=2)
+    assert rep.verdict and rep.mean_condition
+    assert rep.precision is None and rep.precision_pass is None
+    rep = election(vals, labels, target=2, thd=0.5, n_classes=4)
     assert rep.verdict and rep.precision == 1.0
 
 
 def test_qualify_constant_output_rejected_both_modes():
-    vals = np.full((8, 1), 0.7)
+    vals = np.full(8, 0.7)
     labels = np.array([0, 0, 1, 1, 2, 2, 3, 3])
-    t = ClassOutputTable(vals, labels, 0)
-    zero = np.zeros(8)
-    assert not qualify(t, 0, "tuning", zero).verdict  # equal means
-    rep = qualify(t, 0, "election", zero, thd=0.7, n_classes=4)
+    assert not tuning(vals, labels).verdict  # equal means
+    rep = election(vals, labels, target=0, thd=0.7, n_classes=4)
     assert not rep.verdict  # nothing strictly above thd -> no flags
 
 
@@ -251,12 +262,24 @@ def test_qualify_injected_separation_matches_condition_oracle():
     vals = rng.normal(scale=0.1, size=20)
     vals[labels == 1] += 0.3
     cum = rng.normal(size=20)
-    t = ClassOutputTable(vals[:, None], labels, 1)
-    rep = qualify(t, 0, "tuning", cum)
+    rep = tuning(vals, labels, target=1, votes=cum)
     mean_ok = vals[labels == 1].mean() > vals[labels != 1].mean()
     wsum = oracle_variance_sum(vals.tolist(), labels.tolist(), 1, cum.tolist())
     assert rep.verdict == (mean_ok and wsum > 0)
     np.testing.assert_allclose(rep.weighted_sum, wsum, rtol=0, atol=1e-10)
+
+
+def test_qualify_rejects_malformed_arguments():
+    labels = np.array([0, 1, 0, 1])
+    with pytest.raises(ValueError, match="unknown mode"):
+        qualify(np.ones(4), labels, 0, np.zeros(4), "voting")
+    with pytest.raises(ValueError, match="threshold"):
+        qualify(np.ones(4), labels, 0, np.zeros(4), "election", n_classes=2)
+    with pytest.raises(ValueError, match="one length"):
+        qualify(np.ones(4), labels, 0, np.zeros(3), "tuning")
+    with pytest.raises(ValueError, match="non-finite"):
+        qualify(np.array([1.0, np.nan, 0.0, 0.0]), labels, 0, np.zeros(4),
+                "tuning")
 
 
 def oracle_qualify(values, labels, ct, mode, cumulative, thd, n_classes):
@@ -299,8 +322,8 @@ def test_qualify_matches_oracle_on_100_random_tables():
             cum = rng.normal(size=n)
         mode = "tuning" if trial % 2 == 0 else "election"
         thd = float(np.quantile(vals, 0.8)) if mode == "election" else None
-        rep = qualify(ClassOutputTable(vals[:, None], labels, ct), 0, mode,
-                      cum, thd=thd, n_classes=n_classes)
+        rep = qualify(vals, labels, ct, cum, mode, thd=thd,
+                      n_classes=n_classes)
         expected = oracle_qualify(vals.tolist(), labels.tolist(), ct, mode,
                                   cum.tolist(), thd, n_classes)
         assert rep.verdict == expected, f"trial {trial}"
@@ -314,11 +337,9 @@ def test_qualify_verdict_invariant_under_sample_duplication():
         vals = rng.normal(size=16)
         cum = rng.normal(size=16)
         thd = float(np.quantile(vals, 0.8)) if mode == "election" else None
-        one = qualify(ClassOutputTable(vals[:, None], labels, 0), 0, mode,
-                      cum, thd=thd, n_classes=4)
-        two = qualify(
-            ClassOutputTable(np.tile(vals, 2)[:, None], np.tile(labels, 2), 0),
-            0, mode, np.tile(cum, 2), thd=thd, n_classes=4)
+        one = qualify(vals, labels, 0, cum, mode, thd=thd, n_classes=4)
+        two = qualify(np.tile(vals, 2), np.tile(labels, 2), 0,
+                      np.tile(cum, 2), mode, thd=thd, n_classes=4)
         assert one.verdict == two.verdict
         assert one.precision == two.precision
 
@@ -383,23 +404,23 @@ def test_binary_hoeffding_monotone_in_eps():
 
 def test_loss_diagnostics_uniform_logits_hand_value():
     # zero candidate output, uniform logits over 10 classes: odds 9, descent 0.9
-    t = table_of([[0.0], [0.0]], [3, 5], target=3)
     logits = np.zeros((2, 10))
-    tau, value = loss_descent_diagnostics(t, 0, logits)
+    tau, value = loss_descent_diagnostics(np.zeros(2), np.array([3, 5]), 3,
+                                          logits)
     np.testing.assert_allclose(tau, [9.0, 9.0], rtol=0, atol=1e-12)
     np.testing.assert_allclose(value[0], 0.9, rtol=0, atol=1e-12)   # descent
     np.testing.assert_allclose(value[1], 0.1, rtol=0, atol=1e-12)   # increase
 
 
 def test_loss_diagnostics_limits():
-    t = table_of([[50.0], [50.0]], [0, 1], target=0)
+    labels = np.array([0, 1])
     logits = np.zeros((2, 4))
-    tau, value = loss_descent_diagnostics(t, 0, logits)
+    tau, value = loss_descent_diagnostics(np.full(2, 50.0), labels, 0, logits)
     assert np.all(tau < 1e-12)
     # huge contribution: target descent saturates to 0 gain... the value
     # 1 - 1/(tau+1) -> 0 as tau -> 0; and tau -> inf gives descent -> 1
-    t2 = table_of([[-50.0], [-50.0]], [0, 1], target=0)
-    tau2, value2 = loss_descent_diagnostics(t2, 0, logits)
+    tau2, value2 = loss_descent_diagnostics(np.full(2, -50.0), labels, 0,
+                                            logits)
     assert tau2[0] > 1e12
     np.testing.assert_allclose(value2[0], 1.0, rtol=0, atol=1e-9)
     np.testing.assert_allclose(value2[1], 0.0, rtol=0, atol=1e-9)
@@ -412,8 +433,7 @@ def test_loss_diagnostics_match_finite_differences():
     labels[0] = ct
     logits = rng.normal(scale=2.0, size=(n, n_classes))
     contrib = rng.normal(size=n)
-    t = ClassOutputTable(contrib[:, None], labels, ct)
-    _, value = loss_descent_diagnostics(t, 0, logits)
+    _, value = loss_descent_diagnostics(contrib, labels, ct, logits)
 
     h = 1e-5
     for j in range(n):
