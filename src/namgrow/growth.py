@@ -17,18 +17,21 @@ decides the rest:
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import json
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .clustering import ClusterConfig, cluster_network
 from .data_io import Dataset, InputRange, base_grid_ranges, extract_patches
 from .matching import (
+    NormalizationStats,
     PreparedSummaries,
     match_all,
     prepare_summaries,
@@ -135,6 +138,22 @@ class BranchPoint:
     loss: float
 
 
+class Winner(NamedTuple):
+    """A summary that won a target class at one window, before transfer.
+
+    `row` indexes the matched summary pairs.  `input_range` and `ref_stats`
+    (the target class's reference statistics there) are shared by all of
+    the window's winners, so a pending winner holds no arrays of its own.
+    """
+
+    source_branch_id: int
+    row: int
+    target_class: int
+    distance: float
+    input_range: InputRange
+    ref_stats: NormalizationStats
+
+
 @dataclass
 class CandidateBranch:
     """A matched placement: source branch, its class, and the target class
@@ -158,7 +177,9 @@ class GrowthState:
     network on each split: the summed class-outputs in tuning mode, the
     summed z-scores in election mode.  `sel_votes[j]` holds selection
     sample j's summed class-output (`network_forward_batch`) at its own
-    label, which weighs the qualification gates.
+    label, which weighs the qualification gates.  `test_metrics` holds the
+    (accuracy, loss) of `test_scores` and `train_accuracy` the accuracy of
+    `train_scores`; like the scores, they change only when a batch is kept.
     """
 
     net: NamNetwork
@@ -177,6 +198,8 @@ class GrowthState:
     train_scores: np.ndarray = None
     test_scores: np.ndarray = None
     sel_votes: np.ndarray = None
+    test_metrics: tuple = (float("nan"), float("nan"))
+    train_accuracy: float = None
     stats_rows: list = field(default_factory=list)
     prev_selection_loss: float = None
     prev_selection_accuracy: float = None
@@ -222,15 +245,17 @@ def candidate_ranges(input_shape: tuple[int, int, int],
 
 
 def match_candidates(input_range: InputRange, ref_images_by_class,
-                     summary_pairs, source_mlps, prepared: PreparedSummaries,
-                     keep_fraction: float = 0.8) -> list[CandidateBranch]:
-    """Match one input range and emit at most one candidate per class.
+                     summary_pairs, prepared: PreparedSummaries,
+                     keep_fraction: float = 0.8,
+                     per_branch: bool = False) -> list[Winner]:
+    """Match one input range and pick its winners.
 
-    summary_pairs are (branch_id, cluster summary) pairs, `prepared` is
-    `prepare_summaries(summary_pairs)` and source_mlps maps each branch_id
-    to its MLP; every pair is matched to its best reference class, then per
-    reference class the closest pair wins.  Ties keep the earliest pair.
-    Only the winners get the first layer of their MLP transferred.
+    summary_pairs are (branch_id, cluster summary) pairs and `prepared` is
+    `prepare_summaries(summary_pairs)`; every pair is matched to its best
+    reference class, then per reference class the closest pair wins, among
+    all pairs or, with `per_branch`, among each branch's own.  Ties keep the
+    earliest pair.  Winners come sorted by branch (when `per_branch`), then
+    target class.
     """
     refs = {c: extract_patches(images, [input_range])[0]
             for c, images in ref_images_by_class.items()}
@@ -240,34 +265,87 @@ def match_candidates(input_range: InputRange, ref_images_by_class,
     for i, res in enumerate(results):
         if not res.matched:
             continue
-        cur = best.get(res.target_class)
+        key = (res.branch_id if per_branch else 0, res.target_class)
+        cur = best.get(key)
         if cur is None or res.distance < results[cur].distance:
-            best[res.target_class] = i
-    candidates = []
-    for target in sorted(best):
-        res = results[best[target]]
-        w, b = transfer_first_layer(
-            source_mlps[res.branch_id].hidden_layers[0],
-            prepared.stats[best[target]], stats_from_points(refs[target]))
-        candidates.append(CandidateBranch(
-            source_branch_id=res.branch_id,
-            branch_class=res.branch_class,
-            target_class=target,
-            input_range=input_range,
-            distance=res.distance,
+            best[key] = i
+    ref_stats = {}
+    winners = []
+    for key in sorted(best):
+        res, target = results[best[key]], key[1]
+        if target not in ref_stats:
+            ref_stats[target] = stats_from_points(refs[target])
+        winners.append(Winner(res.branch_id, best[key], target, res.distance,
+                              input_range, ref_stats[target]))
+    return winners
+
+
+class WindowScan:
+    """One lazy, window-major matching pass over every source summary.
+
+    Each window is matched once against all summaries, prepared once, and
+    its winners are queued by stream: one stream per source branch with
+    `per_branch` (transfer), else a single stream 0 (growth).  A stream
+    matches the next window only when its queue is empty, so a consumer
+    that stops early leaves the later windows unmatched.  A winner's first
+    layer is transferred only when its stream yields it.
+    """
+
+    def __init__(self, ranges, ref_images_by_class, summary_pairs,
+                 source_mlps, keep_fraction: float = 0.8,
+                 per_branch: bool = False):
+        self.windows = iter(ranges)
+        self.refs = ref_images_by_class
+        self.pairs = summary_pairs
+        self.source_mlps = source_mlps
+        self.keep_fraction = keep_fraction
+        self.per_branch = per_branch
+        self.prepared = prepare_summaries(summary_pairs)
+        self.queues = collections.defaultdict(collections.deque)
+
+    def _match_next_window(self) -> bool:
+        input_range = next(self.windows, None)
+        if input_range is None:
+            return False
+        for winner in match_candidates(input_range, self.refs, self.pairs,
+                                       self.prepared, self.keep_fraction,
+                                       self.per_branch):
+            stream = winner.source_branch_id if self.per_branch else 0
+            self.queues[stream].append(winner)
+        return True
+
+    def stream(self, key: int):
+        """Candidates of stream `key`, window by window."""
+        queue = self.queues[key]
+        while queue or self._match_next_window():
+            if queue:
+                yield self._transfer(queue.popleft())
+
+    def _transfer(self, winner: Winner) -> CandidateBranch:
+        mlp = self.source_mlps[winner.source_branch_id]
+        w, b = transfer_first_layer(mlp.hidden_layers[0],
+                                    self.prepared.stats[winner.row],
+                                    winner.ref_stats)
+        return CandidateBranch(
+            source_branch_id=winner.source_branch_id,
+            branch_class=self.pairs[winner.row][1].branch_class,
+            target_class=winner.target_class,
+            input_range=winner.input_range,
+            distance=winner.distance,
             first_layer_weights=w,
             first_layer_bias=b,
-            source_mlp=source_mlps[res.branch_id],
-        ))
-    return candidates
+            source_mlp=mlp,
+        )
 
 
-def _candidate_mlp(candidate: CandidateBranch) -> BranchMlp:
-    """Source MLP copy with the transferred first hidden layer installed."""
-    mlp = candidate.source_mlp.copy()
-    mlp.hidden_layers[0] = DenseLayer(candidate.first_layer_weights.copy(),
-                                      candidate.first_layer_bias.copy())
-    return mlp
+def _candidate_view(candidate: CandidateBranch) -> BranchMlp:
+    """The source MLP with the transferred first hidden layer installed,
+    sharing every array: copy it before keeping it."""
+    source = candidate.source_mlp
+    first = DenseLayer(candidate.first_layer_weights,
+                       candidate.first_layer_bias)
+    return BranchMlp([first, *source.hidden_layers[1:]], source.output_layer,
+                     source.activation)
 
 
 def _scores(net: NamNetwork, images: np.ndarray, forward) -> np.ndarray:
@@ -304,8 +382,10 @@ def start_growth(net: NamNetwork, selection: Dataset, config: GrowthConfig,
     state.sel_votes = outputs[np.arange(selection.n), selection.labels]
     if test_set is not None:
         state.test_scores = _scores(net, test_set.images, network_scores)
+        state.test_metrics = score_metrics(state.test_scores, test_set.labels)
     if train_set is not None:
         state.train_scores = _scores(net, train_set.images, network_scores)
+        state.train_accuracy = _accuracy(state.train_scores, train_set.labels)
     state.prev_selection_accuracy, state.prev_selection_loss = score_metrics(
         state.sel_scores, selection.labels)
     return state
@@ -350,8 +430,8 @@ def grow_iteration(state: GrowthState, candidates, config: GrowthConfig
             memo_range = cand.input_range
             memo_patches = extract_patches(state.selection.images,
                                            [cand.input_range])[0]
-        mlp = _candidate_mlp(cand)
-        values = mlp_forward_batch(mlp, memo_patches)[:, cand.branch_class]
+        view = _candidate_view(cand)
+        values = mlp_forward_batch(view, memo_patches)[:, cand.branch_class]
         thd = branch_threshold(values, config.top_fraction)
         v_span = float(values.max() - thd)
         record = {
@@ -376,7 +456,7 @@ def grow_iteration(state: GrowthState, candidates, config: GrowthConfig
         if not report.verdict:
             rejected_records.append(record)
             continue
-        branch = Branch(mlp=mlp, input_range=cand.input_range,
+        branch = Branch(mlp=view.copy(), input_range=cand.input_range,
                         branch_class=cand.branch_class,
                         target_class=cand.target_class,
                         mask=ClassMask(1.0, 0.0, thd, v_span),
@@ -392,10 +472,7 @@ def grow_iteration(state: GrowthState, candidates, config: GrowthConfig
 
     state.candidate_records.extend(rejected_records)
     state.candidate_records.extend(t.record for t in tentative)
-    test_accuracy = test_loss = float("nan")
-    if state.test_set is not None:
-        test_accuracy, test_loss = score_metrics(state.test_scores,
-                                                 state.test_set.labels)
+    test_accuracy, test_loss = state.test_metrics
     record = IterationRecord(
         iteration=state.iteration,
         candidates_seen=seen,
@@ -409,9 +486,8 @@ def grow_iteration(state: GrowthState, candidates, config: GrowthConfig
     )
     state.records.append(record)
     state.selection_accuracy_series.append(state.prev_selection_accuracy)
-    if state.train_scores is not None:
-        state.train_accuracy_series.append(
-            _accuracy(state.train_scores, state.train_set.labels))
+    if state.train_set is not None:
+        state.train_accuracy_series.append(state.train_accuracy)
     state.iteration += 1
     log.info("iteration %d: %d/%d candidates accepted, selection loss %.6f",
              record.iteration, record.accepted, record.candidates_seen,
@@ -432,7 +508,8 @@ def _finish_iteration(state: GrowthState, tentative: list[_Tentative]) -> int:
     the flag statistics that z-score their outputs.  The batch is kept only
     when the selection-set loss did not increase and, in election mode, the
     selection-set accuracy did not drop, so both recorded series are
-    monotone there.  A kept batch is added to every split's cached scores.
+    monotone there.  A kept batch is added to every split's cached scores
+    and metrics; a rolled-back one leaves them as they were.
     """
     if not tentative:
         return 0
@@ -497,6 +574,8 @@ def _finish_iteration(state: GrowthState, tentative: list[_Tentative]) -> int:
         for k, (t, raw) in enumerate(zip(tentative, raw_fit)):
             out = added_branch_output(t.branch, raw, net.mode)
             state.train_scores[:, t.branch.target_class] += score(k, out)
+        state.train_accuracy = _accuracy(state.train_scores,
+                                         state.train_set.labels)
     base_count = net.n_branches - len(tentative)
     for k, t in enumerate(tentative):
         accuracy = loss = float("nan")
@@ -506,6 +585,7 @@ def _finish_iteration(state: GrowthState, tentative: list[_Tentative]) -> int:
             state.test_scores[:, t.branch.target_class] += score(k, out)
             accuracy, loss = score_metrics(state.test_scores,
                                            state.test_set.labels)
+            state.test_metrics = (accuracy, loss)
         state.branch_points.append(BranchPoint(
             iteration=state.iteration, branch_count=base_count + k + 1,
             accuracy=accuracy, loss=loss))
@@ -657,10 +737,10 @@ def _grow(source_net: NamNetwork, net: NamNetwork, train_set: Dataset,
           max_iterations: int | None, on_iteration) -> GrowthState:
     """Grow `net` from the source branches of `source_net`.
 
-    Candidates stream window by window, matched as iterations pull them.
-    Growth runs iterations while its one stream over all source branches
-    yields.  Transfer (an election-mode `net`) has one stream per source
-    branch, and each stream gets one iteration at least.
+    One `WindowScan` matches each window once, as iterations pull its
+    candidates.  Growth runs iterations while its one stream over all
+    source branches yields.  Transfer (an election-mode `net`) has one
+    stream per source branch, and each stream gets one iteration at least.
     """
     transfer = net.mode == "election"
     sources = source_branches(source_net, transfer)
@@ -680,19 +760,16 @@ def _grow(source_net: NamNetwork, net: NamNetwork, train_set: Dataset,
         raise ValueError("cluster table does not cover every branch")
     refs = draw_reference_images(train_set, config.reference_per_class,
                                  np.random.default_rng(seeds[2]))
+    pairs = [(i, summary) for i, summaries in enumerate(cluster_table)
+             for summary in summaries]
     ranges = candidate_ranges(net.input_shape)
-    source_mlps = {i: br.mlp for i, br in enumerate(sources)}
-    per_branch = [[(i, summary) for summary in summaries]
-                  for i, summaries in enumerate(cluster_table)]
-    streams = (per_branch if transfer else
-               [[pair for pairs in per_branch for pair in pairs]])
     log.info("matching %d ranges against %d cluster summaries",
-             len(ranges), sum(map(len, per_branch)))
-    for pairs in streams:
-        prepared = prepare_summaries(pairs)
-        stream = itertools.chain.from_iterable(
-            match_candidates(input_range, refs, pairs, source_mlps, prepared,
-                             config.keep_fraction) for input_range in ranges)
+             len(ranges), len(pairs))
+    scan = WindowScan(ranges, refs, pairs,
+                      {i: br.mlp for i, br in enumerate(sources)},
+                      config.keep_fraction, per_branch=transfer)
+    for key in range(len(sources) if transfer else 1):
+        stream = scan.stream(key)
         ran = False
         while max_iterations is None or state.iteration < max_iterations:
             head = next(stream, None)

@@ -48,16 +48,25 @@ def stats_from_points(points: np.ndarray) -> NormalizationStats:
     points = np.asarray(points, dtype=np.float64)
     if points.shape[0] < 2:
         raise ValueError("need at least 2 points for span statistics")
-    mean = points.mean(axis=0)
-    span = np.maximum(points.max(axis=0) - points.min(axis=0), RANGE_FLOOR)
-    return NormalizationStats(mean, span, np.argsort(mean, kind="stable"))
+    return _span_stats(points.mean(axis=0), points.min(axis=0),
+                       points.max(axis=0))
 
 
 def stats_from_summary(summary: BranchClassClusters) -> NormalizationStats:
     """Branch-side stats come from the retained sample set, not the centers."""
-    span = np.maximum(summary.sample_max - summary.sample_min, RANGE_FLOOR)
-    return NormalizationStats(summary.sample_mean, span,
-                              np.argsort(summary.sample_mean, kind="stable"))
+    return _span_stats(summary.sample_mean, summary.sample_min,
+                       summary.sample_max)
+
+
+def _span_stats(mean: np.ndarray, lo: np.ndarray, hi: np.ndarray
+                ) -> NormalizationStats:
+    """Stats from a mean and the per-dimension extremes.  A flat dimension
+    (lo == hi) takes its mean from the value itself: a computed mean may
+    be off by an ulp, and that residue over RANGE_FLOOR would normalize the
+    flat values to noise instead of exact zeros."""
+    mean = np.where(lo == hi, lo, mean)
+    span = np.maximum(hi - lo, RANGE_FLOOR)
+    return NormalizationStats(mean, span, np.argsort(mean, kind="stable"))
 
 
 def normalize_sorted(points: np.ndarray,

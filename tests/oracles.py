@@ -9,8 +9,10 @@ size chunks the oracle and the engine alike.
 
 The single-sample forward, backward and cross-entropy, the row-major
 batched forward, the per-image patch and the stacked forward are the per-sample references the batched library
-code is checked against.  The Hoeffding tail bounds, the loss-descent
-values, the clamp-weighted sum and the Gaussian kernel are the paper's
+code is checked against.  The per-branch matching scan is the reference
+for the shared window-major scan growth runs.  The Hoeffding tail bounds,
+the loss-descent values, the clamp-weighted sum and the Gaussian kernel
+are the paper's
 formulas behind qualification and clustering; the library never evaluates
 them, and the tests check them as properties of the paper's theory.
 """
@@ -23,7 +25,14 @@ import numpy as np
 
 from namgrow import nam_model
 from namgrow.data_io import Dataset, InputRange, extract_patches
-from namgrow.matching import NormalizationStats, transfer_first_layer
+from namgrow.growth import CandidateBranch
+from namgrow.matching import (
+    NormalizationStats,
+    match_all,
+    prepare_summaries,
+    stats_from_points,
+    transfer_first_layer,
+)
 from namgrow.nam_model import (
     SIGMA_FLOOR,
     Branch,
@@ -153,6 +162,42 @@ def transfer_branch_mlp(mlp: BranchMlp, branch_stats: NormalizationStats,
     w, b = transfer_first_layer(mlp.hidden_layers[0], branch_stats, ref_stats)
     new.hidden_layers[0] = DenseLayer(w, b)
     return new
+
+
+def per_branch_scan(ranges, ref_images_by_class, summary_pairs, source_mlps,
+                    keep_fraction: float = 0.8) -> list[CandidateBranch]:
+    """Candidates of `summary_pairs` alone, window by window: the scan one
+    branch's transfer stream made before all streams shared one pass.
+
+    Each window matches only these pairs, against their own prepared
+    summaries; per reference class the closest matched pair wins (ties keep
+    the earliest), and each winner gets its first layer transferred at once.
+    """
+    prepared = prepare_summaries(summary_pairs)
+    candidates = []
+    for input_range in ranges:
+        refs = {c: extract_patches(images, [input_range])[0]
+                for c, images in ref_images_by_class.items()}
+        results = match_all(input_range, refs, summary_pairs,
+                            keep_fraction=keep_fraction, prepared=prepared)
+        best = {}
+        for i, res in enumerate(results):
+            cur = best.get(res.target_class)
+            if res.matched and (cur is None
+                                or res.distance < results[cur].distance):
+                best[res.target_class] = i
+        for target in sorted(best):
+            res = results[best[target]]
+            mlp = source_mlps[res.branch_id]
+            w, b = transfer_first_layer(mlp.hidden_layers[0],
+                                        prepared.stats[best[target]],
+                                        stats_from_points(refs[target]))
+            candidates.append(CandidateBranch(
+                source_branch_id=res.branch_id,
+                branch_class=res.branch_class, target_class=target,
+                input_range=input_range, distance=res.distance,
+                first_layer_weights=w, first_layer_bias=b, source_mlp=mlp))
+    return candidates
 
 
 def destandardize(points: np.ndarray, mean: np.ndarray,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from namgrow import growth
+from namgrow import growth, matching
 from namgrow.checkpoint import network_to_json
 from namgrow.clustering import BranchClassClusters
 from namgrow.data_io import Dataset, InputRange, extract_patches
@@ -12,6 +12,7 @@ from namgrow.growth import (
     CandidateBranch,
     GrowthConfig,
     IterationRecord,
+    WindowScan,
     build_selection_set,
     candidate_ranges,
     draw_reference_images,
@@ -24,6 +25,7 @@ from namgrow.growth import (
 )
 from namgrow.matching import (
     match_all,
+    normalize_sorted,
     prepare_summaries,
     stats_from_points,
     stats_from_summary,
@@ -38,6 +40,7 @@ from namgrow.nam_model import (
     network_forward_batch,
     network_scores,
     parameter_count,
+    score_metrics,
 )
 from namgrow.nn_core import (
     BranchMlp,
@@ -48,7 +51,7 @@ from namgrow.nn_core import (
     reset_optimizer_step_count,
 )
 from namgrow.qualification import qualify
-from oracles import fit_election_stats
+from oracles import fit_election_stats, per_branch_scan
 
 N_CLASSES = 3
 RANGE0 = InputRange(0, 0, 0)
@@ -171,31 +174,42 @@ class TestCandidateRanges:
         assert ranges[4] == InputRange(1, 0, 0)
 
 
+def random_summary_pairs(rng, n_branches):
+    """(branch_id, summary) pairs, one per branch and class, each summary's
+    centers drawn among its own samples."""
+    pairs = []
+    for branch_id in range(n_branches):
+        for branch_class in range(N_CLASSES):
+            samples = rng.normal(size=(12, 9)) * rng.uniform(0.1, 1, 9)
+            pairs.append((branch_id, BranchClassClusters(
+                branch_class=branch_class, centers=samples[:8],
+                max_outputs=rng.normal(size=8),
+                sample_mean=samples.mean(axis=0),
+                sample_min=samples.min(axis=0),
+                sample_max=samples.max(axis=0), n_pairs=12)))
+    return pairs
+
+
+def scan_candidates(ranges, images, pairs, mlps):
+    """Every candidate the growth stream of a fresh scan yields."""
+    return list(WindowScan(ranges, images, pairs, mlps).stream(0))
+
+
 class TestMatchCandidates:
     def test_winners_get_the_closed_form_transfer(self):
         """Per range and reference class the closest matched pair wins, and
         its first layer is transferred from its own sample statistics to
         the winning class's references."""
         rng = np.random.default_rng(4)
-        pairs = []
-        for branch_id in range(3):
-            for branch_class in range(N_CLASSES):
-                samples = rng.normal(size=(12, 9)) * rng.uniform(0.1, 1, 9)
-                pairs.append((branch_id, BranchClassClusters(
-                    branch_class=branch_class, centers=samples[:8],
-                    max_outputs=rng.normal(size=8),
-                    sample_mean=samples.mean(axis=0),
-                    sample_min=samples.min(axis=0),
-                    sample_max=samples.max(axis=0), n_pairs=12)))
+        pairs = random_summary_pairs(rng, 3)
         mlps = {b: init_branch_mlp(rng, N_CLASSES) for b in range(3)}
         layers = {b: mlp.hidden_layers[0] for b, mlp in mlps.items()}
         images = {c: rng.uniform(-0.5, 0.5, size=(15, 1, 6, 6))
                   for c in range(N_CLASSES)}
-        prepared = prepare_summaries(pairs)
 
         total = 0
         for input_range in candidate_ranges((1, 6, 6)):
-            got = match_candidates(input_range, images, pairs, mlps, prepared)
+            got = scan_candidates([input_range], images, pairs, mlps)
             refs = {c: extract_patches(im, [input_range])[0]
                     for c, im in images.items()}
             best = {}
@@ -223,6 +237,64 @@ class TestMatchCandidates:
                 assert cand.source_mlp is mlps[res.branch_id]
         assert total > 0
 
+    def test_one_pass_streams_equal_per_branch_scans(self, monkeypatch):
+        """Each branch's stream of the shared window-major scan yields what
+        a scan of that branch's summaries alone yields, field by field and
+        bit for bit, while windows span several Gram blocks.  The growth
+        stream equals a scan of all summaries.  Branch 3's centers lie so
+        far out that every reference is equally far from them: its classes
+        tie and its stream stays empty."""
+        monkeypatch.setattr(matching, "GRAM_BLOCK_ENTRIES", 40)
+        rng = np.random.default_rng(11)
+        pairs = random_summary_pairs(rng, 4)
+        for _, summary in pairs[-N_CLASSES:]:
+            summary.centers = (rng.choice([-1.0, 1.0], size=(8, 9))
+                               * rng.uniform(1.0, 2.0, size=(8, 9)) * 1e20)
+        mlps = {b: init_branch_mlp(rng, N_CLASSES) for b in range(4)}
+        images = {c: rng.uniform(-0.5, 0.5, size=(15, 1, 6, 6))
+                  for c in range(N_CLASSES)}
+        ranges = candidate_ranges((1, 6, 6))
+
+        def fields(cand):
+            return (cand.source_branch_id, cand.branch_class,
+                    cand.target_class, cand.input_range, cand.distance,
+                    cand.first_layer_weights.tobytes(),
+                    cand.first_layer_bias.tobytes(), id(cand.source_mlp))
+
+        scan = WindowScan(ranges, images, pairs, mlps, per_branch=True)
+        lengths = []
+        for branch_id in range(4):
+            got = [fields(c) for c in scan.stream(branch_id)]
+            own = [p for p in pairs if p[0] == branch_id]
+            want = [fields(c) for c in
+                    per_branch_scan(ranges, images, own, mlps)]
+            assert got == want
+            lengths.append(len(got))
+        assert min(lengths[:3]) > 0 and lengths[3] == 0
+        got = [fields(c) for c in scan_candidates(ranges, images, pairs, mlps)]
+        assert got == [fields(c) for c in
+                       per_branch_scan(ranges, images, pairs, mlps)]
+
+    def test_window_flat_for_every_class_matches_nothing(self):
+        """References flat across a window, at a different level per class,
+        all normalize to exact zeros: every class ties, so no summary
+        matches and the window yields no winner."""
+        window = InputRange(0, 0, 0)
+        for trial in range(20):
+            rng = np.random.default_rng(100 + trial)
+            pairs = random_summary_pairs(rng, 2)
+            levels = rng.uniform(-0.5, 0.5, size=N_CLASSES)
+            images = {c: np.full((10, 1, 6, 6), levels[c])
+                      for c in range(N_CLASSES)}
+            refs = {c: extract_patches(images[c], [window])[0]
+                    for c in range(N_CLASSES)}
+            for c, patch in refs.items():
+                assert np.all(normalize_sorted(patch)[0] == 0.0)
+            assert not any(res.matched
+                           for res in match_all(window, refs, pairs))
+            assert match_candidates(window, images, pairs,
+                                    prepare_summaries(pairs)) == []
+
     def test_flat_reference_windows_transfer_finite_weights(self):
         """References that are constant across a window, as on MNIST
         borders, floor the reference span at RANGE_FLOOR, so the transfer
@@ -235,27 +307,16 @@ class TestMatchCandidates:
         window = InputRange(0, 0, 0)
         for trial in range(10):
             rng = np.random.default_rng(trial)
-            pairs = []
-            for branch_id in range(2):
-                for branch_class in range(N_CLASSES):
-                    samples = (rng.normal(size=(12, 9))
-                               * rng.uniform(0.1, 1, 9))
-                    pairs.append((branch_id, BranchClassClusters(
-                        branch_class=branch_class, centers=samples[:8],
-                        max_outputs=rng.normal(size=8),
-                        sample_mean=samples.mean(axis=0),
-                        sample_min=samples.min(axis=0),
-                        sample_max=samples.max(axis=0), n_pairs=12)))
+            pairs = random_summary_pairs(rng, 2)
             mlps = {b: init_branch_mlp(rng, N_CLASSES) for b in range(2)}
             prepared = prepare_summaries(pairs)
             levels = rng.uniform(-0.5, 0.5, size=N_CLASSES)
             images = {c: np.full((10, 1, 6, 6), levels[c])
                       for c in range(N_CLASSES)}
-            # Flat classes normalize to (near) the same zero patch and may
-            # tie, so each is matched on its own and is the target.
+            # Flat classes normalize to the same zero patch and tie, so
+            # each is matched on its own and is the target.
             for c in range(N_CLASSES):
-                got = match_candidates(window, {c: images[c]}, pairs, mlps,
-                                       prepared)
+                got = scan_candidates([window], {c: images[c]}, pairs, mlps)
                 assert got
                 patch = extract_patches(images[c], [window])[0]
                 ref_mean = stats_from_points(patch).mean
@@ -595,7 +656,9 @@ class TestScoreCaches:
     @pytest.mark.parametrize("mode", MODES)
     def test_caches_equal_a_fresh_forward_after_every_iteration(self, mode):
         """The incrementally updated caches hold exactly what a full forward
-        of the current network gives, through kept and rolled-back batches."""
+        of the current network gives, through kept and rolled-back batches.
+        So do the test metrics each record reports and each new train
+        accuracy, though only a kept batch re-takes them."""
         train = two_window_dataset(40, seed=1, tag="train")
         test = two_window_dataset(20, seed=2, tag="test")
         selection = build_selection_set(train, 60, seed=0)
@@ -625,7 +688,48 @@ class TestScoreCaches:
             assert np.array_equal(
                 state.sel_votes,
                 outputs[np.arange(selection.n), selection.labels])
+            assert (record.test_accuracy, record.test_loss) == score_metrics(
+                network_scores(net, test.images), test.labels)
+            assert len(state.train_accuracy_series) == len(state.records)
+            assert state.train_accuracy_series[-1] == score_metrics(
+                network_scores(net, train.images), train.labels)[0]
         assert kept >= 2 and rolled_back >= 1
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_mlp_copied_once_per_qualified_candidate(self, mode,
+                                                     monkeypatch):
+        """Candidates are scored through a view of the source MLP; only a
+        qualified one is copied, and a kept branch shares no array with
+        its source."""
+        copies = []
+        real_copy = BranchMlp.copy
+
+        def counting_copy(mlp):
+            copies.append(mlp)
+            return real_copy(mlp)
+
+        monkeypatch.setattr(BranchMlp, "copy", counting_copy)
+        train = two_window_dataset(40, seed=1, tag="train")
+        selection = build_selection_set(train, 60, seed=0)
+        state, config = fresh_state(mode, selection, train_set=train,
+                                    max_per_iteration=2, tuning_epochs=1)
+        source = ramp_mlp(1)
+        candidates = iter([hand_candidate(source, 1, target, r)
+                           for r in candidate_ranges(selection.shape)
+                           for target in range(N_CLASSES)])
+        while grow_iteration(state, candidates, config).candidates_seen:
+            pass
+        qualified = sum(r["qualified"] for r in state.candidate_records)
+        assert 0 < qualified < len(state.candidate_records)
+        assert len(copies) == qualified
+        assert state.net.branches
+        source_arrays = [a for layer in source.hidden_layers
+                         for a in (layer.weights, layer.bias)]
+        source_arrays.append(source.output_layer.weights)
+        for branch in state.net.branches:
+            for layer in (*branch.mlp.hidden_layers, branch.mlp.output_layer):
+                assert not any(np.shares_memory(layer.weights, a)
+                               for a in source_arrays)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_each_candidate_is_qualified_against_the_batch_so_far(

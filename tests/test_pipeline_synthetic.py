@@ -184,8 +184,9 @@ class TestGrowthRun:
     def test_bounded_run_matches_only_the_windows_it_consumes(
             self, task_a, base_net, monkeypatch):
         """A one-iteration run matches windows up to the one holding the
-        last candidate it consumed, and none after it."""
-        windows, matched = [], []
+        last candidate it consumed, and none after it, and transfers the
+        first layers of exactly the candidates it consumed."""
+        windows, matched, transfers = [], [], []
 
         def counting_match_all(input_range, *args, **kwargs):
             matched.append(input_range)
@@ -196,11 +197,17 @@ class TestGrowthRun:
             windows.append((input_range, len(found)))
             return found
 
+        def counting_transfer(*args, **kwargs):
+            transfers.append(args)
+            return real_transfer(*args, **kwargs)
+
         real_match_all = growth.match_all
         real_match_candidates = growth.match_candidates
+        real_transfer = growth.transfer_first_layer
         monkeypatch.setattr(growth, "match_all", counting_match_all)
         monkeypatch.setattr(growth, "match_candidates",
                             recording_match_candidates)
+        monkeypatch.setattr(growth, "transfer_first_layer", counting_transfer)
         train, test = task_a
         state = run_growth(copy.deepcopy(base_net), train,
                            small_growth_config(), test_set=test,
@@ -217,6 +224,7 @@ class TestGrowthRun:
         assert [r for r, _ in windows] == ranges[:len(windows)]
         assert matched == ranges[:last + 1]
         assert last + 1 < len(ranges)
+        assert len(transfers) == seen
 
     def test_empty_stream_runs_no_iteration(self, task_a, base_net,
                                             monkeypatch):
@@ -314,6 +322,34 @@ class TestTransferRun:
         assert sources == {1}
         assert all(rec["source_branch"] != 0
                    for rec in state.candidate_records)
+
+    def test_first_layer_transferred_as_each_candidate_is_consumed(
+            self, grown, task_b, monkeypatch):
+        """One scan serves every branch's stream, yet no first layer is
+        built ahead of its stream's turn: after each iteration the
+        transfers so far equal the candidates consumed so far."""
+        transfers = []
+
+        def counting_transfer(*args, **kwargs):
+            transfers.append(args)
+            return real_transfer(*args, **kwargs)
+
+        def checking_grow_iteration(state, candidates, config):
+            record = real_grow_iteration(state, candidates, config)
+            assert len(transfers) == sum(r.candidates_seen
+                                         for r in state.records)
+            return record
+
+        real_transfer = growth.transfer_first_layer
+        real_grow_iteration = growth.grow_iteration
+        monkeypatch.setattr(growth, "transfer_first_layer", counting_transfer)
+        monkeypatch.setattr(growth, "grow_iteration", checking_grow_iteration)
+        train, test = task_b
+        state = transfer_task(grown.net, train, small_growth_config(),
+                              test_set=test)
+        assert len({r["source_branch"] for r in state.candidate_records}) > 1
+        assert len(transfers) == sum(r.candidates_seen
+                                     for r in state.records)
 
     def test_moved_source_weight_is_caught(self, grown, task_b, monkeypatch):
         """transfer_task hashes the source branches on entry and again on
