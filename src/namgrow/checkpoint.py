@@ -30,7 +30,7 @@ def _branch_record(branch: Branch, stats_row) -> dict:
         "branch_class": branch.branch_class,
         "target_class": branch.target_class,
         "origin": branch.origin,
-        "activation": branch.mlp.activation,
+        "activation": "relu",
         "hidden_layers": [
             {"weights": _array(l.weights), "bias": _array(l.bias)}
             for l in branch.mlp.hidden_layers
@@ -72,6 +72,8 @@ def network_to_json(net: NamNetwork) -> str:
 
 
 def _branch_from_record(rec: dict) -> tuple[Branch, tuple | None]:
+    if rec["activation"] != "relu":
+        raise ValueError(f"activation {rec['activation']!r} is not 'relu'")
     hidden = [
         DenseLayer(np.array(l["weights"], dtype=np.float64),
                    np.array(l["bias"], dtype=np.float64))
@@ -80,7 +82,6 @@ def _branch_from_record(rec: dict) -> tuple[Branch, tuple | None]:
     mlp = BranchMlp(
         hidden,
         DenseLayer(np.array(rec["output_weights"], dtype=np.float64), None),
-        rec["activation"],
     )
     mask = None
     frozen = False

@@ -206,12 +206,6 @@ def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _json_num(x):
-    import math
-
-    return None if x is None or math.isnan(x) else x
-
-
 def _check_geometry(net, dataset) -> None:
     if tuple(net.input_shape) != tuple(dataset.shape):
         raise ValueError(f"checkpoint expects input shape {net.input_shape}, "
@@ -259,22 +253,20 @@ class _IterationWriter:
 
 def cmd_train_base(args, cfg) -> int:
     from .checkpoint import save_checkpoint
-    from .nam_model import (build_base_network, build_full_perception_network,
-                            evaluate, parameter_count)
+    from .nam_model import build_network, evaluate, parameter_count
     from .nn_core import optimizer_step_count, reset_optimizer_step_count
     from .training import TrainConfig, train_network
 
     train = _load_split(cfg, "train")
     test = _load_split(cfg, "test")
     grid = cfg["model"]["grid"].strip().lower()
-    builders = {"base": build_base_network,
-                "full": build_full_perception_network}
-    if grid not in builders:
+    spacings = {"base": 6, "full": 3}
+    if grid not in spacings:
         raise ConfigError(f"unknown grid {grid!r} (expected base or full)")
     seed = cfg["run"].getint("seed")
     name = cfg["data"]["dataset"].strip().lower()
-    net = builders[grid](train.shape, train.n_classes, seed,
-                         tag=f"{name}-{grid}")
+    net = build_network(train.shape, train.n_classes, seed, spacings[grid],
+                        tag=f"{name}-{grid}")
     try:
         train_config = TrainConfig(epochs=cfg["train"].getint("epochs"),
                                    batch_size=cfg["train"].getint("batch_size"),
@@ -375,8 +367,8 @@ def cmd_growth(args, cfg) -> int:
         "accepted_branches": accepted,
         "branch_count": state.net.n_branches,
         "parameter_count": parameter_count(state.net),
-        "test_accuracy": _json_num(final.test_accuracy) if final else None,
-        "test_loss": _json_num(final.test_loss) if final else None,
+        "test_accuracy": final.test_accuracy if final else None,
+        "test_loss": final.test_loss if final else None,
     }
     if transfer:
         with open(out_dir / "transfer_series.csv", "w", newline="") as fh:

@@ -220,22 +220,54 @@ def clusters_to_json(table: list[list[BranchClassClusters]]) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
+def _summary_from_record(rec: dict) -> BranchClassClusters:
+    """One cache record, checked field by field: a class index, at least
+    one finite center, one finite max_output per center, and finite sample
+    statistics of the centers' width with min <= max."""
+    c = rec["branch_class"]
+    if isinstance(c, bool) or not isinstance(c, int) or c < 0:
+        raise ValueError(f"branch_class {c!r} is not a class index")
+    centers = np.array(rec["centers"], dtype=np.float64)
+    if centers.ndim != 2 or centers.size == 0:
+        raise ValueError(f"centers have shape {centers.shape}, expected "
+                         "a non-empty matrix")
+    max_outputs = np.array(rec["max_outputs"], dtype=np.float64)
+    if max_outputs.shape != centers.shape[:1]:
+        raise ValueError(f"max_outputs have shape {max_outputs.shape}, "
+                         f"expected one per center {centers.shape[:1]}")
+    fields = {"centers": centers, "max_outputs": max_outputs}
+    for name in ("sample_mean", "sample_min", "sample_max"):
+        fields[name] = np.array(rec[name], dtype=np.float64)
+        if fields[name].shape != centers.shape[1:]:
+            raise ValueError(f"{name} has shape {fields[name].shape}, "
+                             f"expected the centers' width "
+                             f"{centers.shape[1:]}")
+    for name, values in fields.items():
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} are not all finite")
+    if np.any(fields["sample_min"] > fields["sample_max"]):
+        raise ValueError("sample_min exceeds sample_max")
+    return BranchClassClusters(branch_class=c, n_pairs=rec["n_pairs"],
+                               **fields)
+
+
 def clusters_from_json(text: str) -> list[list[BranchClassClusters]]:
+    """Parse and check a cluster cache; a malformed record is a ValueError
+    naming its branch, its summary and the field at fault."""
     doc = json.loads(text)
-    if doc.get("format") != "nam-cluster-cache" or doc.get("version") != 1:
+    if (not isinstance(doc, dict) or doc.get("format") != "nam-cluster-cache"
+            or doc.get("version") != 1):
         raise ValueError("not a cluster-cache document")
     table = []
-    for per_branch in doc["branches"]:
-        table.append([
-            BranchClassClusters(
-                branch_class=rec["branch_class"],
-                centers=np.array(rec["centers"], dtype=np.float64),
-                max_outputs=np.array(rec["max_outputs"], dtype=np.float64),
-                sample_mean=np.array(rec["sample_mean"], dtype=np.float64),
-                sample_min=np.array(rec["sample_min"], dtype=np.float64),
-                sample_max=np.array(rec["sample_max"], dtype=np.float64),
-                n_pairs=rec["n_pairs"],
-            )
-            for rec in per_branch
-        ])
+    for b, per_branch in enumerate(doc["branches"]):
+        summaries = []
+        for k, rec in enumerate(per_branch):
+            where = f"cluster cache branch {b} summary {k}"
+            try:
+                summaries.append(_summary_from_record(rec))
+            except KeyError as exc:
+                raise ValueError(f"{where} has no {exc} key") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{where}: {exc}") from exc
+        table.append(summaries)
     return table

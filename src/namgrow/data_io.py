@@ -176,27 +176,17 @@ def load_mnist(data_dir: str | Path, split: str = "train") -> Dataset:
     return Dataset(images, labels, f"mnist-{split}", 10)
 
 
-def base_grid_ranges(shape: tuple[int, int, int], size: int = 3,
-                     spacing: int = 6) -> list[InputRange]:
-    """Sparse grid: windows at every `spacing` pixels, channels outermost."""
+def base_grid_ranges(shape: tuple[int, int, int],
+                     spacing: int) -> list[InputRange]:
+    """3x3 windows every `spacing` pixels, scanned row-major within each
+    channel, channels outermost: spacing 6 is the sparse base grid, 3 the
+    full-perception tiling and 1 the stride-1 growth scan."""
     channels, height, width = shape
     ranges = []
     for c in range(channels):
-        for r in range(0, height - size + 1, spacing):
-            for col in range(0, width - size + 1, spacing):
-                ranges.append(InputRange(c, r, col, size))
-    return ranges
-
-
-def full_perception_ranges(shape: tuple[int, int, int],
-                           size: int = 3) -> list[InputRange]:
-    """Dense tiling: windows every `size` pixels, channels outermost."""
-    channels, height, width = shape
-    ranges = []
-    for c in range(channels):
-        for r in range(0, (height // size) * size, size):
-            for col in range(0, (width // size) * size, size):
-                ranges.append(InputRange(c, r, col, size))
+        for r in range(0, height - 2, spacing):
+            for col in range(0, width - 2, spacing):
+                ranges.append(InputRange(c, r, col))
     return ranges
 
 

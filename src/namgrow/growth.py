@@ -112,17 +112,14 @@ class IterationRecord:
     parameter_count: int
 
     def to_json_line(self) -> str:
-        def opt(x):
-            return None if x is None or math.isnan(x) else x
-
         return json.dumps({
             "iteration": self.iteration,
             "candidates_seen": self.candidates_seen,
             "accepted": self.accepted,
             "rejected": self.rejected,
-            "selection_loss": opt(self.selection_loss),
-            "test_loss": opt(self.test_loss),
-            "test_accuracy": opt(self.test_accuracy),
+            "selection_loss": self.selection_loss,
+            "test_loss": self.test_loss,
+            "test_accuracy": self.test_accuracy,
             "branch_count": self.branch_count,
             "parameter_count": self.parameter_count,
         }, separators=(",", ":"))
@@ -134,7 +131,7 @@ class BranchPoint:
 
     iteration: int
     branch_count: int
-    accuracy: float                  # test accuracy (NaN without a test set)
+    accuracy: float                  # test accuracy
     loss: float
 
 
@@ -185,9 +182,9 @@ class GrowthState:
     net: NamNetwork
     config: GrowthConfig
     selection: Dataset
-    train_set: Dataset | None = None
-    test_set: Dataset | None = None
-    rng: np.random.Generator = None
+    train_set: Dataset
+    test_set: Dataset
+    rng: np.random.Generator
     records: list = field(default_factory=list)
     branch_points: list = field(default_factory=list)
     candidate_records: list = field(default_factory=list)
@@ -198,9 +195,8 @@ class GrowthState:
     train_scores: np.ndarray = None
     test_scores: np.ndarray = None
     sel_votes: np.ndarray = None
-    test_metrics: tuple = (float("nan"), float("nan"))
+    test_metrics: tuple = None
     train_accuracy: float = None
-    stats_rows: list = field(default_factory=list)
     prev_selection_loss: float = None
     prev_selection_accuracy: float = None
 
@@ -238,16 +234,9 @@ def draw_reference_images(dataset: Dataset, per_class: int,
     return refs
 
 
-def candidate_ranges(input_shape: tuple[int, int, int],
-                     size: int = 3) -> list[InputRange]:
-    """Every stride-1 window, scanned row-major within each channel."""
-    return base_grid_ranges(input_shape, size=size, spacing=1)
-
-
 def match_candidates(input_range: InputRange, ref_images_by_class,
                      summary_pairs, prepared: PreparedSummaries,
-                     keep_fraction: float = 0.8,
-                     per_branch: bool = False) -> list[Winner]:
+                     keep_fraction: float, per_branch: bool) -> list[Winner]:
     """Match one input range and pick its winners.
 
     summary_pairs are (branch_id, cluster summary) pairs and `prepared` is
@@ -292,8 +281,7 @@ class WindowScan:
     """
 
     def __init__(self, ranges, ref_images_by_class, summary_pairs,
-                 source_mlps, keep_fraction: float = 0.8,
-                 per_branch: bool = False):
+                 source_mlps, keep_fraction: float, per_branch: bool):
         self.windows = iter(ranges)
         self.refs = ref_images_by_class
         self.pairs = summary_pairs
@@ -344,8 +332,7 @@ def _candidate_view(candidate: CandidateBranch) -> BranchMlp:
     source = candidate.source_mlp
     first = DenseLayer(candidate.first_layer_weights,
                        candidate.first_layer_bias)
-    return BranchMlp([first, *source.hidden_layers[1:]], source.output_layer,
-                     source.activation)
+    return BranchMlp([first, *source.hidden_layers[1:]], source.output_layer)
 
 
 def _scores(net: NamNetwork, images: np.ndarray, forward) -> np.ndarray:
@@ -360,32 +347,24 @@ def _accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
 
 
 def start_growth(net: NamNetwork, selection: Dataset, config: GrowthConfig,
-                 train_set: Dataset | None = None,
-                 test_set: Dataset | None = None,
-                 rng: np.random.Generator | None = None) -> GrowthState:
+                 train_set: Dataset, test_set: Dataset,
+                 rng: np.random.Generator) -> GrowthState:
     """Snapshot the network's scores on every split and open a growth run."""
     state = GrowthState(net=net, config=config, selection=selection,
-                        train_set=train_set, test_set=test_set,
-                        rng=rng or np.random.default_rng(config.seed))
-    if net.mode == "election":
-        if net.election_stats is not None:
-            state.stats_rows = [(net.election_stats.means[k].copy(),
-                                 net.election_stats.stds[k].copy())
-                                for k in range(net.n_branches)]
-        elif net.branches:
-            raise ValueError("election network needs fitted stats to grow")
+                        train_set=train_set, test_set=test_set, rng=rng)
+    if (net.mode == "election" and net.election_stats is None
+            and net.branches):
+        raise ValueError("election network needs fitted stats to grow")
     state.sel_scores = _scores(net, selection.images, network_scores)
     # In tuning mode the scores are the class-outputs; election votes take
     # a pass of their own.
     outputs = (state.sel_scores if net.mode == "tuning" else
                _scores(net, selection.images, network_forward_batch))
     state.sel_votes = outputs[np.arange(selection.n), selection.labels]
-    if test_set is not None:
-        state.test_scores = _scores(net, test_set.images, network_scores)
-        state.test_metrics = score_metrics(state.test_scores, test_set.labels)
-    if train_set is not None:
-        state.train_scores = _scores(net, train_set.images, network_scores)
-        state.train_accuracy = _accuracy(state.train_scores, train_set.labels)
+    state.test_scores = _scores(net, test_set.images, network_scores)
+    state.test_metrics = score_metrics(state.test_scores, test_set.labels)
+    state.train_scores = _scores(net, train_set.images, network_scores)
+    state.train_accuracy = _accuracy(state.train_scores, train_set.labels)
     state.prev_selection_accuracy, state.prev_selection_loss = score_metrics(
         state.sel_scores, selection.labels)
     return state
@@ -486,8 +465,7 @@ def grow_iteration(state: GrowthState, candidates, config: GrowthConfig
     )
     state.records.append(record)
     state.selection_accuracy_series.append(state.prev_selection_accuracy)
-    if state.train_set is not None:
-        state.train_accuracy_series.append(state.train_accuracy)
+    state.train_accuracy_series.append(state.train_accuracy)
     state.iteration += 1
     log.info("iteration %d: %d/%d candidates accepted, selection loss %.6f",
              record.iteration, record.accepted, record.candidates_seen,
@@ -503,23 +481,18 @@ def _raw_values(branch: Branch, dataset: Dataset) -> np.ndarray:
 def _finish_iteration(state: GrowthState, tentative: list[_Tentative]) -> int:
     """Fit the new branches, score them, then keep or revert the batch.
 
-    The branches are fitted on the train split, or on the selection set
-    when there is none: tuning mode tunes their masks, election mode fits
-    the flag statistics that z-score their outputs.  The batch is kept only
-    when the selection-set loss did not increase and, in election mode, the
-    selection-set accuracy did not drop, so both recorded series are
-    monotone there.  A kept batch is added to every split's cached scores
-    and metrics; a rolled-back one leaves them as they were.
+    The branches are fitted on the train split: tuning mode tunes their
+    masks, election mode fits the flag statistics that z-score their
+    outputs.  The batch is kept only when the selection-set loss did not
+    increase and, in election mode, the selection-set accuracy did not
+    drop, so both recorded series are monotone there.  A kept batch is
+    added to every split's cached scores and metrics; a rolled-back one
+    leaves them as they were.
     """
     if not tentative:
         return 0
     net, config = state.net, state.config
-    if state.train_set is None:
-        fit_set, fit_scores = state.selection, state.sel_scores
-        raw_fit = [t.values_sel for t in tentative]
-    else:
-        fit_set, fit_scores = state.train_set, state.train_scores
-        raw_fit = [_raw_values(t.branch, fit_set) for t in tentative]
+    raw_fit = [_raw_values(t.branch, state.train_set) for t in tentative]
     new_rows = None
     if net.mode == "election":
         new_rows = []
@@ -529,7 +502,8 @@ def _finish_iteration(state: GrowthState, tentative: list[_Tentative]) -> int:
                                             t.branch.target_class,
                                             net.n_classes))
     elif config.tuning_epochs > 0:
-        tune_masks(net, fit_set, config.tuning_epochs, fit_scores, raw_fit,
+        tune_masks(net, state.train_set, config.tuning_epochs,
+                   state.train_scores, raw_fit,
                    learning_rate=config.mask_learning_rate,
                    batch_size=config.mask_batch_size,
                    seed=int(state.rng.integers(2 ** 31)))
@@ -560,32 +534,30 @@ def _finish_iteration(state: GrowthState, tentative: list[_Tentative]) -> int:
         t.branch.mask_frozen = True
         t.record["kept"] = True
     if new_rows is not None:
-        state.stats_rows.extend(new_rows)
-        net.election_stats = ElectionStats(
-            np.stack([m for m, _ in state.stats_rows]),
-            np.stack([s for _, s in state.stats_rows]))
+        means, stds = (np.stack(rows) for rows in zip(*new_rows))
+        if net.election_stats is not None:
+            means = np.concatenate([net.election_stats.means, means])
+            stds = np.concatenate([net.election_stats.stds, stds])
+        net.election_stats = ElectionStats(means, stds)
     state.sel_scores = sel_new
     state.prev_selection_accuracy = new_acc
     state.prev_selection_loss = new_loss
     for t, out in zip(tentative, out_sel):
         on = state.selection.labels == t.branch.target_class
         state.sel_votes[on] += out[on]
-    if state.train_set is not None:
-        for k, (t, raw) in enumerate(zip(tentative, raw_fit)):
-            out = added_branch_output(t.branch, raw, net.mode)
-            state.train_scores[:, t.branch.target_class] += score(k, out)
-        state.train_accuracy = _accuracy(state.train_scores,
-                                         state.train_set.labels)
+    for k, (t, raw) in enumerate(zip(tentative, raw_fit)):
+        out = added_branch_output(t.branch, raw, net.mode)
+        state.train_scores[:, t.branch.target_class] += score(k, out)
+    state.train_accuracy = _accuracy(state.train_scores,
+                                     state.train_set.labels)
     base_count = net.n_branches - len(tentative)
     for k, t in enumerate(tentative):
-        accuracy = loss = float("nan")
-        if state.test_set is not None:
-            out = added_branch_output(
-                t.branch, _raw_values(t.branch, state.test_set), net.mode)
-            state.test_scores[:, t.branch.target_class] += score(k, out)
-            accuracy, loss = score_metrics(state.test_scores,
-                                           state.test_set.labels)
-            state.test_metrics = (accuracy, loss)
+        out = added_branch_output(
+            t.branch, _raw_values(t.branch, state.test_set), net.mode)
+        state.test_scores[:, t.branch.target_class] += score(k, out)
+        accuracy, loss = score_metrics(state.test_scores,
+                                       state.test_set.labels)
+        state.test_metrics = (accuracy, loss)
         state.branch_points.append(BranchPoint(
             iteration=state.iteration, branch_count=base_count + k + 1,
             accuracy=accuracy, loss=loss))
@@ -614,8 +586,8 @@ def mask_gradients(frozen_logits: np.ndarray, labels: np.ndarray,
 
 def tune_masks(net: NamNetwork, dataset: Dataset, epochs: int,
                frozen_logits: np.ndarray, raw_values: list[np.ndarray],
-               learning_rate: float = 1e-2, batch_size: int = 128,
-               seed: int = 0) -> NamNetwork:
+               learning_rate: float, batch_size: int,
+               seed: int) -> NamNetwork:
     """Train the scale/bias of every not-yet-frozen mask with minibatch Adam.
 
     `frozen_logits` are the class-output sums of every other branch on
@@ -693,7 +665,7 @@ def source_branches(net: NamNetwork, transfer: bool) -> list[Branch]:
 
 
 def run_growth(net: NamNetwork, train_set: Dataset, config: GrowthConfig,
-               test_set: Dataset | None = None, cluster_table=None,
+               test_set: Dataset, cluster_table=None,
                max_iterations: int | None = None,
                on_iteration=None) -> GrowthState:
     """Same-task growth: scan every stride-1 window, add qualified masked
@@ -714,7 +686,7 @@ def run_growth(net: NamNetwork, train_set: Dataset, config: GrowthConfig,
 
 
 def transfer_task(base_net: NamNetwork, train_set: Dataset,
-                  config: GrowthConfig, test_set: Dataset | None = None,
+                  config: GrowthConfig, test_set: Dataset,
                   cluster_table=None, on_iteration=None) -> GrowthState:
     """Trans-task transfer: apply the source branches one by one to the new
     task's input ranges in election mode, never calling the optimizer.
@@ -733,7 +705,7 @@ def transfer_task(base_net: NamNetwork, train_set: Dataset,
 
 
 def _grow(source_net: NamNetwork, net: NamNetwork, train_set: Dataset,
-          config: GrowthConfig, test_set: Dataset | None, cluster_table,
+          config: GrowthConfig, test_set: Dataset, cluster_table,
           max_iterations: int | None, on_iteration) -> GrowthState:
     """Grow `net` from the source branches of `source_net`.
 
@@ -758,16 +730,27 @@ def _grow(source_net: NamNetwork, net: NamNetwork, train_set: Dataset,
                                              config)
     if len(cluster_table) != len(sources):
         raise ValueError("cluster table does not cover every branch")
+    for b, (branch, summaries) in enumerate(zip(sources, cluster_table)):
+        for k, summary in enumerate(summaries):
+            where = f"cluster table branch {b} summary {k}"
+            if summary.centers.shape[1] != branch.mlp.in_dim:
+                raise ValueError(f"{where}: centers are "
+                                 f"{summary.centers.shape[1]} wide, the "
+                                 f"branch takes {branch.mlp.in_dim} inputs")
+            if summary.branch_class >= branch.mlp.n_classes:
+                raise ValueError(f"{where}: branch_class "
+                                 f"{summary.branch_class} is not below the "
+                                 f"branch's {branch.mlp.n_classes} classes")
     refs = draw_reference_images(train_set, config.reference_per_class,
                                  np.random.default_rng(seeds[2]))
     pairs = [(i, summary) for i, summaries in enumerate(cluster_table)
              for summary in summaries]
-    ranges = candidate_ranges(net.input_shape)
+    ranges = base_grid_ranges(net.input_shape, 1)
     log.info("matching %d ranges against %d cluster summaries",
              len(ranges), len(pairs))
     scan = WindowScan(ranges, refs, pairs,
                       {i: br.mlp for i, br in enumerate(sources)},
-                      config.keep_fraction, per_branch=transfer)
+                      config.keep_fraction, transfer)
     for key in range(len(sources) if transfer else 1):
         stream = scan.stream(key)
         ran = False

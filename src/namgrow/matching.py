@@ -12,7 +12,6 @@ if they were its own training distribution.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +19,6 @@ import numpy as np
 from .clustering import BranchClassClusters
 from .data_io import InputRange
 from .nn_core import DenseLayer
-
-log = logging.getLogger(__name__)
 
 RANGE_FLOOR = 1e-8  # per-dimension span floor for flat dimensions
 
@@ -148,9 +145,6 @@ def transfer_first_layer(layer: DenseLayer,
     w = layer.weights
     sigma_b = branch_stats.range_
     sigma_r = ref_stats.range_
-    if np.any(sigma_r < RANGE_FLOOR):
-        log.warning("reference span below floor; flooring at %g", RANGE_FLOOR)
-        sigma_r = np.maximum(sigma_r, RANGE_FLOOR)
     w_new = np.empty_like(w)
     ib = branch_stats.permutation
     ir = ref_stats.permutation
@@ -328,22 +322,19 @@ def _nearest_centers(prepared: PreparedSummaries, refs: np.ndarray
 def match_all(reference_range: InputRange,
               ref_samples_by_class: dict[int, np.ndarray],
               candidates: list[tuple[int, BranchClassClusters]],
-              keep_fraction: float = 0.8,
-              prepared: PreparedSummaries | None = None) -> list[MatchResult]:
+              keep_fraction: float,
+              prepared: PreparedSummaries) -> list[MatchResult]:
     """Best reference class per (branch, branch-class) at one input range.
 
     candidates are (branch_id, cluster summary) pairs.  A candidate matches
     the reference class with strictly the smallest partial average distance;
-    an exact tie yields no match.  `prepared`, from
-    `prepare_summaries(candidates)`, saves rebuilding the range-independent
-    side on every call; its `stats` are what `transfer_first_layer` needs on
-    the branch side.
+    an exact tie yields no match.  `prepared` is
+    `prepare_summaries(candidates)`, built once for every range; its `stats`
+    are what `transfer_first_layer` needs on the branch side.
 
     All summaries are scored against all classes at once; the distances are
     bit-for-bit those of `partial_average_distance`.
     """
-    if prepared is None:
-        prepared = prepare_summaries(candidates)
     if len(prepared.stats) != len(candidates):
         raise ValueError("prepared summaries do not match the candidates")
     if not candidates:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data_io import Dataset, InputRange, base_grid_ranges, \
-    full_perception_ranges, range_flat_indices
+    range_flat_indices
 from .nn_core import BranchMlp, init_branch_mlp, mlp_forward_batch, \
     mlp_parameter_count, softmax_cross_entropy_loss
 
@@ -274,23 +274,12 @@ def evaluate(net: NamNetwork, dataset: Dataset) -> tuple[float, float]:
     return score_metrics(network_scores(net, dataset.images), dataset.labels)
 
 
-def build_base_network(input_shape: tuple[int, int, int], n_classes: int,
-                       seed: int, tag: str = "") -> NamNetwork:
-    """Sparse 6-pixel-spaced grid of base branches (25 per channel)."""
-    return _build_network(base_grid_ranges(input_shape), input_shape,
-                          n_classes, seed, tag)
-
-
-def build_full_perception_network(input_shape: tuple[int, int, int],
-                                  n_classes: int, seed: int,
-                                  tag: str = "") -> NamNetwork:
-    """Dense 3-pixel tiling covering the whole image."""
-    return _build_network(full_perception_ranges(input_shape), input_shape,
-                          n_classes, seed, tag)
-
-
-def _build_network(ranges: list[InputRange], input_shape, n_classes, seed,
-                   tag) -> NamNetwork:
+def build_network(input_shape: tuple[int, int, int], n_classes: int,
+                  seed: int, spacing: int, tag: str) -> NamNetwork:
+    """Freshly initialised base branches on the 3x3 windows every `spacing`
+    pixels: 6 for the sparse base grid (25 per channel), 3 for the
+    full-perception tiling."""
+    ranges = base_grid_ranges(input_shape, spacing)
     seeds = np.random.SeedSequence(seed).spawn(len(ranges))
     branches = [
         Branch(init_branch_mlp(np.random.default_rng(s), n_classes), r)

@@ -64,15 +64,15 @@ class DenseLayer:
 
 @dataclass
 class BranchMlp:
-    """Small MLP: biased hidden layers, bias-free linear output layer."""
+    """Small ReLU MLP: one or more biased hidden layers, then a bias-free
+    linear output layer."""
 
     hidden_layers: list[DenseLayer]
     output_layer: DenseLayer
-    activation: str = "relu"
 
     def __post_init__(self):
-        if self.activation not in ("relu", "linear"):
-            raise ValueError(f"unknown activation {self.activation!r}")
+        if not self.hidden_layers:
+            raise ValueError("a branch MLP needs at least one hidden layer")
         if self.output_layer.bias is not None:
             raise ValueError("output layer must be bias-free")
         layers = [*self.hidden_layers, self.output_layer]
@@ -86,19 +86,15 @@ class BranchMlp:
 
     @property
     def in_dim(self) -> int:
-        layers = self.hidden_layers or [self.output_layer]
-        return layers[0].in_dim
+        return self.hidden_layers[0].in_dim
 
     @property
     def n_classes(self) -> int:
         return self.output_layer.out_dim
 
     def copy(self) -> "BranchMlp":
-        return BranchMlp(
-            [l.copy() for l in self.hidden_layers],
-            self.output_layer.copy(),
-            self.activation,
-        )
+        return BranchMlp([l.copy() for l in self.hidden_layers],
+                         self.output_layer.copy())
 
 
 def mlp_parameter_count(mlp: BranchMlp) -> int:
@@ -109,23 +105,15 @@ def mlp_parameter_count(mlp: BranchMlp) -> int:
     return n
 
 
-def init_branch_mlp(
-    rng: np.random.Generator,
-    n_classes: int,
-    in_dim: int = 9,
-    hidden_width: int = 9,
-    n_hidden: int = 4,
-    activation: str = "relu",
-) -> BranchMlp:
-    """He-initialised hidden layers, smaller-scale linear output, zero biases."""
+def init_branch_mlp(rng: np.random.Generator, n_classes: int) -> BranchMlp:
+    """Four 9-wide He-initialised hidden layers on a 9-pixel window, a
+    smaller-scale linear output, zero biases."""
     hidden = []
-    dim = in_dim
-    for _ in range(n_hidden):
-        w = rng.normal(0.0, np.sqrt(2.0 / dim), size=(hidden_width, dim))
-        hidden.append(DenseLayer(w, np.zeros(hidden_width)))
-        dim = hidden_width
-    w_out = rng.normal(0.0, np.sqrt(1.0 / dim), size=(n_classes, dim))
-    return BranchMlp(hidden, DenseLayer(w_out, None), activation)
+    for _ in range(4):
+        w = rng.normal(0.0, np.sqrt(2.0 / 9), size=(9, 9))
+        hidden.append(DenseLayer(w, np.zeros(9)))
+    w_out = rng.normal(0.0, np.sqrt(1.0 / 9), size=(n_classes, 9))
+    return BranchMlp(hidden, DenseLayer(w_out, None))
 
 
 def mlp_forward_batch(mlp: BranchMlp, x: np.ndarray) -> np.ndarray:
@@ -146,8 +134,7 @@ def mlp_forward_batch(mlp: BranchMlp, x: np.ndarray) -> np.ndarray:
     for layer in mlp.hidden_layers:
         h = layer.weights @ h
         h += layer.bias[:, None]
-        if mlp.activation == "relu":
-            np.maximum(h, 0.0, out=h)
+        np.maximum(h, 0.0, out=h)
     return h.T @ mlp.output_layer.weights.T
 
 

@@ -95,12 +95,8 @@ def stack_network(net):
         mlps.append(branch.mlp)
     first = mlps[0]
     for mlp in mlps[1:]:
-        if mlp.activation != first.activation:
-            raise ValueError("branches disagree on activation")
         if len(mlp.hidden_layers) != len(first.hidden_layers):
             raise ValueError("branches disagree on depth")
-    if first.activation != "relu":
-        raise ValueError("joint training supports relu branches only")
     stacked = StackedNam()
     for layer_idx in range(len(first.hidden_layers)):
         layers = [mlp.hidden_layers[layer_idx] for mlp in mlps]
@@ -191,16 +187,14 @@ def evaluate_stacked(stacked, net, dataset):
     return evaluate(net, dataset)
 
 
-def train_network(net, train_dataset, config, eval_dataset=None,
-                  on_epoch=None):
+def train_network(net, train_dataset, config, eval_dataset, on_epoch=None):
     """Train every branch of `net` jointly on `train_dataset`.
 
     Runs `config.epochs` passes of seeded-shuffle minibatch Adam on the
     mean cross-entropy of the summed logits, writes the trained weights
-    back into `net`, and returns one EpochMetrics per epoch.  When
-    `eval_dataset` is None the evaluation columns repeat the training
-    metrics of the epoch.  `on_epoch`, when given, receives each
-    EpochMetrics as soon as its epoch finishes.
+    back into `net`, and returns one EpochMetrics per epoch, scored on
+    `eval_dataset`.  `on_epoch`, when given, receives each EpochMetrics as
+    soon as its epoch finishes.
     """
     if train_dataset.n_classes != net.n_classes:
         raise ValueError("dataset/network class count mismatch")
@@ -222,10 +216,7 @@ def train_network(net, train_dataset, config, eval_dataset=None,
             adam_step(state, params, grads)
             loss_sum += loss * idx.size
         train_loss = loss_sum / train_dataset.n
-        if eval_dataset is not None:
-            acc, eval_loss = evaluate_stacked(stacked, net, eval_dataset)
-        else:
-            acc, eval_loss = evaluate_stacked(stacked, net, train_dataset)
+        acc, eval_loss = evaluate_stacked(stacked, net, eval_dataset)
         history.append(EpochMetrics(epoch, train_loss, acc, eval_loss))
         if on_epoch is not None:
             on_epoch(history[-1])

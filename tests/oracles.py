@@ -8,8 +8,11 @@ read `nam_model._EVAL_CHUNK` at call time, so a test that patches the chunk
 size chunks the oracle and the engine alike.
 
 The single-sample forward, backward and cross-entropy, the row-major
-batched forward, the per-image patch and the stacked forward are the per-sample references the batched library
-code is checked against.  The per-branch matching scan is the reference
+batched forward, the per-image patch and the stacked forward are the
+per-sample references the batched library code is checked against.  The
+MLP builder takes the hidden width and depth the library's fixed builder
+does not, and the dense and stride-1 window lists are the references for
+the one window-grid builder.  The per-branch matching scan is the reference
 for the shared window-major scan growth runs.  The Hoeffding tail bounds,
 the loss-descent values, the clamp-weighted sum and the Gaussian kernel
 are the paper's
@@ -49,10 +52,39 @@ from namgrow.training import StackedNam, _forward_with_cache
 
 # ------------------------------------------------ per-sample references
 
-def _activate(x: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return np.maximum(x, 0.0)
-    return x
+def branch_mlp(rng: np.random.Generator, n_classes: int,
+               hidden_width: int = 9, n_hidden: int = 4) -> BranchMlp:
+    """A branch MLP of any hidden width and depth on a 9-pixel window,
+    drawn as `nn_core.init_branch_mlp` draws the library's 9-wide,
+    four-layer ones (with the defaults, the same MLP from the same rng)."""
+    hidden = []
+    dim = 9
+    for _ in range(n_hidden):
+        w = rng.normal(0.0, np.sqrt(2.0 / dim), size=(hidden_width, dim))
+        hidden.append(DenseLayer(w, np.zeros(hidden_width)))
+        dim = hidden_width
+    w_out = rng.normal(0.0, np.sqrt(1.0 / dim), size=(n_classes, dim))
+    return BranchMlp(hidden, DenseLayer(w_out, None))
+
+
+def full_perception_ranges(shape: tuple[int, int, int]) -> list[InputRange]:
+    """Dense tiling: 3x3 windows every 3 pixels, channels outermost."""
+    channels, height, width = shape
+    return [InputRange(c, r, col) for c in range(channels)
+            for r in range(0, (height // 3) * 3, 3)
+            for col in range(0, (width // 3) * 3, 3)]
+
+
+def stride_one_ranges(shape: tuple[int, int, int]) -> list[InputRange]:
+    """Every 3x3 window, row-major within each channel, channels
+    outermost."""
+    channels, height, width = shape
+    return [InputRange(c, r, col) for c in range(channels)
+            for r in range(height - 2) for col in range(width - 2)]
+
+
+def _relu(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0)
 
 
 def mlp_forward_batch_row_major(mlp: BranchMlp, x: np.ndarray) -> np.ndarray:
@@ -64,7 +96,7 @@ def mlp_forward_batch_row_major(mlp: BranchMlp, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     h = x
     for layer in mlp.hidden_layers:
-        h = _activate(h @ layer.weights.T + layer.bias, mlp.activation)
+        h = _relu(h @ layer.weights.T + layer.bias)
     return h @ mlp.output_layer.weights.T
 
 
@@ -75,7 +107,7 @@ def mlp_forward(mlp: BranchMlp, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"input shape {x.shape}, expected ({mlp.in_dim},)")
     h = x
     for layer in mlp.hidden_layers:
-        h = _activate(layer.weights @ h + layer.bias, mlp.activation)
+        h = _relu(layer.weights @ h + layer.bias)
     return mlp.output_layer.weights @ h
 
 
@@ -108,15 +140,14 @@ def mlp_backward(mlp: BranchMlp, x: np.ndarray, upstream_grad: np.ndarray) -> Ml
     for layer in mlp.hidden_layers:
         z = layer.weights @ h + layer.bias
         pre.append(z)
-        h = _activate(z, mlp.activation)
+        h = _relu(z)
         post.append(h)
 
     d_out = np.outer(upstream_grad, post[-1])
     delta = mlp.output_layer.weights.T @ upstream_grad
     hidden_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(mlp.hidden_layers)
     for i in reversed(range(len(mlp.hidden_layers))):
-        if mlp.activation == "relu":
-            delta = delta * (pre[i] > 0.0)
+        delta = delta * (pre[i] > 0.0)
         hidden_grads[i] = (np.outer(delta, post[i]), delta.copy())
         delta = mlp.hidden_layers[i].weights.T @ delta
     return MlpGradients(hidden=hidden_grads, output=d_out, input=delta)
@@ -156,8 +187,6 @@ def stacked_forward(stacked: StackedNam, patches: np.ndarray) -> np.ndarray:
 def transfer_branch_mlp(mlp: BranchMlp, branch_stats: NormalizationStats,
                         ref_stats: NormalizationStats) -> BranchMlp:
     """Copy of the MLP with its first hidden layer transferred."""
-    if not mlp.hidden_layers:
-        raise ValueError("branch MLP has no hidden layer to transfer")
     new = mlp.copy()
     w, b = transfer_first_layer(mlp.hidden_layers[0], branch_stats, ref_stats)
     new.hidden_layers[0] = DenseLayer(w, b)

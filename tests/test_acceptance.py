@@ -36,8 +36,7 @@ from namgrow.nam_model import (
     ElectionStats,
     NamNetwork,
     apply_class_mask,
-    build_base_network,
-    build_full_perception_network,
+    build_network,
     class_mask_grads,
     evaluate,
     parameter_count,
@@ -115,9 +114,10 @@ def mnist():
 def _trained_cifar_base(train_set):
     """Train the 75-branch CIFAR-10 base once and share it across checks."""
     if "base" not in _shared:
-        net = build_base_network((3, 32, 32), 10, seed=0, tag="cifar10-base")
+        net = build_network((3, 32, 32), 10, seed=0, spacing=6,
+                            tag="cifar10-base")
         tic = time.monotonic()
-        train_network(net, train_set, TrainConfig())
+        train_network(net, train_set, TrainConfig(), train_set)
         _shared["base"] = (net, time.monotonic() - tic)
     return _shared["base"]
 
@@ -157,10 +157,10 @@ def test_criterion_2_full_perception_baselines(cifar, mnist):
     ]
     failures, parts = [], []
     for name, (train, test), ref_acc, acc_tol, ref_loss, loss_tol, ref_p in jobs:
-        net = build_full_perception_network(train.shape, 10, seed=0,
-                                            tag=f"{name}-full")
+        net = build_network(train.shape, 10, seed=0, spacing=3,
+                            tag=f"{name}-full")
         n_params = parameter_count(net)
-        train_network(net, train, TrainConfig())
+        train_network(net, train, TrainConfig(), test)
         acc, loss = evaluate(net, test)
         parts.append(f"{name}: accuracy {acc:.4f}, loss {loss:.4f}, "
                      f"{n_params} params")

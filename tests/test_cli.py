@@ -118,6 +118,21 @@ class TestTrainBase:
                      "config.ini"):
             assert (base_run / name).is_file()
 
+    @pytest.mark.parametrize("grid, spacing", [("base", 6), ("full", 3)])
+    def test_grid_places_branches_on_its_spacing(self, tmp_path, config_file,
+                                                 grid, spacing):
+        from namgrow.data_io import base_grid_ranges
+
+        out = tmp_path / grid
+        code = main(["train-base", "--config", str(config_file),
+                     "--out-dir", str(out), "--grid", grid, "--epochs", "0"])
+        assert code == 0
+        doc = json.loads((out / "checkpoint.json").read_text())
+        windows = [tuple(rec["input_range"]) for rec in doc["branches"]]
+        assert windows == [r.as_tuple()
+                           for r in base_grid_ranges((1, 12, 12), spacing)]
+        assert {rec["activation"] for rec in doc["branches"]} == {"relu"}
+
     def test_epoch_csv_has_all_epochs(self, base_run):
         lines = (base_run / "epochs.csv").read_text().splitlines()
         assert lines[0] == "epoch,train_loss,eval_accuracy,eval_loss"
@@ -380,17 +395,95 @@ class TestClusterCache:
     def test_malformed_cache_is_a_data_error(self, tmp_path, config_file,
                                              base_run):
         bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        code = main(["grow", "--config", str(config_file),
-                     "--checkpoint", str(base_run / "checkpoint.json"),
-                     "--cluster-cache", str(bad),
-                     "--out-dir", str(tmp_path / "out"), "--seed", "3"])
-        assert code == 2
+        for text in ("{}", "[]"):
+            bad.write_text(text)
+            code = main(["grow", "--config", str(config_file),
+                         "--checkpoint", str(base_run / "checkpoint.json"),
+                         "--cluster-cache", str(bad),
+                         "--out-dir", str(tmp_path / "out"), "--seed", "3"])
+            assert code == 2
         code = main(["grow", "--config", str(config_file),
                      "--checkpoint", str(base_run / "checkpoint.json"),
                      "--cluster-cache", str(tmp_path / "absent.json"),
                      "--out-dir", str(tmp_path / "out"), "--seed", "3"])
         assert code == 2
+
+
+def _cache_class_out_of_range(rec):
+    rec["branch_class"] = 12
+
+
+def _cache_bool_class(rec):
+    rec["branch_class"] = True
+
+
+def _cache_narrow_centers(rec):
+    rec["centers"] = [row[:8] for row in rec["centers"]]
+
+
+def _cache_narrow_record(rec):
+    for key in ("sample_mean", "sample_min", "sample_max"):
+        rec[key] = rec[key][:8]
+    _cache_narrow_centers(rec)
+
+
+def _cache_no_centers(rec):
+    rec["centers"] = []
+
+
+def _cache_nan_center(rec):
+    rec["centers"][0][4] = float("nan")
+
+
+def _cache_short_max_outputs(rec):
+    rec["max_outputs"] = rec["max_outputs"][:-1]
+
+
+def _cache_min_above_max(rec):
+    rec["sample_min"], rec["sample_max"] = rec["sample_max"], rec["sample_min"]
+
+
+class TestMalformedClusterCaches:
+    """A cache record that does not fit the run is a data error (exit 2)
+    naming its branch and field, whether the cache itself is malformed or
+    it does not fit the checkpoint's branch MLPs."""
+
+    @pytest.mark.parametrize("command", ["grow", "transfer"])
+    @pytest.mark.parametrize("corrupt, message", [
+        (_cache_class_out_of_range, "cluster table branch 1 summary 2: "
+                                    "branch_class 12 is not below the "
+                                    "branch's 10 classes"),
+        (_cache_bool_class, "cluster cache branch 1 summary 2: branch_class "
+                            "True is not a class index"),
+        (_cache_narrow_centers, "cluster cache branch 1 summary 2: "
+                                "sample_mean has shape (9,), expected the "
+                                "centers' width (8,)"),
+        (_cache_narrow_record, "cluster table branch 1 summary 2: centers "
+                               "are 8 wide, the branch takes 9 inputs"),
+        (_cache_no_centers, "cluster cache branch 1 summary 2: centers have "
+                            "shape (0,), expected a non-empty matrix"),
+        (_cache_nan_center, "cluster cache branch 1 summary 2: centers are "
+                            "not all finite"),
+        (_cache_short_max_outputs, "cluster cache branch 1 summary 2: "
+                                   "max_outputs have shape"),
+        (_cache_min_above_max, "cluster cache branch 1 summary 2: "
+                               "sample_min exceeds sample_max"),
+    ])
+    def test_is_a_data_error_naming_the_branch(
+            self, tmp_path, config_file, base_run, cache_run, caplog,
+            command, corrupt, message):
+        doc = json.loads((cache_run / "cluster_cache.json").read_text())
+        corrupt(doc["branches"][1][2])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main([command, "--config", str(config_file),
+                     "--checkpoint", str(base_run / "checkpoint.json"),
+                     "--cluster-cache", str(bad),
+                     "--out-dir", str(tmp_path / "out"), "--seed", "3"])
+        assert code == 2
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].startswith(message), errors
 
 
 @pytest.fixture(scope="module")
@@ -687,6 +780,14 @@ def _zero_stats_std(doc, k):
     doc["branches"][k]["election_stats"]["std"][0] = 0.0
 
 
+def _drop_hidden_layers(doc, k):
+    doc["branches"][k]["hidden_layers"] = []
+
+
+def _linear_activation(doc, k):
+    doc["branches"][k]["activation"] = "linear"
+
+
 class TestMalformedCheckpoints:
     """Every structural defect of a checkpoint is a data error (exit 2)
     found at load time, whose message names the branch at fault."""
@@ -715,6 +816,10 @@ class TestMalformedCheckpoints:
                           "not finite"),
         (_zero_stats_std, "checkpoint branch {k}: election stats std is not "
                           "finite and positive"),
+        (_drop_hidden_layers, "checkpoint branch {k}: a branch MLP needs at "
+                              "least one hidden layer"),
+        (_linear_activation, "checkpoint branch {k}: activation 'linear' is "
+                             "not 'relu'"),
     ])
     def test_is_a_data_error_naming_the_branch(
             self, tmp_path, data_dir, transfer_run, caplog, corrupt,

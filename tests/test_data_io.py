@@ -12,7 +12,6 @@ from namgrow.data_io import (
     InputRange,
     base_grid_ranges,
     extract_patches,
-    full_perception_ranges,
     load_cifar10,
     load_cifar10_batch,
     load_mnist,
@@ -20,7 +19,9 @@ from namgrow.data_io import (
     range_flat_indices,
     sha256_file,
 )
-from oracles import extract_patch
+from oracles import extract_patch, full_perception_ranges, stride_one_ranges
+
+GRID_SHAPES = [(3, 32, 32), (1, 28, 28), (2, 10, 11), (1, 3, 3)]
 
 
 def write_cifar_batch(path, images_u8, labels):
@@ -155,7 +156,7 @@ def test_mnist_count_mismatch(tmp_path):
 
 
 def test_base_grid_counts_and_order():
-    ranges = base_grid_ranges((3, 32, 32))
+    ranges = base_grid_ranges((3, 32, 32), 6)
     assert len(ranges) == 75  # 3 channels x 5x5 grid at 6-pixel spacing
     assert ranges[0] == InputRange(0, 0, 0)
     assert ranges[1] == InputRange(0, 0, 6)    # columns fastest
@@ -166,10 +167,22 @@ def test_base_grid_counts_and_order():
 
 
 def test_full_perception_counts():
-    assert len(full_perception_ranges((3, 32, 32))) == 300  # 3 x 10 x 10
-    assert len(full_perception_ranges((1, 28, 28))) == 81   # 1 x 9 x 9
-    for r in full_perception_ranges((3, 32, 32)):
+    assert len(base_grid_ranges((3, 32, 32), 3)) == 300  # 3 x 10 x 10
+    assert len(base_grid_ranges((1, 28, 28), 3)) == 81   # 1 x 9 x 9
+    for r in base_grid_ranges((3, 32, 32), 3):
         assert r.row_start + r.size <= 32 and r.col_start + r.size <= 32
+
+
+@pytest.mark.parametrize("shape", GRID_SHAPES)
+def test_grid_at_spacing_3_is_the_full_perception_tiling(shape):
+    """range(0, h - 2, 3) and range(0, (h // 3) * 3, 3) list the same rows
+    for every h, so the dense tiling is the grid at spacing 3."""
+    assert base_grid_ranges(shape, 3) == full_perception_ranges(shape)
+
+
+@pytest.mark.parametrize("shape", GRID_SHAPES)
+def test_grid_at_spacing_1_is_the_stride_one_scan(shape):
+    assert base_grid_ranges(shape, 1) == stride_one_ranges(shape)
 
 
 def test_extract_patch_row_major():
@@ -184,7 +197,7 @@ def test_extract_patch_row_major():
 def test_extract_patches_matches_single():
     rng = np.random.default_rng(42)
     images = rng.uniform(-0.5, 0.5, size=(7, 3, 32, 32))
-    ranges = base_grid_ranges((3, 32, 32))[:10] + [InputRange(2, 29, 29)]
+    ranges = base_grid_ranges((3, 32, 32), 6)[:10] + [InputRange(2, 29, 29)]
     batch = extract_patches(images, ranges)
     assert batch.shape == (11, 7, 9)
     for k, r in enumerate(ranges):

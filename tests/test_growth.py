@@ -6,7 +6,8 @@ import pytest
 from namgrow import growth, matching
 from namgrow.checkpoint import network_to_json
 from namgrow.clustering import BranchClassClusters
-from namgrow.data_io import Dataset, InputRange, extract_patches
+from namgrow.data_io import Dataset, InputRange, base_grid_ranges, \
+    extract_patches
 from namgrow.growth import (
     BranchPoint,
     CandidateBranch,
@@ -14,7 +15,6 @@ from namgrow.growth import (
     IterationRecord,
     WindowScan,
     build_selection_set,
-    candidate_ranges,
     draw_reference_images,
     frozen_parameter_hash,
     grow_iteration,
@@ -66,8 +66,7 @@ def ramp_mlp(branch_class, scale=1.0, n_classes=N_CLASSES):
     layers += [DenseLayer(identity.copy(), np.zeros(9)) for _ in range(3)]
     out_w = np.zeros((n_classes, 9))
     out_w[branch_class] = scale / 9.0
-    return BranchMlp(hidden_layers=layers, output_layer=DenseLayer(out_w),
-                     activation="relu")
+    return BranchMlp(hidden_layers=layers, output_layer=DenseLayer(out_w))
 
 
 def constant_mlp(branch_class, value=0.5, n_classes=N_CLASSES):
@@ -76,8 +75,7 @@ def constant_mlp(branch_class, value=0.5, n_classes=N_CLASSES):
     layers += [DenseLayer(np.eye(9), np.zeros(9)) for _ in range(3)]
     out_w = np.zeros((n_classes, 9))
     out_w[branch_class] = value / 9.0
-    return BranchMlp(hidden_layers=layers, output_layer=DenseLayer(out_w),
-                     activation="relu")
+    return BranchMlp(hidden_layers=layers, output_layer=DenseLayer(out_w))
 
 
 def hand_candidate(mlp, branch_class, target_class, input_range=RANGE0):
@@ -107,14 +105,19 @@ def patch_mean_dataset(means_by_class, n_per_class, noise=0.02, seed=0,
 
 def fresh_state(mode="tuning", selection=None, test_set=None, train_set=None,
                 **config_kw):
+    """A growth run on an empty network; the selection set stands in for
+    the train and test splits that are not given."""
     config = GrowthConfig(selection_size=selection.n,
                           max_per_iteration=config_kw.pop("max_per_iteration", 64),
                           tuning_epochs=config_kw.pop("tuning_epochs", 2),
                           **config_kw)
     net = NamNetwork(n_classes=selection.n_classes,
                      input_shape=selection.shape, mode=mode)
-    return start_growth(net, selection, config, train_set=train_set,
-                        test_set=test_set), config
+    return start_growth(
+        net, selection, config,
+        train_set=selection if train_set is None else train_set,
+        test_set=selection if test_set is None else test_set,
+        rng=np.random.default_rng(config.seed)), config
 
 
 class TestSelectionSet:
@@ -162,12 +165,14 @@ class TestSelectionSet:
 
 
 class TestCandidateRanges:
+    """Growth scans the stride-1 grid."""
+
     def test_counts_match_geometry(self):
-        assert len(candidate_ranges((3, 32, 32))) == 2700
-        assert len(candidate_ranges((1, 28, 28))) == 676
+        assert len(base_grid_ranges((3, 32, 32), 1)) == 2700
+        assert len(base_grid_ranges((1, 28, 28), 1)) == 676
 
     def test_scan_order_row_major_channel_major(self):
-        ranges = candidate_ranges((2, 4, 4))
+        ranges = base_grid_ranges((2, 4, 4), 1)
         assert ranges[0] == InputRange(0, 0, 0)
         assert ranges[1] == InputRange(0, 0, 1)
         assert ranges[2] == InputRange(0, 1, 0)
@@ -192,7 +197,7 @@ def random_summary_pairs(rng, n_branches):
 
 def scan_candidates(ranges, images, pairs, mlps):
     """Every candidate the growth stream of a fresh scan yields."""
-    return list(WindowScan(ranges, images, pairs, mlps).stream(0))
+    return list(WindowScan(ranges, images, pairs, mlps, 0.8, False).stream(0))
 
 
 class TestMatchCandidates:
@@ -208,13 +213,14 @@ class TestMatchCandidates:
                   for c in range(N_CLASSES)}
 
         total = 0
-        for input_range in candidate_ranges((1, 6, 6)):
+        for input_range in base_grid_ranges((1, 6, 6), 1):
             got = scan_candidates([input_range], images, pairs, mlps)
             refs = {c: extract_patches(im, [input_range])[0]
                     for c, im in images.items()}
             best = {}
-            for res, (_, summary) in zip(match_all(input_range, refs, pairs),
-                                         pairs):
+            results = match_all(input_range, refs, pairs, 0.8,
+                                prepare_summaries(pairs))
+            for res, (_, summary) in zip(results, pairs):
                 cur = best.get(res.target_class)
                 if res.matched and (cur is None
                                     or res.distance < cur[0].distance):
@@ -253,7 +259,7 @@ class TestMatchCandidates:
         mlps = {b: init_branch_mlp(rng, N_CLASSES) for b in range(4)}
         images = {c: rng.uniform(-0.5, 0.5, size=(15, 1, 6, 6))
                   for c in range(N_CLASSES)}
-        ranges = candidate_ranges((1, 6, 6))
+        ranges = base_grid_ranges((1, 6, 6), 1)
 
         def fields(cand):
             return (cand.source_branch_id, cand.branch_class,
@@ -261,7 +267,7 @@ class TestMatchCandidates:
                     cand.first_layer_weights.tobytes(),
                     cand.first_layer_bias.tobytes(), id(cand.source_mlp))
 
-        scan = WindowScan(ranges, images, pairs, mlps, per_branch=True)
+        scan = WindowScan(ranges, images, pairs, mlps, 0.8, True)
         lengths = []
         for branch_id in range(4):
             got = [fields(c) for c in scan.stream(branch_id)]
@@ -290,10 +296,11 @@ class TestMatchCandidates:
                     for c in range(N_CLASSES)}
             for c, patch in refs.items():
                 assert np.all(normalize_sorted(patch)[0] == 0.0)
-            assert not any(res.matched
-                           for res in match_all(window, refs, pairs))
-            assert match_candidates(window, images, pairs,
-                                    prepare_summaries(pairs)) == []
+            prepared = prepare_summaries(pairs)
+            assert not any(res.matched for res in
+                           match_all(window, refs, pairs, 0.8, prepared))
+            assert match_candidates(window, images, pairs, prepared, 0.8,
+                                    False) == []
 
     def test_flat_reference_windows_transfer_finite_weights(self):
         """References that are constant across a window, as on MNIST
@@ -496,11 +503,18 @@ class TestTuneMasks:
             frozen_logits[:, br.target_class] -= apply_class_mask(br.mask, r)
         return frozen_logits, raw
 
+    def tune(self, net, data, epochs, seed=0):
+        """tune_masks at GrowthConfig's default learning rate and batch."""
+        config = GrowthConfig()
+        return tune_masks(net, data, epochs, *self.tuning_inputs(net, data),
+                          learning_rate=config.mask_learning_rate,
+                          batch_size=config.mask_batch_size, seed=seed)
+
     def test_zero_epochs_bit_identical(self):
         data = patch_mean_dataset([0.4, -0.2, -0.4], 20, seed=3)
         net = self.grown_network(data)
         before = network_to_json(net)
-        tune_masks(net, data, 0, *self.tuning_inputs(net, data))
+        self.tune(net, data, 0)
         assert network_to_json(net) == before
 
     def test_gradients_match_finite_differences(self):
@@ -538,7 +552,7 @@ class TestTuneMasks:
                  if br.mask is not None and not br.mask_frozen]
         ab_before = [(br.mask.a, br.mask.b) for br in tuned]
 
-        tune_masks(net, data, 2, *self.tuning_inputs(net, data), seed=1)
+        self.tune(net, data, 2, seed=1)
 
         assert frozen_parameter_hash(net.branches) == hash_before
         assert (frozen_branch.mask.a, frozen_branch.mask.b) == frozen_before
@@ -553,7 +567,7 @@ class TestTuneMasks:
         results = []
         for _ in range(2):
             net = self.grown_network(data)
-            tune_masks(net, data, 3, *self.tuning_inputs(net, data), seed=9)
+            self.tune(net, data, 3, seed=9)
             results.append(network_to_json(net))
         assert results[0] == results[1]
 
@@ -666,7 +680,7 @@ class TestScoreCaches:
                                     train_set=train, max_per_iteration=1,
                                     tuning_epochs=1)
         candidates = iter([hand_candidate(ramp_mlp(1), 1, target, r)
-                           for r in candidate_ranges(selection.shape)
+                           for r in base_grid_ranges(selection.shape, 1)
                            for target in range(N_CLASSES)])
         kept = rolled_back = 0
         while True:
@@ -715,7 +729,7 @@ class TestScoreCaches:
                                     max_per_iteration=2, tuning_epochs=1)
         source = ramp_mlp(1)
         candidates = iter([hand_candidate(source, 1, target, r)
-                           for r in candidate_ranges(selection.shape)
+                           for r in base_grid_ranges(selection.shape, 1)
                            for target in range(N_CLASSES)])
         while grow_iteration(state, candidates, config).candidates_seen:
             pass
@@ -753,7 +767,7 @@ class TestScoreCaches:
 
         monkeypatch.setattr(growth, "qualify", recording_qualify)
         candidates = iter([hand_candidate(ramp_mlp(1), 1, target, r)
-                           for r in candidate_ranges(selection.shape)
+                           for r in base_grid_ranges(selection.shape, 1)
                            for target in range(N_CLASSES)])
         rows = np.arange(selection.n)
         most_qualified = 0
@@ -882,4 +896,6 @@ class TestGrowIterationElection:
                                 "rejected", "selection_loss", "test_loss",
                                 "test_accuracy", "branch_count",
                                 "parameter_count"]
-        assert parsed["test_loss"] is None  # no test set attached
+        # the selection set is the test split here: the empty network
+        # scores every class alike
+        assert parsed["test_loss"] == pytest.approx(np.log(N_CLASSES))

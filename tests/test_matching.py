@@ -209,6 +209,13 @@ def summary_from_shape(shape, scale, shift, branch_class=0):
     )
 
 
+def match(input_range, refs, candidates):
+    """match_all at the default keep fraction, on freshly prepared
+    summaries."""
+    return match_all(input_range, refs, candidates, 0.8,
+                     prepare_summaries(candidates))
+
+
 def test_match_all_prefers_constructed_class():
     rng = np.random.default_rng(42)
     shape_a = canonical_shape(rng, 20)
@@ -219,7 +226,7 @@ def test_match_all_prefers_constructed_class():
     refs = {0: shape_a * 1.3 + np.linspace(-1, 1, 9),
             1: shape_b * 0.7 + np.linspace(0, 2, 9)}
     cand = summary_from_shape(shape_a, scale, shift)
-    results = match_all(InputRange(0, 0, 0), refs, [(5, cand)])
+    results = match(InputRange(0, 0, 0), refs, [(5, cand)])
     assert len(results) == 1
     r = results[0]
     assert r.matched and r.branch_id == 5 and r.target_class == 0
@@ -232,7 +239,7 @@ def test_match_all_tie_gives_no_match():
     shape = canonical_shape(rng, 15)
     refs = {0: shape.copy(), 1: shape.copy()}  # identical -> equal distances
     cand = summary_from_shape(shape, np.ones(9), np.linspace(0, 1, 9))
-    results = match_all(InputRange(0, 0, 0), refs, [(0, cand)])
+    results = match(InputRange(0, 0, 0), refs, [(0, cand)])
     assert not results[0].matched
     assert results[0].target_class is None
 
@@ -247,7 +254,7 @@ def test_match_all_three_way_assignment_matches_exhaustive_oracle():
         candidates.append(
             (k, summary_from_shape(shapes[k], np.full(9, 1.5),
                                    np.linspace(-0.4, 0.4, 9), branch_class=k)))
-    results = match_all(InputRange(1, 2, 3), refs, candidates)
+    results = match(InputRange(1, 2, 3), refs, candidates)
 
     from namgrow.matching import stats_from_summary as sfs
     for r, (k, summary) in zip(results, candidates):
@@ -267,8 +274,8 @@ def test_match_all_is_deterministic():
     shape = canonical_shape(rng, 10)
     refs = {0: rng.normal(size=(12, 9)), 1: rng.normal(size=(12, 9))}
     cand = [(0, summary_from_shape(shape, np.ones(9), np.zeros(9)))]
-    a = match_all(InputRange(0, 0, 0), refs, cand)
-    b = match_all(InputRange(0, 0, 0), refs, cand)
+    a = match(InputRange(0, 0, 0), refs, cand)
+    b = match(InputRange(0, 0, 0), refs, cand)
     assert a[0].matched == b[0].matched
     assert a[0].distance == b[0].distance
     assert a[0].class_distances == b[0].class_distances
@@ -376,9 +383,7 @@ def test_match_all_equals_oracle_exactly(case, block_entries, monkeypatch):
 
 def test_match_all_without_candidates_is_empty():
     refs = random_refs(np.random.default_rng(0), [5, 5])
-    assert match_all(InputRange(0, 0, 0), refs, []) == []
-    assert match_all(InputRange(0, 0, 0), refs, [],
-                     prepared=prepare_summaries([])) == []
+    assert match(InputRange(0, 0, 0), refs, []) == []
 
 
 def test_prepare_summaries_rejects_non_finite_centers():
@@ -394,7 +399,7 @@ def test_match_all_rejects_prepared_side_of_other_candidates():
     candidates = [(0, random_summary(rng, 4)), (1, random_summary(rng, 5))]
     with pytest.raises(ValueError, match="do not match"):
         match_all(InputRange(0, 0, 0), random_refs(rng, [5, 5]),
-                  candidates, prepared=prepare_summaries(candidates[:1]))
+                  candidates, 0.8, prepare_summaries(candidates[:1]))
 
 
 # ------------------------------------------------------- parameter transfer

@@ -13,9 +13,8 @@ from namgrow.nam_model import (
     ElectionStats,
     NamNetwork,
     apply_class_mask,
-    build_base_network,
-    build_full_perception_network,
     branch_raw_scalar_batch,
+    build_network,
     class_mask_grads,
     elect_batch,
     evaluate,
@@ -68,7 +67,7 @@ def test_two_identical_branches_double_logits():
 
 def test_forward_matches_brute_force_sum_over_75_branches():
     rng = np.random.default_rng(42)
-    net = build_base_network(SHAPE, 10, seed=123)
+    net = build_network(SHAPE, 10, seed=123, spacing=6, tag="")
     assert net.n_branches == 75
     img = random_images(rng, 1)[0]
     expected = np.zeros(10)
@@ -80,7 +79,7 @@ def test_forward_matches_brute_force_sum_over_75_branches():
 
 def test_forward_additivity_over_partitions():
     rng = np.random.default_rng(5)
-    net = build_base_network(SHAPE, 10, seed=9)
+    net = build_network(SHAPE, 10, seed=9, spacing=6, tag="")
     img = random_images(rng, 3)
     full = network_forward_batch(net, img)
     for cut in (1, 20, 74):
@@ -387,11 +386,11 @@ def test_elect_argmax_invariant_under_common_scaling():
 # ---------------------------------------------------------------- counting
 
 def test_parameter_count_accounting():
-    net = build_base_network(SHAPE, 10, seed=0)
+    net = build_network(SHAPE, 10, seed=0, spacing=6, tag="")
     assert parameter_count(net) == 75 * 450
-    full = build_full_perception_network(SHAPE, 10, seed=0)
+    full = build_network(SHAPE, 10, seed=0, spacing=3, tag="")
     assert parameter_count(full) == 300 * 450
-    mnist_full = build_full_perception_network((1, 28, 28), 10, seed=0)
+    mnist_full = build_network((1, 28, 28), 10, seed=0, spacing=3, tag="")
     assert parameter_count(mnist_full) == 81 * 450
 
     rng = np.random.default_rng(1)
@@ -402,9 +401,9 @@ def test_parameter_count_accounting():
 
 
 def test_build_base_network_deterministic_by_seed():
-    a = build_base_network(SHAPE, 10, seed=42)
-    b = build_base_network(SHAPE, 10, seed=42)
-    c = build_base_network(SHAPE, 10, seed=43)
+    a = build_network(SHAPE, 10, seed=42, spacing=6, tag="")
+    b = build_network(SHAPE, 10, seed=42, spacing=6, tag="")
+    c = build_network(SHAPE, 10, seed=43, spacing=6, tag="")
     np.testing.assert_array_equal(a.branches[0].mlp.hidden_layers[0].weights,
                                   b.branches[0].mlp.hidden_layers[0].weights)
     assert not np.array_equal(a.branches[0].mlp.hidden_layers[0].weights,
@@ -416,7 +415,7 @@ def test_build_base_network_deterministic_by_seed():
 
 def test_evaluate_tuning_mode():
     rng = np.random.default_rng(6)
-    net = build_base_network(SHAPE, 10, seed=2)
+    net = build_network(SHAPE, 10, seed=2, spacing=6, tag="")
     ds = Dataset(random_images(rng, 30), rng.integers(0, 10, size=30), "t", 10)
     acc, loss = evaluate(net, ds)
     assert 0.0 <= acc <= 1.0 and np.isfinite(loss)
@@ -487,7 +486,7 @@ def test_checkpoint_values_lossless(tmp_path):
 
 
 def test_checkpoint_tuning_net_without_stats():
-    net = build_base_network((1, 28, 28), 10, seed=5, tag="x")
+    net = build_network((1, 28, 28), 10, seed=5, spacing=6, tag="x")
     text = network_to_json(net)
     loaded = network_from_json(text)
     assert loaded.election_stats is None

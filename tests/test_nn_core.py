@@ -16,6 +16,7 @@ from namgrow.nn_core import (
     softmax_cross_entropy_loss,
 )
 from oracles import (
+    branch_mlp,
     mlp_backward,
     mlp_forward,
     mlp_forward_batch_row_major,
@@ -36,7 +37,7 @@ def naive_forward(mlp, x):
             acc = float(layer.bias[i])
             for j in range(layer.in_dim):
                 acc += float(layer.weights[i, j]) * h[j]
-            if mlp.activation == "relu" and acc < 0.0:
+            if acc < 0.0:
                 acc = 0.0
             out.append(acc)
         h = out
@@ -85,19 +86,29 @@ def test_forward_batch_matches_single():
     np.testing.assert_allclose(batch, singles, rtol=0, atol=1e-12)
 
 
+def test_init_branch_mlp_is_the_oracle_builder_at_its_defaults():
+    """The library's fixed 9-wide, four-layer builder draws the same MLP
+    as the tests' builder at its defaults."""
+    got = init_branch_mlp(np.random.default_rng(3), 10)
+    want = branch_mlp(np.random.default_rng(3), 10)
+    assert len(got.hidden_layers) == 4
+    for a, b in zip([*got.hidden_layers, got.output_layer],
+                    [*want.hidden_layers, want.output_layer]):
+        assert np.array_equal(a.weights, b.weights)
+        assert (a.bias is None and b.bias is None
+                or np.array_equal(a.bias, b.bias))
+
+
 def _kernel_mlps(hidden_width=9):
-    """relu and linear MLPs on 9-pixel windows with nonzero biases, and an
-    MLP with no hidden layer at all."""
+    """MLPs of several depths on 9-pixel windows, with nonzero biases."""
     rng = np.random.default_rng(2024)
     mlps = []
-    for activation in ("relu", "linear"):
-        for n_hidden, n_classes in ((4, 10), (2, 3), (1, 7), (3, 2)):
-            mlp = init_branch_mlp(rng, n_classes, hidden_width=hidden_width,
-                                  n_hidden=n_hidden, activation=activation)
-            for layer in mlp.hidden_layers:
-                layer.bias[:] = rng.normal(scale=0.3, size=layer.bias.shape)
-            mlps.append(mlp)
-    mlps.append(init_branch_mlp(rng, 10, n_hidden=0))
+    for n_hidden, n_classes in ((4, 10), (2, 3), (1, 7), (3, 2)):
+        mlp = branch_mlp(rng, n_classes, hidden_width=hidden_width,
+                         n_hidden=n_hidden)
+        for layer in mlp.hidden_layers:
+            layer.bias[:] = rng.normal(scale=0.3, size=layer.bias.shape)
+        mlps.append(mlp)
     return mlps
 
 
@@ -114,7 +125,8 @@ def test_forward_batch_is_bit_equal_to_row_major_forward(order):
             want = mlp_forward_batch_row_major(mlp, x)
             assert got.shape == (n, mlp.n_classes)
             assert got.flags.c_contiguous
-            assert np.array_equal(got, want), (mlp.activation, n, order)
+            assert np.array_equal(got, want), (len(mlp.hidden_layers), n,
+                                               order)
 
 
 def test_forward_batch_of_wide_mlps_agrees_to_rounding():
@@ -337,8 +349,11 @@ def test_dense_layer_validation():
         DenseLayer(np.ones((3, 2)), np.ones(2))  # bias length mismatch
     with pytest.raises(ValueError):
         DenseLayer(np.array([[np.nan]]))
-    with pytest.raises(ValueError):
-        BranchMlp([], DenseLayer(np.ones((2, 9)), np.ones(2)))  # biased output
+    with pytest.raises(ValueError, match="bias-free"):
+        BranchMlp([DenseLayer(np.ones((9, 9)), np.ones(9))],
+                  DenseLayer(np.ones((2, 9)), np.ones(2)))
+    with pytest.raises(ValueError, match="at least one hidden layer"):
+        BranchMlp([], DenseLayer(np.ones((2, 9))))
 
 
 def test_forward_rejects_bad_shapes():

@@ -68,7 +68,7 @@ def make_base_network(train_set, seed=0):
                      branches=branches, tag="task-a-base")
     train_network(net, train_set,
                   TrainConfig(epochs=15, batch_size=32, learning_rate=3e-3,
-                              seed=seed))
+                              seed=seed), train_set)
     return net
 
 
@@ -154,14 +154,14 @@ class TestGrowthRun:
         assert evaluate(restored, task_a[1]) == evaluate(grown.net, task_a[1])
 
     def test_mode_guards(self, task_a, base_net):
-        train, _ = task_a
+        train, test = task_a
         election_net = copy.deepcopy(base_net)
         election_net.mode = "election"
         with pytest.raises(ValueError, match="tuning"):
-            run_growth(election_net, train, small_growth_config())
+            run_growth(election_net, train, small_growth_config(), test)
         bare = NamNetwork(n_classes=N_CLASSES, input_shape=SHAPE, mode="tuning")
         with pytest.raises(ValueError, match="base"):
-            run_growth(bare, train, small_growth_config())
+            run_growth(bare, train, small_growth_config(), test)
 
     def test_moved_base_weight_is_caught(self, task_a, base_net, monkeypatch):
         """run_growth hashes the branches it starts from on entry and again
@@ -220,7 +220,7 @@ class TestGrowthRun:
             if total >= seen:
                 last = index
                 break
-        ranges = growth.candidate_ranges(SHAPE)
+        ranges = base_grid_ranges(SHAPE, 1)
         assert [r for r, _ in windows] == ranges[:len(windows)]
         assert matched == ranges[:last + 1]
         assert last + 1 < len(ranges)
@@ -300,7 +300,7 @@ class TestTransferRun:
         bare = NamNetwork(n_classes=N_CLASSES, input_shape=SHAPE,
                           mode="election")
         with pytest.raises(ValueError, match="branches"):
-            transfer_task(bare, task_b[0], small_growth_config())
+            transfer_task(bare, task_b[0], small_growth_config(), task_b[1])
 
     def test_branch_without_candidates_gets_one_iteration(
             self, grown, task_b, monkeypatch):

@@ -148,7 +148,7 @@ class TestTrainNetwork:
         net = small_network(seed=0)
         data = synthetic_dataset(512, seed=9)
         config = TrainConfig(epochs=8, batch_size=64, learning_rate=3e-3, seed=1)
-        history = train_network(net, data, config)
+        history = train_network(net, data, config, data)
         assert isinstance(history[0], EpochMetrics)
         assert history[-1].train_loss < history[0].train_loss
         acc, _ = evaluate(net, data)
@@ -160,7 +160,7 @@ class TestTrainNetwork:
         runs = []
         for _ in range(2):
             net = small_network(seed=21)
-            history = train_network(net, data, config)
+            history = train_network(net, data, config, data)
             runs.append((history, network_forward_batch(net, data.images)))
         assert runs[0][0] == runs[1][0]
         np.testing.assert_array_equal(runs[0][1], runs[1][1])
@@ -170,7 +170,7 @@ class TestTrainNetwork:
         data = synthetic_dataset(32, seed=6)
         before = network_forward_batch(net, data.images)
         reset_optimizer_step_count()
-        history = train_network(net, data, TrainConfig(epochs=0))
+        history = train_network(net, data, TrainConfig(epochs=0), data)
         assert history == []
         assert optimizer_step_count() == 0
         np.testing.assert_array_equal(before, network_forward_batch(net, data.images))
@@ -179,14 +179,15 @@ class TestTrainNetwork:
         net = small_network(seed=6)
         data = synthetic_dataset(70, seed=7)
         reset_optimizer_step_count()
-        train_network(net, data, TrainConfig(epochs=2, batch_size=32))
+        train_network(net, data, TrainConfig(epochs=2, batch_size=32), data)
         # 70 samples in batches of 32 -> 3 batches per epoch.
         assert optimizer_step_count() == 6
 
     def test_evaluate_stacked_agrees_with_network_evaluate(self):
         net = small_network(seed=8)
         data = synthetic_dataset(64, seed=8)
-        train_network(net, data, TrainConfig(epochs=1, batch_size=16, seed=2))
+        config = TrainConfig(epochs=1, batch_size=16, seed=2)
+        train_network(net, data, config, data)
         stacked = stack_network(net)
         acc_s, loss_s = evaluate_stacked(stacked, net, data)
         acc_n, loss_n = evaluate(net, data)
@@ -203,7 +204,7 @@ class TestTrainNetwork:
             n_classes=N_CLASSES + 2,
         )
         with pytest.raises(ValueError, match="class count"):
-            train_network(net, bad, TrainConfig(epochs=1))
+            train_network(net, bad, TrainConfig(epochs=1), bad)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
