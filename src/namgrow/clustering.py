@@ -40,6 +40,8 @@ class ClusterConfig:
             raise ValueError("min shift distance must be below neighbor distance")
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
+        if self.max_shift_iterations < 1:
+            raise ValueError("max_shift_iterations must be >= 1")
 
 
 @dataclass
@@ -53,14 +55,6 @@ class BranchPairs:
     @property
     def n(self) -> int:
         return self.samples.shape[0]
-
-
-@dataclass
-class Cluster:
-    branch_class: int
-    center: np.ndarray            # original (un-standardized) space
-    max_output: float
-    member_indices: np.ndarray    # indices into the retained pair arrays
 
 
 def generate_branch_pairs(mlp: BranchMlp, n_samples: int,
@@ -85,8 +79,9 @@ def generate_branch_pairs(mlp: BranchMlp, n_samples: int,
 
 
 def mean_shift_step(point: np.ndarray, samples: np.ndarray,
-                    cov: np.ndarray) -> np.ndarray:
-    """Kernel-weighted average of the samples around `point`.
+                    variances: np.ndarray) -> np.ndarray:
+    """Kernel-weighted average of the samples around `point`, under a
+    Gaussian kernel with the given per-dimension variances.
 
     If every weight underflows to zero (point far from all mass), snap to the
     nearest sample instead of producing NaNs.
@@ -94,8 +89,8 @@ def mean_shift_step(point: np.ndarray, samples: np.ndarray,
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if samples.shape[0] == 0:
         raise ValueError("empty sample set")
-    diag = np.diag(np.atleast_2d(np.asarray(cov, dtype=np.float64)))
-    d2 = np.sum(np.square(point[None, :] - samples) / diag[None, :], axis=1)
+    d2 = np.sum(np.square(point[None, :] - samples) / variances[None, :],
+                axis=1)
     weights = np.exp(-0.5 * d2)
     z = weights.sum()
     if z == 0.0:
@@ -111,20 +106,20 @@ def standardize(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def cluster_branch_class(pairs: BranchPairs, config: ClusterConfig,
-                         rng: np.random.Generator) -> list[Cluster]:
-    """Partition one branch-class's retained pairs into mean-shift clusters."""
+                         rng: np.random.Generator) -> BranchClassClusters:
+    """Partition one branch-class's retained pairs into mean-shift clusters
+    and summarize each by its member with the highest class-output."""
     if pairs.n == 0:
         raise ValueError("no pairs to cluster")
     normed, _, _ = standardize(pairs.samples)
-    diag = np.full(normed.shape[1], config.bandwidth ** 2)
-    cov = np.diag(diag)
+    variances = np.full(normed.shape[1], config.bandwidth ** 2)
     alive = np.arange(pairs.n)
-    clusters: list[Cluster] = []
+    best = []
     while alive.size > 0:
         start = alive[int(rng.integers(alive.size))]
         point = normed[start].copy()
         for _ in range(config.max_shift_iterations):
-            shifted = mean_shift_step(point, normed[alive], cov)
+            shifted = mean_shift_step(point, normed[alive], variances)
             shift_distance = float(np.linalg.norm(shifted - point))
             point = shifted
             if shift_distance <= config.min_shift_distance:
@@ -134,16 +129,17 @@ def cluster_branch_class(pairs: BranchPairs, config: ClusterConfig,
         if not near.any():
             near[int(np.argmin(dists))] = True  # claim the nearest: progress
         members = alive[near]
-        outs = pairs.outputs[members]
-        best = members[int(np.argmax(outs))]
-        clusters.append(Cluster(
-            branch_class=pairs.branch_class,
-            center=pairs.samples[best].copy(),
-            max_output=float(pairs.outputs[best]),
-            member_indices=members.copy(),
-        ))
+        best.append(members[int(np.argmax(pairs.outputs[members]))])
         alive = alive[~near]
-    return clusters
+    return BranchClassClusters(
+        branch_class=pairs.branch_class,
+        centers=pairs.samples[best],
+        max_outputs=pairs.outputs[best],
+        sample_mean=pairs.samples.mean(axis=0),
+        sample_min=pairs.samples.min(axis=0),
+        sample_max=pairs.samples.max(axis=0),
+        n_pairs=pairs.n,
+    )
 
 
 @dataclass
@@ -164,29 +160,13 @@ class BranchClassClusters:
         return self.centers.shape[0]
 
 
-def summarize_clusters(pairs: BranchPairs,
-                       clusters: list[Cluster]) -> BranchClassClusters:
-    return BranchClassClusters(
-        branch_class=pairs.branch_class,
-        centers=np.stack([c.center for c in clusters]),
-        max_outputs=np.array([c.max_output for c in clusters]),
-        sample_mean=pairs.samples.mean(axis=0),
-        sample_min=pairs.samples.min(axis=0),
-        sample_max=pairs.samples.max(axis=0),
-        n_pairs=pairs.n,
-    )
-
-
 def cluster_branch_mlp(mlp: BranchMlp, config: ClusterConfig,
                        seed) -> list[BranchClassClusters]:
-    """Pairs -> clusters -> summaries for every class of one branch."""
+    """Pairs -> cluster summaries for every class of one branch."""
     rng = np.random.default_rng(seed)
-    out = []
-    for pairs in generate_branch_pairs(mlp, config.n_samples, rng,
-                                       config.top_fraction):
-        clusters = cluster_branch_class(pairs, config, rng)
-        out.append(summarize_clusters(pairs, clusters))
-    return out
+    return [cluster_branch_class(pairs, config, rng)
+            for pairs in generate_branch_pairs(mlp, config.n_samples, rng,
+                                               config.top_fraction)]
 
 
 def cluster_network(branch_mlps: list[BranchMlp], config: ClusterConfig,
@@ -222,8 +202,9 @@ def clusters_to_json(table: list[list[BranchClassClusters]]) -> str:
 
 def _summary_from_record(rec: dict) -> BranchClassClusters:
     """One cache record, checked field by field: a class index, at least
-    one finite center, one finite max_output per center, and finite sample
-    statistics of the centers' width with min <= max."""
+    one finite center, one finite max_output per center, finite sample
+    statistics of the centers' width with min <= max, and at least one
+    retained pair per center."""
     c = rec["branch_class"]
     if isinstance(c, bool) or not isinstance(c, int) or c < 0:
         raise ValueError(f"branch_class {c!r} is not a class index")
@@ -247,8 +228,12 @@ def _summary_from_record(rec: dict) -> BranchClassClusters:
             raise ValueError(f"{name} are not all finite")
     if np.any(fields["sample_min"] > fields["sample_max"]):
         raise ValueError("sample_min exceeds sample_max")
-    return BranchClassClusters(branch_class=c, n_pairs=rec["n_pairs"],
-                               **fields)
+    n_pairs = rec["n_pairs"]
+    if (isinstance(n_pairs, bool) or not isinstance(n_pairs, int)
+            or n_pairs < centers.shape[0]):
+        raise ValueError(f"n_pairs {n_pairs!r} is not an integer of at least "
+                         f"the {centers.shape[0]} centers")
+    return BranchClassClusters(branch_class=c, n_pairs=n_pairs, **fields)
 
 
 def clusters_from_json(text: str) -> list[list[BranchClassClusters]]:

@@ -89,6 +89,10 @@ class GrowthConfig:
             raise ValueError("max_per_iteration must be >= 1")
         if self.tuning_epochs < 0:
             raise ValueError("tuning_epochs must be >= 0")
+        if not self.mask_learning_rate > 0.0:
+            raise ValueError("mask_learning_rate must be positive")
+        if self.mask_batch_size < 1:
+            raise ValueError("mask_batch_size must be >= 1")
         if not 0.0 < self.top_fraction < 1.0:
             raise ValueError("top_fraction must be in (0, 1)")
         if not 0.0 < self.keep_fraction <= 1.0:
@@ -154,16 +158,16 @@ class Winner(NamedTuple):
 @dataclass
 class CandidateBranch:
     """A matched placement: source branch, its class, and the target class
-    at one input range, with the transferred first layer attached."""
+    at one input range.  `mlp` is the transferred first layer on top of the
+    source's deeper layers, sharing their arrays: copy it before keeping
+    it."""
 
     source_branch_id: int
     branch_class: int
     target_class: int
     input_range: InputRange
     distance: float
-    first_layer_weights: np.ndarray
-    first_layer_bias: np.ndarray
-    source_mlp: BranchMlp
+    mlp: BranchMlp
 
 
 @dataclass
@@ -248,8 +252,8 @@ def match_candidates(input_range: InputRange, ref_images_by_class,
     """
     refs = {c: extract_patches(images, [input_range])[0]
             for c, images in ref_images_by_class.items()}
-    results = match_all(input_range, refs, summary_pairs,
-                        keep_fraction=keep_fraction, prepared=prepared)
+    results = match_all(refs, summary_pairs, keep_fraction=keep_fraction,
+                        prepared=prepared)
     best = {}
     for i, res in enumerate(results):
         if not res.matched:
@@ -310,29 +314,19 @@ class WindowScan:
                 yield self._transfer(queue.popleft())
 
     def _transfer(self, winner: Winner) -> CandidateBranch:
-        mlp = self.source_mlps[winner.source_branch_id]
-        w, b = transfer_first_layer(mlp.hidden_layers[0],
-                                    self.prepared.stats[winner.row],
-                                    winner.ref_stats)
+        source = self.source_mlps[winner.source_branch_id]
+        first = DenseLayer(*transfer_first_layer(
+            source.hidden_layers[0], self.prepared.stats[winner.row],
+            winner.ref_stats))
         return CandidateBranch(
             source_branch_id=winner.source_branch_id,
             branch_class=self.pairs[winner.row][1].branch_class,
             target_class=winner.target_class,
             input_range=winner.input_range,
             distance=winner.distance,
-            first_layer_weights=w,
-            first_layer_bias=b,
-            source_mlp=mlp,
+            mlp=BranchMlp([first, *source.hidden_layers[1:]],
+                          source.output_layer),
         )
-
-
-def _candidate_view(candidate: CandidateBranch) -> BranchMlp:
-    """The source MLP with the transferred first hidden layer installed,
-    sharing every array: copy it before keeping it."""
-    source = candidate.source_mlp
-    first = DenseLayer(candidate.first_layer_weights,
-                       candidate.first_layer_bias)
-    return BranchMlp([first, *source.hidden_layers[1:]], source.output_layer)
 
 
 def _scores(net: NamNetwork, images: np.ndarray, forward) -> np.ndarray:
@@ -383,7 +377,6 @@ def _flag_stat_rows(p: float, target_class: int,
 @dataclass
 class _Tentative:
     branch: Branch
-    candidate: CandidateBranch
     values_sel: np.ndarray
     record: dict
 
@@ -409,8 +402,7 @@ def grow_iteration(state: GrowthState, candidates, config: GrowthConfig
             memo_range = cand.input_range
             memo_patches = extract_patches(state.selection.images,
                                            [cand.input_range])[0]
-        view = _candidate_view(cand)
-        values = mlp_forward_batch(view, memo_patches)[:, cand.branch_class]
+        values = mlp_forward_batch(cand.mlp, memo_patches)[:, cand.branch_class]
         thd = branch_threshold(values, config.top_fraction)
         v_span = float(values.max() - thd)
         record = {
@@ -429,20 +421,20 @@ def grow_iteration(state: GrowthState, candidates, config: GrowthConfig
             record["reason"] = "no output spread above threshold"
             rejected_records.append(record)
             continue
-        report = qualify(values, labels, cand.target_class, votes, mode,
-                         thd=thd, n_classes=net.n_classes)
+        report = qualify(values, labels, cand.target_class, votes, mode, thd,
+                         net.n_classes)
         record["qualified"] = bool(report.verdict)
         if not report.verdict:
             rejected_records.append(record)
             continue
-        branch = Branch(mlp=view.copy(), input_range=cand.input_range,
+        branch = Branch(mlp=cand.mlp.copy(), input_range=cand.input_range,
                         branch_class=cand.branch_class,
                         target_class=cand.target_class,
                         mask=ClassMask(1.0, 0.0, thd, v_span),
                         origin="grown" if mode == "tuning" else "transferred")
         on = labels == cand.target_class
         votes[on] += added_branch_output(branch, values, mode)[on]
-        tentative.append(_Tentative(branch, cand, values, record))
+        tentative.append(_Tentative(branch, values, record))
         if len(tentative) >= config.max_per_iteration:
             break
 

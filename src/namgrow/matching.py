@@ -13,11 +13,11 @@ if they were its own training distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .clustering import BranchClassClusters
-from .data_io import InputRange
 from .nn_core import DenseLayer
 
 RANGE_FLOOR = 1e-8  # per-dimension span floor for flat dimensions
@@ -116,17 +116,6 @@ def partial_average_distance(ref_samples: np.ndarray, centers: np.ndarray,
     kept = np.argsort(dist, kind="stable")[:n_keep]
     d = float(np.sum(weights[nearest[kept]] * dist[kept]) / n_keep)
     return d, kept
-
-
-@dataclass
-class MatchResult:
-    branch_id: int
-    branch_class: int
-    reference_range: InputRange
-    target_class: int | None          # None when the argmin is tied
-    distance: float
-    class_distances: dict             # reference class -> d, for audit
-    matched: bool
 
 
 def transfer_first_layer(layer: DenseLayer,
@@ -319,33 +308,27 @@ def _nearest_centers(prepared: PreparedSummaries, refs: np.ndarray
     return nearest, sq_dist
 
 
-def match_all(reference_range: InputRange,
-              ref_samples_by_class: dict[int, np.ndarray],
-              candidates: list[tuple[int, BranchClassClusters]],
-              keep_fraction: float,
-              prepared: PreparedSummaries) -> list[MatchResult]:
-    """Best reference class per (branch, branch-class) at one input range.
+class MatchResult(NamedTuple):
+    branch_id: int
+    target_class: int | None          # None when the argmin is tied
+    distance: float
+    matched: bool
 
-    candidates are (branch_id, cluster summary) pairs.  A candidate matches
-    the reference class with strictly the smallest partial average distance;
-    an exact tie yields no match.  `prepared` is
-    `prepare_summaries(candidates)`, built once for every range; its `stats`
-    are what `transfer_first_layer` needs on the branch side.
+
+def class_distances(ref_samples_by_class: dict[int, np.ndarray],
+                    prepared: PreparedSummaries,
+                    keep_fraction: float) -> np.ndarray:
+    """[n_summaries, n_classes] partial average distances, reference classes
+    in ascending order.
 
     All summaries are scored against all classes at once; the distances are
     bit-for-bit those of `partial_average_distance`.
     """
-    if len(prepared.stats) != len(candidates):
-        raise ValueError("prepared summaries do not match the candidates")
-    if not candidates:
-        return []
-    classes = sorted(ref_samples_by_class)
     ref_normed = [normalize_sorted(ref_samples_by_class[c])[0]
-                  for c in classes]
+                  for c in sorted(ref_samples_by_class)]
     nearest, sq_dist = _nearest_centers(prepared, np.concatenate(ref_normed))
     dist = np.sqrt(sq_dist)
-
-    class_dist = np.empty((len(candidates), len(classes)))
+    out = np.empty((len(prepared.stats), len(ref_normed)))
     start = 0
     for j, normed in enumerate(ref_normed):
         cols = slice(start, start + normed.shape[0])
@@ -354,15 +337,32 @@ def match_all(reference_range: InputRange,
         kept = np.argsort(dist[:, cols], axis=1, kind="stable")[:, :n_keep]
         terms = (prepared.weights[np.take_along_axis(nearest[:, cols], kept, 1)]
                  * np.take_along_axis(dist[:, cols], kept, 1))
-        class_dist[:, j] = np.sum(terms, axis=1) / n_keep
+        out[:, j] = np.sum(terms, axis=1) / n_keep
+    return out
 
-    results = []
-    for i, (branch_id, summary) in enumerate(candidates):
-        dists = {c: float(class_dist[i, j]) for j, c in enumerate(classes)}
-        d_min = min(dists.values())
-        winners = [c for c, d in dists.items() if d == d_min]
-        matched = len(winners) == 1 and bool(np.isfinite(d_min))
-        results.append(MatchResult(
-            branch_id, summary.branch_class, reference_range,
-            winners[0] if matched else None, d_min, dists, matched))
-    return results
+
+def match_all(ref_samples_by_class: dict[int, np.ndarray],
+              candidates: list[tuple[int, BranchClassClusters]],
+              keep_fraction: float,
+              prepared: PreparedSummaries) -> list[MatchResult]:
+    """Best reference class per (branch, branch-class) at one input range.
+
+    candidates are (branch_id, cluster summary) pairs.  A candidate matches
+    the reference class with strictly the smallest partial average distance,
+    when that distance is finite; a tie yields no match.  `prepared` is
+    `prepare_summaries(candidates)`, built once for every range; its `stats`
+    are what `transfer_first_layer` needs on the branch side.
+    """
+    if len(prepared.stats) != len(candidates):
+        raise ValueError("prepared summaries do not match the candidates")
+    if not candidates:
+        return []
+    classes = np.array(sorted(ref_samples_by_class))
+    dist = class_distances(ref_samples_by_class, prepared, keep_fraction)
+    d_min = dist.min(axis=1)
+    matched = ((np.count_nonzero(dist == d_min[:, None], axis=1) == 1)
+               & np.isfinite(d_min))
+    target = classes[np.argmin(dist, axis=1)]
+    return [MatchResult(branch_id, int(t) if ok else None, float(d), bool(ok))
+            for (branch_id, _), t, d, ok in zip(candidates, target, d_min,
+                                                matched)]

@@ -39,9 +39,6 @@ class ClassMask:
         if not self.v_span > 0.0:
             raise ValueError(f"v_span must be positive, got {self.v_span}")
 
-    def copy(self) -> "ClassMask":
-        return ClassMask(self.a, self.b, self.thd, self.v_span)
-
 
 def apply_class_mask(mask: ClassMask, y):
     """ReLU(a) * (ReLU((y - thd)/v_span) + 1[y > thd] * ReLU(b)).
@@ -102,12 +99,6 @@ class Branch:
                 raise ValueError(f"{name} {c!r} is not a class index below "
                                  f"{self.mlp.n_classes}")
 
-    def copy(self) -> "Branch":
-        return Branch(self.mlp.copy(), self.input_range, self.branch_class,
-                      self.target_class,
-                      None if self.mask is None else self.mask.copy(),
-                      self.origin, self.mask_frozen)
-
 
 @dataclass
 class ElectionStats:
@@ -115,9 +106,6 @@ class ElectionStats:
 
     means: np.ndarray  # [n_branches, n_classes]
     stds: np.ndarray   # [n_branches, n_classes], floored at SIGMA_FLOOR
-
-    def copy(self) -> "ElectionStats":
-        return ElectionStats(self.means.copy(), self.stds.copy())
 
 
 def _is_count(value) -> bool:
@@ -159,13 +147,6 @@ class NamNetwork:
     @property
     def n_branches(self) -> int:
         return len(self.branches)
-
-    def copy(self) -> "NamNetwork":
-        return NamNetwork(
-            self.n_classes, self.input_shape, self.mode, self.tag,
-            [b.copy() for b in self.branches],
-            None if self.election_stats is None else self.election_stats.copy(),
-        )
 
 
 def parameter_count(net: NamNetwork) -> int:
@@ -248,17 +229,16 @@ def network_forward_batch(net: NamNetwork, images: np.ndarray) -> np.ndarray:
     return _branch_sum(net, images, zscored=False)
 
 
-def elect_batch(net: NamNetwork, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Summed z-scores [n, n_classes] and the per-sample argmax class."""
-    scores = _branch_sum(net, images, zscored=True)
-    return scores, np.argmax(scores, axis=1)
+def elect_batch(net: NamNetwork, images: np.ndarray) -> np.ndarray:
+    """Summed z-scores [n, n_classes]; each sample elects their argmax."""
+    return _branch_sum(net, images, zscored=True)
 
 
 def network_scores(net: NamNetwork, images: np.ndarray) -> np.ndarray:
     """The scores a network predicts from: summed z-scores in election mode,
     summed class-outputs in tuning mode."""
     if net.mode == "election":
-        return elect_batch(net, images)[0]
+        return elect_batch(net, images)
     return network_forward_batch(net, images)
 
 

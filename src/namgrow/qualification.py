@@ -41,8 +41,8 @@ class QualificationReport:
 
 
 def qualify(values: np.ndarray, labels: np.ndarray, target_class: int,
-            votes: np.ndarray, mode: str, thd: float | None = None,
-            n_classes: int | None = None) -> QualificationReport:
+            votes: np.ndarray, mode: str, thd: float,
+            n_classes: int) -> QualificationReport:
     """Apply the mode's gates to one candidate and report every gate.
 
     values[j] is the candidate's output on sample j; votes[j] is the
@@ -55,14 +55,11 @@ def qualify(values: np.ndarray, labels: np.ndarray, target_class: int,
 
     Election mode flags the samples whose value is strictly above thd,
     applies both gates to the 0/1 flags and sets chance precision at
-    1/n_classes; it requires thd and n_classes.  A candidate that flags no
+    1/n_classes; tuning mode reads neither.  A candidate that flags no
     sample fails the precision gate.
     """
     if mode not in ("tuning", "election"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "election" and (thd is None or n_classes is None):
-        raise ValueError("election mode requires a threshold and the class "
-                         "count")
     values = np.asarray(values, dtype=np.float64)
     votes = np.asarray(votes, dtype=np.float64)
     labels = np.asarray(labels)

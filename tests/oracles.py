@@ -13,7 +13,9 @@ per-sample references the batched library code is checked against.  The
 MLP builder takes the hidden width and depth the library's fixed builder
 does not, and the dense and stride-1 window lists are the references for
 the one window-grid builder.  The per-branch matching scan is the reference
-for the shared window-major scan growth runs.  The Hoeffding tail bounds,
+for the shared window-major scan growth runs, and the loop mean-shift,
+which keeps each cluster's members, is the reference for the clustering
+that summarizes them in place.  The Hoeffding tail bounds,
 the loss-descent values, the clamp-weighted sum and the Gaussian kernel
 are the paper's
 formulas behind qualification and clustering; the library never evaluates
@@ -27,6 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from namgrow import nam_model
+from namgrow.clustering import (
+    BranchPairs,
+    ClusterConfig,
+    mean_shift_step,
+    standardize,
+)
 from namgrow.data_io import Dataset, InputRange, extract_patches
 from namgrow.growth import CandidateBranch
 from namgrow.matching import (
@@ -200,15 +208,16 @@ def per_branch_scan(ranges, ref_images_by_class, summary_pairs, source_mlps,
 
     Each window matches only these pairs, against their own prepared
     summaries; per reference class the closest matched pair wins (ties keep
-    the earliest), and each winner gets its first layer transferred at once.
+    the earliest), and each winner gets its first layer transferred at once,
+    under the source's own deeper layers.
     """
     prepared = prepare_summaries(summary_pairs)
     candidates = []
     for input_range in ranges:
         refs = {c: extract_patches(images, [input_range])[0]
                 for c, images in ref_images_by_class.items()}
-        results = match_all(input_range, refs, summary_pairs,
-                            keep_fraction=keep_fraction, prepared=prepared)
+        results = match_all(refs, summary_pairs, keep_fraction=keep_fraction,
+                            prepared=prepared)
         best = {}
         for i, res in enumerate(results):
             cur = best.get(res.target_class)
@@ -217,16 +226,63 @@ def per_branch_scan(ranges, ref_images_by_class, summary_pairs, source_mlps,
                 best[res.target_class] = i
         for target in sorted(best):
             res = results[best[target]]
-            mlp = source_mlps[res.branch_id]
-            w, b = transfer_first_layer(mlp.hidden_layers[0],
+            source = source_mlps[res.branch_id]
+            w, b = transfer_first_layer(source.hidden_layers[0],
                                         prepared.stats[best[target]],
                                         stats_from_points(refs[target]))
             candidates.append(CandidateBranch(
                 source_branch_id=res.branch_id,
-                branch_class=res.branch_class, target_class=target,
-                input_range=input_range, distance=res.distance,
-                first_layer_weights=w, first_layer_bias=b, source_mlp=mlp))
+                branch_class=summary_pairs[best[target]][1].branch_class,
+                target_class=target, input_range=input_range,
+                distance=res.distance,
+                mlp=BranchMlp([DenseLayer(w, b), *source.hidden_layers[1:]],
+                              source.output_layer)))
     return candidates
+
+
+@dataclass
+class ReferenceCluster:
+    members: list[int]   # indices into the retained pairs, ascending
+    center: np.ndarray   # the member with the highest output (first on ties)
+    max_output: float
+
+
+def reference_mean_shift(pairs: BranchPairs, config: ClusterConfig,
+                         rng: np.random.Generator) -> list[ReferenceCluster]:
+    """Mean-shift partition of one branch-class, one sample at a time.
+
+    Draws from `rng` as `cluster_branch_class` does: one start index among
+    the unclaimed samples per cluster.  The start shifts under
+    `mean_shift_step` until a step moves it no more than the minimum shift
+    distance; every unclaimed sample within the neighbor distance of where
+    it stops joins the cluster (the nearest one when none is that close).
+    """
+    normed, _, _ = standardize(pairs.samples)
+    variances = np.full(normed.shape[1], config.bandwidth ** 2)
+    alive = list(range(pairs.n))
+    clusters = []
+    while alive:
+        point = normed[alive[int(rng.integers(len(alive)))]].copy()
+        for _ in range(config.max_shift_iterations):
+            shifted = mean_shift_step(point, normed[alive], variances)
+            moved = float(np.linalg.norm(shifted - point))
+            point = shifted
+            if moved <= config.min_shift_distance:
+                break
+        dists = [float(np.sqrt(np.sum(np.square(normed[i] - point))))
+                 for i in alive]
+        members = [i for i, d in zip(alive, dists)
+                   if d < config.neighbor_distance]
+        if not members:
+            members = [alive[dists.index(min(dists))]]
+        best = members[0]
+        for i in members[1:]:
+            if pairs.outputs[i] > pairs.outputs[best]:
+                best = i
+        clusters.append(ReferenceCluster(members, pairs.samples[best].copy(),
+                                         float(pairs.outputs[best])))
+        alive = [i for i in alive if i not in members]
+    return clusters
 
 
 def destandardize(points: np.ndarray, mean: np.ndarray,
@@ -371,9 +427,8 @@ def loop_forward_batch(net: NamNetwork, images: np.ndarray) -> np.ndarray:
     return logits
 
 
-def loop_elect_batch(net: NamNetwork,
-                     images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Summed z-scores [n, n_classes] and the per-sample argmax class."""
+def loop_elect_batch(net: NamNetwork, images: np.ndarray) -> np.ndarray:
+    """Summed z-scores [n, n_classes]."""
     if net.election_stats is None:
         raise ValueError("election stats not fitted")
     stats = net.election_stats
@@ -387,7 +442,7 @@ def loop_elect_batch(net: NamNetwork,
         for k, br in enumerate(net.branches):
             out = branch_output_batch(br, patches[k], net.mode, net.n_classes)
             scores[lo:hi] += (out - stats.means[k]) / stats.stds[k]
-    return scores, np.argmax(scores, axis=1)
+    return scores
 
 
 def network_forward(net: NamNetwork, image: np.ndarray) -> np.ndarray:
@@ -397,8 +452,8 @@ def network_forward(net: NamNetwork, image: np.ndarray) -> np.ndarray:
 
 def elect(net: NamNetwork, image: np.ndarray) -> tuple[np.ndarray, int]:
     """The engine's z-scores and elected class for one image [C, H, W]."""
-    scores, preds = elect_batch(net, image[None])
-    return scores[0], int(preds[0])
+    scores = elect_batch(net, image[None])[0]
+    return scores, int(np.argmax(scores))
 
 
 def branch_outputs_batch(net: NamNetwork, images: np.ndarray) -> np.ndarray:

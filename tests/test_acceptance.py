@@ -13,6 +13,7 @@ criterion:
     ACCEPTANCE 1: PASS (...)
 """
 
+import copy
 import os
 import time
 from pathlib import Path
@@ -57,6 +58,7 @@ from oracles import (
     loss_descent_diagnostics,
     mlp_backward,
     mlp_forward,
+    reference_mean_shift,
     softmax_cross_entropy,
 )
 
@@ -183,7 +185,7 @@ def test_criterion_3_same_task_growth(cifar):
     train, test = cifar
     base, _ = _trained_cifar_base(train)
     acc0, loss0 = _shared.get("base_test_metrics") or evaluate(base, test)
-    state = run_growth(base.copy(), train, GrowthConfig(), test_set=test)
+    state = run_growth(copy.deepcopy(base), train, GrowthConfig(), test_set=test)
     accepted = sum(r.accepted for r in state.records)
     acc1, loss1 = evaluate(state.net, test)
     losses = [r.selection_loss for r in state.records]
@@ -360,18 +362,26 @@ def _check_clustering_blobs():
     pts = np.concatenate([c + rng.normal(scale=0.02, size=(25, 9))
                           for c in (np.full(9, 0.4), np.full(9, -0.4))])
     pairs = BranchPairs(0, pts, rng.normal(size=50))
-    clusters = cluster_branch_class(pairs, fast, np.random.default_rng(1))
-    assert len(clusters) == 2
-    got = sorted(float(c.center[0]) for c in clusters)
+    summary = cluster_branch_class(pairs, fast, np.random.default_rng(1))
+    assert summary.n_clusters == 2
+    got = sorted(summary.centers[:, 0])
     assert abs(got[0] + 0.4) < 0.1 and abs(got[1] - 0.4) < 0.1
-    # unstructured points: the loop must terminate with a full partition
+    # unstructured points: the loop must terminate with a full partition,
+    # and each summarized center is its reference cluster's best member
     pairs = BranchPairs(1, rng.uniform(-0.5, 0.5, size=(80, 9)),
                         rng.normal(size=80))
-    clusters = cluster_branch_class(pairs, fast, np.random.default_rng(3))
-    seen = np.concatenate([c.member_indices for c in clusters])
+    summary = cluster_branch_class(pairs, fast, np.random.default_rng(3))
+    clusters = reference_mean_shift(pairs, fast, np.random.default_rng(3))
+    seen = np.concatenate([c.members for c in clusters])
     assert len(seen) == 80
     assert sorted(seen.tolist()) == list(range(80))
     assert len(clusters) <= 80
+    assert all(c.max_output == pairs.outputs[c.members].max()
+               for c in clusters)
+    assert (summary.centers.tobytes()
+            == np.stack([c.center for c in clusters]).tobytes())
+    assert (summary.max_outputs.tobytes()
+            == np.array([c.max_output for c in clusters]).tobytes())
     # determinism under a fixed seed
     mlp = init_branch_mlp(np.random.default_rng(0), n_classes=3)
     cfg = ClusterConfig(n_samples=60, max_shift_iterations=30)
@@ -421,7 +431,7 @@ def _check_qualification_oracle():
         vals = rng.normal(size=n)
         cum = np.zeros(n) if trial % 3 == 0 else rng.normal(size=n)
         mode = "tuning" if trial % 2 == 0 else "election"
-        thd = float(np.quantile(vals, 0.8)) if mode == "election" else None
+        thd = float(np.quantile(vals, 0.8))
         rep = qualify(vals, labels, ct, cum, mode, thd=thd,
                       n_classes=n_classes)
         expected = _oracle_qualify(vals.tolist(), labels.tolist(), ct, mode,

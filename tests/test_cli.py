@@ -6,6 +6,7 @@ tops out early and growth has genuine headroom; the rest of the pipeline
 (transfer, eval) runs on the same files.
 """
 
+import configparser
 import json
 import os
 import subprocess
@@ -443,6 +444,17 @@ def _cache_min_above_max(rec):
     rec["sample_min"], rec["sample_max"] = rec["sample_max"], rec["sample_min"]
 
 
+def _cache_n_pairs(value):
+    def corrupt(rec):
+        rec["n_pairs"] = value
+    corrupt.__name__ = f"_cache_n_pairs_{value!r}"
+    return corrupt
+
+
+def _cache_n_pairs_below_centers(rec):
+    rec["n_pairs"] = len(rec["centers"]) - 1
+
+
 class TestMalformedClusterCaches:
     """A cache record that does not fit the run is a data error (exit 2)
     naming its branch and field, whether the cache itself is malformed or
@@ -468,6 +480,12 @@ class TestMalformedClusterCaches:
                                    "max_outputs have shape"),
         (_cache_min_above_max, "cluster cache branch 1 summary 2: "
                                "sample_min exceeds sample_max"),
+        *[(_cache_n_pairs(value), f"cluster cache branch 1 summary 2: "
+                                  f"n_pairs {value!r} is not an integer of "
+                                  f"at least the ")
+          for value in ("x", -3, True, 0, 2.5, None)],
+        (_cache_n_pairs_below_centers, "cluster cache branch 1 summary 2: "
+                                       "n_pairs "),
     ])
     def test_is_a_data_error_naming_the_branch(
             self, tmp_path, config_file, base_run, cache_run, caplog,
@@ -548,7 +566,8 @@ class TestTransfer:
         def nudging_grow_iteration(state, candidates, config):
             def nudged():
                 for cand in candidates:
-                    cand.source_mlp.hidden_layers[0].weights[0, 0] += 1e-9
+                    # deeper layers are the source's own objects
+                    cand.mlp.hidden_layers[1].weights[0, 0] += 1e-9
                     yield cand
             return real_grow_iteration(state, nudged(), config)
 
@@ -699,6 +718,32 @@ class TestErrorPaths:
                   if r.levelname == "ERROR"]
         assert errors == ["max_iterations: invalid literal for int() with "
                           "base 10: 'abc'"]
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("growth", "mask_batch_size", "0", "mask_batch_size must be >= 1"),
+        ("growth", "mask_learning_rate", "-1e-2",
+         "mask_learning_rate must be positive"),
+        ("cluster", "max_shift_iterations", "0",
+         "max_shift_iterations must be >= 1"),
+    ])
+    def test_unrunnable_growth_setting_is_usage_error(
+            self, tmp_path, config_file, base_run, caplog, section, key,
+            value, message):
+        """A growth or cluster setting the run cannot use is refused before
+        clustering, naming its key."""
+        cfg = configparser.ConfigParser()
+        cfg.read(config_file)
+        cfg[section][key] = value
+        bad = tmp_path / "bad.ini"
+        with open(bad, "w") as fh:
+            cfg.write(fh)
+        code = main(["grow", "--config", str(bad),
+                     "--checkpoint", str(base_run / "checkpoint.json"),
+                     "--out-dir", str(tmp_path / "out"), "--seed", "3"])
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert errors == [f"growth/cluster config: {message}"]
 
     def test_missing_data_dir_is_data_error(self, tmp_path, base_run):
         code = main(["eval", "--checkpoint",

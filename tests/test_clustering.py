@@ -5,7 +5,6 @@ import pytest
 
 from namgrow.clustering import (
     BranchPairs,
-    Cluster,
     ClusterConfig,
     cluster_branch_class,
     cluster_branch_mlp,
@@ -15,10 +14,9 @@ from namgrow.clustering import (
     generate_branch_pairs,
     mean_shift_step,
     standardize,
-    summarize_clusters,
 )
 from namgrow.nn_core import init_branch_mlp
-from oracles import destandardize, gaussian_weight
+from oracles import destandardize, gaussian_weight, reference_mean_shift
 
 FAST = ClusterConfig(n_samples=400, max_shift_iterations=50)
 
@@ -116,23 +114,23 @@ def test_gaussian_weight_rejects_bad_covariance():
 
 def test_mean_shift_single_sample():
     s = np.array([[0.3, -0.2, 0.1]])
-    out = mean_shift_step(np.zeros(3), s, np.eye(3) * 0.09)
+    out = mean_shift_step(np.zeros(3), s, np.full(3, 0.09))
     np.testing.assert_allclose(out, s[0], rtol=0, atol=1e-15)
 
 
 def test_mean_shift_two_equidistant_samples_give_midpoint():
     s = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    out = mean_shift_step(np.array([0.0, 0.5]), s, np.eye(2))
+    out = mean_shift_step(np.array([0.0, 0.5]), s, np.ones(2))
     np.testing.assert_allclose(out, [0.0, 0.0], rtol=0, atol=1e-12)
 
 
 def test_mean_shift_stays_in_convex_hull():
     rng = np.random.default_rng(42)
     samples = rng.normal(size=(50, 9))
-    cov = np.eye(9) * 0.09
+    variances = np.full(9, 0.09)
     for _ in range(10):
         p = rng.normal(size=9)
-        out = mean_shift_step(p, samples, cov)
+        out = mean_shift_step(p, samples, variances)
         assert np.all(out >= samples.min(axis=0) - 1e-12)
         assert np.all(out <= samples.max(axis=0) + 1e-12)
 
@@ -140,7 +138,7 @@ def test_mean_shift_stays_in_convex_hull():
 def test_mean_shift_underflow_snaps_to_nearest():
     samples = np.array([[0.0, 0.0], [1.0, 1.0]])
     far = np.array([1e4, 1e4])  # all kernel weights underflow to zero
-    out = mean_shift_step(far, samples, np.eye(2) * 0.01)
+    out = mean_shift_step(far, samples, np.full(2, 0.01))
     np.testing.assert_array_equal(out, samples[1])
 
 
@@ -177,13 +175,28 @@ def blob_pairs(rng, centers, n_per_blob=30, spread=0.02):
     return BranchPairs(0, np.concatenate(samples), np.concatenate(outputs))
 
 
+def cluster_with_reference(pairs, config, seed):
+    """`cluster_branch_class`'s summary and the reference clusters from one
+    seed.  The summary's centers and peak outputs are the reference's, bit
+    for bit, and both leave the rng in the same state."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    summary = cluster_branch_class(pairs, config, rng)
+    clusters = reference_mean_shift(pairs, config, ref_rng)
+    assert (summary.centers.tobytes()
+            == np.stack([c.center for c in clusters]).tobytes())
+    assert (summary.max_outputs.tobytes()
+            == np.array([c.max_output for c in clusters]).tobytes())
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return summary, clusters
+
+
 def test_identical_pairs_form_one_cluster():
     pairs = BranchPairs(2, np.tile([0.1] * 9, (12, 1)), np.full(12, 0.7))
-    clusters = cluster_branch_class(pairs, FAST, np.random.default_rng(0))
-    assert len(clusters) == 1
-    np.testing.assert_array_equal(clusters[0].center, [0.1] * 9)
-    assert clusters[0].max_output == 0.7
-    assert sorted(clusters[0].member_indices) == list(range(12))
+    summary, clusters = cluster_with_reference(pairs, FAST, 0)
+    assert summary.n_clusters == 1
+    np.testing.assert_array_equal(summary.centers[0], [0.1] * 9)
+    assert summary.max_outputs[0] == 0.7
+    assert sorted(clusters[0].members) == list(range(12))
 
 
 def test_two_separated_blobs_give_two_clusters():
@@ -191,25 +204,49 @@ def test_two_separated_blobs_give_two_clusters():
     c1 = np.full(9, 0.4)
     c2 = np.full(9, -0.4)
     pairs = blob_pairs(rng, [c1, c2])
-    clusters = cluster_branch_class(pairs, FAST, np.random.default_rng(1))
-    assert len(clusters) == 2
-    got = sorted(float(c.center[0]) for c in clusters)
+    summary, clusters = cluster_with_reference(pairs, FAST, 1)
+    assert summary.n_clusters == 2
+    got = sorted(summary.centers[:, 0])
     assert got[0] == pytest.approx(-0.4, abs=0.08)
     assert got[1] == pytest.approx(0.4, abs=0.08)
     # each cluster's center output is the member max
     for c in clusters:
-        assert c.max_output == pairs.outputs[c.member_indices].max()
+        assert c.max_output == pairs.outputs[c.members].max()
 
 
 def test_clusters_partition_input_set():
     rng = np.random.default_rng(42)
     pairs = BranchPairs(1, rng.uniform(-0.5, 0.5, size=(80, 9)),
                         rng.normal(size=80))
-    clusters = cluster_branch_class(pairs, FAST, np.random.default_rng(3))
-    seen = np.concatenate([c.member_indices for c in clusters])
+    summary, clusters = cluster_with_reference(pairs, FAST, 3)
+    seen = np.concatenate([c.members for c in clusters])
     assert len(seen) == 80                       # no duplicates, full cover
     assert sorted(seen.tolist()) == list(range(80))
     assert len(clusters) <= 80                   # at most one round per sample
+    for c in clusters:
+        assert c.max_output == pairs.outputs[c.members].max()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_summary_equals_reference_mean_shift(seed):
+    """Branch-class pairs of a real branch MLP, with clusters of 1 to ~30
+    members: the summary is the reference partition's arg-max members, in
+    claim order, and the partition covers every retained pair once.  With
+    outputs rounded to one decimal, members tie and the first one wins."""
+    mlp = init_branch_mlp(np.random.default_rng(seed), n_classes=3)
+    config = ClusterConfig(n_samples=300, neighbor_distance=3.0,
+                           bandwidth=1.0, max_shift_iterations=40)
+    for pairs in generate_branch_pairs(mlp, config.n_samples,
+                                       np.random.default_rng(seed + 100),
+                                       config.top_fraction):
+        tied = BranchPairs(pairs.branch_class, pairs.samples,
+                           np.round(pairs.outputs, 1))
+        for p in (pairs, tied):
+            summary, clusters = cluster_with_reference(p, config, seed)
+            seen = sorted(i for c in clusters for i in c.members)
+            assert seen == list(range(p.n))
+            assert summary.n_clusters == len(clusters)
+            assert summary.n_pairs == p.n
 
 
 def test_clustering_deterministic_for_fixed_seed():
@@ -232,8 +269,7 @@ def test_summary_statistics_cover_pairs():
     rng = np.random.default_rng(5)
     pairs = BranchPairs(4, rng.uniform(-0.5, 0.5, size=(40, 9)),
                         rng.normal(size=40))
-    clusters = cluster_branch_class(pairs, FAST, rng)
-    summary = summarize_clusters(pairs, clusters)
+    summary, clusters = cluster_with_reference(pairs, FAST, 6)
     np.testing.assert_allclose(summary.sample_mean, pairs.samples.mean(axis=0),
                                rtol=0, atol=1e-12)
     np.testing.assert_array_equal(summary.sample_min, pairs.samples.min(axis=0))
@@ -270,3 +306,5 @@ def test_cluster_config_validation():
         ClusterConfig(bandwidth=0.0)
     with pytest.raises(ValueError):
         ClusterConfig(top_fraction=0.0)
+    with pytest.raises(ValueError, match="max_shift_iterations"):
+        ClusterConfig(max_shift_iterations=0)

@@ -80,12 +80,10 @@ def constant_mlp(branch_class, value=0.5, n_classes=N_CLASSES):
 
 def hand_candidate(mlp, branch_class, target_class, input_range=RANGE0):
     """Candidate whose transferred first layer is the MLP's own (identity)."""
-    layer = mlp.hidden_layers[0]
     return CandidateBranch(
         source_branch_id=0, branch_class=branch_class,
         target_class=target_class, input_range=input_range, distance=0.0,
-        first_layer_weights=layer.weights.copy(),
-        first_layer_bias=layer.bias.copy(), source_mlp=mlp)
+        mlp=mlp)
 
 
 def patch_mean_dataset(means_by_class, n_per_class, noise=0.02, seed=0,
@@ -195,6 +193,17 @@ def random_summary_pairs(rng, n_branches):
     return pairs
 
 
+def assert_carries_transfer(cand, source, w, b):
+    """The candidate's MLP is the transferred first layer (w, b), bit for
+    bit, on top of the source's own deeper layer objects."""
+    first, *deeper = cand.mlp.hidden_layers
+    assert first.weights.tobytes() == w.tobytes()
+    assert first.bias.tobytes() == b.tobytes()
+    assert len(deeper) == len(source.hidden_layers) - 1
+    assert all(a is s for a, s in zip(deeper, source.hidden_layers[1:]))
+    assert cand.mlp.output_layer is source.output_layer
+
+
 def scan_candidates(ranges, images, pairs, mlps):
     """Every candidate the growth stream of a fresh scan yields."""
     return list(WindowScan(ranges, images, pairs, mlps, 0.8, False).stream(0))
@@ -218,8 +227,7 @@ class TestMatchCandidates:
             refs = {c: extract_patches(im, [input_range])[0]
                     for c, im in images.items()}
             best = {}
-            results = match_all(input_range, refs, pairs, 0.8,
-                                prepare_summaries(pairs))
+            results = match_all(refs, pairs, 0.8, prepare_summaries(pairs))
             for res, (_, summary) in zip(results, pairs):
                 cur = best.get(res.target_class)
                 if res.matched and (cur is None
@@ -232,15 +240,13 @@ class TestMatchCandidates:
                 assert (cand.source_branch_id, cand.branch_class,
                         cand.target_class, cand.input_range,
                         cand.distance) == (
-                    res.branch_id, res.branch_class, res.target_class,
-                    res.reference_range, res.distance)
+                    res.branch_id, summary.branch_class, res.target_class,
+                    input_range, res.distance)
                 w, b = transfer_first_layer(layers[res.branch_id],
                                             stats_from_summary(summary),
                                             stats_from_points(
                                                 refs[res.target_class]))
-                np.testing.assert_array_equal(cand.first_layer_weights, w)
-                np.testing.assert_array_equal(cand.first_layer_bias, b)
-                assert cand.source_mlp is mlps[res.branch_id]
+                assert_carries_transfer(cand, mlps[res.branch_id], w, b)
         assert total > 0
 
     def test_one_pass_streams_equal_per_branch_scans(self, monkeypatch):
@@ -262,10 +268,12 @@ class TestMatchCandidates:
         ranges = base_grid_ranges((1, 6, 6), 1)
 
         def fields(cand):
+            first, *deeper = cand.mlp.hidden_layers
             return (cand.source_branch_id, cand.branch_class,
                     cand.target_class, cand.input_range, cand.distance,
-                    cand.first_layer_weights.tobytes(),
-                    cand.first_layer_bias.tobytes(), id(cand.source_mlp))
+                    first.weights.tobytes(), first.bias.tobytes(),
+                    [id(layer) for layer in deeper],
+                    id(cand.mlp.output_layer))
 
         scan = WindowScan(ranges, images, pairs, mlps, 0.8, True)
         lengths = []
@@ -298,7 +306,7 @@ class TestMatchCandidates:
                 assert np.all(normalize_sorted(patch)[0] == 0.0)
             prepared = prepare_summaries(pairs)
             assert not any(res.matched for res in
-                           match_all(window, refs, pairs, 0.8, prepared))
+                           match_all(refs, pairs, 0.8, prepared))
             assert match_candidates(window, images, pairs, prepared, 0.8,
                                     False) == []
 
@@ -328,14 +336,15 @@ class TestMatchCandidates:
                 patch = extract_patches(images[c], [window])[0]
                 ref_mean = stats_from_points(patch).mean
                 for cand in got:
-                    w, b = cand.first_layer_weights, cand.first_layer_bias
+                    w = cand.mlp.hidden_layers[0].weights
+                    b = cand.mlp.hidden_layers[0].bias
                     assert np.all(np.isfinite(w)) and np.all(np.isfinite(b))
                     assert np.abs(w).max() > 1e6
                     i = next(i for i, (bid, summary) in enumerate(pairs)
                              if bid == cand.source_branch_id
                              and summary.branch_class == cand.branch_class)
                     branch_mean = prepared.stats[i].mean
-                    layer = cand.source_mlp.hidden_layers[0]
+                    layer = mlps[cand.source_branch_id].hidden_layers[0]
                     got_pre = w @ patch[0] + b
                     want_pre = layer.weights @ branch_mean + layer.bias
                     scale = (np.abs(w) @ (np.abs(patch[0]) + np.abs(ref_mean))
@@ -758,9 +767,9 @@ class TestScoreCaches:
         calls = []
 
         def recording_qualify(values, labels, target_class, votes, mode,
-                              thd=None, n_classes=None):
+                              thd, n_classes):
             report = qualify(values, labels, target_class, votes, mode,
-                             thd=thd, n_classes=n_classes)
+                             thd, n_classes)
             calls.append((values.copy(), target_class, votes.copy(), thd,
                           report.verdict))
             return report

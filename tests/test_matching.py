@@ -5,9 +5,9 @@ import pytest
 
 from namgrow import matching
 from namgrow.clustering import BranchClassClusters
-from namgrow.data_io import InputRange
 from namgrow.matching import (
     NormalizationStats,
+    class_distances,
     cluster_softmax_weights,
     match_all,
     normalize_sorted,
@@ -209,11 +209,10 @@ def summary_from_shape(shape, scale, shift, branch_class=0):
     )
 
 
-def match(input_range, refs, candidates):
+def match(refs, candidates):
     """match_all at the default keep fraction, on freshly prepared
     summaries."""
-    return match_all(input_range, refs, candidates, 0.8,
-                     prepare_summaries(candidates))
+    return match_all(refs, candidates, 0.8, prepare_summaries(candidates))
 
 
 def test_match_all_prefers_constructed_class():
@@ -226,12 +225,13 @@ def test_match_all_prefers_constructed_class():
     refs = {0: shape_a * 1.3 + np.linspace(-1, 1, 9),
             1: shape_b * 0.7 + np.linspace(0, 2, 9)}
     cand = summary_from_shape(shape_a, scale, shift)
-    results = match(InputRange(0, 0, 0), refs, [(5, cand)])
+    results = match(refs, [(5, cand)])
     assert len(results) == 1
     r = results[0]
     assert r.matched and r.branch_id == 5 and r.target_class == 0
     np.testing.assert_allclose(r.distance, 0.0, rtol=0, atol=1e-10)
-    assert r.class_distances[1] > 1e-3
+    dist = class_distances(refs, prepare_summaries([(5, cand)]), 0.8)
+    assert dist[0, 0] == r.distance and dist[0, 1] > 1e-3
 
 
 def test_match_all_tie_gives_no_match():
@@ -239,7 +239,7 @@ def test_match_all_tie_gives_no_match():
     shape = canonical_shape(rng, 15)
     refs = {0: shape.copy(), 1: shape.copy()}  # identical -> equal distances
     cand = summary_from_shape(shape, np.ones(9), np.linspace(0, 1, 9))
-    results = match(InputRange(0, 0, 0), refs, [(0, cand)])
+    results = match(refs, [(0, cand)])
     assert not results[0].matched
     assert results[0].target_class is None
 
@@ -254,7 +254,7 @@ def test_match_all_three_way_assignment_matches_exhaustive_oracle():
         candidates.append(
             (k, summary_from_shape(shapes[k], np.full(9, 1.5),
                                    np.linspace(-0.4, 0.4, 9), branch_class=k)))
-    results = match(InputRange(1, 2, 3), refs, candidates)
+    results = match(refs, candidates)
 
     from namgrow.matching import stats_from_summary as sfs
     for r, (k, summary) in zip(results, candidates):
@@ -274,20 +274,19 @@ def test_match_all_is_deterministic():
     shape = canonical_shape(rng, 10)
     refs = {0: rng.normal(size=(12, 9)), 1: rng.normal(size=(12, 9))}
     cand = [(0, summary_from_shape(shape, np.ones(9), np.zeros(9)))]
-    a = match(InputRange(0, 0, 0), refs, cand)
-    b = match(InputRange(0, 0, 0), refs, cand)
-    assert a[0].matched == b[0].matched
-    assert a[0].distance == b[0].distance
-    assert a[0].class_distances == b[0].class_distances
+    assert match(refs, cand) == match(refs, cand)
+    prepared = prepare_summaries(cand)
+    assert np.array_equal(class_distances(refs, prepared, 0.8),
+                          class_distances(refs, prepared, 0.8))
 
 
 # ------------------------------------------- batched kernel vs the oracle
 
 def oracle_match(refs, candidates, keep_fraction=0.8):
-    """(class distances, target) per candidate from one
-    partial_average_distance call per (summary, class)."""
+    """([n_candidates, n_classes] class distances, target per candidate)
+    from one partial_average_distance call per (summary, class)."""
     ref_normed = {c: normalize_sorted(refs[c])[0] for c in sorted(refs)}
-    out = []
+    matrix, targets = [], []
     for _, summary in candidates:
         centers, _ = normalize_sorted(summary.centers,
                                       stats_from_summary(summary))
@@ -298,8 +297,9 @@ def oracle_match(refs, candidates, keep_fraction=0.8):
         d_min = min(dists.values())
         winners = [c for c, d in dists.items() if d == d_min]
         unique = len(winners) == 1 and np.isfinite(d_min)
-        out.append((dists, winners[0] if unique else None))
-    return out
+        matrix.append(list(dists.values()))
+        targets.append(winners[0] if unique else None)
+    return np.array(matrix), targets
 
 
 def random_summary(rng, n_centers, branch_class=0, far=False,
@@ -368,22 +368,26 @@ def test_match_all_equals_oracle_exactly(case, block_entries, monkeypatch):
             refs = random_refs(rng, spec["refs"],
                                identical=spec.get("identical", False),
                                flat_dim=spec.get("flat_dim"))
-            results = match_all(InputRange(0, 1, 2), refs, candidates,
+            dist = class_distances(refs, prepared, keep_fraction)
+            results = match_all(refs, candidates,
                                 keep_fraction=keep_fraction,
                                 prepared=prepared)
-            expected = oracle_match(refs, candidates, keep_fraction)
-            for res, (dists, target) in zip(results, expected):
-                assert res.class_distances == dists
+            want, targets = oracle_match(refs, candidates, keep_fraction)
+            assert dist.tobytes() == want.tobytes()
+            assert len(results) == len(candidates)
+            for res, (branch_id, _), row, target in zip(
+                    results, candidates, want, targets):
+                assert res.branch_id == branch_id
                 assert res.target_class == target
                 assert res.matched == (target is not None)
-                assert res.distance == min(dists.values())
+                assert res.distance == row.min()
     if spec.get("identical"):
         assert not any(r.matched for r in results)
 
 
 def test_match_all_without_candidates_is_empty():
     refs = random_refs(np.random.default_rng(0), [5, 5])
-    assert match(InputRange(0, 0, 0), refs, []) == []
+    assert match(refs, []) == []
 
 
 def test_prepare_summaries_rejects_non_finite_centers():
@@ -398,8 +402,8 @@ def test_match_all_rejects_prepared_side_of_other_candidates():
     rng = np.random.default_rng(0)
     candidates = [(0, random_summary(rng, 4)), (1, random_summary(rng, 5))]
     with pytest.raises(ValueError, match="do not match"):
-        match_all(InputRange(0, 0, 0), random_refs(rng, [5, 5]),
-                  candidates, 0.8, prepare_summaries(candidates[:1]))
+        match_all(random_refs(rng, [5, 5]), candidates, 0.8,
+                  prepare_summaries(candidates[:1]))
 
 
 # ------------------------------------------------------- parameter transfer

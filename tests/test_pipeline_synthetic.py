@@ -186,13 +186,14 @@ class TestGrowthRun:
         """A one-iteration run matches windows up to the one holding the
         last candidate it consumed, and none after it, and transfers the
         first layers of exactly the candidates it consumed."""
-        windows, matched, transfers = [], [], []
+        windows, started, matched, transfers = [], [], [], []
 
-        def counting_match_all(input_range, *args, **kwargs):
-            matched.append(input_range)
-            return real_match_all(input_range, *args, **kwargs)
+        def counting_match_all(*args, **kwargs):
+            matched.append(started[-1])
+            return real_match_all(*args, **kwargs)
 
         def recording_match_candidates(input_range, *args, **kwargs):
+            started.append(input_range)
             found = real_match_candidates(input_range, *args, **kwargs)
             windows.append((input_range, len(found)))
             return found
@@ -357,7 +358,8 @@ class TestTransferRun:
         def nudging_grow_iteration(state, candidates, config):
             def nudged():
                 for cand in candidates:
-                    cand.source_mlp.hidden_layers[0].weights[0, 0] += 1e-9
+                    # deeper layers are the source's own objects
+                    cand.mlp.hidden_layers[1].weights[0, 0] += 1e-9
                     yield cand
             return real_grow_iteration(state, nudged(), config)
 

@@ -16,10 +16,13 @@ from oracles import (
 
 
 def tuning(values, labels, target=0, votes=None):
-    """Tuning-mode report; zero votes unless given (an empty ensemble)."""
+    """Tuning-mode report; zero votes unless given (an empty ensemble).
+    The threshold and class count growth passes are not read."""
     values = np.asarray(values, dtype=np.float64)
+    labels = np.asarray(labels)
     votes = np.zeros(values.size) if votes is None else votes
-    return qualify(values, np.asarray(labels), target, votes, "tuning")
+    return qualify(values, labels, target, votes, "tuning",
+                   branch_threshold(values), int(labels.max()) + 1)
 
 
 def election(values, labels, target, thd, n_classes, votes=None):
@@ -272,14 +275,12 @@ def test_qualify_injected_separation_matches_condition_oracle():
 def test_qualify_rejects_malformed_arguments():
     labels = np.array([0, 1, 0, 1])
     with pytest.raises(ValueError, match="unknown mode"):
-        qualify(np.ones(4), labels, 0, np.zeros(4), "voting")
-    with pytest.raises(ValueError, match="threshold"):
-        qualify(np.ones(4), labels, 0, np.zeros(4), "election", n_classes=2)
+        qualify(np.ones(4), labels, 0, np.zeros(4), "voting", 0.5, 2)
     with pytest.raises(ValueError, match="one length"):
-        qualify(np.ones(4), labels, 0, np.zeros(3), "tuning")
+        qualify(np.ones(4), labels, 0, np.zeros(3), "tuning", 0.5, 2)
     with pytest.raises(ValueError, match="non-finite"):
         qualify(np.array([1.0, np.nan, 0.0, 0.0]), labels, 0, np.zeros(4),
-                "tuning")
+                "tuning", 0.5, 2)
 
 
 def oracle_qualify(values, labels, ct, mode, cumulative, thd, n_classes):
@@ -321,7 +322,7 @@ def test_qualify_matches_oracle_on_100_random_tables():
         else:
             cum = rng.normal(size=n)
         mode = "tuning" if trial % 2 == 0 else "election"
-        thd = float(np.quantile(vals, 0.8)) if mode == "election" else None
+        thd = float(np.quantile(vals, 0.8))
         rep = qualify(vals, labels, ct, cum, mode, thd=thd,
                       n_classes=n_classes)
         expected = oracle_qualify(vals.tolist(), labels.tolist(), ct, mode,
@@ -336,7 +337,7 @@ def test_qualify_verdict_invariant_under_sample_duplication():
         labels[:2] = [0, 1]
         vals = rng.normal(size=16)
         cum = rng.normal(size=16)
-        thd = float(np.quantile(vals, 0.8)) if mode == "election" else None
+        thd = float(np.quantile(vals, 0.8))
         one = qualify(vals, labels, 0, cum, mode, thd=thd, n_classes=4)
         two = qualify(np.tile(vals, 2), np.tile(labels, 2), 0,
                       np.tile(cum, 2), mode, thd=thd, n_classes=4)
