@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_io import InputRange
-from .nam_model import Branch, ClassMask, ElectionStats, NamNetwork
+from .nam_model import Branch, ClassMask, NamNetwork
 from .nn_core import BranchMlp, DenseLayer
 
 FORMAT_NAME = "nam-checkpoint"
@@ -24,7 +24,7 @@ def _array(a: np.ndarray):
     return np.asarray(a, dtype=np.float64).tolist()
 
 
-def _branch_record(branch: Branch, stats_row) -> dict:
+def _branch_record(branch: Branch) -> dict:
     rec = {
         "input_range": list(branch.input_range.as_tuple()),
         "branch_class": branch.branch_class,
@@ -47,18 +47,13 @@ def _branch_record(branch: Branch, stats_row) -> dict:
             "v_span": float(branch.mask.v_span),
             "frozen": bool(branch.mask_frozen),
         }
-    if stats_row is not None:
-        mean, std = stats_row
+    if branch.election_stats is not None:
+        mean, std = branch.election_stats
         rec["election_stats"] = {"mean": _array(mean), "std": _array(std)}
     return rec
 
 
 def network_to_json(net: NamNetwork) -> str:
-    stats = net.election_stats
-    records = []
-    for k, br in enumerate(net.branches):
-        row = None if stats is None else (stats.means[k], stats.stds[k])
-        records.append(_branch_record(br, row))
     doc = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -66,12 +61,12 @@ def network_to_json(net: NamNetwork) -> str:
         "input_shape": list(net.input_shape),
         "mode": net.mode,
         "tag": net.tag,
-        "branches": records,
+        "branches": [_branch_record(br) for br in net.branches],
     }
     return json.dumps(doc, separators=(",", ":"), ensure_ascii=True)
 
 
-def _branch_from_record(rec: dict) -> tuple[Branch, tuple | None]:
+def _branch_from_record(rec: dict) -> Branch:
     if rec["activation"] != "relu":
         raise ValueError(f"activation {rec['activation']!r} is not 'relu'")
     hidden = [
@@ -89,7 +84,8 @@ def _branch_from_record(rec: dict) -> tuple[Branch, tuple | None]:
         m = rec["mask"]
         mask = ClassMask(m["a"], m["b"], m["thd"], m["v_span"])
         frozen = bool(m["frozen"])
-    branch = Branch(
+    stats = rec["election_stats"]
+    return Branch(
         mlp,
         InputRange(*rec["input_range"]),
         rec["branch_class"],
@@ -97,21 +93,8 @@ def _branch_from_record(rec: dict) -> tuple[Branch, tuple | None]:
         mask,
         rec["origin"],
         frozen,
+        None if stats is None else (stats["mean"], stats["std"]),
     )
-    stats_row = None
-    if rec["election_stats"] is not None:
-        mean = np.array(rec["election_stats"]["mean"], dtype=np.float64)
-        std = np.array(rec["election_stats"]["std"], dtype=np.float64)
-        want = (mlp.n_classes,)
-        if mean.shape != want or std.shape != want:
-            raise ValueError(f"election stats have shapes {mean.shape}"
-                             f" and {std.shape}, expected {want}")
-        if not np.all(np.isfinite(mean)):
-            raise ValueError("election stats mean is not finite")
-        if not np.all(np.isfinite(std) & (std > 0.0)):
-            raise ValueError("election stats std is not finite and positive")
-        stats_row = (mean, std)
-    return branch, stats_row
 
 
 def network_from_json(text: str) -> NamNetwork:
@@ -131,30 +114,21 @@ def network_from_json(text: str) -> NamNetwork:
 
 
 def _network_from_doc(doc: dict) -> NamNetwork:
-    branches, stats_rows = [], []
+    branches = []
     for k, rec in enumerate(doc["branches"]):
         try:
-            br, row = _branch_from_record(rec)
+            branches.append(_branch_from_record(rec))
         except KeyError as exc:
             raise ValueError(f"checkpoint branch {k} has no {exc} key"
                              ) from exc
         except (TypeError, ValueError) as exc:
             raise ValueError(f"checkpoint branch {k}: {exc}") from exc
-        branches.append(br)
-        stats_rows.append(row)
-    stats = None
-    if any(r is not None for r in stats_rows):
-        if any(r is None for r in stats_rows):
-            raise ValueError("election stats present for only some branches")
-        stats = ElectionStats(np.stack([r[0] for r in stats_rows]),
-                              np.stack([r[1] for r in stats_rows]))
     return NamNetwork(
         doc["n_classes"],
         doc["input_shape"],
         doc["mode"],
         doc["tag"],
         branches,
-        stats,
     )
 
 

@@ -441,7 +441,9 @@ def cmd_eval(args, cfg) -> int:
     scores = network_scores(net, dataset.images)
     accuracy, loss = score_metrics(scores, dataset.labels)
     preds = np.argmax(scores, axis=1)
+    # A class the split lacks has no accuracy: null, never a NaN.
     per_class = [float(np.mean(preds[dataset.labels == c] == c))
+                 if np.any(dataset.labels == c) else None
                  for c in range(net.n_classes)]
     doc = {
         "checkpoint": str(args.checkpoint),

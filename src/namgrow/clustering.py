@@ -59,11 +59,11 @@ class BranchPairs:
 
 def generate_branch_pairs(mlp: BranchMlp, n_samples: int,
                           rng: np.random.Generator,
-                          top_fraction: float = 0.2) -> list[BranchPairs]:
+                          top_fraction: float) -> list[BranchPairs]:
     """Uniform patch samples scored by the branch; keep the top slice per class.
 
     Ties at the cut are broken by sample index (stable sort), so a constant
-    branch retains an arbitrary but deterministic 20%.
+    branch retains an arbitrary but deterministic `top_fraction`.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")

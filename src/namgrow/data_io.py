@@ -58,9 +58,9 @@ class Dataset:
     def shape(self) -> tuple[int, int, int]:
         return self.images.shape[1:]
 
-    def subset(self, indices: np.ndarray, tag: str | None = None) -> "Dataset":
-        return Dataset(self.images[indices], self.labels[indices],
-                       tag or self.tag, self.n_classes)
+    def subset(self, indices: np.ndarray, tag: str) -> "Dataset":
+        return Dataset(self.images[indices], self.labels[indices], tag,
+                       self.n_classes)
 
 
 def normalize_pixels(raw: np.ndarray) -> np.ndarray:
@@ -98,7 +98,7 @@ def load_cifar10_batch(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     return images, labels
 
 
-def load_cifar10(data_dir: str | Path, split: str = "train") -> Dataset:
+def load_cifar10(data_dir: str | Path, split: str) -> Dataset:
     """CIFAR-10 binary-version directory -> Dataset for 'train' or 'test'."""
     data_dir = Path(data_dir)
     if split == "train":
@@ -158,7 +158,7 @@ def _find_idx_file(data_dir: Path, stem: str, kind: str) -> Path:
     )
 
 
-def load_mnist(data_dir: str | Path, split: str = "train") -> Dataset:
+def load_mnist(data_dir: str | Path, split: str) -> Dataset:
     """MNIST IDX directory -> Dataset for 'train' or 'test'."""
     data_dir = Path(data_dir)
     stem = {"train": "train", "test": "t10k"}.get(split)

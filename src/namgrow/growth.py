@@ -23,7 +23,7 @@ import itertools
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -42,10 +42,9 @@ from .nam_model import (
     SIGMA_FLOOR,
     Branch,
     ClassMask,
-    ElectionStats,
     NamNetwork,
+    add_branch_output,
     added_branch_output,
-    apply_class_mask,
     branch_raw_scalar_batch,
     class_mask_grads,
     network_forward_batch,
@@ -116,17 +115,7 @@ class IterationRecord:
     parameter_count: int
 
     def to_json_line(self) -> str:
-        return json.dumps({
-            "iteration": self.iteration,
-            "candidates_seen": self.candidates_seen,
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "selection_loss": self.selection_loss,
-            "test_loss": self.test_loss,
-            "test_accuracy": self.test_accuracy,
-            "branch_count": self.branch_count,
-            "parameter_count": self.parameter_count,
-        }, separators=(",", ":"))
+        return json.dumps(asdict(self), separators=(",", ":"))
 
 
 @dataclass
@@ -346,9 +335,6 @@ def start_growth(net: NamNetwork, selection: Dataset, config: GrowthConfig,
     """Snapshot the network's scores on every split and open a growth run."""
     state = GrowthState(net=net, config=config, selection=selection,
                         train_set=train_set, test_set=test_set, rng=rng)
-    if (net.mode == "election" and net.election_stats is None
-            and net.branches):
-        raise ValueError("election network needs fitted stats to grow")
     state.sel_scores = _scores(net, selection.images, network_scores)
     # In tuning mode the scores are the class-outputs; election votes take
     # a pass of their own.
@@ -474,25 +460,24 @@ def _finish_iteration(state: GrowthState, tentative: list[_Tentative]) -> int:
     """Fit the new branches, score them, then keep or revert the batch.
 
     The branches are fitted on the train split: tuning mode tunes their
-    masks, election mode fits the flag statistics that z-score their
-    outputs.  The batch is kept only when the selection-set loss did not
-    increase and, in election mode, the selection-set accuracy did not
+    masks, election mode fits each branch the flag statistics that z-score
+    its outputs.  The batch is kept only when the selection-set loss did
+    not increase and, in election mode, the selection-set accuracy did not
     drop, so both recorded series are monotone there.  A kept batch is
     added to every split's cached scores and metrics; a rolled-back one
-    leaves them as they were.
+    leaves them as they were, and its branches leave the network with
+    their stats.
     """
     if not tentative:
         return 0
     net, config = state.net, state.config
+    zscored = net.mode == "election"
     raw_fit = [_raw_values(t.branch, state.train_set) for t in tentative]
-    new_rows = None
-    if net.mode == "election":
-        new_rows = []
+    if zscored:
         for t, raw in zip(tentative, raw_fit):
             flags = added_branch_output(t.branch, raw, net.mode)
-            new_rows.append(_flag_stat_rows(float(flags.mean()),
-                                            t.branch.target_class,
-                                            net.n_classes))
+            t.branch.election_stats = _flag_stat_rows(
+                float(flags.mean()), t.branch.target_class, net.n_classes)
     elif config.tuning_epochs > 0:
         tune_masks(net, state.train_set, config.tuning_epochs,
                    state.train_scores, raw_fit,
@@ -500,22 +485,12 @@ def _finish_iteration(state: GrowthState, tentative: list[_Tentative]) -> int:
                    batch_size=config.mask_batch_size,
                    seed=int(state.rng.integers(2 ** 31)))
 
-    def score(k: int, out: np.ndarray) -> np.ndarray:
-        """Added branch k's output as it enters its target class's score."""
-        if new_rows is None:
-            return out
-        c = tentative[k].branch.target_class
-        mean, std = new_rows[k]
-        return (out - mean[c]) / std[c]
-
-    out_sel = [added_branch_output(t.branch, t.values_sel, net.mode)
-               for t in tentative]
     sel_new = state.sel_scores.copy()
-    for k, (t, out) in enumerate(zip(tentative, out_sel)):
-        sel_new[:, t.branch.target_class] += score(k, out)
+    out_sel = [add_branch_output(sel_new, t.branch, t.values_sel, net.mode,
+                                 zscored) for t in tentative]
     new_acc, new_loss = score_metrics(sel_new, state.selection.labels)
     if new_loss > state.prev_selection_loss or (
-            net.mode == "election" and new_acc < state.prev_selection_accuracy):
+            zscored and new_acc < state.prev_selection_accuracy):
         del net.branches[-len(tentative):]
         log.info("iteration %d rolled back: selection loss %.6f (prev %.6f),"
                  " accuracy %.4f (prev %.4f)", state.iteration, new_loss,
@@ -525,28 +500,21 @@ def _finish_iteration(state: GrowthState, tentative: list[_Tentative]) -> int:
     for t in tentative:
         t.branch.mask_frozen = True
         t.record["kept"] = True
-    if new_rows is not None:
-        means, stds = (np.stack(rows) for rows in zip(*new_rows))
-        if net.election_stats is not None:
-            means = np.concatenate([net.election_stats.means, means])
-            stds = np.concatenate([net.election_stats.stds, stds])
-        net.election_stats = ElectionStats(means, stds)
     state.sel_scores = sel_new
     state.prev_selection_accuracy = new_acc
     state.prev_selection_loss = new_loss
     for t, out in zip(tentative, out_sel):
         on = state.selection.labels == t.branch.target_class
         state.sel_votes[on] += out[on]
-    for k, (t, raw) in enumerate(zip(tentative, raw_fit)):
-        out = added_branch_output(t.branch, raw, net.mode)
-        state.train_scores[:, t.branch.target_class] += score(k, out)
+    for t, raw in zip(tentative, raw_fit):
+        add_branch_output(state.train_scores, t.branch, raw, net.mode, zscored)
     state.train_accuracy = _accuracy(state.train_scores,
                                      state.train_set.labels)
     base_count = net.n_branches - len(tentative)
     for k, t in enumerate(tentative):
-        out = added_branch_output(
-            t.branch, _raw_values(t.branch, state.test_set), net.mode)
-        state.test_scores[:, t.branch.target_class] += score(k, out)
+        add_branch_output(state.test_scores, t.branch,
+                          _raw_values(t.branch, state.test_set), net.mode,
+                          zscored)
         accuracy, loss = score_metrics(state.test_scores,
                                        state.test_set.labels)
         state.test_metrics = (accuracy, loss)
@@ -566,7 +534,7 @@ def mask_gradients(frozen_logits: np.ndarray, labels: np.ndarray,
     """
     logits = frozen_logits.copy()
     for branch, raw in zip(branches, raw_values):
-        logits[:, branch.target_class] += apply_class_mask(branch.mask, raw)
+        add_branch_output(logits, branch, raw, "tuning", zscored=False)
     loss, dlogits = softmax_cross_entropy_batch(logits, labels)
     da = np.empty(len(branches))
     db = np.empty(len(branches))
@@ -621,8 +589,7 @@ def frozen_parameter_hash(branches: list[Branch]) -> str:
     for branch in branches:
         for layer in branch.mlp.hidden_layers:
             h.update(np.ascontiguousarray(layer.weights).tobytes())
-            if layer.bias is not None:
-                h.update(np.ascontiguousarray(layer.bias).tobytes())
+            h.update(np.ascontiguousarray(layer.bias).tobytes())
         h.update(np.ascontiguousarray(branch.mlp.output_layer.weights).tobytes())
         if branch.mask is not None:
             h.update(np.float64([branch.mask.thd, branch.mask.v_span]).tobytes())

@@ -129,8 +129,6 @@ def transfer_first_layer(layer: DenseLayer,
     ib = branch perm[k].  Weights are rescaled by the span ratio and the bias
     absorbs both means.
     """
-    if layer.bias is None:
-        raise ValueError("first-layer transfer needs a biased layer")
     w = layer.weights
     sigma_b = branch_stats.range_
     sigma_r = ref_stats.range_

@@ -78,6 +78,9 @@ class Branch:
     mask: ClassMask | None = None
     origin: str = "base"              # base | grown | transferred
     mask_frozen: bool = False
+    # Per-class output (mean, std) over the election fitting set; the std
+    # is floored at SIGMA_FLOOR.
+    election_stats: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         if self.origin not in ("base", "grown", "transferred"):
@@ -98,14 +101,19 @@ class Branch:
                                       and 0 <= c < self.mlp.n_classes):
                 raise ValueError(f"{name} {c!r} is not a class index below "
                                  f"{self.mlp.n_classes}")
-
-
-@dataclass
-class ElectionStats:
-    """Per-branch, per-class output mean and std over the fitting set."""
-
-    means: np.ndarray  # [n_branches, n_classes]
-    stds: np.ndarray   # [n_branches, n_classes], floored at SIGMA_FLOOR
+        if self.election_stats is not None:
+            mean, std = (np.asarray(a, dtype=np.float64)
+                         for a in self.election_stats)
+            want = (self.mlp.n_classes,)
+            if mean.shape != want or std.shape != want:
+                raise ValueError(f"election stats have shapes {mean.shape}"
+                                 f" and {std.shape}, expected {want}")
+            if not np.all(np.isfinite(mean)):
+                raise ValueError("election stats mean is not finite")
+            if not np.all(np.isfinite(std) & (std > 0.0)):
+                raise ValueError("election stats std is not finite and "
+                                 "positive")
+            self.election_stats = (mean, std)
 
 
 def _is_count(value) -> bool:
@@ -121,7 +129,6 @@ class NamNetwork:
     mode: str = "tuning"              # tuning | election
     tag: str = ""
     branches: list[Branch] = field(default_factory=list)
-    election_stats: ElectionStats | None = None
 
     def __post_init__(self):
         if self.mode not in ("tuning", "election"):
@@ -143,6 +150,9 @@ class NamNetwork:
                 range_flat_indices(br.input_range, self.input_shape)
             except ValueError as exc:
                 raise ValueError(f"branch {k}: {exc}") from exc
+        fitted = [br.election_stats is not None for br in self.branches]
+        if any(fitted) and not all(fitted):
+            raise ValueError("election stats present for only some branches")
 
     @property
     def n_branches(self) -> int:
@@ -175,29 +185,54 @@ def added_branch_output(branch: Branch, raw: np.ndarray, mode: str) -> np.ndarra
     return (raw > branch.mask.thd).astype(np.float64)
 
 
+def add_branch_output(out: np.ndarray, branch: Branch, y: np.ndarray,
+                      mode: str, zscored: bool) -> np.ndarray:
+    """Add one branch's contribution to the score rows `out` [n, n_classes].
+
+    `y` is a base branch's output rows [n, n_classes] or an added branch's
+    raw scalars [n] at its branch_class.  A base branch adds its row.  An
+    added branch adds one scalar, masked (tuning) or flagged at its
+    threshold (election), to its target column; its other outputs are zero.
+    When `zscored`, the contribution is a z-score under the branch's
+    election stats, (output - mean) / std, over the whole class row.
+    Returns the contribution before z-scoring.
+    """
+    stats = branch.election_stats if zscored else None
+    if zscored and stats is None:
+        raise ValueError("election stats not fitted")
+    if branch.origin == "base":
+        out += y if stats is None else (y - stats[0]) / stats[1]
+        return y
+    value = added_branch_output(branch, y, mode)
+    t = branch.target_class
+    if stats is None:
+        out[:, t] += value
+        return value
+    # The zero outputs of the other classes add one constant z-score row;
+    # the target column adds its value's z-score.
+    mean, std = stats
+    zero_z = (0.0 - mean) / std
+    zero_z[t] = 0.0
+    out += zero_z
+    out[:, t] += (value - mean[t]) / std[t]
+    return value
+
+
 def _branch_sum(net: NamNetwork, images: np.ndarray,
                 zscored: bool) -> np.ndarray:
     """The forward engine: branch contributions summed into [n, n_classes].
 
     Walks the branches in list order over chunks of _EVAL_CHUNK images.
     Each branch reads its window straight from the flattened chunk, so the
-    only per-branch temporaries are [chunk, 9] and [chunk, n_classes].  A
-    base branch adds its full output row.  An added branch adds one scalar,
-    masked (tuning) or flagged at its threshold (election), to its target
-    column; its other outputs are zero.  When `zscored`, every contribution
-    is a z-score under the network's election stats, (output - mean) / std,
-    over the whole class row.  Each output element receives its additions
-    in branch order, whatever the chunking.
+    only per-branch temporaries are [chunk, 9] and [chunk, n_classes].
+    `add_branch_output` adds each contribution, z-scored under the branch's
+    own election stats when `zscored`.  Each output element receives its
+    additions in branch order, whatever the chunking.
     """
     if not net.branches:
         raise ValueError("network has no branches")
     if images.shape[1:] != net.input_shape:
         raise ValueError(f"image shape {images.shape[1:]} != {net.input_shape}")
-    stats = net.election_stats if zscored else None
-    if zscored and stats is None:
-        raise ValueError("election stats not fitted")
-    if zscored and stats.means.shape[0] != net.n_branches:
-        raise ValueError("election stats out of date with branch list")
     windows = [range_flat_indices(br.input_range, net.input_shape)
                for br in net.branches]
     n = images.shape[0]
@@ -206,21 +241,11 @@ def _branch_sum(net: NamNetwork, images: np.ndarray,
         hi = min(lo + _EVAL_CHUNK, n)
         rows = images[lo:hi].reshape(hi - lo, -1)
         out = total[lo:hi]
-        for k, (br, window) in enumerate(zip(net.branches, windows)):
+        for br, window in zip(net.branches, windows):
             y = mlp_forward_batch(br.mlp, rows[:, window])
-            if br.origin == "base":
-                out += y if stats is None else (y - stats.means[k]) / stats.stds[k]
-                continue
-            value = added_branch_output(br, y[:, br.branch_class], net.mode)
-            t = br.target_class
-            if stats is not None:
-                # The zero outputs of the other classes add one constant
-                # z-score row; the target column adds its value's z-score.
-                zero_z = (0.0 - stats.means[k]) / stats.stds[k]
-                zero_z[t] = 0.0
-                out += zero_z
-                value = (value - stats.means[k, t]) / stats.stds[k, t]
-            out[:, t] += value
+            if br.origin != "base":
+                y = y[:, br.branch_class]
+            add_branch_output(out, br, y, net.mode, zscored)
     return total
 
 

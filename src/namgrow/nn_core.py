@@ -73,6 +73,9 @@ class BranchMlp:
     def __post_init__(self):
         if not self.hidden_layers:
             raise ValueError("a branch MLP needs at least one hidden layer")
+        for k, layer in enumerate(self.hidden_layers):
+            if layer.bias is None:
+                raise ValueError(f"hidden layer {k} has no bias")
         if self.output_layer.bias is not None:
             raise ValueError("output layer must be bias-free")
         layers = [*self.hidden_layers, self.output_layer]
@@ -100,7 +103,7 @@ class BranchMlp:
 def mlp_parameter_count(mlp: BranchMlp) -> int:
     n = 0
     for layer in mlp.hidden_layers:
-        n += layer.weights.size + (0 if layer.bias is None else layer.bias.size)
+        n += layer.weights.size + layer.bias.size
     n += mlp.output_layer.weights.size
     return n
 
@@ -171,7 +174,7 @@ def softmax_cross_entropy_batch(
 class AdamState:
     """Adam moment accumulators for a fixed list of parameter arrays."""
 
-    def __init__(self, params: list[np.ndarray], lr: float = 1e-3,
+    def __init__(self, params: list[np.ndarray], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def branch_threshold(values: np.ndarray, top_fraction: float = 0.2) -> float:
+def branch_threshold(values: np.ndarray, top_fraction: float) -> float:
     """Output level above which the top `top_fraction` of samples sit."""
     if not 0.0 < top_fraction < 1.0:
         raise ValueError("top_fraction must be in (0, 1)")

@@ -100,8 +100,6 @@ def stack_network(net):
     stacked = StackedNam()
     for layer_idx in range(len(first.hidden_layers)):
         layers = [mlp.hidden_layers[layer_idx] for mlp in mlps]
-        if any(layer.bias is None for layer in layers):
-            raise ValueError("hidden layers must carry biases")
         stacked.hidden_weights.append(
             np.stack([layer.weights for layer in layers]).astype(np.float64)
         )

@@ -47,7 +47,6 @@ from namgrow.matching import (
 from namgrow.nam_model import (
     SIGMA_FLOOR,
     Branch,
-    ElectionStats,
     NamNetwork,
     apply_class_mask,
     branch_raw_scalar_batch,
@@ -428,12 +427,9 @@ def loop_forward_batch(net: NamNetwork, images: np.ndarray) -> np.ndarray:
 
 
 def loop_elect_batch(net: NamNetwork, images: np.ndarray) -> np.ndarray:
-    """Summed z-scores [n, n_classes]."""
-    if net.election_stats is None:
+    """Summed z-scores [n, n_classes], each branch's under its own stats."""
+    if any(br.election_stats is None for br in net.branches):
         raise ValueError("election stats not fitted")
-    stats = net.election_stats
-    if stats.means.shape[0] != net.n_branches:
-        raise ValueError("election stats out of date with branch list")
     n = images.shape[0]
     scores = np.zeros((n, net.n_classes))
     for lo, hi in _chunks(n):
@@ -441,7 +437,8 @@ def loop_elect_batch(net: NamNetwork, images: np.ndarray) -> np.ndarray:
         patches = extract_patches(chunk, [b.input_range for b in net.branches])
         for k, br in enumerate(net.branches):
             out = branch_output_batch(br, patches[k], net.mode, net.n_classes)
-            scores[lo:hi] += (out - stats.means[k]) / stats.stds[k]
+            mean, std = br.election_stats
+            scores[lo:hi] += (out - mean) / std
     return scores
 
 
@@ -467,8 +464,10 @@ def branch_outputs_batch(net: NamNetwork, images: np.ndarray) -> np.ndarray:
     ])
 
 
-def fit_election_stats(net: NamNetwork, dataset: Dataset) -> ElectionStats:
-    """Per-branch, per-class mean and population std of outputs on the dataset."""
+def fit_election_stats(net: NamNetwork, dataset: Dataset
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-branch, per-class mean and population std of outputs on the
+    dataset, as two [n_branches, n_classes] arrays."""
     if dataset.n == 0:
         raise ValueError("empty fitting set")
     k = net.n_branches
@@ -484,4 +483,11 @@ def fit_election_stats(net: NamNetwork, dataset: Dataset) -> ElectionStats:
     means = sums / dataset.n
     variances = np.maximum(sq_sums / dataset.n - np.square(means), 0.0)
     stds = np.maximum(np.sqrt(variances), SIGMA_FLOOR)
-    return ElectionStats(means, stds)
+    return means, stds
+
+
+def set_election_stats(net: NamNetwork, means: np.ndarray,
+                       stds: np.ndarray) -> None:
+    """Give branch k the election stats (means[k], stds[k])."""
+    for br, mean, std in zip(net.branches, means, stds, strict=True):
+        br.election_stats = (mean, std)

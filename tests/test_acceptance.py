@@ -34,7 +34,6 @@ from namgrow.matching import NormalizationStats, transfer_first_layer
 from namgrow.nam_model import (
     Branch,
     ClassMask,
-    ElectionStats,
     NamNetwork,
     apply_class_mask,
     build_network,
@@ -59,6 +58,7 @@ from oracles import (
     mlp_backward,
     mlp_forward,
     reference_mean_shift,
+    set_election_stats,
     softmax_cross_entropy,
 )
 
@@ -468,12 +468,12 @@ def _check_election_standardization():
         for _ in range(3)])
     ds = Dataset(rng.uniform(-0.5, 0.5, size=(100,) + shape),
                  rng.integers(0, 10, size=100), "t", 10)
-    stats = fit_election_stats(net, ds)
+    means, stds = fit_election_stats(net, ds)
     outs = branch_outputs_batch(net, ds.images)
     for k in range(3):
-        z = (outs[k] - stats.means[k]) / stats.stds[k]
+        z = (outs[k] - means[k]) / stds[k]
         assert np.max(np.abs(z.mean(axis=0))) < 1e-9
-        live = stats.stds[k] > 1e-6  # floored stds mark constant outputs
+        live = stds[k] > 1e-6  # floored stds mark constant outputs
         assert np.max(np.abs(z.std(axis=0)[live] - 1.0)) < 1e-9
 
 
@@ -487,8 +487,8 @@ def _check_checkpoint_byte_identity(tmp_path):
         ClassMask(1.25, 0.0078125, 0.1, 0.123456789012345),
         origin="transferred"))
     net.branches[1].mask_frozen = True
-    net.election_stats = ElectionStats(rng.normal(size=(2, 10)),
-                                       rng.uniform(0.5, 2, size=(2, 10)))
+    set_election_stats(net, rng.normal(size=(2, 10)),
+                       rng.uniform(0.5, 2, size=(2, 10)))
     net.branches[0].mlp.hidden_layers[0].weights[0, 0] = 0.1
     net.branches[0].mlp.hidden_layers[0].weights[0, 1] = 1e-300
     net.branches[0].mlp.hidden_layers[0].weights[0, 2] = np.nextafter(1.0, 2.0)

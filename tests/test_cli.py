@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -643,6 +644,34 @@ class TestEval:
         assert errors == [f"checkpoint {empty} has no branches: "
                           f"there is nothing to evaluate"]
 
+    def test_a_class_missing_from_the_split_scores_null(self, tmp_path,
+                                                         base_run):
+        """eval.json stays JSON: a class the split lacks has a null
+        per-class accuracy, never a NaN."""
+        other = tmp_path / "no-class-9"
+        other.mkdir()
+        images, labels = _block_images(np.random.default_rng(6), 10)
+        present = labels != 9
+        _write_idx(other / "t10k-images-idx3-ubyte", images[present], 2051)
+        _write_idx(other / "t10k-labels-idx1-ubyte", labels[present], 2049)
+        out = tmp_path / "eval.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["eval", "--checkpoint",
+                         str(base_run / "checkpoint.json"), "--dataset",
+                         "mnist", "--data-dir", str(other), "--split", "test",
+                         "--out", str(out)])
+        assert code == 0
+
+        def no_constants(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads(out.read_text(), parse_constant=no_constants)
+        per_class = doc["per_class_accuracy"]
+        assert len(per_class) == 10 and per_class[9] is None
+        assert all(isinstance(a, float) and 0.0 <= a <= 1.0
+                   for a in per_class[:9])
+
     def test_geometry_mismatch_is_a_data_error(self, tmp_path, base_run):
         other = tmp_path / "other"
         other.mkdir()
@@ -883,6 +912,21 @@ class TestMalformedCheckpoints:
         errors = [r.getMessage() for r in caplog.records
                   if r.levelname == "ERROR"]
         assert len(errors) == 1 and errors[0].startswith(expected), errors
+
+    def test_stats_on_only_some_branches_is_a_data_error(
+            self, tmp_path, data_dir, transfer_run, caplog):
+        doc = json.loads((transfer_run / "checkpoint.json").read_text())
+        assert len(doc["branches"]) >= 2
+        assert all(rec["election_stats"] for rec in doc["branches"])
+        doc["branches"][1]["election_stats"] = None
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["eval", "--checkpoint", str(bad), "--dataset", "mnist",
+                     "--data-dir", str(data_dir)])
+        assert code == 2
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert errors == ["election stats present for only some branches"]
 
     def test_missing_network_field_is_a_data_error(self, tmp_path, data_dir,
                                                    base_run, caplog):

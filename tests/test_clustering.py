@@ -26,7 +26,7 @@ FAST = ClusterConfig(n_samples=400, max_shift_iterations=50)
 def test_generate_pairs_keeps_exact_top_fraction():
     rng = np.random.default_rng(42)
     mlp = init_branch_mlp(rng, n_classes=10)
-    pairs = generate_branch_pairs(mlp, 10, rng)
+    pairs = generate_branch_pairs(mlp, 10, rng, 0.2)
     assert len(pairs) == 10
     for p in pairs:
         assert p.n == 2  # 20% of 10
@@ -40,7 +40,7 @@ def test_generate_pairs_constant_branch_ties_by_index():
         layer.weights[:] = 0.0
         layer.bias[:] = 0.0
     mlp.output_layer.weights[:] = 0.0  # all outputs identically 0
-    pairs = generate_branch_pairs(mlp, 20, np.random.default_rng(9))
+    pairs = generate_branch_pairs(mlp, 20, np.random.default_rng(9), 0.2)
     for p in pairs:
         assert p.n == 4
         np.testing.assert_array_equal(p.outputs, np.zeros(4))
@@ -55,7 +55,7 @@ def test_generate_pairs_retained_dominate_dropped():
     rng = np.random.default_rng(42)
     mlp = init_branch_mlp(rng, n_classes=4)
     samples_rng = np.random.default_rng(7)
-    pairs = generate_branch_pairs(mlp, 200, samples_rng)
+    pairs = generate_branch_pairs(mlp, 200, samples_rng, 0.2)
     # recompute everything by brute sort
     from namgrow.nn_core import mlp_forward_batch
     check_rng = np.random.default_rng(7)
@@ -71,7 +71,7 @@ def test_generate_pairs_retained_dominate_dropped():
 def test_generate_pairs_domain():
     rng = np.random.default_rng(3)
     mlp = init_branch_mlp(rng, n_classes=2)
-    pairs = generate_branch_pairs(mlp, 50, rng)
+    pairs = generate_branch_pairs(mlp, 50, rng, 0.2)
     for p in pairs:
         assert p.samples.min() >= -0.5 and p.samples.max() <= 0.5
 

@@ -814,16 +814,39 @@ class TestGrowIterationElection:
         net = state.net
         assert net.branches[0].origin == "transferred"
         assert parameter_count(net) == 0
-        assert net.election_stats is not None
+        assert all(br.election_stats is not None for br in net.branches)
         # incremental stats equal the generic two-pass fit
-        stats = fit_election_stats(net, selection)
-        np.testing.assert_allclose(net.election_stats.means, stats.means,
-                                   atol=1e-12)
-        np.testing.assert_allclose(net.election_stats.stds, stats.stds,
-                                   atol=1e-12)
+        means, stds = fit_election_stats(net, selection)
+        np.testing.assert_allclose(
+            [br.election_stats[0] for br in net.branches], means, atol=1e-12)
+        np.testing.assert_allclose(
+            [br.election_stats[1] for br in net.branches], stds, atol=1e-12)
         acc, _ = evaluate(net, selection)
         assert acc == state.prev_selection_accuracy
         assert acc > 1.0 / N_CLASSES
+
+    def test_kept_stats_are_the_train_split_flag_rows(self):
+        """Each kept branch carries `_flag_stat_rows` of the flags it
+        raises on the train split, not on the selection set."""
+        train = two_window_dataset(40, seed=1, tag="train")
+        selection = build_selection_set(train, 30, seed=0)
+        state, config = fresh_state("election", selection, train_set=train,
+                                    max_per_iteration=2)
+        candidates = iter([hand_candidate(ramp_mlp(1), 1, target, r)
+                           for r in base_grid_ranges(selection.shape, 1)
+                           for target in range(N_CLASSES)])
+        while grow_iteration(state, candidates, config).candidates_seen:
+            pass
+        assert state.net.n_branches >= 2
+        for br in state.net.branches:
+            raw = mlp_forward_batch(
+                br.mlp, extract_patches(train.images, [br.input_range])[0]
+            )[:, br.branch_class]
+            flags = (raw > br.mask.thd).astype(np.float64)
+            mean, std = growth._flag_stat_rows(float(flags.mean()),
+                                               br.target_class, N_CLASSES)
+            assert np.array_equal(br.election_stats[0], mean)
+            assert np.array_equal(br.election_stats[1], std)
 
     def test_accuracy_never_decreases(self):
         data = patch_mean_dataset([-0.2, -0.4, 0.4], 40, seed=3)
@@ -884,6 +907,27 @@ class TestGrowIterationElection:
         # branch had pulled toward class 0.
         assert state.prev_selection_accuracy == pytest.approx(1.0)
         assert [b.origin for b in state.net.branches] == ["transferred"] * 3
+
+    def test_rolled_back_batch_leaves_no_stats_behind(self):
+        """A rolled-back batch takes the stats fitted for it along with
+        its branches; the kept branches' stats do not move."""
+        selection = self.disjoint_range_dataset()
+        state, config = fresh_state(mode="election", selection=selection,
+                                    max_per_iteration=2, top_fraction=0.5)
+        candidates = iter([
+            hand_candidate(ramp_mlp(1), 1, 2),
+            hand_candidate(ramp_mlp(1), 1, 0, InputRange(0, 3, 0)),
+            hand_candidate(ramp_mlp(1), 1, 1, InputRange(0, 0, 3)),
+        ])
+        assert grow_iteration(state, candidates, config).accepted == 2
+        kept = list(state.net.branches)
+        before = network_to_json(state.net)
+        state.prev_selection_loss = -1.0  # no batch can keep the loss
+        record = grow_iteration(state, candidates, config)
+        assert state.candidate_records[-1]["qualified"]
+        assert record.accepted == 0
+        assert state.net.branches == kept
+        assert network_to_json(state.net) == before
 
     def test_constant_candidate_fails_precision(self):
         data = patch_mean_dataset([-0.2, -0.4, 0.4], 20, seed=4)

@@ -17,7 +17,7 @@ from namgrow.matching import (
     stats_from_summary,
     transfer_first_layer,
 )
-from namgrow.nn_core import DenseLayer, init_branch_mlp
+from namgrow.nn_core import BranchMlp, DenseLayer, init_branch_mlp
 from oracles import mlp_forward, transfer_branch_mlp
 
 
@@ -477,12 +477,11 @@ def test_transfer_full_mlp_forward_agrees():
 
 
 def test_transfer_requires_biased_layer():
-    with pytest.raises(ValueError):
-        transfer_first_layer(DenseLayer(np.ones((2, 2)), None),
-                             NormalizationStats(np.zeros(2), np.ones(2),
-                                                np.arange(2)),
-                             NormalizationStats(np.zeros(2), np.ones(2),
-                                                np.arange(2)))
+    """Transfer rewrites the first hidden layer of a branch MLP, and a
+    branch MLP refuses a hidden layer without a bias."""
+    with pytest.raises(ValueError, match="hidden layer 0 has no bias"):
+        BranchMlp([DenseLayer(np.ones((2, 2)), None)],
+                  DenseLayer(np.ones((3, 2))))
 
 
 def test_stats_from_summary_uses_sample_statistics():

@@ -12,7 +12,6 @@ from namgrow.data_io import Dataset, InputRange, extract_patches
 from namgrow.nam_model import (
     Branch,
     ClassMask,
-    ElectionStats,
     NamNetwork,
     apply_class_mask,
     branch_raw_scalar_batch,
@@ -28,7 +27,7 @@ from namgrow.nam_model import (
 from namgrow.nn_core import init_branch_mlp
 from oracles import branch_outputs_batch, elect, extract_patch, \
     fit_election_stats, loop_elect_batch, loop_forward_batch, mlp_forward, \
-    network_forward
+    network_forward, set_election_stats
 
 SHAPE = (3, 32, 32)
 
@@ -146,9 +145,8 @@ def mixed_network(rng, mode, n_base=3, n_added=9):
     net = NamNetwork(10, MIXED_SHAPE, mode=mode,
                      branches=[branches[i] for i in order])
     if mode == "election":
-        net.election_stats = ElectionStats(
-            rng.normal(size=(net.n_branches, 10)),
-            rng.uniform(0.1, 2.0, size=(net.n_branches, 10)))
+        set_election_stats(net, rng.normal(size=(net.n_branches, 10)),
+                           rng.uniform(0.1, 2.0, size=(net.n_branches, 10)))
     return net
 
 
@@ -270,7 +268,7 @@ def test_elect_scores_match_hand_summed_zscores():
     net = synthetic_election_net(rng)
     means = rng.normal(size=(5, 10))
     stds = rng.uniform(0.5, 2.0, size=(5, 10))
-    net.election_stats = ElectionStats(means, stds)
+    set_election_stats(net, means, stds)
     images = random_images(rng, 3)
     outs = branch_outputs_batch(net, images)
     scores = elect_batch(net, images)
@@ -288,8 +286,7 @@ def test_elect_centered_image_scores_zero():
     net = synthetic_election_net(rng, n_branches=1)
     img = random_images(rng, 1)[0]
     out = branch_outputs_batch(net, img[None])[0, 0]
-    net.election_stats = ElectionStats(out[None].copy(),
-                                       np.ones((1, 10)))
+    set_election_stats(net, out[None].copy(), np.ones((1, 10)))
     scores, _ = elect(net, img)
     np.testing.assert_allclose(scores, np.zeros(10), rtol=0, atol=1e-12)
 
@@ -301,7 +298,7 @@ def test_elect_one_std_above_mean_wins():
     out = branch_outputs_batch(net, img[None])[0, 0]
     means = out[None].copy()
     means[0, 3] -= 2.0  # class 3 sits two stds above its mean
-    net.election_stats = ElectionStats(means, np.full((1, 10), 2.0))
+    set_election_stats(net, means, np.full((1, 10), 2.0))
     scores, pred = elect(net, img)
     assert pred == 3
     np.testing.assert_allclose(scores[3], 1.0, rtol=0, atol=1e-12)
@@ -319,7 +316,7 @@ def test_elect_tie_breaks_to_lowest_class():
     net = synthetic_election_net(rng, n_branches=1)
     img = random_images(rng, 1)[0]
     out = branch_outputs_batch(net, img[None])[0, 0]
-    net.election_stats = ElectionStats(out[None] - 1.0, np.ones((1, 10)))
+    set_election_stats(net, out[None] - 1.0, np.ones((1, 10)))
     scores, pred = elect(net, img)
     np.testing.assert_allclose(scores, np.ones(10), rtol=0, atol=1e-12)
     assert pred == 0
@@ -329,13 +326,13 @@ def test_fit_election_stats_matches_two_pass_oracle():
     rng = np.random.default_rng(42)
     net = synthetic_election_net(rng, n_branches=4)
     ds = Dataset(random_images(rng, 50), rng.integers(0, 10, size=50), "t", 10)
-    stats = fit_election_stats(net, ds)
+    means, stds = fit_election_stats(net, ds)
     outs = branch_outputs_batch(net, ds.images)  # [K, n, C]
     for k in range(4):
         mean = outs[k].mean(axis=0)
         std = outs[k].std(axis=0)  # population
-        np.testing.assert_allclose(stats.means[k], mean, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(stats.stds[k], np.maximum(std, 1e-6),
+        np.testing.assert_allclose(means[k], mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stds[k], np.maximum(std, 1e-6),
                                    rtol=0, atol=1e-12)
 
 
@@ -350,21 +347,21 @@ def test_fit_election_stats_two_point_example_and_floor():
     br = make_grown_branch(rng, InputRange(0, 0, 0), 0, 0, thd=1e9)
     net = NamNetwork(10, SHAPE, mode="election", branches=[br])
     ds = Dataset(random_images(rng, 8), np.zeros(8, dtype=np.int64), "t", 10)
-    stats = fit_election_stats(net, ds)
-    assert np.all(stats.stds == 1e-6)
-    assert np.all(stats.means == 0.0)
+    means, stds = fit_election_stats(net, ds)
+    assert np.all(stds == 1e-6)
+    assert np.all(means == 0.0)
 
 
 def test_election_standardization_property():
     rng = np.random.default_rng(42)
     net = synthetic_election_net(rng, n_branches=3)
     ds = Dataset(random_images(rng, 100), rng.integers(0, 10, size=100), "t", 10)
-    stats = fit_election_stats(net, ds)
+    means, stds = fit_election_stats(net, ds)
     outs = branch_outputs_batch(net, ds.images)
     for k in range(3):
-        z = (outs[k] - stats.means[k]) / stats.stds[k]
+        z = (outs[k] - means[k]) / stds[k]
         np.testing.assert_allclose(z.mean(axis=0), 0.0, rtol=0, atol=1e-9)
-        live = stats.stds[k] > 1e-6
+        live = stds[k] > 1e-6
         np.testing.assert_allclose(z.std(axis=0)[live], 1.0, rtol=0, atol=1e-9)
 
 
@@ -372,13 +369,13 @@ def test_elect_argmax_invariant_under_common_scaling():
     rng = np.random.default_rng(8)
     ds = Dataset(random_images(rng, 40), rng.integers(0, 10, size=40), "t", 10)
     net = synthetic_election_net(rng, n_branches=3)
-    net.election_stats = fit_election_stats(net, ds)
+    set_election_stats(net, *fit_election_stats(net, ds))
     preds = np.argmax(elect_batch(net, ds.images), axis=1)
 
     scaled = copy.deepcopy(net)
     for br in scaled.branches:
         br.mlp.output_layer.weights *= 7.5  # scales every class-output by 7.5
-    scaled.election_stats = fit_election_stats(scaled, ds)
+    set_election_stats(scaled, *fit_election_stats(scaled, ds))
     preds_scaled = np.argmax(elect_batch(scaled, ds.images), axis=1)
     np.testing.assert_array_equal(preds, preds_scaled)
 
@@ -430,6 +427,56 @@ def test_branch_validation():
                ClassMask(1, 0, 0, 1), origin="weird")
 
 
+@pytest.mark.parametrize("mean, std, message", [
+    (np.zeros(9), np.ones(10),
+     "election stats have shapes (9,) and (10,), expected (10,)"),
+    (np.zeros(10), np.ones((1, 10)),
+     "election stats have shapes (10,) and (1, 10), expected (10,)"),
+    (np.r_[np.nan, np.zeros(9)], np.ones(10),
+     "election stats mean is not finite"),
+    (np.r_[np.inf, np.zeros(9)], np.ones(10),
+     "election stats mean is not finite"),
+    (np.zeros(10), np.r_[0.0, np.ones(9)],
+     "election stats std is not finite and positive"),
+    (np.zeros(10), np.r_[-1.0, np.ones(9)],
+     "election stats std is not finite and positive"),
+    (np.zeros(10), np.r_[np.inf, np.ones(9)],
+     "election stats std is not finite and positive"),
+    (np.zeros(10), np.r_[np.nan, np.ones(9)],
+     "election stats std is not finite and positive"),
+])
+def test_branch_rejects_malformed_election_stats(mean, std, message):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError) as exc:
+        Branch(init_branch_mlp(rng, 10), InputRange(0, 0, 0),
+               election_stats=(mean, std))
+    assert str(exc.value) == message
+
+
+def test_branch_keeps_election_stats_as_float_arrays():
+    rng = np.random.default_rng(0)
+    br = Branch(init_branch_mlp(rng, 10), InputRange(0, 0, 0),
+                election_stats=([0] * 10, [1] * 10))
+    mean, std = br.election_stats
+    assert mean.dtype == std.dtype == np.float64
+    np.testing.assert_array_equal(mean, np.zeros(10))
+    np.testing.assert_array_equal(std, np.ones(10))
+
+
+def test_network_rejects_stats_on_only_some_branches():
+    rng = np.random.default_rng(0)
+    stats = (np.zeros(10), np.ones(10))
+    branches = [Branch(init_branch_mlp(rng, 10), InputRange(0, 0, 0),
+                       election_stats=stats if k != 1 else None)
+                for k in range(3)]
+    with pytest.raises(ValueError, match="^election stats present for only "
+                                         "some branches$"):
+        NamNetwork(10, SHAPE, mode="election", branches=branches)
+    for br in branches:
+        br.election_stats = stats
+    NamNetwork(10, SHAPE, mode="election", branches=branches)
+
+
 # ---------------------------------------------------------------- checkpoint
 
 def grown_net_with_stats(rng):
@@ -439,8 +486,8 @@ def grown_net_with_stats(rng):
         rng, InputRange(0, 1, 2), 3, 6, thd=0.1, v_span=0.123456789012345,
         a=1.25, b=0.0078125, origin="transferred"))
     net.branches[1].mask_frozen = True
-    net.election_stats = ElectionStats(rng.normal(size=(2, 10)),
-                                       rng.uniform(0.5, 2, size=(2, 10)))
+    set_election_stats(net, rng.normal(size=(2, 10)),
+                       rng.uniform(0.5, 2, size=(2, 10)))
     return net
 
 
@@ -479,17 +526,17 @@ def test_checkpoint_values_lossless(tmp_path):
         if a.mask is not None:
             assert (a.mask.a, a.mask.b, a.mask.thd, a.mask.v_span) == \
                 (b.mask.a, b.mask.b, b.mask.thd, b.mask.v_span)
-    np.testing.assert_array_equal(net.election_stats.means,
-                                  loaded.election_stats.means)
-    np.testing.assert_array_equal(net.election_stats.stds,
-                                  loaded.election_stats.stds)
+        np.testing.assert_array_equal(a.election_stats[0],
+                                      b.election_stats[0])
+        np.testing.assert_array_equal(a.election_stats[1],
+                                      b.election_stats[1])
 
 
 def test_checkpoint_tuning_net_without_stats():
     net = build_network((1, 28, 28), 10, seed=5, spacing=6, tag="x")
     text = network_to_json(net)
     loaded = network_from_json(text)
-    assert loaded.election_stats is None
+    assert all(br.election_stats is None for br in loaded.branches)
     assert loaded.n_branches == 25
     assert network_to_json(loaded) == text
 

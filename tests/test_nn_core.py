@@ -310,7 +310,7 @@ def test_adam_three_steps_match_hand_recurrence():
     expected = hand_adam(params, grads_seq)
 
     live = [p.copy() for p in params]
-    state = AdamState(live)
+    state = AdamState(live, lr=1e-3)
     for grads in grads_seq:
         adam_step(state, live, grads)
     for got, want in zip(live, expected):
@@ -321,7 +321,7 @@ def test_adam_zero_gradient_is_noop():
     rng = np.random.default_rng(1)
     params = [rng.normal(size=(3, 3))]
     before = params[0].copy()
-    state = AdamState(params)
+    state = AdamState(params, lr=1e-3)
     adam_step(state, params, [np.zeros((3, 3))])
     np.testing.assert_allclose(params[0], before, rtol=0, atol=0)
 
@@ -329,7 +329,7 @@ def test_adam_zero_gradient_is_noop():
 def test_adam_counter_increments():
     nn_core.reset_optimizer_step_count()
     params = [np.ones(3)]
-    state = AdamState(params)
+    state = AdamState(params, lr=1e-3)
     adam_step(state, params, [np.ones(3)])
     adam_step(state, params, [np.ones(3)])
     assert nn_core.optimizer_step_count() == 2
@@ -339,7 +339,7 @@ def test_adam_counter_increments():
 
 def test_adam_rejects_shape_mismatch():
     params = [np.ones((2, 2))]
-    state = AdamState(params)
+    state = AdamState(params, lr=1e-3)
     with pytest.raises(ValueError):
         adam_step(state, params, [np.ones(3)])
 
@@ -354,6 +354,13 @@ def test_dense_layer_validation():
                   DenseLayer(np.ones((2, 9)), np.ones(2)))
     with pytest.raises(ValueError, match="at least one hidden layer"):
         BranchMlp([], DenseLayer(np.ones((2, 9))))
+
+
+def test_branch_mlp_requires_every_hidden_layer_biased():
+    hidden = [DenseLayer(np.ones((9, 9)), np.ones(9)),
+              DenseLayer(np.ones((9, 9)), None)]
+    with pytest.raises(ValueError, match="^hidden layer 1 has no bias$"):
+        BranchMlp(hidden, DenseLayer(np.ones((2, 9))))
 
 
 def test_forward_rejects_bad_shapes():

@@ -264,7 +264,8 @@ class TestTransferRun:
         assert net.n_branches >= 1
         assert all(b.origin == "transferred" for b in net.branches)
         assert parameter_count(net) == 0
-        assert net.election_stats.means.shape == (net.n_branches, N_CLASSES)
+        assert all(br.election_stats[0].shape == (N_CLASSES,)
+                   for br in net.branches)
         accuracy, _ = evaluate(net, task_b[1])
         assert accuracy > 1.0 / N_CLASSES
 

@@ -22,7 +22,7 @@ def tuning(values, labels, target=0, votes=None):
     labels = np.asarray(labels)
     votes = np.zeros(values.size) if votes is None else votes
     return qualify(values, labels, target, votes, "tuning",
-                   branch_threshold(values), int(labels.max()) + 1)
+                   branch_threshold(values, 0.2), int(labels.max()) + 1)
 
 
 def election(values, labels, target, thd, n_classes, votes=None):
