@@ -73,8 +73,7 @@ def generate_branch_pairs(mlp: BranchMlp, n_samples: int,
     pairs = []
     for c in range(mlp.n_classes):
         order = np.argsort(-outputs[:, c], kind="stable")[:n_keep]
-        pairs.append(BranchPairs(c, samples[order].copy(),
-                                 outputs[order, c].copy()))
+        pairs.append(BranchPairs(c, samples[order], outputs[order, c]))
     return pairs
 
 

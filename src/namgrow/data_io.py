@@ -80,7 +80,10 @@ def _open_maybe_gzip(path: Path):
 
 
 def load_cifar10_batch(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """One CIFAR-10 binary batch file -> (images [n,3,32,32] float64, labels)."""
+    """One CIFAR-10 binary batch file -> (pixels [n,3,32,32] uint8, labels).
+
+    The pixels are a view of the file's bytes; `load_cifar10` normalizes
+    them once the batches are joined."""
     path = Path(path)
     with _open_maybe_gzip(path) as fh:
         raw = fh.read()
@@ -94,8 +97,7 @@ def load_cifar10_batch(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     labels = records[:, 0].astype(np.int64)
     if labels.max() >= 10:
         raise ValueError(f"{path}: label byte exceeds 9")
-    images = normalize_pixels(records[:, 1:].reshape(count, 3, 32, 32))
-    return images, labels
+    return records[:, 1:].reshape(count, 3, 32, 32), labels
 
 
 def load_cifar10(data_dir: str | Path, split: str) -> Dataset:
@@ -110,13 +112,11 @@ def load_cifar10(data_dir: str | Path, split: str) -> Dataset:
     missing = [str(f) for f in files if not f.exists()]
     if missing:
         raise FileNotFoundError(f"missing CIFAR-10 files: {missing}")
-    parts = [load_cifar10_batch(f) for f in files]
-    if len(parts) == 1:
-        images, labels = parts[0]
-    else:
-        images = np.concatenate([p[0] for p in parts])
-        labels = np.concatenate([p[1] for p in parts])
-    return Dataset(images, labels, f"cifar10-{split}", 10)
+    pixels, labels = zip(*[load_cifar10_batch(f) for f in files])
+    # joining drops the file bytes before the float64 copy is made
+    pixels = np.concatenate(pixels)
+    return Dataset(normalize_pixels(pixels), np.concatenate(labels),
+                   f"cifar10-{split}", 10)
 
 
 def _read_idx(path: Path, expected_magic: int) -> np.ndarray:
@@ -164,10 +164,13 @@ def load_mnist(data_dir: str | Path, split: str) -> Dataset:
     stem = {"train": "train", "test": "t10k"}.get(split)
     if stem is None:
         raise ValueError(f"unknown split {split!r}")
-    images_raw = _read_idx(_find_idx_file(data_dir, stem, "images"), 2051)
+    images_path = _find_idx_file(data_dir, stem, "images")
+    images_raw = _read_idx(images_path, 2051)
     labels = _read_idx(_find_idx_file(data_dir, stem, "labels"), 2049).astype(np.int64)
     if images_raw.ndim != 3:
         raise ValueError("MNIST image file is not 3-dimensional")
+    if images_raw.shape[0] == 0:
+        raise ValueError(f"{images_path}: holds no images")
     if images_raw.shape[0] != labels.shape[0]:
         raise ValueError("MNIST image/label counts differ")
     if labels.size and labels.max() >= 10:

@@ -202,29 +202,30 @@ def build_selection_set(dataset: Dataset, size: int, seed) -> Dataset:
     if size % dataset.n_classes != 0:
         raise ValueError(
             f"selection size {size} not divisible by {dataset.n_classes} classes")
-    per_class = size // dataset.n_classes
-    rng = np.random.default_rng(seed)
-    picks = []
-    for c in range(dataset.n_classes):
-        pool = np.flatnonzero(dataset.labels == c)
-        if pool.size < per_class:
-            raise ValueError(
-                f"class {c} has {pool.size} samples, selection needs {per_class}")
-        picks.append(rng.choice(pool, size=per_class, replace=False))
+    picks = _draw_per_class(dataset, size // dataset.n_classes,
+                            np.random.default_rng(seed), "selection")
     return dataset.subset(np.concatenate(picks), tag=f"{dataset.tag}-selection")
 
 
 def draw_reference_images(dataset: Dataset, per_class: int,
                           rng: np.random.Generator) -> dict[int, np.ndarray]:
     """Per-class reference images used on the distribution side of matching."""
-    refs = {}
+    picks = _draw_per_class(dataset, per_class, rng, "matching")
+    return {c: dataset.images[idx] for c, idx in enumerate(picks)}
+
+
+def _draw_per_class(dataset: Dataset, per_class: int,
+                    rng: np.random.Generator, purpose: str) -> list[np.ndarray]:
+    """`per_class` distinct sample indices of each class, classes in order;
+    `purpose` names the draw when a class is too small."""
+    picks = []
     for c in range(dataset.n_classes):
         pool = np.flatnonzero(dataset.labels == c)
         if pool.size < per_class:
             raise ValueError(
-                f"class {c} has {pool.size} samples, matching needs {per_class}")
-        refs[c] = dataset.images[rng.choice(pool, size=per_class, replace=False)]
-    return refs
+                f"class {c} has {pool.size} samples, {purpose} needs {per_class}")
+        picks.append(rng.choice(pool, size=per_class, replace=False))
+    return picks
 
 
 def match_candidates(input_range: InputRange, ref_images_by_class,
@@ -624,18 +625,17 @@ def source_branches(net: NamNetwork, transfer: bool) -> list[Branch]:
 
 
 def run_growth(net: NamNetwork, train_set: Dataset, config: GrowthConfig,
-               test_set: Dataset, cluster_table=None,
-               max_iterations: int | None = None,
-               on_iteration=None) -> GrowthState:
+               test_set: Dataset, cluster_table,
+               max_iterations: int | None, on_iteration) -> GrowthState:
     """Same-task growth: scan every stride-1 window, add qualified masked
     branches iteration by iteration, and return the full growth state.
 
     `max_iterations` bounds the number of iterations (None runs until the
     candidate scan is exhausted; 0 returns the network untouched).  Windows
     are matched as iterations consume their candidates, so a bounded run
-    matches none past the last window it uses.  `on_iteration`, when given,
-    is called with each IterationRecord as soon as it is final, so callers
-    can stream logs.  Raises RuntimeError when the branches the network
+    matches none past the last window it uses.  `on_iteration` is called
+    with each IterationRecord as soon as it is final, so callers can
+    stream logs.  Raises RuntimeError when the branches the network
     started with have changed by the end.
     """
     if net.mode != "tuning":
@@ -646,7 +646,7 @@ def run_growth(net: NamNetwork, train_set: Dataset, config: GrowthConfig,
 
 def transfer_task(base_net: NamNetwork, train_set: Dataset,
                   config: GrowthConfig, test_set: Dataset,
-                  cluster_table=None, on_iteration=None) -> GrowthState:
+                  cluster_table, on_iteration) -> GrowthState:
     """Trans-task transfer: apply the source branches one by one to the new
     task's input ranges in election mode, never calling the optimizer.
 
@@ -720,8 +720,7 @@ def _grow(source_net: NamNetwork, net: NamNetwork, train_set: Dataset,
             batch = stream if head is None else itertools.chain([head], stream)
             record = grow_iteration(state, batch, config)
             ran = True
-            if on_iteration is not None:
-                on_iteration(record)
+            on_iteration(record)
     if frozen_parameter_hash(started) != start_hash:
         raise RuntimeError("growth changed the branches it started from")
     return state

@@ -146,11 +146,11 @@ class PreparedSummaries:
 
     Built once by `prepare_summaries` and reused for every input range.  The
     normalized centers of all summaries are concatenated in candidate order,
-    summary i owning center rows offsets[i]:offsets[i+1].
+    summary i owning center rows offsets[i]:offsets[i+1].  They are held
+    once, as the first dim columns of the Gram rows.
     """
 
     stats: list[NormalizationStats]  # per summary, from its sample set
-    centers: np.ndarray              # [dim, n_centers], normalized
     gram_rows: np.ndarray            # [n_centers, dim + 1], centers | |c|^2
     max_sq_norm: np.ndarray          # [n_summaries], largest |c|^2
     weights: np.ndarray              # [n_centers], softmax weights per summary
@@ -185,7 +185,6 @@ def prepare_summaries(candidates: list[tuple[int, BranchClassClusters]]
         raise ValueError("non-finite or overflowing cluster center")
     return PreparedSummaries(
         stats=stats,
-        centers=np.ascontiguousarray(centers.T),
         gram_rows=np.hstack([centers, sq_norms[:, None]]),
         max_sq_norm=np.maximum.reduceat(sq_norms, offsets[:-1]),
         weights=np.concatenate(weights or [np.empty(0)]),
@@ -222,17 +221,19 @@ def _gram_slack_factor(dim: int) -> float:
     return 32.0 * (dim + 1) * (np.finfo(np.float64).eps / 2.0)
 
 
-def _sequential_sq_dist(refs_t: np.ndarray, centers_t: np.ndarray,
+def _sequential_sq_dist(refs_t: np.ndarray, gram_rows: np.ndarray,
                         ref_idx: np.ndarray, center_idx: np.ndarray
                         ) -> np.ndarray:
     """Squared distances of (ref, center) pairs, dimensions added in order.
 
-    Arrays are [dim, n].  This is the order `partial_average_distance` sums
-    in; NumPy's pairwise sum over a contiguous axis would differ by ulps.
+    refs_t is [dim, n_refs]; the centers are the first dim columns of
+    gram_rows.  This is the order `partial_average_distance` sums in;
+    NumPy's pairwise sum over a contiguous axis would differ by ulps.
     """
+    centers = gram_rows[center_idx]
     d2 = np.zeros(ref_idx.size)
-    for r_j, c_j in zip(refs_t, centers_t):
-        diff = r_j[ref_idx] - c_j[center_idx]
+    for j, r_j in enumerate(refs_t):
+        diff = r_j[ref_idx] - centers[:, j]
         d2 += diff * diff
     return d2
 
@@ -256,7 +257,7 @@ def _nearest_block(prepared: PreparedSummaries, s0: int, s1: int,
     flat = np.flatnonzero(candidate)
     ref_idx, row = np.divmod(flat, k1 - k0)
     row += k0
-    d2 = _sequential_sq_dist(refs_t, prepared.centers, ref_idx, row)
+    d2 = _sequential_sq_dist(refs_t, prepared.gram_rows, ref_idx, row)
     # candidates come sorted by group = (reference, summary), rows ascending
     # within a group, and every group holds at least its Gram minimum
     group = ref_idx * n_summaries + prepared.segment[row] - s0

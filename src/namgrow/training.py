@@ -4,7 +4,9 @@ The additive model sums per-branch class vectors, so the cross-entropy
 gradient with respect to every branch output is the same softmax residual.
 Training therefore vectorizes cleanly across branches: all hidden weights
 are stacked into [n_branches, out, in] tensors and each step runs a handful
-of batched matmuls instead of a Python loop over branches.
+of batched matmuls instead of a Python loop over branches.  Each branch's
+layers are bound to their slices of the stacked tensors, so the optimizer
+steps the network's own weights.
 
 Only networks whose branches all carry trainable MLPs (origin "base") can
 be trained here; grown and transferred branches expose no MLP gradients.
@@ -12,13 +14,15 @@ be trained here; grown and transferred branches expose no MLP gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .data_io import extract_patches
 from .nam_model import evaluate
-from .nn_core import AdamState, adam_step, softmax_cross_entropy_batch
+from .nn_core import (AdamState, DenseLayer, adam_step,
+                      softmax_cross_entropy_batch)
 
 
 @dataclass
@@ -49,27 +53,19 @@ class EpochMetrics:
     eval_loss: float
 
 
-@dataclass
-class StackedNam:
+class StackedNam(NamedTuple):
     """All branch parameters stacked along a leading branch axis.
 
     hidden_weights[l] has shape [n_branches, width, in_dim] and
     hidden_biases[l] has shape [n_branches, width]; output_weights has
-    shape [n_branches, n_classes, width].  The arrays are the optimizer's
-    working copies; ``unstack_into_network`` writes them back.
+    shape [n_branches, n_classes, width].  Every branch layer of the
+    stacked network is bound to its slice, so stepping these arrays steps
+    the network.
     """
 
-    hidden_weights: list = field(default_factory=list)
-    hidden_biases: list = field(default_factory=list)
-    output_weights: np.ndarray = None
-
-    @property
-    def n_branches(self):
-        return self.output_weights.shape[0]
-
-    @property
-    def n_hidden(self):
-        return len(self.hidden_weights)
+    hidden_weights: list
+    hidden_biases: list
+    output_weights: np.ndarray
 
     def param_list(self):
         """Flat parameter list in a fixed order (weights/bias per layer)."""
@@ -82,7 +78,8 @@ class StackedNam:
 
 
 def stack_network(net):
-    """Copy every branch MLP of `net` into stacked tensors."""
+    """Stack every branch MLP of `net` and bind branch k's layers to slice
+    k of the returned tensors."""
     if not net.branches:
         raise ValueError("cannot stack an empty network")
     mlps = []
@@ -97,36 +94,24 @@ def stack_network(net):
     for mlp in mlps[1:]:
         if len(mlp.hidden_layers) != len(first.hidden_layers):
             raise ValueError("branches disagree on depth")
-    stacked = StackedNam()
+    hidden_weights, hidden_biases = [], []
     for layer_idx in range(len(first.hidden_layers)):
         layers = [mlp.hidden_layers[layer_idx] for mlp in mlps]
-        stacked.hidden_weights.append(
-            np.stack([layer.weights for layer in layers]).astype(np.float64)
-        )
-        stacked.hidden_biases.append(
-            np.stack([layer.bias for layer in layers]).astype(np.float64)
-        )
-    stacked.output_weights = np.stack(
-        [mlp.output_layer.weights for mlp in mlps]
-    ).astype(np.float64)
-    return stacked
-
-
-def unstack_into_network(stacked, net):
-    """Write stacked parameters back into the branch MLPs of `net`."""
-    if stacked.n_branches != len(net.branches):
-        raise ValueError("branch count mismatch")
-    for k, branch in enumerate(net.branches):
-        mlp = branch.mlp
-        for layer_idx, layer in enumerate(mlp.hidden_layers):
-            layer.weights[...] = stacked.hidden_weights[layer_idx][k]
-            layer.bias[...] = stacked.hidden_biases[layer_idx][k]
-        mlp.output_layer.weights[...] = stacked.output_weights[k]
+        w = np.stack([layer.weights for layer in layers])
+        b = np.stack([layer.bias for layer in layers])
+        for k, mlp in enumerate(mlps):
+            mlp.hidden_layers[layer_idx] = DenseLayer(w[k], b[k])
+        hidden_weights.append(w)
+        hidden_biases.append(b)
+    out = np.stack([mlp.output_layer.weights for mlp in mlps])
+    for k, mlp in enumerate(mlps):
+        mlp.output_layer = DenseLayer(out[k])
+    return StackedNam(hidden_weights, hidden_biases, out)
 
 
 def _forward_with_cache(stacked, patches):
     patches = np.asarray(patches, dtype=np.float64)
-    if patches.ndim != 3 or patches.shape[0] != stacked.n_branches:
+    if patches.ndim != 3 or patches.shape[0] != len(stacked.output_weights):
         raise ValueError(
             "patches must have shape [n_branches, n, in_dim], got %r"
             % (patches.shape,)
@@ -157,9 +142,10 @@ def stacked_loss_and_grads(stacked, patches, labels):
     # The sum over branches broadcasts the same residual to every branch.
     d_out = np.einsum("nc,kni->kci", dlogits, top)
     dh = np.matmul(dlogits[None, :, :], stacked.output_weights)
-    hidden_w_grads = [None] * stacked.n_hidden
-    hidden_b_grads = [None] * stacked.n_hidden
-    for layer_idx in range(stacked.n_hidden - 1, -1, -1):
+    n_hidden = len(stacked.hidden_weights)
+    hidden_w_grads = [None] * n_hidden
+    hidden_b_grads = [None] * n_hidden
+    for layer_idx in range(n_hidden - 1, -1, -1):
         dpre = np.where(masks[layer_idx], dh, 0.0)
         below = activations[layer_idx]
         hidden_w_grads[layer_idx] = np.einsum("kni,knj->kij", dpre, below)
@@ -174,25 +160,23 @@ def stacked_loss_and_grads(stacked, patches, labels):
     return loss, grads
 
 
-def evaluate_stacked(stacked, net, dataset):
-    """(accuracy, mean cross-entropy) of the stacked parameters on a dataset.
+def evaluate_stacked(net, dataset):
+    """(accuracy, mean cross-entropy) of `net` on a dataset during training.
 
-    Writes them back into `net` and scores it with the network's own
-    forward engine, so training reports what `evaluate` of the saved
-    network reports.
+    The branches read the stacked arrays the optimizer steps, so this is
+    the network's own `evaluate` and reports what the saved network does.
     """
-    unstack_into_network(stacked, net)
     return evaluate(net, dataset)
 
 
-def train_network(net, train_dataset, config, eval_dataset, on_epoch=None):
+def train_network(net, train_dataset, config, eval_dataset, on_epoch):
     """Train every branch of `net` jointly on `train_dataset`.
 
     Runs `config.epochs` passes of seeded-shuffle minibatch Adam on the
-    mean cross-entropy of the summed logits, writes the trained weights
-    back into `net`, and returns one EpochMetrics per epoch, scored on
-    `eval_dataset`.  `on_epoch`, when given, receives each EpochMetrics as
-    soon as its epoch finishes.
+    mean cross-entropy of the summed logits, stepping the branch weights of
+    `net` in place, and returns one EpochMetrics per epoch, scored on
+    `eval_dataset`.  `on_epoch` receives each EpochMetrics as soon as its
+    epoch finishes.
     """
     if train_dataset.n_classes != net.n_classes:
         raise ValueError("dataset/network class count mismatch")
@@ -214,9 +198,7 @@ def train_network(net, train_dataset, config, eval_dataset, on_epoch=None):
             adam_step(state, params, grads)
             loss_sum += loss * idx.size
         train_loss = loss_sum / train_dataset.n
-        acc, eval_loss = evaluate_stacked(stacked, net, eval_dataset)
+        acc, eval_loss = evaluate_stacked(net, eval_dataset)
         history.append(EpochMetrics(epoch, train_loss, acc, eval_loss))
-        if on_epoch is not None:
-            on_epoch(history[-1])
-    unstack_into_network(stacked, net)
+        on_epoch(history[-1])
     return history

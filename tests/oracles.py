@@ -15,11 +15,12 @@ does not, and the dense and stride-1 window lists are the references for
 the one window-grid builder.  The per-branch matching scan is the reference
 for the shared window-major scan growth runs, and the loop mean-shift,
 which keeps each cluster's members, is the reference for the clustering
-that summarizes them in place.  The Hoeffding tail bounds,
-the loss-descent values, the clamp-weighted sum and the Gaussian kernel
-are the paper's
-formulas behind qualification and clustering; the library never evaluates
-them, and the tests check them as properties of the paper's theory.
+that summarizes them in place.  `ignore` is the progress callback of
+runs whose reports a test reads from what they return.  The Hoeffding tail
+bounds, the loss-descent values, the clamp-weighted sum and the Gaussian
+kernel are the paper's formulas behind qualification and clustering; the
+library never evaluates them, and the tests check them as properties of
+the paper's theory.
 """
 
 from __future__ import annotations
@@ -189,6 +190,11 @@ def stacked_forward(stacked: StackedNam, patches: np.ndarray) -> np.ndarray:
     """Summed class logits for per-branch patches [n_branches, n, in_dim]."""
     logits, _ = _forward_with_cache(stacked, patches)
     return logits
+
+
+def ignore(report) -> None:
+    """Progress callback (`on_epoch`, `on_iteration`) for runs whose
+    reports a test reads from the returned value."""
 
 
 def transfer_branch_mlp(mlp: BranchMlp, branch_stats: NormalizationStats,

@@ -54,6 +54,7 @@ from oracles import (
     branch_outputs_batch,
     fit_election_stats,
     hoeffding_bound,
+    ignore,
     loss_descent_diagnostics,
     mlp_backward,
     mlp_forward,
@@ -119,7 +120,8 @@ def _trained_cifar_base(train_set):
         net = build_network((3, 32, 32), 10, seed=0, spacing=6,
                             tag="cifar10-base")
         tic = time.monotonic()
-        train_network(net, train_set, TrainConfig(), train_set)
+        train_network(net, train_set, TrainConfig(), train_set,
+                      on_epoch=ignore)
         _shared["base"] = (net, time.monotonic() - tic)
     return _shared["base"]
 
@@ -162,7 +164,7 @@ def test_criterion_2_full_perception_baselines(cifar, mnist):
         net = build_network(train.shape, 10, seed=0, spacing=3,
                             tag=f"{name}-full")
         n_params = parameter_count(net)
-        train_network(net, train, TrainConfig(), test)
+        train_network(net, train, TrainConfig(), test, on_epoch=ignore)
         acc, loss = evaluate(net, test)
         parts.append(f"{name}: accuracy {acc:.4f}, loss {loss:.4f}, "
                      f"{n_params} params")
@@ -185,7 +187,9 @@ def test_criterion_3_same_task_growth(cifar):
     train, test = cifar
     base, _ = _trained_cifar_base(train)
     acc0, loss0 = _shared.get("base_test_metrics") or evaluate(base, test)
-    state = run_growth(copy.deepcopy(base), train, GrowthConfig(), test_set=test)
+    state = run_growth(copy.deepcopy(base), train, GrowthConfig(), test_set=test,
+                       cluster_table=None, max_iterations=None,
+                       on_iteration=ignore)
     accepted = sum(r.accepted for r in state.records)
     acc1, loss1 = evaluate(state.net, test)
     losses = [r.selection_loss for r in state.records]
@@ -220,7 +224,8 @@ def test_criterion_4_transfer_cifar_to_mnist(cifar, mnist):
     mnist_train, mnist_test = mnist
     reset_optimizer_step_count()
     state = transfer_task(base, mnist_train, GrowthConfig(),
-                          test_set=mnist_test)
+                          test_set=mnist_test, cluster_table=None,
+                          on_iteration=ignore)
     steps = optimizer_step_count()
     series = state.selection_accuracy_series
     failures = []

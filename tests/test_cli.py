@@ -9,6 +9,7 @@ tops out early and growth has genuine headroom; the rest of the pipeline
 import configparser
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -733,6 +734,31 @@ class TestErrorPaths:
         code = main(["eval", "--checkpoint", "x.json", "--dataset", "mnist",
                      "--data-dir", str(data_dir), "--threads", "-2"])
         assert code == 1
+
+    @pytest.mark.parametrize("stem", ["train", "t10k"])
+    def test_empty_split_is_a_data_error(self, tmp_path, data_dir, caplog,
+                                         stem):
+        """An IDX pair that holds zero images is refused at load, naming
+        the file, before any epoch runs."""
+        empty = tmp_path / "empty-split"
+        shutil.copytree(data_dir, empty)
+        _write_idx(empty / f"{stem}-images-idx3-ubyte",
+                   np.zeros((0, 12, 12), dtype=np.uint8), 2051)
+        _write_idx(empty / f"{stem}-labels-idx1-ubyte",
+                   np.zeros(0, dtype=np.uint8), 2049)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[data]\ndataset = mnist\ndata_dir = {empty}\n"
+                       "[train]\nepochs = 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["train-base", "--config", str(cfg),
+                         "--out-dir", str(tmp_path / "out"), "--seed", "3"])
+        assert code == 2
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert errors == [f"{empty / f'{stem}-images-idx3-ubyte'}: "
+                          "holds no images"]
+        assert not (tmp_path / "out" / "epochs.csv").exists()
 
     def test_non_integer_max_iterations_is_usage_error(
             self, tmp_path, data_dir, base_run, caplog):

@@ -81,7 +81,7 @@ def test_normalize_pixels_range():
 
 def test_cifar_record_count_comes_from_file_size(tmp_path, cifar_dir):
     images, labels = load_cifar10_batch(cifar_dir / "test_batch.bin")
-    assert images.shape == (6, 3, 32, 32)
+    assert images.shape == (6, 3, 32, 32) and images.dtype == np.uint8
     assert labels.shape == (6,)
     # truncated file -> size not a multiple of the record length
     blob = (cifar_dir / "data_batch_1.bin").read_bytes()
@@ -96,6 +96,32 @@ def test_cifar_train_concatenates_batches(cifar_dir):
     assert ds.n == 20 and ds.shape == (3, 32, 32)
     assert ds.images.min() >= -0.5 and ds.images.max() <= 0.5
     assert ds.n_classes == 10
+
+
+@pytest.mark.parametrize("split, names", [
+    ("train", [f"data_batch_{i}.bin" for i in range(1, 6)]),
+    ("test", ["test_batch.bin"]),
+])
+def test_cifar_split_is_the_normalized_join_of_raw_records(cifar_dir, split,
+                                                          names):
+    records = np.concatenate([
+        np.frombuffer((cifar_dir / name).read_bytes(), dtype=np.uint8)
+        .reshape(-1, CIFAR10_RECORD_BYTES) for name in names])
+    ds = load_cifar10(cifar_dir, split)
+    want = normalize_pixels(records[:, 1:].reshape(-1, 3, 32, 32))
+    assert ds.images.dtype == np.float64 and ds.images.shape == want.shape
+    assert ds.images.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(ds.labels, records[:, 0])
+
+
+def test_cifar_bad_label_names_its_batch(cifar_dir):
+    path = cifar_dir / "data_batch_3.bin"
+    blob = bytearray(path.read_bytes())
+    blob[2 * CIFAR10_RECORD_BYTES] = 10  # label byte of the third record
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError) as err:
+        load_cifar10(cifar_dir, "train")
+    assert str(err.value) == f"{path}: label byte exceeds 9"
 
 
 def test_cifar_pixel_layout_roundtrip(cifar_dir):

@@ -398,6 +398,25 @@ def test_prepare_summaries_rejects_non_finite_centers():
         prepare_summaries([(0, summary)])
 
 
+def test_prepared_summaries_hold_each_center_once():
+    """Per center: its Gram row (the normalized center and |c|^2), its
+    softmax weight and its owning summary; everything else is per
+    summary."""
+    rng = np.random.default_rng(0)
+    dim = 9
+    counts = [40, 1, 25, 60]
+    candidates = [(i, random_summary(rng, n)) for i, n in enumerate(counts)]
+    prepared = prepare_summaries(candidates)
+    held = sum(value.nbytes for value in vars(prepared).values()
+               if isinstance(value, np.ndarray))
+    held += sum(array.nbytes for stats in prepared.stats
+                for array in (stats.mean, stats.range_, stats.permutation))
+    # per summary: its stats, its largest |c|^2 and its offset
+    per_summary = 3 * dim * 8 + 8 + 8
+    assert held <= ((dim + 3) * 8 * sum(counts)
+                    + per_summary * len(counts) + 8)
+
+
 def test_match_all_rejects_prepared_side_of_other_candidates():
     rng = np.random.default_rng(0)
     candidates = [(0, random_summary(rng, 4)), (1, random_summary(rng, 5))]

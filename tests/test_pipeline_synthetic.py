@@ -31,6 +31,7 @@ from namgrow.nn_core import (
     reset_optimizer_step_count,
 )
 from namgrow.training import TrainConfig, train_network
+from oracles import ignore
 
 N_CLASSES = 3
 SHAPE = (1, 6, 6)
@@ -68,7 +69,7 @@ def make_base_network(train_set, seed=0):
                      branches=branches, tag="task-a-base")
     train_network(net, train_set,
                   TrainConfig(epochs=15, batch_size=32, learning_rate=3e-3,
-                              seed=seed), train_set)
+                              seed=seed), train_set, on_epoch=ignore)
     return net
 
 
@@ -93,7 +94,8 @@ def base_net(task_a):
 def grown(task_a, base_net):
     train, test = task_a
     return run_growth(copy.deepcopy(base_net), train, small_growth_config(),
-                      test_set=test)
+                      test_set=test, cluster_table=None, max_iterations=None,
+                      on_iteration=ignore)
 
 
 class TestBaseTraining:
@@ -141,7 +143,9 @@ class TestGrowthRun:
     def test_growth_is_deterministic(self, task_a, base_net, grown):
         train, test = task_a
         again = run_growth(copy.deepcopy(base_net), train,
-                           small_growth_config(), test_set=test)
+                           small_growth_config(), test_set=test,
+                           cluster_table=None, max_iterations=None,
+                           on_iteration=ignore)
         assert ([r.to_json_line() for r in again.records]
                 == [r.to_json_line() for r in grown.records])
         assert again.candidate_records == grown.candidate_records
@@ -158,10 +162,12 @@ class TestGrowthRun:
         election_net = copy.deepcopy(base_net)
         election_net.mode = "election"
         with pytest.raises(ValueError, match="tuning"):
-            run_growth(election_net, train, small_growth_config(), test)
+            run_growth(election_net, train, small_growth_config(), test,
+                       None, None, ignore)
         bare = NamNetwork(n_classes=N_CLASSES, input_shape=SHAPE, mode="tuning")
         with pytest.raises(ValueError, match="base"):
-            run_growth(bare, train, small_growth_config(), test)
+            run_growth(bare, train, small_growth_config(), test, None, None,
+                       ignore)
 
     def test_moved_base_weight_is_caught(self, task_a, base_net, monkeypatch):
         """run_growth hashes the branches it starts from on entry and again
@@ -178,7 +184,8 @@ class TestGrowthRun:
         train, test = task_a
         with pytest.raises(RuntimeError, match="started from"):
             run_growth(copy.deepcopy(base_net), train, small_growth_config(),
-                       test_set=test, max_iterations=1)
+                       test_set=test, cluster_table=None, max_iterations=1,
+                       on_iteration=ignore)
         assert calls
 
     def test_bounded_run_matches_only_the_windows_it_consumes(
@@ -212,7 +219,8 @@ class TestGrowthRun:
         train, test = task_a
         state = run_growth(copy.deepcopy(base_net), train,
                            small_growth_config(), test_set=test,
-                           max_iterations=1)
+                           cluster_table=None, max_iterations=1,
+                           on_iteration=ignore)
         assert len(state.records) == 1
         seen = state.records[0].candidates_seen
         total, last = 0, None
@@ -233,7 +241,9 @@ class TestGrowthRun:
                             lambda *args, **kwargs: [])
         train, test = task_a
         net = copy.deepcopy(base_net)
-        state = run_growth(net, train, small_growth_config(), test_set=test)
+        state = run_growth(net, train, small_growth_config(), test_set=test,
+                           cluster_table=None, max_iterations=None,
+                           on_iteration=ignore)
         assert state.records == [] and state.candidate_records == []
         assert network_to_json(net) == network_to_json(base_net)
 
@@ -248,7 +258,8 @@ def transferred(grown, task_b):
     train, test = task_b
     reset_optimizer_step_count()
     state = transfer_task(grown.net, train, small_growth_config(),
-                          test_set=test)
+                          test_set=test, cluster_table=None,
+                          on_iteration=ignore)
     state.optimizer_steps = optimizer_step_count()
     return state
 
@@ -293,7 +304,8 @@ class TestTransferRun:
     def test_transfer_is_deterministic(self, transferred, grown, task_b):
         train, test = task_b
         again = transfer_task(grown.net, train,
-                              small_growth_config(), test_set=test)
+                              small_growth_config(), test_set=test,
+                              cluster_table=None, on_iteration=ignore)
         assert ([r.to_json_line() for r in again.records]
                 == [r.to_json_line() for r in transferred.records])
         assert network_to_json(again.net) == network_to_json(transferred.net)
@@ -302,7 +314,8 @@ class TestTransferRun:
         bare = NamNetwork(n_classes=N_CLASSES, input_shape=SHAPE,
                           mode="election")
         with pytest.raises(ValueError, match="branches"):
-            transfer_task(bare, task_b[0], small_growth_config(), task_b[1])
+            transfer_task(bare, task_b[0], small_growth_config(), task_b[1],
+                          None, ignore)
 
     def test_branch_without_candidates_gets_one_iteration(
             self, grown, task_b, monkeypatch):
@@ -316,7 +329,8 @@ class TestTransferRun:
         monkeypatch.setattr(growth, "match_candidates", without_branch_0)
         train, test = task_b
         state = transfer_task(grown.net, train, small_growth_config(),
-                              test_set=test)
+                              test_set=test, cluster_table=None,
+                              on_iteration=ignore)
         first = state.records[0]
         assert (first.candidates_seen, first.accepted) == (0, 0)
         sources = {rec["source_branch"] for rec in state.candidate_records
@@ -348,7 +362,8 @@ class TestTransferRun:
         monkeypatch.setattr(growth, "grow_iteration", checking_grow_iteration)
         train, test = task_b
         state = transfer_task(grown.net, train, small_growth_config(),
-                              test_set=test)
+                              test_set=test, cluster_table=None,
+                              on_iteration=ignore)
         assert len({r["source_branch"] for r in state.candidate_records}) > 1
         assert len(transfers) == sum(r.candidates_seen
                                      for r in state.records)
@@ -369,4 +384,5 @@ class TestTransferRun:
         train, test = task_b
         with pytest.raises(RuntimeError, match="started from"):
             transfer_task(copy.deepcopy(grown.net), train,
-                          small_growth_config(), test_set=test)
+                          small_growth_config(), test_set=test,
+                          cluster_table=None, on_iteration=ignore)

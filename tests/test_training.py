@@ -6,6 +6,8 @@ import pytest
 from namgrow.data_io import Dataset, InputRange, extract_patches
 from namgrow.nam_model import Branch, NamNetwork, evaluate, network_forward_batch
 from namgrow.nn_core import (
+    AdamState,
+    adam_step,
     init_branch_mlp,
     optimizer_step_count,
     reset_optimizer_step_count,
@@ -18,9 +20,14 @@ from namgrow.training import (
     stack_network,
     stacked_loss_and_grads,
     train_network,
-    unstack_into_network,
 )
-from oracles import mlp_backward, mlp_forward, stacked_forward
+from oracles import (
+    branch_mlp,
+    ignore,
+    mlp_backward,
+    mlp_forward,
+    stacked_forward,
+)
 
 N_CLASSES = 3
 RANGES = [InputRange(0, 0, 0), InputRange(0, 3, 3)]
@@ -60,20 +67,39 @@ class TestStackedForward:
         want = network_forward_batch(net, data.images)
         assert np.max(np.abs(got - want)) <= 1e-10
 
-    def test_stack_unstack_roundtrip_is_lossless(self):
+    def test_branches_are_bound_to_their_stacked_slices(self):
         net = small_network(seed=3)
         data = synthetic_dataset(8, seed=2)
         before = network_forward_batch(net, data.images)
         stacked = stack_network(net)
-        saved = stacked.hidden_weights[0].copy()
-        stacked.hidden_weights[0] += 0.25  # trainer-side edit ...
-        unstack_into_network(stacked, net)
-        after_edit = network_forward_batch(net, data.images)
-        assert not np.allclose(before, after_edit)
-        stacked.hidden_weights[0][...] = saved  # ... then exact restore
-        unstack_into_network(stacked, net)
-        after_revert = network_forward_batch(net, data.images)
-        np.testing.assert_array_equal(before, after_revert)
+
+        def bound(array, stacked_array, k):
+            view = stacked_array[k]
+            return (array.shape == view.shape
+                    and array.ctypes.data == view.ctypes.data
+                    and array.strides == view.strides)
+
+        for k, branch in enumerate(net.branches):
+            mlp = branch.mlp
+            for l, layer in enumerate(mlp.hidden_layers):
+                assert bound(layer.weights, stacked.hidden_weights[l], k)
+                assert bound(layer.bias, stacked.hidden_biases[l], k)
+            assert bound(mlp.output_layer.weights, stacked.output_weights, k)
+        np.testing.assert_array_equal(
+            network_forward_batch(net, data.images), before)
+
+    def test_one_adam_step_moves_the_network_without_write_back(self):
+        net = small_network(seed=4)
+        data = synthetic_dataset(16, seed=3)
+        patches = extract_patches(data.images, RANGES)
+        before = network_forward_batch(net, data.images)
+        stacked = stack_network(net)
+        params = stacked.param_list()
+        _, grads = stacked_loss_and_grads(stacked, patches, data.labels)
+        adam_step(AdamState(params, lr=1e-2), params, grads)
+        after = network_forward_batch(net, data.images)
+        assert not np.allclose(before, after)
+        assert np.max(np.abs(after - stacked_forward(stacked, patches))) <= 1e-10
 
     def test_rejects_empty_and_non_base_networks(self):
         with pytest.raises(ValueError):
@@ -82,6 +108,17 @@ class TestStackedForward:
         net.branches[1].origin = "grown"
         with pytest.raises(ValueError, match="origin"):
             stack_network(net)
+
+    def test_rejects_mixed_depths_and_keeps_the_layers(self):
+        net = small_network()
+        net.branches[1].mlp = branch_mlp(np.random.default_rng(1), N_CLASSES,
+                                         n_hidden=3)
+        layers = [list(br.mlp.hidden_layers) for br in net.branches]
+        with pytest.raises(ValueError, match="depth"):
+            stack_network(net)
+        # a refused network keeps its own layers
+        for branch, kept in zip(net.branches, layers):
+            assert all(a is b for a, b in zip(branch.mlp.hidden_layers, kept))
 
     def test_rejects_bad_patch_shape(self):
         net = small_network()
@@ -124,7 +161,7 @@ class TestStackedGradients:
         loss, grads = stacked_loss_and_grads(stacked, patches, data.labels)
         oracle_loss, oracle = self.oracle_grads(net, patches, data.labels)
         assert abs(loss - oracle_loss) <= 1e-12
-        n_hidden = stacked.n_hidden
+        n_hidden = len(stacked.hidden_weights)
         for k in range(len(net.branches)):
             for l in range(n_hidden):
                 assert np.max(np.abs(grads[2 * l][k] - oracle[k].hidden[l][0])) <= 1e-10
@@ -148,7 +185,7 @@ class TestTrainNetwork:
         net = small_network(seed=0)
         data = synthetic_dataset(512, seed=9)
         config = TrainConfig(epochs=8, batch_size=64, learning_rate=3e-3, seed=1)
-        history = train_network(net, data, config, data)
+        history = train_network(net, data, config, data, on_epoch=ignore)
         assert isinstance(history[0], EpochMetrics)
         assert history[-1].train_loss < history[0].train_loss
         acc, _ = evaluate(net, data)
@@ -160,7 +197,7 @@ class TestTrainNetwork:
         runs = []
         for _ in range(2):
             net = small_network(seed=21)
-            history = train_network(net, data, config, data)
+            history = train_network(net, data, config, data, on_epoch=ignore)
             runs.append((history, network_forward_batch(net, data.images)))
         assert runs[0][0] == runs[1][0]
         np.testing.assert_array_equal(runs[0][1], runs[1][1])
@@ -170,7 +207,8 @@ class TestTrainNetwork:
         data = synthetic_dataset(32, seed=6)
         before = network_forward_batch(net, data.images)
         reset_optimizer_step_count()
-        history = train_network(net, data, TrainConfig(epochs=0), data)
+        history = train_network(net, data, TrainConfig(epochs=0), data,
+                                on_epoch=ignore)
         assert history == []
         assert optimizer_step_count() == 0
         np.testing.assert_array_equal(before, network_forward_batch(net, data.images))
@@ -179,7 +217,8 @@ class TestTrainNetwork:
         net = small_network(seed=6)
         data = synthetic_dataset(70, seed=7)
         reset_optimizer_step_count()
-        train_network(net, data, TrainConfig(epochs=2, batch_size=32), data)
+        train_network(net, data, TrainConfig(epochs=2, batch_size=32), data,
+                      on_epoch=ignore)
         # 70 samples in batches of 32 -> 3 batches per epoch.
         assert optimizer_step_count() == 6
 
@@ -187,12 +226,17 @@ class TestTrainNetwork:
         net = small_network(seed=8)
         data = synthetic_dataset(64, seed=8)
         config = TrainConfig(epochs=1, batch_size=16, seed=2)
-        train_network(net, data, config, data)
-        stacked = stack_network(net)
-        acc_s, loss_s = evaluate_stacked(stacked, net, data)
+        reports = []
+        history = train_network(net, data, config, data,
+                                on_epoch=reports.append)
+        assert reports == history
+        acc_s, loss_s = evaluate_stacked(net, data)
         acc_n, loss_n = evaluate(net, data)
         assert acc_s == acc_n
         assert loss_s == loss_n
+        # the last epoch scored the trained network itself
+        assert (history[-1].eval_accuracy, history[-1].eval_loss) == (acc_n,
+                                                                      loss_n)
 
     def test_rejects_class_count_mismatch(self):
         net = small_network()
@@ -204,7 +248,8 @@ class TestTrainNetwork:
             n_classes=N_CLASSES + 2,
         )
         with pytest.raises(ValueError, match="class count"):
-            train_network(net, bad, TrainConfig(epochs=1), bad)
+            train_network(net, bad, TrainConfig(epochs=1), bad,
+                          on_epoch=ignore)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
