@@ -87,7 +87,10 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def resolve_config(args) -> configparser.ConfigParser:
-    """Defaults <- config file <- command-line flags, in that order."""
+    """Defaults <- config file <- command-line flags, in that order.
+
+    A section or key the defaults lack is refused: a misspelt one would
+    otherwise run silently with the default it meant to change."""
     cfg = configparser.ConfigParser()
     cfg.read_dict(DEFAULT_CONFIG)
     if getattr(args, "config", None):
@@ -95,11 +98,24 @@ def resolve_config(args) -> configparser.ConfigParser:
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         cfg.read(path)
+        _refuse_unknown_keys(cfg)
     for attr, section, key in _OVERRIDES:
         value = getattr(args, attr, None)
         if value is not None:
             cfg[section][key] = str(value)
     return cfg
+
+
+def _refuse_unknown_keys(cfg) -> None:
+    for key in cfg.defaults():
+        raise ConfigError(f"unknown config key [DEFAULT] {key}")
+    for section in cfg.sections():
+        known = DEFAULT_CONFIG.get(section)
+        for key in cfg[section]:
+            if known is None or key not in known:
+                raise ConfigError(f"unknown config key [{section}] {key}")
+        if known is None:
+            raise ConfigError(f"unknown config section [{section}]")
 
 
 def _set_thread_limit(cfg) -> None:

@@ -47,7 +47,6 @@ from .nam_model import (
     added_branch_output,
     branch_raw_scalar_batch,
     class_mask_grads,
-    network_forward_batch,
     network_scores,
     parameter_count,
     score_metrics,
@@ -166,8 +165,8 @@ class GrowthState:
     `sel/train/test_scores` hold what `network_scores` gives for the current
     network on each split: the summed class-outputs in tuning mode, the
     summed z-scores in election mode.  `sel_votes[j]` holds selection
-    sample j's summed class-output (`network_forward_batch`) at its own
-    label, which weighs the qualification gates.  `test_metrics` holds the
+    sample j's summed class-output at its own label, before any z-scoring,
+    which weighs the qualification gates.  `test_metrics` holds the
     (accuracy, loss) of `test_scores` and `train_accuracy` the accuracy of
     `train_scores`; like the scores, they change only when a batch is kept.
     """
@@ -319,11 +318,12 @@ class WindowScan:
         )
 
 
-def _scores(net: NamNetwork, images: np.ndarray, forward) -> np.ndarray:
-    """`forward(net, images)`, or zeros for a network without branches."""
+def _scores(net: NamNetwork, images: np.ndarray) -> np.ndarray:
+    """`network_scores(net, images)`, or zeros for a network without
+    branches."""
     if not net.branches:
         return np.zeros((images.shape[0], net.n_classes))
-    return forward(net, images)
+    return network_scores(net, images)
 
 
 def _accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -333,18 +333,21 @@ def _accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
 def start_growth(net: NamNetwork, selection: Dataset, config: GrowthConfig,
                  train_set: Dataset, test_set: Dataset,
                  rng: np.random.Generator) -> GrowthState:
-    """Snapshot the network's scores on every split and open a growth run."""
+    """Snapshot the network's scores on every split and open a growth run.
+
+    An election network starts empty, so in either mode the selection
+    scores are the summed class-outputs the votes are read from."""
+    if net.mode == "election" and net.branches:
+        raise ValueError(f"an election network grows from no branches, "
+                         f"not {net.n_branches}")
     state = GrowthState(net=net, config=config, selection=selection,
                         train_set=train_set, test_set=test_set, rng=rng)
-    state.sel_scores = _scores(net, selection.images, network_scores)
-    # In tuning mode the scores are the class-outputs; election votes take
-    # a pass of their own.
-    outputs = (state.sel_scores if net.mode == "tuning" else
-               _scores(net, selection.images, network_forward_batch))
-    state.sel_votes = outputs[np.arange(selection.n), selection.labels]
-    state.test_scores = _scores(net, test_set.images, network_scores)
+    state.sel_scores = _scores(net, selection.images)
+    state.sel_votes = state.sel_scores[np.arange(selection.n),
+                                       selection.labels]
+    state.test_scores = _scores(net, test_set.images)
     state.test_metrics = score_metrics(state.test_scores, test_set.labels)
-    state.train_scores = _scores(net, train_set.images, network_scores)
+    state.train_scores = _scores(net, train_set.images)
     state.train_accuracy = _accuracy(state.train_scores, train_set.labels)
     state.prev_selection_accuracy, state.prev_selection_loss = score_metrics(
         state.sel_scores, selection.labels)
@@ -368,13 +371,12 @@ class _Tentative:
     record: dict
 
 
-def grow_iteration(state: GrowthState, candidates, config: GrowthConfig
-                   ) -> IterationRecord:
+def grow_iteration(state: GrowthState, candidates) -> IterationRecord:
     """Consume candidates until `max_per_iteration` qualify (or none remain),
     then fit the batch and keep or roll it back as a whole on the selection
     set.  Appends one IterationRecord (and the per-branch metric points) to
     the state."""
-    net = state.net
+    net, config = state.net, state.config
     mode = net.mode
     labels = state.selection.labels
     seen = 0
@@ -425,7 +427,6 @@ def grow_iteration(state: GrowthState, candidates, config: GrowthConfig
         if len(tentative) >= config.max_per_iteration:
             break
 
-    net.branches.extend(t.branch for t in tentative)
     accepted = _finish_iteration(state, tentative)
 
     state.candidate_records.extend(rejected_records)
@@ -464,43 +465,43 @@ def _finish_iteration(state: GrowthState, tentative: list[_Tentative]) -> int:
     masks, election mode fits each branch the flag statistics that z-score
     its outputs.  The batch is kept only when the selection-set loss did
     not increase and, in election mode, the selection-set accuracy did not
-    drop, so both recorded series are monotone there.  A kept batch is
-    added to every split's cached scores and metrics; a rolled-back one
-    leaves them as they were, and its branches leave the network with
-    their stats.
+    drop, so both recorded series are monotone there.  Only a kept batch
+    joins the network, and it is added to every split's cached scores and
+    metrics; a rolled-back one leaves them as they were.
     """
     if not tentative:
         return 0
     net, config = state.net, state.config
-    zscored = net.mode == "election"
+    mode = net.mode
     raw_fit = [_raw_values(t.branch, state.train_set) for t in tentative]
-    if zscored:
+    if mode == "election":
         for t, raw in zip(tentative, raw_fit):
-            flags = added_branch_output(t.branch, raw, net.mode)
+            flags = added_branch_output(t.branch, raw, mode)
             t.branch.election_stats = _flag_stat_rows(
                 float(flags.mean()), t.branch.target_class, net.n_classes)
     elif config.tuning_epochs > 0:
-        tune_masks(net, state.train_set, config.tuning_epochs,
-                   state.train_scores, raw_fit,
+        tune_masks([t.branch for t in tentative], state.train_set,
+                   config.tuning_epochs, state.train_scores, raw_fit,
                    learning_rate=config.mask_learning_rate,
                    batch_size=config.mask_batch_size,
                    seed=int(state.rng.integers(2 ** 31)))
 
     sel_new = state.sel_scores.copy()
-    out_sel = [add_branch_output(sel_new, t.branch, t.values_sel, net.mode,
-                                 zscored) for t in tentative]
+    out_sel = [add_branch_output(sel_new, t.branch, t.values_sel, mode)
+               for t in tentative]
     new_acc, new_loss = score_metrics(sel_new, state.selection.labels)
     if new_loss > state.prev_selection_loss or (
-            zscored and new_acc < state.prev_selection_accuracy):
-        del net.branches[-len(tentative):]
+            mode == "election" and new_acc < state.prev_selection_accuracy):
         log.info("iteration %d rolled back: selection loss %.6f (prev %.6f),"
                  " accuracy %.4f (prev %.4f)", state.iteration, new_loss,
                  state.prev_selection_loss, new_acc,
                  state.prev_selection_accuracy)
         return 0
+    base_count = net.n_branches
     for t in tentative:
         t.branch.mask_frozen = True
         t.record["kept"] = True
+        net.branches.append(t.branch)
     state.sel_scores = sel_new
     state.prev_selection_accuracy = new_acc
     state.prev_selection_loss = new_loss
@@ -508,14 +509,12 @@ def _finish_iteration(state: GrowthState, tentative: list[_Tentative]) -> int:
         on = state.selection.labels == t.branch.target_class
         state.sel_votes[on] += out[on]
     for t, raw in zip(tentative, raw_fit):
-        add_branch_output(state.train_scores, t.branch, raw, net.mode, zscored)
+        add_branch_output(state.train_scores, t.branch, raw, mode)
     state.train_accuracy = _accuracy(state.train_scores,
                                      state.train_set.labels)
-    base_count = net.n_branches - len(tentative)
     for k, t in enumerate(tentative):
         add_branch_output(state.test_scores, t.branch,
-                          _raw_values(t.branch, state.test_set), net.mode,
-                          zscored)
+                          _raw_values(t.branch, state.test_set), mode)
         accuracy, loss = score_metrics(state.test_scores,
                                        state.test_set.labels)
         state.test_metrics = (accuracy, loss)
@@ -534,8 +533,8 @@ def mask_gradients(frozen_logits: np.ndarray, labels: np.ndarray,
     listed ones on sample j; raw_values[k] are branch k's pre-mask scalars.
     """
     logits = frozen_logits.copy()
-    for branch, raw in zip(branches, raw_values):
-        add_branch_output(logits, branch, raw, "tuning", zscored=False)
+    for branch, raw in zip(branches, raw_values, strict=True):
+        add_branch_output(logits, branch, raw, "tuning")
     loss, dlogits = softmax_cross_entropy_batch(logits, labels)
     da = np.empty(len(branches))
     db = np.empty(len(branches))
@@ -545,27 +544,19 @@ def mask_gradients(frozen_logits: np.ndarray, labels: np.ndarray,
     return loss, da, db
 
 
-def tune_masks(net: NamNetwork, dataset: Dataset, epochs: int,
+def tune_masks(branches: list[Branch], dataset: Dataset, epochs: int,
                frozen_logits: np.ndarray, raw_values: list[np.ndarray],
-               learning_rate: float, batch_size: int,
-               seed: int) -> NamNetwork:
-    """Train the scale/bias of every not-yet-frozen mask with minibatch Adam.
+               learning_rate: float, batch_size: int, seed: int) -> None:
+    """Train the scale/bias of the masks of `branches` with minibatch Adam.
 
     `frozen_logits` are the class-output sums of every other branch on
-    `dataset`, and `raw_values[k]` are the k-th unfrozen branch's pre-mask
-    scalars there.  All MLP weights and frozen masks stay untouched, so the
-    hash of the frozen parameters is invariant across the call; freezing
-    the tuned masks is the acceptance step's job.  Zero epochs (or nothing
-    to tune) is a no-op.
+    `dataset`, and `raw_values[k]` are branches[k]'s pre-mask scalars there.
+    Only these masks' two scalars move: all MLP weights and every other
+    mask stay untouched, and freezing the tuned masks is the acceptance
+    step's job.  Zero epochs is a no-op.
     """
-    unfrozen = [br for br in net.branches
-                if br.mask is not None and not br.mask_frozen]
-    if epochs == 0 or not unfrozen:
-        return net
-    if net.mode != "tuning":
-        raise ValueError("masks are tuned in tuning mode only")
-    a = np.array([br.mask.a for br in unfrozen])
-    b = np.array([br.mask.b for br in unfrozen])
+    a = np.array([br.mask.a for br in branches])
+    b = np.array([br.mask.b for br in branches])
     params = [a, b]
     opt = AdamState(params, lr=learning_rate)
     rng = np.random.default_rng(seed)
@@ -574,12 +565,11 @@ def tune_masks(net: NamNetwork, dataset: Dataset, epochs: int,
         for lo in range(0, dataset.n, batch_size):
             idx = order[lo:lo + batch_size]
             _, da, db = mask_gradients(frozen_logits[idx], dataset.labels[idx],
-                                       unfrozen, [raw[idx] for raw in raw_values])
+                                       branches, [raw[idx] for raw in raw_values])
             adam_step(opt, params, [da, db])
-            for k, br in enumerate(unfrozen):
+            for k, br in enumerate(branches):
                 br.mask.a = float(a[k])
                 br.mask.b = float(b[k])
-    return net
 
 
 def frozen_parameter_hash(branches: list[Branch]) -> str:
@@ -718,7 +708,7 @@ def _grow(source_net: NamNetwork, net: NamNetwork, train_set: Dataset,
             if head is None and (ran or not transfer):
                 break
             batch = stream if head is None else itertools.chain([head], stream)
-            record = grow_iteration(state, batch, config)
+            record = grow_iteration(state, batch)
             ran = True
             on_iteration(record)
     if frozen_parameter_hash(started) != start_hash:

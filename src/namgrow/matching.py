@@ -162,30 +162,42 @@ def prepare_summaries(candidates: list[tuple[int, BranchClassClusters]]
                       ) -> PreparedSummaries:
     """Normalize the centers of every candidate summary once, for
     `match_all`.  Rejects summaries without centers, with non-finite ones,
-    or with one max_output per center missing."""
-    stats, centers, weights = [], [], []
-    for _, summary in candidates:
+    or with one max_output per center missing.  The Gram rows are
+    allocated once, and each summary's normalized centers are written
+    straight into its rows."""
+    counts = np.array([summary.n_clusters for _, summary in candidates],
+                      dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    dim = candidates[0][1].centers.shape[1] if candidates else 0
+    # The layout `normalize_sorted` gives a summary's centers: column-major,
+    # unless every summary has one center.  The order in which einsum adds
+    # each |c|^2, and so its bits, depends on it.
+    order = "C" if offsets[-1] == len(candidates) else "F"
+    gram_rows = np.empty((offsets[-1], dim + 1), order=order)
+    centers = gram_rows[:, :dim]
+    stats, weights = [], []
+    for (_, summary), lo, hi in zip(candidates, offsets[:-1], offsets[1:]):
         b_stats = stats_from_summary(summary)
         normed, _ = normalize_sorted(summary.centers, b_stats)
         if normed.shape[0] == 0:
             raise ValueError("no cluster centers")
+        if normed.shape[1] != dim:
+            raise ValueError("cluster centers differ in width")
+        centers[lo:hi] = normed
         w = cluster_softmax_weights(summary.max_outputs)
-        if w.shape != (normed.shape[0],):
+        if w.shape != (hi - lo,):
             raise ValueError("max_outputs do not match the cluster centers")
         stats.append(b_stats)
-        centers.append(normed)
         weights.append(w)
-    counts = np.array([c.shape[0] for c in centers], dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    centers = np.concatenate(centers or [np.empty((0, 0))])
     sq_norms = np.einsum("ij,ij->i", centers, centers)
     # a finite |c|^2 keeps every Gram value finite: normalized references
     # lie in [-1, 1] per dimension
     if not np.all(np.isfinite(sq_norms)):
         raise ValueError("non-finite or overflowing cluster center")
+    gram_rows[:, dim] = sq_norms
     return PreparedSummaries(
         stats=stats,
-        gram_rows=np.hstack([centers, sq_norms[:, None]]),
+        gram_rows=gram_rows,
         max_sq_norm=np.maximum.reduceat(sq_norms, offsets[:-1]),
         weights=np.concatenate(weights or [np.empty(0)]),
         offsets=offsets,

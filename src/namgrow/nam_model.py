@@ -79,7 +79,8 @@ class Branch:
     origin: str = "base"              # base | grown | transferred
     mask_frozen: bool = False
     # Per-class output (mean, std) over the election fitting set; the std
-    # is floored at SIGMA_FLOOR.
+    # is floored at SIGMA_FLOOR.  Every branch of an election network has
+    # them, no branch of a tuning network does.
     election_stats: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
@@ -150,9 +151,11 @@ class NamNetwork:
                 range_flat_indices(br.input_range, self.input_shape)
             except ValueError as exc:
                 raise ValueError(f"branch {k}: {exc}") from exc
-        fitted = [br.election_stats is not None for br in self.branches]
-        if any(fitted) and not all(fitted):
-            raise ValueError("election stats present for only some branches")
+            fitted = self.mode == "election"
+            if (br.election_stats is not None) != fitted:
+                raise ValueError(f"branch {k}: election stats must be "
+                                 f"{'present' if fitted else 'absent'} in "
+                                 f"{self.mode} mode")
 
     @property
     def n_branches(self) -> int:
@@ -186,20 +189,18 @@ def added_branch_output(branch: Branch, raw: np.ndarray, mode: str) -> np.ndarra
 
 
 def add_branch_output(out: np.ndarray, branch: Branch, y: np.ndarray,
-                      mode: str, zscored: bool) -> np.ndarray:
+                      mode: str) -> np.ndarray:
     """Add one branch's contribution to the score rows `out` [n, n_classes].
 
     `y` is a base branch's output rows [n, n_classes] or an added branch's
     raw scalars [n] at its branch_class.  A base branch adds its row.  An
     added branch adds one scalar, masked (tuning) or flagged at its
     threshold (election), to its target column; its other outputs are zero.
-    When `zscored`, the contribution is a z-score under the branch's
+    In election mode the contribution is a z-score under the branch's
     election stats, (output - mean) / std, over the whole class row.
     Returns the contribution before z-scoring.
     """
-    stats = branch.election_stats if zscored else None
-    if zscored and stats is None:
-        raise ValueError("election stats not fitted")
+    stats = branch.election_stats if mode == "election" else None
     if branch.origin == "base":
         out += y if stats is None else (y - stats[0]) / stats[1]
         return y
@@ -218,16 +219,15 @@ def add_branch_output(out: np.ndarray, branch: Branch, y: np.ndarray,
     return value
 
 
-def _branch_sum(net: NamNetwork, images: np.ndarray,
-                zscored: bool) -> np.ndarray:
+def _branch_sum(net: NamNetwork, images: np.ndarray) -> np.ndarray:
     """The forward engine: branch contributions summed into [n, n_classes].
 
     Walks the branches in list order over chunks of _EVAL_CHUNK images.
     Each branch reads its window straight from the flattened chunk, so the
     only per-branch temporaries are [chunk, 9] and [chunk, n_classes].
-    `add_branch_output` adds each contribution, z-scored under the branch's
-    own election stats when `zscored`.  Each output element receives its
-    additions in branch order, whatever the chunking.
+    `add_branch_output` adds each contribution under the network's mode.
+    Each output element receives its additions in branch order, whatever
+    the chunking.
     """
     if not net.branches:
         raise ValueError("network has no branches")
@@ -245,18 +245,25 @@ def _branch_sum(net: NamNetwork, images: np.ndarray,
             y = mlp_forward_batch(br.mlp, rows[:, window])
             if br.origin != "base":
                 y = y[:, br.branch_class]
-            add_branch_output(out, br, y, net.mode, zscored)
+            add_branch_output(out, br, y, net.mode)
     return total
 
 
 def network_forward_batch(net: NamNetwork, images: np.ndarray) -> np.ndarray:
-    """Summed class-outputs (logits) [n, n_classes] over all branches."""
-    return _branch_sum(net, images, zscored=False)
+    """Summed class-outputs (logits) [n, n_classes] of a tuning network."""
+    if net.mode != "tuning":
+        raise ValueError("network_forward_batch scores tuning networks, "
+                         "not election ones")
+    return _branch_sum(net, images)
 
 
 def elect_batch(net: NamNetwork, images: np.ndarray) -> np.ndarray:
-    """Summed z-scores [n, n_classes]; each sample elects their argmax."""
-    return _branch_sum(net, images, zscored=True)
+    """Summed z-scores [n, n_classes] of an election network; each sample
+    elects their argmax."""
+    if net.mode != "election":
+        raise ValueError("elect_batch scores election networks, not tuning "
+                         "ones")
+    return _branch_sum(net, images)
 
 
 def network_scores(net: NamNetwork, images: np.ndarray) -> np.ndarray:

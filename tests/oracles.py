@@ -25,7 +25,7 @@ the paper's theory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -459,31 +459,33 @@ def elect(net: NamNetwork, image: np.ndarray) -> tuple[np.ndarray, int]:
     return scores, int(np.argmax(scores))
 
 
-def branch_outputs_batch(net: NamNetwork, images: np.ndarray) -> np.ndarray:
-    """Per-branch class-output tensor [n_branches, n, n_classes]."""
-    if not net.branches:
-        raise ValueError("network has no branches")
-    patches = extract_patches(images, [b.input_range for b in net.branches])
+def branch_outputs_batch(branches: list[Branch], images: np.ndarray,
+                         mode: str) -> np.ndarray:
+    """Per-branch class-output tensor [n_branches, n, n_classes] in
+    `mode`."""
+    patches = extract_patches(images, [b.input_range for b in branches])
     return np.stack([
-        branch_output_batch(br, patches[k], net.mode, net.n_classes)
-        for k, br in enumerate(net.branches)
+        branch_output_batch(br, patches[k], mode, br.mlp.n_classes)
+        for k, br in enumerate(branches)
     ])
 
 
-def fit_election_stats(net: NamNetwork, dataset: Dataset
+def fit_election_stats(branches: list[Branch], dataset: Dataset
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-branch, per-class mean and population std of outputs on the
-    dataset, as two [n_branches, n_classes] arrays."""
+    """Per-branch, per-class mean and population std of the branches'
+    election-mode outputs on the dataset, as two [n_branches, n_classes]
+    arrays."""
     if dataset.n == 0:
         raise ValueError("empty fitting set")
-    k = net.n_branches
-    sums = np.zeros((k, net.n_classes))
-    sq_sums = np.zeros((k, net.n_classes))
+    k = len(branches)
+    sums = np.zeros((k, dataset.n_classes))
+    sq_sums = np.zeros((k, dataset.n_classes))
     for lo, hi in _chunks(dataset.n):
         chunk = dataset.images[lo:hi]
-        patches = extract_patches(chunk, [b.input_range for b in net.branches])
-        for i, br in enumerate(net.branches):
-            out = branch_output_batch(br, patches[i], net.mode, net.n_classes)
+        patches = extract_patches(chunk, [b.input_range for b in branches])
+        for i, br in enumerate(branches):
+            out = branch_output_batch(br, patches[i], "election",
+                                      dataset.n_classes)
             sums[i] += out.sum(axis=0)
             sq_sums[i] += np.square(out).sum(axis=0)
     means = sums / dataset.n
@@ -492,8 +494,10 @@ def fit_election_stats(net: NamNetwork, dataset: Dataset
     return means, stds
 
 
-def set_election_stats(net: NamNetwork, means: np.ndarray,
-                       stds: np.ndarray) -> None:
-    """Give branch k the election stats (means[k], stds[k])."""
-    for br, mean, std in zip(net.branches, means, stds, strict=True):
-        br.election_stats = (mean, std)
+def with_election_stats(branches: list[Branch], means: np.ndarray,
+                        stds: np.ndarray) -> list[Branch]:
+    """Copies of the branches, branch k carrying the election stats
+    (means[k], stds[k]), checked as any new Branch's are; an election
+    network is built from such branches."""
+    return [replace(br, election_stats=(mean, std))
+            for br, mean, std in zip(branches, means, stds, strict=True)]

@@ -59,8 +59,8 @@ from oracles import (
     mlp_backward,
     mlp_forward,
     reference_mean_shift,
-    set_election_stats,
     softmax_cross_entropy,
+    with_election_stats,
 )
 
 DATA_ROOT = Path(os.environ.get("NAMGROW_DATA_DIR", "data"))
@@ -468,13 +468,12 @@ def _check_election_standardization():
     """Standardized branch scores have mean 0 and unit std on the fit set."""
     rng = np.random.default_rng(42)
     shape = (1, 6, 6)
-    net = NamNetwork(10, shape, mode="election", branches=[
-        Branch(init_branch_mlp(rng, 10), InputRange(0, 0, 0))
-        for _ in range(3)])
+    branches = [Branch(init_branch_mlp(rng, 10), InputRange(0, 0, 0))
+                for _ in range(3)]
     ds = Dataset(rng.uniform(-0.5, 0.5, size=(100,) + shape),
                  rng.integers(0, 10, size=100), "t", 10)
-    means, stds = fit_election_stats(net, ds)
-    outs = branch_outputs_batch(net, ds.images)
+    means, stds = fit_election_stats(branches, ds)
+    outs = branch_outputs_batch(branches, ds.images, "election")
     for k in range(3):
         z = (outs[k] - means[k]) / stds[k]
         assert np.max(np.abs(z.mean(axis=0))) < 1e-9
@@ -485,15 +484,16 @@ def _check_election_standardization():
 def _check_checkpoint_byte_identity(tmp_path):
     """save -> load -> save is byte-identical, awkward values included."""
     rng = np.random.default_rng(42)
-    net = NamNetwork(10, (3, 12, 12), mode="election", tag="acceptance")
-    net.branches.append(Branch(init_branch_mlp(rng, 10), InputRange(2, 5, 8)))
-    net.branches.append(Branch(
-        init_branch_mlp(rng, 10), InputRange(0, 1, 2), 3, 6,
-        ClassMask(1.25, 0.0078125, 0.1, 0.123456789012345),
-        origin="transferred"))
-    net.branches[1].mask_frozen = True
-    set_election_stats(net, rng.normal(size=(2, 10)),
-                       rng.uniform(0.5, 2, size=(2, 10)))
+    branches = [
+        Branch(init_branch_mlp(rng, 10), InputRange(2, 5, 8)),
+        Branch(init_branch_mlp(rng, 10), InputRange(0, 1, 2), 3, 6,
+               ClassMask(1.25, 0.0078125, 0.1, 0.123456789012345),
+               origin="transferred")]
+    branches[1].mask_frozen = True
+    net = NamNetwork(10, (3, 12, 12), mode="election", tag="acceptance",
+                     branches=with_election_stats(
+                         branches, rng.normal(size=(2, 10)),
+                         rng.uniform(0.5, 2, size=(2, 10))))
     net.branches[0].mlp.hidden_layers[0].weights[0, 0] = 0.1
     net.branches[0].mlp.hidden_layers[0].weights[0, 1] = 1e-300
     net.branches[0].mlp.hidden_layers[0].weights[0, 2] = np.nextafter(1.0, 2.0)

@@ -297,11 +297,19 @@ class TestGrow:
         during growth into exit code 3."""
         from namgrow import growth
 
-        def nudging_tune_masks(net, *args, **kwargs):
-            net.branches[0].mlp.hidden_layers[0].weights[0, 0] += 1e-9
-            return real_tune_masks(net, *args, **kwargs)
+        nets = []
 
+        def recording_start_growth(net, *args, **kwargs):
+            nets.append(net)
+            return real_start_growth(net, *args, **kwargs)
+
+        def nudging_tune_masks(branches, *args, **kwargs):
+            nets[0].branches[0].mlp.hidden_layers[0].weights[0, 0] += 1e-9
+            return real_tune_masks(branches, *args, **kwargs)
+
+        real_start_growth = growth.start_growth
         real_tune_masks = growth.tune_masks
+        monkeypatch.setattr(growth, "start_growth", recording_start_growth)
         monkeypatch.setattr(growth, "tune_masks", nudging_tune_masks)
         code = main(["grow", "--config", str(config_file),
                      "--checkpoint", str(base_run / "checkpoint.json"),
@@ -565,13 +573,13 @@ class TestTransfer:
         moved during transfer into exit code 3."""
         from namgrow import growth
 
-        def nudging_grow_iteration(state, candidates, config):
+        def nudging_grow_iteration(state, candidates):
             def nudged():
                 for cand in candidates:
                     # deeper layers are the source's own objects
                     cand.mlp.hidden_layers[1].weights[0, 0] += 1e-9
                     yield cand
-            return real_grow_iteration(state, nudged(), config)
+            return real_grow_iteration(state, nudged())
 
         real_grow_iteration = growth.grow_iteration
         monkeypatch.setattr(growth, "grow_iteration", nudging_grow_iteration)
@@ -694,9 +702,10 @@ class TestShippedConfigs:
         from namgrow.cli import _growth_config, resolve_config
         from namgrow.training import TrainConfig
 
-        config_dir = Path(__file__).resolve().parent.parent / "configs"
-        presets = sorted(config_dir.glob("*.ini"))
-        assert len(presets) >= 5
+        root = Path(__file__).resolve().parent.parent
+        presets = sorted([*(root / "configs").glob("*.ini"),
+                          *(root / "perfbench" / "configs").glob("*.ini")])
+        assert len(presets) >= 8
         for preset in presets:
             cfg = resolve_config(argparse.Namespace(config=str(preset)))
             assert cfg["data"]["dataset"] in ("cifar10", "mnist")
@@ -729,6 +738,30 @@ class TestErrorPaths:
         code = main(["eval", "--checkpoint",
                      str(base_run / "checkpoint.json"), "--config", str(cfg)])
         assert code == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("[growth]\nmask_batchsize = 7\n",
+         "unknown config key [growth] mask_batchsize"),
+        ("[grwoth]\nmask_batch_size = 7\n",
+         "unknown config key [grwoth] mask_batch_size"),
+        ("[grwoth]\n", "unknown config section [grwoth]"),
+        ("[DEFAULT]\nseed = 7\n[run]\nthreads = 1\n",
+         "unknown config key [DEFAULT] seed"),
+    ])
+    def test_unknown_config_key_is_usage_error(self, tmp_path, data_dir,
+                                               caplog, text, message):
+        """A misspelt section or key is refused instead of running with
+        the default it meant to change."""
+        cfg = tmp_path / "typo.ini"
+        cfg.write_text(f"[data]\ndataset = mnist\ndata_dir = {data_dir}\n"
+                       + text)
+        code = main(["train-base", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert errors == [message]
+        assert not (tmp_path / "out").exists()
 
     def test_negative_threads_is_usage_error(self, data_dir):
         code = main(["eval", "--checkpoint", "x.json", "--dataset", "mnist",
@@ -952,7 +985,24 @@ class TestMalformedCheckpoints:
         assert code == 2
         errors = [r.getMessage() for r in caplog.records
                   if r.levelname == "ERROR"]
-        assert errors == ["election stats present for only some branches"]
+        assert errors == ["branch 1: election stats must be present in "
+                          "election mode"]
+
+    def test_stats_on_a_tuning_branch_is_a_data_error(
+            self, tmp_path, data_dir, base_run, caplog):
+        doc = json.loads((base_run / "checkpoint.json").read_text())
+        assert doc["mode"] == "tuning"
+        doc["branches"][2]["election_stats"] = {"mean": [0.0] * 10,
+                                                "std": [1.0] * 10}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["eval", "--checkpoint", str(bad), "--dataset", "mnist",
+                     "--data-dir", str(data_dir)])
+        assert code == 2
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert errors == ["branch 2: election stats must be absent in "
+                          "tuning mode"]
 
     def test_missing_network_field_is_a_data_error(self, tmp_path, data_dir,
                                                    base_run, caplog):

@@ -51,7 +51,7 @@ from namgrow.nn_core import (
     reset_optimizer_step_count,
 )
 from namgrow.qualification import qualify
-from oracles import fit_election_stats, per_branch_scan
+from oracles import fit_election_stats, loop_forward_batch, per_branch_scan
 
 N_CLASSES = 3
 RANGE0 = InputRange(0, 0, 0)
@@ -115,7 +115,7 @@ def fresh_state(mode="tuning", selection=None, test_set=None, train_set=None,
         net, selection, config,
         train_set=selection if train_set is None else train_set,
         test_set=selection if test_set is None else test_set,
-        rng=np.random.default_rng(config.seed)), config
+        rng=np.random.default_rng(config.seed))
 
 
 class TestSelectionSet:
@@ -354,12 +354,26 @@ class TestMatchCandidates:
                                   <= gamma * scale)
 
 
+def test_start_growth_refuses_an_election_network_with_branches():
+    selection = build_selection_set(
+        patch_mean_dataset([0.4, -0.2, -0.4], 20), 30, seed=0)
+    branch = Branch(ramp_mlp(1), RANGE0,
+                    election_stats=(np.zeros(N_CLASSES), np.ones(N_CLASSES)))
+    net = NamNetwork(N_CLASSES, selection.shape, mode="election",
+                     branches=[branch])
+    with pytest.raises(ValueError) as exc:
+        start_growth(net, selection, GrowthConfig(selection_size=selection.n),
+                     selection, selection, np.random.default_rng(0))
+    assert str(exc.value) == ("an election network grows from no branches, "
+                              "not 1")
+
+
 class TestGrowIterationTuning:
     def test_empty_candidates_appends_record(self):
         selection = build_selection_set(
             patch_mean_dataset([0.4, -0.2, -0.4], 20), 30, seed=0)
-        state, config = fresh_state(selection=selection)
-        record = grow_iteration(state, [], config)
+        state = fresh_state(selection=selection)
+        record = grow_iteration(state, [])
         assert isinstance(record, IterationRecord)
         assert (record.candidates_seen, record.accepted, record.rejected) == (0, 0, 0)
         assert state.net.n_branches == 0
@@ -370,9 +384,9 @@ class TestGrowIterationTuning:
         data = patch_mean_dataset([0.4, -0.2, -0.4], 40, seed=1)
         test = patch_mean_dataset([0.4, -0.2, -0.4], 15, seed=2, tag="test")
         selection = build_selection_set(data, 60, seed=0)
-        state, config = fresh_state(selection=selection, test_set=test)
+        state = fresh_state(selection=selection, test_set=test)
         mlp = ramp_mlp(branch_class=1)
-        record = grow_iteration(state, [hand_candidate(mlp, 1, 0)], config)
+        record = grow_iteration(state, [hand_candidate(mlp, 1, 0)])
 
         assert record.accepted == 1
         assert state.net.n_branches == 1
@@ -398,9 +412,8 @@ class TestGrowIterationTuning:
     def test_constant_candidate_rejected(self):
         data = patch_mean_dataset([0.4, -0.2, -0.4], 20, seed=1)
         selection = build_selection_set(data, 30, seed=0)
-        state, config = fresh_state(selection=selection)
-        record = grow_iteration(state, [hand_candidate(constant_mlp(1), 1, 0)],
-                                config)
+        state = fresh_state(selection=selection)
+        record = grow_iteration(state, [hand_candidate(constant_mlp(1), 1, 0)])
         assert record.accepted == 0 and record.rejected == 1
         assert state.net.n_branches == 0
         assert parameter_count(state.net) == 0
@@ -410,20 +423,20 @@ class TestGrowIterationTuning:
     def test_max_per_iteration_caps_consumption(self):
         data = patch_mean_dataset([0.4, -0.2, -0.4], 40, seed=1)
         selection = build_selection_set(data, 60, seed=0)
-        state, config = fresh_state(selection=selection, max_per_iteration=1,
-                                    tuning_epochs=0)
+        state = fresh_state(selection=selection, max_per_iteration=1,
+                            tuning_epochs=0)
         candidates = [hand_candidate(ramp_mlp(1, scale=s), 1, 0)
                       for s in (1.0, 0.9, 0.8)]
         iterator = iter(candidates)
-        first = grow_iteration(state, iterator, config)
+        first = grow_iteration(state, iterator)
         assert (first.candidates_seen, first.accepted) == (1, 1)
         # The scaled copies rank samples identically, so once the first is
         # in the ensemble they no longer close any within-target spread:
         # both are screened out and the iteration drains the iterator.
-        second = grow_iteration(state, iterator, config)
+        second = grow_iteration(state, iterator)
         assert (second.candidates_seen, second.accepted) == (2, 0)
         assert second.rejected == 2
-        third = grow_iteration(state, iterator, config)
+        third = grow_iteration(state, iterator)
         assert (third.candidates_seen, third.accepted) == (0, 0)
 
     def adversarial_setup(self):
@@ -443,10 +456,9 @@ class TestGrowIterationTuning:
 
     def test_adversarial_candidate_rolled_back(self):
         selection = self.adversarial_setup()
-        state, config = fresh_state(selection=selection, tuning_epochs=0)
+        state = fresh_state(selection=selection, tuning_epochs=0)
         before_loss = state.prev_selection_loss
-        record = grow_iteration(state, [hand_candidate(ramp_mlp(2), 2, 0)],
-                                config)
+        record = grow_iteration(state, [hand_candidate(ramp_mlp(2), 2, 0)])
         assert record.accepted == 0 and record.rejected == 1
         assert state.net.n_branches == 0
         assert parameter_count(state.net) == 0
@@ -457,7 +469,7 @@ class TestGrowIterationTuning:
     def test_selection_loss_series_non_increasing(self):
         data = patch_mean_dataset([0.4, -0.2, -0.4], 40, seed=1)
         selection = build_selection_set(data, 60, seed=0)
-        state, config = fresh_state(selection=selection, max_per_iteration=1)
+        state = fresh_state(selection=selection, max_per_iteration=1)
         candidates = [
             hand_candidate(ramp_mlp(1), 1, 0),
             hand_candidate(ramp_mlp(2), 2, 0, InputRange(0, 1, 1)),
@@ -466,7 +478,7 @@ class TestGrowIterationTuning:
         ]
         iterator = iter(candidates)
         for _ in range(4):
-            grow_iteration(state, iterator, config)
+            grow_iteration(state, iterator)
         series = [r.selection_loss for r in state.records]
         assert all(b <= a + 1e-15 for a, b in zip(series, series[1:]))
         accepted = sum(r.accepted for r in state.records)
@@ -499,25 +511,31 @@ class TestTuneMasks:
         return NamNetwork(n_classes=N_CLASSES, input_shape=data.shape,
                           mode="tuning", branches=branches)
 
-    def tuning_inputs(self, net, data):
-        """The class-output sums of every branch but the unfrozen masked
-        ones, and those branches' raw scalars, on `data`."""
-        unfrozen = [br for br in net.branches
-                    if br.mask is not None and not br.mask_frozen]
+    @staticmethod
+    def unfrozen(net):
+        return [br for br in net.branches
+                if br.mask is not None and not br.mask_frozen]
+
+    def tuning_inputs(self, net, data, branches):
+        """The class-output sums of every branch of `net` but `branches`,
+        and those branches' raw scalars, on `data`."""
         raw = [mlp_forward_batch(
                    br.mlp, extract_patches(data.images, [br.input_range])[0]
-               )[:, br.branch_class] for br in unfrozen]
+               )[:, br.branch_class] for br in branches]
         frozen_logits = network_forward_batch(net, data.images)
-        for br, r in zip(unfrozen, raw):
+        for br, r in zip(branches, raw):
             frozen_logits[:, br.target_class] -= apply_class_mask(br.mask, r)
         return frozen_logits, raw
 
-    def tune(self, net, data, epochs, seed=0):
-        """tune_masks at GrowthConfig's default learning rate and batch."""
+    def tune(self, net, data, epochs, seed=0, branches=None):
+        """tune_masks on `branches` (the unfrozen masks by default) at
+        GrowthConfig's default learning rate and batch."""
         config = GrowthConfig()
-        return tune_masks(net, data, epochs, *self.tuning_inputs(net, data),
-                          learning_rate=config.mask_learning_rate,
-                          batch_size=config.mask_batch_size, seed=seed)
+        branches = self.unfrozen(net) if branches is None else branches
+        tune_masks(branches, data, epochs,
+                   *self.tuning_inputs(net, data, branches),
+                   learning_rate=config.mask_learning_rate,
+                   batch_size=config.mask_batch_size, seed=seed)
 
     def test_zero_epochs_bit_identical(self):
         data = patch_mean_dataset([0.4, -0.2, -0.4], 20, seed=3)
@@ -532,7 +550,7 @@ class TestTuneMasks:
         unfrozen = [br for br in net.branches if br.mask is not None]
         for br, (a, b) in zip(unfrozen, [(0.8, 0.3), (1.2, 0.6)]):
             br.mask.a, br.mask.b = a, b
-        frozen_logits, raw = self.tuning_inputs(net, data)
+        frozen_logits, raw = self.tuning_inputs(net, data, unfrozen)
 
         loss, da, db = mask_gradients(frozen_logits, data.labels, unfrozen, raw)
         h = 1e-5
@@ -557,8 +575,7 @@ class TestTuneMasks:
         hash_before = frozen_parameter_hash(net.branches)
         weights_before = [br.mlp.hidden_layers[0].weights.copy()
                           for br in net.branches]
-        tuned = [br for br in net.branches
-                 if br.mask is not None and not br.mask_frozen]
+        tuned = self.unfrozen(net)
         ab_before = [(br.mask.a, br.mask.b) for br in tuned]
 
         self.tune(net, data, 2, seed=1)
@@ -570,6 +587,24 @@ class TestTuneMasks:
         assert any((br.mask.a, br.mask.b) != ab
                    for br, ab in zip(tuned, ab_before))
         assert all(not br.mask_frozen for br in tuned)
+
+    def test_moves_only_the_masks_it_is_given(self):
+        """An unfrozen mask left out of the batch keeps its scalars, as do
+        the frozen parameters, while every given mask moves."""
+        data = patch_mean_dataset([0.4, -0.2, -0.4], 30, seed=5)
+        net = self.grown_network(data, n_grown=3)
+        given, left_out = net.branches[1:3], net.branches[3]
+        assert not left_out.mask_frozen
+        left_out_before = (left_out.mask.a, left_out.mask.b)
+        given_before = [(br.mask.a, br.mask.b) for br in given]
+        hash_before = frozen_parameter_hash(net.branches)
+
+        self.tune(net, data, 2, seed=1, branches=given)
+
+        assert (left_out.mask.a, left_out.mask.b) == left_out_before
+        assert frozen_parameter_hash(net.branches) == hash_before
+        assert all((br.mask.a, br.mask.b) != ab
+                   for br, ab in zip(given, given_before))
 
     def test_tuning_deterministic_per_seed(self):
         data = patch_mean_dataset([0.4, -0.2, -0.4], 30, seed=6)
@@ -622,14 +657,13 @@ class TestAcceptanceRule:
         means, target = self.TASKS[mode]
         selection = build_selection_set(patch_mean_dataset(means, 40, seed=1),
                                         60, seed=0)
-        state, config = fresh_state(mode, selection)
+        state = fresh_state(mode, selection)
         if shift is not None:
             accuracy, loss = self.batch_metrics(mode)
             state.prev_selection_accuracy = accuracy + shift[0]
             state.prev_selection_loss = loss + shift[1]
         before = (state.prev_selection_accuracy, state.prev_selection_loss)
-        record = grow_iteration(state, [hand_candidate(ramp_mlp(1), 1, target)],
-                                config)
+        record = grow_iteration(state, [hand_candidate(ramp_mlp(1), 1, target)])
         assert state.net.n_branches == record.accepted
         if not record.accepted:
             after = (state.prev_selection_accuracy, state.prev_selection_loss)
@@ -640,9 +674,8 @@ class TestAcceptanceRule:
         means, target = self.TASKS[mode]
         selection = build_selection_set(patch_mean_dataset(means, 40, seed=1),
                                         60, seed=0)
-        state, config = fresh_state(mode, selection)
-        record = grow_iteration(state, [hand_candidate(ramp_mlp(1), 1, target)],
-                                config)
+        state = fresh_state(mode, selection)
+        record = grow_iteration(state, [hand_candidate(ramp_mlp(1), 1, target)])
         assert record.accepted == 1
         return state.prev_selection_accuracy, state.prev_selection_loss
 
@@ -685,15 +718,15 @@ class TestScoreCaches:
         train = two_window_dataset(40, seed=1, tag="train")
         test = two_window_dataset(20, seed=2, tag="test")
         selection = build_selection_set(train, 60, seed=0)
-        state, config = fresh_state(mode, selection, test_set=test,
-                                    train_set=train, max_per_iteration=1,
-                                    tuning_epochs=1)
+        state = fresh_state(mode, selection, test_set=test,
+                            train_set=train, max_per_iteration=1,
+                            tuning_epochs=1)
         candidates = iter([hand_candidate(ramp_mlp(1), 1, target, r)
                            for r in base_grid_ranges(selection.shape, 1)
                            for target in range(N_CLASSES)])
         kept = rolled_back = 0
         while True:
-            record = grow_iteration(state, candidates, config)
+            record = grow_iteration(state, candidates)
             if record.candidates_seen == 0:
                 break
             qualified = any(r["qualified"] for r in state.candidate_records
@@ -707,7 +740,7 @@ class TestScoreCaches:
                                  (test, state.test_scores)):
                 assert np.array_equal(cache,
                                       network_scores(net, split.images))
-            outputs = network_forward_batch(net, selection.images)
+            outputs = loop_forward_batch(net, selection.images)
             assert np.array_equal(
                 state.sel_votes,
                 outputs[np.arange(selection.n), selection.labels])
@@ -734,13 +767,13 @@ class TestScoreCaches:
         monkeypatch.setattr(BranchMlp, "copy", counting_copy)
         train = two_window_dataset(40, seed=1, tag="train")
         selection = build_selection_set(train, 60, seed=0)
-        state, config = fresh_state(mode, selection, train_set=train,
-                                    max_per_iteration=2, tuning_epochs=1)
+        state = fresh_state(mode, selection, train_set=train,
+                            max_per_iteration=2, tuning_epochs=1)
         source = ramp_mlp(1)
         candidates = iter([hand_candidate(source, 1, target, r)
                            for r in base_grid_ranges(selection.shape, 1)
                            for target in range(N_CLASSES)])
-        while grow_iteration(state, candidates, config).candidates_seen:
+        while grow_iteration(state, candidates).candidates_seen:
             pass
         qualified = sum(r["qualified"] for r in state.candidate_records)
         assert 0 < qualified < len(state.candidate_records)
@@ -762,8 +795,8 @@ class TestScoreCaches:
         earlier in the same iteration, on their target-label rows only."""
         train = two_window_dataset(40, seed=1, tag="train")
         selection = build_selection_set(train, 60, seed=0)
-        state, config = fresh_state(mode, selection, train_set=train,
-                                    tuning_epochs=1)
+        state = fresh_state(mode, selection, train_set=train,
+                            tuning_epochs=1)
         calls = []
 
         def recording_qualify(values, labels, target_class, votes, mode,
@@ -781,11 +814,11 @@ class TestScoreCaches:
         rows = np.arange(selection.n)
         most_qualified = 0
         while True:
-            expected = (network_forward_batch(state.net, selection.images)
+            expected = (loop_forward_batch(state.net, selection.images)
                         [rows, selection.labels] if state.net.branches
                         else np.zeros(selection.n))
             calls.clear()
-            if grow_iteration(state, candidates, config).candidates_seen == 0:
+            if grow_iteration(state, candidates).candidates_seen == 0:
                 break
             for values, target, votes, thd, verdict in calls:
                 assert np.array_equal(votes, expected)
@@ -805,10 +838,9 @@ class TestGrowIterationElection:
     def test_bootstrap_accepts_separator_and_fits_exact_stats(self):
         data = patch_mean_dataset([-0.2, -0.4, 0.4], 40, seed=1)
         selection = build_selection_set(data, 60, seed=0)
-        state, config = fresh_state(mode="election", selection=selection)
+        state = fresh_state(mode="election", selection=selection)
         reset_optimizer_step_count()
-        record = grow_iteration(state, [hand_candidate(ramp_mlp(1), 1, 2)],
-                                config)
+        record = grow_iteration(state, [hand_candidate(ramp_mlp(1), 1, 2)])
         assert optimizer_step_count() == 0
         assert record.accepted == 1
         net = state.net
@@ -816,7 +848,7 @@ class TestGrowIterationElection:
         assert parameter_count(net) == 0
         assert all(br.election_stats is not None for br in net.branches)
         # incremental stats equal the generic two-pass fit
-        means, stds = fit_election_stats(net, selection)
+        means, stds = fit_election_stats(net.branches, selection)
         np.testing.assert_allclose(
             [br.election_stats[0] for br in net.branches], means, atol=1e-12)
         np.testing.assert_allclose(
@@ -830,12 +862,12 @@ class TestGrowIterationElection:
         raises on the train split, not on the selection set."""
         train = two_window_dataset(40, seed=1, tag="train")
         selection = build_selection_set(train, 30, seed=0)
-        state, config = fresh_state("election", selection, train_set=train,
-                                    max_per_iteration=2)
+        state = fresh_state("election", selection, train_set=train,
+                            max_per_iteration=2)
         candidates = iter([hand_candidate(ramp_mlp(1), 1, target, r)
                            for r in base_grid_ranges(selection.shape, 1)
                            for target in range(N_CLASSES)])
-        while grow_iteration(state, candidates, config).candidates_seen:
+        while grow_iteration(state, candidates).candidates_seen:
             pass
         assert state.net.n_branches >= 2
         for br in state.net.branches:
@@ -851,8 +883,8 @@ class TestGrowIterationElection:
     def test_accuracy_never_decreases(self):
         data = patch_mean_dataset([-0.2, -0.4, 0.4], 40, seed=3)
         selection = build_selection_set(data, 60, seed=0)
-        state, config = fresh_state(mode="election", selection=selection,
-                                    max_per_iteration=1)
+        state = fresh_state(mode="election", selection=selection,
+                            max_per_iteration=1)
         candidates = [
             hand_candidate(ramp_mlp(1), 1, 2),
             hand_candidate(ramp_mlp(0), 0, 2, InputRange(0, 1, 1)),
@@ -862,7 +894,7 @@ class TestGrowIterationElection:
         accs = [state.prev_selection_accuracy]
         iterator = iter(candidates)
         for _ in range(4):
-            grow_iteration(state, iterator, config)
+            grow_iteration(state, iterator)
             accs.append(state.prev_selection_accuracy)
         assert all(b >= a for a, b in zip(accs, accs[1:]))
 
@@ -886,8 +918,8 @@ class TestGrowIterationElection:
 
     def test_iteration_accepts_multiple_before_cap(self):
         selection = self.disjoint_range_dataset()
-        state, config = fresh_state(mode="election", selection=selection,
-                                    max_per_iteration=2, top_fraction=0.5)
+        state = fresh_state(mode="election", selection=selection,
+                            max_per_iteration=2, top_fraction=0.5)
         range_b, range_c = InputRange(0, 3, 0), InputRange(0, 0, 3)
         candidates = [
             hand_candidate(ramp_mlp(1), 1, 2),                 # range A
@@ -895,13 +927,13 @@ class TestGrowIterationElection:
             hand_candidate(ramp_mlp(1), 1, 1, range_c),
         ]
         iterator = iter(candidates)
-        first = grow_iteration(state, iterator, config)
+        first = grow_iteration(state, iterator)
         # The cap stops consumption after two qualifiers; the third stays
         # in the iterator.  Both new flags fire on the right plateaus:
         # class 2 exactly, then class 0 plus the high half of class 1.
         assert (first.candidates_seen, first.accepted) == (2, 2)
         assert state.prev_selection_accuracy == pytest.approx(50 / 60)
-        second = grow_iteration(state, iterator, config)
+        second = grow_iteration(state, iterator)
         assert (second.candidates_seen, second.accepted) == (1, 1)
         # The range-C branch cleans up the half of class 1 that the range-B
         # branch had pulled toward class 0.
@@ -912,18 +944,18 @@ class TestGrowIterationElection:
         """A rolled-back batch takes the stats fitted for it along with
         its branches; the kept branches' stats do not move."""
         selection = self.disjoint_range_dataset()
-        state, config = fresh_state(mode="election", selection=selection,
-                                    max_per_iteration=2, top_fraction=0.5)
+        state = fresh_state(mode="election", selection=selection,
+                            max_per_iteration=2, top_fraction=0.5)
         candidates = iter([
             hand_candidate(ramp_mlp(1), 1, 2),
             hand_candidate(ramp_mlp(1), 1, 0, InputRange(0, 3, 0)),
             hand_candidate(ramp_mlp(1), 1, 1, InputRange(0, 0, 3)),
         ])
-        assert grow_iteration(state, candidates, config).accepted == 2
+        assert grow_iteration(state, candidates).accepted == 2
         kept = list(state.net.branches)
         before = network_to_json(state.net)
         state.prev_selection_loss = -1.0  # no batch can keep the loss
-        record = grow_iteration(state, candidates, config)
+        record = grow_iteration(state, candidates)
         assert state.candidate_records[-1]["qualified"]
         assert record.accepted == 0
         assert state.net.branches == kept
@@ -932,17 +964,16 @@ class TestGrowIterationElection:
     def test_constant_candidate_fails_precision(self):
         data = patch_mean_dataset([-0.2, -0.4, 0.4], 20, seed=4)
         selection = build_selection_set(data, 30, seed=0)
-        state, config = fresh_state(mode="election", selection=selection)
-        record = grow_iteration(state, [hand_candidate(constant_mlp(1), 1, 2)],
-                                config)
+        state = fresh_state(mode="election", selection=selection)
+        record = grow_iteration(state, [hand_candidate(constant_mlp(1), 1, 2)])
         assert record.accepted == 0
         assert state.net.n_branches == 0
 
     def test_growth_log_line_schema(self):
         data = patch_mean_dataset([0.4, -0.2, -0.4], 20, seed=5)
         selection = build_selection_set(data, 30, seed=0)
-        state, config = fresh_state(selection=selection)
-        record = grow_iteration(state, [], config)
+        state = fresh_state(selection=selection)
+        record = grow_iteration(state, [])
         import json
         parsed = json.loads(record.to_json_line())
         assert list(parsed) == ["iteration", "candidates_seen", "accepted",

@@ -417,6 +417,58 @@ def test_prepared_summaries_hold_each_center_once():
                     + per_summary * len(counts) + 8)
 
 
+def concatenating_build(candidates):
+    """The prepared arrays built the first way: every summary's normalized
+    centers, then their concatenation, then the Gram rows stacked from it
+    and its |c|^2."""
+    centers = [normalize_sorted(s.centers, stats_from_summary(s))[0]
+               for _, s in candidates]
+    counts = np.array([c.shape[0] for c in centers], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    centers = np.concatenate(centers)
+    sq_norms = np.einsum("ij,ij->i", centers, centers)
+    return {
+        "gram_rows": np.hstack([centers, sq_norms[:, None]]),
+        "max_sq_norm": np.maximum.reduceat(sq_norms, offsets[:-1]),
+        "weights": np.concatenate([cluster_softmax_weights(s.max_outputs)
+                                   for _, s in candidates]),
+        "offsets": offsets,
+        "segment": np.repeat(np.arange(counts.size), counts),
+    }
+
+
+@pytest.mark.parametrize("width, counts", [
+    (9, [7]), (4, [1, 40, 25]), (9, [1000, 3, 2500, 1]), (25, [333, 64]),
+    (9, [100_000]), (9, [1]), (9, [1] * 300), (4, [1, 1, 2]),
+])
+def test_prepared_summaries_equal_the_concatenating_build(width, counts):
+    rng = np.random.default_rng(width + len(counts))
+    candidates = []
+    for i, n in enumerate(counts):
+        samples = rng.normal(size=(n + 2, width)) * rng.uniform(0.1, 2, width)
+        candidates.append((i, BranchClassClusters(
+            branch_class=0, centers=samples[:n].copy(),
+            max_outputs=rng.normal(size=n),
+            sample_mean=samples.mean(axis=0), sample_min=samples.min(axis=0),
+            sample_max=samples.max(axis=0), n_pairs=n + 2)))
+    prepared = prepare_summaries(candidates)
+    for name, want in concatenating_build(candidates).items():
+        got = getattr(prepared, name)
+        assert (got.dtype, got.shape, got.strides) == \
+            (want.dtype, want.shape, want.strides), name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_prepare_summaries_rejects_centers_of_another_width():
+    rng = np.random.default_rng(0)
+    narrow = random_summary(rng, 3)
+    narrow.centers = narrow.centers[:, :1]
+    for name in ("sample_mean", "sample_min", "sample_max"):
+        setattr(narrow, name, getattr(narrow, name)[:1])
+    with pytest.raises(ValueError, match="^cluster centers differ in width$"):
+        prepare_summaries([(0, random_summary(rng, 4)), (1, narrow)])
+
+
 def test_match_all_rejects_prepared_side_of_other_candidates():
     rng = np.random.default_rng(0)
     candidates = [(0, random_summary(rng, 4)), (1, random_summary(rng, 5))]

@@ -27,7 +27,7 @@ from namgrow.nam_model import (
 from namgrow.nn_core import init_branch_mlp
 from oracles import branch_outputs_batch, elect, extract_patch, \
     fit_election_stats, loop_elect_batch, loop_forward_batch, mlp_forward, \
-    network_forward, set_election_stats
+    network_forward, with_election_stats
 
 SHAPE = (3, 32, 32)
 
@@ -94,12 +94,13 @@ def test_forward_additivity_over_partitions():
 def test_empty_network_errors():
     images = np.zeros((1,) + SHAPE)
     ds = Dataset(images, np.zeros(1, dtype=np.int64), "t", 10)
-    for mode in ("tuning", "election"):
+    for mode, scorer in (("tuning", network_forward_batch),
+                         ("election", elect_batch)):
         net = NamNetwork(10, SHAPE, mode=mode)
-        for call in (lambda: network_forward_batch(net, images),
-                     lambda: elect_batch(net, images),
+        for call in (lambda: scorer(net, images),
+                     lambda: network_scores(net, images),
                      lambda: evaluate(net, ds)):
-            with pytest.raises(ValueError, match="no branches"):
+            with pytest.raises(ValueError, match="^network has no branches$"):
                 call()
 
 
@@ -142,12 +143,12 @@ def mixed_network(rng, mode, n_base=3, n_added=9):
         branches.append(br)
     # interleave base and added branches
     order = rng.permutation(len(branches))
-    net = NamNetwork(10, MIXED_SHAPE, mode=mode,
-                     branches=[branches[i] for i in order])
+    branches = [branches[i] for i in order]
     if mode == "election":
-        set_election_stats(net, rng.normal(size=(net.n_branches, 10)),
-                           rng.uniform(0.1, 2.0, size=(net.n_branches, 10)))
-    return net
+        branches = with_election_stats(
+            branches, rng.normal(size=(len(branches), 10)),
+            rng.uniform(0.1, 2.0, size=(len(branches), 10)))
+    return NamNetwork(10, MIXED_SHAPE, mode=mode, branches=branches)
 
 
 @pytest.mark.parametrize("n", [1, 7, 25, 40])
@@ -159,14 +160,28 @@ def test_engine_equals_loop_oracle_bit_for_bit(monkeypatch, n, seed):
     labels = rng.integers(0, 10, size=n)
     for mode in ("tuning", "election"):
         net = mixed_network(rng, mode)
-        want = loop_forward_batch(net, images)
-        assert np.array_equal(network_forward_batch(net, images), want)
-        if mode == "election":
+        if mode == "tuning":
+            want = loop_forward_batch(net, images)
+            assert np.array_equal(network_forward_batch(net, images), want)
+        else:
             want = loop_elect_batch(net, images)
             assert np.array_equal(elect_batch(net, images), want)
         assert np.array_equal(network_scores(net, images), want)
         ds = Dataset(images, labels, "t", 10)
         assert evaluate(net, ds) == score_metrics(want, labels)
+
+
+def test_each_scorer_refuses_the_other_mode():
+    rng = np.random.default_rng(0)
+    images = rng.uniform(-0.5, 0.5, size=(3,) + MIXED_SHAPE)
+    with pytest.raises(ValueError) as exc:
+        network_forward_batch(mixed_network(rng, "election"), images)
+    assert str(exc.value) == ("network_forward_batch scores tuning "
+                              "networks, not election ones")
+    with pytest.raises(ValueError) as exc:
+        elect_batch(mixed_network(rng, "tuning"), images)
+    assert str(exc.value) == ("elect_batch scores election networks, not "
+                              "tuning ones")
 
 
 def test_engine_reads_one_chunk_of_windows_per_call(monkeypatch):
@@ -257,20 +272,26 @@ def test_mask_gradient_subgradient_convention_at_zero():
 
 # ---------------------------------------------------------------- election
 
-def synthetic_election_net(rng, n_branches=5):
-    branches = [Branch(init_branch_mlp(rng, 10), InputRange(0, 0, 0))
-                for _ in range(n_branches)]
-    return NamNetwork(10, SHAPE, mode="election", branches=branches)
+def synthetic_branches(rng, n_branches=5):
+    return [Branch(init_branch_mlp(rng, 10), InputRange(0, 0, 0))
+            for _ in range(n_branches)]
+
+
+def election_net(branches, means, stds):
+    """An election network of the branches, branch k under the stats
+    (means[k], stds[k])."""
+    return NamNetwork(10, SHAPE, mode="election",
+                      branches=with_election_stats(branches, means, stds))
 
 
 def test_elect_scores_match_hand_summed_zscores():
     rng = np.random.default_rng(42)
-    net = synthetic_election_net(rng)
+    branches = synthetic_branches(rng)
     means = rng.normal(size=(5, 10))
     stds = rng.uniform(0.5, 2.0, size=(5, 10))
-    set_election_stats(net, means, stds)
+    net = election_net(branches, means, stds)
     images = random_images(rng, 3)
-    outs = branch_outputs_batch(net, images)
+    outs = branch_outputs_batch(net.branches, images, "election")
     scores = elect_batch(net, images)
     for i in range(3):
         expected = np.zeros(10)
@@ -283,22 +304,22 @@ def test_elect_scores_match_hand_summed_zscores():
 
 def test_elect_centered_image_scores_zero():
     rng = np.random.default_rng(0)
-    net = synthetic_election_net(rng, n_branches=1)
+    branches = synthetic_branches(rng, n_branches=1)
     img = random_images(rng, 1)[0]
-    out = branch_outputs_batch(net, img[None])[0, 0]
-    set_election_stats(net, out[None].copy(), np.ones((1, 10)))
+    out = branch_outputs_batch(branches, img[None], "election")[0, 0]
+    net = election_net(branches, out[None].copy(), np.ones((1, 10)))
     scores, _ = elect(net, img)
     np.testing.assert_allclose(scores, np.zeros(10), rtol=0, atol=1e-12)
 
 
 def test_elect_one_std_above_mean_wins():
     rng = np.random.default_rng(3)
-    net = synthetic_election_net(rng, n_branches=1)
+    branches = synthetic_branches(rng, n_branches=1)
     img = random_images(rng, 1)[0]
-    out = branch_outputs_batch(net, img[None])[0, 0]
+    out = branch_outputs_batch(branches, img[None], "election")[0, 0]
     means = out[None].copy()
     means[0, 3] -= 2.0  # class 3 sits two stds above its mean
-    set_election_stats(net, means, np.full((1, 10), 2.0))
+    net = election_net(branches, means, np.full((1, 10), 2.0))
     scores, pred = elect(net, img)
     assert pred == 3
     np.testing.assert_allclose(scores[3], 1.0, rtol=0, atol=1e-12)
@@ -306,17 +327,17 @@ def test_elect_one_std_above_mean_wins():
 
 def test_elect_requires_stats():
     rng = np.random.default_rng(1)
-    net = synthetic_election_net(rng)
     with pytest.raises(ValueError):
-        elect_batch(net, random_images(rng, 1))
+        NamNetwork(10, SHAPE, mode="election",
+                   branches=synthetic_branches(rng))
 
 
 def test_elect_tie_breaks_to_lowest_class():
     rng = np.random.default_rng(4)
-    net = synthetic_election_net(rng, n_branches=1)
+    branches = synthetic_branches(rng, n_branches=1)
     img = random_images(rng, 1)[0]
-    out = branch_outputs_batch(net, img[None])[0, 0]
-    set_election_stats(net, out[None] - 1.0, np.ones((1, 10)))
+    out = branch_outputs_batch(branches, img[None], "election")[0, 0]
+    net = election_net(branches, out[None] - 1.0, np.ones((1, 10)))
     scores, pred = elect(net, img)
     np.testing.assert_allclose(scores, np.ones(10), rtol=0, atol=1e-12)
     assert pred == 0
@@ -324,10 +345,10 @@ def test_elect_tie_breaks_to_lowest_class():
 
 def test_fit_election_stats_matches_two_pass_oracle():
     rng = np.random.default_rng(42)
-    net = synthetic_election_net(rng, n_branches=4)
+    branches = synthetic_branches(rng, n_branches=4)
     ds = Dataset(random_images(rng, 50), rng.integers(0, 10, size=50), "t", 10)
-    means, stds = fit_election_stats(net, ds)
-    outs = branch_outputs_batch(net, ds.images)  # [K, n, C]
+    means, stds = fit_election_stats(branches, ds)
+    outs = branch_outputs_batch(branches, ds.images, "election")  # [K, n, C]
     for k in range(4):
         mean = outs[k].mean(axis=0)
         std = outs[k].std(axis=0)  # population
@@ -345,19 +366,18 @@ def test_fit_election_stats_two_point_example_and_floor():
     # degenerate constant output -> floored std
     rng = np.random.default_rng(7)
     br = make_grown_branch(rng, InputRange(0, 0, 0), 0, 0, thd=1e9)
-    net = NamNetwork(10, SHAPE, mode="election", branches=[br])
     ds = Dataset(random_images(rng, 8), np.zeros(8, dtype=np.int64), "t", 10)
-    means, stds = fit_election_stats(net, ds)
+    means, stds = fit_election_stats([br], ds)
     assert np.all(stds == 1e-6)
     assert np.all(means == 0.0)
 
 
 def test_election_standardization_property():
     rng = np.random.default_rng(42)
-    net = synthetic_election_net(rng, n_branches=3)
+    branches = synthetic_branches(rng, n_branches=3)
     ds = Dataset(random_images(rng, 100), rng.integers(0, 10, size=100), "t", 10)
-    means, stds = fit_election_stats(net, ds)
-    outs = branch_outputs_batch(net, ds.images)
+    means, stds = fit_election_stats(branches, ds)
+    outs = branch_outputs_batch(branches, ds.images, "election")
     for k in range(3):
         z = (outs[k] - means[k]) / stds[k]
         np.testing.assert_allclose(z.mean(axis=0), 0.0, rtol=0, atol=1e-9)
@@ -368,15 +388,15 @@ def test_election_standardization_property():
 def test_elect_argmax_invariant_under_common_scaling():
     rng = np.random.default_rng(8)
     ds = Dataset(random_images(rng, 40), rng.integers(0, 10, size=40), "t", 10)
-    net = synthetic_election_net(rng, n_branches=3)
-    set_election_stats(net, *fit_election_stats(net, ds))
+    branches = synthetic_branches(rng, n_branches=3)
+    net = election_net(branches, *fit_election_stats(branches, ds))
     preds = np.argmax(elect_batch(net, ds.images), axis=1)
 
-    scaled = copy.deepcopy(net)
-    for br in scaled.branches:
+    scaled = copy.deepcopy(branches)
+    for br in scaled:
         br.mlp.output_layer.weights *= 7.5  # scales every class-output by 7.5
-    set_election_stats(scaled, *fit_election_stats(scaled, ds))
-    preds_scaled = np.argmax(elect_batch(scaled, ds.images), axis=1)
+    scaled_net = election_net(scaled, *fit_election_stats(scaled, ds))
+    preds_scaled = np.argmax(elect_batch(scaled_net, ds.images), axis=1)
     np.testing.assert_array_equal(preds, preds_scaled)
 
 
@@ -469,26 +489,37 @@ def test_network_rejects_stats_on_only_some_branches():
     branches = [Branch(init_branch_mlp(rng, 10), InputRange(0, 0, 0),
                        election_stats=stats if k != 1 else None)
                 for k in range(3)]
-    with pytest.raises(ValueError, match="^election stats present for only "
-                                         "some branches$"):
+    with pytest.raises(ValueError, match="^branch 1: election stats must "
+                                         "be present in election mode$"):
         NamNetwork(10, SHAPE, mode="election", branches=branches)
     for br in branches:
         br.election_stats = stats
     NamNetwork(10, SHAPE, mode="election", branches=branches)
 
 
+def test_tuning_network_rejects_election_stats():
+    rng = np.random.default_rng(0)
+    branches = [Branch(init_branch_mlp(rng, 10), InputRange(0, 0, 0))
+                for _ in range(3)]
+    NamNetwork(10, SHAPE, mode="tuning", branches=branches)
+    branches[2].election_stats = (np.zeros(10), np.ones(10))
+    with pytest.raises(ValueError, match="^branch 2: election stats must "
+                                         "be absent in tuning mode$"):
+        NamNetwork(10, SHAPE, mode="tuning", branches=branches)
+
+
 # ---------------------------------------------------------------- checkpoint
 
 def grown_net_with_stats(rng):
-    net = NamNetwork(10, SHAPE, mode="election", tag="synthetic")
-    net.branches.append(Branch(init_branch_mlp(rng, 10), InputRange(2, 5, 8)))
-    net.branches.append(make_grown_branch(
-        rng, InputRange(0, 1, 2), 3, 6, thd=0.1, v_span=0.123456789012345,
-        a=1.25, b=0.0078125, origin="transferred"))
-    net.branches[1].mask_frozen = True
-    set_election_stats(net, rng.normal(size=(2, 10)),
-                       rng.uniform(0.5, 2, size=(2, 10)))
-    return net
+    branches = [Branch(init_branch_mlp(rng, 10), InputRange(2, 5, 8)),
+                make_grown_branch(rng, InputRange(0, 1, 2), 3, 6, thd=0.1,
+                                  v_span=0.123456789012345, a=1.25,
+                                  b=0.0078125, origin="transferred")]
+    branches[1].mask_frozen = True
+    return NamNetwork(10, SHAPE, mode="election", tag="synthetic",
+                      branches=with_election_stats(
+                          branches, rng.normal(size=(2, 10)),
+                          rng.uniform(0.5, 2, size=(2, 10))))
 
 
 def test_checkpoint_roundtrip_byte_identity(tmp_path):

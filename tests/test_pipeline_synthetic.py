@@ -173,18 +173,19 @@ class TestGrowthRun:
         """run_growth hashes the branches it starts from on entry and again
         on exit; a mask-tuning step that also moves a base weight fails."""
         calls = []
+        net = copy.deepcopy(base_net)
 
-        def nudging_tune_masks(net, *args, **kwargs):
-            calls.append(net.n_branches)
+        def nudging_tune_masks(branches, *args, **kwargs):
+            calls.append(len(branches))
             net.branches[0].mlp.hidden_layers[0].weights[0, 0] += 1e-9
-            return real_tune_masks(net, *args, **kwargs)
+            return real_tune_masks(branches, *args, **kwargs)
 
         real_tune_masks = growth.tune_masks
         monkeypatch.setattr(growth, "tune_masks", nudging_tune_masks)
         train, test = task_a
         with pytest.raises(RuntimeError, match="started from"):
-            run_growth(copy.deepcopy(base_net), train, small_growth_config(),
-                       test_set=test, cluster_table=None, max_iterations=1,
+            run_growth(net, train, small_growth_config(), test_set=test,
+                       cluster_table=None, max_iterations=1,
                        on_iteration=ignore)
         assert calls
 
@@ -350,8 +351,8 @@ class TestTransferRun:
             transfers.append(args)
             return real_transfer(*args, **kwargs)
 
-        def checking_grow_iteration(state, candidates, config):
-            record = real_grow_iteration(state, candidates, config)
+        def checking_grow_iteration(state, candidates):
+            record = real_grow_iteration(state, candidates)
             assert len(transfers) == sum(r.candidates_seen
                                          for r in state.records)
             return record
@@ -371,13 +372,13 @@ class TestTransferRun:
     def test_moved_source_weight_is_caught(self, grown, task_b, monkeypatch):
         """transfer_task hashes the source branches on entry and again on
         exit; an iteration that moves a source weight fails the run."""
-        def nudging_grow_iteration(state, candidates, config):
+        def nudging_grow_iteration(state, candidates):
             def nudged():
                 for cand in candidates:
                     # deeper layers are the source's own objects
                     cand.mlp.hidden_layers[1].weights[0, 0] += 1e-9
                     yield cand
-            return real_grow_iteration(state, nudged(), config)
+            return real_grow_iteration(state, nudged())
 
         real_grow_iteration = growth.grow_iteration
         monkeypatch.setattr(growth, "grow_iteration", nudging_grow_iteration)
