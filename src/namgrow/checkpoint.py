@@ -137,4 +137,9 @@ def save_checkpoint(net: NamNetwork, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> NamNetwork:
-    return network_from_json(Path(path).read_text())
+    """Read and check a checkpoint; a malformed one is a ValueError whose
+    message ends by naming the file."""
+    try:
+        return network_from_json(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{exc} (checkpoint {path})") from exc

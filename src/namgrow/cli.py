@@ -207,6 +207,8 @@ def _load_cluster_cache(path):
         return clusters_from_json(Path(path).read_text())
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed cluster cache {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{exc} (cluster cache {path})") from exc
 
 
 def _prepare_out_dir(cfg, args) -> Path:

@@ -6,6 +6,8 @@ a diagonal Gaussian kernel: shift a random start point to its local density
 peak, claim all samples within the neighbor distance as one cluster, remove
 them, repeat until no samples remain.  Each cluster is summarized by the
 member sample with the highest class-output (its center, in original space).
+A start that provably stops alone after one step is claimed without running
+the step (see `_isolated_starts`).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 from .nn_core import BranchMlp, mlp_forward_batch
 
 _STD_FLOOR = 1e-12  # degenerate dimension guard; cancels in the round-trip
+ISOLATION_BLOCK_ENTRIES = 1 << 16  # 512 KiB block arrays stay in cache
 
 
 @dataclass
@@ -38,8 +41,9 @@ class ClusterConfig:
             raise ValueError("distances must be positive")
         if not self.min_shift_distance < self.neighbor_distance:
             raise ValueError("min shift distance must be below neighbor distance")
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not self.bandwidth ** 2 >= np.finfo(np.float64).tiny:
+            raise ValueError("bandwidth must be positive, with a normal "
+                             "float square")
         if self.max_shift_iterations < 1:
             raise ValueError("max_shift_iterations must be >= 1")
 
@@ -104,18 +108,110 @@ def standardize(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return (samples - mean) / std, mean, std
 
 
+def _isolation_limits(n: int, dim: int, variance: float,
+                      max_sq_norm: float, config: ClusterConfig
+                      ) -> tuple[float, float, float]:
+    """(Gram slack, shift limit, squared near limit) of `_isolated_starts`.
+
+    With unit roundoff u = eps/2, gamma_k = k u / (1 - k u), n samples x of
+    dimension d, V the variance the step divides by, h = sqrt(V), M the
+    largest |x|^2, R = sqrt(M), D = |x_s - x_j|^2, and exp and sqrt taken
+    to be within 8 u:
+    - Gram form.  D~ = fl(fl(|x_s|^2 + |x_j|^2) - 2 fl(x_s . x_j)), for any
+      summation order or FMA, is within 2 gamma_d M + 2 gamma_d M + 6 u M
+      of D, so e = 8 (d + 2) u M brackets it: D~ - e <= D <= D~ + e.
+    - Shift.  B = sum_{j != s} exp(-D/2V) sqrt(D) is at most
+      B~ = sum exp(-max(D~ - e, 0)/2V) sqrt(D~ + e).  Computing B~ adds a
+      relative (n + 8) u and, through the exponent's rounding, at most
+      0.6 n h u per unit of relative exponent error (t^1.5 exp(-t) is below
+      0.41).  The computed step from x_s differs from the real one by: each
+      weight's d2 relative error gamma_{d+3} and exp's 8 u, worth at most
+      0.6 n h gamma_{d+3} + 8 u B; z's gamma_n and the divisions' u, which
+      move the weights' sum off one and the step by (gamma_n + 2 u) R; the
+      matrix-vector product's gamma_n sqrt(d) R; and the difference and
+      norm's relative gamma_{d+3}.  In all, the computed shift_distance is
+      at most B~ (1 + (2n + 2d + 30) u) + n (d + 6) h u
+      + (n + 2)(1 + sqrt(d)) u R.  The shift limit subtracts
+      4 (n + d + 30)(d + 6) u (d_min + h + (1 + sqrt(d)) R), at least twice
+      each of those terms, so a start that passes stops with a computed
+      shift (and so a computed distance to itself) below d_min - slack/2,
+      and the real point within d_min of x_s.
+    - Neighbours.  The computed distance to x_j is then at least
+      (sqrt(D) - d_min)(1 - gamma_{d+3}), which reaches d_nb when
+      sqrt(D) >= (d_nb + d_min)(1 + 2 gamma_{d+3}).  The squared near limit
+      is ((d_nb + d_min)(1 + 4 (d + 6) u))^2, compared with D~ - e; the
+      margin also covers forming the limit in floating point.
+    """
+    u = np.finfo(np.float64).eps / 2.0
+    root_d = float(np.sqrt(dim))
+    h = float(np.sqrt(variance))
+    gram_slack = 8.0 * (dim + 2) * u * max_sq_norm
+    shift_slack = 4.0 * (n + dim + 30) * (dim + 6) * u * (
+        config.min_shift_distance + h + (1.0 + root_d) * np.sqrt(max_sq_norm))
+    near = ((config.neighbor_distance + config.min_shift_distance)
+            * (1.0 + 4.0 * (dim + 6) * u))
+    return gram_slack, config.min_shift_distance - shift_slack, near * near
+
+
+def _isolated_starts(normed: np.ndarray, variance: float,
+                     config: ClusterConfig) -> np.ndarray:
+    """[n] bool: the samples that, as a mean-shift start, form a cluster of
+    their own with themselves as its best member, whichever samples are
+    still unclaimed.
+
+    A start s weighs exp(0) = 1 in its own step, so z >= 1 and the step
+    moves at most B = sum_{j != s} exp(-|x_s - x_j|^2/2V) |x_s - x_j|; the
+    terms are nonnegative, so unclaimed subsets only lower it.  When B is
+    at most d_min the loop stops after one step, within d_min of x_s; when
+    every other sample is at least d_nb + d_min from x_s, s alone lies
+    within d_nb of that point.  Both tests run on Gram-form distances, in
+    row blocks of ISOLATION_BLOCK_ENTRIES entries (one row at least), with
+    the rounding slack of `_isolation_limits`.
+    """
+    n = normed.shape[0]
+    sq = np.einsum("ij,ij->i", normed, normed)
+    gram_slack, shift_limit, near_sq = _isolation_limits(
+        n, normed.shape[1], variance, float(sq.max()), config)
+    isolated = np.empty(n, dtype=bool)
+    step = max(1, ISOLATION_BLOCK_ENTRIES // n)
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        own = (np.arange(r1 - r0), np.arange(r0, r1))
+        d2 = sq[r0:r1, None] + sq[None, :] - 2.0 * (normed[r0:r1] @ normed.T)
+        # a lower bound clipped at 0 keeps exp finite: no inf * 0 below
+        terms = (np.exp(np.maximum(d2 - gram_slack, 0.0) * (-0.5 / variance))
+                 * np.sqrt(d2 + gram_slack))
+        terms[own] = 0.0
+        d2[own] = np.inf
+        isolated[r0:r1] = ((terms.sum(axis=1) <= shift_limit)
+                           & (d2.min(axis=1) - gram_slack >= near_sq))
+    return isolated
+
+
 def cluster_branch_class(pairs: BranchPairs, config: ClusterConfig,
                          rng: np.random.Generator) -> BranchClassClusters:
     """Partition one branch-class's retained pairs into mean-shift clusters
-    and summarize each by its member with the highest class-output."""
+    and summarize each by its member with the highest class-output.
+
+    An isolated start (`_isolated_starts`) is its own cluster and best
+    member, so it is claimed without shifting; every other start runs the
+    shift loop and the neighbour claim."""
     if pairs.n == 0:
         raise ValueError("no pairs to cluster")
     normed, _, _ = standardize(pairs.samples)
-    variances = np.full(normed.shape[1], config.bandwidth ** 2)
+    variance = config.bandwidth ** 2
+    variances = np.full(normed.shape[1], variance)
+    isolated = _isolated_starts(normed, variance, config)
     alive = np.arange(pairs.n)
     best = []
     while alive.size > 0:
-        start = alive[int(rng.integers(alive.size))]
+        pick = int(rng.integers(alive.size))
+        start = alive[pick]
+        if isolated[start]:
+            best.append(start)
+            alive[pick:-1] = alive[pick + 1:]   # drop it, keep the order
+            alive = alive[:-1]
+            continue
         point = normed[start].copy()
         for _ in range(config.max_shift_iterations):
             shifted = mean_shift_step(point, normed[alive], variances)

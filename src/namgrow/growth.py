@@ -599,8 +599,13 @@ def source_cluster_table(branch_mlps, config: GrowthConfig):
     references, growth).
     """
     seeds = np.random.SeedSequence(config.seed).spawn(4)
-    return cluster_network(branch_mlps, config.cluster,
-                           int(seeds[1].generate_state(1)[0]))
+    table = cluster_network(branch_mlps, config.cluster,
+                            int(seeds[1].generate_state(1)[0]))
+    summaries = [s for per_branch in table for s in per_branch]
+    log.info("clustered %d branches: %d retained pairs into %d clusters",
+             len(table), sum(s.n_pairs for s in summaries),
+             sum(s.n_clusters for s in summaries))
+    return table
 
 
 def source_branches(net: NamNetwork, transfer: bool) -> list[Branch]:

@@ -513,6 +513,22 @@ class TestMalformedClusterCaches:
                   if r.levelname == "ERROR"]
         assert len(errors) == 1 and errors[0].startswith(message), errors
 
+    def test_error_names_the_cache_file(self, tmp_path, config_file,
+                                        base_run, cache_run, caplog):
+        doc = json.loads((cache_run / "cluster_cache.json").read_text())
+        _cache_nan_center(doc["branches"][1][2])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["grow", "--config", str(config_file),
+                     "--checkpoint", str(base_run / "checkpoint.json"),
+                     "--cluster-cache", str(bad),
+                     "--out-dir", str(tmp_path / "out"), "--seed", "3"])
+        assert code == 2
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert errors == ["cluster cache branch 1 summary 2: centers are not "
+                          f"all finite (cluster cache {bad})"]
+
 
 @pytest.fixture(scope="module")
 def transfer_run(tmp_path_factory, config_file, base_run):
@@ -813,6 +829,8 @@ class TestErrorPaths:
          "mask_learning_rate must be positive"),
         ("cluster", "max_shift_iterations", "0",
          "max_shift_iterations must be >= 1"),
+        ("cluster", "bandwidth", "1e-200",
+         "bandwidth must be positive, with a normal float square"),
     ])
     def test_unrunnable_growth_setting_is_usage_error(
             self, tmp_path, config_file, base_run, caplog, section, key,
@@ -972,6 +990,20 @@ class TestMalformedCheckpoints:
                   if r.levelname == "ERROR"]
         assert len(errors) == 1 and errors[0].startswith(expected), errors
 
+    def test_error_names_the_checkpoint_file(self, tmp_path, data_dir,
+                                             transfer_run, caplog):
+        doc = json.loads((transfer_run / "checkpoint.json").read_text())
+        _drop_mask(doc, 1)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["eval", "--checkpoint", str(bad), "--dataset", "mnist",
+                     "--data-dir", str(data_dir)])
+        assert code == 2
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert errors == ["checkpoint branch 1 has no 'mask' key "
+                          f"(checkpoint {bad})"]
+
     def test_stats_on_only_some_branches_is_a_data_error(
             self, tmp_path, data_dir, transfer_run, caplog):
         doc = json.loads((transfer_run / "checkpoint.json").read_text())
@@ -986,7 +1018,7 @@ class TestMalformedCheckpoints:
         errors = [r.getMessage() for r in caplog.records
                   if r.levelname == "ERROR"]
         assert errors == ["branch 1: election stats must be present in "
-                          "election mode"]
+                          f"election mode (checkpoint {bad})"]
 
     def test_stats_on_a_tuning_branch_is_a_data_error(
             self, tmp_path, data_dir, base_run, caplog):
@@ -1002,7 +1034,7 @@ class TestMalformedCheckpoints:
         errors = [r.getMessage() for r in caplog.records
                   if r.levelname == "ERROR"]
         assert errors == ["branch 2: election stats must be absent in "
-                          "tuning mode"]
+                          f"tuning mode (checkpoint {bad})"]
 
     def test_missing_network_field_is_a_data_error(self, tmp_path, data_dir,
                                                    base_run, caplog):
@@ -1035,4 +1067,4 @@ class TestMalformedCheckpoints:
         assert code == 2
         errors = [r.getMessage() for r in caplog.records
                   if r.levelname == "ERROR"]
-        assert errors == [message]
+        assert errors == [f"{message} (checkpoint {bad})"]

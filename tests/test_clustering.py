@@ -1,8 +1,11 @@
 """Mean-shift clustering tests on synthetic geometry and real branch MLPs."""
 
+import math
+
 import numpy as np
 import pytest
 
+from namgrow import clustering
 from namgrow.clustering import (
     BranchPairs,
     ClusterConfig,
@@ -247,6 +250,172 @@ def test_summary_equals_reference_mean_shift(seed):
             assert seen == list(range(p.n))
             assert summary.n_clusters == len(clusters)
             assert summary.n_pairs == p.n
+
+
+# ----------------------------------------------------------- isolated starts
+
+UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+
+
+def count_steps(monkeypatch) -> list:
+    """Record every `mean_shift_step` call of `cluster_branch_class` (the
+    oracle imports its own reference to the function)."""
+    calls = []
+    step = clustering.mean_shift_step
+
+    def counted(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(clustering, "mean_shift_step", counted)
+    return calls
+
+
+def distance_two_pair() -> BranchPairs:
+    """Two samples that standardize exactly to (+-1, 0, ..., 0): a pair at
+    distance 2 with eight flat dimensions."""
+    samples = np.zeros((2, 9))
+    samples[:, 0] = [0.25, -0.25]
+    return BranchPairs(0, samples, np.array([0.3, 0.7]))
+
+
+def first_shift(pairs: BranchPairs, bandwidth: float) -> float:
+    normed, _, _ = standardize(pairs.samples)
+    shifted = mean_shift_step(normed[0], normed,
+                              np.full(normed.shape[1], bandwidth ** 2))
+    return float(np.linalg.norm(shifted - normed[0]))
+
+
+def uniform_pairs(seed: int, n: int) -> BranchPairs:
+    rng = np.random.default_rng(seed)
+    return BranchPairs(0, rng.uniform(-0.5, 0.5, size=(n, 9)),
+                       rng.normal(size=n))
+
+
+def pair_beyond_the_near_limit():
+    # d = 2 is just beyond d_nb + d_min: isolated at a negligible kernel
+    return distance_two_pair(), ClusterConfig(
+        neighbor_distance=2 * (1 - 1e-9) - 1e-3, bandwidth=0.1)
+
+
+def pair_within_the_near_limit():
+    return distance_two_pair(), ClusterConfig(
+        neighbor_distance=2 * (1 + 1e-9) - 1e-3, bandwidth=0.1)
+
+
+def pair_claimed_after_the_step():
+    # the step moves 2 e^-8 / (1 + e^-8) ~ 6.7e-4 towards the other sample,
+    # which starts beyond d_nb and ends within it
+    return distance_two_pair(), ClusterConfig(
+        neighbor_distance=2 - 3.35e-4, bandwidth=0.5)
+
+
+def pair_shifting_by_about_the_minimum(ulps: int):
+    def build():
+        pairs = distance_two_pair()
+        shift = first_shift(pairs, 0.5)
+        for _ in range(abs(ulps)):
+            shift = np.nextafter(shift, np.inf if ulps > 0 else 0.0)
+        return pairs, ClusterConfig(neighbor_distance=1.0,
+                                    min_shift_distance=float(shift),
+                                    bandwidth=0.5)
+    build.__name__ = f"minimum_shift_{ulps:+d}_ulps_from_the_first_shift"
+    return build
+
+
+def duplicate_samples():
+    pairs = uniform_pairs(11, 40)
+    pairs.samples[[3, 17]] = pairs.samples[0]
+    pairs.samples[20] = pairs.samples[9]
+    return pairs, ClusterConfig()
+
+
+def one_sample():
+    return uniform_pairs(12, 1), ClusterConfig()
+
+
+def flat_dimensions():
+    pairs = uniform_pairs(13, 40)
+    pairs.samples[:, [2, 6]] = 0.1
+    return pairs, ClusterConfig()
+
+
+def tight_blobs():
+    rng = np.random.default_rng(14)
+    return (blob_pairs(rng, [np.full(9, 0.4), np.full(9, -0.4),
+                             np.linspace(-0.4, 0.4, 9)], n_per_blob=10),
+            FAST)
+
+
+def blob_among_scattered_samples():
+    rng = np.random.default_rng(15)
+    blob = blob_pairs(rng, [np.full(9, 0.2)], n_per_blob=12)
+    scattered = uniform_pairs(16, 30)
+    return (BranchPairs(0, np.concatenate([scattered.samples, blob.samples]),
+                        np.concatenate([scattered.outputs, blob.outputs])),
+            ClusterConfig())
+
+
+@pytest.mark.parametrize("block_entries", [1, clustering.ISOLATION_BLOCK_ENTRIES])
+@pytest.mark.parametrize("case", [
+    pair_beyond_the_near_limit, pair_within_the_near_limit,
+    pair_claimed_after_the_step,
+    *[pair_shifting_by_about_the_minimum(k) for k in (-2, -1, 0, 1, 2)],
+    duplicate_samples, one_sample, flat_dimensions, tight_blobs,
+    blob_among_scattered_samples,
+])
+def test_isolated_starts_equal_the_loop_oracle(case, block_entries,
+                                               monkeypatch):
+    """Whether a start is claimed alone or shifted, the summary and the rng
+    state are the loop oracle's, bit for bit, in blocks of any size."""
+    monkeypatch.setattr(clustering, "ISOLATION_BLOCK_ENTRIES", block_entries)
+    pairs, config = case()
+    for seed in range(3):
+        cluster_with_reference(pairs, config, seed)
+
+
+def test_pair_claimed_after_the_step_is_one_cluster():
+    summary, _ = cluster_with_reference(*pair_claimed_after_the_step(), 0)
+    assert summary.n_clusters == 1
+    assert summary.max_outputs.tolist() == [0.7]
+
+
+def test_mixed_class_takes_both_paths(monkeypatch):
+    calls = count_steps(monkeypatch)
+    summary, _ = cluster_with_reference(*blob_among_scattered_samples(), 0)
+    assert 0 < len(calls) < summary.n_clusters
+
+
+@pytest.mark.parametrize("config", [
+    # bound 2 e^-8 a relative 1e-12 under d_min, inside the worst-case
+    # rounding of the computed step (~5e-12 here); the neighbour is far
+    ClusterConfig(neighbor_distance=1.0, bandwidth=0.5,
+                  min_shift_distance=2 * math.exp(-8.0) * (1 + 1e-12)),
+    # negligible kernel; d_nb + d_min a few ulps under the distance 2
+    ClusterConfig(neighbor_distance=2 * (1 - 32 * UNIT_ROUNDOFF) - 1e-3,
+                  bandwidth=0.1),
+], ids=["shift", "near"])
+def test_a_start_within_rounding_of_a_limit_runs_the_loop(config,
+                                                          monkeypatch):
+    """Rounding could hide so small a margin, so such a start is shifted."""
+    calls = count_steps(monkeypatch)
+    summary, _ = cluster_with_reference(distance_two_pair(), config, 0)
+    assert summary.n_clusters == 2 and len(calls) == 2
+
+
+def test_isolated_starts_skip_the_shift_loop(monkeypatch):
+    """A start with room to spare is claimed without a step: the distance-2
+    pair at twice its bound, and nearly every retained pair of a branch at
+    the default configuration."""
+    calls = count_steps(monkeypatch)
+    config = ClusterConfig(neighbor_distance=1.0, bandwidth=0.5,
+                           min_shift_distance=4 * math.exp(-8.0))
+    summary, _ = cluster_with_reference(distance_two_pair(), config, 0)
+    assert summary.n_clusters == 2 and calls == []
+    mlp = init_branch_mlp(np.random.default_rng(17), n_classes=10)
+    table = cluster_branch_mlp(mlp, ClusterConfig(n_samples=250), 18)
+    clusters = sum(s.n_clusters for s in table)
+    assert clusters >= 490 and len(calls) * 5 < clusters
 
 
 def test_clustering_deterministic_for_fixed_seed():

@@ -5,7 +5,7 @@ import pytest
 
 from namgrow import growth, matching
 from namgrow.checkpoint import network_to_json
-from namgrow.clustering import BranchClassClusters
+from namgrow.clustering import BranchClassClusters, ClusterConfig
 from namgrow.data_io import Dataset, InputRange, base_grid_ranges, \
     extract_patches
 from namgrow.growth import (
@@ -352,6 +352,22 @@ class TestMatchCandidates:
                              + np.abs(layer.bias))
                     assert np.all(np.abs(got_pre - want_pre)
                                   <= gamma * scale)
+
+
+def test_source_cluster_table_logs_its_totals(caplog):
+    """One INFO line sums the table's retained pairs and clusters."""
+    mlps = [init_branch_mlp(np.random.default_rng(k), n_classes=N_CLASSES)
+            for k in range(2)]
+    config = GrowthConfig(cluster=ClusterConfig(n_samples=40,
+                                                neighbor_distance=3.0))
+    with caplog.at_level("INFO", logger="namgrow.growth"):
+        table = growth.source_cluster_table(mlps, config)
+    summaries = [s for per_branch in table for s in per_branch]
+    n_clusters = sum(s.n_clusters for s in summaries)
+    assert n_clusters < 2 * N_CLASSES * 8    # some clusters hold several
+    assert [r.getMessage() for r in caplog.records] == [
+        f"clustered 2 branches: {2 * N_CLASSES * 8} retained pairs into "
+        f"{n_clusters} clusters"]
 
 
 def test_start_growth_refuses_an_election_network_with_branches():
