@@ -118,12 +118,18 @@ def _refuse_unknown_keys(cfg) -> None:
             raise ConfigError(f"unknown config section [{section}]")
 
 
+def _config_value(cfg, section: str, key: str, parse):
+    """One config value parsed by `parse` (int or float); a value it refuses
+    is a ConfigError naming its section and key."""
+    try:
+        return parse(cfg[section][key])
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: {exc}") from exc
+
+
 def _set_thread_limit(cfg) -> None:
     """Cap BLAS/OpenMP threads; must run before numpy is first imported."""
-    try:
-        threads = cfg["run"].getint("threads")
-    except ValueError as exc:
-        raise ConfigError(f"threads: {exc}") from exc
+    threads = _config_value(cfg, "run", "threads", int)
     if threads < 0:
         raise ConfigError("threads must be >= 0 (0 = all available cores)")
     if threads > 0:
@@ -133,32 +139,41 @@ def _set_thread_limit(cfg) -> None:
             os.environ[var] = str(threads)
 
 
+def _config_values(cfg, section: str, ints=(), floats=()) -> dict:
+    """The named keys of one section, parsed as int or float."""
+    return {**{key: _config_value(cfg, section, key, int) for key in ints},
+            **{key: _config_value(cfg, section, key, float) for key in floats}}
+
+
+def _train_config(cfg):
+    from .training import TrainConfig
+
+    values = _config_values(cfg, "train", ("epochs", "batch_size"),
+                            ("learning_rate",))
+    seed = _config_value(cfg, "run", "seed", int)
+    try:
+        return TrainConfig(**values, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"train config: {exc}") from exc
+
+
 def _growth_config(cfg):
     from .clustering import ClusterConfig
     from .growth import GrowthConfig
 
-    g, c = cfg["growth"], cfg["cluster"]
+    cluster = _config_values(
+        cfg, "cluster", ("n_samples", "max_shift_iterations"),
+        ("top_fraction", "neighbor_distance", "min_shift_distance",
+         "bandwidth"))
+    growth = _config_values(
+        cfg, "growth", ("selection_size", "max_per_iteration",
+                        "tuning_epochs", "mask_batch_size",
+                        "reference_per_class"),
+        ("mask_learning_rate", "keep_fraction", "top_fraction"))
+    seed = _config_value(cfg, "run", "seed", int)
     try:
-        cluster = ClusterConfig(
-            n_samples=c.getint("n_samples"),
-            top_fraction=c.getfloat("top_fraction"),
-            neighbor_distance=c.getfloat("neighbor_distance"),
-            min_shift_distance=c.getfloat("min_shift_distance"),
-            bandwidth=c.getfloat("bandwidth"),
-            max_shift_iterations=c.getint("max_shift_iterations"),
-        )
-        return GrowthConfig(
-            selection_size=g.getint("selection_size"),
-            max_per_iteration=g.getint("max_per_iteration"),
-            tuning_epochs=g.getint("tuning_epochs"),
-            mask_learning_rate=g.getfloat("mask_learning_rate"),
-            mask_batch_size=g.getint("mask_batch_size"),
-            keep_fraction=g.getfloat("keep_fraction"),
-            top_fraction=g.getfloat("top_fraction"),
-            reference_per_class=g.getint("reference_per_class"),
-            seed=cfg["run"].getint("seed"),
-            cluster=cluster,
-        )
+        return GrowthConfig(**growth, seed=seed,
+                            cluster=ClusterConfig(**cluster))
     except ValueError as exc:
         raise ConfigError(f"growth/cluster config: {exc}") from exc
 
@@ -200,15 +215,34 @@ def _input_hashes(cfg, args) -> dict:
     return hashes
 
 
-def _load_cluster_cache(path):
+def _load_cluster_cache(path, sources):
+    """The cluster table cached at `path`, checked against the source
+    branches it summarizes: one list of summaries per branch, each as wide
+    as its branch's window and of one of its classes."""
     from .clustering import clusters_from_json
 
     try:
-        return clusters_from_json(Path(path).read_text())
+        table = clusters_from_json(Path(path).read_text())
+        if len(table) != len(sources):
+            raise ValueError(f"cluster cache covers {len(table)} branches, "
+                             f"the run re-uses {len(sources)}")
+        for b, (branch, summaries) in enumerate(zip(sources, table)):
+            mlp = branch.mlp
+            for k, summary in enumerate(summaries):
+                where = f"cluster cache branch {b} summary {k}"
+                if summary.centers.shape[1] != mlp.in_dim:
+                    raise ValueError(f"{where}: centers are "
+                                     f"{summary.centers.shape[1]} wide, the "
+                                     f"branch takes {mlp.in_dim} inputs")
+                if summary.branch_class >= mlp.n_classes:
+                    raise ValueError(f"{where}: branch_class "
+                                     f"{summary.branch_class} is not below "
+                                     f"the branch's {mlp.n_classes} classes")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed cluster cache {path}: {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"{exc} (cluster cache {path})") from exc
+    return table
 
 
 def _prepare_out_dir(cfg, args) -> Path:
@@ -249,31 +283,41 @@ def _write_candidates(path: Path, candidate_records) -> None:
 
 
 class _IterationWriter:
-    """Streams the growth log and the Fig-style metric CSV during a run."""
+    """Streams the growth log, the Fig-style metric CSV and, for a
+    transfer, its train/test accuracy series, one line per iteration."""
 
-    def __init__(self, out_dir: Path):
-        self.log_file = open(out_dir / "growth_log.jsonl", "w")
-        self.csv_file = open(out_dir / "metrics.csv", "w", newline="")
-        self.csv = csv.writer(self.csv_file)
-        self.csv.writerow(["iteration", "branches", "accuracy", "loss"])
+    def __init__(self, out_dir: Path, transfer: bool):
+        names = ["growth_log.jsonl", "metrics.csv"]
+        names += ["transfer_series.csv"] if transfer else []
+        self.files = [open(out_dir / name, "w", newline="") for name in names]
+        self.log = self.files[0]
+        self.metrics, *self.series = [csv.writer(fh) for fh in self.files[1:]]
+        self.metrics.writerow(["iteration", "branches", "accuracy", "loss"])
+        for series in self.series:
+            series.writerow(["iteration", "branches", "train_accuracy",
+                             "test_accuracy"])
 
-    def __call__(self, record):
-        self.log_file.write(record.to_json_line() + "\n")
-        self.log_file.flush()
-        self.csv.writerow([record.iteration, record.branch_count,
-                           record.test_accuracy, record.test_loss])
-        self.csv_file.flush()
+    def __call__(self, state):
+        record = state.records[-1]
+        self.log.write(record.to_json_line() + "\n")
+        self.metrics.writerow([record.iteration, record.branch_count,
+                               record.test_accuracy, record.test_loss])
+        for series in self.series:
+            series.writerow([record.iteration, record.branch_count,
+                             state.train.accuracy, record.test_accuracy])
+        for fh in self.files:
+            fh.flush()
 
     def close(self):
-        self.log_file.close()
-        self.csv_file.close()
+        for fh in self.files:
+            fh.close()
 
 
 def cmd_train_base(args, cfg) -> int:
     from .checkpoint import save_checkpoint
     from .nam_model import build_network, evaluate, parameter_count
     from .nn_core import optimizer_step_count, reset_optimizer_step_count
-    from .training import TrainConfig, train_network
+    from .training import train_network
 
     train = _load_split(cfg, "train")
     test = _load_split(cfg, "test")
@@ -281,18 +325,11 @@ def cmd_train_base(args, cfg) -> int:
     spacings = {"base": 6, "full": 3}
     if grid not in spacings:
         raise ConfigError(f"unknown grid {grid!r} (expected base or full)")
-    seed = cfg["run"].getint("seed")
+    train_config = _train_config(cfg)
+    seed = train_config.seed
     name = cfg["data"]["dataset"].strip().lower()
     net = build_network(train.shape, train.n_classes, seed, spacings[grid],
                         tag=f"{name}-{grid}")
-    try:
-        train_config = TrainConfig(epochs=cfg["train"].getint("epochs"),
-                                   batch_size=cfg["train"].getint("batch_size"),
-                                   learning_rate=cfg["train"].getfloat(
-                                       "learning_rate"),
-                                   seed=seed)
-    except ValueError as exc:
-        raise ConfigError(f"train config: {exc}") from exc
     log.info("training %d branches (%d parameters) for %d epochs",
              net.n_branches, parameter_count(net), train_config.epochs)
     out_dir = _prepare_out_dir(cfg, args)
@@ -338,7 +375,7 @@ def cmd_growth(args, cfg) -> int:
     """`grow` and `transfer`: grow a network from a checkpoint's branches
     and write the run's outputs."""
     from .checkpoint import load_checkpoint, save_checkpoint
-    from .growth import run_growth, transfer_task
+    from .growth import run_growth, source_branches, transfer_task
     from .nam_model import parameter_count
     from .nn_core import optimizer_step_count, reset_optimizer_step_count
 
@@ -349,18 +386,17 @@ def cmd_growth(args, cfg) -> int:
     run = transfer_task
     if not transfer:
         _check_geometry(net, train)
-        try:
-            limit = cfg["growth"].getint("max_iterations")
-        except ValueError as exc:
-            raise ConfigError(f"max_iterations: {exc}") from exc
+        limit = _config_value(cfg, "growth", "max_iterations", int)
         run = functools.partial(run_growth,
                                 max_iterations=None if limit < 0 else limit)
     growth_config = _growth_config(cfg)
-    cluster_table = (_load_cluster_cache(args.cluster_cache)
-                     if args.cluster_cache else None)
+    cluster_table = None
+    if args.cluster_cache:
+        cluster_table = _load_cluster_cache(args.cluster_cache,
+                                            source_branches(net, transfer))
     out_dir = _prepare_out_dir(cfg, args)
     reset_optimizer_step_count()
-    writer = _IterationWriter(out_dir)
+    writer = _IterationWriter(out_dir, transfer)
     try:
         state = run(net, train, growth_config, test_set=test,
                     cluster_table=cluster_table, on_iteration=writer)
@@ -378,7 +414,7 @@ def cmd_growth(args, cfg) -> int:
     meta = {
         "command": args.command,
         "dataset": cfg["data"]["dataset"].strip().lower(),
-        "seed": cfg["run"].getint("seed"),
+        "seed": growth_config.seed,
         "input_hashes": _input_hashes(cfg, args),
         "optimizer_steps": steps,
         "iterations": len(state.records),
@@ -389,23 +425,15 @@ def cmd_growth(args, cfg) -> int:
         "test_loss": final.test_loss if final else None,
     }
     if transfer:
-        with open(out_dir / "transfer_series.csv", "w", newline="") as fh:
-            series = csv.writer(fh)
-            series.writerow(["iteration", "branches", "train_accuracy",
-                             "test_accuracy"])
-            for record, train_accuracy in zip(state.records,
-                                              state.train_accuracy_series):
-                series.writerow([record.iteration, record.branch_count,
-                                 train_accuracy, record.test_accuracy])
         meta["empty_network"] = state.net.n_branches == 0
         if meta["empty_network"]:
             log.warning("no placement qualified: transfer produced an empty "
                         "election network (eval refuses it)")
-        meta["train_accuracy"] = (state.train_accuracy_series[-1]
-                                  if state.train_accuracy_series else None)
+        meta["train_accuracy"] = (state.train.accuracy if state.records
+                                  else None)
     else:
         meta["candidates_seen"] = sum(r.candidates_seen for r in state.records)
-        meta["selection_loss"] = state.prev_selection_loss
+        meta["selection_loss"] = state.selection.loss
     _write_json(out_dir / "run_meta.json", meta)
     log.info("%s done: %d branches accepted, %d optimizer steps, test "
              "accuracy %s -> %s", args.command, accepted, steps,
@@ -434,7 +462,7 @@ def cmd_cluster_cache(args, cfg) -> int:
     _write_json(out_dir / "run_meta.json", {
         "command": "cluster-cache",
         "for": args.target_command,
-        "seed": cfg["run"].getint("seed"),
+        "seed": growth_config.seed,
         "input_hashes": hashes,
         "source_branches": len(mlps),
         "cluster_counts": [[s.n_clusters for s in per_branch]

@@ -18,6 +18,7 @@ decides the rest:
 from __future__ import annotations
 
 import collections
+import functools
 import hashlib
 import itertools
 import json
@@ -49,7 +50,7 @@ from .nam_model import (
     class_mask_grads,
     network_scores,
     parameter_count,
-    score_metrics,
+    score_accuracy,
 )
 from .nn_core import (
     AdamState,
@@ -58,6 +59,7 @@ from .nn_core import (
     adam_step,
     mlp_forward_batch,
     softmax_cross_entropy_batch,
+    softmax_cross_entropy_loss,
 )
 from .qualification import branch_threshold, qualify
 
@@ -147,8 +149,7 @@ class Winner(NamedTuple):
 class CandidateBranch:
     """A matched placement: source branch, its class, and the target class
     at one input range.  `mlp` is the transferred first layer on top of the
-    source's deeper layers, sharing their arrays: copy it before keeping
-    it."""
+    source's own deeper layer objects; a kept branch holds it as it is."""
 
     source_branch_id: int
     branch_class: int
@@ -158,39 +159,55 @@ class CandidateBranch:
     mlp: BranchMlp
 
 
+@dataclass(eq=False)
+class ScoredSplit:
+    """A dataset split and what `network_scores` gives for the current
+    network on it: the summed class-outputs in tuning mode, the summed
+    z-scores in election mode.  `accuracy` and `loss` are computed the first
+    time they are read after the scores change."""
+
+    data: Dataset
+    scores: np.ndarray
+
+    @functools.cached_property
+    def accuracy(self) -> float:
+        return score_accuracy(self.scores, self.data.labels)
+
+    @functools.cached_property
+    def loss(self) -> float:
+        return softmax_cross_entropy_loss(self.scores, self.data.labels)
+
+    def add(self, branches: list[Branch], raw_values: list[np.ndarray],
+            mode: str) -> list[np.ndarray]:
+        """Add the branches' outputs, in order, to the scores in place;
+        returns each one's contribution before z-scoring."""
+        out = [add_branch_output(self.scores, branch, raw, mode)
+               for branch, raw in zip(branches, raw_values, strict=True)]
+        self.__dict__.pop("accuracy", None)
+        self.__dict__.pop("loss", None)
+        return out
+
+
 @dataclass
 class GrowthState:
-    """Evolving network plus the caches that keep iterations incremental.
+    """A growth run: the evolving network, its scored splits and records.
 
-    `sel/train/test_scores` hold what `network_scores` gives for the current
-    network on each split: the summed class-outputs in tuning mode, the
-    summed z-scores in election mode.  `sel_votes[j]` holds selection
-    sample j's summed class-output at its own label, before any z-scoring,
-    which weighs the qualification gates.  `test_metrics` holds the
-    (accuracy, loss) of `test_scores` and `train_accuracy` the accuracy of
-    `train_scores`; like the scores, they change only when a batch is kept.
+    `votes[j]` holds selection sample j's summed class-output at its own
+    label, before any z-scoring, which weighs the qualification gates.
+    Like the splits' scores, the votes change only when a batch is kept.
+    An iteration's number is the count of records before it.
     """
 
     net: NamNetwork
     config: GrowthConfig
-    selection: Dataset
-    train_set: Dataset
-    test_set: Dataset
+    selection: ScoredSplit
+    train: ScoredSplit
+    test: ScoredSplit
+    votes: np.ndarray
     rng: np.random.Generator
     records: list = field(default_factory=list)
     branch_points: list = field(default_factory=list)
     candidate_records: list = field(default_factory=list)
-    train_accuracy_series: list = field(default_factory=list)
-    selection_accuracy_series: list = field(default_factory=list)
-    iteration: int = 0
-    sel_scores: np.ndarray = None
-    train_scores: np.ndarray = None
-    test_scores: np.ndarray = None
-    sel_votes: np.ndarray = None
-    test_metrics: tuple = None
-    train_accuracy: float = None
-    prev_selection_loss: float = None
-    prev_selection_accuracy: float = None
 
 
 def build_selection_set(dataset: Dataset, size: int, seed) -> Dataset:
@@ -318,40 +335,28 @@ class WindowScan:
         )
 
 
-def _scores(net: NamNetwork, images: np.ndarray) -> np.ndarray:
-    """`network_scores(net, images)`, or zeros for a network without
-    branches."""
-    if not net.branches:
-        return np.zeros((images.shape[0], net.n_classes))
-    return network_scores(net, images)
-
-
-def _accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
-    return float(np.mean(np.argmax(scores, axis=1) == labels))
-
-
 def start_growth(net: NamNetwork, selection: Dataset, config: GrowthConfig,
                  train_set: Dataset, test_set: Dataset,
                  rng: np.random.Generator) -> GrowthState:
-    """Snapshot the network's scores on every split and open a growth run.
+    """Score the network on every split and open a growth run.
 
     An election network starts empty, so in either mode the selection
     scores are the summed class-outputs the votes are read from."""
     if net.mode == "election" and net.branches:
         raise ValueError(f"an election network grows from no branches, "
                          f"not {net.n_branches}")
-    state = GrowthState(net=net, config=config, selection=selection,
-                        train_set=train_set, test_set=test_set, rng=rng)
-    state.sel_scores = _scores(net, selection.images)
-    state.sel_votes = state.sel_scores[np.arange(selection.n),
-                                       selection.labels]
-    state.test_scores = _scores(net, test_set.images)
-    state.test_metrics = score_metrics(state.test_scores, test_set.labels)
-    state.train_scores = _scores(net, train_set.images)
-    state.train_accuracy = _accuracy(state.train_scores, train_set.labels)
-    state.prev_selection_accuracy, state.prev_selection_loss = score_metrics(
-        state.sel_scores, selection.labels)
-    return state
+
+    def scored(data: Dataset) -> ScoredSplit:
+        scores = (network_scores(net, data.images) if net.branches
+                  else np.zeros((data.n, net.n_classes)))
+        return ScoredSplit(data, scores)
+
+    sel = scored(selection)
+    return GrowthState(net=net, config=config, selection=sel,
+                       train=scored(train_set), test=scored(test_set),
+                       votes=sel.scores[np.arange(selection.n),
+                                        selection.labels],
+                       rng=rng)
 
 
 def _flag_stat_rows(p: float, target_class: int,
@@ -378,24 +383,24 @@ def grow_iteration(state: GrowthState, candidates) -> IterationRecord:
     the state."""
     net, config = state.net, state.config
     mode = net.mode
-    labels = state.selection.labels
+    iteration = len(state.records)
+    images, labels = state.selection.data.images, state.selection.data.labels
     seen = 0
     tentative: list[_Tentative] = []
     rejected_records = []
-    votes = state.sel_votes.copy()
+    votes = state.votes.copy()
     memo_range, memo_patches = None, None
 
     for cand in candidates:
         seen += 1
         if cand.input_range != memo_range:
             memo_range = cand.input_range
-            memo_patches = extract_patches(state.selection.images,
-                                           [cand.input_range])[0]
+            memo_patches = extract_patches(images, [cand.input_range])[0]
         values = mlp_forward_batch(cand.mlp, memo_patches)[:, cand.branch_class]
         thd = branch_threshold(values, config.top_fraction)
         v_span = float(values.max() - thd)
         record = {
-            "iteration": state.iteration,
+            "iteration": iteration,
             "input_range": list(cand.input_range.as_tuple()),
             "source_branch": cand.source_branch_id,
             "branch_class": cand.branch_class,
@@ -416,7 +421,7 @@ def grow_iteration(state: GrowthState, candidates) -> IterationRecord:
         if not report.verdict:
             rejected_records.append(record)
             continue
-        branch = Branch(mlp=cand.mlp.copy(), input_range=cand.input_range,
+        branch = Branch(mlp=cand.mlp, input_range=cand.input_range,
                         branch_class=cand.branch_class,
                         target_class=cand.target_class,
                         mask=ClassMask(1.0, 0.0, thd, v_span),
@@ -431,22 +436,18 @@ def grow_iteration(state: GrowthState, candidates) -> IterationRecord:
 
     state.candidate_records.extend(rejected_records)
     state.candidate_records.extend(t.record for t in tentative)
-    test_accuracy, test_loss = state.test_metrics
     record = IterationRecord(
-        iteration=state.iteration,
+        iteration=iteration,
         candidates_seen=seen,
         accepted=accepted,
         rejected=seen - accepted,
-        selection_loss=state.prev_selection_loss,
-        test_loss=test_loss,
-        test_accuracy=test_accuracy,
+        selection_loss=state.selection.loss,
+        test_loss=state.test.loss,
+        test_accuracy=state.test.accuracy,
         branch_count=net.n_branches,
         parameter_count=parameter_count(net),
     )
     state.records.append(record)
-    state.selection_accuracy_series.append(state.prev_selection_accuracy)
-    state.train_accuracy_series.append(state.train_accuracy)
-    state.iteration += 1
     log.info("iteration %d: %d/%d candidates accepted, selection loss %.6f",
              record.iteration, record.accepted, record.candidates_seen,
              record.selection_loss)
@@ -465,62 +466,56 @@ def _finish_iteration(state: GrowthState, tentative: list[_Tentative]) -> int:
     masks, election mode fits each branch the flag statistics that z-score
     its outputs.  The batch is kept only when the selection-set loss did
     not increase and, in election mode, the selection-set accuracy did not
-    drop, so both recorded series are monotone there.  Only a kept batch
-    joins the network, and it is added to every split's cached scores and
-    metrics; a rolled-back one leaves them as they were.
+    drop, so both are monotone there.  The selection trial is scored on a
+    copy of the selection scores.  Only a kept batch joins the network: the
+    trial becomes the selection split, and the batch is added to the votes
+    and to the train and test splits; a rolled-back one leaves them as they
+    were.
     """
     if not tentative:
         return 0
     net, config = state.net, state.config
     mode = net.mode
-    raw_fit = [_raw_values(t.branch, state.train_set) for t in tentative]
+    iteration = len(state.records)
+    branches = [t.branch for t in tentative]
+    raw_fit = [_raw_values(branch, state.train.data) for branch in branches]
     if mode == "election":
-        for t, raw in zip(tentative, raw_fit):
-            flags = added_branch_output(t.branch, raw, mode)
-            t.branch.election_stats = _flag_stat_rows(
-                float(flags.mean()), t.branch.target_class, net.n_classes)
+        for branch, raw in zip(branches, raw_fit):
+            flags = added_branch_output(branch, raw, mode)
+            branch.election_stats = _flag_stat_rows(
+                float(flags.mean()), branch.target_class, net.n_classes)
     elif config.tuning_epochs > 0:
-        tune_masks([t.branch for t in tentative], state.train_set,
-                   config.tuning_epochs, state.train_scores, raw_fit,
+        tune_masks(branches, state.train.data, config.tuning_epochs,
+                   state.train.scores, raw_fit,
                    learning_rate=config.mask_learning_rate,
                    batch_size=config.mask_batch_size,
                    seed=int(state.rng.integers(2 ** 31)))
 
-    sel_new = state.sel_scores.copy()
-    out_sel = [add_branch_output(sel_new, t.branch, t.values_sel, mode)
-               for t in tentative]
-    new_acc, new_loss = score_metrics(sel_new, state.selection.labels)
-    if new_loss > state.prev_selection_loss or (
-            mode == "election" and new_acc < state.prev_selection_accuracy):
+    prev = state.selection
+    trial = ScoredSplit(prev.data, prev.scores.copy())
+    out_sel = trial.add(branches, [t.values_sel for t in tentative], mode)
+    if trial.loss > prev.loss or (
+            mode == "election" and trial.accuracy < prev.accuracy):
         log.info("iteration %d rolled back: selection loss %.6f (prev %.6f),"
-                 " accuracy %.4f (prev %.4f)", state.iteration, new_loss,
-                 state.prev_selection_loss, new_acc,
-                 state.prev_selection_accuracy)
+                 " accuracy %.4f (prev %.4f)", iteration, trial.loss,
+                 prev.loss, trial.accuracy, prev.accuracy)
         return 0
     base_count = net.n_branches
     for t in tentative:
         t.branch.mask_frozen = True
         t.record["kept"] = True
         net.branches.append(t.branch)
-    state.sel_scores = sel_new
-    state.prev_selection_accuracy = new_acc
-    state.prev_selection_loss = new_loss
-    for t, out in zip(tentative, out_sel):
-        on = state.selection.labels == t.branch.target_class
-        state.sel_votes[on] += out[on]
-    for t, raw in zip(tentative, raw_fit):
-        add_branch_output(state.train_scores, t.branch, raw, mode)
-    state.train_accuracy = _accuracy(state.train_scores,
-                                     state.train_set.labels)
-    for k, t in enumerate(tentative):
-        add_branch_output(state.test_scores, t.branch,
-                          _raw_values(t.branch, state.test_set), mode)
-        accuracy, loss = score_metrics(state.test_scores,
-                                       state.test_set.labels)
-        state.test_metrics = (accuracy, loss)
+    state.selection = trial
+    for branch, out in zip(branches, out_sel):
+        on = trial.data.labels == branch.target_class
+        state.votes[on] += out[on]
+    state.train.add(branches, raw_fit, mode)
+    test = state.test
+    for k, branch in enumerate(branches):
+        test.add([branch], [_raw_values(branch, test.data)], mode)
         state.branch_points.append(BranchPoint(
-            iteration=state.iteration, branch_count=base_count + k + 1,
-            accuracy=accuracy, loss=loss))
+            iteration=iteration, branch_count=base_count + k + 1,
+            accuracy=test.accuracy, loss=test.loss))
     return len(tentative)
 
 
@@ -575,7 +570,8 @@ def tune_masks(branches: list[Branch], dataset: Dataset, epochs: int,
 def frozen_parameter_hash(branches: list[Branch]) -> str:
     """SHA-256 over everything growth must never change in `branches`: MLP
     weights, mask thresholds and spans, and the scale/bias of already-frozen
-    masks."""
+    masks.  Kept branches share their source's deeper layer objects, so a
+    hash of the sources covers those layers too."""
     h = hashlib.sha256()
     for branch in branches:
         for layer in branch.mlp.hidden_layers:
@@ -629,8 +625,8 @@ def run_growth(net: NamNetwork, train_set: Dataset, config: GrowthConfig,
     candidate scan is exhausted; 0 returns the network untouched).  Windows
     are matched as iterations consume their candidates, so a bounded run
     matches none past the last window it uses.  `on_iteration` is called
-    with each IterationRecord as soon as it is final, so callers can
-    stream logs.  Raises RuntimeError when the branches the network
+    with the state as soon as an iteration's record is final, so callers
+    can stream logs.  Raises RuntimeError when the branches the network
     started with have changed by the end.
     """
     if net.mode != "tuning":
@@ -667,6 +663,8 @@ def _grow(source_net: NamNetwork, net: NamNetwork, train_set: Dataset,
     candidates.  Growth runs iterations while its one stream over all
     source branches yields.  Transfer (an election-mode `net`) has one
     stream per source branch, and each stream gets one iteration at least.
+    A given `cluster_table` holds one list of summaries per source branch,
+    each fitting its branch; the CLI checks a cached one as it loads it.
     """
     transfer = net.mode == "election"
     sources = source_branches(source_net, transfer)
@@ -682,19 +680,6 @@ def _grow(source_net: NamNetwork, net: NamNetwork, train_set: Dataset,
         log.info("clustering %d branch MLPs", len(sources))
         cluster_table = source_cluster_table([br.mlp for br in sources],
                                              config)
-    if len(cluster_table) != len(sources):
-        raise ValueError("cluster table does not cover every branch")
-    for b, (branch, summaries) in enumerate(zip(sources, cluster_table)):
-        for k, summary in enumerate(summaries):
-            where = f"cluster table branch {b} summary {k}"
-            if summary.centers.shape[1] != branch.mlp.in_dim:
-                raise ValueError(f"{where}: centers are "
-                                 f"{summary.centers.shape[1]} wide, the "
-                                 f"branch takes {branch.mlp.in_dim} inputs")
-            if summary.branch_class >= branch.mlp.n_classes:
-                raise ValueError(f"{where}: branch_class "
-                                 f"{summary.branch_class} is not below the "
-                                 f"branch's {branch.mlp.n_classes} classes")
     refs = draw_reference_images(train_set, config.reference_per_class,
                                  np.random.default_rng(seeds[2]))
     pairs = [(i, summary) for i, summaries in enumerate(cluster_table)
@@ -708,14 +693,14 @@ def _grow(source_net: NamNetwork, net: NamNetwork, train_set: Dataset,
     for key in range(len(sources) if transfer else 1):
         stream = scan.stream(key)
         ran = False
-        while max_iterations is None or state.iteration < max_iterations:
+        while max_iterations is None or len(state.records) < max_iterations:
             head = next(stream, None)
             if head is None and (ran or not transfer):
                 break
             batch = stream if head is None else itertools.chain([head], stream)
-            record = grow_iteration(state, batch)
+            grow_iteration(state, batch)
             ran = True
-            on_iteration(record)
+            on_iteration(state)
     if frozen_parameter_hash(started) != start_hash:
         raise RuntimeError("growth changed the branches it started from")
     return state

@@ -274,10 +274,15 @@ def network_scores(net: NamNetwork, images: np.ndarray) -> np.ndarray:
     return network_forward_batch(net, images)
 
 
+def score_accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
+    """Share of rows whose argmax is their label."""
+    return float(np.mean(np.argmax(scores, axis=1) == labels))
+
+
 def score_metrics(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     """(accuracy of the argmax, mean cross-entropy of softmax(scores))."""
-    accuracy = float(np.mean(np.argmax(scores, axis=1) == labels))
-    return accuracy, softmax_cross_entropy_loss(scores, labels)
+    return (score_accuracy(scores, labels),
+            softmax_cross_entropy_loss(scores, labels))
 
 
 def evaluate(net: NamNetwork, dataset: Dataset) -> tuple[float, float]:

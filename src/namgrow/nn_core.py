@@ -56,11 +56,6 @@ class DenseLayer:
     def in_dim(self) -> int:
         return self.weights.shape[1]
 
-    def copy(self) -> "DenseLayer":
-        return DenseLayer(
-            self.weights.copy(), None if self.bias is None else self.bias.copy()
-        )
-
 
 @dataclass
 class BranchMlp:
@@ -94,10 +89,6 @@ class BranchMlp:
     @property
     def n_classes(self) -> int:
         return self.output_layer.out_dim
-
-    def copy(self) -> "BranchMlp":
-        return BranchMlp([l.copy() for l in self.hidden_layers],
-                         self.output_layer.copy())
 
 
 def mlp_parameter_count(mlp: BranchMlp) -> int:

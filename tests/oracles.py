@@ -199,11 +199,11 @@ def ignore(report) -> None:
 
 def transfer_branch_mlp(mlp: BranchMlp, branch_stats: NormalizationStats,
                         ref_stats: NormalizationStats) -> BranchMlp:
-    """Copy of the MLP with its first hidden layer transferred."""
-    new = mlp.copy()
+    """The MLP with its first hidden layer transferred, on top of its own
+    deeper layer objects."""
     w, b = transfer_first_layer(mlp.hidden_layers[0], branch_stats, ref_stats)
-    new.hidden_layers[0] = DenseLayer(w, b)
-    return new
+    return BranchMlp([DenseLayer(w, b), *mlp.hidden_layers[1:]],
+                     mlp.output_layer)
 
 
 def per_branch_scan(ranges, ref_images_by_class, summary_pairs, source_mlps,

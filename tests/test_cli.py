@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import namgrow
-from namgrow.cli import main
+from namgrow.cli import DEFAULT_CONFIG, main
 
 BLOCKS = [(0, 0), (0, 6), (6, 0), (6, 6), (0, 3),
           (3, 0), (3, 3), (3, 6), (6, 3), (2, 2)]
@@ -42,6 +42,17 @@ def _block_images(rng, n_per_class):
         images[rows, row:row + 3, col:col + 3] += 90
     order = rng.permutation(n)
     return np.clip(images, 0, 255)[order], labels[order]
+
+
+def _parser_of(value):
+    """int or float, whichever parses a numeric default; None for text."""
+    for parse in (int, float):
+        try:
+            parse(value)
+            return parse
+        except ValueError:
+            pass
+    return None
 
 
 def _run_in_subprocess(args, threads, cwd=None):
@@ -318,6 +329,30 @@ class TestGrow:
         assert code == 3
         assert "changed the branches it started from" in caplog.text
 
+    def test_write_through_a_kept_branch_is_an_internal_error(
+            self, tmp_path, config_file, base_run, monkeypatch, caplog):
+        """A kept branch shares its source's deeper layer objects, so a
+        write through it in a later iteration moves a base weight, and the
+        run ends with exit code 3."""
+        from namgrow import growth
+
+        nudged = []
+
+        def nudging_grow_iteration(state, candidates):
+            kept = [br for br in state.net.branches if br.origin == "grown"]
+            if kept and not nudged:
+                kept[0].mlp.hidden_layers[1].weights[0, 0] += 1e-9
+                nudged.append(kept[0])
+            return real_grow_iteration(state, candidates)
+
+        real_grow_iteration = growth.grow_iteration
+        monkeypatch.setattr(growth, "grow_iteration", nudging_grow_iteration)
+        code = main(["grow", "--config", str(config_file),
+                     "--checkpoint", str(base_run / "checkpoint.json"),
+                     "--out-dir", str(tmp_path / "moved"), "--seed", "3"])
+        assert nudged and code == 3
+        assert "changed the branches it started from" in caplog.text
+
 
 @pytest.fixture(scope="module")
 def cache_run(tmp_path_factory, config_file, base_run):
@@ -472,7 +507,7 @@ class TestMalformedClusterCaches:
 
     @pytest.mark.parametrize("command", ["grow", "transfer"])
     @pytest.mark.parametrize("corrupt, message", [
-        (_cache_class_out_of_range, "cluster table branch 1 summary 2: "
+        (_cache_class_out_of_range, "cluster cache branch 1 summary 2: "
                                     "branch_class 12 is not below the "
                                     "branch's 10 classes"),
         (_cache_bool_class, "cluster cache branch 1 summary 2: branch_class "
@@ -480,7 +515,7 @@ class TestMalformedClusterCaches:
         (_cache_narrow_centers, "cluster cache branch 1 summary 2: "
                                 "sample_mean has shape (9,), expected the "
                                 "centers' width (8,)"),
-        (_cache_narrow_record, "cluster table branch 1 summary 2: centers "
+        (_cache_narrow_record, "cluster cache branch 1 summary 2: centers "
                                "are 8 wide, the branch takes 9 inputs"),
         (_cache_no_centers, "cluster cache branch 1 summary 2: centers have "
                             "shape (0,), expected a non-empty matrix"),
@@ -528,6 +563,29 @@ class TestMalformedClusterCaches:
                   if r.levelname == "ERROR"]
         assert errors == ["cluster cache branch 1 summary 2: centers are not "
                           f"all finite (cluster cache {bad})"]
+
+    def test_cache_of_other_branches_is_a_data_error(
+            self, tmp_path, config_file, grow_run, caplog):
+        """A grow cache of a grown checkpoint covers only its base
+        branches, while a transfer re-uses every branch."""
+        cache = tmp_path / "cache"
+        assert main(["cluster-cache", "--config", str(config_file),
+                     "--checkpoint", str(grow_run / "checkpoint.json"),
+                     "--out-dir", str(cache), "--seed", "3",
+                     "--for", "grow"]) == 0
+        branches = json.loads(
+            (grow_run / "run_meta.json").read_text())["branch_count"]
+        assert branches > 4
+        path = cache / "cluster_cache.json"
+        code = main(["transfer", "--config", str(config_file),
+                     "--checkpoint", str(grow_run / "checkpoint.json"),
+                     "--cluster-cache", str(path),
+                     "--out-dir", str(tmp_path / "out"), "--seed", "3"])
+        assert code == 2
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert errors == [f"cluster cache covers 4 branches, the run re-uses "
+                          f"{branches} (cluster cache {path})"]
 
 
 @pytest.fixture(scope="module")
@@ -610,6 +668,31 @@ class TestTransfer:
         lines = (transfer_run / "transfer_series.csv").read_text().splitlines()
         assert lines[0] == "iteration,branches,train_accuracy,test_accuracy"
         assert len(lines) == 1 + meta["iterations"]
+
+    def test_stopped_transfer_keeps_the_series_so_far(
+            self, tmp_path, config_file, base_run, transfer_run, monkeypatch):
+        """transfer_series.csv is streamed: a run stopped after k
+        iterations leaves its header and the k rows of those iterations."""
+        from namgrow import growth
+
+        k = 2
+
+        def stopping_grow_iteration(state, candidates):
+            if len(state.records) == k:
+                raise RuntimeError("stopped")
+            return real_grow_iteration(state, candidates)
+
+        real_grow_iteration = growth.grow_iteration
+        monkeypatch.setattr(growth, "grow_iteration", stopping_grow_iteration)
+        out = tmp_path / "stopped"
+        code = main(["transfer", "--config", str(config_file),
+                     "--checkpoint", str(base_run / "checkpoint.json"),
+                     "--out-dir", str(out), "--seed", "3"])
+        assert code == 3
+        lines = (out / "transfer_series.csv").read_text().splitlines()
+        full = (transfer_run / "transfer_series.csv").read_text().splitlines()
+        assert len(full) > 1 + k
+        assert lines == full[:1 + k]
 
 
 class TestEval:
@@ -715,8 +798,7 @@ class TestShippedConfigs:
     def test_presets_resolve_to_valid_configs(self):
         import argparse
 
-        from namgrow.cli import _growth_config, resolve_config
-        from namgrow.training import TrainConfig
+        from namgrow.cli import _growth_config, _train_config, resolve_config
 
         root = Path(__file__).resolve().parent.parent
         presets = sorted([*(root / "configs").glob("*.ini"),
@@ -726,10 +808,22 @@ class TestShippedConfigs:
             cfg = resolve_config(argparse.Namespace(config=str(preset)))
             assert cfg["data"]["dataset"] in ("cifar10", "mnist")
             assert cfg["model"]["grid"] in ("base", "full")
-            TrainConfig(epochs=cfg["train"].getint("epochs"),
-                        batch_size=cfg["train"].getint("batch_size"),
-                        learning_rate=cfg["train"].getfloat("learning_rate"))
+            _train_config(cfg)
             _growth_config(cfg)
+
+    def test_defaults_parse_to_the_dataclass_defaults(self):
+        """DEFAULT_CONFIG's train, growth and cluster values are the
+        defaults of the configs they build, so the two cannot drift
+        apart."""
+        import argparse
+
+        from namgrow.cli import _growth_config, _train_config, resolve_config
+        from namgrow.growth import GrowthConfig
+        from namgrow.training import TrainConfig
+
+        cfg = resolve_config(argparse.Namespace())
+        assert _train_config(cfg) == TrainConfig()
+        assert _growth_config(cfg) == GrowthConfig()
 
 
 class TestErrorPaths:
@@ -820,8 +914,36 @@ class TestErrorPaths:
         assert code == 1
         errors = [r.getMessage() for r in caplog.records
                   if r.levelname == "ERROR"]
-        assert errors == ["max_iterations: invalid literal for int() with "
-                          "base 10: 'abc'"]
+        assert errors == ["[growth] max_iterations: invalid literal for "
+                          "int() with base 10: 'abc'"]
+
+    @pytest.mark.parametrize("section, key", [
+        (section, key) for section, values in DEFAULT_CONFIG.items()
+        for key, value in values.items() if _parser_of(value)])
+    def test_unparsable_number_is_usage_error_naming_its_key(
+            self, tmp_path, config_file, base_run, caplog, section, key):
+        """A numeric value that does not parse is refused with exit code 1,
+        naming its section and key, by a command that reads it."""
+        cfg = configparser.ConfigParser()
+        cfg.read(config_file)
+        if not cfg.has_section(section):
+            cfg.add_section(section)
+        cfg[section][key] = "1.5x"
+        bad = tmp_path / "bad.ini"
+        with open(bad, "w") as fh:
+            cfg.write(fh)
+        command = (["train-base"] if section in ("run", "train") else
+                   ["grow", "--checkpoint", str(base_run / "checkpoint.json")])
+        code = main([*command, "--config", str(bad),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        parse = _parser_of(DEFAULT_CONFIG[section][key])
+        with pytest.raises(ValueError) as exc:
+            parse("1.5x")
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert errors == [f"[{section}] {key}: {exc.value}"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section, key, value, message", [
         ("growth", "mask_batch_size", "0", "mask_batch_size must be >= 1"),

@@ -473,7 +473,7 @@ class TestGrowIterationTuning:
     def test_adversarial_candidate_rolled_back(self):
         selection = self.adversarial_setup()
         state = fresh_state(selection=selection, tuning_epochs=0)
-        before_loss = state.prev_selection_loss
+        before_loss = state.selection.loss
         record = grow_iteration(state, [hand_candidate(ramp_mlp(2), 2, 0)])
         assert record.accepted == 0 and record.rejected == 1
         assert state.net.n_branches == 0
@@ -676,13 +676,13 @@ class TestAcceptanceRule:
         state = fresh_state(mode, selection)
         if shift is not None:
             accuracy, loss = self.batch_metrics(mode)
-            state.prev_selection_accuracy = accuracy + shift[0]
-            state.prev_selection_loss = loss + shift[1]
-        before = (state.prev_selection_accuracy, state.prev_selection_loss)
+            state.selection.accuracy = accuracy + shift[0]
+            state.selection.loss = loss + shift[1]
+        before = (state.selection.accuracy, state.selection.loss)
         record = grow_iteration(state, [hand_candidate(ramp_mlp(1), 1, target)])
         assert state.net.n_branches == record.accepted
         if not record.accepted:
-            after = (state.prev_selection_accuracy, state.prev_selection_loss)
+            after = (state.selection.accuracy, state.selection.loss)
             assert after == before
         return record.accepted == 1
 
@@ -693,7 +693,7 @@ class TestAcceptanceRule:
         state = fresh_state(mode, selection)
         record = grow_iteration(state, [hand_candidate(ramp_mlp(1), 1, target)])
         assert record.accepted == 1
-        return state.prev_selection_accuracy, state.prev_selection_loss
+        return state.selection.accuracy, state.selection.loss
 
     @pytest.mark.parametrize("mode", MODES)
     def test_equal_metrics_keep_the_batch(self, mode):
@@ -726,11 +726,12 @@ def two_window_dataset(n_per_class, seed, tag):
 
 class TestScoreCaches:
     @pytest.mark.parametrize("mode", MODES)
-    def test_caches_equal_a_fresh_forward_after_every_iteration(self, mode):
-        """The incrementally updated caches hold exactly what a full forward
-        of the current network gives, through kept and rolled-back batches.
-        So do the test metrics each record reports and each new train
-        accuracy, though only a kept batch re-takes them."""
+    def test_splits_equal_a_fresh_forward_after_every_iteration(self, mode):
+        """Each scored split holds exactly what a full forward of the
+        current network gives, through kept and rolled-back batches, and
+        its accuracy and loss are those scores' metrics.  So are the test
+        metrics each record reports, though only a kept batch re-takes
+        them."""
         train = two_window_dataset(40, seed=1, tag="train")
         test = two_window_dataset(20, seed=2, tag="test")
         selection = build_selection_set(train, 60, seed=0)
@@ -751,57 +752,55 @@ class TestScoreCaches:
             rolled_back += qualified and not record.accepted
             net = state.net
             assert net.branches
-            for split, cache in ((selection, state.sel_scores),
-                                 (train, state.train_scores),
-                                 (test, state.test_scores)):
-                assert np.array_equal(cache,
-                                      network_scores(net, split.images))
+            for split, data in ((state.selection, selection),
+                                (state.train, train), (state.test, test)):
+                assert split.data is data
+                fresh = network_scores(net, data.images)
+                assert np.array_equal(split.scores, fresh)
+                assert (split.accuracy, split.loss) == score_metrics(
+                    fresh, data.labels)
             outputs = loop_forward_batch(net, selection.images)
             assert np.array_equal(
-                state.sel_votes,
+                state.votes,
                 outputs[np.arange(selection.n), selection.labels])
             assert (record.test_accuracy, record.test_loss) == score_metrics(
                 network_scores(net, test.images), test.labels)
-            assert len(state.train_accuracy_series) == len(state.records)
-            assert state.train_accuracy_series[-1] == score_metrics(
-                network_scores(net, train.images), train.labels)[0]
         assert kept >= 2 and rolled_back >= 1
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_mlp_copied_once_per_qualified_candidate(self, mode,
-                                                     monkeypatch):
-        """Candidates are scored through a view of the source MLP; only a
-        qualified one is copied, and a kept branch shares no array with
-        its source."""
-        copies = []
-        real_copy = BranchMlp.copy
-
-        def counting_copy(mlp):
-            copies.append(mlp)
-            return real_copy(mlp)
-
-        monkeypatch.setattr(BranchMlp, "copy", counting_copy)
+    def test_kept_branches_share_their_source_layers(self, mode):
+        """A kept branch holds its candidate's MLP as it is: the candidate's
+        own first layer on top of the source's deeper layer objects, as
+        `WindowScan` builds them, with nothing copied."""
         train = two_window_dataset(40, seed=1, tag="train")
         selection = build_selection_set(train, 60, seed=0)
         state = fresh_state(mode, selection, train_set=train,
                             max_per_iteration=2, tuning_epochs=1)
         source = ramp_mlp(1)
-        candidates = iter([hand_candidate(source, 1, target, r)
-                           for r in base_grid_ranges(selection.shape, 1)
-                           for target in range(N_CLASSES)])
-        while grow_iteration(state, candidates).candidates_seen:
+        first = source.hidden_layers[0]
+
+        def candidate(input_range, target):
+            own = DenseLayer(first.weights.copy(), first.bias.copy())
+            mlp = BranchMlp([own, *source.hidden_layers[1:]],
+                            source.output_layer)
+            return hand_candidate(mlp, 1, target, input_range)
+
+        candidates = [candidate(r, target)
+                      for r in base_grid_ranges(selection.shape, 1)
+                      for target in range(N_CLASSES)]
+        firsts = {id(c.mlp.hidden_layers[0]) for c in candidates}
+        stream = iter(candidates)
+        while grow_iteration(state, stream).candidates_seen:
             pass
-        qualified = sum(r["qualified"] for r in state.candidate_records)
-        assert 0 < qualified < len(state.candidate_records)
-        assert len(copies) == qualified
-        assert state.net.branches
-        source_arrays = [a for layer in source.hidden_layers
-                         for a in (layer.weights, layer.bias)]
-        source_arrays.append(source.output_layer.weights)
-        for branch in state.net.branches:
-            for layer in (*branch.mlp.hidden_layers, branch.mlp.output_layer):
-                assert not any(np.shares_memory(layer.weights, a)
-                               for a in source_arrays)
+        kept = state.net.branches
+        assert len(kept) >= 2
+        for branch in kept:
+            own, *deeper = branch.mlp.hidden_layers
+            assert all(a is b for a, b in
+                       zip(deeper, source.hidden_layers[1:], strict=True))
+            assert branch.mlp.output_layer is source.output_layer
+            assert id(own) in firsts and own is not first
+        assert len({id(br.mlp.hidden_layers[0]) for br in kept}) == len(kept)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_each_candidate_is_qualified_against_the_batch_so_far(
@@ -870,7 +869,7 @@ class TestGrowIterationElection:
         np.testing.assert_allclose(
             [br.election_stats[1] for br in net.branches], stds, atol=1e-12)
         acc, _ = evaluate(net, selection)
-        assert acc == state.prev_selection_accuracy
+        assert acc == state.selection.accuracy
         assert acc > 1.0 / N_CLASSES
 
     def test_kept_stats_are_the_train_split_flag_rows(self):
@@ -907,11 +906,11 @@ class TestGrowIterationElection:
             hand_candidate(ramp_mlp(2), 2, 0, InputRange(0, 2, 2)),
             hand_candidate(constant_mlp(1), 1, 1, InputRange(0, 3, 3)),
         ]
-        accs = [state.prev_selection_accuracy]
+        accs = [state.selection.accuracy]
         iterator = iter(candidates)
         for _ in range(4):
             grow_iteration(state, iterator)
-            accs.append(state.prev_selection_accuracy)
+            accs.append(state.selection.accuracy)
         assert all(b >= a for a, b in zip(accs, accs[1:]))
 
     def disjoint_range_dataset(self):
@@ -948,12 +947,12 @@ class TestGrowIterationElection:
         # in the iterator.  Both new flags fire on the right plateaus:
         # class 2 exactly, then class 0 plus the high half of class 1.
         assert (first.candidates_seen, first.accepted) == (2, 2)
-        assert state.prev_selection_accuracy == pytest.approx(50 / 60)
+        assert state.selection.accuracy == pytest.approx(50 / 60)
         second = grow_iteration(state, iterator)
         assert (second.candidates_seen, second.accepted) == (1, 1)
         # The range-C branch cleans up the half of class 1 that the range-B
         # branch had pulled toward class 0.
-        assert state.prev_selection_accuracy == pytest.approx(1.0)
+        assert state.selection.accuracy == pytest.approx(1.0)
         assert [b.origin for b in state.net.branches] == ["transferred"] * 3
 
     def test_rolled_back_batch_leaves_no_stats_behind(self):
@@ -970,7 +969,7 @@ class TestGrowIterationElection:
         assert grow_iteration(state, candidates).accepted == 2
         kept = list(state.net.branches)
         before = network_to_json(state.net)
-        state.prev_selection_loss = -1.0  # no batch can keep the loss
+        state.selection.loss = -1.0  # no batch can keep the loss
         record = grow_iteration(state, candidates)
         assert state.candidate_records[-1]["qualified"]
         assert record.accepted == 0

@@ -258,10 +258,16 @@ def task_b(task_a):
 def transferred(grown, task_b):
     train, test = task_b
     reset_optimizer_step_count()
+    accuracies = []
+
+    def on_iteration(state):
+        accuracies.append((state.selection.accuracy, state.train.accuracy))
+
     state = transfer_task(grown.net, train, small_growth_config(),
                           test_set=test, cluster_table=None,
-                          on_iteration=ignore)
+                          on_iteration=on_iteration)
     state.optimizer_steps = optimizer_step_count()
+    state.selection_accuracies, state.train_accuracies = zip(*accuracies)
     return state
 
 
@@ -286,15 +292,20 @@ class TestTransferRun:
         assert len(transferred.records) >= grown.net.n_branches
 
     def test_selection_series_are_monotone(self, transferred):
-        accuracies = transferred.selection_accuracy_series
+        """Read through `on_iteration`, which gets the state after each
+        iteration."""
+        accuracies = transferred.selection_accuracies
         assert len(accuracies) == len(transferred.records)
         assert all(b >= a for a, b in zip(accuracies, accuracies[1:]))
         assert accuracies[-1] >= 1.0 / N_CLASSES
         losses = [r.selection_loss for r in transferred.records]
         assert all(b <= a for a, b in zip(losses, losses[1:]))
 
-    def test_train_accuracy_series_tracks_iterations(self, transferred):
-        assert len(transferred.train_accuracy_series) == len(transferred.records)
+    def test_train_accuracy_series_tracks_iterations(self, transferred,
+                                                     task_b):
+        accuracies = transferred.train_accuracies
+        assert len(accuracies) == len(transferred.records)
+        assert accuracies[-1] == evaluate(transferred.net, task_b[0])[0]
 
     def test_recorded_test_metrics_match_direct_evaluation(self, transferred,
                                                            task_b):
