@@ -121,7 +121,7 @@ def _network_from_doc(doc: dict) -> NamNetwork:
         except KeyError as exc:
             raise ValueError(f"checkpoint branch {k} has no {exc} key"
                              ) from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"checkpoint branch {k}: {exc}") from exc
     return NamNetwork(
         doc["n_classes"],

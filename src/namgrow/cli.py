@@ -22,10 +22,12 @@ Exit codes: 0 success, 1 usage/config error, 2 data or format error,
 
 import argparse
 import configparser
+import contextlib
 import csv
 import functools
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -119,12 +121,17 @@ def _refuse_unknown_keys(cfg) -> None:
 
 
 def _config_value(cfg, section: str, key: str, parse):
-    """One config value parsed by `parse` (int or float); a value it refuses
-    is a ConfigError naming its section and key."""
+    """One config value parsed by `parse` (int or float); a value it refuses,
+    or a float that is not finite, is a ConfigError naming its section and
+    key."""
+    text = cfg[section][key]
     try:
-        return parse(cfg[section][key])
+        value = parse(text)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
+    if parse is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: {text!r} is not finite")
+    return value
 
 
 def _set_thread_limit(cfg) -> None:
@@ -267,32 +274,27 @@ def _check_geometry(net, dataset) -> None:
                          f"dataset has {dataset.n_classes}")
 
 
-def _write_branch_series(path: Path, branch_points) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "branches", "accuracy", "loss"])
-        for bp in branch_points:
-            writer.writerow([bp.iteration, bp.branch_count,
-                             bp.accuracy, bp.loss])
-
-
-def _write_candidates(path: Path, candidate_records) -> None:
-    with open(path, "w") as fh:
-        for rec in candidate_records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
 class _IterationWriter:
-    """Streams the growth log, the Fig-style metric CSV and, for a
-    transfer, its train/test accuracy series, one line per iteration."""
+    """Streams every growth output but the checkpoint and run_meta.json, as
+    each iteration ends: the growth log, the Fig-style metric CSV, the
+    iteration's candidate records and branch points and, for a transfer,
+    its train/test accuracy series.  `close` closes every file; if one
+    fails to open, those opened before it are closed at once."""
 
     def __init__(self, out_dir: Path, transfer: bool):
-        names = ["growth_log.jsonl", "metrics.csv"]
+        names = ["growth_log.jsonl", "candidates.jsonl", "metrics.csv",
+                 "branch_series.csv"]
         names += ["transfer_series.csv"] if transfer else []
-        self.files = [open(out_dir / name, "w", newline="") for name in names]
-        self.log = self.files[0]
-        self.metrics, *self.series = [csv.writer(fh) for fh in self.files[1:]]
-        self.metrics.writerow(["iteration", "branches", "accuracy", "loss"])
+        with contextlib.ExitStack() as opened:
+            self.files = [opened.enter_context(open(out_dir / name, "w",
+                                                    newline=""))
+                          for name in names]
+            self.close = opened.pop_all().close
+        self.log, self.candidates = self.files[:2]
+        self.metrics, self.branch_series, *self.series = [
+            csv.writer(fh) for fh in self.files[2:]]
+        for writer in (self.metrics, self.branch_series):
+            writer.writerow(["iteration", "branches", "accuracy", "loss"])
         for series in self.series:
             series.writerow(["iteration", "branches", "train_accuracy",
                              "test_accuracy"])
@@ -300,17 +302,18 @@ class _IterationWriter:
     def __call__(self, state):
         record = state.records[-1]
         self.log.write(record.to_json_line() + "\n")
+        for rec in state.candidate_records:
+            self.candidates.write(json.dumps(rec, sort_keys=True) + "\n")
         self.metrics.writerow([record.iteration, record.branch_count,
                                record.test_accuracy, record.test_loss])
+        for point in state.branch_points:
+            self.branch_series.writerow([point.iteration, point.branch_count,
+                                         point.accuracy, point.loss])
         for series in self.series:
             series.writerow([record.iteration, record.branch_count,
                              state.train.accuracy, record.test_accuracy])
         for fh in self.files:
             fh.flush()
-
-    def close(self):
-        for fh in self.files:
-            fh.close()
 
 
 def cmd_train_base(args, cfg) -> int:
@@ -407,8 +410,6 @@ def cmd_growth(args, cfg) -> int:
         raise RuntimeError(
             f"transfer must never train, but {steps} optimizer steps ran")
     save_checkpoint(state.net, out_dir / "checkpoint.json")
-    _write_branch_series(out_dir / "branch_series.csv", state.branch_points)
-    _write_candidates(out_dir / "candidates.jsonl", state.candidate_records)
     accepted = sum(r.accepted for r in state.records)
     final = state.records[-1] if state.records else None
     meta = {

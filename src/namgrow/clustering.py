@@ -347,7 +347,7 @@ def clusters_from_json(text: str) -> list[list[BranchClassClusters]]:
                 summaries.append(_summary_from_record(rec))
             except KeyError as exc:
                 raise ValueError(f"{where} has no {exc} key") from exc
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{where}: {exc}") from exc
         table.append(summaries)
     return table

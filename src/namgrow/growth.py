@@ -17,7 +17,6 @@ decides the rest:
 
 from __future__ import annotations
 
-import collections
 import functools
 import hashlib
 import itertools
@@ -46,6 +45,7 @@ from .nam_model import (
     NamNetwork,
     add_branch_output,
     added_branch_output,
+    branch_parameter_count,
     branch_raw_scalar_batch,
     class_mask_grads,
     network_scores,
@@ -195,7 +195,9 @@ class GrowthState:
     `votes[j]` holds selection sample j's summed class-output at its own
     label, before any z-scoring, which weighs the qualification gates.
     Like the splits' scores, the votes change only when a batch is kept.
-    An iteration's number is the count of records before it.
+    An iteration's number is the count of records before it.  The branch
+    points and candidate records are the last iteration's only, so a run
+    holds none of them beyond the iteration that made them.
     """
 
     net: NamNetwork
@@ -279,60 +281,50 @@ def match_candidates(input_range: InputRange, ref_images_by_class,
     return winners
 
 
-class WindowScan:
-    """One lazy, window-major matching pass over every source summary.
+def candidate_streams(ranges, ref_images_by_class, summary_pairs,
+                      source_mlps, keep_fraction: float,
+                      per_branch: bool) -> list:
+    """Candidate streams of one window-major matching pass over every
+    source summary, prepared once.
 
-    Each window is matched once against all summaries, prepared once, and
-    its winners are queued by stream: one stream per source branch with
-    `per_branch` (transfer), else a single stream 0 (growth).  A stream
-    matches the next window only when its queue is empty, so a consumer
-    that stops early leaves the later windows unmatched.  A winner's first
+    Without `per_branch` (growth) it returns one lazy stream over all
+    summaries: a window is matched only when the stream has yielded every
+    candidate of the windows before it, so a consumer that stops early
+    leaves the later windows unmatched.  With `per_branch` (transfer) it
+    matches every window now and returns one stream per source branch over
+    that branch's winners, window by window.  Either way, a winner's first
     layer is transferred only when its stream yields it.
     """
+    prepared = prepare_summaries(summary_pairs)
 
-    def __init__(self, ranges, ref_images_by_class, summary_pairs,
-                 source_mlps, keep_fraction: float, per_branch: bool):
-        self.windows = iter(ranges)
-        self.refs = ref_images_by_class
-        self.pairs = summary_pairs
-        self.source_mlps = source_mlps
-        self.keep_fraction = keep_fraction
-        self.per_branch = per_branch
-        self.prepared = prepare_summaries(summary_pairs)
-        self.queues = collections.defaultdict(collections.deque)
+    def winners(input_range: InputRange) -> list[Winner]:
+        return match_candidates(input_range, ref_images_by_class,
+                                summary_pairs, prepared, keep_fraction,
+                                per_branch)
 
-    def _match_next_window(self) -> bool:
-        input_range = next(self.windows, None)
-        if input_range is None:
-            return False
-        for winner in match_candidates(input_range, self.refs, self.pairs,
-                                       self.prepared, self.keep_fraction,
-                                       self.per_branch):
-            stream = winner.source_branch_id if self.per_branch else 0
-            self.queues[stream].append(winner)
-        return True
-
-    def stream(self, key: int):
-        """Candidates of stream `key`, window by window."""
-        queue = self.queues[key]
-        while queue or self._match_next_window():
-            if queue:
-                yield self._transfer(queue.popleft())
-
-    def _transfer(self, winner: Winner) -> CandidateBranch:
-        source = self.source_mlps[winner.source_branch_id]
+    def transferred(winner: Winner) -> CandidateBranch:
+        source = source_mlps[winner.source_branch_id]
         first = DenseLayer(*transfer_first_layer(
-            source.hidden_layers[0], self.prepared.stats[winner.row],
+            source.hidden_layers[0], prepared.stats[winner.row],
             winner.ref_stats))
         return CandidateBranch(
             source_branch_id=winner.source_branch_id,
-            branch_class=self.pairs[winner.row][1].branch_class,
+            branch_class=summary_pairs[winner.row][1].branch_class,
             target_class=winner.target_class,
             input_range=winner.input_range,
             distance=winner.distance,
             mlp=BranchMlp([first, *source.hidden_layers[1:]],
                           source.output_layer),
         )
+
+    if not per_branch:
+        return [map(transferred,
+                    itertools.chain.from_iterable(map(winners, ranges)))]
+    filed = [[] for _ in source_mlps]
+    for input_range in ranges:
+        for winner in winners(input_range):
+            filed[winner.source_branch_id].append(winner)
+    return [map(transferred, branch_winners) for branch_winners in filed]
 
 
 def start_growth(net: NamNetwork, selection: Dataset, config: GrowthConfig,
@@ -379,8 +371,11 @@ class _Tentative:
 def grow_iteration(state: GrowthState, candidates) -> IterationRecord:
     """Consume candidates until `max_per_iteration` qualify (or none remain),
     then fit the batch and keep or roll it back as a whole on the selection
-    set.  Appends one IterationRecord (and the per-branch metric points) to
-    the state."""
+    set.  Appends one IterationRecord to the state, and replaces its branch
+    points and candidate records with this iteration's: the rejected
+    candidates' records first, then the batch's.  A record's parameter
+    count adds the kept batch's to the last record's; only a run's first
+    record counts the whole network."""
     net, config = state.net, state.config
     mode = net.mode
     iteration = len(state.records)
@@ -432,10 +427,10 @@ def grow_iteration(state: GrowthState, candidates) -> IterationRecord:
         if len(tentative) >= config.max_per_iteration:
             break
 
-    accepted = _finish_iteration(state, tentative)
-
-    state.candidate_records.extend(rejected_records)
-    state.candidate_records.extend(t.record for t in tentative)
+    state.branch_points = _finish_iteration(state, tentative)
+    state.candidate_records = rejected_records + [t.record for t in tentative]
+    accepted = len(state.branch_points)
+    kept = net.branches[net.n_branches - accepted:]
     record = IterationRecord(
         iteration=iteration,
         candidates_seen=seen,
@@ -445,7 +440,9 @@ def grow_iteration(state: GrowthState, candidates) -> IterationRecord:
         test_loss=state.test.loss,
         test_accuracy=state.test.accuracy,
         branch_count=net.n_branches,
-        parameter_count=parameter_count(net),
+        parameter_count=(state.records[-1].parameter_count
+                         + sum(map(branch_parameter_count, kept))
+                         if state.records else parameter_count(net)),
     )
     state.records.append(record)
     log.info("iteration %d: %d/%d candidates accepted, selection loss %.6f",
@@ -459,8 +456,10 @@ def _raw_values(branch: Branch, dataset: Dataset) -> np.ndarray:
     return branch_raw_scalar_batch(branch, patches)
 
 
-def _finish_iteration(state: GrowthState, tentative: list[_Tentative]) -> int:
-    """Fit the new branches, score them, then keep or revert the batch.
+def _finish_iteration(state: GrowthState,
+                      tentative: list[_Tentative]) -> list[BranchPoint]:
+    """Fit the new branches, score them, then keep or revert the batch;
+    returns a metric point per kept branch.
 
     The branches are fitted on the train split: tuning mode tunes their
     masks, election mode fits each branch the flag statistics that z-score
@@ -473,7 +472,7 @@ def _finish_iteration(state: GrowthState, tentative: list[_Tentative]) -> int:
     were.
     """
     if not tentative:
-        return 0
+        return []
     net, config = state.net, state.config
     mode = net.mode
     iteration = len(state.records)
@@ -499,7 +498,7 @@ def _finish_iteration(state: GrowthState, tentative: list[_Tentative]) -> int:
         log.info("iteration %d rolled back: selection loss %.6f (prev %.6f),"
                  " accuracy %.4f (prev %.4f)", iteration, trial.loss,
                  prev.loss, trial.accuracy, prev.accuracy)
-        return 0
+        return []
     base_count = net.n_branches
     for t in tentative:
         t.branch.mask_frozen = True
@@ -511,12 +510,13 @@ def _finish_iteration(state: GrowthState, tentative: list[_Tentative]) -> int:
         state.votes[on] += out[on]
     state.train.add(branches, raw_fit, mode)
     test = state.test
+    points = []
     for k, branch in enumerate(branches):
         test.add([branch], [_raw_values(branch, test.data)], mode)
-        state.branch_points.append(BranchPoint(
+        points.append(BranchPoint(
             iteration=iteration, branch_count=base_count + k + 1,
             accuracy=test.accuracy, loss=test.loss))
-    return len(tentative)
+    return points
 
 
 def mask_gradients(frozen_logits: np.ndarray, labels: np.ndarray,
@@ -659,10 +659,11 @@ def _grow(source_net: NamNetwork, net: NamNetwork, train_set: Dataset,
           max_iterations: int | None, on_iteration) -> GrowthState:
     """Grow `net` from the source branches of `source_net`.
 
-    One `WindowScan` matches each window once, as iterations pull its
-    candidates.  Growth runs iterations while its one stream over all
-    source branches yields.  Transfer (an election-mode `net`) has one
-    stream per source branch, and each stream gets one iteration at least.
+    `candidate_streams` matches each window once.  Growth runs iterations
+    while its one stream over all source branches yields, and matches
+    windows as they pull its candidates.  Transfer (an election-mode `net`)
+    has one stream per source branch, and each stream gets one iteration
+    at least.
     A given `cluster_table` holds one list of summaries per source branch,
     each fitting its branch; the CLI checks a cached one as it loads it.
     """
@@ -687,11 +688,9 @@ def _grow(source_net: NamNetwork, net: NamNetwork, train_set: Dataset,
     ranges = base_grid_ranges(net.input_shape, 1)
     log.info("matching %d ranges against %d cluster summaries",
              len(ranges), len(pairs))
-    scan = WindowScan(ranges, refs, pairs,
-                      {i: br.mlp for i, br in enumerate(sources)},
-                      config.keep_fraction, transfer)
-    for key in range(len(sources) if transfer else 1):
-        stream = scan.stream(key)
+    for stream in candidate_streams(ranges, refs, pairs,
+                                    [br.mlp for br in sources],
+                                    config.keep_fraction, transfer):
         ran = False
         while max_iterations is None or len(state.records) < max_iterations:
             head = next(stream, None)

@@ -8,6 +8,7 @@ binarized at the mask threshold (election mode), and credited to target_class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,9 @@ class ClassMask:
     v_span: float
 
     def __post_init__(self):
+        for name in ("a", "b", "thd", "v_span"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"mask {name} is not finite")
         if not self.v_span > 0.0:
             raise ValueError(f"v_span must be positive, got {self.v_span}")
 
@@ -162,16 +166,18 @@ class NamNetwork:
         return len(self.branches)
 
 
+def branch_parameter_count(branch: Branch) -> int:
+    """Trainable parameters of a branch: its full MLP for a base branch, the
+    2 mask scalars of a grown one, none for a transferred one (its weights
+    are copies)."""
+    if branch.origin == "base":
+        return mlp_parameter_count(branch.mlp)
+    return 2 if branch.origin == "grown" else 0
+
+
 def parameter_count(net: NamNetwork) -> int:
-    """Trainable parameters: full MLPs for base branches, 2 mask scalars per
-    grown branch, nothing for transferred branches (their weights are copies)."""
-    total = 0
-    for br in net.branches:
-        if br.origin == "base":
-            total += mlp_parameter_count(br.mlp)
-        elif br.origin == "grown":
-            total += 2
-    return total
+    """Trainable parameters of every branch of the network."""
+    return sum(map(branch_parameter_count, net.branches))
 
 
 def branch_raw_scalar_batch(branch: Branch, patches: np.ndarray) -> np.ndarray:

@@ -481,6 +481,10 @@ def _cache_nan_center(rec):
     rec["centers"][0][4] = float("nan")
 
 
+def _cache_huge_integer_center(rec):
+    rec["centers"][0][4] = 10 ** 400
+
+
 def _cache_short_max_outputs(rec):
     rec["max_outputs"] = rec["max_outputs"][:-1]
 
@@ -521,6 +525,8 @@ class TestMalformedClusterCaches:
                             "shape (0,), expected a non-empty matrix"),
         (_cache_nan_center, "cluster cache branch 1 summary 2: centers are "
                             "not all finite"),
+        (_cache_huge_integer_center, "cluster cache branch 1 summary 2: "
+                                     "int too large to convert to float"),
         (_cache_short_max_outputs, "cluster cache branch 1 summary 2: "
                                    "max_outputs have shape"),
         (_cache_min_above_max, "cluster cache branch 1 summary 2: "
@@ -669,12 +675,20 @@ class TestTransfer:
         assert lines[0] == "iteration,branches,train_accuracy,test_accuracy"
         assert len(lines) == 1 + meta["iterations"]
 
-    def test_stopped_transfer_keeps_the_series_so_far(
-            self, tmp_path, config_file, base_run, transfer_run, monkeypatch):
-        """transfer_series.csv is streamed: a run stopped after k
-        iterations leaves its header and the k rows of those iterations."""
+
+class TestStoppedRuns:
+    @pytest.mark.parametrize("command, full_run", [("grow", "grow_run"),
+                                                   ("transfer",
+                                                    "transfer_run")])
+    def test_keeps_the_lines_of_finished_iterations(
+            self, tmp_path, config_file, base_run, request, monkeypatch,
+            command, full_run):
+        """Every output but the checkpoint and run_meta.json is streamed:
+        a run stopped after k iterations leaves each file's header and the
+        lines of those k iterations, as the full run wrote them."""
         from namgrow import growth
 
+        full = request.getfixturevalue(full_run)
         k = 2
 
         def stopping_grow_iteration(state, candidates):
@@ -685,14 +699,29 @@ class TestTransfer:
         real_grow_iteration = growth.grow_iteration
         monkeypatch.setattr(growth, "grow_iteration", stopping_grow_iteration)
         out = tmp_path / "stopped"
-        code = main(["transfer", "--config", str(config_file),
+        code = main([command, "--config", str(config_file),
                      "--checkpoint", str(base_run / "checkpoint.json"),
                      "--out-dir", str(out), "--seed", "3"])
         assert code == 3
-        lines = (out / "transfer_series.csv").read_text().splitlines()
-        full = (transfer_run / "transfer_series.csv").read_text().splitlines()
-        assert len(full) > 1 + k
-        assert lines == full[:1 + k]
+
+        def lines(run, name):
+            return (run / name).read_text().splitlines()
+
+        names = ["growth_log.jsonl", "metrics.csv"]
+        names += ["transfer_series.csv"] if command == "transfer" else []
+        for name in names:
+            headers = 0 if name.endswith(".jsonl") else 1
+            assert len(lines(full, name)) > headers + k
+            assert lines(out, name) == lines(full, name)[:headers + k], name
+        candidates = lines(full, "candidates.jsonl")
+        finished = [line for line in candidates
+                    if json.loads(line)["iteration"] < k]
+        assert finished and len(finished) < len(candidates)
+        assert lines(out, "candidates.jsonl") == finished
+        points = lines(full, "branch_series.csv")
+        assert lines(out, "branch_series.csv") == points[:1] + [
+            line for line in points[1:] if int(line.split(",")[0]) < k]
+        assert len(lines(out, "branch_series.csv")) > 1
 
 
 class TestEval:
@@ -945,6 +974,32 @@ class TestErrorPaths:
         assert errors == [f"[{section}] {key}: {exc.value}"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        (section, key, value) for section, values in DEFAULT_CONFIG.items()
+        for key, default in values.items() if _parser_of(default) is float
+        for value in ("inf", "-inf", "nan")])
+    def test_non_finite_float_is_usage_error_naming_its_key(
+            self, tmp_path, config_file, base_run, caplog, section, key,
+            value):
+        """A float value that parses but is not finite (a learning rate of
+        inf would turn every weight NaN) is refused with exit code 1,
+        naming its section and key, before the command writes anything."""
+        cfg = configparser.ConfigParser()
+        cfg.read(config_file)
+        cfg[section][key] = value
+        bad = tmp_path / "bad.ini"
+        with open(bad, "w") as fh:
+            cfg.write(fh)
+        command = (["train-base"] if section == "train" else
+                   ["grow", "--checkpoint", str(base_run / "checkpoint.json")])
+        code = main([*command, "--config", str(bad),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert errors == [f"[{section}] {key}: {value!r} is not finite"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("section, key, value, message", [
         ("growth", "mask_batch_size", "0", "mask_batch_size must be >= 1"),
         ("growth", "mask_learning_rate", "-1e-2",
@@ -1053,6 +1108,12 @@ def _zero_stats_std(doc, k):
     doc["branches"][k]["election_stats"]["std"][0] = 0.0
 
 
+def _non_finite_mask(name, value):
+    def corrupt(doc, k):
+        doc["branches"][k]["mask"][name] = value
+    return corrupt
+
+
 def _drop_hidden_layers(doc, k):
     doc["branches"][k]["hidden_layers"] = []
 
@@ -1089,6 +1150,17 @@ class TestMalformedCheckpoints:
                           "not finite"),
         (_zero_stats_std, "checkpoint branch {k}: election stats std is not "
                           "finite and positive"),
+        (_non_finite_mask("a", float("nan")), "checkpoint branch {k}: mask "
+                                              "a is not finite"),
+        (_non_finite_mask("b", float("-inf")), "checkpoint branch {k}: mask "
+                                               "b is not finite"),
+        (_non_finite_mask("thd", float("inf")), "checkpoint branch {k}: "
+                                                "mask thd is not finite"),
+        (_non_finite_mask("v_span", float("inf")), "checkpoint branch {k}: "
+                                                   "mask v_span is not "
+                                                   "finite"),
+        (_non_finite_mask("a", 10 ** 400), "checkpoint branch {k}: int too "
+                                           "large to convert to float"),
         (_drop_hidden_layers, "checkpoint branch {k}: a branch MLP needs at "
                               "least one hidden layer"),
         (_linear_activation, "checkpoint branch {k}: activation 'linear' is "
@@ -1111,6 +1183,7 @@ class TestMalformedCheckpoints:
         errors = [r.getMessage() for r in caplog.records
                   if r.levelname == "ERROR"]
         assert len(errors) == 1 and errors[0].startswith(expected), errors
+        assert errors[0].endswith(f" (checkpoint {bad})"), errors
 
     def test_error_names_the_checkpoint_file(self, tmp_path, data_dir,
                                              transfer_run, caplog):

@@ -13,8 +13,8 @@ from namgrow.growth import (
     CandidateBranch,
     GrowthConfig,
     IterationRecord,
-    WindowScan,
     build_selection_set,
+    candidate_streams,
     draw_reference_images,
     frozen_parameter_hash,
     grow_iteration,
@@ -206,7 +206,8 @@ def assert_carries_transfer(cand, source, w, b):
 
 def scan_candidates(ranges, images, pairs, mlps):
     """Every candidate the growth stream of a fresh scan yields."""
-    return list(WindowScan(ranges, images, pairs, mlps, 0.8, False).stream(0))
+    [stream] = candidate_streams(ranges, images, pairs, mlps, 0.8, False)
+    return list(stream)
 
 
 class TestMatchCandidates:
@@ -275,10 +276,11 @@ class TestMatchCandidates:
                     [id(layer) for layer in deeper],
                     id(cand.mlp.output_layer))
 
-        scan = WindowScan(ranges, images, pairs, mlps, 0.8, True)
+        streams = candidate_streams(ranges, images, pairs, mlps, 0.8, True)
+        assert len(streams) == 4
         lengths = []
-        for branch_id in range(4):
-            got = [fields(c) for c in scan.stream(branch_id)]
+        for branch_id, stream in enumerate(streams):
+            got = [fields(c) for c in stream]
             own = [p for p in pairs if p[0] == branch_id]
             want = [fields(c) for c in
                     per_branch_scan(ranges, images, own, mlps)]
@@ -493,14 +495,16 @@ class TestGrowIterationTuning:
             hand_candidate(ramp_mlp(0, scale=0.5), 0, 0, InputRange(0, 2, 2)),
         ]
         iterator = iter(candidates)
+        points = []
         for _ in range(4):
             grow_iteration(state, iterator)
+            points += state.branch_points
         series = [r.selection_loss for r in state.records]
         assert all(b <= a + 1e-15 for a, b in zip(series, series[1:]))
         accepted = sum(r.accepted for r in state.records)
         assert parameter_count(state.net) == 2 * accepted
-        assert len(state.branch_points) == accepted
-        assert all(isinstance(p, BranchPoint) for p in state.branch_points)
+        assert len(points) == accepted
+        assert all(isinstance(p, BranchPoint) for p in points)
 
 
 class TestTuneMasks:
@@ -771,7 +775,7 @@ class TestScoreCaches:
     def test_kept_branches_share_their_source_layers(self, mode):
         """A kept branch holds its candidate's MLP as it is: the candidate's
         own first layer on top of the source's deeper layer objects, as
-        `WindowScan` builds them, with nothing copied."""
+        `candidate_streams` builds them, with nothing copied."""
         train = two_window_dataset(40, seed=1, tag="train")
         selection = build_selection_set(train, 60, seed=0)
         state = fresh_state(mode, selection, train_set=train,

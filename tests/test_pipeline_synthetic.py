@@ -79,6 +79,21 @@ def small_growth_config():
                         cluster=ClusterConfig(n_samples=300))
 
 
+class IterationLog:
+    """An `on_iteration` callback that keeps what each iteration leaves on
+    the state: its candidate records and branch points, and its record's
+    parameter count next to a fresh count of the network."""
+
+    def __init__(self):
+        self.candidates, self.points, self.counts = [], [], []
+
+    def __call__(self, state):
+        self.candidates += state.candidate_records
+        self.points += state.branch_points
+        self.counts.append((state.records[-1].parameter_count,
+                            parameter_count(state.net)))
+
+
 @pytest.fixture(scope="module")
 def task_a():
     return two_block_task(80, seed=11, tag="task-a"), \
@@ -93,9 +108,12 @@ def base_net(task_a):
 @pytest.fixture(scope="module")
 def grown(task_a, base_net):
     train, test = task_a
-    return run_growth(copy.deepcopy(base_net), train, small_growth_config(),
-                      test_set=test, cluster_table=None, max_iterations=None,
-                      on_iteration=ignore)
+    log = IterationLog()
+    state = run_growth(copy.deepcopy(base_net), train, small_growth_config(),
+                       test_set=test, cluster_table=None, max_iterations=None,
+                       on_iteration=log)
+    state.log = log
+    return state
 
 
 class TestBaseTraining:
@@ -127,11 +145,15 @@ class TestGrowthRun:
             assert branch.mask_frozen
 
     def test_candidate_log_covers_every_candidate(self, grown):
+        """Read through `on_iteration`: the state holds only the last
+        iteration's candidate records."""
+        candidates = grown.log.candidates
         seen = sum(r.candidates_seen for r in grown.records)
-        assert len(grown.candidate_records) == seen
+        assert len(candidates) == seen
         accepted = sum(r.accepted for r in grown.records)
-        assert sum(1 for c in grown.candidate_records if c["kept"]) == accepted
-        for rec in grown.candidate_records:
+        assert sum(1 for c in candidates if c["kept"]) == accepted
+        assert len(grown.log.points) == accepted
+        for rec in candidates:
             assert {"iteration", "input_range", "source_branch",
                     "target_class", "qualified", "kept"} <= rec.keys()
 
@@ -142,13 +164,15 @@ class TestGrowthRun:
 
     def test_growth_is_deterministic(self, task_a, base_net, grown):
         train, test = task_a
+        log = IterationLog()
         again = run_growth(copy.deepcopy(base_net), train,
                            small_growth_config(), test_set=test,
                            cluster_table=None, max_iterations=None,
-                           on_iteration=ignore)
+                           on_iteration=log)
         assert ([r.to_json_line() for r in again.records]
                 == [r.to_json_line() for r in grown.records])
-        assert again.candidate_records == grown.candidate_records
+        assert log.candidates == grown.log.candidates
+        assert log.points == grown.log.points
         assert network_to_json(again.net) == network_to_json(grown.net)
 
     def test_grown_network_survives_checkpoint_roundtrip(self, grown, task_a):
@@ -340,16 +364,16 @@ class TestTransferRun:
         real_match_candidates = growth.match_candidates
         monkeypatch.setattr(growth, "match_candidates", without_branch_0)
         train, test = task_b
+        log = IterationLog()
         state = transfer_task(grown.net, train, small_growth_config(),
                               test_set=test, cluster_table=None,
-                              on_iteration=ignore)
+                              on_iteration=log)
         first = state.records[0]
         assert (first.candidates_seen, first.accepted) == (0, 0)
-        sources = {rec["source_branch"] for rec in state.candidate_records
+        sources = {rec["source_branch"] for rec in log.candidates
                    if rec["iteration"] == 1}
         assert sources == {1}
-        assert all(rec["source_branch"] != 0
-                   for rec in state.candidate_records)
+        assert all(rec["source_branch"] != 0 for rec in log.candidates)
 
     def test_first_layer_transferred_as_each_candidate_is_consumed(
             self, grown, task_b, monkeypatch):
@@ -373,10 +397,11 @@ class TestTransferRun:
         monkeypatch.setattr(growth, "transfer_first_layer", counting_transfer)
         monkeypatch.setattr(growth, "grow_iteration", checking_grow_iteration)
         train, test = task_b
+        log = IterationLog()
         state = transfer_task(grown.net, train, small_growth_config(),
                               test_set=test, cluster_table=None,
-                              on_iteration=ignore)
-        assert len({r["source_branch"] for r in state.candidate_records}) > 1
+                              on_iteration=log)
+        assert len({r["source_branch"] for r in log.candidates}) > 1
         assert len(transfers) == sum(r.candidates_seen
                                      for r in state.records)
 
@@ -398,3 +423,35 @@ class TestTransferRun:
             transfer_task(copy.deepcopy(grown.net), train,
                           small_growth_config(), test_set=test,
                           cluster_table=None, on_iteration=ignore)
+
+
+@pytest.mark.parametrize("transfer", [False, True])
+def test_each_record_counts_the_network_of_its_iteration(
+        task_a, task_b, base_net, grown, monkeypatch, transfer):
+    """Each record's parameter count is the network's as its iteration
+    ends, yet a run counts the whole network only once: later records add
+    the kept batch's parameters to the last record's count."""
+    calls = []
+
+    def counting_parameter_count(net):
+        calls.append(net)
+        return real_parameter_count(net)
+
+    real_parameter_count = growth.parameter_count
+    monkeypatch.setattr(growth, "parameter_count", counting_parameter_count)
+    log = IterationLog()
+    if transfer:
+        train, test = task_b
+        state = transfer_task(grown.net, train, small_growth_config(),
+                              test_set=test, cluster_table=None,
+                              on_iteration=log)
+    else:
+        train, test = task_a
+        state = run_growth(copy.deepcopy(base_net), train,
+                           small_growth_config(), test_set=test,
+                           cluster_table=None, max_iterations=None,
+                           on_iteration=log)
+    assert len(log.counts) == len(state.records) >= 2
+    assert sum(r.accepted for r in state.records) >= 1
+    assert all(recorded == fresh for recorded, fresh in log.counts)
+    assert len(calls) <= 1
