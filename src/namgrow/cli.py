@@ -485,7 +485,7 @@ def cmd_eval(args, cfg) -> int:
                          f"there is nothing to evaluate")
     dataset = _load_split(cfg, args.split)
     _check_geometry(net, dataset)
-    scores = network_scores(net, dataset.images)
+    scores = network_scores(net, dataset)
     accuracy, loss = score_metrics(scores, dataset.labels)
     preds = np.argmax(scores, axis=1)
     # A class the split lacks has no accuracy: null, never a NaN.

@@ -72,7 +72,7 @@ def generate_branch_pairs(mlp: BranchMlp, n_samples: int,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     samples = rng.uniform(-0.5, 0.5, size=(n_samples, mlp.in_dim))
-    outputs = mlp_forward_batch(mlp, samples)
+    outputs = mlp_forward_batch(mlp, samples.T)
     n_keep = max(1, int(n_samples * top_fraction))
     pairs = []
     for c in range(mlp.n_classes):

@@ -45,8 +45,8 @@ from .nam_model import (
     NamNetwork,
     add_branch_output,
     added_branch_output,
+    branch_output,
     branch_parameter_count,
-    branch_raw_scalar_batch,
     class_mask_grads,
     network_scores,
     parameter_count,
@@ -97,8 +97,8 @@ class GrowthConfig:
             raise ValueError("top_fraction must be in (0, 1)")
         if not 0.0 < self.keep_fraction <= 1.0:
             raise ValueError("keep_fraction must be in (0, 1]")
-        if self.reference_per_class < 1:
-            raise ValueError("reference_per_class must be >= 1")
+        if self.reference_per_class < 2:
+            raise ValueError("reference_per_class must be >= 2")
 
 
 @dataclass
@@ -226,10 +226,11 @@ def build_selection_set(dataset: Dataset, size: int, seed) -> Dataset:
 
 
 def draw_reference_images(dataset: Dataset, per_class: int,
-                          rng: np.random.Generator) -> dict[int, np.ndarray]:
+                          rng: np.random.Generator) -> dict[int, Dataset]:
     """Per-class reference images used on the distribution side of matching."""
     picks = _draw_per_class(dataset, per_class, rng, "matching")
-    return {c: dataset.images[idx] for c, idx in enumerate(picks)}
+    return {c: dataset.subset(idx, tag=f"{dataset.tag}-reference-{c}")
+            for c, idx in enumerate(picks)}
 
 
 def _draw_per_class(dataset: Dataset, per_class: int,
@@ -258,8 +259,9 @@ def match_candidates(input_range: InputRange, ref_images_by_class,
     earliest pair.  Winners come sorted by branch (when `per_branch`), then
     target class.
     """
-    refs = {c: extract_patches(images, [input_range])[0]
-            for c, images in ref_images_by_class.items()}
+    # row-major [n, 9]: the reference statistics' means sum by memory order
+    refs = {c: np.ascontiguousarray(extract_patches(ref, [input_range])[0].T)
+            for c, ref in ref_images_by_class.items()}
     results = match_all(refs, summary_pairs, keep_fraction=keep_fraction,
                         prepared=prepared)
     best = {}
@@ -339,7 +341,7 @@ def start_growth(net: NamNetwork, selection: Dataset, config: GrowthConfig,
                          f"not {net.n_branches}")
 
     def scored(data: Dataset) -> ScoredSplit:
-        scores = (network_scores(net, data.images) if net.branches
+        scores = (network_scores(net, data) if net.branches
                   else np.zeros((data.n, net.n_classes)))
         return ScoredSplit(data, scores)
 
@@ -379,7 +381,7 @@ def grow_iteration(state: GrowthState, candidates) -> IterationRecord:
     net, config = state.net, state.config
     mode = net.mode
     iteration = len(state.records)
-    images, labels = state.selection.data.images, state.selection.data.labels
+    selection, labels = state.selection.data, state.selection.data.labels
     seen = 0
     tentative: list[_Tentative] = []
     rejected_records = []
@@ -390,7 +392,7 @@ def grow_iteration(state: GrowthState, candidates) -> IterationRecord:
         seen += 1
         if cand.input_range != memo_range:
             memo_range = cand.input_range
-            memo_patches = extract_patches(images, [cand.input_range])[0]
+            memo_patches = extract_patches(selection, [cand.input_range])[0]
         values = mlp_forward_batch(cand.mlp, memo_patches)[:, cand.branch_class]
         thd = branch_threshold(values, config.top_fraction)
         v_span = float(values.max() - thd)
@@ -451,11 +453,6 @@ def grow_iteration(state: GrowthState, candidates) -> IterationRecord:
     return record
 
 
-def _raw_values(branch: Branch, dataset: Dataset) -> np.ndarray:
-    patches = extract_patches(dataset.images, [branch.input_range])[0]
-    return branch_raw_scalar_batch(branch, patches)
-
-
 def _finish_iteration(state: GrowthState,
                       tentative: list[_Tentative]) -> list[BranchPoint]:
     """Fit the new branches, score them, then keep or revert the batch;
@@ -477,7 +474,7 @@ def _finish_iteration(state: GrowthState,
     mode = net.mode
     iteration = len(state.records)
     branches = [t.branch for t in tentative]
-    raw_fit = [_raw_values(branch, state.train.data) for branch in branches]
+    raw_fit = [branch_output(branch, state.train.data) for branch in branches]
     if mode == "election":
         for branch, raw in zip(branches, raw_fit):
             flags = added_branch_output(branch, raw, mode)
@@ -512,7 +509,7 @@ def _finish_iteration(state: GrowthState,
     test = state.test
     points = []
     for k, branch in enumerate(branches):
-        test.add([branch], [_raw_values(branch, test.data)], mode)
+        test.add([branch], [branch_output(branch, test.data)], mode)
         points.append(BranchPoint(
             iteration=iteration, branch_count=base_count + k + 1,
             accuracy=test.accuracy, loss=test.loss))

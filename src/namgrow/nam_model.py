@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data_io import Dataset, InputRange, base_grid_ranges, \
-    range_flat_indices
+    extract_patches, range_flat_indices
 from .nn_core import BranchMlp, init_branch_mlp, mlp_forward_batch, \
     mlp_parameter_count, softmax_cross_entropy_loss
 
@@ -180,9 +180,14 @@ def parameter_count(net: NamNetwork) -> int:
     return sum(map(branch_parameter_count, net.branches))
 
 
-def branch_raw_scalar_batch(branch: Branch, patches: np.ndarray) -> np.ndarray:
-    """Added branch's pre-mask scalar output per sample: MLP output at branch_class."""
-    return mlp_forward_batch(branch.mlp, patches)[:, branch.branch_class]
+def branch_output(branch: Branch, data: Dataset,
+                  columns=slice(None)) -> np.ndarray:
+    """A branch's MLP output on the images of `data` that `columns`
+    selects: a base branch's class rows [n', n_classes], an added branch's
+    raw (pre-mask) scalars [n'] at its branch_class."""
+    y = mlp_forward_batch(branch.mlp,
+                          extract_patches(data, [branch.input_range], columns)[0])
+    return y if branch.origin == "base" else y[:, branch.branch_class]
 
 
 def added_branch_output(branch: Branch, raw: np.ndarray, mode: str) -> np.ndarray:
@@ -225,59 +230,52 @@ def add_branch_output(out: np.ndarray, branch: Branch, y: np.ndarray,
     return value
 
 
-def _branch_sum(net: NamNetwork, images: np.ndarray) -> np.ndarray:
+def _branch_sum(net: NamNetwork, data: Dataset) -> np.ndarray:
     """The forward engine: branch contributions summed into [n, n_classes].
 
     Walks the branches in list order over chunks of _EVAL_CHUNK images.
-    Each branch reads its window straight from the flattened chunk, so the
-    only per-branch temporaries are [chunk, 9] and [chunk, n_classes].
+    Each branch reads its window's 9 contiguous pixel rows of the chunk, so
+    the only per-branch temporaries are [9, chunk] and [chunk, n_classes].
     `add_branch_output` adds each contribution under the network's mode.
     Each output element receives its additions in branch order, whatever
     the chunking.
     """
     if not net.branches:
         raise ValueError("network has no branches")
-    if images.shape[1:] != net.input_shape:
-        raise ValueError(f"image shape {images.shape[1:]} != {net.input_shape}")
-    windows = [range_flat_indices(br.input_range, net.input_shape)
-               for br in net.branches]
-    n = images.shape[0]
-    total = np.zeros((n, net.n_classes))
-    for lo in range(0, n, _EVAL_CHUNK):
-        hi = min(lo + _EVAL_CHUNK, n)
-        rows = images[lo:hi].reshape(hi - lo, -1)
-        out = total[lo:hi]
-        for br, window in zip(net.branches, windows):
-            y = mlp_forward_batch(br.mlp, rows[:, window])
-            if br.origin != "base":
-                y = y[:, br.branch_class]
-            add_branch_output(out, br, y, net.mode)
+    if data.shape != net.input_shape:
+        raise ValueError(f"image shape {data.shape} != {net.input_shape}")
+    total = np.zeros((data.n, net.n_classes))
+    for lo in range(0, data.n, _EVAL_CHUNK):
+        hi = min(lo + _EVAL_CHUNK, data.n)
+        for br in net.branches:
+            add_branch_output(total[lo:hi], br,
+                              branch_output(br, data, slice(lo, hi)), net.mode)
     return total
 
 
-def network_forward_batch(net: NamNetwork, images: np.ndarray) -> np.ndarray:
+def network_forward_batch(net: NamNetwork, data: Dataset) -> np.ndarray:
     """Summed class-outputs (logits) [n, n_classes] of a tuning network."""
     if net.mode != "tuning":
         raise ValueError("network_forward_batch scores tuning networks, "
                          "not election ones")
-    return _branch_sum(net, images)
+    return _branch_sum(net, data)
 
 
-def elect_batch(net: NamNetwork, images: np.ndarray) -> np.ndarray:
+def elect_batch(net: NamNetwork, data: Dataset) -> np.ndarray:
     """Summed z-scores [n, n_classes] of an election network; each sample
     elects their argmax."""
     if net.mode != "election":
         raise ValueError("elect_batch scores election networks, not tuning "
                          "ones")
-    return _branch_sum(net, images)
+    return _branch_sum(net, data)
 
 
-def network_scores(net: NamNetwork, images: np.ndarray) -> np.ndarray:
+def network_scores(net: NamNetwork, data: Dataset) -> np.ndarray:
     """The scores a network predicts from: summed z-scores in election mode,
     summed class-outputs in tuning mode."""
     if net.mode == "election":
-        return elect_batch(net, images)
-    return network_forward_batch(net, images)
+        return elect_batch(net, data)
+    return network_forward_batch(net, data)
 
 
 def score_accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -294,7 +292,7 @@ def score_metrics(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]
 def evaluate(net: NamNetwork, dataset: Dataset) -> tuple[float, float]:
     """(accuracy, mean cross-entropy).  Election networks are scored on their
     summed z-scores; the loss is the cross-entropy of softmax(scores)."""
-    return score_metrics(network_scores(net, dataset.images), dataset.labels)
+    return score_metrics(network_scores(net, dataset), dataset.labels)
 
 
 def build_network(input_shape: tuple[int, int, int], n_classes: int,

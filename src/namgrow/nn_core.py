@@ -111,20 +111,19 @@ def init_branch_mlp(rng: np.random.Generator, n_classes: int) -> BranchMlp:
 
 
 def mlp_forward_batch(mlp: BranchMlp, x: np.ndarray) -> np.ndarray:
-    """Vectorised forward over rows of x [n, in_dim] -> [n, n_classes].
+    """Vectorised forward over the columns of x [in_dim, n] -> [n, n_classes].
 
-    The hidden layers run feature-major on h = x.T (a view): each is one
-    GEMM W @ h whose long dimension is n, then the bias and ReLU in place.
-    The output layer reads h.T, so the result is a C-ordered [n, n_classes]
-    array, as the row-major forward h @ W.T + b returns.  For the 9-wide
-    MLPs the library builds, the two also agree bit for bit at any n and
-    BLAS thread count; wider layers can take other BLAS kernels and differ
-    in the last bits.
+    The hidden layers run feature-major: each is one GEMM W @ h whose long
+    dimension is n, then the bias and ReLU in place.  The output layer reads
+    h.T, so the result is a C-ordered [n, n_classes] array, as the row-major
+    forward h @ W.T + b on x.T returns.  For the library's 9-wide MLPs the
+    two agree bit for bit at any n and BLAS thread count and in either
+    memory order of x; wider layers can differ in the last bits.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != mlp.in_dim:
-        raise ValueError(f"input shape {x.shape}, expected (n, {mlp.in_dim})")
-    h = x.T
+    if x.ndim != 2 or x.shape[0] != mlp.in_dim:
+        raise ValueError(f"input shape {x.shape}, expected ({mlp.in_dim}, n)")
+    h = x
     for layer in mlp.hidden_layers:
         h = layer.weights @ h
         h += layer.bias[:, None]

@@ -191,7 +191,9 @@ def train_network(net, train_dataset, config, eval_dataset, on_epoch):
         loss_sum = 0.0
         for start in range(0, train_dataset.n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            patches = extract_patches(train_dataset.images[idx], ranges)
+            # the stacked forward and gradients take row-major windows
+            patches = np.ascontiguousarray(
+                extract_patches(train_dataset, ranges, idx).transpose(0, 2, 1))
             loss, grads = stacked_loss_and_grads(
                 stacked, patches, train_dataset.labels[idx]
             )

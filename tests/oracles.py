@@ -1,11 +1,15 @@
 """Reference implementations and paper diagnostics that only tests use.
 
 The loops here take another memory path than `namgrow.nam_model`'s
-branch-by-branch engine and must give the same bits: each chunk gathers
-every branch's window into one [n_branches, chunk, 9] tensor, and every
-branch, added ones too, adds a full [chunk, n_classes] output matrix.  They
-read `nam_model._EVAL_CHUNK` at call time, so a test that patches the chunk
-size chunks the oracle and the engine alike.
+branch-by-branch engine and must give the same bits: they normalize every
+image at once into the float64 [n, C, H, W] layout, each chunk gathers
+every branch's window into one row-major [n_branches, chunk, 9] tensor,
+and every branch, added ones too, adds a full [chunk, n_classes] output
+matrix.  They read `nam_model._EVAL_CHUNK` at call time, so a test that
+patches the chunk size chunks the oracle and the engine alike.
+
+Test datasets are drawn as uint8 pixels, or rounded to them from designed
+float images, and stored pixel-major as the loaders store them.
 
 The single-sample forward, backward and cross-entropy, the row-major
 batched forward, the per-image patch and the stacked forward are the
@@ -36,7 +40,8 @@ from namgrow.clustering import (
     mean_shift_step,
     standardize,
 )
-from namgrow.data_io import Dataset, InputRange, extract_patches
+from namgrow.data_io import Dataset, InputRange, normalize_pixels, \
+    range_flat_indices
 from namgrow.growth import CandidateBranch
 from namgrow.matching import (
     NormalizationStats,
@@ -50,12 +55,53 @@ from namgrow.nam_model import (
     Branch,
     NamNetwork,
     apply_class_mask,
-    branch_raw_scalar_batch,
-    elect_batch,
-    network_forward_batch,
 )
 from namgrow.nn_core import BranchMlp, DenseLayer, mlp_forward_batch
 from namgrow.training import StackedNam, _forward_with_cache
+
+
+# ------------------------------------------------------------- datasets
+
+def pixel_dataset(pixels: np.ndarray, labels, tag: str = "t",
+                  n_classes: int = 10) -> Dataset:
+    """A dataset of uint8 images [n, C, H, W], stored pixel-major."""
+    return Dataset(np.ascontiguousarray(np.moveaxis(pixels, 0, 3)),
+                   np.asarray(labels, dtype=np.int64), tag, n_classes)
+
+
+def draw_dataset(rng: np.random.Generator, n: int,
+                 shape: tuple[int, int, int], labels=None, tag: str = "t",
+                 n_classes: int = 10) -> Dataset:
+    """n images of uniformly drawn uint8 pixels, pixel-major; the labels
+    are drawn below n_classes unless given."""
+    pixels = rng.integers(0, 256, size=(n,) + tuple(shape), dtype=np.uint8)
+    if labels is None:
+        labels = rng.integers(0, n_classes, size=n)
+    return pixel_dataset(pixels, labels, tag, n_classes)
+
+
+def rounded_dataset(images: np.ndarray, labels, tag: str = "t",
+                    n_classes: int = 10) -> Dataset:
+    """Designed float images [n, C, H, W] in [-0.5, 0.5], each value
+    rounded to the nearest of the 256 normalized pixel values."""
+    pixels = np.rint((np.clip(images, -0.5, 0.5) + 0.5) * 255.0)
+    return pixel_dataset(pixels.astype(np.uint8), labels, tag, n_classes)
+
+
+def float_images(data: Dataset) -> np.ndarray:
+    """The images of `data` normalized at once, in the float64
+    [n, C, H, W] layout."""
+    return normalize_pixels(np.moveaxis(data.pixels, 3, 0))
+
+
+def row_major_patches(images: np.ndarray,
+                      ranges: list[InputRange]) -> np.ndarray:
+    """Float images [n, C, H, W] -> per-range windows [len(ranges), n, 9],
+    each window's row C-ordered."""
+    n = images.shape[0]
+    flat = images.reshape(n, -1)
+    idx = np.stack([range_flat_indices(r, images.shape[1:]) for r in ranges])
+    return np.ascontiguousarray(flat[:, idx].transpose(1, 0, 2))
 
 
 # ------------------------------------------------ per-sample references
@@ -214,13 +260,15 @@ def per_branch_scan(ranges, ref_images_by_class, summary_pairs, source_mlps,
     Each window matches only these pairs, against their own prepared
     summaries; per reference class the closest matched pair wins (ties keep
     the earliest), and each winner gets its first layer transferred at once,
-    under the source's own deeper layers.
+    under the source's own deeper layers.  The references are per-class
+    datasets, read through the row-major float path.
     """
     prepared = prepare_summaries(summary_pairs)
+    images = {c: float_images(ref) for c, ref in ref_images_by_class.items()}
     candidates = []
     for input_range in ranges:
-        refs = {c: extract_patches(images, [input_range])[0]
-                for c, images in ref_images_by_class.items()}
+        refs = {c: row_major_patches(im, [input_range])[0]
+                for c, im in images.items()}
         results = match_all(refs, summary_pairs, keep_fraction=keep_fraction,
                             prepared=prepared)
         best = {}
@@ -397,10 +445,12 @@ def loss_descent_diagnostics(values: np.ndarray, labels: np.ndarray,
 
 def branch_output_batch(branch: Branch, patches: np.ndarray, mode: str,
                         n_classes: int) -> np.ndarray:
-    """Class-output matrix [n, n_classes] this branch contributes to the sum."""
+    """Class-output matrix [n, n_classes] this branch contributes to the sum
+    from its row-major windows `patches` [n, 9]."""
+    y = mlp_forward_batch(branch.mlp, patches.T)
     if branch.origin == "base":
-        return mlp_forward_batch(branch.mlp, patches)
-    raw = branch_raw_scalar_batch(branch, patches)
+        return y
+    raw = y[:, branch.branch_class]
     out = np.zeros((patches.shape[0], n_classes))
     if mode == "tuning":
         out[:, branch.target_class] = apply_class_mask(branch.mask, raw)
@@ -415,32 +465,34 @@ def _chunks(n: int):
         yield lo, min(lo + step, n)
 
 
-def loop_forward_batch(net: NamNetwork, images: np.ndarray) -> np.ndarray:
+def loop_forward_batch(net: NamNetwork, data: Dataset) -> np.ndarray:
     """Summed class-outputs (logits) [n, n_classes] over all branches."""
     if not net.branches:
         raise ValueError("network has no branches")
+    images = float_images(data)
     if images.shape[1:] != net.input_shape:
         raise ValueError(f"image shape {images.shape[1:]} != {net.input_shape}")
     n = images.shape[0]
     logits = np.zeros((n, net.n_classes))
     for lo, hi in _chunks(n):
         chunk = images[lo:hi]
-        patches = extract_patches(chunk, [b.input_range for b in net.branches])
+        patches = row_major_patches(chunk, [b.input_range for b in net.branches])
         for k, br in enumerate(net.branches):
             logits[lo:hi] += branch_output_batch(br, patches[k], net.mode,
                                                  net.n_classes)
     return logits
 
 
-def loop_elect_batch(net: NamNetwork, images: np.ndarray) -> np.ndarray:
+def loop_elect_batch(net: NamNetwork, data: Dataset) -> np.ndarray:
     """Summed z-scores [n, n_classes], each branch's under its own stats."""
     if any(br.election_stats is None for br in net.branches):
         raise ValueError("election stats not fitted")
+    images = float_images(data)
     n = images.shape[0]
     scores = np.zeros((n, net.n_classes))
     for lo, hi in _chunks(n):
         chunk = images[lo:hi]
-        patches = extract_patches(chunk, [b.input_range for b in net.branches])
+        patches = row_major_patches(chunk, [b.input_range for b in net.branches])
         for k, br in enumerate(net.branches):
             out = branch_output_batch(br, patches[k], net.mode, net.n_classes)
             mean, std = br.election_stats
@@ -448,22 +500,12 @@ def loop_elect_batch(net: NamNetwork, images: np.ndarray) -> np.ndarray:
     return scores
 
 
-def network_forward(net: NamNetwork, image: np.ndarray) -> np.ndarray:
-    """The engine's logits for one image [C, H, W]."""
-    return network_forward_batch(net, image[None])[0]
-
-
-def elect(net: NamNetwork, image: np.ndarray) -> tuple[np.ndarray, int]:
-    """The engine's z-scores and elected class for one image [C, H, W]."""
-    scores = elect_batch(net, image[None])[0]
-    return scores, int(np.argmax(scores))
-
-
-def branch_outputs_batch(branches: list[Branch], images: np.ndarray,
+def branch_outputs_batch(branches: list[Branch], data: Dataset,
                          mode: str) -> np.ndarray:
     """Per-branch class-output tensor [n_branches, n, n_classes] in
     `mode`."""
-    patches = extract_patches(images, [b.input_range for b in branches])
+    patches = row_major_patches(float_images(data),
+                                [b.input_range for b in branches])
     return np.stack([
         branch_output_batch(br, patches[k], mode, br.mlp.n_classes)
         for k, br in enumerate(branches)
@@ -478,11 +520,12 @@ def fit_election_stats(branches: list[Branch], dataset: Dataset
     if dataset.n == 0:
         raise ValueError("empty fitting set")
     k = len(branches)
+    images = float_images(dataset)
     sums = np.zeros((k, dataset.n_classes))
     sq_sums = np.zeros((k, dataset.n_classes))
     for lo, hi in _chunks(dataset.n):
-        chunk = dataset.images[lo:hi]
-        patches = extract_patches(chunk, [b.input_range for b in branches])
+        chunk = images[lo:hi]
+        patches = row_major_patches(chunk, [b.input_range for b in branches])
         for i, br in enumerate(branches):
             out = branch_output_batch(br, patches[i], "election",
                                       dataset.n_classes)

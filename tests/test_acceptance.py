@@ -28,7 +28,7 @@ from namgrow.clustering import (
     cluster_branch_class,
     cluster_branch_mlp,
 )
-from namgrow.data_io import Dataset, InputRange, load_cifar10, load_mnist
+from namgrow.data_io import InputRange, load_cifar10, load_mnist
 from namgrow.growth import GrowthConfig, run_growth, transfer_task
 from namgrow.matching import NormalizationStats, transfer_first_layer
 from namgrow.nam_model import (
@@ -52,6 +52,7 @@ from namgrow.training import TrainConfig, train_network
 from oracles import (
     binary_hoeffding_bound,
     branch_outputs_batch,
+    draw_dataset,
     fit_election_stats,
     hoeffding_bound,
     ignore,
@@ -471,10 +472,9 @@ def _check_election_standardization():
     shape = (1, 6, 6)
     branches = [Branch(init_branch_mlp(rng, 10), InputRange(0, 0, 0))
                 for _ in range(3)]
-    ds = Dataset(rng.uniform(-0.5, 0.5, size=(100,) + shape),
-                 rng.integers(0, 10, size=100), "t", 10)
+    ds = draw_dataset(rng, 100, shape)
     means, stds = fit_election_stats(branches, ds)
-    outs = branch_outputs_batch(branches, ds.images, "election")
+    outs = branch_outputs_batch(branches, ds, "election")
     for k in range(3):
         z = (outs[k] - means[k]) / stds[k]
         assert np.max(np.abs(z.mean(axis=0))) < 1e-9

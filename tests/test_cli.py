@@ -183,9 +183,9 @@ class TestTrainBase:
         scored = []
         original = nam_model.network_scores
 
-        def counting(net, images):
-            scored.append(images.shape[0])
-            return original(net, images)
+        def counting(net, data):
+            scored.append(data.n)
+            return original(net, data)
 
         monkeypatch.setattr(nam_model, "network_scores", counting)
         out = tmp_path / "run"
@@ -753,7 +753,7 @@ class TestEval:
         original = nam_model.mlp_forward_batch
 
         def counting(mlp, x):
-            calls.append(x.shape[0])
+            calls.append(x.shape[1])  # feature-major [9, chunk]
             return original(mlp, x)
 
         monkeypatch.setattr(nam_model, "mlp_forward_batch", counting)
@@ -1002,6 +1002,9 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("section, key, value, message", [
         ("growth", "mask_batch_size", "0", "mask_batch_size must be >= 1"),
+        # span statistics of a class's references need two images
+        ("growth", "reference_per_class", "1",
+         "reference_per_class must be >= 2"),
         ("growth", "mask_learning_rate", "-1e-2",
          "mask_learning_rate must be positive"),
         ("cluster", "max_shift_iterations", "0",
@@ -1013,7 +1016,7 @@ class TestErrorPaths:
             self, tmp_path, config_file, base_run, caplog, section, key,
             value, message):
         """A growth or cluster setting the run cannot use is refused before
-        clustering, naming its key."""
+        clustering, naming its key, and the run writes nothing."""
         cfg = configparser.ConfigParser()
         cfg.read(config_file)
         cfg[section][key] = value
@@ -1027,6 +1030,7 @@ class TestErrorPaths:
         errors = [r.getMessage() for r in caplog.records
                   if r.levelname == "ERROR"]
         assert errors == [f"growth/cluster config: {message}"]
+        assert not (tmp_path / "out").exists()
 
     def test_missing_data_dir_is_data_error(self, tmp_path, base_run):
         code = main(["eval", "--checkpoint",

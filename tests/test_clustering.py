@@ -63,7 +63,7 @@ def test_generate_pairs_retained_dominate_dropped():
     from namgrow.nn_core import mlp_forward_batch
     check_rng = np.random.default_rng(7)
     raw = check_rng.uniform(-0.5, 0.5, size=(200, 9))
-    outs = mlp_forward_batch(mlp, raw)
+    outs = mlp_forward_batch(mlp, raw.T)
     for c, p in enumerate(pairs):
         col = np.sort(outs[:, c])
         dropped_max = col[-41]   # 40 retained out of 200

@@ -19,7 +19,9 @@ from namgrow.data_io import (
     range_flat_indices,
     sha256_file,
 )
-from oracles import extract_patch, full_perception_ranges, stride_one_ranges
+from oracles import draw_dataset, extract_patch, float_images, \
+    full_perception_ranges, pixel_dataset, row_major_patches, \
+    stride_one_ranges
 
 GRID_SHAPES = [(3, 32, 32), (1, 28, 28), (2, 10, 11), (1, 3, 3)]
 
@@ -94,7 +96,7 @@ def test_cifar_record_count_comes_from_file_size(tmp_path, cifar_dir):
 def test_cifar_train_concatenates_batches(cifar_dir):
     ds = load_cifar10(cifar_dir, "train")
     assert ds.n == 20 and ds.shape == (3, 32, 32)
-    assert ds.images.min() >= -0.5 and ds.images.max() <= 0.5
+    assert ds.pixels.dtype == np.uint8 and ds.pixels.flags.c_contiguous
     assert ds.n_classes == 10
 
 
@@ -102,15 +104,16 @@ def test_cifar_train_concatenates_batches(cifar_dir):
     ("train", [f"data_batch_{i}.bin" for i in range(1, 6)]),
     ("test", ["test_batch.bin"]),
 ])
-def test_cifar_split_is_the_normalized_join_of_raw_records(cifar_dir, split,
-                                                          names):
+def test_cifar_split_is_the_pixel_major_join_of_raw_records(cifar_dir, split,
+                                                           names):
+    """pixels[..., j] is the j-th record's image, byte for byte."""
     records = np.concatenate([
         np.frombuffer((cifar_dir / name).read_bytes(), dtype=np.uint8)
         .reshape(-1, CIFAR10_RECORD_BYTES) for name in names])
     ds = load_cifar10(cifar_dir, split)
-    want = normalize_pixels(records[:, 1:].reshape(-1, 3, 32, 32))
-    assert ds.images.dtype == np.float64 and ds.images.shape == want.shape
-    assert ds.images.tobytes() == want.tobytes()
+    assert ds.pixels.shape == (3, 32, 32, len(records))
+    for j, record in enumerate(records):
+        assert ds.pixels[..., j].tobytes() == record[1:].tobytes()
     np.testing.assert_array_equal(ds.labels, records[:, 0])
 
 
@@ -130,7 +133,7 @@ def test_cifar_pixel_layout_roundtrip(cifar_dir):
     ds = load_cifar10(cifar_dir, "train")
     expected = normalize_pixels(
         np.frombuffer(raw[1:], dtype=np.uint8).reshape(3, 32, 32))
-    np.testing.assert_array_equal(ds.images[0], expected)
+    np.testing.assert_array_equal(float_images(ds)[0], expected)
     assert ds.labels[0] == raw[0]
 
 
@@ -147,8 +150,27 @@ def test_mnist_loads_both_filename_styles(mnist_dir):
     assert train.shape == (1, 28, 28)
     np.testing.assert_array_equal(train.labels, tr_lab)
     np.testing.assert_array_equal(test.labels, te_lab)
-    np.testing.assert_allclose(train.images[:, 0], normalize_pixels(tr_img),
-                               rtol=0, atol=0)
+    for ds, img in ((train, tr_img), (test, te_img)):
+        assert ds.pixels.shape == (1, 28, 28, len(img))
+        assert ds.pixels.dtype == np.uint8 and ds.pixels.flags.c_contiguous
+        for j in range(len(img)):
+            assert ds.pixels[0, ..., j].tobytes() == img[j].tobytes()
+
+
+def test_loaders_copy_several_blocks_pixel_major(tmp_path):
+    """Splits of more than one 1024-image copy block keep every image's
+    bytes at its column, for both loaders."""
+    rng = np.random.default_rng(5)
+    mnist = rng.integers(0, 256, size=(2500, 4, 5), dtype=np.uint8)
+    write_idx(tmp_path / "t10k-images-idx3-ubyte", mnist, 2051)
+    write_idx(tmp_path / "t10k-labels-idx1-ubyte",
+              np.zeros(2500, dtype=np.uint8), 2049)
+    cifar = rng.integers(0, 256, size=(2100, 3, 32, 32), dtype=np.uint8)
+    write_cifar_batch(tmp_path / "test_batch.bin", cifar, [0] * 2100)
+    for ds, images in ((load_mnist(tmp_path, "test"), mnist[:, None]),
+                       (load_cifar10(tmp_path, "test"), cifar)):
+        assert ds.pixels.flags.c_contiguous
+        np.testing.assert_array_equal(ds.pixels, np.moveaxis(images, 0, -1))
 
 
 def test_mnist_gzip_transparent(tmp_path):
@@ -222,13 +244,44 @@ def test_extract_patch_row_major():
 
 def test_extract_patches_matches_single():
     rng = np.random.default_rng(42)
-    images = rng.uniform(-0.5, 0.5, size=(7, 3, 32, 32))
+    ds = draw_dataset(rng, 7, (3, 32, 32))
+    images = float_images(ds)
     ranges = base_grid_ranges((3, 32, 32), 6)[:10] + [InputRange(2, 29, 29)]
-    batch = extract_patches(images, ranges)
-    assert batch.shape == (11, 7, 9)
+    batch = extract_patches(ds, ranges)
+    assert batch.shape == (11, 9, 7) and batch.flags.c_contiguous
     for k, r in enumerate(ranges):
         for i in range(7):
-            np.testing.assert_array_equal(batch[k, i], extract_patch(images[i], r))
+            np.testing.assert_array_equal(batch[k, :, i],
+                                          extract_patch(images[i], r))
+
+
+def test_gather_normalizes_every_pixel_value_as_normalize_pixels():
+    """All 256 values, in every one of a window's 9 rows, read bit for bit
+    as `normalize_pixels` makes them."""
+    values = np.arange(256, dtype=np.uint8)
+    ds = pixel_dataset(np.repeat(values, 9).reshape(256, 1, 3, 3),
+                       np.zeros(256))
+    got = extract_patches(ds, [InputRange(0, 0, 0)])
+    want = np.broadcast_to(normalize_pixels(values), (1, 9, 256))
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("columns", [
+    slice(None), slice(3, 17), slice(40, 41),
+    np.array([5, 0, 33, 5, 12]), np.arange(41)[::-1]])
+def test_gather_equals_the_float_layout_at_random_windows(columns):
+    """A column slice or index array reads the same bits as normalizing
+    every image into the float [n, C, H, W] layout and gathering row-major
+    windows from it."""
+    rng = np.random.default_rng(8)
+    ds = draw_dataset(rng, 41, (3, 11, 9))
+    ranges = [InputRange(int(rng.integers(3)), int(rng.integers(9)),
+                         int(rng.integers(7))) for _ in range(12)]
+    got = extract_patches(ds, ranges, columns)
+    want = row_major_patches(float_images(ds)[columns], ranges)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == np.ascontiguousarray(
+        want.transpose(0, 2, 1)).tobytes()
 
 
 def test_range_flat_indices_bounds():
@@ -241,10 +294,32 @@ def test_range_flat_indices_bounds():
 
 
 def test_dataset_validation():
-    with pytest.raises(ValueError):
-        Dataset(np.zeros((2, 1, 4, 4)), np.array([0, 10]), "t", 10)
-    with pytest.raises(ValueError):
-        Dataset(np.zeros((2, 1, 4, 4)), np.array([0]), "t", 10)
+    pixels = np.zeros((1, 4, 4, 2), dtype=np.uint8)
+    with pytest.raises(ValueError, match="label out of range"):
+        Dataset(pixels, np.array([0, 10]), "t", 10)
+    with pytest.raises(ValueError, match="labels length"):
+        Dataset(pixels, np.array([0]), "t", 10)
+
+
+@pytest.mark.parametrize("pixels, message", [
+    (np.zeros((1, 4, 4, 2)), "pixels must be 4-d uint8, got float64 of "
+                             "shape (1, 4, 4, 2)"),
+    (np.zeros((4, 4, 2), dtype=np.uint8), "pixels must be 4-d uint8, got "
+                                          "uint8 of shape (4, 4, 2)"),
+])
+def test_dataset_refuses_pixels_that_are_not_4d_uint8(pixels, message):
+    with pytest.raises(ValueError) as err:
+        Dataset(pixels, np.zeros(2, dtype=np.int64), "t", 10)
+    assert str(err.value) == message
+
+
+def test_subset_gathers_columns_pixel_major():
+    ds = draw_dataset(np.random.default_rng(2), 9, (2, 4, 5))
+    idx = np.array([7, 2, 2, 0])
+    sub = ds.subset(idx, "sub")
+    assert sub.pixels.flags.c_contiguous and sub.shape == ds.shape
+    np.testing.assert_array_equal(sub.pixels, ds.pixels[..., idx])
+    np.testing.assert_array_equal(sub.labels, ds.labels[idx])
 
 
 def test_sha256_file(tmp_path):

@@ -6,8 +6,7 @@ import pytest
 from namgrow import growth, matching
 from namgrow.checkpoint import network_to_json
 from namgrow.clustering import BranchClassClusters, ClusterConfig
-from namgrow.data_io import Dataset, InputRange, base_grid_ranges, \
-    extract_patches
+from namgrow.data_io import Dataset, InputRange, base_grid_ranges
 from namgrow.growth import (
     BranchPoint,
     CandidateBranch,
@@ -51,7 +50,8 @@ from namgrow.nn_core import (
     reset_optimizer_step_count,
 )
 from namgrow.qualification import qualify
-from oracles import fit_election_stats, loop_forward_batch, per_branch_scan
+from oracles import draw_dataset, fit_election_stats, float_images, \
+    loop_forward_batch, per_branch_scan, rounded_dataset, row_major_patches
 
 N_CLASSES = 3
 RANGE0 = InputRange(0, 0, 0)
@@ -86,6 +86,25 @@ def hand_candidate(mlp, branch_class, target_class, input_range=RANGE0):
         mlp=mlp)
 
 
+def windows(data, input_range):
+    """Row-major windows [n, 9] of every image of `data` at one range."""
+    return row_major_patches(float_images(data), [input_range])[0]
+
+
+def reference_sets(rng, n_per_class=15):
+    """Per-class reference datasets of drawn pixels, as matching reads."""
+    return {c: draw_dataset(rng, n_per_class, (1, 6, 6),
+                            labels=np.full(n_per_class, c))
+            for c in range(N_CLASSES)}
+
+
+def flat_reference_sets(levels):
+    """Per-class reference datasets flat at each class's level."""
+    return {c: rounded_dataset(np.full((10, 1, 6, 6), level),
+                               np.full(10, c))
+            for c, level in enumerate(levels)}
+
+
 def patch_mean_dataset(means_by_class, n_per_class, noise=0.02, seed=0,
                        tag="synthetic"):
     """Images whose 3x3 patch at RANGE0 has a class-specific mean."""
@@ -96,9 +115,8 @@ def patch_mean_dataset(means_by_class, n_per_class, noise=0.02, seed=0,
         block[:, 0, 0:3, 0:3] += mu
         images.append(block)
         labels.append(np.full(n_per_class, c))
-    images = np.clip(np.concatenate(images), -0.5, 0.5)
-    return Dataset(images=images, labels=np.concatenate(labels), tag=tag,
-                   n_classes=len(means_by_class))
+    return rounded_dataset(np.concatenate(images), np.concatenate(labels),
+                           tag, len(means_by_class))
 
 
 def fresh_state(mode="tuning", selection=None, test_set=None, train_set=None,
@@ -130,10 +148,10 @@ class TestSelectionSet:
         data = self.make()
         a = build_selection_set(data, 30, seed=5)
         b = build_selection_set(data, 30, seed=5)
-        np.testing.assert_array_equal(a.images, b.images)
+        np.testing.assert_array_equal(a.pixels, b.pixels)
         np.testing.assert_array_equal(a.labels, b.labels)
         c = build_selection_set(data, 30, seed=6)
-        assert not np.array_equal(a.images, c.images)
+        assert not np.array_equal(a.pixels, c.pixels)
 
     def test_histogram_exactly_uniform(self):
         sel = build_selection_set(self.make(), 60, seed=1)
@@ -145,7 +163,7 @@ class TestSelectionSet:
             build_selection_set(data, 10, seed=0)
         with pytest.raises(ValueError, match="exceeds"):
             build_selection_set(data, 300, seed=0)
-        lopsided = Dataset(images=data.images,
+        lopsided = Dataset(pixels=data.pixels,
                            labels=np.where(data.labels == 0, 1, data.labels),
                            tag="lopsided", n_classes=N_CLASSES)
         with pytest.raises(ValueError, match="class 0"):
@@ -155,9 +173,10 @@ class TestSelectionSet:
         data = self.make()
         refs = draw_reference_images(data, 7, np.random.default_rng(0))
         assert sorted(refs) == [0, 1, 2]
-        assert all(imgs.shape == (7, 1, 6, 6) for imgs in refs.values())
+        assert all(ref.n == 7 and ref.shape == (1, 6, 6)
+                   and np.all(ref.labels == c) for c, ref in refs.items())
         refs2 = draw_reference_images(data, 7, np.random.default_rng(0))
-        np.testing.assert_array_equal(refs[1], refs2[1])
+        np.testing.assert_array_equal(refs[1].pixels, refs2[1].pixels)
         with pytest.raises(ValueError, match="class"):
             draw_reference_images(data, 1000, np.random.default_rng(0))
 
@@ -219,14 +238,12 @@ class TestMatchCandidates:
         pairs = random_summary_pairs(rng, 3)
         mlps = {b: init_branch_mlp(rng, N_CLASSES) for b in range(3)}
         layers = {b: mlp.hidden_layers[0] for b, mlp in mlps.items()}
-        images = {c: rng.uniform(-0.5, 0.5, size=(15, 1, 6, 6))
-                  for c in range(N_CLASSES)}
+        images = reference_sets(rng)
 
         total = 0
         for input_range in base_grid_ranges((1, 6, 6), 1):
             got = scan_candidates([input_range], images, pairs, mlps)
-            refs = {c: extract_patches(im, [input_range])[0]
-                    for c, im in images.items()}
+            refs = {c: windows(im, input_range) for c, im in images.items()}
             best = {}
             results = match_all(refs, pairs, 0.8, prepare_summaries(pairs))
             for res, (_, summary) in zip(results, pairs):
@@ -264,8 +281,7 @@ class TestMatchCandidates:
             summary.centers = (rng.choice([-1.0, 1.0], size=(8, 9))
                                * rng.uniform(1.0, 2.0, size=(8, 9)) * 1e20)
         mlps = {b: init_branch_mlp(rng, N_CLASSES) for b in range(4)}
-        images = {c: rng.uniform(-0.5, 0.5, size=(15, 1, 6, 6))
-                  for c in range(N_CLASSES)}
+        images = reference_sets(rng)
         ranges = base_grid_ranges((1, 6, 6), 1)
 
         def fields(cand):
@@ -300,10 +316,8 @@ class TestMatchCandidates:
             rng = np.random.default_rng(100 + trial)
             pairs = random_summary_pairs(rng, 2)
             levels = rng.uniform(-0.5, 0.5, size=N_CLASSES)
-            images = {c: np.full((10, 1, 6, 6), levels[c])
-                      for c in range(N_CLASSES)}
-            refs = {c: extract_patches(images[c], [window])[0]
-                    for c in range(N_CLASSES)}
+            images = flat_reference_sets(levels)
+            refs = {c: windows(images[c], window) for c in range(N_CLASSES)}
             for c, patch in refs.items():
                 assert np.all(normalize_sorted(patch)[0] == 0.0)
             prepared = prepare_summaries(pairs)
@@ -328,14 +342,13 @@ class TestMatchCandidates:
             mlps = {b: init_branch_mlp(rng, N_CLASSES) for b in range(2)}
             prepared = prepare_summaries(pairs)
             levels = rng.uniform(-0.5, 0.5, size=N_CLASSES)
-            images = {c: np.full((10, 1, 6, 6), levels[c])
-                      for c in range(N_CLASSES)}
+            images = flat_reference_sets(levels)
             # Flat classes normalize to the same zero patch and tie, so
             # each is matched on its own and is the target.
             for c in range(N_CLASSES):
                 got = scan_candidates([window], {c: images[c]}, pairs, mlps)
                 assert got
-                patch = extract_patches(images[c], [window])[0]
+                patch = windows(images[c], window)
                 ref_mean = stats_from_points(patch).mean
                 for cand in got:
                     w = cand.mlp.hidden_layers[0].weights
@@ -414,9 +427,8 @@ class TestGrowIterationTuning:
         assert parameter_count(state.net) == 2
         assert record.selection_loss < np.log(N_CLASSES)
         # target-class test logits strictly increase where the mask fires
-        logits = network_forward_batch(state.net, test.images)
-        raw = mlp_forward_batch(branch.mlp,
-                                extract_patches(test.images, [RANGE0])[0])[:, 1]
+        logits = network_forward_batch(state.net, test)
+        raw = mlp_forward_batch(branch.mlp, windows(test, RANGE0).T)[:, 1]
         fired = (raw > branch.mask.thd) & (test.labels == 0)
         assert fired.any()
         assert np.all(logits[fired, 0] > 0.0)
@@ -469,8 +481,7 @@ class TestGrowIterationTuning:
         labels[120:210] = 1
         images[210:, 0, 0:3, 0:3] = 0.3
         labels[210:] = 2
-        return Dataset(images=images, labels=labels, tag="adv",
-                       n_classes=N_CLASSES)
+        return rounded_dataset(images, labels, "adv", N_CLASSES)
 
     def test_adversarial_candidate_rolled_back(self):
         selection = self.adversarial_setup()
@@ -518,8 +529,8 @@ class TestTuneMasks:
         branches.append(base)
         for k in range(n_grown):
             mlp = ramp_mlp(branch_class=k % N_CLASSES, scale=1.0 + 0.2 * k)
-            patches = extract_patches(data.images, [RANGE0])[0]
-            values = mlp_forward_batch(mlp, patches)[:, k % N_CLASSES]
+            values = mlp_forward_batch(mlp, windows(data, RANGE0).T)[
+                :, k % N_CLASSES]
             thd = float(np.quantile(values, 0.8))
             mask = ClassMask(1.0, 0.0, thd, float(values.max() - thd))
             branches.append(Branch(
@@ -539,10 +550,9 @@ class TestTuneMasks:
     def tuning_inputs(self, net, data, branches):
         """The class-output sums of every branch of `net` but `branches`,
         and those branches' raw scalars, on `data`."""
-        raw = [mlp_forward_batch(
-                   br.mlp, extract_patches(data.images, [br.input_range])[0]
-               )[:, br.branch_class] for br in branches]
-        frozen_logits = network_forward_batch(net, data.images)
+        raw = [mlp_forward_batch(br.mlp, windows(data, br.input_range).T)[
+                   :, br.branch_class] for br in branches]
+        frozen_logits = network_forward_batch(net, data)
         for br, r in zip(branches, raw):
             frozen_logits[:, br.target_class] -= apply_class_mask(br.mask, r)
         return frozen_logits, raw
@@ -724,8 +734,7 @@ def two_window_dataset(n_per_class, seed, tag):
     images = rng.uniform(-0.25, 0.25, size=(labels.size, 1, 6, 6))
     images[:, 0, 0:3, 0:3] += np.array([0.2, 0.0, -0.2])[labels, None, None]
     images[:, 0, 3:6, 3:6] += np.array([-0.1, 0.2, 0.0])[labels, None, None]
-    return Dataset(images=images, labels=labels, tag=tag,
-                   n_classes=N_CLASSES)
+    return rounded_dataset(images, labels, tag, N_CLASSES)
 
 
 class TestScoreCaches:
@@ -759,16 +768,16 @@ class TestScoreCaches:
             for split, data in ((state.selection, selection),
                                 (state.train, train), (state.test, test)):
                 assert split.data is data
-                fresh = network_scores(net, data.images)
+                fresh = network_scores(net, data)
                 assert np.array_equal(split.scores, fresh)
                 assert (split.accuracy, split.loss) == score_metrics(
                     fresh, data.labels)
-            outputs = loop_forward_batch(net, selection.images)
+            outputs = loop_forward_batch(net, selection)
             assert np.array_equal(
                 state.votes,
                 outputs[np.arange(selection.n), selection.labels])
             assert (record.test_accuracy, record.test_loss) == score_metrics(
-                network_scores(net, test.images), test.labels)
+                network_scores(net, test), test.labels)
         assert kept >= 2 and rolled_back >= 1
 
     @pytest.mark.parametrize("mode", MODES)
@@ -833,7 +842,7 @@ class TestScoreCaches:
         rows = np.arange(selection.n)
         most_qualified = 0
         while True:
-            expected = (loop_forward_batch(state.net, selection.images)
+            expected = (loop_forward_batch(state.net, selection)
                         [rows, selection.labels] if state.net.branches
                         else np.zeros(selection.n))
             calls.clear()
@@ -890,9 +899,8 @@ class TestGrowIterationElection:
             pass
         assert state.net.n_branches >= 2
         for br in state.net.branches:
-            raw = mlp_forward_batch(
-                br.mlp, extract_patches(train.images, [br.input_range])[0]
-            )[:, br.branch_class]
+            raw = mlp_forward_batch(br.mlp, windows(train, br.input_range).T)[
+                :, br.branch_class]
             flags = (raw > br.mask.thd).astype(np.float64)
             mean, std = growth._flag_stat_rows(float(flags.mean()),
                                                br.target_class, N_CLASSES)
@@ -932,8 +940,7 @@ class TestGrowIterationElection:
         images[10:20, 0, 3:6, 0:3] = 0.44   # range B: class 0 peak (high half)
         images[20:30, 0, 3:6, 0:3] = 0.395  # range B: class 1 high half
         images[20:40, 0, 0:3, 3:6] = 0.4    # range C: class 1 peak
-        return Dataset(images=images, labels=labels, tag="ranges",
-                       n_classes=N_CLASSES)
+        return rounded_dataset(images, labels, "ranges", N_CLASSES)
 
     def test_iteration_accepts_multiple_before_cap(self):
         selection = self.disjoint_range_dataset()

@@ -8,13 +8,13 @@ import pytest
 from namgrow import nam_model
 from namgrow.checkpoint import load_checkpoint, network_from_json, \
     network_to_json, save_checkpoint
-from namgrow.data_io import Dataset, InputRange, extract_patches
+from namgrow.data_io import InputRange
 from namgrow.nam_model import (
     Branch,
     ClassMask,
     NamNetwork,
     apply_class_mask,
-    branch_raw_scalar_batch,
+    branch_output,
     build_network,
     class_mask_grads,
     elect_batch,
@@ -25,15 +25,17 @@ from namgrow.nam_model import (
     score_metrics,
 )
 from namgrow.nn_core import init_branch_mlp
-from oracles import branch_outputs_batch, elect, extract_patch, \
-    fit_election_stats, loop_elect_batch, loop_forward_batch, mlp_forward, \
-    network_forward, with_election_stats
+from oracles import branch_outputs_batch, draw_dataset, extract_patch, \
+    fit_election_stats, float_images, loop_elect_batch, loop_forward_batch, \
+    mlp_forward, mlp_forward_batch_row_major, pixel_dataset, \
+    row_major_patches, with_election_stats
 
 SHAPE = (3, 32, 32)
 
 
-def random_images(rng, n, shape=SHAPE):
-    return rng.uniform(-0.5, 0.5, size=(n,) + shape)
+def random_dataset(rng, n, shape=SHAPE, labels=None):
+    """n images of drawn uint8 pixels, with drawn labels unless given."""
+    return draw_dataset(rng, n, shape, labels)
 
 
 def make_grown_branch(rng, input_range, branch_class, target_class,
@@ -48,9 +50,9 @@ def test_single_base_branch_equals_mlp_forward():
     rng = np.random.default_rng(42)
     net = NamNetwork(10, SHAPE, branches=[
         Branch(init_branch_mlp(rng, 10), InputRange(1, 4, 7))])
-    img = random_images(rng, 1)[0]
-    patch = extract_patch(img, InputRange(1, 4, 7))
-    np.testing.assert_allclose(network_forward(net, img),
+    one = random_dataset(rng, 1)
+    patch = extract_patch(float_images(one)[0], InputRange(1, 4, 7))
+    np.testing.assert_allclose(network_forward_batch(net, one)[0],
                                mlp_forward(net.branches[0].mlp, patch),
                                rtol=0, atol=1e-12)
 
@@ -60,9 +62,9 @@ def test_two_identical_branches_double_logits():
     br = Branch(init_branch_mlp(rng, 10), InputRange(0, 0, 0))
     single = NamNetwork(10, SHAPE, branches=[br])
     double = NamNetwork(10, SHAPE, branches=[br, copy.deepcopy(br)])
-    img = random_images(rng, 1)[0]
-    np.testing.assert_allclose(network_forward(double, img),
-                               2 * network_forward(single, img),
+    one = random_dataset(rng, 1)
+    np.testing.assert_allclose(network_forward_batch(double, one)[0],
+                               2 * network_forward_batch(single, one)[0],
                                rtol=0, atol=1e-12)
 
 
@@ -70,18 +72,19 @@ def test_forward_matches_brute_force_sum_over_75_branches():
     rng = np.random.default_rng(42)
     net = build_network(SHAPE, 10, seed=123, spacing=6, tag="")
     assert net.n_branches == 75
-    img = random_images(rng, 1)[0]
+    one = random_dataset(rng, 1)
+    img = float_images(one)[0]
     expected = np.zeros(10)
     for br in net.branches:
         expected += mlp_forward(br.mlp, extract_patch(img, br.input_range))
-    np.testing.assert_allclose(network_forward(net, img), expected,
+    np.testing.assert_allclose(network_forward_batch(net, one)[0], expected,
                                rtol=0, atol=1e-10)
 
 
 def test_forward_additivity_over_partitions():
     rng = np.random.default_rng(5)
     net = build_network(SHAPE, 10, seed=9, spacing=6, tag="")
-    img = random_images(rng, 3)
+    img = random_dataset(rng, 3)
     full = network_forward_batch(net, img)
     for cut in (1, 20, 74):
         left = NamNetwork(10, SHAPE, branches=net.branches[:cut])
@@ -92,13 +95,12 @@ def test_forward_additivity_over_partitions():
 
 
 def test_empty_network_errors():
-    images = np.zeros((1,) + SHAPE)
-    ds = Dataset(images, np.zeros(1, dtype=np.int64), "t", 10)
+    ds = pixel_dataset(np.zeros((1,) + SHAPE, dtype=np.uint8), [0])
     for mode, scorer in (("tuning", network_forward_batch),
                          ("election", elect_batch)):
         net = NamNetwork(10, SHAPE, mode=mode)
-        for call in (lambda: scorer(net, images),
-                     lambda: network_scores(net, images),
+        for call in (lambda: scorer(net, ds),
+                     lambda: network_scores(net, ds),
                      lambda: evaluate(net, ds)):
             with pytest.raises(ValueError, match="^network has no branches$"):
                 call()
@@ -109,7 +111,7 @@ def test_grown_branch_contributes_only_target_class():
     br = make_grown_branch(rng, InputRange(0, 3, 3), branch_class=4,
                            target_class=7, thd=-10.0, v_span=1.0)
     net = NamNetwork(10, SHAPE, branches=[br])
-    img = random_images(rng, 4)
+    img = random_dataset(rng, 4)
     out = network_forward_batch(net, img)
     others = np.delete(out, 7, axis=1)
     assert np.all(others == 0.0)
@@ -125,7 +127,7 @@ def mixed_network(rng, mode, n_base=3, n_added=9):
     """Base, grown and transferred branches in one list, on random windows,
     with thresholds at a quantile of each added branch's raw outputs so that
     masks and flags switch on part of the images."""
-    probe = rng.uniform(-0.5, 0.5, size=(64,) + MIXED_SHAPE)
+    probe = random_dataset(rng, 64, MIXED_SHAPE)
     ranges = [InputRange(int(rng.integers(2)), int(rng.integers(6)),
                          int(rng.integers(6))) for _ in range(n_base + n_added)]
     branches = [Branch(init_branch_mlp(rng, 10), r) for r in ranges[:n_base]]
@@ -136,7 +138,7 @@ def mixed_network(rng, mode, n_base=3, n_added=9):
             target_class=int(rng.integers(3)),
             a=float(rng.uniform(-0.5, 2.0)), b=float(rng.uniform(-0.5, 1.0)),
             origin=("grown", "transferred")[k % 2])
-        raw = branch_raw_scalar_batch(br, extract_patches(probe, [r])[0])
+        raw = branch_output(br, probe)
         br.mask = ClassMask(br.mask.a, br.mask.b,
                             float(np.quantile(raw, rng.uniform(0.2, 0.8))),
                             float(rng.uniform(0.1, 2.0)))
@@ -156,24 +158,22 @@ def mixed_network(rng, mode, n_base=3, n_added=9):
 def test_engine_equals_loop_oracle_bit_for_bit(monkeypatch, n, seed):
     monkeypatch.setattr(nam_model, "_EVAL_CHUNK", 7)
     rng = np.random.default_rng(seed)
-    images = rng.uniform(-0.5, 0.5, size=(n,) + MIXED_SHAPE)
-    labels = rng.integers(0, 10, size=n)
+    ds = random_dataset(rng, n, MIXED_SHAPE)
     for mode in ("tuning", "election"):
         net = mixed_network(rng, mode)
         if mode == "tuning":
-            want = loop_forward_batch(net, images)
-            assert np.array_equal(network_forward_batch(net, images), want)
+            want = loop_forward_batch(net, ds)
+            assert np.array_equal(network_forward_batch(net, ds), want)
         else:
-            want = loop_elect_batch(net, images)
-            assert np.array_equal(elect_batch(net, images), want)
-        assert np.array_equal(network_scores(net, images), want)
-        ds = Dataset(images, labels, "t", 10)
-        assert evaluate(net, ds) == score_metrics(want, labels)
+            want = loop_elect_batch(net, ds)
+            assert np.array_equal(elect_batch(net, ds), want)
+        assert np.array_equal(network_scores(net, ds), want)
+        assert evaluate(net, ds) == score_metrics(want, ds.labels)
 
 
 def test_each_scorer_refuses_the_other_mode():
     rng = np.random.default_rng(0)
-    images = rng.uniform(-0.5, 0.5, size=(3,) + MIXED_SHAPE)
+    images = random_dataset(rng, 3, MIXED_SHAPE)
     with pytest.raises(ValueError) as exc:
         network_forward_batch(mixed_network(rng, "election"), images)
     assert str(exc.value) == ("network_forward_batch scores tuning "
@@ -185,7 +185,7 @@ def test_each_scorer_refuses_the_other_mode():
 
 
 def test_engine_reads_one_chunk_of_windows_per_call(monkeypatch):
-    """Each MLP call reads one branch's windows of one chunk, [<= chunk, 9],
+    """Each MLP call reads one branch's windows of one chunk, [9, <= chunk],
     chunk by chunk and, within a chunk, branch by branch."""
     rng = np.random.default_rng(4)
     net = mixed_network(rng, "tuning")
@@ -198,8 +198,24 @@ def test_engine_reads_one_chunk_of_windows_per_call(monkeypatch):
         return original(mlp, x)
 
     monkeypatch.setattr(nam_model, "mlp_forward_batch", recording)
-    network_forward_batch(net, rng.uniform(-0.5, 0.5, size=(25,) + MIXED_SHAPE))
-    assert rows == [(m, 9) for m in (7, 7, 7, 4) for _ in net.branches]
+    network_forward_batch(net, random_dataset(rng, 25, MIXED_SHAPE))
+    assert rows == [(9, m) for m in (7, 7, 7, 4) for _ in net.branches]
+
+
+def test_branch_output_reads_the_selected_columns():
+    """A base branch gives its class rows and an added branch its raw
+    scalars at branch_class, for all images or those a slice selects."""
+    rng = np.random.default_rng(9)
+    ds = random_dataset(rng, 20, MIXED_SHAPE)
+    r = InputRange(1, 2, 3)
+    base = Branch(init_branch_mlp(rng, 10), r)
+    grown = make_grown_branch(rng, r, branch_class=6, target_class=2)
+    windows = row_major_patches(float_images(ds), [r])[0]
+    for br, want in (
+            (base, mlp_forward_batch_row_major(base.mlp, windows)),
+            (grown, mlp_forward_batch_row_major(grown.mlp, windows)[:, 6])):
+        assert np.array_equal(branch_output(br, ds), want)
+        assert np.array_equal(branch_output(br, ds, slice(4, 11)), want[4:11])
 
 
 # ---------------------------------------------------------------- masks
@@ -290,7 +306,7 @@ def test_elect_scores_match_hand_summed_zscores():
     means = rng.normal(size=(5, 10))
     stds = rng.uniform(0.5, 2.0, size=(5, 10))
     net = election_net(branches, means, stds)
-    images = random_images(rng, 3)
+    images = random_dataset(rng, 3)
     outs = branch_outputs_batch(net.branches, images, "election")
     scores = elect_batch(net, images)
     for i in range(3):
@@ -305,22 +321,23 @@ def test_elect_scores_match_hand_summed_zscores():
 def test_elect_centered_image_scores_zero():
     rng = np.random.default_rng(0)
     branches = synthetic_branches(rng, n_branches=1)
-    img = random_images(rng, 1)[0]
-    out = branch_outputs_batch(branches, img[None], "election")[0, 0]
+    one = random_dataset(rng, 1)
+    out = branch_outputs_batch(branches, one, "election")[0, 0]
     net = election_net(branches, out[None].copy(), np.ones((1, 10)))
-    scores, _ = elect(net, img)
+    scores = elect_batch(net, one)[0]
     np.testing.assert_allclose(scores, np.zeros(10), rtol=0, atol=1e-12)
 
 
 def test_elect_one_std_above_mean_wins():
     rng = np.random.default_rng(3)
     branches = synthetic_branches(rng, n_branches=1)
-    img = random_images(rng, 1)[0]
-    out = branch_outputs_batch(branches, img[None], "election")[0, 0]
+    one = random_dataset(rng, 1)
+    out = branch_outputs_batch(branches, one, "election")[0, 0]
     means = out[None].copy()
     means[0, 3] -= 2.0  # class 3 sits two stds above its mean
     net = election_net(branches, means, np.full((1, 10), 2.0))
-    scores, pred = elect(net, img)
+    scores = elect_batch(net, one)[0]
+    pred = np.argmax(scores)
     assert pred == 3
     np.testing.assert_allclose(scores[3], 1.0, rtol=0, atol=1e-12)
 
@@ -335,10 +352,13 @@ def test_elect_requires_stats():
 def test_elect_tie_breaks_to_lowest_class():
     rng = np.random.default_rng(4)
     branches = synthetic_branches(rng, n_branches=1)
-    img = random_images(rng, 1)[0]
-    out = branch_outputs_batch(branches, img[None], "election")[0, 0]
-    net = election_net(branches, out[None] - 1.0, np.ones((1, 10)))
-    scores, pred = elect(net, img)
+    one = random_dataset(rng, 1)
+    out = branch_outputs_batch(branches, one, "election")[0, 0]
+    means = out[None] - 1.0
+    # each std is its class's rounded distance to the mean: an exact tie
+    net = election_net(branches, means, out[None] - means)
+    scores = elect_batch(net, one)[0]
+    pred = np.argmax(scores)
     np.testing.assert_allclose(scores, np.ones(10), rtol=0, atol=1e-12)
     assert pred == 0
 
@@ -346,9 +366,9 @@ def test_elect_tie_breaks_to_lowest_class():
 def test_fit_election_stats_matches_two_pass_oracle():
     rng = np.random.default_rng(42)
     branches = synthetic_branches(rng, n_branches=4)
-    ds = Dataset(random_images(rng, 50), rng.integers(0, 10, size=50), "t", 10)
+    ds = random_dataset(rng, 50)
     means, stds = fit_election_stats(branches, ds)
-    outs = branch_outputs_batch(branches, ds.images, "election")  # [K, n, C]
+    outs = branch_outputs_batch(branches, ds, "election")  # [K, n, C]
     for k in range(4):
         mean = outs[k].mean(axis=0)
         std = outs[k].std(axis=0)  # population
@@ -366,7 +386,7 @@ def test_fit_election_stats_two_point_example_and_floor():
     # degenerate constant output -> floored std
     rng = np.random.default_rng(7)
     br = make_grown_branch(rng, InputRange(0, 0, 0), 0, 0, thd=1e9)
-    ds = Dataset(random_images(rng, 8), np.zeros(8, dtype=np.int64), "t", 10)
+    ds = random_dataset(rng, 8, labels=np.zeros(8))
     means, stds = fit_election_stats([br], ds)
     assert np.all(stds == 1e-6)
     assert np.all(means == 0.0)
@@ -375,9 +395,9 @@ def test_fit_election_stats_two_point_example_and_floor():
 def test_election_standardization_property():
     rng = np.random.default_rng(42)
     branches = synthetic_branches(rng, n_branches=3)
-    ds = Dataset(random_images(rng, 100), rng.integers(0, 10, size=100), "t", 10)
+    ds = random_dataset(rng, 100)
     means, stds = fit_election_stats(branches, ds)
-    outs = branch_outputs_batch(branches, ds.images, "election")
+    outs = branch_outputs_batch(branches, ds, "election")
     for k in range(3):
         z = (outs[k] - means[k]) / stds[k]
         np.testing.assert_allclose(z.mean(axis=0), 0.0, rtol=0, atol=1e-9)
@@ -387,16 +407,16 @@ def test_election_standardization_property():
 
 def test_elect_argmax_invariant_under_common_scaling():
     rng = np.random.default_rng(8)
-    ds = Dataset(random_images(rng, 40), rng.integers(0, 10, size=40), "t", 10)
+    ds = random_dataset(rng, 40)
     branches = synthetic_branches(rng, n_branches=3)
     net = election_net(branches, *fit_election_stats(branches, ds))
-    preds = np.argmax(elect_batch(net, ds.images), axis=1)
+    preds = np.argmax(elect_batch(net, ds), axis=1)
 
     scaled = copy.deepcopy(branches)
     for br in scaled:
         br.mlp.output_layer.weights *= 7.5  # scales every class-output by 7.5
     scaled_net = election_net(scaled, *fit_election_stats(scaled, ds))
-    preds_scaled = np.argmax(elect_batch(scaled_net, ds.images), axis=1)
+    preds_scaled = np.argmax(elect_batch(scaled_net, ds), axis=1)
     np.testing.assert_array_equal(preds, preds_scaled)
 
 
@@ -433,7 +453,7 @@ def test_build_base_network_deterministic_by_seed():
 def test_evaluate_tuning_mode():
     rng = np.random.default_rng(6)
     net = build_network(SHAPE, 10, seed=2, spacing=6, tag="")
-    ds = Dataset(random_images(rng, 30), rng.integers(0, 10, size=30), "t", 10)
+    ds = random_dataset(rng, 30)
     acc, loss = evaluate(net, ds)
     assert 0.0 <= acc <= 1.0 and np.isfinite(loss)
 

@@ -1,5 +1,10 @@
 """Forward/backward/optimizer checks against naive-loop and finite-difference oracles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +31,9 @@ from oracles import (
 # Row counts for the kernel's differential test: every tiny n (the GEMM's
 # long dimension), a ragged medium one, the eval chunk and past it.
 KERNEL_ROWS = list(range(1, 18)) + [127, 2000, 8192, 10000]
+# Row counts of the C-contiguous feature-major operand the window gather
+# hands the kernel.
+FEATURE_MAJOR_ROWS = (1, 2, 7, 128, 8192, 10000)
 
 
 def naive_forward(mlp, x):
@@ -81,7 +89,7 @@ def test_forward_batch_matches_single():
     rng = np.random.default_rng(7)
     mlp = init_branch_mlp(rng, n_classes=4)
     xs = rng.uniform(-0.5, 0.5, size=(30, 9))
-    batch = mlp_forward_batch(mlp, xs)
+    batch = mlp_forward_batch(mlp, xs.T)
     singles = np.stack([mlp_forward(mlp, x) for x in xs])
     np.testing.assert_allclose(batch, singles, rtol=0, atol=1e-12)
 
@@ -115,13 +123,14 @@ def _kernel_mlps(hidden_width=9):
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_forward_batch_is_bit_equal_to_row_major_forward(order):
     """Bit equality holds for the 9-wide MLPs the library builds; the GEMMs
-    are W @ h over 9 inputs, for any n and either input layout."""
+    are W @ h over 9 inputs, for any n and either layout of the
+    feature-major operand x.T."""
     rng = np.random.default_rng(31)
     for mlp in _kernel_mlps():
         for n in KERNEL_ROWS:
             x = np.asarray(rng.uniform(-0.5, 0.5, size=(n, mlp.in_dim)),
                            order=order)
-            got = mlp_forward_batch(mlp, x)
+            got = mlp_forward_batch(mlp, x.T)
             want = mlp_forward_batch_row_major(mlp, x)
             assert got.shape == (n, mlp.n_classes)
             assert got.flags.c_contiguous
@@ -138,7 +147,7 @@ def test_forward_batch_of_wide_mlps_agrees_to_rounding():
             for n in (2, 17, 255, 2000):
                 x = rng.uniform(-0.5, 0.5, size=(n, mlp.in_dim))
                 np.testing.assert_allclose(
-                    mlp_forward_batch(mlp, x),
+                    mlp_forward_batch(mlp, x.T),
                     mlp_forward_batch_row_major(mlp, x), rtol=1e-12,
                     atol=1e-13)
 
@@ -146,10 +155,50 @@ def test_forward_batch_of_wide_mlps_agrees_to_rounding():
 def test_forward_batch_leaves_its_input_alone():
     rng = np.random.default_rng(8)
     mlp = _kernel_mlps()[0]
-    x = rng.uniform(-0.5, 0.5, size=(50, 9))
+    x = rng.uniform(-0.5, 0.5, size=(9, 50))
     before = x.copy()
     mlp_forward_batch(mlp, x)
     assert np.array_equal(x, before)
+
+
+def feature_major_mismatches() -> list:
+    """(depth, n) of each kernel MLP and row count at which the forward on
+    a C-contiguous [9, n] operand differs in any bit from the row-major
+    forward on its [n, 9] rows."""
+    rng = np.random.default_rng(33)
+    mismatches = []
+    for mlp in _kernel_mlps():
+        for n in FEATURE_MAJOR_ROWS:
+            rows = rng.uniform(-0.5, 0.5, size=(n, mlp.in_dim))
+            got = mlp_forward_batch(mlp, np.ascontiguousarray(rows.T))
+            if not np.array_equal(got, mlp_forward_batch_row_major(mlp, rows)):
+                mismatches.append((len(mlp.hidden_layers), n))
+    return mismatches
+
+
+def test_contiguous_feature_major_forward_is_bit_equal_to_row_major():
+    """The window gather's operand is a C-contiguous [9, n] array, not the
+    transpose of [n, 9] rows; the forward on it must keep the bits."""
+    assert feature_major_mismatches() == []
+
+
+def test_contiguous_feature_major_forward_is_bit_equal_at_two_blas_threads():
+    """The same bit equality in a fresh process whose BLAS runs 2 threads:
+    the thread cap only takes effect before NumPy is first imported."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(nn_core.__file__).parents[1]), str(tests),
+         env.get("PYTHONPATH", "")])
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        env[var] = "2"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import test_nn_core; "
+         "print(test_nn_core.feature_major_mismatches())"],
+        env=env, cwd=tests, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_forward_is_pure_and_deterministic():

@@ -31,7 +31,7 @@ from namgrow.nn_core import (
     reset_optimizer_step_count,
 )
 from namgrow.training import TrainConfig, train_network
-from oracles import ignore
+from oracles import ignore, rounded_dataset
 
 N_CLASSES = 3
 SHAPE = (1, 6, 6)
@@ -50,14 +50,12 @@ def two_block_task(n_per_class, seed, tag):
         rows = slice(c * n_per_class, (c + 1) * n_per_class)
         images[rows, 0, 0:3, 0:3] += CORNER_MIX[c]
         images[rows, 0, 2:5, 2:5] += CENTER_MIX[c]
-    images = np.clip(images, -0.5, 0.5)
     order = rng.permutation(n)
-    return Dataset(images=images[order], labels=labels[order], tag=tag,
-                   n_classes=N_CLASSES)
+    return rounded_dataset(images[order], labels[order], tag, N_CLASSES)
 
 
 def rolled(dataset, tag):
-    return Dataset(images=np.roll(dataset.images, (2, 2), axis=(2, 3)),
+    return Dataset(pixels=np.roll(dataset.pixels, (2, 2), axis=(1, 2)),
                    labels=dataset.labels, tag=tag, n_classes=N_CLASSES)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from namgrow.data_io import Dataset, InputRange, extract_patches
+from namgrow.data_io import Dataset, InputRange
 from namgrow.nam_model import Branch, NamNetwork, evaluate, network_forward_batch
 from namgrow.nn_core import (
     AdamState,
@@ -23,9 +23,12 @@ from namgrow.training import (
 )
 from oracles import (
     branch_mlp,
+    draw_dataset,
+    float_images,
     ignore,
     mlp_backward,
     mlp_forward,
+    row_major_patches,
     stacked_forward,
 )
 
@@ -50,27 +53,34 @@ def small_network(seed=0):
 def synthetic_dataset(n, seed=0):
     """Images whose label is the tertile of the first patch's mean."""
     rng = np.random.default_rng(seed)
-    images = rng.uniform(-0.5, 0.5, size=(n, 1, 6, 6))
+    drawn = draw_dataset(rng, n, (1, 6, 6), labels=np.zeros(n))
+    images = float_images(drawn)
     patch_means = images[:, 0, 0:3, 0:3].reshape(n, -1).mean(axis=1)
     edges = np.quantile(patch_means, [1 / 3, 2 / 3])
     labels = np.digitize(patch_means, edges)
-    return Dataset(images=images, labels=labels, tag="synthetic", n_classes=N_CLASSES)
+    return Dataset(pixels=drawn.pixels, labels=labels, tag="synthetic",
+                   n_classes=N_CLASSES)
+
+
+def patches_of(data):
+    """Row-major windows [len(RANGES), n, 9] of every image."""
+    return row_major_patches(float_images(data), RANGES)
 
 
 class TestStackedForward:
     def test_matches_network_forward(self):
         net = small_network(seed=7)
         data = synthetic_dataset(32, seed=1)
-        patches = extract_patches(data.images, RANGES)
+        patches = patches_of(data)
         stacked = stack_network(net)
         got = stacked_forward(stacked, patches)
-        want = network_forward_batch(net, data.images)
+        want = network_forward_batch(net, data)
         assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_branches_are_bound_to_their_stacked_slices(self):
         net = small_network(seed=3)
         data = synthetic_dataset(8, seed=2)
-        before = network_forward_batch(net, data.images)
+        before = network_forward_batch(net, data)
         stacked = stack_network(net)
 
         def bound(array, stacked_array, k):
@@ -86,18 +96,18 @@ class TestStackedForward:
                 assert bound(layer.bias, stacked.hidden_biases[l], k)
             assert bound(mlp.output_layer.weights, stacked.output_weights, k)
         np.testing.assert_array_equal(
-            network_forward_batch(net, data.images), before)
+            network_forward_batch(net, data), before)
 
     def test_one_adam_step_moves_the_network_without_write_back(self):
         net = small_network(seed=4)
         data = synthetic_dataset(16, seed=3)
-        patches = extract_patches(data.images, RANGES)
-        before = network_forward_batch(net, data.images)
+        patches = patches_of(data)
+        before = network_forward_batch(net, data)
         stacked = stack_network(net)
         params = stacked.param_list()
         _, grads = stacked_loss_and_grads(stacked, patches, data.labels)
         adam_step(AdamState(params, lr=1e-2), params, grads)
-        after = network_forward_batch(net, data.images)
+        after = network_forward_batch(net, data)
         assert not np.allclose(before, after)
         assert np.max(np.abs(after - stacked_forward(stacked, patches))) <= 1e-10
 
@@ -156,7 +166,7 @@ class TestStackedGradients:
     def test_matches_per_branch_backward_oracle(self):
         net = small_network(seed=11)
         data = synthetic_dataset(6, seed=5)
-        patches = extract_patches(data.images, RANGES)
+        patches = patches_of(data)
         stacked = stack_network(net)
         loss, grads = stacked_loss_and_grads(stacked, patches, data.labels)
         oracle_loss, oracle = self.oracle_grads(net, patches, data.labels)
@@ -171,7 +181,7 @@ class TestStackedGradients:
     def test_gradient_shapes_match_params(self):
         net = small_network(seed=2)
         data = synthetic_dataset(4, seed=3)
-        patches = extract_patches(data.images, RANGES)
+        patches = patches_of(data)
         stacked = stack_network(net)
         _, grads = stacked_loss_and_grads(stacked, patches, data.labels)
         params = stacked.param_list()
@@ -198,20 +208,20 @@ class TestTrainNetwork:
         for _ in range(2):
             net = small_network(seed=21)
             history = train_network(net, data, config, data, on_epoch=ignore)
-            runs.append((history, network_forward_batch(net, data.images)))
+            runs.append((history, network_forward_batch(net, data)))
         assert runs[0][0] == runs[1][0]
         np.testing.assert_array_equal(runs[0][1], runs[1][1])
 
     def test_zero_epochs_changes_nothing(self):
         net = small_network(seed=5)
         data = synthetic_dataset(32, seed=6)
-        before = network_forward_batch(net, data.images)
+        before = network_forward_batch(net, data)
         reset_optimizer_step_count()
         history = train_network(net, data, TrainConfig(epochs=0), data,
                                 on_epoch=ignore)
         assert history == []
         assert optimizer_step_count() == 0
-        np.testing.assert_array_equal(before, network_forward_batch(net, data.images))
+        np.testing.assert_array_equal(before, network_forward_batch(net, data))
 
     def test_optimizer_step_accounting(self):
         net = small_network(seed=6)
@@ -221,6 +231,30 @@ class TestTrainNetwork:
                       on_epoch=ignore)
         # 70 samples in batches of 32 -> 3 batches per epoch.
         assert optimizer_step_count() == 6
+
+    def test_steps_equal_a_loop_over_row_major_minibatch_windows(self):
+        """Training gathers each minibatch's windows from the pixels and
+        steps exactly as on the row-major windows of the float images."""
+        data = synthetic_dataset(70, seed=12)
+        config = TrainConfig(epochs=2, batch_size=32, learning_rate=3e-3,
+                             seed=5)
+        net = small_network(seed=13)
+        train_network(net, data, config, data, on_epoch=ignore)
+        oracle = small_network(seed=13)
+        stacked = stack_network(oracle)
+        params = stacked.param_list()
+        state = AdamState(params, lr=config.learning_rate)
+        rng = np.random.default_rng(config.seed)
+        patches = patches_of(data)
+        for _ in range(config.epochs):
+            order = rng.permutation(data.n)
+            for start in range(0, data.n, config.batch_size):
+                idx = order[start:start + config.batch_size]
+                _, grads = stacked_loss_and_grads(stacked, patches[:, idx],
+                                                  data.labels[idx])
+                adam_step(state, params, grads)
+        for got, want in zip(stack_network(net).param_list(), params):
+            assert got.tobytes() == want.tobytes()
 
     def test_evaluate_stacked_agrees_with_network_evaluate(self):
         net = small_network(seed=8)
@@ -242,7 +276,7 @@ class TestTrainNetwork:
         net = small_network()
         data = synthetic_dataset(12)
         bad = Dataset(
-            images=data.images,
+            pixels=data.pixels,
             labels=data.labels,
             tag="bad",
             n_classes=N_CLASSES + 2,
