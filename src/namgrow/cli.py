@@ -378,7 +378,8 @@ def cmd_growth(args, cfg) -> int:
     """`grow` and `transfer`: grow a network from a checkpoint's branches
     and write the run's outputs."""
     from .checkpoint import load_checkpoint, save_checkpoint
-    from .growth import run_growth, source_branches, transfer_task
+    from .growth import check_draws, run_growth, source_branches, \
+        transfer_task
     from .nam_model import parameter_count
     from .nn_core import optimizer_step_count, reset_optimizer_step_count
 
@@ -393,6 +394,7 @@ def cmd_growth(args, cfg) -> int:
         run = functools.partial(run_growth,
                                 max_iterations=None if limit < 0 else limit)
     growth_config = _growth_config(cfg)
+    check_draws(train, growth_config)
     cluster_table = None
     if args.cluster_cache:
         cluster_table = _load_cluster_cache(args.cluster_cache,

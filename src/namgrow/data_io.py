@@ -8,6 +8,7 @@ reader, scales to [-0.5, 0.5] via x/255 - 0.5.
 
 from __future__ import annotations
 
+import functools
 import gzip
 import hashlib
 from dataclasses import dataclass
@@ -206,7 +207,9 @@ def base_grid_ranges(shape: tuple[int, int, int],
 
 def range_flat_indices(input_range: InputRange,
                        shape: tuple[int, int, int]) -> np.ndarray:
-    """Flat pixel indices (into a flattened [C*H*W] image) of one window, row-major."""
+    """Flat pixel indices (into a flattened [C*H*W] image) of one window,
+    row-major, read-only.  The range is checked on every call; the indices
+    are derived once per window and image shape."""
     channels, height, width = shape
     r = input_range
     if not all(isinstance(v, (int, np.integer)) for v in r.as_tuple()):
@@ -215,11 +218,18 @@ def range_flat_indices(input_range: InputRange,
             and 0 <= r.row_start <= height - r.size
             and 0 <= r.col_start <= width - r.size):
         raise ValueError(f"input range {r} out of bounds for shape {shape}")
-    rows = np.arange(r.row_start, r.row_start + r.size)
-    cols = np.arange(r.col_start, r.col_start + r.size)
-    grid = (r.channel * height * width
-            + rows[:, None] * width + cols[None, :])
-    return grid.reshape(-1)
+    return _window_indices(*r.as_tuple(), height, width)
+
+
+@functools.cache
+def _window_indices(channel: int, row: int, col: int, size: int,
+                    height: int, width: int) -> np.ndarray:
+    rows = np.arange(row, row + size)
+    cols = np.arange(col, col + size)
+    grid = channel * height * width + rows[:, None] * width + cols[None, :]
+    grid = grid.reshape(-1)
+    grid.flags.writeable = False
+    return grid
 
 
 def extract_patches(data: Dataset, ranges: list[InputRange],

@@ -195,9 +195,11 @@ class GrowthState:
     `votes[j]` holds selection sample j's summed class-output at its own
     label, before any z-scoring, which weighs the qualification gates.
     Like the splits' scores, the votes change only when a batch is kept.
-    An iteration's number is the count of records before it.  The branch
-    points and candidate records are the last iteration's only, so a run
-    holds none of them beyond the iteration that made them.
+    The selection set is the train split's `selection_columns`;
+    `rest_columns` are its other columns, ascending.  An iteration's number
+    is the count of records before it.  The branch points and candidate
+    records are the last iteration's only, so a run holds none of them
+    beyond the iteration that made them.
     """
 
     net: NamNetwork
@@ -206,23 +208,21 @@ class GrowthState:
     train: ScoredSplit
     test: ScoredSplit
     votes: np.ndarray
+    selection_columns: np.ndarray
+    rest_columns: np.ndarray
     rng: np.random.Generator
     records: list = field(default_factory=list)
     branch_points: list = field(default_factory=list)
     candidate_records: list = field(default_factory=list)
 
 
-def build_selection_set(dataset: Dataset, size: int, seed) -> Dataset:
-    """Class-balanced random subset of `dataset`, deterministic per seed
-    (any seed accepted by numpy's default_rng)."""
-    if size > dataset.n:
-        raise ValueError(f"selection size {size} exceeds dataset size {dataset.n}")
-    if size % dataset.n_classes != 0:
-        raise ValueError(
-            f"selection size {size} not divisible by {dataset.n_classes} classes")
-    picks = _draw_per_class(dataset, size // dataset.n_classes,
+def draw_selection(dataset: Dataset, size: int, seed) -> np.ndarray:
+    """Column indices in `dataset` of a class-balanced random selection
+    set, classes in order, deterministic per seed (any seed accepted by
+    numpy's default_rng)."""
+    picks = _draw_per_class(dataset, _selection_per_class(dataset, size),
                             np.random.default_rng(seed), "selection")
-    return dataset.subset(np.concatenate(picks), tag=f"{dataset.tag}-selection")
+    return np.concatenate(picks)
 
 
 def draw_reference_images(dataset: Dataset, per_class: int,
@@ -233,18 +233,41 @@ def draw_reference_images(dataset: Dataset, per_class: int,
             for c, idx in enumerate(picks)}
 
 
-def _draw_per_class(dataset: Dataset, per_class: int,
-                    rng: np.random.Generator, purpose: str) -> list[np.ndarray]:
-    """`per_class` distinct sample indices of each class, classes in order;
-    `purpose` names the draw when a class is too small."""
-    picks = []
-    for c in range(dataset.n_classes):
-        pool = np.flatnonzero(dataset.labels == c)
+def check_draws(train_set: Dataset, config: GrowthConfig) -> None:
+    """Raise the ValueError that a run's selection or reference draw would
+    raise on `train_set`, before the run does any work."""
+    per_class = _selection_per_class(train_set, config.selection_size)
+    _class_pools(train_set, per_class, "selection")
+    _class_pools(train_set, config.reference_per_class, "matching")
+
+
+def _selection_per_class(dataset: Dataset, size: int) -> int:
+    if size > dataset.n:
+        raise ValueError(f"selection size {size} exceeds dataset size {dataset.n}")
+    if size % dataset.n_classes != 0:
+        raise ValueError(
+            f"selection size {size} not divisible by {dataset.n_classes} classes")
+    return size // dataset.n_classes
+
+
+def _class_pools(dataset: Dataset, per_class: int,
+                 purpose: str) -> list[np.ndarray]:
+    """Each class's sample indices, classes in order; `purpose` names the
+    draw when a class has fewer than `per_class`."""
+    pools = [np.flatnonzero(dataset.labels == c)
+             for c in range(dataset.n_classes)]
+    for c, pool in enumerate(pools):
         if pool.size < per_class:
             raise ValueError(
                 f"class {c} has {pool.size} samples, {purpose} needs {per_class}")
-        picks.append(rng.choice(pool, size=per_class, replace=False))
-    return picks
+    return pools
+
+
+def _draw_per_class(dataset: Dataset, per_class: int,
+                    rng: np.random.Generator, purpose: str) -> list[np.ndarray]:
+    """`per_class` distinct sample indices of each class, classes in order."""
+    return [rng.choice(pool, size=per_class, replace=False)
+            for pool in _class_pools(dataset, per_class, purpose)]
 
 
 def match_candidates(input_range: InputRange, ref_images_by_class,
@@ -329,13 +352,15 @@ def candidate_streams(ranges, ref_images_by_class, summary_pairs,
     return [map(transferred, branch_winners) for branch_winners in filed]
 
 
-def start_growth(net: NamNetwork, selection: Dataset, config: GrowthConfig,
-                 train_set: Dataset, test_set: Dataset,
+def start_growth(net: NamNetwork, selection_columns: np.ndarray,
+                 config: GrowthConfig, train_set: Dataset, test_set: Dataset,
                  rng: np.random.Generator) -> GrowthState:
-    """Score the network on every split and open a growth run.
+    """Score the network on the train and test splits and open a growth run
+    whose selection set is the train split's `selection_columns`.
 
-    An election network starts empty, so in either mode the selection
-    scores are the summed class-outputs the votes are read from."""
+    A sample's scores do not depend on the others', so the selection's are
+    its rows of the train scores.  An election network starts empty, so in
+    either mode they are the summed class-outputs the votes are read from."""
     if net.mode == "election" and net.branches:
         raise ValueError(f"an election network grows from no branches, "
                          f"not {net.n_branches}")
@@ -345,12 +370,17 @@ def start_growth(net: NamNetwork, selection: Dataset, config: GrowthConfig,
                   else np.zeros((data.n, net.n_classes)))
         return ScoredSplit(data, scores)
 
-    sel = scored(selection)
-    return GrowthState(net=net, config=config, selection=sel,
-                       train=scored(train_set), test=scored(test_set),
+    train = scored(train_set)
+    selection = train_set.subset(selection_columns,
+                                 tag=f"{train_set.tag}-selection")
+    sel = ScoredSplit(selection, train.scores[selection_columns])
+    rest = np.setdiff1d(np.arange(train_set.n), selection_columns)
+    return GrowthState(net=net, config=config, selection=sel, train=train,
+                       test=scored(test_set),
                        votes=sel.scores[np.arange(selection.n),
                                         selection.labels],
-                       rng=rng)
+                       selection_columns=selection_columns,
+                       rest_columns=rest, rng=rng)
 
 
 def _flag_stat_rows(p: float, target_class: int,
@@ -460,13 +490,14 @@ def _finish_iteration(state: GrowthState,
 
     The branches are fitted on the train split: tuning mode tunes their
     masks, election mode fits each branch the flag statistics that z-score
-    its outputs.  The batch is kept only when the selection-set loss did
-    not increase and, in election mode, the selection-set accuracy did not
-    drop, so both are monotone there.  The selection trial is scored on a
-    copy of the selection scores.  Only a kept batch joins the network: the
-    trial becomes the selection split, and the batch is added to the votes
-    and to the train and test splits; a rolled-back one leaves them as they
-    were.
+    its outputs.  A branch's train values reuse its selection values and
+    forward only the other train columns.  The batch is kept only when the
+    selection-set loss did not increase and, in election mode, the
+    selection-set accuracy did not drop, so both are monotone there.  The
+    selection trial is scored on a copy of the selection scores.  Only a
+    kept batch joins the network: the trial becomes the selection split,
+    and the batch is added to the votes and to the train and test splits;
+    a rolled-back one leaves them as they were.
     """
     if not tentative:
         return []
@@ -474,7 +505,7 @@ def _finish_iteration(state: GrowthState,
     mode = net.mode
     iteration = len(state.records)
     branches = [t.branch for t in tentative]
-    raw_fit = [branch_output(branch, state.train.data) for branch in branches]
+    raw_fit = [_train_values(state, t) for t in tentative]
     if mode == "election":
         for branch, raw in zip(branches, raw_fit):
             flags = added_branch_output(branch, raw, mode)
@@ -514,6 +545,17 @@ def _finish_iteration(state: GrowthState,
             iteration=iteration, branch_count=base_count + k + 1,
             accuracy=test.accuracy, loss=test.loss))
     return points
+
+
+def _train_values(state: GrowthState, t: _Tentative) -> np.ndarray:
+    """A tentative branch's raw values on the train split, forwarding only
+    the columns outside the selection set."""
+    train = state.train.data
+    raw = np.empty(train.n)
+    raw[state.selection_columns] = t.values_sel
+    raw[state.rest_columns] = branch_output(t.branch, train,
+                                            state.rest_columns)
+    return raw
 
 
 def mask_gradients(frozen_logits: np.ndarray, labels: np.ndarray,
@@ -667,19 +709,21 @@ def _grow(source_net: NamNetwork, net: NamNetwork, train_set: Dataset,
     transfer = net.mode == "election"
     sources = source_branches(source_net, transfer)
     seeds = np.random.SeedSequence(config.seed).spawn(4)
-    selection = build_selection_set(train_set, config.selection_size, seeds[0])
-    state = start_growth(net, selection, config, train_set, test_set,
+    columns = draw_selection(train_set, config.selection_size, seeds[0])
+    state = start_growth(net, columns, config, train_set, test_set,
                          np.random.default_rng(seeds[3]))
     if max_iterations == 0:
         return state
     started = list(source_net.branches)
     start_hash = frozen_parameter_hash(started)
+    # The references have their own seed: drawn before clustering, they
+    # are the same draws, and a split too small for them fails first.
+    refs = draw_reference_images(train_set, config.reference_per_class,
+                                 np.random.default_rng(seeds[2]))
     if cluster_table is None:
         log.info("clustering %d branch MLPs", len(sources))
         cluster_table = source_cluster_table([br.mlp for br in sources],
                                              config)
-    refs = draw_reference_images(train_set, config.reference_per_class,
-                                 np.random.default_rng(seeds[2]))
     pairs = [(i, summary) for i, summaries in enumerate(cluster_table)
              for summary in summaries]
     ranges = base_grid_ranges(net.input_shape, 1)

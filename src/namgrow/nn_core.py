@@ -6,12 +6,19 @@ mutates its own state and the parameter arrays it is given.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 # Module-level odometer so pipelines can prove they never trained anything.
 _OPTIMIZER_STEPS = 0
+
+# Columns per hidden-layer pass of the forward.  A [9, 1024] float64
+# temporary is 72 KiB: below glibc's 128 KiB mmap threshold, so it is
+# reused from the heap instead of being mapped, faulted in and unmapped on
+# every call, and it stays in L2.
+_FORWARD_BLOCK = 1024
 
 
 def optimizer_step_count() -> int:
@@ -113,22 +120,34 @@ def init_branch_mlp(rng: np.random.Generator, n_classes: int) -> BranchMlp:
 def mlp_forward_batch(mlp: BranchMlp, x: np.ndarray) -> np.ndarray:
     """Vectorised forward over the columns of x [in_dim, n] -> [n, n_classes].
 
-    The hidden layers run feature-major: each is one GEMM W @ h whose long
-    dimension is n, then the bias and ReLU in place.  The output layer reads
-    h.T, so the result is a C-ordered [n, n_classes] array, as the row-major
-    forward h @ W.T + b on x.T returns.  For the library's 9-wide MLPs the
-    two agree bit for bit at any n and BLAS thread count and in either
-    memory order of x; wider layers can differ in the last bits.
+    The hidden layers run feature-major over blocks of _FORWARD_BLOCK
+    columns: each is one GEMM W @ h whose long dimension is the block, then
+    the bias and ReLU in place.  The output layer reads h.T into the
+    block's rows of one C-ordered [n, n_classes] result, as the row-major
+    forward h @ W.T + b on x.T returns.  Each column is the same dot
+    products whatever the block, so for the library's 9-wide MLPs the two
+    agree bit for bit at any n and BLAS thread count and in either memory
+    order of x; wider layers can differ in the last bits.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != mlp.in_dim:
         raise ValueError(f"input shape {x.shape}, expected ({mlp.in_dim}, n)")
-    h = x
-    for layer in mlp.hidden_layers:
-        h = layer.weights @ h
-        h += layer.bias[:, None]
-        np.maximum(h, 0.0, out=h)
-    return h.T @ mlp.output_layer.weights.T
+    n = x.shape[1]
+    out = np.empty((n, mlp.n_classes))
+    w_out = mlp.output_layer.weights.T
+    # A lone last column would take BLAS's matrix-vector kernels, whose sums
+    # can round differently from the GEMM's, so it joins the block before.
+    stops = range(_FORWARD_BLOCK, n - 1, _FORWARD_BLOCK)
+    lo = 0
+    for hi in itertools.chain(stops, [n]):
+        h = x[:, lo:hi]
+        for layer in mlp.hidden_layers:
+            h = layer.weights @ h
+            h += layer.bias[:, None]
+            np.maximum(h, 0.0, out=h)
+        np.matmul(h.T, w_out, out=out[lo:hi])
+        lo = hi
+    return out
 
 
 def _cross_entropy_terms(logits: np.ndarray, labels: np.ndarray

@@ -15,17 +15,33 @@ gates never gate acceptance; they live with the tests, in `tests/oracles.py`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 
 def branch_threshold(values: np.ndarray, top_fraction: float) -> float:
-    """Output level above which the top `top_fraction` of samples sit."""
+    """Output level above which the top `top_fraction` of samples sit.
+
+    This is `np.quantile(values, 1 - top_fraction)`, its default linear
+    method, computed as NumPy computes it but from one partition of a copy:
+    the same virtual index, neighbour indices (-1, the maximum, at or past
+    the last), kth list, NaN rule and interpolation, so the same bits.
+    """
     if not 0.0 < top_fraction < 1.0:
         raise ValueError("top_fraction must be in (0, 1)")
-    return float(np.quantile(np.asarray(values, dtype=np.float64),
-                             1.0 - top_fraction))
+    values = np.array(values, dtype=np.float64).ravel()
+    n = values.size
+    virtual = (n - 1) * (1.0 - top_fraction)
+    below = -1 if virtual >= n - 1 else math.floor(virtual)
+    above = -1 if below == -1 else below + 1
+    values.partition(sorted({0, -1, below, above}))
+    if np.isnan(values[-1]):
+        return float(values[-1])
+    a, b, t = values[below], values[above], virtual - below
+    diff = b - a
+    return float(a + diff * t if t < 0.5 else b - diff * (1 - t))
 
 
 @dataclass

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import namgrow
+from namgrow import growth
 from namgrow.cli import DEFAULT_CONFIG, main
 
 BLOCKS = [(0, 0), (0, 6), (6, 0), (6, 6), (0, 3),
@@ -1030,6 +1031,40 @@ class TestErrorPaths:
         errors = [r.getMessage() for r in caplog.records
                   if r.levelname == "ERROR"]
         assert errors == [f"growth/cluster config: {message}"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["grow", "transfer"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("selection_size", "105",
+         "selection size 105 not divisible by 10 classes"),
+        ("selection_size", "310", "selection size 310 exceeds dataset size "
+         "300"),
+        ("reference_per_class", "31",
+         "class 0 has 30 samples, matching needs 31"),
+    ])
+    def test_draw_the_train_split_cannot_supply_is_a_data_error(
+            self, tmp_path, config_file, base_run, caplog, monkeypatch,
+            command, key, value, message):
+        """A selection or reference draw that the loaded train split (30
+        images per class) cannot supply is refused before any clustering,
+        and the run creates no output directory."""
+        clustered = []
+        monkeypatch.setattr(growth, "cluster_network",
+                            lambda *args: clustered.append(args))
+        cfg = configparser.ConfigParser()
+        cfg.read(config_file)
+        cfg["growth"][key] = value
+        bad = tmp_path / "bad.ini"
+        with open(bad, "w") as fh:
+            cfg.write(fh)
+        code = main([command, "--config", str(bad),
+                     "--checkpoint", str(base_run / "checkpoint.json"),
+                     "--out-dir", str(tmp_path / "out"), "--seed", "3"])
+        assert code == 2
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert errors == [message]
+        assert clustered == []
         assert not (tmp_path / "out").exists()
 
     def test_missing_data_dir_is_data_error(self, tmp_path, base_run):

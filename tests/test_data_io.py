@@ -293,6 +293,24 @@ def test_range_flat_indices_bounds():
     assert idx[0] == 32 * 32 and idx.shape == (9,)
 
 
+def test_window_indices_are_derived_once_and_checked_every_time():
+    """Each (window, shape) derives its read-only indices once; the range
+    is still checked on every call, also one equal to a derived window."""
+    shape = (3, 32, 32)
+    first = range_flat_indices(InputRange(1, 2, 3), shape)
+    assert range_flat_indices(InputRange(1, 2, 3), shape) is first
+    assert not first.flags.writeable
+    other = range_flat_indices(InputRange(1, 2, 3), (3, 32, 33))
+    assert other is not first and other[3] == 32 * 33 + 3 * 33 + 3
+    with pytest.raises(ValueError) as exc:
+        range_flat_indices(InputRange(1, 2.0, 3), shape)
+    assert str(exc.value) == "input range (1, 2.0, 3, 3) has non-integer fields"
+    with pytest.raises(ValueError) as exc:
+        range_flat_indices(InputRange(1, 2, 3), (1, 32, 32))
+    assert str(exc.value) == ("input range c1[2:5,3:6] out of bounds for "
+                              "shape (1, 32, 32)")
+
+
 def test_dataset_validation():
     pixels = np.zeros((1, 4, 4, 2), dtype=np.uint8)
     with pytest.raises(ValueError, match="label out of range"):

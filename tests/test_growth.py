@@ -12,9 +12,9 @@ from namgrow.growth import (
     CandidateBranch,
     GrowthConfig,
     IterationRecord,
-    build_selection_set,
     candidate_streams,
     draw_reference_images,
+    draw_selection,
     frozen_parameter_hash,
     grow_iteration,
     mask_gradients,
@@ -35,6 +35,7 @@ from namgrow.nam_model import (
     ClassMask,
     NamNetwork,
     apply_class_mask,
+    branch_output,
     evaluate,
     network_forward_batch,
     network_scores,
@@ -119,21 +120,31 @@ def patch_mean_dataset(means_by_class, n_per_class, noise=0.02, seed=0,
                            tag, len(means_by_class))
 
 
+def selection_set(data, size, seed):
+    """The selection set `draw_selection` picks from `data`."""
+    return data.subset(draw_selection(data, size, seed),
+                       tag=f"{data.tag}-selection")
+
+
 def fresh_state(mode="tuning", selection=None, test_set=None, train_set=None,
-                **config_kw):
-    """A growth run on an empty network; the selection set stands in for
-    the train and test splits that are not given."""
-    config = GrowthConfig(selection_size=selection.n,
+                columns=None, **config_kw):
+    """A growth run on an empty network.  The selection set is the given
+    train split's `columns`; without one, `selection` stands in for the
+    train split, as all of its columns.  The selection set also stands in
+    for a test split that is not given."""
+    if train_set is None:
+        train_set, columns = selection, np.arange(selection.n)
+    config = GrowthConfig(selection_size=len(columns),
                           max_per_iteration=config_kw.pop("max_per_iteration", 64),
                           tuning_epochs=config_kw.pop("tuning_epochs", 2),
                           **config_kw)
-    net = NamNetwork(n_classes=selection.n_classes,
-                     input_shape=selection.shape, mode=mode)
-    return start_growth(
-        net, selection, config,
-        train_set=selection if train_set is None else train_set,
-        test_set=selection if test_set is None else test_set,
-        rng=np.random.default_rng(config.seed))
+    net = NamNetwork(n_classes=train_set.n_classes,
+                     input_shape=train_set.shape, mode=mode)
+    if test_set is None:
+        test_set = train_set.subset(columns, tag="selection")
+    return start_growth(net, columns, config, train_set=train_set,
+                        test_set=test_set,
+                        rng=np.random.default_rng(config.seed))
 
 
 class TestSelectionSet:
@@ -141,33 +152,33 @@ class TestSelectionSet:
         return patch_mean_dataset([0.3, 0.0, -0.3], n_per_class, seed=3)
 
     def test_size_equal_to_classes_gives_one_per_class(self):
-        sel = build_selection_set(self.make(), N_CLASSES, seed=0)
+        sel = selection_set(self.make(), N_CLASSES, seed=0)
         assert sorted(sel.labels.tolist()) == [0, 1, 2]
 
     def test_same_seed_identical_subset(self):
         data = self.make()
-        a = build_selection_set(data, 30, seed=5)
-        b = build_selection_set(data, 30, seed=5)
+        a = selection_set(data, 30, seed=5)
+        b = selection_set(data, 30, seed=5)
         np.testing.assert_array_equal(a.pixels, b.pixels)
         np.testing.assert_array_equal(a.labels, b.labels)
-        c = build_selection_set(data, 30, seed=6)
+        c = selection_set(data, 30, seed=6)
         assert not np.array_equal(a.pixels, c.pixels)
 
     def test_histogram_exactly_uniform(self):
-        sel = build_selection_set(self.make(), 60, seed=1)
+        sel = selection_set(self.make(), 60, seed=1)
         assert np.bincount(sel.labels, minlength=N_CLASSES).tolist() == [20, 20, 20]
 
     def test_errors(self):
         data = self.make(n_per_class=10)
         with pytest.raises(ValueError, match="divisible"):
-            build_selection_set(data, 10, seed=0)
+            draw_selection(data, 10, seed=0)
         with pytest.raises(ValueError, match="exceeds"):
-            build_selection_set(data, 300, seed=0)
+            draw_selection(data, 300, seed=0)
         lopsided = Dataset(pixels=data.pixels,
                            labels=np.where(data.labels == 0, 1, data.labels),
                            tag="lopsided", n_classes=N_CLASSES)
         with pytest.raises(ValueError, match="class 0"):
-            build_selection_set(lopsided, 6, seed=0)
+            draw_selection(lopsided, 6, seed=0)
 
     def test_reference_images_shape_and_determinism(self):
         data = self.make()
@@ -386,22 +397,22 @@ def test_source_cluster_table_logs_its_totals(caplog):
 
 
 def test_start_growth_refuses_an_election_network_with_branches():
-    selection = build_selection_set(
-        patch_mean_dataset([0.4, -0.2, -0.4], 20), 30, seed=0)
+    data = patch_mean_dataset([0.4, -0.2, -0.4], 20)
+    columns = draw_selection(data, 30, seed=0)
     branch = Branch(ramp_mlp(1), RANGE0,
                     election_stats=(np.zeros(N_CLASSES), np.ones(N_CLASSES)))
-    net = NamNetwork(N_CLASSES, selection.shape, mode="election",
+    net = NamNetwork(N_CLASSES, data.shape, mode="election",
                      branches=[branch])
     with pytest.raises(ValueError) as exc:
-        start_growth(net, selection, GrowthConfig(selection_size=selection.n),
-                     selection, selection, np.random.default_rng(0))
+        start_growth(net, columns, GrowthConfig(selection_size=30), data,
+                     data, np.random.default_rng(0))
     assert str(exc.value) == ("an election network grows from no branches, "
                               "not 1")
 
 
 class TestGrowIterationTuning:
     def test_empty_candidates_appends_record(self):
-        selection = build_selection_set(
+        selection = selection_set(
             patch_mean_dataset([0.4, -0.2, -0.4], 20), 30, seed=0)
         state = fresh_state(selection=selection)
         record = grow_iteration(state, [])
@@ -414,7 +425,7 @@ class TestGrowIterationTuning:
     def test_separating_candidate_accepted_and_raises_target_logits(self):
         data = patch_mean_dataset([0.4, -0.2, -0.4], 40, seed=1)
         test = patch_mean_dataset([0.4, -0.2, -0.4], 15, seed=2, tag="test")
-        selection = build_selection_set(data, 60, seed=0)
+        selection = selection_set(data, 60, seed=0)
         state = fresh_state(selection=selection, test_set=test)
         mlp = ramp_mlp(branch_class=1)
         record = grow_iteration(state, [hand_candidate(mlp, 1, 0)])
@@ -441,7 +452,7 @@ class TestGrowIterationTuning:
 
     def test_constant_candidate_rejected(self):
         data = patch_mean_dataset([0.4, -0.2, -0.4], 20, seed=1)
-        selection = build_selection_set(data, 30, seed=0)
+        selection = selection_set(data, 30, seed=0)
         state = fresh_state(selection=selection)
         record = grow_iteration(state, [hand_candidate(constant_mlp(1), 1, 0)])
         assert record.accepted == 0 and record.rejected == 1
@@ -452,7 +463,7 @@ class TestGrowIterationTuning:
 
     def test_max_per_iteration_caps_consumption(self):
         data = patch_mean_dataset([0.4, -0.2, -0.4], 40, seed=1)
-        selection = build_selection_set(data, 60, seed=0)
+        selection = selection_set(data, 60, seed=0)
         state = fresh_state(selection=selection, max_per_iteration=1,
                             tuning_epochs=0)
         candidates = [hand_candidate(ramp_mlp(1, scale=s), 1, 0)
@@ -497,7 +508,7 @@ class TestGrowIterationTuning:
 
     def test_selection_loss_series_non_increasing(self):
         data = patch_mean_dataset([0.4, -0.2, -0.4], 40, seed=1)
-        selection = build_selection_set(data, 60, seed=0)
+        selection = selection_set(data, 60, seed=0)
         state = fresh_state(selection=selection, max_per_iteration=1)
         candidates = [
             hand_candidate(ramp_mlp(1), 1, 0),
@@ -685,7 +696,7 @@ class TestAcceptanceRule:
         selection (accuracy, loss) are the batch's own plus `shift`, or the
         empty network's when `shift` is None."""
         means, target = self.TASKS[mode]
-        selection = build_selection_set(patch_mean_dataset(means, 40, seed=1),
+        selection = selection_set(patch_mean_dataset(means, 40, seed=1),
                                         60, seed=0)
         state = fresh_state(mode, selection)
         if shift is not None:
@@ -702,7 +713,7 @@ class TestAcceptanceRule:
 
     def batch_metrics(self, mode):
         means, target = self.TASKS[mode]
-        selection = build_selection_set(patch_mean_dataset(means, 40, seed=1),
+        selection = selection_set(patch_mean_dataset(means, 40, seed=1),
                                         60, seed=0)
         state = fresh_state(mode, selection)
         record = grow_iteration(state, [hand_candidate(ramp_mlp(1), 1, target)])
@@ -747,10 +758,10 @@ class TestScoreCaches:
         them."""
         train = two_window_dataset(40, seed=1, tag="train")
         test = two_window_dataset(20, seed=2, tag="test")
-        selection = build_selection_set(train, 60, seed=0)
-        state = fresh_state(mode, selection, test_set=test,
-                            train_set=train, max_per_iteration=1,
-                            tuning_epochs=1)
+        state = fresh_state(mode, test_set=test, train_set=train,
+                            columns=draw_selection(train, 60, seed=0),
+                            max_per_iteration=1, tuning_epochs=1)
+        selection = state.selection.data
         candidates = iter([hand_candidate(ramp_mlp(1), 1, target, r)
                            for r in base_grid_ranges(selection.shape, 1)
                            for target in range(N_CLASSES)])
@@ -780,15 +791,79 @@ class TestScoreCaches:
                 network_scores(net, test), test.labels)
         assert kept >= 2 and rolled_back >= 1
 
+    def grow_recording_train_fits(self, state, monkeypatch):
+        """Run `state` over every window's candidates; returns each
+        tentative branch with its train values, and the column count of
+        every forward over the train split."""
+        train = state.train.data
+        fits, forwarded = [], []
+
+        def recording_train_values(state, t):
+            values = real_train_values(state, t)
+            fits.append((t.branch, values))
+            return values
+
+        def counting_branch_output(branch, data, columns=slice(None)):
+            out = real_branch_output(branch, data, columns)
+            if data is train:
+                forwarded.append(len(out))
+            return out
+
+        real_train_values = growth._train_values
+        real_branch_output = growth.branch_output
+        monkeypatch.setattr(growth, "_train_values", recording_train_values)
+        monkeypatch.setattr(growth, "branch_output", counting_branch_output)
+        candidates = iter([hand_candidate(ramp_mlp(1), 1, target, r)
+                           for r in base_grid_ranges(train.shape, 1)
+                           for target in range(N_CLASSES)])
+        while grow_iteration(state, candidates).candidates_seen:
+            pass
+        return fits, forwarded
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_train_fits_forward_only_the_columns_outside_the_selection(
+            self, mode, monkeypatch):
+        """Each tentative branch's train values are a full forward's, bit
+        for bit, though the train split's forward gets only the columns
+        outside the selection set: the selection's values are reused."""
+        train = two_window_dataset(40, seed=1, tag="train")
+        state = fresh_state(mode, train_set=train,
+                            columns=draw_selection(train, 30, seed=0),
+                            max_per_iteration=2, tuning_epochs=1)
+        fits, forwarded = self.grow_recording_train_fits(state, monkeypatch)
+        assert len(fits) >= 2
+        for branch, values in fits:
+            assert values.tobytes() == branch_output(branch, train).tobytes()
+        assert forwarded == [train.n - 30] * len(fits)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_selection_of_the_whole_train_split_forwards_no_column(
+            self, mode, monkeypatch):
+        """With no train column outside the selection set, the train values
+        are the selection's, scattered back to the train split's order."""
+        train = two_window_dataset(20, seed=1, tag="train")
+        state = fresh_state(mode, train_set=train,
+                            columns=draw_selection(train, train.n, seed=0),
+                            max_per_iteration=2, tuning_epochs=1)
+        assert state.rest_columns.size == 0
+        fits, forwarded = self.grow_recording_train_fits(state, monkeypatch)
+        assert state.net.n_branches >= 1
+        for branch, values in fits:
+            assert values.tobytes() == branch_output(branch, train).tobytes()
+        assert forwarded == [0] * len(fits)
+        assert np.array_equal(state.train.scores,
+                              network_scores(state.net, train))
+
     @pytest.mark.parametrize("mode", MODES)
     def test_kept_branches_share_their_source_layers(self, mode):
         """A kept branch holds its candidate's MLP as it is: the candidate's
         own first layer on top of the source's deeper layer objects, as
         `candidate_streams` builds them, with nothing copied."""
         train = two_window_dataset(40, seed=1, tag="train")
-        selection = build_selection_set(train, 60, seed=0)
-        state = fresh_state(mode, selection, train_set=train,
+        state = fresh_state(mode, train_set=train,
+                            columns=draw_selection(train, 60, seed=0),
                             max_per_iteration=2, tuning_epochs=1)
+        selection = state.selection.data
         source = ramp_mlp(1)
         first = source.hidden_layers[0]
 
@@ -822,9 +897,10 @@ class TestScoreCaches:
         selection label, plus the outputs of the candidates qualified
         earlier in the same iteration, on their target-label rows only."""
         train = two_window_dataset(40, seed=1, tag="train")
-        selection = build_selection_set(train, 60, seed=0)
-        state = fresh_state(mode, selection, train_set=train,
+        state = fresh_state(mode, train_set=train,
+                            columns=draw_selection(train, 60, seed=0),
                             tuning_epochs=1)
+        selection = state.selection.data
         calls = []
 
         def recording_qualify(values, labels, target_class, votes, mode,
@@ -865,7 +941,7 @@ class TestScoreCaches:
 class TestGrowIterationElection:
     def test_bootstrap_accepts_separator_and_fits_exact_stats(self):
         data = patch_mean_dataset([-0.2, -0.4, 0.4], 40, seed=1)
-        selection = build_selection_set(data, 60, seed=0)
+        selection = selection_set(data, 60, seed=0)
         state = fresh_state(mode="election", selection=selection)
         reset_optimizer_step_count()
         record = grow_iteration(state, [hand_candidate(ramp_mlp(1), 1, 2)])
@@ -889,9 +965,10 @@ class TestGrowIterationElection:
         """Each kept branch carries `_flag_stat_rows` of the flags it
         raises on the train split, not on the selection set."""
         train = two_window_dataset(40, seed=1, tag="train")
-        selection = build_selection_set(train, 30, seed=0)
-        state = fresh_state("election", selection, train_set=train,
+        state = fresh_state("election", train_set=train,
+                            columns=draw_selection(train, 30, seed=0),
                             max_per_iteration=2)
+        selection = state.selection.data
         candidates = iter([hand_candidate(ramp_mlp(1), 1, target, r)
                            for r in base_grid_ranges(selection.shape, 1)
                            for target in range(N_CLASSES)])
@@ -909,7 +986,7 @@ class TestGrowIterationElection:
 
     def test_accuracy_never_decreases(self):
         data = patch_mean_dataset([-0.2, -0.4, 0.4], 40, seed=3)
-        selection = build_selection_set(data, 60, seed=0)
+        selection = selection_set(data, 60, seed=0)
         state = fresh_state(mode="election", selection=selection,
                             max_per_iteration=1)
         candidates = [
@@ -989,7 +1066,7 @@ class TestGrowIterationElection:
 
     def test_constant_candidate_fails_precision(self):
         data = patch_mean_dataset([-0.2, -0.4, 0.4], 20, seed=4)
-        selection = build_selection_set(data, 30, seed=0)
+        selection = selection_set(data, 30, seed=0)
         state = fresh_state(mode="election", selection=selection)
         record = grow_iteration(state, [hand_candidate(constant_mlp(1), 1, 2)])
         assert record.accepted == 0
@@ -997,7 +1074,7 @@ class TestGrowIterationElection:
 
     def test_growth_log_line_schema(self):
         data = patch_mean_dataset([0.4, -0.2, -0.4], 20, seed=5)
-        selection = build_selection_set(data, 30, seed=0)
+        selection = selection_set(data, 30, seed=0)
         state = fresh_state(selection=selection)
         record = grow_iteration(state, [])
         import json

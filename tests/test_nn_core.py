@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,12 +29,17 @@ from oracles import (
     softmax_cross_entropy,
 )
 
+# Column counts around the forward's block: one short, one block, a lone
+# column past it, and a lone column past two blocks.
+BLOCK = nn_core._FORWARD_BLOCK
+BLOCK_ROWS = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
 # Row counts for the kernel's differential test: every tiny n (the GEMM's
-# long dimension), a ragged medium one, the eval chunk and past it.
-KERNEL_ROWS = list(range(1, 18)) + [127, 2000, 8192, 10000]
+# long dimension), a ragged medium one, the block edges, the eval chunk and
+# past it.
+KERNEL_ROWS = list(range(1, 18)) + [127, 2000, 8192, 10000] + BLOCK_ROWS
 # Row counts of the C-contiguous feature-major operand the window gather
 # hands the kernel.
-FEATURE_MAJOR_ROWS = (1, 2, 7, 128, 8192, 10000)
+FEATURE_MAJOR_ROWS = (1, 2, 7, 128, 8192, 10000, *BLOCK_ROWS)
 
 
 def naive_forward(mlp, x):
@@ -150,6 +156,22 @@ def test_forward_batch_of_wide_mlps_agrees_to_rounding():
                     mlp_forward_batch(mlp, x.T),
                     mlp_forward_batch_row_major(mlp, x), rtol=1e-12,
                     atol=1e-13)
+
+
+def test_forward_temporaries_stay_within_two_blocks():
+    """At paper scale (n = 50,000) the forward holds no more than two
+    [9, block] float64 temporaries beside its output, whose allocator
+    reuses them from the heap rather than mapping fresh pages per call."""
+    mlp = _kernel_mlps()[0]
+    x = np.random.default_rng(9).uniform(-0.5, 0.5, size=(9, 50_000))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = mlp_forward_batch(mlp, x)
+        peak = tracemalloc.get_traced_memory()[1] - before - y.nbytes
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 9 * BLOCK * 8 + 4096
 
 
 def test_forward_batch_leaves_its_input_alone():

@@ -9,6 +9,7 @@ branch transfer is meant to handle without any further training.
 """
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -257,6 +258,27 @@ class TestGrowthRun:
         assert matched == ranges[:last + 1]
         assert last + 1 < len(ranges)
         assert len(transfers) == seen
+
+    @pytest.mark.parametrize("run", ["grow", "transfer"])
+    def test_reference_draw_the_split_cannot_supply_fails_before_clustering(
+            self, task_a, base_net, monkeypatch, run):
+        """The references are drawn before the source branches are
+        clustered, so a train split without enough images per class fails
+        before any clustering work."""
+        clustered = []
+        monkeypatch.setattr(growth, "cluster_network",
+                            lambda *args: clustered.append(args))
+        train, test = task_a
+        config = dataclasses.replace(small_growth_config(),
+                                     reference_per_class=81)
+        with pytest.raises(ValueError) as exc:
+            if run == "grow":
+                run_growth(copy.deepcopy(base_net), train, config, test,
+                           None, None, ignore)
+            else:
+                transfer_task(base_net, train, config, test, None, ignore)
+        assert str(exc.value) == "class 0 has 80 samples, matching needs 81"
+        assert clustered == []
 
     def test_empty_stream_runs_no_iteration(self, task_a, base_net,
                                             monkeypatch):

@@ -33,6 +33,31 @@ def election(values, labels, target, thd, n_classes, votes=None):
                    thd=thd, n_classes=n_classes)
 
 
+# ------------------------------------------------------------ threshold
+
+def test_branch_threshold_is_np_quantile_bit_for_bit():
+    """One partition gives np.quantile's linear quantile to the bit: sizes
+    1 to 3000, ties, duplicates, signed zeros and a NaN, several top
+    fractions; the input is left as it was."""
+    rng = np.random.default_rng(77)
+    sizes = [*range(1, 41), *map(int, rng.integers(41, 3001, size=40)), 3000]
+    fractions = (0.2, 0.01, 0.1, 0.25, 1 / 3, 0.5, 0.75, 0.99)
+    for n in sizes:
+        draws = (rng.normal(size=n),
+                 rng.integers(-3, 4, size=n).astype(np.float64),
+                 rng.choice([0.0, -0.0, 1.0, -1.0], size=n),
+                 rng.choice([0.0, -0.0], size=n),
+                 np.repeat(rng.normal(size=(n + 2) // 3), 3)[:n],
+                 np.where(np.arange(n) == n // 2, np.nan, rng.normal(size=n)))
+        for values in draws:
+            before = values.tobytes()
+            for top in (*fractions, float(rng.uniform(0.001, 0.999))):
+                got = np.float64(branch_threshold(values, top)).tobytes()
+                assert got == np.quantile(values, 1.0 - top).tobytes(), \
+                    (n, top, values[:5])
+            assert values.tobytes() == before
+
+
 # ------------------------------------------------------------ mean condition
 
 def test_mean_condition_basic():
