@@ -222,14 +222,34 @@ def _input_hashes(cfg, args) -> dict:
     return hashes
 
 
-def _load_cluster_cache(path, sources):
-    """The cluster table cached at `path`, checked against the source
-    branches it summarizes: one list of summaries per branch, each as wide
-    as its branch's window and of one of its classes."""
+def _flat(record: dict, prefix: str = "") -> dict:
+    """A record's fields, nested records' ones named `outer.inner`."""
+    fields = {}
+    for key, value in record.items():
+        if isinstance(value, dict):
+            fields.update(_flat(value, f"{prefix}{key}."))
+        else:
+            fields[f"{prefix}{key}"] = value
+    return fields
+
+
+def _load_cluster_cache(path, sources, source: dict):
+    """The cluster table cached at `path`, checked against the run: its
+    source record must be `source`, and it must hold one list of summaries
+    per source branch, each as wide as its branch's window and of one of
+    its classes."""
     from .clustering import clusters_from_json
 
     try:
-        table = clusters_from_json(Path(path).read_text())
+        cached, table = clusters_from_json(Path(path).read_text())
+        if not isinstance(cached, dict):
+            raise ValueError("cluster cache source is not a record")
+        cached = _flat(cached)
+        for name, value in _flat(source).items():
+            if cached.get(name) != value:
+                raise ValueError(f"cluster cache {name} is "
+                                 f"{cached.get(name)!r}, the run's is "
+                                 f"{value!r}")
         if len(table) != len(sources):
             raise ValueError(f"cluster cache covers {len(table)} branches, "
                              f"the run re-uses {len(sources)}")
@@ -378,8 +398,8 @@ def cmd_growth(args, cfg) -> int:
     """`grow` and `transfer`: grow a network from a checkpoint's branches
     and write the run's outputs."""
     from .checkpoint import load_checkpoint, save_checkpoint
-    from .growth import check_draws, run_growth, source_branches, \
-        transfer_task
+    from .growth import check_draws, cluster_source, run_growth, \
+        source_branches, transfer_task
     from .nam_model import parameter_count
     from .nn_core import optimizer_step_count, reset_optimizer_step_count
 
@@ -397,8 +417,11 @@ def cmd_growth(args, cfg) -> int:
     check_draws(train, growth_config)
     cluster_table = None
     if args.cluster_cache:
-        cluster_table = _load_cluster_cache(args.cluster_cache,
-                                            source_branches(net, transfer))
+        sources = source_branches(net, transfer)
+        cluster_table = _load_cluster_cache(
+            args.cluster_cache, sources,
+            cluster_source([br.mlp for br in sources], growth_config,
+                           args.command))
     out_dir = _prepare_out_dir(cfg, args)
     reset_optimizer_step_count()
     writer = _IterationWriter(out_dir, transfer)
@@ -448,7 +471,8 @@ def cmd_cluster_cache(args, cfg) -> int:
     from .checkpoint import load_checkpoint
     from .clustering import clusters_to_json
     from .data_io import sha256_file
-    from .growth import source_branches, source_cluster_table
+    from .growth import cluster_source, source_branches, \
+        source_cluster_table
 
     net = load_checkpoint(args.checkpoint)
     mlps = [br.mlp for br in source_branches(
@@ -458,7 +482,9 @@ def cmd_cluster_cache(args, cfg) -> int:
     log.info("clustering %d branch MLPs (cache for %s)", len(mlps),
              args.target_command)
     table = source_cluster_table(mlps, growth_config)
-    (out_dir / "cluster_cache.json").write_text(clusters_to_json(table) + "\n")
+    source = cluster_source(mlps, growth_config, args.target_command)
+    (out_dir / "cluster_cache.json").write_text(
+        clusters_to_json(table, source) + "\n")
     hashes = {"checkpoint": sha256_file(args.checkpoint)}
     if getattr(args, "config", None):
         hashes["config"] = sha256_file(args.config)

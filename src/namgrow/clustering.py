@@ -12,12 +12,13 @@ the step (see `_isolated_starts`).
 
 from __future__ import annotations
 
-import json
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .nn_core import BranchMlp, mlp_forward_batch
+from . import artifact
+from .nn_core import BranchMlp, mlp_arrays, mlp_forward_batch
 
 _STD_FLOOR = 1e-12  # degenerate dimension guard; cancels in the round-trip
 ISOLATION_BLOCK_ENTRIES = 1 << 16  # 512 KiB block arrays stay in cache
@@ -272,82 +273,124 @@ def cluster_network(branch_mlps: list[BranchMlp], config: ClusterConfig,
             for mlp, s in zip(branch_mlps, seeds)]
 
 
-def clusters_to_json(table: list[list[BranchClassClusters]]) -> str:
-    doc = {
-        "format": "nam-cluster-cache",
-        "version": 1,
+def source_digest(branch_mlps: list[BranchMlp]) -> str:
+    """SHA-256 over the layer bytes of `branch_mlps`, in order: all that
+    clustering reads of them."""
+    h = hashlib.sha256()
+    for mlp in branch_mlps:
+        for a in mlp_arrays(mlp):
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+CACHE_FORMAT = "nam-cluster-cache"
+CACHE_VERSION = 2
+# Each field is one array over all summaries, in table order: the centers
+# and max_outputs row by row of each summary's clusters, the sample
+# statistics one row per summary.
+_CACHE_ARRAYS = ("centers", "max_outputs", "sample_mean", "sample_min",
+                 "sample_max")
+
+
+def clusters_to_json(table: list[list[BranchClassClusters]],
+                     source: dict) -> str:
+    """The cluster-cache document of `table`, recording `source`, what the
+    table was computed from."""
+    summaries = [s for per_branch in table for s in per_branch]
+
+    def joined(name: str, join) -> dict:
+        return artifact.write(join([getattr(s, name) for s in summaries]))
+
+    return artifact.dumps({
+        "format": CACHE_FORMAT,
+        "version": CACHE_VERSION,
+        "source": source,
         "branches": [
-            [
-                {
-                    "branch_class": summary.branch_class,
-                    "centers": summary.centers.tolist(),
-                    "max_outputs": summary.max_outputs.tolist(),
-                    "sample_mean": summary.sample_mean.tolist(),
-                    "sample_min": summary.sample_min.tolist(),
-                    "sample_max": summary.sample_max.tolist(),
-                    "n_pairs": summary.n_pairs,
-                }
-                for summary in per_branch
-            ]
+            [{"branch_class": s.branch_class, "n_clusters": s.n_clusters,
+              "n_pairs": s.n_pairs} for s in per_branch]
             for per_branch in table
         ],
-    }
-    return json.dumps(doc, separators=(",", ":"))
+        "centers": joined("centers", np.concatenate),
+        "max_outputs": joined("max_outputs", np.concatenate),
+        "sample_mean": joined("sample_mean", np.stack),
+        "sample_min": joined("sample_min", np.stack),
+        "sample_max": joined("sample_max", np.stack),
+    })
 
 
-def _summary_from_record(rec: dict) -> BranchClassClusters:
-    """One cache record, checked field by field: a class index, at least
-    one finite center, one finite max_output per center, finite sample
-    statistics of the centers' width with min <= max, and at least one
-    retained pair per center."""
+def _is_count(value, least: int) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= least)
+
+
+def _check_summary_record(rec: dict) -> None:
+    """A class index, at least one cluster, and at least one retained pair
+    per cluster."""
     c = rec["branch_class"]
-    if isinstance(c, bool) or not isinstance(c, int) or c < 0:
+    if not _is_count(c, 0):
         raise ValueError(f"branch_class {c!r} is not a class index")
-    centers = np.array(rec["centers"], dtype=np.float64)
-    if centers.ndim != 2 or centers.size == 0:
-        raise ValueError(f"centers have shape {centers.shape}, expected "
-                         "a non-empty matrix")
-    max_outputs = np.array(rec["max_outputs"], dtype=np.float64)
-    if max_outputs.shape != centers.shape[:1]:
-        raise ValueError(f"max_outputs have shape {max_outputs.shape}, "
-                         f"expected one per center {centers.shape[:1]}")
-    fields = {"centers": centers, "max_outputs": max_outputs}
-    for name in ("sample_mean", "sample_min", "sample_max"):
-        fields[name] = np.array(rec[name], dtype=np.float64)
-        if fields[name].shape != centers.shape[1:]:
-            raise ValueError(f"{name} has shape {fields[name].shape}, "
-                             f"expected the centers' width "
-                             f"{centers.shape[1:]}")
-    for name, values in fields.items():
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{name} are not all finite")
-    if np.any(fields["sample_min"] > fields["sample_max"]):
-        raise ValueError("sample_min exceeds sample_max")
+    k = rec["n_clusters"]
+    if not _is_count(k, 1):
+        raise ValueError(f"n_clusters {k!r} is not an integer >= 1")
     n_pairs = rec["n_pairs"]
-    if (isinstance(n_pairs, bool) or not isinstance(n_pairs, int)
-            or n_pairs < centers.shape[0]):
+    if not _is_count(n_pairs, k):
         raise ValueError(f"n_pairs {n_pairs!r} is not an integer of at least "
-                         f"the {centers.shape[0]} centers")
-    return BranchClassClusters(branch_class=c, n_pairs=n_pairs, **fields)
+                         f"the {k} clusters")
 
 
-def clusters_from_json(text: str) -> list[list[BranchClassClusters]]:
-    """Parse and check a cluster cache; a malformed record is a ValueError
-    naming its branch, its summary and the field at fault."""
-    doc = json.loads(text)
-    if (not isinstance(doc, dict) or doc.get("format") != "nam-cluster-cache"
-            or doc.get("version") != 1):
-        raise ValueError("not a cluster-cache document")
-    table = []
+def clusters_from_json(text: str
+                       ) -> tuple[dict, list[list[BranchClassClusters]]]:
+    """Parse and check a cluster cache: (its source record, its table).
+
+    A malformed summary is a ValueError naming its branch, its summary and
+    the field at fault; a malformed array names the array."""
+    doc = artifact.loads(text, CACHE_FORMAT)
+    version = doc.get("version")
+    if version == 1:
+        raise ValueError("cluster cache version 1 is no longer read: "
+                         "rebuild it with `namgrow cluster-cache`")
+    if type(version) is not int or version != CACHE_VERSION:
+        raise ValueError(f"unsupported cluster cache version {version!r}")
+    arrays = {name: artifact.read(doc[name], f"cluster cache {name}")
+              for name in _CACHE_ARRAYS}
+    records = []
     for b, per_branch in enumerate(doc["branches"]):
-        summaries = []
         for k, rec in enumerate(per_branch):
             where = f"cluster cache branch {b} summary {k}"
             try:
-                summaries.append(_summary_from_record(rec))
+                _check_summary_record(rec)
             except KeyError as exc:
                 raise ValueError(f"{where} has no {exc} key") from exc
-            except (TypeError, ValueError, OverflowError) as exc:
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"{where}: {exc}") from exc
-        table.append(summaries)
-    return table
+            records.append((b, k, rec))
+    centers = arrays["centers"]
+    n_clusters = sum(rec["n_clusters"] for _, _, rec in records)
+    if centers.ndim != 2 or centers.shape[0] != n_clusters:
+        raise ValueError(f"cluster cache centers have shape {centers.shape},"
+                         f" expected one row per cluster ({n_clusters})")
+    expected = {"max_outputs": (n_clusters,),
+                **dict.fromkeys(("sample_mean", "sample_min", "sample_max"),
+                                (len(records), centers.shape[1]))}
+    for name, shape in expected.items():
+        if arrays[name].shape != shape:
+            raise ValueError(f"cluster cache {name} has shape "
+                             f"{arrays[name].shape}, expected {shape}")
+    table = [[] for _ in doc["branches"]]
+    lo = 0
+    for row, (b, k, rec) in enumerate(records):
+        hi = lo + rec["n_clusters"]
+        if np.any(arrays["sample_min"][row] > arrays["sample_max"][row]):
+            raise ValueError(f"cluster cache branch {b} summary {k}: "
+                             "sample_min exceeds sample_max")
+        table[b].append(BranchClassClusters(
+            branch_class=rec["branch_class"],
+            centers=centers[lo:hi],
+            max_outputs=arrays["max_outputs"][lo:hi],
+            sample_mean=arrays["sample_mean"][row],
+            sample_min=arrays["sample_min"][row],
+            sample_max=arrays["sample_max"][row],
+            n_pairs=rec["n_pairs"],
+        ))
+        lo = hi
+    return doc["source"], table

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clustering import ClusterConfig, cluster_network
+from .clustering import ClusterConfig, cluster_network, source_digest
 from .data_io import Dataset, InputRange, base_grid_ranges, extract_patches
 from .matching import (
     NormalizationStats,
@@ -57,6 +57,7 @@ from .nn_core import (
     BranchMlp,
     DenseLayer,
     adam_step,
+    mlp_arrays,
     mlp_forward_batch,
     softmax_cross_entropy_batch,
     softmax_cross_entropy_loss,
@@ -613,10 +614,8 @@ def frozen_parameter_hash(branches: list[Branch]) -> str:
     hash of the sources covers those layers too."""
     h = hashlib.sha256()
     for branch in branches:
-        for layer in branch.mlp.hidden_layers:
-            h.update(np.ascontiguousarray(layer.weights).tobytes())
-            h.update(np.ascontiguousarray(layer.bias).tobytes())
-        h.update(np.ascontiguousarray(branch.mlp.output_layer.weights).tobytes())
+        for a in mlp_arrays(branch.mlp):
+            h.update(np.ascontiguousarray(a).tobytes())
         if branch.mask is not None:
             h.update(np.float64([branch.mask.thd, branch.mask.v_span]).tobytes())
             if branch.mask_frozen:
@@ -624,18 +623,33 @@ def frozen_parameter_hash(branches: list[Branch]) -> str:
     return h.hexdigest()
 
 
+def clustering_seed(config: GrowthConfig) -> int:
+    """The seed a run clusters with: child 1 of the four seeds it derives
+    from `config.seed` (selection, clustering, references, growth)."""
+    seeds = np.random.SeedSequence(config.seed).spawn(4)
+    return int(seeds[1].generate_state(1)[0])
+
+
+def cluster_source(branch_mlps, config: GrowthConfig, target: str) -> dict:
+    """Everything `source_cluster_table(branch_mlps, config)` depends on,
+    for the `target` command (grow or transfer): the SHA-256 of the MLPs'
+    layer bytes, the cluster config and the clustering seed.  A cluster
+    cache records it, and `grow` and `transfer` refuse a cache whose
+    record is not their own."""
+    return {"for": target, "mlp_sha256": source_digest(branch_mlps),
+            "cluster": asdict(config.cluster),
+            "seed": clustering_seed(config)}
+
+
 def source_cluster_table(branch_mlps, config: GrowthConfig):
     """Cluster source branches as `run_growth`/`transfer_task` do.
 
     Both call this when they are given no `cluster_table`, so a table
     precomputed with it and passed back through that parameter reproduces
-    the uncached run bit for bit.  The clustering seed is child 1 of the
-    four seeds a run derives from `config.seed` (selection, clustering,
-    references, growth).
+    the uncached run bit for bit.
     """
-    seeds = np.random.SeedSequence(config.seed).spawn(4)
     table = cluster_network(branch_mlps, config.cluster,
-                            int(seeds[1].generate_state(1)[0]))
+                            clustering_seed(config))
     summaries = [s for per_branch in table for s in per_branch]
     log.info("clustered %d branches: %d retained pairs into %d clusters",
              len(table), sum(s.n_pairs for s in summaries),

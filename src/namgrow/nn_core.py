@@ -98,12 +98,17 @@ class BranchMlp:
         return self.output_layer.out_dim
 
 
-def mlp_parameter_count(mlp: BranchMlp) -> int:
-    n = 0
+def mlp_arrays(mlp: BranchMlp) -> list[np.ndarray]:
+    """The MLP's parameter arrays in layer order: each hidden layer's
+    weights and bias, then the output weights."""
+    arrays = []
     for layer in mlp.hidden_layers:
-        n += layer.weights.size + layer.bias.size
-    n += mlp.output_layer.weights.size
-    return n
+        arrays += [layer.weights, layer.bias]
+    return arrays + [mlp.output_layer.weights]
+
+
+def mlp_parameter_count(mlp: BranchMlp) -> int:
+    return sum(a.size for a in mlp_arrays(mlp))
 
 
 def init_branch_mlp(rng: np.random.Generator, n_classes: int) -> BranchMlp:

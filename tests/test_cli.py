@@ -19,8 +19,10 @@ import numpy as np
 import pytest
 
 import namgrow
-from namgrow import growth
+from namgrow import artifact, growth
+from namgrow.checkpoint import load_checkpoint
 from namgrow.cli import DEFAULT_CONFIG, main
+from namgrow.clustering import ClusterConfig, source_digest
 
 BLOCKS = [(0, 0), (0, 6), (6, 0), (6, 6), (0, 3),
           (3, 0), (3, 3), (3, 6), (6, 3), (2, 2)]
@@ -146,7 +148,11 @@ class TestTrainBase:
         windows = [tuple(rec["input_range"]) for rec in doc["branches"]]
         assert windows == [r.as_tuple()
                            for r in base_grid_ranges((1, 12, 12), spacing)]
-        assert {rec["activation"] for rec in doc["branches"]} == {"relu"}
+        # base branches share no layer: each lists five table layers of
+        # its own, and no record carries an activation
+        assert [rec["layers"] for rec in doc["branches"]] == [
+            list(range(5 * k, 5 * k + 5)) for k in range(len(windows))]
+        assert not any("activation" in rec for rec in doc["branches"])
 
     def test_epoch_csv_has_all_epochs(self, base_run):
         lines = (base_run / "epochs.csv").read_text().splitlines()
@@ -355,14 +361,30 @@ class TestGrow:
         assert "changed the branches it started from" in caplog.text
 
 
-@pytest.fixture(scope="module")
-def cache_run(tmp_path_factory, config_file, base_run):
-    out = tmp_path_factory.mktemp("cache")
+def _cluster_cache(out, config_file, checkpoint, *extra):
     code = main(["cluster-cache", "--config", str(config_file),
-                 "--checkpoint", str(base_run / "checkpoint.json"),
-                 "--out-dir", str(out), "--seed", "3"])
+                 "--checkpoint", str(checkpoint), "--out-dir", str(out),
+                 "--seed", "3", *extra])
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def cache_run(tmp_path_factory, config_file, base_run):
+    return _cluster_cache(tmp_path_factory.mktemp("cache"), config_file,
+                          base_run / "checkpoint.json")
+
+
+@pytest.fixture(scope="module")
+def transfer_cache_run(tmp_path_factory, config_file, base_run):
+    return _cluster_cache(tmp_path_factory.mktemp("transfer-cache"),
+                          config_file, base_run / "checkpoint.json",
+                          "--for", "transfer")
+
+
+def _mlps(checkpoint, transfer=False):
+    net = load_checkpoint(checkpoint)
+    return [br.mlp for br in growth.source_branches(net, transfer)]
 
 
 class TestClusterCache:
@@ -370,18 +392,30 @@ class TestClusterCache:
         for name in ("cluster_cache.json", "run_meta.json", "config.ini"):
             assert (cache_run / name).is_file()
 
-    def test_cache_document_and_meta(self, cache_run):
+    def test_cache_document_and_meta(self, base_run, cache_run):
         doc = json.loads((cache_run / "cluster_cache.json").read_text())
         assert doc["format"] == "nam-cluster-cache"
+        assert doc["version"] == 2
         assert len(doc["branches"]) == 4
         assert all(len(per_branch) == 10 for per_branch in doc["branches"])
+        mlps = _mlps(base_run / "checkpoint.json")
+        config = growth.GrowthConfig(seed=3,
+                                     cluster=ClusterConfig(n_samples=200))
+        assert doc["source"] == {
+            "for": "grow", "mlp_sha256": source_digest(mlps),
+            "cluster": {"n_samples": 200, "top_fraction": 0.2,
+                        "neighbor_distance": 0.5, "min_shift_distance": 1e-3,
+                        "bandwidth": 0.3, "max_shift_iterations": 200},
+            "seed": growth.clustering_seed(config)}
         meta = json.loads((cache_run / "run_meta.json").read_text())
         assert meta["command"] == "cluster-cache"
         assert meta["for"] == "grow"
         assert meta["source_branches"] == 4
         assert meta["cluster_counts"] == [
-            [len(rec["centers"]) for rec in per_branch]
+            [rec["n_clusters"] for rec in per_branch]
             for per_branch in doc["branches"]]
+        assert doc["centers"]["shape"] == [
+            sum(map(sum, meta["cluster_counts"])), 9]
         assert set(meta["input_hashes"]) == {"checkpoint", "config"}
 
     def test_cache_is_identical_across_blas_thread_counts(
@@ -399,17 +433,17 @@ class TestClusterCache:
                 == (outputs[1] / "cluster_cache.json").read_bytes())
 
     def test_transfer_cache_of_base_network_matches_grow_cache(
-            self, tmp_path, config_file, base_run, cache_run):
+            self, cache_run, transfer_cache_run):
         # every branch of a freshly trained network has origin "base", so
-        # the grow and transfer subsets coincide and so must the caches
-        out = tmp_path / "for_transfer"
-        code = main(["cluster-cache", "--config", str(config_file),
-                     "--checkpoint", str(base_run / "checkpoint.json"),
-                     "--out-dir", str(out), "--seed", "3",
-                     "--for", "transfer"])
-        assert code == 0
-        assert ((out / "cluster_cache.json").read_bytes()
-                == (cache_run / "cluster_cache.json").read_bytes())
+        # the grow and transfer subsets coincide and so must the caches,
+        # but for the command each records
+        grow_doc, transfer_doc = (
+            json.loads((run / "cluster_cache.json").read_text())
+            for run in (cache_run, transfer_cache_run))
+        assert (grow_doc["source"]["for"],
+                transfer_doc["source"]["for"]) == ("grow", "transfer")
+        transfer_doc["source"]["for"] = "grow"
+        assert transfer_doc == grow_doc
 
     def test_cached_grow_matches_uncached(self, tmp_path, config_file,
                                           base_run, grow_run, cache_run):
@@ -427,11 +461,12 @@ class TestClusterCache:
 
     def test_cached_transfer_matches_uncached(self, tmp_path, config_file,
                                               base_run, transfer_run,
-                                              cache_run):
+                                              transfer_cache_run):
         out = tmp_path / "cached"
         code = main(["transfer", "--config", str(config_file),
                      "--checkpoint", str(base_run / "checkpoint.json"),
-                     "--cluster-cache", str(cache_run / "cluster_cache.json"),
+                     "--cluster-cache",
+                     str(transfer_cache_run / "cluster_cache.json"),
                      "--out-dir", str(out), "--seed", "3"])
         assert code == 0
         for name in ("checkpoint.json", "growth_log.jsonl",
@@ -456,59 +491,126 @@ class TestClusterCache:
         assert code == 2
 
 
-def _cache_class_out_of_range(rec):
-    rec["branch_class"] = 12
+# Corruptions of a version 2 cache document.  Those of one summary edit
+# branch 1 summary 2: the 13th summary, as each branch has 10.
+
+def _summary(doc):
+    return doc["branches"][1][2]
 
 
-def _cache_bool_class(rec):
-    rec["branch_class"] = True
+def _cache_array(doc, name):
+    return artifact.read(doc[name], name)
 
 
-def _cache_narrow_centers(rec):
-    rec["centers"] = [row[:8] for row in rec["centers"]]
+def _set_cache_array(doc, name, values):
+    doc[name] = artifact.write(values)
 
 
-def _cache_narrow_record(rec):
-    for key in ("sample_mean", "sample_min", "sample_max"):
-        rec[key] = rec[key][:8]
-    _cache_narrow_centers(rec)
+def _summary_cluster_rows(doc):
+    first = sum(rec["n_clusters"] for rec in doc["branches"][0]) + sum(
+        rec["n_clusters"] for rec in doc["branches"][1][:2])
+    return slice(first, first + _summary(doc)["n_clusters"])
 
 
-def _cache_no_centers(rec):
-    rec["centers"] = []
+def _cache_class_out_of_range(doc):
+    _summary(doc)["branch_class"] = 12
 
 
-def _cache_nan_center(rec):
-    rec["centers"][0][4] = float("nan")
+def _cache_bool_class(doc):
+    _summary(doc)["branch_class"] = True
 
 
-def _cache_huge_integer_center(rec):
-    rec["centers"][0][4] = 10 ** 400
+def _cache_narrow_centers(doc):
+    _set_cache_array(doc, "centers", _cache_array(doc, "centers")[:, :8])
 
 
-def _cache_short_max_outputs(rec):
-    rec["max_outputs"] = rec["max_outputs"][:-1]
+def _cache_narrow_record(doc):
+    for key in ("centers", "sample_mean", "sample_min", "sample_max"):
+        _set_cache_array(doc, key, _cache_array(doc, key)[:, :8])
 
 
-def _cache_min_above_max(rec):
-    rec["sample_min"], rec["sample_max"] = rec["sample_max"], rec["sample_min"]
+def _cache_no_centers(doc):
+    centers = _cache_array(doc, "centers")
+    max_outputs = _cache_array(doc, "max_outputs")
+    keep = np.ones(len(centers), dtype=bool)
+    keep[_summary_cluster_rows(doc)] = False
+    _set_cache_array(doc, "centers", centers[keep])
+    _set_cache_array(doc, "max_outputs", max_outputs[keep])
+    _summary(doc)["n_clusters"] = 0
+
+
+def _cache_nan_center(doc):
+    centers = _cache_array(doc, "centers")
+    centers[_summary_cluster_rows(doc).start, 4] = float("nan")
+    _set_cache_array(doc, "centers", centers)
+
+
+def _cache_short_max_outputs(doc):
+    _set_cache_array(doc, "max_outputs",
+                     _cache_array(doc, "max_outputs")[:-1])
+
+
+def _cache_min_above_max(doc):
+    lo, hi = _cache_array(doc, "sample_min"), _cache_array(doc, "sample_max")
+    lo[12], hi[12] = hi[12].copy(), lo[12].copy()
+    _set_cache_array(doc, "sample_min", lo)
+    _set_cache_array(doc, "sample_max", hi)
 
 
 def _cache_n_pairs(value):
-    def corrupt(rec):
-        rec["n_pairs"] = value
+    def corrupt(doc):
+        _summary(doc)["n_pairs"] = value
     corrupt.__name__ = f"_cache_n_pairs_{value!r}"
     return corrupt
 
 
-def _cache_n_pairs_below_centers(rec):
-    rec["n_pairs"] = len(rec["centers"]) - 1
+def _cache_n_pairs_below_centers(doc):
+    _summary(doc)["n_pairs"] = _summary(doc)["n_clusters"] - 1
+
+
+def _cache_array_field(name, key, value):
+    def corrupt(doc):
+        doc[name][key] = value
+    corrupt.__name__ = f"_cache_{name}_{key}_{value!r}"
+    return corrupt
+
+
+def _cache_list_centers(doc):
+    doc["centers"] = _cache_array(doc, "centers").tolist()
+
+
+def _cache_version(value):
+    def corrupt(doc):
+        doc["version"] = value
+    corrupt.__name__ = f"_cache_version_{value!r}"
+    return corrupt
+
+
+def _cache_source(name, value):
+    def corrupt(doc):
+        *outer, key = name.split(".")
+        record = doc["source"]
+        for part in outer:
+            record = record[part]
+        record[key] = value
+    corrupt.__name__ = f"_cache_source_{name}"
+    return corrupt
+
+
+def _corrupt_cache(command, cache_run, transfer_cache_run, corrupt, bad):
+    """Write the command's cache, corrupted, to `bad`."""
+    run = transfer_cache_run if command == "transfer" else cache_run
+    doc = json.loads((run / "cluster_cache.json").read_text())
+    corrupt(doc)
+    bad.write_text(json.dumps(doc))
 
 
 class TestMalformedClusterCaches:
-    """A cache record that does not fit the run is a data error (exit 2)
-    naming its branch and field, whether the cache itself is malformed or
-    it does not fit the checkpoint's branch MLPs."""
+    """A cache that does not fit the run is a data error (exit 2) naming
+    the field at fault, and the summary's branch for a summary's field:
+    whether the cache itself is malformed, was made from other branches,
+    settings, seed or command than the run's, or does not fit the
+    checkpoint's branch MLPs."""
 
     @pytest.mark.parametrize("command", ["grow", "transfer"])
     @pytest.mark.parametrize("corrupt, message", [
@@ -517,19 +619,14 @@ class TestMalformedClusterCaches:
                                     "branch's 10 classes"),
         (_cache_bool_class, "cluster cache branch 1 summary 2: branch_class "
                             "True is not a class index"),
-        (_cache_narrow_centers, "cluster cache branch 1 summary 2: "
-                                "sample_mean has shape (9,), expected the "
-                                "centers' width (8,)"),
-        (_cache_narrow_record, "cluster cache branch 1 summary 2: centers "
+        (_cache_narrow_centers, "cluster cache sample_mean has shape "
+                                "(40, 9), expected (40, 8)"),
+        (_cache_narrow_record, "cluster cache branch 0 summary 0: centers "
                                "are 8 wide, the branch takes 9 inputs"),
-        (_cache_no_centers, "cluster cache branch 1 summary 2: centers have "
-                            "shape (0,), expected a non-empty matrix"),
-        (_cache_nan_center, "cluster cache branch 1 summary 2: centers are "
-                            "not all finite"),
-        (_cache_huge_integer_center, "cluster cache branch 1 summary 2: "
-                                     "int too large to convert to float"),
-        (_cache_short_max_outputs, "cluster cache branch 1 summary 2: "
-                                   "max_outputs have shape"),
+        (_cache_no_centers, "cluster cache branch 1 summary 2: n_clusters 0 "
+                            "is not an integer >= 1"),
+        (_cache_nan_center, "cluster cache centers is not all finite"),
+        (_cache_short_max_outputs, "cluster cache max_outputs has shape"),
         (_cache_min_above_max, "cluster cache branch 1 summary 2: "
                                "sample_min exceeds sample_max"),
         *[(_cache_n_pairs(value), f"cluster cache branch 1 summary 2: "
@@ -538,14 +635,32 @@ class TestMalformedClusterCaches:
           for value in ("x", -3, True, 0, 2.5, None)],
         (_cache_n_pairs_below_centers, "cluster cache branch 1 summary 2: "
                                        "n_pairs "),
+        (_cache_array_field("centers", "base64", "not*base64"),
+         "cluster cache centers is not valid base64"),
+        (_cache_array_field("max_outputs", "dtype", "<f4"),
+         "cluster cache max_outputs dtype '<f4' is not '<f8'"),
+        (_cache_array_field("sample_mean", "shape", [40, 8]),
+         "cluster cache sample_mean holds 2880 bytes, shape [40, 8] needs "
+         "2560"),
+        (_cache_array_field("sample_min", "shape", [40, -9]),
+         "cluster cache sample_min shape [40, -9] is not a list of sizes"),
+        (_cache_list_centers, "cluster cache centers is not an array "
+                              "record"),
+        (_cache_version(1), "cluster cache version 1 is no longer read: "
+                            "rebuild it with `namgrow cluster-cache`"),
+        (_cache_version(3), "unsupported cluster cache version 3"),
+        (_cache_source("mlp_sha256", "0" * 64),
+         f"cluster cache mlp_sha256 is '{'0' * 64}', the run's is '"),
+        (_cache_source("cluster.bandwidth", 0.25),
+         "cluster cache cluster.bandwidth is 0.25, the run's is 0.3"),
+        (_cache_source("seed", 12), "cluster cache seed is 12, the run's "
+                                    "is "),
     ])
     def test_is_a_data_error_naming_the_branch(
-            self, tmp_path, config_file, base_run, cache_run, caplog,
-            command, corrupt, message):
-        doc = json.loads((cache_run / "cluster_cache.json").read_text())
-        corrupt(doc["branches"][1][2])
+            self, tmp_path, config_file, base_run, cache_run,
+            transfer_cache_run, caplog, command, corrupt, message):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        _corrupt_cache(command, cache_run, transfer_cache_run, corrupt, bad)
         code = main([command, "--config", str(config_file),
                      "--checkpoint", str(base_run / "checkpoint.json"),
                      "--cluster-cache", str(bad),
@@ -554,13 +669,12 @@ class TestMalformedClusterCaches:
         errors = [r.getMessage() for r in caplog.records
                   if r.levelname == "ERROR"]
         assert len(errors) == 1 and errors[0].startswith(message), errors
+        assert errors[0].endswith(f" (cluster cache {bad})"), errors
 
     def test_error_names_the_cache_file(self, tmp_path, config_file,
                                         base_run, cache_run, caplog):
-        doc = json.loads((cache_run / "cluster_cache.json").read_text())
-        _cache_nan_center(doc["branches"][1][2])
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        _corrupt_cache("grow", cache_run, None, _cache_nan_center, bad)
         code = main(["grow", "--config", str(config_file),
                      "--checkpoint", str(base_run / "checkpoint.json"),
                      "--cluster-cache", str(bad),
@@ -568,22 +682,74 @@ class TestMalformedClusterCaches:
         assert code == 2
         errors = [r.getMessage() for r in caplog.records
                   if r.levelname == "ERROR"]
-        assert errors == ["cluster cache branch 1 summary 2: centers are not "
-                          f"all finite (cluster cache {bad})"]
+        assert errors == ["cluster cache centers is not all finite "
+                          f"(cluster cache {bad})"]
+
+    @pytest.mark.parametrize("made_with, message", [
+        # a checkpoint of the same shape: the same windows, other weights
+        ("checkpoint", "cluster cache mlp_sha256 is '"),
+        ("seed", "cluster cache seed is "),
+        ("config", "cluster cache cluster.n_samples is 150, the run's is "
+                   "200"),
+        ("command", "cluster cache for is 'grow', the run's is 'transfer'"),
+    ])
+    def test_cache_of_another_run_is_a_data_error(
+            self, tmp_path, config_file, base_run, cache_run, caplog,
+            made_with, message):
+        """A cache made from another checkpoint of the same shape, at
+        another seed or [cluster] setting, or for the other command, is
+        refused by name before the run writes anything."""
+        config, checkpoint = config_file, base_run / "checkpoint.json"
+        command, extra = "grow", []
+        if made_with == "checkpoint":
+            other = tmp_path / "other-base"
+            assert main(["train-base", "--config", str(config_file),
+                         "--out-dir", str(other), "--seed", "4",
+                         "--epochs", "0"]) == 0
+            checkpoint = other / "checkpoint.json"
+        elif made_with == "seed":
+            extra = ["--seed", "4"]
+        elif made_with == "config":
+            cfg = configparser.ConfigParser()
+            cfg.read(config_file)
+            cfg["cluster"]["n_samples"] = "150"
+            config = tmp_path / "other.ini"
+            with open(config, "w") as fh:
+                cfg.write(fh)
+        path = cache_run / "cluster_cache.json"
+        if made_with == "command":
+            command = "transfer"
+        else:
+            path = _cluster_cache(tmp_path / "cache", config, checkpoint,
+                                  *extra) / "cluster_cache.json"
+        code = main([command, "--config", str(config_file),
+                     "--checkpoint", str(base_run / "checkpoint.json"),
+                     "--cluster-cache", str(path),
+                     "--out-dir", str(tmp_path / "out"), "--seed", "3"])
+        assert code == 2
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].startswith(message), errors
+        assert errors[0].endswith(f" (cluster cache {path})"), errors
+        assert not (tmp_path / "out").exists()
 
     def test_cache_of_other_branches_is_a_data_error(
             self, tmp_path, config_file, grow_run, caplog):
         """A grow cache of a grown checkpoint covers only its base
-        branches, while a transfer re-uses every branch."""
-        cache = tmp_path / "cache"
-        assert main(["cluster-cache", "--config", str(config_file),
-                     "--checkpoint", str(grow_run / "checkpoint.json"),
-                     "--out-dir", str(cache), "--seed", "3",
-                     "--for", "grow"]) == 0
+        branches, while a transfer re-uses every branch: a cache whose
+        source record was edited to claim the transfer's branches is still
+        refused, by its branch count."""
+        cache = _cluster_cache(tmp_path / "cache", config_file,
+                               grow_run / "checkpoint.json", "--for", "grow")
         branches = json.loads(
             (grow_run / "run_meta.json").read_text())["branch_count"]
         assert branches > 4
-        path = cache / "cluster_cache.json"
+        doc = json.loads((cache / "cluster_cache.json").read_text())
+        doc["source"]["for"] = "transfer"
+        doc["source"]["mlp_sha256"] = source_digest(
+            _mlps(grow_run / "checkpoint.json", transfer=True))
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
         code = main(["transfer", "--config", str(config_file),
                      "--checkpoint", str(grow_run / "checkpoint.json"),
                      "--cluster-cache", str(path),
@@ -1161,112 +1327,291 @@ def _linear_activation(doc, k):
     doc["branches"][k]["activation"] = "linear"
 
 
+# Corruptions of a version 2 checkpoint, whose layers are a table and whose
+# arrays are base64 records.
+
+def _table_index(doc, k, j):
+    return doc["branches"][k]["layers"][j]
+
+
+def _with_table_layer(doc, k, j, weights):
+    """Point branch k's j-th layer at a new table layer with `weights` and
+    the old layer's bias."""
+    old = doc["layers"][_table_index(doc, k, j)]
+    doc["layers"].append({"weights": artifact.write(weights),
+                          "bias": old["bias"]})
+    doc["branches"][k]["layers"][j] = len(doc["layers"]) - 1
+
+
+def _table_weights(doc, k, j):
+    return artifact.read(doc["layers"][_table_index(doc, k, j)]["weights"],
+                         "weights")
+
+
+def _v2_narrow_hidden_layer(doc, k):
+    _with_table_layer(doc, k, 1, _table_weights(doc, k, 1)[:, :-1])
+
+
+def _v2_narrow_output_layer(doc, k):
+    _with_table_layer(doc, k, -1, _table_weights(doc, k, -1)[:, :-1])
+
+
+def _v2_flatten_first_layer(doc, k):
+    doc["layers"][_table_index(doc, k, 0)]["weights"]["shape"] = [81]
+
+
+def _v2_stats(name, values):
+    def corrupt(doc, k):
+        stats = doc["branches"][k]["election_stats"]
+        stats[name] = artifact.write(values(artifact.read(stats[name], name)))
+    corrupt.__name__ = f"_v2_stats_{name}"
+    return corrupt
+
+
+def _v2_drop_hidden_layers(doc, k):
+    doc["branches"][k]["layers"] = doc["branches"][k]["layers"][-1:]
+
+
+def _v2_layers(j, value):
+    def corrupt(doc, k):
+        doc["branches"][k]["layers"][j] = value
+    corrupt.__name__ = f"_v2_layers_{j}_{value!r}"
+    return corrupt
+
+
+def _v2_index_past_table(doc, k):
+    doc["branches"][k]["layers"][2] = len(doc["layers"])
+
+
+def _v2_no_layers(doc, k):
+    doc["branches"][k]["layers"] = []
+
+
+def _v2_output_as_hidden_layer(doc, k):
+    doc["branches"][k]["layers"][3] = _table_index(doc, k, -1)
+
+
+def _v2_first_layer_array(field, value):
+    def corrupt(doc, k):
+        doc["layers"][_table_index(doc, k, 0)]["weights"][field] = value
+    corrupt.__name__ = f"_v2_first_layer_{field}_{value!r}"
+    return corrupt
+
+
+def _v2_inf_first_layer(doc, k):
+    weights = _table_weights(doc, k, 0)
+    weights[2, 3] = float("inf")
+    doc["layers"][_table_index(doc, k, 0)]["weights"] = artifact.write(weights)
+
+
+def _v2_list_first_layer(doc, k):
+    layer = doc["layers"][_table_index(doc, k, 0)]
+    layer["weights"] = _table_weights(doc, k, 0).tolist()
+
+
+def _v2_list_stats(doc, k):
+    doc["branches"][k]["election_stats"]["std"] = [1.0] * 10
+
+
+def _v2_bad_stats_base64(doc, k):
+    doc["branches"][k]["election_stats"]["std"]["base64"] = "AAAA*"
+
+
+def _checkpoint_version(value):
+    def corrupt(doc, k):
+        doc["version"] = value
+    corrupt.__name__ = f"_checkpoint_version_{value!r}"
+    return corrupt
+
+
+V1_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v1.json"
+
+# (corruption, message) of the record fields both versions share
+SHARED_CORRUPTIONS = [
+    (_drop_mask, "checkpoint branch {k} has no 'mask' key"),
+    (_fractional_window_row, "branch {k}: input range (0, {row}, "),
+    (_shrink_window, "checkpoint branch {k}: MLP takes 9 inputs, its "
+                     "window c0[{row}:{row_end},"),
+    (_move_window_off_image, "branch {k}: input range c0[10:13,"),
+    (_branch_class_out_of_range, "checkpoint branch {k}: branch_class "
+                                 "10 is not a class index below 10"),
+    (_negative_target_class, "checkpoint branch {k}: target_class -1 is "
+                             "not a class index below 10"),
+    (_bool_branch_class, "checkpoint branch {k}: branch_class True is "
+                         "not a class index below 10"),
+    (_non_finite_mask("a", float("nan")), "checkpoint branch {k}: mask "
+                                          "a is not finite"),
+    (_non_finite_mask("b", float("-inf")), "checkpoint branch {k}: mask "
+                                           "b is not finite"),
+    (_non_finite_mask("thd", float("inf")), "checkpoint branch {k}: "
+                                            "mask thd is not finite"),
+    (_non_finite_mask("v_span", float("inf")), "checkpoint branch {k}: "
+                                               "mask v_span is not "
+                                               "finite"),
+    (_non_finite_mask("a", 10 ** 400), "checkpoint branch {k}: int too "
+                                       "large to convert to float"),
+]
+
+
+def _checkpoint_doc(version, run):
+    """The committed version 1 fixture, or a run's version 2 checkpoint."""
+    path = V1_CHECKPOINT if version == 1 else run / "checkpoint.json"
+    return json.loads(path.read_text())
+
+
+def _eval_errors(tmp_path, data_dir, caplog, doc):
+    """Exit code and logged errors of eval on `doc`, and the file path."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["eval", "--checkpoint", str(bad), "--dataset", "mnist",
+                 "--data-dir", str(data_dir)])
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    return code, errors, bad
+
+
 class TestMalformedCheckpoints:
-    """Every structural defect of a checkpoint is a data error (exit 2)
-    found at load time, whose message names the branch at fault."""
+    """Every structural defect of a checkpoint, of either version, is a data
+    error (exit 2) found at load time, whose message names the branch, or
+    the table layer, at fault.  Branch 1 of both documents is transferred:
+    it has a mask and election statistics, and shares its deeper layers."""
 
     @pytest.mark.parametrize("corrupt, message", [
-        (_drop_mask, "checkpoint branch {k} has no 'mask' key"),
+        *SHARED_CORRUPTIONS,
         (_narrow_hidden_layer, "checkpoint branch {k}: hidden layer 1 takes "
                                "8 inputs, but the layer before it has 9"),
         (_narrow_output_layer, "checkpoint branch {k}: output layer takes "
                                "8 inputs, but the layer before it has 9"),
         (_flatten_first_layer, "checkpoint branch {k}: weights must be a "
                                "matrix, got shape (81,)"),
-        (_fractional_window_row, "branch {k}: input range (0, {row}, "),
-        (_shrink_window, "checkpoint branch {k}: MLP takes 9 inputs, its "
-                         "window c0[{row}:{row_end},"),
-        (_move_window_off_image, "branch {k}: input range c0[10:13,"),
-        (_branch_class_out_of_range, "checkpoint branch {k}: branch_class "
-                                     "10 is not a class index below 10"),
-        (_negative_target_class, "checkpoint branch {k}: target_class -1 is "
-                                 "not a class index below 10"),
-        (_bool_branch_class, "checkpoint branch {k}: branch_class True is "
-                             "not a class index below 10"),
         (_short_stats_row, "checkpoint branch {k}: election stats have "
                            "shapes (9,) and (10,), expected (10,)"),
         (_nan_stats_mean, "checkpoint branch {k}: election stats mean is "
                           "not finite"),
         (_zero_stats_std, "checkpoint branch {k}: election stats std is not "
                           "finite and positive"),
-        (_non_finite_mask("a", float("nan")), "checkpoint branch {k}: mask "
-                                              "a is not finite"),
-        (_non_finite_mask("b", float("-inf")), "checkpoint branch {k}: mask "
-                                               "b is not finite"),
-        (_non_finite_mask("thd", float("inf")), "checkpoint branch {k}: "
-                                                "mask thd is not finite"),
-        (_non_finite_mask("v_span", float("inf")), "checkpoint branch {k}: "
-                                                   "mask v_span is not "
-                                                   "finite"),
-        (_non_finite_mask("a", 10 ** 400), "checkpoint branch {k}: int too "
-                                           "large to convert to float"),
         (_drop_hidden_layers, "checkpoint branch {k}: a branch MLP needs at "
                               "least one hidden layer"),
         (_linear_activation, "checkpoint branch {k}: activation 'linear' is "
                              "not 'relu'"),
     ])
     def test_is_a_data_error_naming_the_branch(
-            self, tmp_path, data_dir, transfer_run, caplog, corrupt,
-            message):
-        doc = json.loads((transfer_run / "checkpoint.json").read_text())
+            self, tmp_path, data_dir, caplog, corrupt, message):
+        """Version 1 records, in the committed fixture."""
+        doc = _checkpoint_doc(1, None)
         k = 1
         assert doc["branches"][k]["origin"] == "transferred"
         corrupt(doc, k)
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        code = main(["eval", "--checkpoint", str(bad), "--dataset", "mnist",
-                     "--data-dir", str(data_dir)])
+        code, errors, bad = _eval_errors(tmp_path, data_dir, caplog, doc)
         assert code == 2
         row = doc["branches"][k]["input_range"][1]
         expected = message.format(k=k, row=row, row_end=row + 2)
-        errors = [r.getMessage() for r in caplog.records
-                  if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].startswith(expected), errors
+        assert errors[0].endswith(f" (checkpoint {bad})"), errors
+
+    @pytest.mark.parametrize("corrupt, message", [
+        *SHARED_CORRUPTIONS,
+        (_v2_narrow_hidden_layer, "checkpoint branch {k}: hidden layer 1 "
+                                  "takes 8 inputs, but the layer before it "
+                                  "has 9"),
+        (_v2_narrow_output_layer, "checkpoint branch {k}: output layer takes "
+                                  "8 inputs, but the layer before it has 9"),
+        (_v2_flatten_first_layer, "checkpoint layer {i}: weights must be a "
+                                  "matrix, got shape (81,)"),
+        (_v2_stats("mean", lambda a: a[:-1]),
+         "checkpoint branch {k}: election stats have shapes (9,) and (10,), "
+         "expected (10,)"),
+        (_v2_stats("mean", lambda a: a * np.nan),
+         "checkpoint branch {k}: election_stats mean is not all finite"),
+        (_v2_stats("std", lambda a: a * 0.0),
+         "checkpoint branch {k}: election stats std is not finite and "
+         "positive"),
+        (_v2_list_stats, "checkpoint branch {k}: election_stats std is not "
+                         "an array record"),
+        (_v2_bad_stats_base64, "checkpoint branch {k}: election_stats std is "
+                               "not valid base64"),
+        (_v2_drop_hidden_layers, "checkpoint branch {k}: a branch MLP needs "
+                                 "at least one hidden layer"),
+        (_v2_output_as_hidden_layer, "checkpoint branch {k}: hidden layer 3 "
+                                     "has no bias"),
+        (_v2_index_past_table, "checkpoint branch {k}: layers[2] {n} is "
+                               "past the table's {n} layers"),
+        (_v2_layers(0, True), "checkpoint branch {k}: layers[0] True is not "
+                              "a layer index"),
+        (_v2_layers(4, -1), "checkpoint branch {k}: layers[4] -1 is not a "
+                            "layer index"),
+        (_v2_no_layers, "checkpoint branch {k}: layers [] is not a "
+                        "non-empty list"),
+        (_v2_first_layer_array("base64", "AAAA*"),
+         "checkpoint layer {i}: weights is not valid base64"),
+        (_v2_first_layer_array("dtype", "<f4"),
+         "checkpoint layer {i}: weights dtype '<f4' is not '<f8'"),
+        (_v2_first_layer_array("shape", [9, 8]),
+         "checkpoint layer {i}: weights holds 648 bytes, shape [9, 8] needs "
+         "576"),
+        (_v2_first_layer_array("shape", [9, 9.0]),
+         "checkpoint layer {i}: weights shape [9, 9.0] is not a list of "
+         "sizes"),
+        (_v2_inf_first_layer, "checkpoint layer {i}: weights is not all "
+                              "finite"),
+        (_v2_list_first_layer, "checkpoint layer {i}: weights is not an "
+                               "array record"),
+        (_checkpoint_version(3), "unsupported checkpoint version 3"),
+        (_checkpoint_version(True), "unsupported checkpoint version True"),
+    ])
+    def test_v2_record_is_a_data_error_naming_its_place(
+            self, tmp_path, data_dir, transfer_run, caplog, corrupt,
+            message):
+        doc = _checkpoint_doc(2, transfer_run)
+        k = 1
+        assert doc["branches"][k]["origin"] == "transferred"
+        assert doc["version"] == 2
+        i, n = _table_index(doc, k, 0), len(doc["layers"])
+        corrupt(doc, k)
+        code, errors, bad = _eval_errors(tmp_path, data_dir, caplog, doc)
+        assert code == 2
+        row = doc["branches"][k]["input_range"][1]
+        expected = message.format(k=k, row=row, row_end=row + 2, i=i, n=n)
         assert len(errors) == 1 and errors[0].startswith(expected), errors
         assert errors[0].endswith(f" (checkpoint {bad})"), errors
 
     def test_error_names_the_checkpoint_file(self, tmp_path, data_dir,
                                              transfer_run, caplog):
-        doc = json.loads((transfer_run / "checkpoint.json").read_text())
+        doc = _checkpoint_doc(2, transfer_run)
         _drop_mask(doc, 1)
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        code = main(["eval", "--checkpoint", str(bad), "--dataset", "mnist",
-                     "--data-dir", str(data_dir)])
+        code, errors, bad = _eval_errors(tmp_path, data_dir, caplog, doc)
         assert code == 2
-        errors = [r.getMessage() for r in caplog.records
-                  if r.levelname == "ERROR"]
         assert errors == ["checkpoint branch 1 has no 'mask' key "
                           f"(checkpoint {bad})"]
 
+    @pytest.mark.parametrize("version", [1, 2])
     def test_stats_on_only_some_branches_is_a_data_error(
-            self, tmp_path, data_dir, transfer_run, caplog):
-        doc = json.loads((transfer_run / "checkpoint.json").read_text())
+            self, tmp_path, data_dir, transfer_run, caplog, version):
+        doc = _checkpoint_doc(version, transfer_run)
         assert len(doc["branches"]) >= 2
         assert all(rec["election_stats"] for rec in doc["branches"])
         doc["branches"][1]["election_stats"] = None
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        code = main(["eval", "--checkpoint", str(bad), "--dataset", "mnist",
-                     "--data-dir", str(data_dir)])
+        code, errors, bad = _eval_errors(tmp_path, data_dir, caplog, doc)
         assert code == 2
-        errors = [r.getMessage() for r in caplog.records
-                  if r.levelname == "ERROR"]
         assert errors == ["branch 1: election stats must be present in "
                           f"election mode (checkpoint {bad})"]
 
+    @pytest.mark.parametrize("version", [1, 2])
     def test_stats_on_a_tuning_branch_is_a_data_error(
-            self, tmp_path, data_dir, base_run, caplog):
-        doc = json.loads((base_run / "checkpoint.json").read_text())
+            self, tmp_path, data_dir, base_run, caplog, version):
+        doc = _checkpoint_doc(version, base_run)
+        stats = {"mean": [0.0] * 10, "std": [1.0] * 10}
+        if version == 1:
+            # the fixture is an election network: retag it as tuning, with
+            # statistics on branch 2 only
+            doc["mode"] = "tuning"
+            for rec in doc["branches"]:
+                rec["election_stats"] = None
+        else:
+            stats = {name: artifact.write(v) for name, v in stats.items()}
         assert doc["mode"] == "tuning"
-        doc["branches"][2]["election_stats"] = {"mean": [0.0] * 10,
-                                                "std": [1.0] * 10}
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        code = main(["eval", "--checkpoint", str(bad), "--dataset", "mnist",
-                     "--data-dir", str(data_dir)])
+        doc["branches"][2]["election_stats"] = stats
+        code, errors, bad = _eval_errors(tmp_path, data_dir, caplog, doc)
         assert code == 2
-        errors = [r.getMessage() for r in caplog.records
-                  if r.levelname == "ERROR"]
         assert errors == ["branch 2: election stats must be absent in "
                           f"tuning mode (checkpoint {bad})"]
 

@@ -1,5 +1,6 @@
 """Mean-shift clustering tests on synthetic geometry and real branch MLPs."""
 
+import copy
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from namgrow.clustering import (
     clusters_to_json,
     generate_branch_pairs,
     mean_shift_step,
+    source_digest,
     standardize,
 )
 from namgrow.nn_core import init_branch_mlp
@@ -453,8 +455,10 @@ def test_cluster_cache_json_roundtrip():
     mlps = [init_branch_mlp(rng, n_classes=2) for _ in range(2)]
     cfg = ClusterConfig(n_samples=40, max_shift_iterations=20)
     table = cluster_network(mlps, cfg, seed=5)
-    text = clusters_to_json(table)
-    back = clusters_from_json(text)
+    source = {"for": "grow", "mlp_sha256": source_digest(mlps)}
+    text = clusters_to_json(table, source)
+    back_source, back = clusters_from_json(text)
+    assert back_source == source
     assert len(back) == 2
     for per_a, per_b in zip(table, back):
         for sa, sb in zip(per_a, per_b):
@@ -462,10 +466,28 @@ def test_cluster_cache_json_roundtrip():
             np.testing.assert_array_equal(sa.centers, sb.centers)
             np.testing.assert_array_equal(sa.max_outputs, sb.max_outputs)
             np.testing.assert_array_equal(sa.sample_mean, sb.sample_mean)
+            np.testing.assert_array_equal(sa.sample_min, sb.sample_min)
+            np.testing.assert_array_equal(sa.sample_max, sb.sample_max)
             assert sa.n_pairs == sb.n_pairs
-    assert clusters_to_json(back) == text
+    assert clusters_to_json(back, back_source) == text
     with pytest.raises(ValueError):
         clusters_from_json('{"format":"nope","version":1}')
+    with pytest.raises(ValueError, match="^cluster cache version 1 is no "
+                                         "longer read: rebuild it with "
+                                         "`namgrow cluster-cache`$"):
+        clusters_from_json('{"format":"nam-cluster-cache","version":1}')
+
+
+def test_source_digest_is_the_layer_bytes():
+    """One digest per set of layer values, whatever the objects."""
+    rng = np.random.default_rng(3)
+    mlps = [init_branch_mlp(rng, n_classes=3) for _ in range(2)]
+    copies = [copy.deepcopy(mlp) for mlp in mlps]
+    assert source_digest(copies) == source_digest(mlps)
+    assert source_digest(mlps[::-1]) != source_digest(mlps)
+    copies[1].hidden_layers[2].bias[4] = np.nextafter(
+        copies[1].hidden_layers[2].bias[4], 1.0)
+    assert source_digest(copies) != source_digest(mlps)
 
 
 def test_cluster_config_validation():
