@@ -9,8 +9,9 @@ bytes.  Each array in it is a record
 of the array's C-order little-endian float64 bytes.  Encoding bytes is a
 small fraction of the work of writing each float's shortest repr and takes
 about half the space, and it round-trips every bit.  `read` checks a
-record's dtype, shape and decoded byte length before it builds the array,
-and refuses an array that is not all finite.
+record's dtype, shape and payload length before it builds the array,
+decodes the payload into it a chunk at a time, and refuses an array that is
+not all finite.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ import math
 import numpy as np
 
 DTYPE = "<f8"
+# base64 characters decoded at a time (a multiple of 4, so each chunk but
+# the last decodes on its own to three bytes per four characters)
+_CHUNK = 1 << 18
 
 
 def dumps(doc: dict) -> str:
@@ -48,9 +52,39 @@ def _is_size(n) -> bool:
     return isinstance(n, int) and not isinstance(n, bool) and n >= 0
 
 
+def _encodes(text, size: int) -> bool:
+    """Whether `text` is a string as long as the base64 of `size` bytes with
+    no '=' before its last two characters: if it is valid, it decodes to
+    `size` bytes, every chunk but the last without padding."""
+    return (isinstance(text, str) and len(text) == 4 * -(-size // 3)
+            and text.find("=", 0, len(text) - 2) < 0)
+
+
+def _decode_into(text: str, out: np.ndarray) -> int:
+    """Decode `text` into the uint8 array `out`, _CHUNK characters at a
+    time, and return the decoded length; bytes past the end of `out` are
+    counted, not stored.  An invalid text raises what decoding it whole
+    raises."""
+    pos = 0
+    for lo in range(0, len(text), _CHUNK):
+        try:
+            raw = base64.b64decode(text[lo:lo + _CHUNK], validate=True)
+        except ValueError:
+            base64.b64decode(text, validate=True)
+            raise
+        end = pos + len(raw)
+        if end <= out.size:
+            out[pos:end] = np.frombuffer(raw, dtype=np.uint8)
+        pos = end
+    return pos
+
+
 def read(record, name: str) -> np.ndarray:
     """The writable float64 array of an array record; a malformed record or
-    a non-finite value is a ValueError that begins with `name`."""
+    a non-finite value is a ValueError that begins with `name`.
+
+    The payload is decoded a chunk at a time straight into the array, so a
+    read holds the record's text, the array and one chunk."""
     if not isinstance(record, dict):
         raise ValueError(f"{name} is not an array record")
     for key in ("dtype", "shape", "base64"):
@@ -61,14 +95,20 @@ def read(record, name: str) -> np.ndarray:
     shape = record["shape"]
     if not (isinstance(shape, list) and all(map(_is_size, shape))):
         raise ValueError(f"{name} shape {shape!r} is not a list of sizes")
+    text, size = record["base64"], 8 * math.prod(shape)
     try:
-        raw = base64.b64decode(record["base64"], validate=True)
+        if _encodes(text, size):
+            values = np.empty(shape, dtype=DTYPE)
+            count = _decode_into(text, values.reshape(-1).view(np.uint8))
+        else:
+            count = len(base64.b64decode(text, validate=True))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} is not valid base64: {exc}") from exc
-    if len(raw) != 8 * math.prod(shape):
-        raise ValueError(f"{name} holds {len(raw)} bytes, shape {shape} "
-                         f"needs {8 * math.prod(shape)}")
-    values = np.frombuffer(bytearray(raw), dtype=DTYPE).reshape(shape)
-    if not np.all(np.isfinite(values)):
+    if count != size:
+        raise ValueError(f"{name} holds {count} bytes, shape {shape} "
+                         f"needs {size}")
+    # min and max propagate NaN and need no temporary the array's size
+    if size and not (math.isfinite(values.min())
+                     and math.isfinite(values.max())):
         raise ValueError(f"{name} is not all finite")
     return values

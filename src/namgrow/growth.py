@@ -45,6 +45,7 @@ from .nam_model import (
     NamNetwork,
     add_branch_output,
     added_branch_output,
+    apply_class_mask,
     branch_output,
     branch_parameter_count,
     class_mask_grads,
@@ -506,7 +507,7 @@ def _finish_iteration(state: GrowthState,
     mode = net.mode
     iteration = len(state.records)
     branches = [t.branch for t in tentative]
-    raw_fit = [_train_values(state, t) for t in tentative]
+    raw_fit = _train_values(state, tentative)
     if mode == "election":
         for branch, raw in zip(branches, raw_fit):
             flags = added_branch_output(branch, raw, mode)
@@ -548,50 +549,72 @@ def _finish_iteration(state: GrowthState,
     return points
 
 
-def _train_values(state: GrowthState, t: _Tentative) -> np.ndarray:
-    """A tentative branch's raw values on the train split, forwarding only
-    the columns outside the selection set."""
+def _train_values(state: GrowthState,
+                  tentative: list[_Tentative]) -> np.ndarray:
+    """The tentative branches' raw values on the train split, one row per
+    branch [k, n], forwarding only the columns outside the selection set."""
     train = state.train.data
-    raw = np.empty(train.n)
-    raw[state.selection_columns] = t.values_sel
-    raw[state.rest_columns] = branch_output(t.branch, train,
-                                            state.rest_columns)
+    raw = np.empty((len(tentative), train.n))
+    for row, t in zip(raw, tentative):
+        row[state.selection_columns] = t.values_sel
+        row[state.rest_columns] = branch_output(t.branch, train,
+                                                state.rest_columns)
     return raw
 
 
-def mask_gradients(frozen_logits: np.ndarray, labels: np.ndarray,
-                   branches: list[Branch], raw_values: list[np.ndarray]
-                   ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss and d(loss)/d(a, b) for a batch, given the other branches' sums.
+class MaskColumns(NamedTuple):
+    """The class masks of k branches as [k, 1] columns, which
+    `apply_class_mask` and `class_mask_grads` take in place of one
+    ClassMask to work on k rows of raw outputs at once."""
 
-    frozen_logits[j] are the summed class-outputs of every branch except the
-    listed ones on sample j; raw_values[k] are branch k's pre-mask scalars.
+    a: np.ndarray
+    b: np.ndarray
+    thd: np.ndarray
+    v_span: np.ndarray
+
+
+def mask_gradients(frozen_logits: np.ndarray, labels: np.ndarray,
+                   masks: MaskColumns, targets: list[int], raw: np.ndarray
+                   ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Loss and d(loss)/d(a, b) [k] for a batch, given the other branches'
+    sums.
+
+    frozen_logits[j] are the summed class-outputs of every branch except
+    the k tuned ones on sample j; raw[k] are branch k's pre-mask scalars,
+    masked by row k of `masks` and credited to class targets[k].  Each
+    branch's masked column is added to the logits in branch order, as the
+    network adds its branches.
     """
     logits = frozen_logits.copy()
-    for branch, raw in zip(branches, raw_values, strict=True):
-        add_branch_output(logits, branch, raw, "tuning")
+    for t, value in zip(targets, apply_class_mask(masks, raw), strict=True):
+        logits[:, t] += value
     loss, dlogits = softmax_cross_entropy_batch(logits, labels)
-    da = np.empty(len(branches))
-    db = np.empty(len(branches))
-    for k, (branch, raw) in enumerate(zip(branches, raw_values)):
-        da[k], db[k] = class_mask_grads(branch.mask, raw,
-                                        dlogits[:, branch.target_class])
+    # each branch's upstream gradient is a C-contiguous row, so its sum
+    # runs as a lone 1-D sum would
+    upstream = np.ascontiguousarray(dlogits.T[targets])
+    da, db = class_mask_grads(masks, raw, upstream)
     return loss, da, db
 
 
 def tune_masks(branches: list[Branch], dataset: Dataset, epochs: int,
-               frozen_logits: np.ndarray, raw_values: list[np.ndarray],
+               frozen_logits: np.ndarray, raw_values: np.ndarray,
                learning_rate: float, batch_size: int, seed: int) -> None:
     """Train the scale/bias of the masks of `branches` with minibatch Adam.
 
     `frozen_logits` are the class-output sums of every other branch on
-    `dataset`, and `raw_values[k]` are branches[k]'s pre-mask scalars there.
-    Only these masks' two scalars move: all MLP weights and every other
-    mask stay untouched, and freezing the tuned masks is the acceptance
-    step's job.  Zero epochs is a no-op.
+    `dataset`, and `raw_values[k]` are branches[k]'s pre-mask scalars
+    there, one row [k, n] per branch.  Each minibatch is one stacked step
+    over all k masks.  Only these masks' two scalars move: all MLP weights
+    and every other mask stay untouched, and freezing the tuned masks is
+    the acceptance step's job.  Zero epochs is a no-op.
     """
     a = np.array([br.mask.a for br in branches])
     b = np.array([br.mask.b for br in branches])
+    # the a and b columns are views of the parameters Adam steps in place
+    masks = MaskColumns(a[:, None], b[:, None],
+                        np.array([[br.mask.thd] for br in branches]),
+                        np.array([[br.mask.v_span] for br in branches]))
+    targets = [br.target_class for br in branches]
     params = [a, b]
     opt = AdamState(params, lr=learning_rate)
     rng = np.random.default_rng(seed)
@@ -600,11 +623,11 @@ def tune_masks(branches: list[Branch], dataset: Dataset, epochs: int,
         for lo in range(0, dataset.n, batch_size):
             idx = order[lo:lo + batch_size]
             _, da, db = mask_gradients(frozen_logits[idx], dataset.labels[idx],
-                                       branches, [raw[idx] for raw in raw_values])
+                                       masks, targets, raw_values[:, idx])
             adam_step(opt, params, [da, db])
-            for k, br in enumerate(branches):
-                br.mask.a = float(a[k])
-                br.mask.b = float(b[k])
+    for k, br in enumerate(branches):
+        br.mask.a = float(a[k])
+        br.mask.b = float(b[k])
 
 
 def frozen_parameter_hash(branches: list[Branch]) -> str:

@@ -44,15 +44,23 @@ class ClassMask:
             raise ValueError(f"v_span must be positive, got {self.v_span}")
 
 
+def _relu(x):
+    """max(x, 0.0) element by element, keeping -0.0 as Python's max does
+    (np.maximum would return 0.0)."""
+    return np.where(x < 0.0, 0.0, x)
+
+
 def apply_class_mask(mask: ClassMask, y):
     """ReLU(a) * (ReLU((y - thd)/v_span) + 1[y > thd] * ReLU(b)).
 
-    Accepts a scalar or an ndarray of raw outputs.
+    Accepts a scalar or an ndarray of raw outputs.  The mask's a, b, thd
+    and v_span may also be [k, 1] columns, one row per mask, for raw
+    outputs [k, n]; each row then gets the bits its own mask would give.
     """
     y = np.asarray(y, dtype=np.float64)
     ramp = np.maximum((y - mask.thd) / mask.v_span, 0.0)
     flag = (y > mask.thd).astype(np.float64)
-    out = max(mask.a, 0.0) * (ramp + flag * max(mask.b, 0.0))
+    out = _relu(mask.a) * (ramp + flag * _relu(mask.b))
     return float(out) if np.isscalar(out) or out.ndim == 0 else out
 
 
@@ -60,17 +68,19 @@ def class_mask_grads(mask: ClassMask, y, upstream):
     """d(loss)/da and d(loss)/db given upstream = d(loss)/d(masked output).
 
     ReLU subgradient at 0 is taken as 1 so that b can move off its zero
-    initialisation.
+    initialisation.  For raw outputs [n] the gradients are 0-d arrays; for
+    [k, n] under [k, 1] mask columns (see `apply_class_mask`) they are [k]
+    arrays, each row summed over its n samples as a lone row would be.
     """
     y = np.asarray(y, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
     ramp = np.maximum((y - mask.thd) / mask.v_span, 0.0)
     flag = (y > mask.thd).astype(np.float64)
-    da = float(np.sum(upstream * (ramp + flag * max(mask.b, 0.0)))) \
-        * (1.0 if mask.a >= 0.0 else 0.0)
-    db = float(np.sum(upstream * flag)) * max(mask.a, 0.0) \
-        * (1.0 if mask.b >= 0.0 else 0.0)
-    return da, db
+    da = np.sum(upstream * (ramp + flag * _relu(mask.b)), axis=-1,
+                keepdims=True) * np.where(mask.a >= 0.0, 1.0, 0.0)
+    db = np.sum(upstream * flag, axis=-1, keepdims=True) * _relu(mask.a) \
+        * np.where(mask.b >= 0.0, 1.0, 0.0)
+    return da[..., 0], db[..., 0]
 
 
 @dataclass

@@ -140,7 +140,9 @@ def stacked_loss_and_grads(stacked, patches, labels):
     loss, dlogits = softmax_cross_entropy_batch(logits, labels)
     top = activations[-1]
     # The sum over branches broadcasts the same residual to every branch.
-    d_out = np.einsum("nc,kni->kci", dlogits, top)
+    # The weight gradients are batched GEMMs, one [out, n] @ [n, in] per
+    # branch, so BLAS sets their summation order as it does the forward's.
+    d_out = np.matmul(dlogits.T, top)
     dh = np.matmul(dlogits[None, :, :], stacked.output_weights)
     n_hidden = len(stacked.hidden_weights)
     hidden_w_grads = [None] * n_hidden
@@ -148,7 +150,7 @@ def stacked_loss_and_grads(stacked, patches, labels):
     for layer_idx in range(n_hidden - 1, -1, -1):
         dpre = np.where(masks[layer_idx], dh, 0.0)
         below = activations[layer_idx]
-        hidden_w_grads[layer_idx] = np.einsum("kni,knj->kij", dpre, below)
+        hidden_w_grads[layer_idx] = np.matmul(dpre.transpose(0, 2, 1), below)
         hidden_b_grads[layer_idx] = dpre.sum(axis=1)
         if layer_idx > 0:
             dh = np.matmul(dpre, stacked.hidden_weights[layer_idx])

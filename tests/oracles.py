@@ -15,7 +15,8 @@ The single-sample forward, backward and cross-entropy, the row-major
 batched forward, the per-image patch and the stacked forward are the
 per-sample references the batched library code is checked against.  The
 MLP builder takes the hidden width and depth the library's fixed builder
-does not, and the dense and stride-1 window lists are the references for
+does not, the per-branch mask tuning is the reference for growth's stacked
+one (one mask at a time, read back from the branch after every step), and the dense and stride-1 window lists are the references for
 the one window-grid builder.  The per-branch matching scan is the reference
 for the shared window-major scan growth runs, and the loop mean-shift,
 which keeps each cluster's members, is the reference for the clustering
@@ -54,9 +55,18 @@ from namgrow.nam_model import (
     SIGMA_FLOOR,
     Branch,
     NamNetwork,
+    add_branch_output,
     apply_class_mask,
+    class_mask_grads,
 )
-from namgrow.nn_core import BranchMlp, DenseLayer, mlp_forward_batch
+from namgrow.nn_core import (
+    AdamState,
+    BranchMlp,
+    DenseLayer,
+    adam_step,
+    mlp_forward_batch,
+    softmax_cross_entropy_batch,
+)
 from namgrow.training import StackedNam, _forward_with_cache
 
 
@@ -544,3 +554,56 @@ def with_election_stats(branches: list[Branch], means: np.ndarray,
     network is built from such branches."""
     return [replace(br, election_stats=(mean, std))
             for br, mean, std in zip(branches, means, stds, strict=True)]
+
+
+# ------------------------------------------------------ mask tuning
+
+def per_branch_mask_gradients(frozen_logits: np.ndarray, labels: np.ndarray,
+                              branches: list[Branch],
+                              raw_values: list[np.ndarray]
+                              ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Loss and d(loss)/d(a, b) for a batch, given the other branches' sums.
+
+    frozen_logits[j] are the summed class-outputs of every branch except the
+    listed ones on sample j; raw_values[k] are branch k's pre-mask scalars.
+    """
+    logits = frozen_logits.copy()
+    for branch, raw in zip(branches, raw_values, strict=True):
+        add_branch_output(logits, branch, raw, "tuning")
+    loss, dlogits = softmax_cross_entropy_batch(logits, labels)
+    da = np.empty(len(branches))
+    db = np.empty(len(branches))
+    for k, (branch, raw) in enumerate(zip(branches, raw_values)):
+        da[k], db[k] = class_mask_grads(branch.mask, raw,
+                                        dlogits[:, branch.target_class])
+    return loss, da, db
+
+
+def per_branch_tune_masks(branches: list[Branch], dataset: Dataset,
+                          epochs: int, frozen_logits: np.ndarray,
+                          raw_values: list[np.ndarray], learning_rate: float,
+                          batch_size: int, seed: int) -> None:
+    """Train the scale/bias of the masks of `branches` with minibatch Adam.
+
+    `frozen_logits` are the class-output sums of every other branch on
+    `dataset`, and `raw_values[k]` are branches[k]'s pre-mask scalars there.
+    Only these masks' two scalars move: all MLP weights and every other
+    mask stay untouched, and freezing the tuned masks is the acceptance
+    step's job.  Zero epochs is a no-op.
+    """
+    a = np.array([br.mask.a for br in branches])
+    b = np.array([br.mask.b for br in branches])
+    params = [a, b]
+    opt = AdamState(params, lr=learning_rate)
+    rng = np.random.default_rng(seed)
+    for _ in range(epochs):
+        order = rng.permutation(dataset.n)
+        for lo in range(0, dataset.n, batch_size):
+            idx = order[lo:lo + batch_size]
+            _, da, db = per_branch_mask_gradients(
+                frozen_logits[idx], dataset.labels[idx], branches,
+                [raw[idx] for raw in raw_values])
+            adam_step(opt, params, [da, db])
+            for k, br in enumerate(branches):
+                br.mask.a = float(a[k])
+                br.mask.b = float(b[k])

@@ -29,7 +29,8 @@ from namgrow.clustering import (
     cluster_branch_mlp,
 )
 from namgrow.data_io import InputRange, load_cifar10, load_mnist
-from namgrow.growth import GrowthConfig, run_growth, transfer_task
+from namgrow.growth import GrowthConfig, MaskColumns, run_growth, \
+    transfer_task
 from namgrow.matching import NormalizationStats, transfer_first_layer
 from namgrow.nam_model import (
     Branch,
@@ -295,23 +296,37 @@ def _check_gradients():
         fd = (softmax_cross_entropy(zp, 4)[0]
               - softmax_cross_entropy(zm, 4)[0]) / (2 * h)
         assert abs(fd - g[j]) / max(abs(fd), abs(g[j]), 1e-8) < 1e-4
-    # mask scalars, probed away from the threshold kink
-    for _ in range(20):
-        a, b = rng.uniform(0.1, 2.0, size=2)
-        thd = rng.uniform(-0.5, 0.5)
-        v_span = rng.uniform(0.2, 2.0)
-        mask = ClassMask(a, b, thd, v_span)
-        y = thd + rng.uniform(0.05, 1.0, size=6) * np.where(
-            rng.uniform(size=6) < 0.5, -1.0, 1.0)
-        up_m = rng.normal(size=6)
-        da, db = class_mask_grads(mask, y, up_m)
-        hm = 1e-6
-        fa = (np.sum(up_m * apply_class_mask(ClassMask(a + hm, b, thd, v_span), y))
-              - np.sum(up_m * apply_class_mask(ClassMask(a - hm, b, thd, v_span), y))) / (2 * hm)
-        fb = (np.sum(up_m * apply_class_mask(ClassMask(a, b + hm, thd, v_span), y))
-              - np.sum(up_m * apply_class_mask(ClassMask(a, b - hm, thd, v_span), y))) / (2 * hm)
-        assert abs(da - fa) / max(abs(fa), 1e-8) < 1e-4
-        assert abs(db - fb) / max(abs(fb), 1e-8) < 1e-4
+    # mask scalars, probed away from the threshold kink: one ClassMask on a
+    # 1-D batch (k None), then k masks as [k, 1] columns
+    for k in (None, 1, 3):
+        rows = 1 if k is None else k
+        for _ in range(20):
+            a, b = rng.uniform(0.1, 2.0, size=(2, rows, 1))
+            thd = rng.uniform(-0.5, 0.5, size=(rows, 1))
+            v_span = rng.uniform(0.2, 2.0, size=(rows, 1))
+            y = thd + rng.uniform(0.05, 1.0, size=(rows, 6)) * np.where(
+                rng.uniform(size=(rows, 6)) < 0.5, -1.0, 1.0)
+            up_m = rng.normal(size=(rows, 6))
+            if k is None:
+                a, b, thd, v_span = (float(v[0, 0])
+                                     for v in (a, b, thd, v_span))
+                y, up_m = y[0], up_m[0]
+                make_mask = ClassMask
+            else:
+                make_mask = MaskColumns
+            da, db = class_mask_grads(make_mask(a, b, thd, v_span), y, up_m)
+            hm = 1e-6
+
+            def loss(a, b):
+                return np.sum(up_m * apply_class_mask(
+                    make_mask(a, b, thd, v_span), y), axis=-1)
+
+            fa = (loss(a + hm, b) - loss(a - hm, b)) / (2 * hm)
+            fb = (loss(a, b + hm) - loss(a, b - hm)) / (2 * hm)
+            assert np.all(np.abs(da - fa) / np.maximum(np.abs(fa), 1e-8)
+                          < 1e-4)
+            assert np.all(np.abs(db - fb) / np.maximum(np.abs(fb), 1e-8)
+                          < 1e-4)
 
 
 def _check_loss_descent_diagnostics():

@@ -13,6 +13,7 @@ import base64
 import hashlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,64 @@ def _record(**changes):
 def test_read_checks_the_record_before_building_the_array(record, message):
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         artifact.read(record, "x")
+
+
+def _replace(text: str, at: int, chars: str) -> str:
+    return text[:at] + chars + text[at + len(chars):]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: t,
+    lambda t: _replace(t, 10, "*"),
+    lambda t: _replace(t, 7, "="),
+    lambda t: _replace(t, 6, "=="),
+    lambda t: _replace(t, 16, "\n"),
+    lambda t: _replace(t, 20, "é"),
+    lambda t: _replace(t, len(t) - 1, "A"),
+    lambda t: _replace(t, len(t) - 2, "=="),
+    lambda t: _replace(t, len(t) - 3, "="),
+    lambda t: t[4:],
+    lambda t: t + "AAAA",
+])
+def test_chunked_read_reports_what_a_whole_decode_does(edit, monkeypatch):
+    """Decoded 8 characters at a time, a payload gives the array, or the
+    error or decoded length that decoding it whole gives, wherever the edit
+    falls against the chunks."""
+    monkeypatch.setattr(artifact, "_CHUNK", 8)
+    values = np.arange(7.0) / 3.0          # 56 bytes: one '=' of padding
+    record = artifact.write(values)
+    record["base64"] = edit(record["base64"])
+    try:
+        raw = base64.b64decode(record["base64"], validate=True)
+    except ValueError as exc:
+        want = f"x is not valid base64: {exc}"
+    else:
+        if len(raw) == values.nbytes:
+            assert artifact.read(record, "x").tobytes() == raw
+            return
+        want = f"x holds {len(raw)} bytes, shape [7] needs 56"
+    with pytest.raises(ValueError) as info:
+        artifact.read(record, "x")
+    assert str(info.value) == want
+
+
+def test_read_holds_the_array_and_one_chunk():
+    """Above the record's text, a read peaks at the array plus one chunk:
+    the chunk's text slice, its ASCII bytes and its decoded bytes take
+    under three chunk lengths, and the bound allows four.  Decoding the
+    whole payload and copying it took twice the array and more."""
+    values = np.random.default_rng(0).normal(size=1 << 19)   # 4 MiB
+    tracemalloc.start()
+    try:
+        record = artifact.write(values)
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        back = artifact.read(record, "x")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.tobytes() == values.tobytes()
+    assert peak - before <= values.nbytes + 4 * artifact._CHUNK
 
 
 def test_document_keys_keep_their_order():

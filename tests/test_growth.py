@@ -12,6 +12,7 @@ from namgrow.growth import (
     CandidateBranch,
     GrowthConfig,
     IterationRecord,
+    MaskColumns,
     candidate_streams,
     draw_reference_images,
     draw_selection,
@@ -52,7 +53,8 @@ from namgrow.nn_core import (
 )
 from namgrow.qualification import qualify
 from oracles import draw_dataset, fit_election_stats, float_images, \
-    loop_forward_batch, per_branch_scan, rounded_dataset, row_major_patches
+    loop_forward_batch, per_branch_scan, per_branch_tune_masks, \
+    rounded_dataset, row_major_patches
 
 N_CLASSES = 3
 RANGE0 = InputRange(0, 0, 0)
@@ -560,9 +562,9 @@ class TestTuneMasks:
 
     def tuning_inputs(self, net, data, branches):
         """The class-output sums of every branch of `net` but `branches`,
-        and those branches' raw scalars, on `data`."""
-        raw = [mlp_forward_batch(br.mlp, windows(data, br.input_range).T)[
-                   :, br.branch_class] for br in branches]
+        and those branches' raw scalars [k, n], on `data`."""
+        raw = np.stack([mlp_forward_batch(br.mlp, windows(data, br.input_range).T)[
+                            :, br.branch_class] for br in branches])
         frozen_logits = network_forward_batch(net, data)
         for br, r in zip(branches, raw):
             frozen_logits[:, br.target_class] -= apply_class_mask(br.mask, r)
@@ -585,6 +587,12 @@ class TestTuneMasks:
         self.tune(net, data, 0)
         assert network_to_json(net) == before
 
+    @staticmethod
+    def mask_columns(branches):
+        return MaskColumns(*(np.array([[getattr(br.mask, name)]
+                                       for br in branches])
+                             for name in ("a", "b", "thd", "v_span")))
+
     def test_gradients_match_finite_differences(self):
         data = patch_mean_dataset([0.4, -0.2, -0.4], 30, seed=4)
         net = self.grown_network(data)
@@ -592,21 +600,66 @@ class TestTuneMasks:
         for br, (a, b) in zip(unfrozen, [(0.8, 0.3), (1.2, 0.6)]):
             br.mask.a, br.mask.b = a, b
         frozen_logits, raw = self.tuning_inputs(net, data, unfrozen)
+        targets = [br.target_class for br in unfrozen]
 
-        loss, da, db = mask_gradients(frozen_logits, data.labels, unfrozen, raw)
+        def gradients():
+            return mask_gradients(frozen_logits, data.labels,
+                                  self.mask_columns(unfrozen), targets, raw)
+
+        loss, da, db = gradients()
         h = 1e-5
         for k, br in enumerate(unfrozen):
             for attr, grad in (("a", da[k]), ("b", db[k])):
                 saved = getattr(br.mask, attr)
                 setattr(br.mask, attr, saved + h)
-                up, _, _ = mask_gradients(frozen_logits, data.labels,
-                                          unfrozen, raw)
+                up, _, _ = gradients()
                 setattr(br.mask, attr, saved - h)
-                down, _, _ = mask_gradients(frozen_logits, data.labels,
-                                            unfrozen, raw)
+                down, _, _ = gradients()
                 setattr(br.mask, attr, saved)
                 fd = (up - down) / (2 * h)
                 assert abs(grad - fd) <= 1e-4 * max(1.0, abs(fd))
+
+    @pytest.mark.parametrize("targets, n, masks", [
+        # one branch, whole minibatches
+        ([1], 64, [(1.0, 0.0)]),
+        # repeated target classes, a partial last minibatch
+        ([0, 2, 2, 1, 0, 2, 1, 1], 70, [(1.0, 0.0)] * 8),
+        # signed zeros and negative scalars, a partial last minibatch
+        ([2, 0, 2, 1], 50, [(-0.0, -0.0), (-0.5, 0.25), (0.75, -0.3),
+                            (0.0, -0.0)]),
+    ])
+    def test_stacked_tuning_is_bit_identical_to_per_branch(self, targets, n,
+                                                           masks):
+        """One stacked step per minibatch gives the bits of tuning one mask
+        at a time, raw values exactly at the thresholds included."""
+        rng = np.random.default_rng(len(targets))
+        data = draw_dataset(rng, n, (1, 6, 6), n_classes=N_CLASSES)
+        frozen_logits = rng.normal(size=(n, N_CLASSES))
+        thd = rng.normal(size=len(targets))
+        raw = rng.normal(size=(len(targets), n))
+        raw[:, ::5] = thd[:, None]
+
+        def branches():
+            return [Branch(mlp=ramp_mlp(0), input_range=RANGE0,
+                           branch_class=0, target_class=t,
+                           mask=ClassMask(a, b, float(c), 0.6 + 0.1 * k),
+                           origin="grown")
+                    for k, (t, (a, b), c) in enumerate(zip(targets, masks,
+                                                           thd))]
+
+        config = GrowthConfig()
+        stacked, per_branch = branches(), branches()
+        tune_masks(stacked, data, 3, frozen_logits, raw,
+                   learning_rate=config.mask_learning_rate, batch_size=16,
+                   seed=7)
+        per_branch_tune_masks(per_branch, data, 3, frozen_logits, list(raw),
+                              learning_rate=config.mask_learning_rate,
+                              batch_size=16, seed=7)
+        for name in ("a", "b"):
+            got = np.array([getattr(br.mask, name) for br in stacked])
+            want = np.array([getattr(br.mask, name) for br in per_branch])
+            assert got.tobytes() == want.tobytes()
+        assert any(br.mask.a != a for br, (a, _) in zip(stacked, masks))
 
     def test_tuning_only_touches_unfrozen_scalars(self):
         data = patch_mean_dataset([0.4, -0.2, -0.4], 30, seed=5)
@@ -798,9 +851,9 @@ class TestScoreCaches:
         train = state.train.data
         fits, forwarded = [], []
 
-        def recording_train_values(state, t):
-            values = real_train_values(state, t)
-            fits.append((t.branch, values))
+        def recording_train_values(state, tentative):
+            values = real_train_values(state, tentative)
+            fits.extend((t.branch, row) for t, row in zip(tentative, values))
             return values
 
         def counting_branch_output(branch, data, columns=slice(None)):

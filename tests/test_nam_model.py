@@ -9,6 +9,7 @@ from namgrow import nam_model
 from namgrow.checkpoint import load_checkpoint, network_from_json, \
     network_to_json, save_checkpoint
 from namgrow.data_io import InputRange
+from namgrow.growth import MaskColumns
 from namgrow.nam_model import (
     Branch,
     ClassMask,
@@ -253,25 +254,65 @@ def test_mask_requires_positive_span():
         ClassMask(1.0, 0.0, 0.0, 0.0)
 
 
-def test_mask_gradients_match_finite_differences():
-    # interior points: a, b > 0 and y away from thd, so no subgradient kinks
+@pytest.mark.parametrize("k", [None, 1, 3])
+def test_mask_gradients_match_finite_differences(k):
+    # interior points: a, b > 0 and y away from thd, so no subgradient kinks;
+    # one ClassMask on a 1-D batch (k None), or k masks as [k, 1] columns
     rng = np.random.default_rng(42)
+    rows = 1 if k is None else k
     for _ in range(20):
-        a, b = rng.uniform(0.1, 2.0, size=2)
-        thd = rng.uniform(-0.5, 0.5)
-        v_span = rng.uniform(0.2, 2.0)
-        mask = ClassMask(a, b, thd, v_span)
-        y = thd + rng.uniform(0.05, 1.0, size=6) * np.where(
-            rng.uniform(size=6) < 0.5, -1.0, 1.0)
-        upstream = rng.normal(size=6)
-        da, db = class_mask_grads(mask, y, upstream)
+        a, b = rng.uniform(0.1, 2.0, size=(2, rows, 1))
+        thd = rng.uniform(-0.5, 0.5, size=(rows, 1))
+        v_span = rng.uniform(0.2, 2.0, size=(rows, 1))
+        y = thd + rng.uniform(0.05, 1.0, size=(rows, 6)) * np.where(
+            rng.uniform(size=(rows, 6)) < 0.5, -1.0, 1.0)
+        upstream = rng.normal(size=(rows, 6))
+        if k is None:
+            a, b, thd, v_span = (float(v[0, 0]) for v in (a, b, thd, v_span))
+            y, upstream = y[0], upstream[0]
+            make_mask = ClassMask
+        else:
+            make_mask = MaskColumns
+        da, db = class_mask_grads(make_mask(a, b, thd, v_span), y, upstream)
         h = 1e-6
-        fa = (np.sum(upstream * apply_class_mask(ClassMask(a + h, b, thd, v_span), y))
-              - np.sum(upstream * apply_class_mask(ClassMask(a - h, b, thd, v_span), y))) / (2 * h)
-        fb = (np.sum(upstream * apply_class_mask(ClassMask(a, b + h, thd, v_span), y))
-              - np.sum(upstream * apply_class_mask(ClassMask(a, b - h, thd, v_span), y))) / (2 * h)
-        assert abs(da - fa) / max(abs(fa), 1e-8) < 1e-4
-        assert abs(db - fb) / max(abs(fb), 1e-8) < 1e-4
+
+        def loss(a, b):
+            return np.sum(upstream * apply_class_mask(
+                make_mask(a, b, thd, v_span), y), axis=-1)
+
+        fa = (loss(a + h, b) - loss(a - h, b)) / (2 * h)
+        fb = (loss(a, b + h) - loss(a, b - h)) / (2 * h)
+        assert np.all(np.abs(da - fa) / np.maximum(np.abs(fa), 1e-8) < 1e-4)
+        assert np.all(np.abs(db - fb) / np.maximum(np.abs(fb), 1e-8) < 1e-4)
+
+
+@pytest.mark.parametrize("a, b", [(-0.0, -0.0), (-0.0, 0.5), (0.75, -0.0),
+                                  (-1.0, 2.0), (1.5, -1.0)])
+def test_mask_scalars_clip_as_python_max(a, b):
+    """ReLU(a) and ReLU(b) are Python's max(x, 0.0), which keeps -0.0, in
+    the masked outputs and in both gradients, for one mask and for mask
+    columns alike."""
+    thd, v_span = 0.25, 0.5
+    y = np.array([-1.0, 0.25, 0.3, 2.0, 0.7])
+    up = np.array([0.5, -1.0, 2.0, -0.25, 1.0])
+    ramp = np.maximum((y - thd) / v_span, 0.0)
+    flag = (y > thd).astype(np.float64)
+    want_out = max(a, 0.0) * (ramp + flag * max(b, 0.0))
+    want_da = float(np.sum(up * (ramp + flag * max(b, 0.0)))) \
+        * (1.0 if a >= 0.0 else 0.0)
+    want_db = float(np.sum(up * flag)) * max(a, 0.0) \
+        * (1.0 if b >= 0.0 else 0.0)
+    mask = ClassMask(a, b, thd, v_span)
+    columns = MaskColumns(*(np.full((2, 1), v) for v in (a, b, thd, v_span)))
+    lone, stacked = (apply_class_mask(mask, y),
+                     apply_class_mask(columns, np.stack([y, y])))
+    assert lone.tobytes() == want_out.tobytes()
+    assert stacked.tobytes() == np.stack([want_out, want_out]).tobytes()
+    want = np.array([want_da, want_db])
+    assert np.array(class_mask_grads(mask, y, up)).tobytes() == want.tobytes()
+    da, db = class_mask_grads(columns, np.stack([y, y]), np.stack([up, up]))
+    for k in range(2):
+        assert np.array([da[k], db[k]]).tobytes() == want.tobytes()
 
 
 def test_mask_gradient_subgradient_convention_at_zero():

@@ -163,10 +163,15 @@ class TestStackedGradients:
             grads[k] = acc
         return loss, grads
 
-    def test_matches_per_branch_backward_oracle(self):
+    # batches of one row and one-branch networks may take BLAS's GEMV and
+    # GER paths in place of GEMM
+    @pytest.mark.parametrize("n, n_branches", [
+        (6, 2), (1, 2), (7, 2), (129, 2), (6, 1), (1, 1), (129, 1)])
+    def test_matches_per_branch_backward_oracle(self, n, n_branches):
         net = small_network(seed=11)
-        data = synthetic_dataset(6, seed=5)
-        patches = patches_of(data)
+        del net.branches[n_branches:]
+        data = synthetic_dataset(n, seed=5)
+        patches = patches_of(data)[:n_branches]
         stacked = stack_network(net)
         loss, grads = stacked_loss_and_grads(stacked, patches, data.labels)
         oracle_loss, oracle = self.oracle_grads(net, patches, data.labels)
