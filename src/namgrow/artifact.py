@@ -48,8 +48,21 @@ def write(values) -> dict:
             "base64": base64.b64encode(a).decode("ascii")}
 
 
-def _is_size(n) -> bool:
-    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
+def is_count(value, least: int) -> bool:
+    """Whether `value` is an integer of at least `least` (a bool is not)."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= least)
+
+
+def checked(where: str, build, *args):
+    """build(*args), with any record error raised as a ValueError that
+    begins with `where`."""
+    try:
+        return build(*args)
+    except KeyError as exc:
+        raise ValueError(f"{where} has no {exc} key") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def _encodes(text, size: int) -> bool:
@@ -93,7 +106,7 @@ def read(record, name: str) -> np.ndarray:
     if record["dtype"] != DTYPE:
         raise ValueError(f"{name} dtype {record['dtype']!r} is not {DTYPE!r}")
     shape = record["shape"]
-    if not (isinstance(shape, list) and all(map(_is_size, shape))):
+    if not (isinstance(shape, list) and all(is_count(n, 0) for n in shape)):
         raise ValueError(f"{name} shape {shape!r} is not a list of sizes")
     text, size = record["base64"], 8 * math.prod(shape)
     try:

@@ -118,7 +118,7 @@ def _mlp(indices, table: list[DenseLayer]) -> BranchMlp:
     if not isinstance(indices, list) or not indices:
         raise ValueError(f"layers {indices!r} is not a non-empty list")
     for j, i in enumerate(indices):
-        if isinstance(i, bool) or not isinstance(i, int) or i < 0:
+        if not artifact.is_count(i, 0):
             raise ValueError(f"layers[{j}] {i!r} is not a layer index")
         if i >= len(table):
             raise ValueError(f"layers[{j}] {i} is past the table's "
@@ -165,26 +165,15 @@ def network_from_json(text: str) -> NamNetwork:
         raise ValueError(f"malformed checkpoint: {exc}") from exc
 
 
-def _checked(where: str, build, *args):
-    """build(*args), with any record error raised as a ValueError that
-    begins with `where`."""
-    try:
-        return build(*args)
-    except KeyError as exc:
-        raise ValueError(f"{where} has no {exc} key") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{where}: {exc}") from exc
-
-
 def _network_from_doc(doc: dict) -> NamNetwork:
     if doc["version"] == 1:
         table, parts = [], _v1_parts
     else:
-        table = [_checked(f"checkpoint layer {i}", _table_layer, rec)
+        table = [artifact.checked(f"checkpoint layer {i}", _table_layer, rec)
                  for i, rec in enumerate(doc["layers"])]
         parts = _v2_parts
-    branches = [_checked(f"checkpoint branch {k}", _branch_from_record, rec,
-                         table, parts)
+    branches = [artifact.checked(f"checkpoint branch {k}", _branch_from_record,
+                                 rec, table, parts)
                 for k, rec in enumerate(doc["branches"])]
     return NamNetwork(
         doc["n_classes"],

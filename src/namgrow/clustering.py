@@ -318,22 +318,17 @@ def clusters_to_json(table: list[list[BranchClassClusters]],
     })
 
 
-def _is_count(value, least: int) -> bool:
-    return (isinstance(value, int) and not isinstance(value, bool)
-            and value >= least)
-
-
 def _check_summary_record(rec: dict) -> None:
     """A class index, at least one cluster, and at least one retained pair
     per cluster."""
     c = rec["branch_class"]
-    if not _is_count(c, 0):
+    if not artifact.is_count(c, 0):
         raise ValueError(f"branch_class {c!r} is not a class index")
     k = rec["n_clusters"]
-    if not _is_count(k, 1):
+    if not artifact.is_count(k, 1):
         raise ValueError(f"n_clusters {k!r} is not an integer >= 1")
     n_pairs = rec["n_pairs"]
-    if not _is_count(n_pairs, k):
+    if not artifact.is_count(n_pairs, k):
         raise ValueError(f"n_pairs {n_pairs!r} is not an integer of at least "
                          f"the {k} clusters")
 
@@ -356,13 +351,8 @@ def clusters_from_json(text: str
     records = []
     for b, per_branch in enumerate(doc["branches"]):
         for k, rec in enumerate(per_branch):
-            where = f"cluster cache branch {b} summary {k}"
-            try:
-                _check_summary_record(rec)
-            except KeyError as exc:
-                raise ValueError(f"{where} has no {exc} key") from exc
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{where}: {exc}") from exc
+            artifact.checked(f"cluster cache branch {b} summary {k}",
+                             _check_summary_record, rec)
             records.append((b, k, rec))
     centers = arrays["centers"]
     n_clusters = sum(rec["n_clusters"] for _, _, rec in records)

@@ -214,7 +214,7 @@ def range_flat_indices(input_range: InputRange,
     r = input_range
     if not all(isinstance(v, (int, np.integer)) for v in r.as_tuple()):
         raise ValueError(f"input range {r.as_tuple()} has non-integer fields")
-    if not (0 <= r.channel < channels
+    if not (0 <= r.channel < channels and r.size >= 1
             and 0 <= r.row_start <= height - r.size
             and 0 <= r.col_start <= width - r.size):
         raise ValueError(f"input range {r} out of bounds for shape {shape}")

@@ -34,6 +34,7 @@ from .matching import (
     NormalizationStats,
     PreparedSummaries,
     match_all,
+    normalize_sorted,
     prepare_summaries,
     stats_from_points,
     transfer_first_layer,
@@ -101,6 +102,8 @@ class GrowthConfig:
             raise ValueError("keep_fraction must be in (0, 1]")
         if self.reference_per_class < 2:
             raise ValueError("reference_per_class must be >= 2")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -134,7 +137,7 @@ class BranchPoint:
 class Winner(NamedTuple):
     """A summary that won a target class at one window, before transfer.
 
-    `row` indexes the matched summary pairs.  `input_range` and `ref_stats`
+    `row` indexes the prepared summaries.  `input_range` and `ref_stats`
     (the target class's reference statistics there) are shared by all of
     the window's winners, so a pending winner holds no arrays of its own.
     """
@@ -273,22 +276,23 @@ def _draw_per_class(dataset: Dataset, per_class: int,
 
 
 def match_candidates(input_range: InputRange, ref_images_by_class,
-                     summary_pairs, prepared: PreparedSummaries,
-                     keep_fraction: float, per_branch: bool) -> list[Winner]:
+                     prepared: PreparedSummaries, keep_fraction: float,
+                     per_branch: bool) -> list[Winner]:
     """Match one input range and pick its winners.
 
-    summary_pairs are (branch_id, cluster summary) pairs and `prepared` is
-    `prepare_summaries(summary_pairs)`; every pair is matched to its best
-    reference class, then per reference class the closest pair wins, among
-    all pairs or, with `per_branch`, among each branch's own.  Ties keep the
-    earliest pair.  Winners come sorted by branch (when `per_branch`), then
-    target class.
+    Every prepared summary is matched to its best reference class, then per
+    reference class the closest summary wins, among all summaries or, with
+    `per_branch`, among each branch's own.  Ties keep the earliest summary.
+    Winners come sorted by branch (when `per_branch`), then target class,
+    and share their target class's reference statistics.
     """
-    # row-major [n, 9]: the reference statistics' means sum by memory order
-    refs = {c: np.ascontiguousarray(extract_patches(ref, [input_range])[0].T)
-            for c, ref in ref_images_by_class.items()}
-    results = match_all(refs, summary_pairs, keep_fraction=keep_fraction,
-                        prepared=prepared)
+    ref_stats, ref_normed = {}, {}
+    for c, ref in ref_images_by_class.items():
+        # row-major [n, 9]: the statistics' means sum by memory order
+        points = np.ascontiguousarray(extract_patches(ref, [input_range])[0].T)
+        ref_stats[c] = stats_from_points(points)
+        ref_normed[c] = normalize_sorted(points, ref_stats[c])
+    results = match_all(ref_normed, prepared, keep_fraction)
     best = {}
     for i, res in enumerate(results):
         if not res.matched:
@@ -297,12 +301,9 @@ def match_candidates(input_range: InputRange, ref_images_by_class,
         cur = best.get(key)
         if cur is None or res.distance < results[cur].distance:
             best[key] = i
-    ref_stats = {}
     winners = []
     for key in sorted(best):
         res, target = results[best[key]], key[1]
-        if target not in ref_stats:
-            ref_stats[target] = stats_from_points(refs[target])
         winners.append(Winner(res.branch_id, best[key], target, res.distance,
                               input_range, ref_stats[target]))
     return winners
@@ -325,9 +326,8 @@ def candidate_streams(ranges, ref_images_by_class, summary_pairs,
     prepared = prepare_summaries(summary_pairs)
 
     def winners(input_range: InputRange) -> list[Winner]:
-        return match_candidates(input_range, ref_images_by_class,
-                                summary_pairs, prepared, keep_fraction,
-                                per_branch)
+        return match_candidates(input_range, ref_images_by_class, prepared,
+                                keep_fraction, per_branch)
 
     def transferred(winner: Winner) -> CandidateBranch:
         source = source_mlps[winner.source_branch_id]
@@ -336,7 +336,7 @@ def candidate_streams(ranges, ref_images_by_class, summary_pairs,
             winner.ref_stats))
         return CandidateBranch(
             source_branch_id=winner.source_branch_id,
-            branch_class=summary_pairs[winner.row][1].branch_class,
+            branch_class=prepared.branch_classes[winner.row],
             target_class=winner.target_class,
             input_range=winner.input_range,
             distance=winner.distance,

@@ -67,15 +67,11 @@ def _span_stats(mean: np.ndarray, lo: np.ndarray, hi: np.ndarray
 
 
 def normalize_sorted(points: np.ndarray,
-                     stats: NormalizationStats | None = None
-                     ) -> tuple[np.ndarray, NormalizationStats]:
+                     stats: NormalizationStats) -> np.ndarray:
     """Center, span-scale, and reorder dimensions by ascending mean."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if stats is None:
-        stats = stats_from_points(points)
     p = stats.permutation
-    normed = (points[:, p] - stats.mean[p]) / stats.range_[p]
-    return normed, stats
+    return (points[:, p] - stats.mean[p]) / stats.range_[p]
 
 
 def cluster_softmax_weights(max_outputs: np.ndarray) -> np.ndarray:
@@ -150,6 +146,8 @@ class PreparedSummaries:
     once, as the first dim columns of the Gram rows.
     """
 
+    branch_ids: list[int]            # per summary, its source branch
+    branch_classes: list[int]        # per summary, its branch class
     stats: list[NormalizationStats]  # per summary, from its sample set
     gram_rows: np.ndarray            # [n_centers, dim + 1], centers | |c|^2
     max_sq_norm: np.ndarray          # [n_summaries], largest |c|^2
@@ -178,7 +176,7 @@ def prepare_summaries(candidates: list[tuple[int, BranchClassClusters]]
     stats, weights = [], []
     for (_, summary), lo, hi in zip(candidates, offsets[:-1], offsets[1:]):
         b_stats = stats_from_summary(summary)
-        normed, _ = normalize_sorted(summary.centers, b_stats)
+        normed = normalize_sorted(summary.centers, b_stats)
         if normed.shape[0] == 0:
             raise ValueError("no cluster centers")
         if normed.shape[1] != dim:
@@ -196,6 +194,8 @@ def prepare_summaries(candidates: list[tuple[int, BranchClassClusters]]
         raise ValueError("non-finite or overflowing cluster center")
     gram_rows[:, dim] = sq_norms
     return PreparedSummaries(
+        branch_ids=[branch_id for branch_id, _ in candidates],
+        branch_classes=[summary.branch_class for _, summary in candidates],
         stats=stats,
         gram_rows=gram_rows,
         max_sq_norm=np.maximum.reduceat(sq_norms, offsets[:-1]),
@@ -326,17 +326,17 @@ class MatchResult(NamedTuple):
     matched: bool
 
 
-def class_distances(ref_samples_by_class: dict[int, np.ndarray],
+def class_distances(ref_normed_by_class: dict[int, np.ndarray],
                     prepared: PreparedSummaries,
                     keep_fraction: float) -> np.ndarray:
     """[n_summaries, n_classes] partial average distances, reference classes
     in ascending order.
 
-    All summaries are scored against all classes at once; the distances are
+    Each class's samples come normalized by its own statistics.  All
+    summaries are scored against all classes at once; the distances are
     bit-for-bit those of `partial_average_distance`.
     """
-    ref_normed = [normalize_sorted(ref_samples_by_class[c])[0]
-                  for c in sorted(ref_samples_by_class)]
+    ref_normed = [ref_normed_by_class[c] for c in sorted(ref_normed_by_class)]
     nearest, sq_dist = _nearest_centers(prepared, np.concatenate(ref_normed))
     dist = np.sqrt(sq_dist)
     out = np.empty((len(prepared.stats), len(ref_normed)))
@@ -352,28 +352,26 @@ def class_distances(ref_samples_by_class: dict[int, np.ndarray],
     return out
 
 
-def match_all(ref_samples_by_class: dict[int, np.ndarray],
-              candidates: list[tuple[int, BranchClassClusters]],
-              keep_fraction: float,
-              prepared: PreparedSummaries) -> list[MatchResult]:
-    """Best reference class per (branch, branch-class) at one input range.
+def match_all(ref_normed_by_class: dict[int, np.ndarray],
+              prepared: PreparedSummaries,
+              keep_fraction: float) -> list[MatchResult]:
+    """Best reference class per prepared summary at one input range.
 
-    candidates are (branch_id, cluster summary) pairs.  A candidate matches
-    the reference class with strictly the smallest partial average distance,
-    when that distance is finite; a tie yields no match.  `prepared` is
-    `prepare_summaries(candidates)`, built once for every range; its `stats`
-    are what `transfer_first_layer` needs on the branch side.
+    Each reference class's samples come normalized by its own statistics
+    (`normalize_sorted`).  A summary matches the reference class with
+    strictly the smallest partial average distance, when that distance is
+    finite; a tie yields no match.  `prepared` is built once for every
+    range; its `stats` are what `transfer_first_layer` needs on the branch
+    side.
     """
-    if len(prepared.stats) != len(candidates):
-        raise ValueError("prepared summaries do not match the candidates")
-    if not candidates:
+    if not prepared.branch_ids:
         return []
-    classes = np.array(sorted(ref_samples_by_class))
-    dist = class_distances(ref_samples_by_class, prepared, keep_fraction)
+    classes = np.array(sorted(ref_normed_by_class))
+    dist = class_distances(ref_normed_by_class, prepared, keep_fraction)
     d_min = dist.min(axis=1)
     matched = ((np.count_nonzero(dist == d_min[:, None], axis=1) == 1)
                & np.isfinite(d_min))
     target = classes[np.argmin(dist, axis=1)]
     return [MatchResult(branch_id, int(t) if ok else None, float(d), bool(ok))
-            for (branch_id, _), t, d, ok in zip(candidates, target, d_min,
-                                                matched)]
+            for branch_id, t, d, ok in zip(prepared.branch_ids, target, d_min,
+                                           matched)]

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifact import is_count
 from .data_io import Dataset, InputRange, base_grid_ranges, \
     extract_patches, range_flat_indices
 from .nn_core import BranchMlp, init_branch_mlp, mlp_forward_batch, \
@@ -131,12 +132,6 @@ class Branch:
             self.election_stats = (mean, std)
 
 
-def _is_count(value) -> bool:
-    """An integer >= 1 (bools are not counts)."""
-    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            and value >= 1)
-
-
 @dataclass
 class NamNetwork:
     n_classes: int
@@ -148,12 +143,12 @@ class NamNetwork:
     def __post_init__(self):
         if self.mode not in ("tuning", "election"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not _is_count(self.n_classes):
+        if not is_count(self.n_classes, 1):
             raise ValueError(f"n_classes {self.n_classes!r} is not an "
                              "integer >= 1")
         shape = self.input_shape
         if not (isinstance(shape, (tuple, list)) and len(shape) == 3
-                and all(map(_is_count, shape))):
+                and all(is_count(n, 1) for n in shape)):
             raise ValueError(f"input_shape {shape!r} is not three positive "
                              "integers")
         self.input_shape = tuple(shape)

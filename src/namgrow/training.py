@@ -15,8 +15,6 @@ be trained here; grown and transferred branches expose no MLP gradients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 from .data_io import extract_patches
@@ -41,6 +39,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not self.learning_rate > 0.0:
             raise ValueError("learning_rate must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -53,33 +53,14 @@ class EpochMetrics:
     eval_loss: float
 
 
-class StackedNam(NamedTuple):
-    """All branch parameters stacked along a leading branch axis.
-
-    hidden_weights[l] has shape [n_branches, width, in_dim] and
-    hidden_biases[l] has shape [n_branches, width]; output_weights has
-    shape [n_branches, n_classes, width].  Every branch layer of the
-    stacked network is bound to its slice, so stepping these arrays steps
-    the network.
-    """
-
-    hidden_weights: list
-    hidden_biases: list
-    output_weights: np.ndarray
-
-    def param_list(self):
-        """Flat parameter list in a fixed order (weights/bias per layer)."""
-        params = []
-        for w, b in zip(self.hidden_weights, self.hidden_biases):
-            params.append(w)
-            params.append(b)
-        params.append(self.output_weights)
-        return params
-
-
 def stack_network(net):
-    """Stack every branch MLP of `net` and bind branch k's layers to slice
-    k of the returned tensors."""
+    """Stack every branch MLP of `net` into the flat parameter list the
+    optimizer steps, and bind branch k's layers to slice k of each tensor.
+
+    The list holds each hidden layer's weights [n_branches, out, in] and
+    then its biases [n_branches, out], and ends with the output weights
+    [n_branches, n_classes, width].
+    """
     if not net.branches:
         raise ValueError("cannot stack an empty network")
     mlps = []
@@ -94,24 +75,24 @@ def stack_network(net):
     for mlp in mlps[1:]:
         if len(mlp.hidden_layers) != len(first.hidden_layers):
             raise ValueError("branches disagree on depth")
-    hidden_weights, hidden_biases = [], []
+    params = []
     for layer_idx in range(len(first.hidden_layers)):
         layers = [mlp.hidden_layers[layer_idx] for mlp in mlps]
         w = np.stack([layer.weights for layer in layers])
         b = np.stack([layer.bias for layer in layers])
         for k, mlp in enumerate(mlps):
             mlp.hidden_layers[layer_idx] = DenseLayer(w[k], b[k])
-        hidden_weights.append(w)
-        hidden_biases.append(b)
+        params += [w, b]
     out = np.stack([mlp.output_layer.weights for mlp in mlps])
     for k, mlp in enumerate(mlps):
         mlp.output_layer = DenseLayer(out[k])
-    return StackedNam(hidden_weights, hidden_biases, out)
+    params.append(out)
+    return params
 
 
-def _forward_with_cache(stacked, patches):
+def _forward_with_cache(params, patches):
     patches = np.asarray(patches, dtype=np.float64)
-    if patches.ndim != 3 or patches.shape[0] != len(stacked.output_weights):
+    if patches.ndim != 3 or patches.shape[0] != len(params[-1]):
         raise ValueError(
             "patches must have shape [n_branches, n, in_dim], got %r"
             % (patches.shape,)
@@ -119,46 +100,38 @@ def _forward_with_cache(stacked, patches):
     h = patches
     activations = [h]
     masks = []
-    for w, b in zip(stacked.hidden_weights, stacked.hidden_biases):
+    for w, b in zip(params[:-1:2], params[1::2]):
         pre = np.matmul(h, np.swapaxes(w, 1, 2)) + b[:, None, :]
         mask = pre > 0.0
         h = np.where(mask, pre, 0.0)
         activations.append(h)
         masks.append(mask)
-    per_branch = np.matmul(h, np.swapaxes(stacked.output_weights, 1, 2))
+    per_branch = np.matmul(h, np.swapaxes(params[-1], 1, 2))
     logits = per_branch.sum(axis=0)
     return logits, (activations, masks)
 
 
-def stacked_loss_and_grads(stacked, patches, labels):
-    """Mean cross-entropy of the summed logits and gradients for param_list.
+def stacked_loss_and_grads(params, patches, labels):
+    """Mean cross-entropy of the summed logits and its gradients.
 
-    Returns (loss, grads) where grads matches ``stacked.param_list()``
-    element for element.
+    Returns (loss, grads) where grads matches the `stack_network`
+    parameter list element for element.
     """
-    logits, (activations, masks) = _forward_with_cache(stacked, patches)
+    logits, (activations, masks) = _forward_with_cache(params, patches)
     loss, dlogits = softmax_cross_entropy_batch(logits, labels)
-    top = activations[-1]
     # The sum over branches broadcasts the same residual to every branch.
     # The weight gradients are batched GEMMs, one [out, n] @ [n, in] per
     # branch, so BLAS sets their summation order as it does the forward's.
-    d_out = np.matmul(dlogits.T, top)
-    dh = np.matmul(dlogits[None, :, :], stacked.output_weights)
-    n_hidden = len(stacked.hidden_weights)
-    hidden_w_grads = [None] * n_hidden
-    hidden_b_grads = [None] * n_hidden
-    for layer_idx in range(n_hidden - 1, -1, -1):
+    grads = [None] * len(params)
+    grads[-1] = np.matmul(dlogits.T, activations[-1])
+    dh = np.matmul(dlogits[None, :, :], params[-1])
+    for layer_idx in range(len(masks) - 1, -1, -1):
         dpre = np.where(masks[layer_idx], dh, 0.0)
-        below = activations[layer_idx]
-        hidden_w_grads[layer_idx] = np.matmul(dpre.transpose(0, 2, 1), below)
-        hidden_b_grads[layer_idx] = dpre.sum(axis=1)
+        grads[2 * layer_idx] = np.matmul(dpre.transpose(0, 2, 1),
+                                         activations[layer_idx])
+        grads[2 * layer_idx + 1] = dpre.sum(axis=1)
         if layer_idx > 0:
-            dh = np.matmul(dpre, stacked.hidden_weights[layer_idx])
-    grads = []
-    for dw, db in zip(hidden_w_grads, hidden_b_grads):
-        grads.append(dw)
-        grads.append(db)
-    grads.append(d_out)
+            dh = np.matmul(dpre, params[2 * layer_idx])
     return loss, grads
 
 
@@ -183,8 +156,7 @@ def train_network(net, train_dataset, config, eval_dataset, on_epoch):
     if train_dataset.n_classes != net.n_classes:
         raise ValueError("dataset/network class count mismatch")
     ranges = [branch.input_range for branch in net.branches]
-    stacked = stack_network(net)
-    params = stacked.param_list()
+    params = stack_network(net)
     state = AdamState(params, lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
     history = []
@@ -197,7 +169,7 @@ def train_network(net, train_dataset, config, eval_dataset, on_epoch):
             patches = np.ascontiguousarray(
                 extract_patches(train_dataset, ranges, idx).transpose(0, 2, 1))
             loss, grads = stacked_loss_and_grads(
-                stacked, patches, train_dataset.labels[idx]
+                params, patches, train_dataset.labels[idx]
             )
             adam_step(state, params, grads)
             loss_sum += loss * idx.size

@@ -47,6 +47,7 @@ from namgrow.growth import CandidateBranch
 from namgrow.matching import (
     NormalizationStats,
     match_all,
+    normalize_sorted,
     prepare_summaries,
     stats_from_points,
     transfer_first_layer,
@@ -67,7 +68,7 @@ from namgrow.nn_core import (
     mlp_forward_batch,
     softmax_cross_entropy_batch,
 )
-from namgrow.training import StackedNam, _forward_with_cache
+from namgrow.training import _forward_with_cache
 
 
 # ------------------------------------------------------------- datasets
@@ -242,9 +243,10 @@ def extract_patch(image: np.ndarray, input_range: InputRange) -> np.ndarray:
     return patch.reshape(-1).astype(np.float64)
 
 
-def stacked_forward(stacked: StackedNam, patches: np.ndarray) -> np.ndarray:
-    """Summed class logits for per-branch patches [n_branches, n, in_dim]."""
-    logits, _ = _forward_with_cache(stacked, patches)
+def stacked_forward(params: list, patches: np.ndarray) -> np.ndarray:
+    """Summed class logits of a `stack_network` parameter list for
+    per-branch patches [n_branches, n, in_dim]."""
+    logits, _ = _forward_with_cache(params, patches)
     return logits
 
 
@@ -260,6 +262,13 @@ def transfer_branch_mlp(mlp: BranchMlp, branch_stats: NormalizationStats,
     w, b = transfer_first_layer(mlp.hidden_layers[0], branch_stats, ref_stats)
     return BranchMlp([DenseLayer(w, b), *mlp.hidden_layers[1:]],
                      mlp.output_layer)
+
+
+def normalized_refs(refs: dict) -> dict:
+    """Each class's reference samples normalized by their own statistics,
+    as `match_all` takes them."""
+    return {c: normalize_sorted(points, stats_from_points(points))
+            for c, points in refs.items()}
 
 
 def per_branch_scan(ranges, ref_images_by_class, summary_pairs, source_mlps,
@@ -279,8 +288,7 @@ def per_branch_scan(ranges, ref_images_by_class, summary_pairs, source_mlps,
     for input_range in ranges:
         refs = {c: row_major_patches(im, [input_range])[0]
                 for c, im in images.items()}
-        results = match_all(refs, summary_pairs, keep_fraction=keep_fraction,
-                            prepared=prepared)
+        results = match_all(normalized_refs(refs), prepared, keep_fraction)
         best = {}
         for i, res in enumerate(results):
             cur = best.get(res.target_class)

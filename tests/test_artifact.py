@@ -179,6 +179,32 @@ def test_document_keys_keep_their_order():
             artifact.loads(foreign, "x")
 
 
+@pytest.mark.parametrize("value, least, want", [
+    (0, 0, True), (3, 3, True), (np.int64(2), 1, True),
+    (2, 3, False), (-1, 0, False), (np.int64(-1), 0, False),
+    (True, 0, False), (False, 0, False), (np.bool_(True), 0, False),
+    (1.0, 0, False), (np.float64(2.0), 1, False), ("1", 0, False),
+    (None, 0, False),
+])
+def test_is_count_takes_only_integers_of_at_least_least(value, least, want):
+    assert artifact.is_count(value, least) == want
+
+
+def test_checked_names_the_record_in_both_message_forms():
+    def build(rec, scale):
+        return rec["x"] * scale
+
+    assert artifact.checked("record 3", build, {"x": 2}, 5) == 10
+    with pytest.raises(ValueError, match="^record 3 has no 'x' key$"):
+        artifact.checked("record 3", build, {}, 5)
+    for rec, scale, reason in [({"x": 2}, None, "unsupported operand"),
+                               ({"x": 1e308}, 10 ** 400, "int too large")]:
+        with pytest.raises(ValueError, match=f"^record 3: {reason}"):
+            artifact.checked("record 3", build, rec, scale)
+    with pytest.raises(ValueError, match="^record 3: not a x document$"):
+        artifact.checked("record 3", artifact.loads, "{}", "x")
+
+
 # ---------------------------------------------------------- checkpoints
 
 def test_v1_fixture_loads_to_the_recorded_scores(tmp_path):

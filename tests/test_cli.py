@@ -1199,6 +1199,33 @@ class TestErrorPaths:
         assert errors == [f"growth/cluster config: {message}"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("command, section", [
+        ("train-base", "train"), ("grow", "growth/cluster"),
+        ("transfer", "growth/cluster"), ("cluster-cache", "growth/cluster")])
+    def test_negative_seed_is_usage_error_naming_the_seed(
+            self, tmp_path, config_file, base_run, caplog, how, command,
+            section):
+        """A seed below 0, given by --seed or by [run] seed, is refused
+        with exit code 1 before the command creates its output directory."""
+        cfg = configparser.ConfigParser()
+        cfg.read(config_file)
+        cfg["run"] = {"seed": "-1" if how == "config" else "0"}
+        bad = tmp_path / "bad.ini"
+        with open(bad, "w") as fh:
+            cfg.write(fh)
+        args = [command, "--config", str(bad),
+                "--out-dir", str(tmp_path / "out")]
+        if command != "train-base":
+            args += ["--checkpoint", str(base_run / "checkpoint.json")]
+        if how == "flag":
+            args += ["--seed", "-1"]
+        assert main(args) == 1
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert errors == [f"{section} config: seed must be >= 0"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["grow", "transfer"])
     @pytest.mark.parametrize("key, value, message", [
         ("selection_size", "105",
@@ -1282,6 +1309,11 @@ def _fractional_window_row(doc, k):
 
 def _shrink_window(doc, k):
     doc["branches"][k]["input_range"][3] = 2
+
+
+def _negative_window_size(doc, k):
+    # (-3)^2 = 9 fits the MLP, but the window holds no pixel
+    doc["branches"][k]["input_range"][1:] = [12, 12, -3]
 
 
 def _move_window_off_image(doc, k):
@@ -1433,6 +1465,8 @@ SHARED_CORRUPTIONS = [
     (_shrink_window, "checkpoint branch {k}: MLP takes 9 inputs, its "
                      "window c0[{row}:{row_end},"),
     (_move_window_off_image, "branch {k}: input range c0[10:13,"),
+    (_negative_window_size, "branch {k}: input range c0[12:9,12:9] out of "
+                            "bounds for shape (1, 12, 12)"),
     (_branch_class_out_of_range, "checkpoint branch {k}: branch_class "
                                  "10 is not a class index below 10"),
     (_negative_target_class, "checkpoint branch {k}: target_class -1 is "

@@ -53,8 +53,8 @@ from namgrow.nn_core import (
 )
 from namgrow.qualification import qualify
 from oracles import draw_dataset, fit_election_stats, float_images, \
-    loop_forward_batch, per_branch_scan, per_branch_tune_masks, \
-    rounded_dataset, row_major_patches
+    loop_forward_batch, normalized_refs, per_branch_scan, \
+    per_branch_tune_masks, rounded_dataset, row_major_patches
 
 N_CLASSES = 3
 RANGE0 = InputRange(0, 0, 0)
@@ -258,7 +258,8 @@ class TestMatchCandidates:
             got = scan_candidates([input_range], images, pairs, mlps)
             refs = {c: windows(im, input_range) for c, im in images.items()}
             best = {}
-            results = match_all(refs, pairs, 0.8, prepare_summaries(pairs))
+            results = match_all(normalized_refs(refs),
+                                prepare_summaries(pairs), 0.8)
             for res, (_, summary) in zip(results, pairs):
                 cur = best.get(res.target_class)
                 if res.matched and (cur is None
@@ -320,6 +321,39 @@ class TestMatchCandidates:
         assert got == [fields(c) for c in
                        per_branch_scan(ranges, images, pairs, mlps)]
 
+    def test_reference_statistics_are_computed_once_per_class(
+            self, monkeypatch):
+        """One window's match computes each reference class's statistics
+        once; they are the statistics of its windows, and winners with the
+        same target share one object."""
+        calls = []
+
+        def counting(points):
+            calls.append(points)
+            return stats_from_points(points)
+
+        monkeypatch.setattr(growth, "stats_from_points", counting)
+        rng = np.random.default_rng(4)
+        prepared = prepare_summaries(random_summary_pairs(rng, 3))
+        images = reference_sets(rng)
+        shared = 0
+        for input_range in base_grid_ranges((1, 6, 6), 1):
+            calls.clear()
+            winners = match_candidates(input_range, images, prepared, 0.8,
+                                       True)
+            assert len(calls) == N_CLASSES
+            by_target = {}
+            for winner in winners:
+                assert winner.ref_stats is by_target.setdefault(
+                    winner.target_class, winner.ref_stats)
+            # winners that found their target's statistics already held
+            shared += len(winners) - len(by_target)
+            for c, stats in by_target.items():
+                want = stats_from_points(windows(images[c], input_range))
+                assert stats.mean.tobytes() == want.mean.tobytes()
+                assert stats.range_.tobytes() == want.range_.tobytes()
+        assert shared > 0
+
     def test_window_flat_for_every_class_matches_nothing(self):
         """References flat across a window, at a different level per class,
         all normalize to exact zeros: every class ties, so no summary
@@ -332,11 +366,12 @@ class TestMatchCandidates:
             images = flat_reference_sets(levels)
             refs = {c: windows(images[c], window) for c in range(N_CLASSES)}
             for c, patch in refs.items():
-                assert np.all(normalize_sorted(patch)[0] == 0.0)
+                assert np.all(normalize_sorted(
+                    patch, stats_from_points(patch)) == 0.0)
             prepared = prepare_summaries(pairs)
             assert not any(res.matched for res in
-                           match_all(refs, pairs, 0.8, prepared))
-            assert match_candidates(window, images, pairs, prepared, 0.8,
+                           match_all(normalized_refs(refs), prepared, 0.8))
+            assert match_candidates(window, images, prepared, 0.8,
                                     False) == []
 
     def test_flat_reference_windows_transfer_finite_weights(self):

@@ -18,7 +18,7 @@ from namgrow.matching import (
     transfer_first_layer,
 )
 from namgrow.nn_core import BranchMlp, DenseLayer, init_branch_mlp
-from oracles import mlp_forward, transfer_branch_mlp
+from oracles import mlp_forward, normalized_refs, transfer_branch_mlp
 
 
 # ------------------------------------------------------------ normalization
@@ -27,13 +27,14 @@ def test_normalize_sorted_identity_permutation_when_means_ascend():
     rng = np.random.default_rng(42)
     base = rng.uniform(-0.1, 0.1, size=(30, 4))
     base += np.array([-0.3, -0.1, 0.1, 0.3])  # ascending dimension means
-    _, stats = normalize_sorted(base)
+    stats = stats_from_points(base)
     np.testing.assert_array_equal(stats.permutation, np.arange(4))
 
 
 def test_normalize_sorted_two_point_range():
     pts = np.array([[0.0, 0.0], [1.0, 1.0]])
-    normed, stats = normalize_sorted(pts)
+    stats = stats_from_points(pts)
+    normed = normalize_sorted(pts, stats)
     np.testing.assert_allclose(normed, [[-0.5, -0.5], [0.5, 0.5]],
                                rtol=0, atol=1e-15)
     np.testing.assert_array_equal(stats.range_, [1.0, 1.0])
@@ -43,7 +44,8 @@ def test_normalize_sorted_random_cloud_postconditions():
     rng = np.random.default_rng(42)
     pts = rng.normal(size=(100, 9)) * rng.uniform(0.5, 3, size=9) + \
         rng.normal(size=9)
-    normed, stats = normalize_sorted(pts)
+    stats = stats_from_points(pts)
+    normed = normalize_sorted(pts, stats)
     np.testing.assert_allclose(normed.mean(axis=0), 0.0, rtol=0, atol=1e-12)
     sorted_means = stats.mean[stats.permutation]
     assert np.all(np.diff(sorted_means) >= 0)
@@ -55,7 +57,8 @@ def test_normalize_sorted_random_cloud_postconditions():
 def test_normalize_sorted_flat_dimension_floored():
     pts = np.zeros((5, 3))
     pts[:, 0] = np.linspace(0, 1, 5)
-    normed, stats = normalize_sorted(pts)
+    stats = stats_from_points(pts)
+    normed = normalize_sorted(pts, stats)
     assert np.all(np.isfinite(normed))
     assert stats.range_[1] == 1e-8
 
@@ -63,10 +66,9 @@ def test_normalize_sorted_flat_dimension_floored():
 def test_normalize_sorted_with_given_stats_reuses_them():
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(20, 5))
-    _, stats = normalize_sorted(pts)
+    stats = stats_from_points(pts)
     other = rng.normal(size=(7, 5))
-    normed, stats2 = normalize_sorted(other, stats)
-    assert stats2 is stats
+    normed = normalize_sorted(other, stats)
     p = stats.permutation
     np.testing.assert_allclose(
         normed, (other[:, p] - stats.mean[p]) / stats.range_[p],
@@ -211,8 +213,8 @@ def summary_from_shape(shape, scale, shift, branch_class=0):
 
 def match(refs, candidates):
     """match_all at the default keep fraction, on freshly prepared
-    summaries."""
-    return match_all(refs, candidates, 0.8, prepare_summaries(candidates))
+    summaries and self-normalized references."""
+    return match_all(normalized_refs(refs), prepare_summaries(candidates), 0.8)
 
 
 def test_match_all_prefers_constructed_class():
@@ -230,7 +232,8 @@ def test_match_all_prefers_constructed_class():
     r = results[0]
     assert r.matched and r.branch_id == 5 and r.target_class == 0
     np.testing.assert_allclose(r.distance, 0.0, rtol=0, atol=1e-10)
-    dist = class_distances(refs, prepare_summaries([(5, cand)]), 0.8)
+    dist = class_distances(normalized_refs(refs),
+                           prepare_summaries([(5, cand)]), 0.8)
     assert dist[0, 0] == r.distance and dist[0, 1] > 1e-3
 
 
@@ -258,10 +261,10 @@ def test_match_all_three_way_assignment_matches_exhaustive_oracle():
 
     from namgrow.matching import stats_from_summary as sfs
     for r, (k, summary) in zip(results, candidates):
-        normed_centers, _ = normalize_sorted(summary.centers, sfs(summary))
+        normed_centers = normalize_sorted(summary.centers, sfs(summary))
         oracle = {}
         for c in range(3):
-            rn, _ = normalize_sorted(refs[c])
+            rn = normalize_sorted(refs[c], stats_from_points(refs[c]))
             oracle[c], _ = partial_average_distance(rn, normed_centers,
                                                     summary.max_outputs)
         best = min(oracle, key=oracle.get)
@@ -276,8 +279,9 @@ def test_match_all_is_deterministic():
     cand = [(0, summary_from_shape(shape, np.ones(9), np.zeros(9)))]
     assert match(refs, cand) == match(refs, cand)
     prepared = prepare_summaries(cand)
-    assert np.array_equal(class_distances(refs, prepared, 0.8),
-                          class_distances(refs, prepared, 0.8))
+    normed = normalized_refs(refs)
+    assert np.array_equal(class_distances(normed, prepared, 0.8),
+                          class_distances(normed, prepared, 0.8))
 
 
 # ------------------------------------------- batched kernel vs the oracle
@@ -285,11 +289,12 @@ def test_match_all_is_deterministic():
 def oracle_match(refs, candidates, keep_fraction=0.8):
     """([n_candidates, n_classes] class distances, target per candidate)
     from one partial_average_distance call per (summary, class)."""
-    ref_normed = {c: normalize_sorted(refs[c])[0] for c in sorted(refs)}
+    ref_normed = {c: normalize_sorted(refs[c], stats_from_points(refs[c]))
+                  for c in sorted(refs)}
     matrix, targets = [], []
     for _, summary in candidates:
-        centers, _ = normalize_sorted(summary.centers,
-                                      stats_from_summary(summary))
+        centers = normalize_sorted(summary.centers,
+                                   stats_from_summary(summary))
         dists = {c: partial_average_distance(ref_normed[c], centers,
                                              summary.max_outputs,
                                              keep_fraction)[0]
@@ -364,14 +369,15 @@ def test_match_all_equals_oracle_exactly(case, block_entries, monkeypatch):
                                    duplicates=spec.get("duplicates", False)))
             for i, n in enumerate(spec["centers"])]
         prepared = prepare_summaries(candidates)
+        assert prepared.branch_classes == [s.branch_class
+                                           for _, s in candidates]
         for keep_fraction in (0.8, 0.5, 1.0):
             refs = random_refs(rng, spec["refs"],
                                identical=spec.get("identical", False),
                                flat_dim=spec.get("flat_dim"))
-            dist = class_distances(refs, prepared, keep_fraction)
-            results = match_all(refs, candidates,
-                                keep_fraction=keep_fraction,
-                                prepared=prepared)
+            normed = normalized_refs(refs)
+            dist = class_distances(normed, prepared, keep_fraction)
+            results = match_all(normed, prepared, keep_fraction)
             want, targets = oracle_match(refs, candidates, keep_fraction)
             assert dist.tobytes() == want.tobytes()
             assert len(results) == len(candidates)
@@ -421,7 +427,7 @@ def concatenating_build(candidates):
     """The prepared arrays built the first way: every summary's normalized
     centers, then their concatenation, then the Gram rows stacked from it
     and its |c|^2."""
-    centers = [normalize_sorted(s.centers, stats_from_summary(s))[0]
+    centers = [normalize_sorted(s.centers, stats_from_summary(s))
                for _, s in candidates]
     counts = np.array([c.shape[0] for c in centers], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(counts)])
@@ -467,14 +473,6 @@ def test_prepare_summaries_rejects_centers_of_another_width():
         setattr(narrow, name, getattr(narrow, name)[:1])
     with pytest.raises(ValueError, match="^cluster centers differ in width$"):
         prepare_summaries([(0, random_summary(rng, 4)), (1, narrow)])
-
-
-def test_match_all_rejects_prepared_side_of_other_candidates():
-    rng = np.random.default_rng(0)
-    candidates = [(0, random_summary(rng, 4)), (1, random_summary(rng, 5))]
-    with pytest.raises(ValueError, match="do not match"):
-        match_all(random_refs(rng, [5, 5]), candidates, 0.8,
-                  prepare_summaries(candidates[:1]))
 
 
 # ------------------------------------------------------- parameter transfer

@@ -72,8 +72,8 @@ class TestStackedForward:
         net = small_network(seed=7)
         data = synthetic_dataset(32, seed=1)
         patches = patches_of(data)
-        stacked = stack_network(net)
-        got = stacked_forward(stacked, patches)
+        params = stack_network(net)
+        got = stacked_forward(params, patches)
         want = network_forward_batch(net, data)
         assert np.max(np.abs(got - want)) <= 1e-10
 
@@ -81,7 +81,7 @@ class TestStackedForward:
         net = small_network(seed=3)
         data = synthetic_dataset(8, seed=2)
         before = network_forward_batch(net, data)
-        stacked = stack_network(net)
+        params = stack_network(net)
 
         def bound(array, stacked_array, k):
             view = stacked_array[k]
@@ -92,9 +92,9 @@ class TestStackedForward:
         for k, branch in enumerate(net.branches):
             mlp = branch.mlp
             for l, layer in enumerate(mlp.hidden_layers):
-                assert bound(layer.weights, stacked.hidden_weights[l], k)
-                assert bound(layer.bias, stacked.hidden_biases[l], k)
-            assert bound(mlp.output_layer.weights, stacked.output_weights, k)
+                assert bound(layer.weights, params[2 * l], k)
+                assert bound(layer.bias, params[2 * l + 1], k)
+            assert bound(mlp.output_layer.weights, params[-1], k)
         np.testing.assert_array_equal(
             network_forward_batch(net, data), before)
 
@@ -103,13 +103,12 @@ class TestStackedForward:
         data = synthetic_dataset(16, seed=3)
         patches = patches_of(data)
         before = network_forward_batch(net, data)
-        stacked = stack_network(net)
-        params = stacked.param_list()
-        _, grads = stacked_loss_and_grads(stacked, patches, data.labels)
+        params = stack_network(net)
+        _, grads = stacked_loss_and_grads(params, patches, data.labels)
         adam_step(AdamState(params, lr=1e-2), params, grads)
         after = network_forward_batch(net, data)
         assert not np.allclose(before, after)
-        assert np.max(np.abs(after - stacked_forward(stacked, patches))) <= 1e-10
+        assert np.max(np.abs(after - stacked_forward(params, patches))) <= 1e-10
 
     def test_rejects_empty_and_non_base_networks(self):
         with pytest.raises(ValueError):
@@ -132,9 +131,9 @@ class TestStackedForward:
 
     def test_rejects_bad_patch_shape(self):
         net = small_network()
-        stacked = stack_network(net)
+        params = stack_network(net)
         with pytest.raises(ValueError, match="shape"):
-            stacked_forward(stacked, np.zeros((1, 4, 9)))
+            stacked_forward(params, np.zeros((1, 4, 9)))
 
 
 class TestStackedGradients:
@@ -172,11 +171,11 @@ class TestStackedGradients:
         del net.branches[n_branches:]
         data = synthetic_dataset(n, seed=5)
         patches = patches_of(data)[:n_branches]
-        stacked = stack_network(net)
-        loss, grads = stacked_loss_and_grads(stacked, patches, data.labels)
+        params = stack_network(net)
+        loss, grads = stacked_loss_and_grads(params, patches, data.labels)
         oracle_loss, oracle = self.oracle_grads(net, patches, data.labels)
         assert abs(loss - oracle_loss) <= 1e-12
-        n_hidden = len(stacked.hidden_weights)
+        n_hidden = (len(params) - 1) // 2
         for k in range(len(net.branches)):
             for l in range(n_hidden):
                 assert np.max(np.abs(grads[2 * l][k] - oracle[k].hidden[l][0])) <= 1e-10
@@ -187,9 +186,8 @@ class TestStackedGradients:
         net = small_network(seed=2)
         data = synthetic_dataset(4, seed=3)
         patches = patches_of(data)
-        stacked = stack_network(net)
-        _, grads = stacked_loss_and_grads(stacked, patches, data.labels)
-        params = stacked.param_list()
+        params = stack_network(net)
+        _, grads = stacked_loss_and_grads(params, patches, data.labels)
         assert len(grads) == len(params)
         for g, p in zip(grads, params):
             assert g.shape == p.shape
@@ -246,8 +244,7 @@ class TestTrainNetwork:
         net = small_network(seed=13)
         train_network(net, data, config, data, on_epoch=ignore)
         oracle = small_network(seed=13)
-        stacked = stack_network(oracle)
-        params = stacked.param_list()
+        params = stack_network(oracle)
         state = AdamState(params, lr=config.learning_rate)
         rng = np.random.default_rng(config.seed)
         patches = patches_of(data)
@@ -255,10 +252,10 @@ class TestTrainNetwork:
             order = rng.permutation(data.n)
             for start in range(0, data.n, config.batch_size):
                 idx = order[start:start + config.batch_size]
-                _, grads = stacked_loss_and_grads(stacked, patches[:, idx],
+                _, grads = stacked_loss_and_grads(params, patches[:, idx],
                                                   data.labels[idx])
                 adam_step(state, params, grads)
-        for got, want in zip(stack_network(net).param_list(), params):
+        for got, want in zip(stack_network(net), params):
             assert got.tobytes() == want.tobytes()
 
     def test_evaluate_stacked_agrees_with_network_evaluate(self):
