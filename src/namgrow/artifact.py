@@ -19,6 +19,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -63,6 +64,21 @@ def checked(where: str, build, *args):
         raise ValueError(f"{where} has no {exc} key") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{where}: {exc}") from exc
+
+
+def load(path, kind: str, parse, *args):
+    """parse(the text of the file at `path`, *args).  A malformed document
+    is a ValueError that ends by naming the file as a `kind`; one that
+    lacks a key or holds a value of the wrong type says so."""
+    named = f"({kind} {path})"
+    try:
+        return parse(Path(path).read_text(), *args)
+    except KeyError as exc:
+        raise ValueError(f"{kind} has no {exc} key {named}") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed {kind}: {exc} {named}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{exc} {named}") from exc
 
 
 def _encodes(text, size: int) -> bool:

@@ -152,21 +152,13 @@ def _branch_from_record(rec: dict, table: list[DenseLayer], parts
 def network_from_json(text: str) -> NamNetwork:
     """Parse and validate a checkpoint; any malformed record is a
     ValueError that names the branch or table layer and the field at
-    fault."""
+    fault.  A document that lacks a network field raises its KeyError, and
+    one of the wrong type its TypeError."""
     doc = artifact.loads(text, FORMAT_NAME)
     version = doc.get("version")
     if type(version) is not int or version not in (1, FORMAT_VERSION):
         raise ValueError(f"unsupported checkpoint version {version!r}")
-    try:
-        return _network_from_doc(doc)
-    except KeyError as exc:
-        raise ValueError(f"checkpoint has no {exc} key") from exc
-    except TypeError as exc:
-        raise ValueError(f"malformed checkpoint: {exc}") from exc
-
-
-def _network_from_doc(doc: dict) -> NamNetwork:
-    if doc["version"] == 1:
+    if version == 1:
         table, parts = [], _v1_parts
     else:
         table = [artifact.checked(f"checkpoint layer {i}", _table_layer, rec)
@@ -191,7 +183,4 @@ def save_checkpoint(net: NamNetwork, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> NamNetwork:
     """Read and check a checkpoint; a malformed one is a ValueError whose
     message ends by naming the file."""
-    try:
-        return network_from_json(Path(path).read_text())
-    except ValueError as exc:
-        raise ValueError(f"{exc} (checkpoint {path})") from exc
+    return artifact.load(path, "checkpoint", network_from_json)

@@ -24,6 +24,7 @@ import argparse
 import configparser
 import contextlib
 import csv
+import dataclasses
 import functools
 import json
 import logging
@@ -146,43 +147,35 @@ def _set_thread_limit(cfg) -> None:
             os.environ[var] = str(threads)
 
 
-def _config_values(cfg, section: str, ints=(), floats=()) -> dict:
-    """The named keys of one section, parsed as int or float."""
-    return {**{key: _config_value(cfg, section, key, int) for key in ints},
-            **{key: _config_value(cfg, section, key, float) for key in floats}}
+def _section_config(cfg, cls, section: str, label: str, **given):
+    """The config dataclass `cls`, built from `given` and, for each of its
+    other fields, the `section` key of that name parsed by the type of the
+    field's default; a value `cls` refuses is a ConfigError that begins
+    with `label`."""
+    values = {f.name: _config_value(cfg, section, f.name, type(f.default))
+              for f in dataclasses.fields(cls) if f.name not in given}
+    try:
+        return cls(**values, **given)
+    except ValueError as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
 
 
 def _train_config(cfg):
     from .training import TrainConfig
 
-    values = _config_values(cfg, "train", ("epochs", "batch_size"),
-                            ("learning_rate",))
-    seed = _config_value(cfg, "run", "seed", int)
-    try:
-        return TrainConfig(**values, seed=seed)
-    except ValueError as exc:
-        raise ConfigError(f"train config: {exc}") from exc
+    return _section_config(cfg, TrainConfig, "train", "train config",
+                           seed=_config_value(cfg, "run", "seed", int))
 
 
 def _growth_config(cfg):
     from .clustering import ClusterConfig
     from .growth import GrowthConfig
 
-    cluster = _config_values(
-        cfg, "cluster", ("n_samples", "max_shift_iterations"),
-        ("top_fraction", "neighbor_distance", "min_shift_distance",
-         "bandwidth"))
-    growth = _config_values(
-        cfg, "growth", ("selection_size", "max_per_iteration",
-                        "tuning_epochs", "mask_batch_size",
-                        "reference_per_class"),
-        ("mask_learning_rate", "keep_fraction", "top_fraction"))
-    seed = _config_value(cfg, "run", "seed", int)
-    try:
-        return GrowthConfig(**growth, seed=seed,
-                            cluster=ClusterConfig(**cluster))
-    except ValueError as exc:
-        raise ConfigError(f"growth/cluster config: {exc}") from exc
+    label = "growth/cluster config"
+    cluster = _section_config(cfg, ClusterConfig, "cluster", label)
+    return _section_config(cfg, GrowthConfig, "growth", label,
+                           seed=_config_value(cfg, "run", "seed", int),
+                           cluster=cluster)
 
 
 def _load_split(cfg, split):
@@ -220,56 +213,6 @@ def _input_hashes(cfg, args) -> dict:
     if getattr(args, "cluster_cache", None):
         hashes["cluster_cache"] = sha256_file(args.cluster_cache)
     return hashes
-
-
-def _flat(record: dict, prefix: str = "") -> dict:
-    """A record's fields, nested records' ones named `outer.inner`."""
-    fields = {}
-    for key, value in record.items():
-        if isinstance(value, dict):
-            fields.update(_flat(value, f"{prefix}{key}."))
-        else:
-            fields[f"{prefix}{key}"] = value
-    return fields
-
-
-def _load_cluster_cache(path, sources, source: dict):
-    """The cluster table cached at `path`, checked against the run: its
-    source record must be `source`, and it must hold one list of summaries
-    per source branch, each as wide as its branch's window and of one of
-    its classes."""
-    from .clustering import clusters_from_json
-
-    try:
-        cached, table = clusters_from_json(Path(path).read_text())
-        if not isinstance(cached, dict):
-            raise ValueError("cluster cache source is not a record")
-        cached = _flat(cached)
-        for name, value in _flat(source).items():
-            if cached.get(name) != value:
-                raise ValueError(f"cluster cache {name} is "
-                                 f"{cached.get(name)!r}, the run's is "
-                                 f"{value!r}")
-        if len(table) != len(sources):
-            raise ValueError(f"cluster cache covers {len(table)} branches, "
-                             f"the run re-uses {len(sources)}")
-        for b, (branch, summaries) in enumerate(zip(sources, table)):
-            mlp = branch.mlp
-            for k, summary in enumerate(summaries):
-                where = f"cluster cache branch {b} summary {k}"
-                if summary.centers.shape[1] != mlp.in_dim:
-                    raise ValueError(f"{where}: centers are "
-                                     f"{summary.centers.shape[1]} wide, the "
-                                     f"branch takes {mlp.in_dim} inputs")
-                if summary.branch_class >= mlp.n_classes:
-                    raise ValueError(f"{where}: branch_class "
-                                     f"{summary.branch_class} is not below "
-                                     f"the branch's {mlp.n_classes} classes")
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed cluster cache {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ValueError(f"{exc} (cluster cache {path})") from exc
-    return table
 
 
 def _prepare_out_dir(cfg, args) -> Path:
@@ -397,9 +340,11 @@ def cmd_train_base(args, cfg) -> int:
 def cmd_growth(args, cfg) -> int:
     """`grow` and `transfer`: grow a network from a checkpoint's branches
     and write the run's outputs."""
+    from . import artifact
     from .checkpoint import load_checkpoint, save_checkpoint
+    from .clustering import clusters_from_json
     from .growth import check_draws, cluster_source, run_growth, \
-        source_branches, transfer_task
+        source_mlps, transfer_task
     from .nam_model import parameter_count
     from .nn_core import optimizer_step_count, reset_optimizer_step_count
 
@@ -407,21 +352,21 @@ def cmd_growth(args, cfg) -> int:
     net = load_checkpoint(args.checkpoint)
     train = _load_split(cfg, "train")
     test = _load_split(cfg, "test")
+    # transfer reads the key too, so a bad value is refused, not recorded
+    limit = _config_value(cfg, "growth", "max_iterations", int)
     run = transfer_task
     if not transfer:
         _check_geometry(net, train)
-        limit = _config_value(cfg, "growth", "max_iterations", int)
         run = functools.partial(run_growth,
                                 max_iterations=None if limit < 0 else limit)
     growth_config = _growth_config(cfg)
     check_draws(train, growth_config)
     cluster_table = None
     if args.cluster_cache:
-        sources = source_branches(net, transfer)
-        cluster_table = _load_cluster_cache(
-            args.cluster_cache, sources,
-            cluster_source([br.mlp for br in sources], growth_config,
-                           args.command))
+        mlps = source_mlps(net, transfer)
+        cluster_table = artifact.load(
+            args.cluster_cache, "cluster cache", clusters_from_json, mlps,
+            cluster_source(mlps, growth_config, args.command))
     out_dir = _prepare_out_dir(cfg, args)
     reset_optimizer_step_count()
     writer = _IterationWriter(out_dir, transfer)
@@ -471,12 +416,10 @@ def cmd_cluster_cache(args, cfg) -> int:
     from .checkpoint import load_checkpoint
     from .clustering import clusters_to_json
     from .data_io import sha256_file
-    from .growth import cluster_source, source_branches, \
-        source_cluster_table
+    from .growth import cluster_source, source_cluster_table, source_mlps
 
     net = load_checkpoint(args.checkpoint)
-    mlps = [br.mlp for br in source_branches(
-        net, transfer=args.target_command == "transfer")]
+    mlps = source_mlps(net, transfer=args.target_command == "transfer")
     growth_config = _growth_config(cfg)
     out_dir = _prepare_out_dir(cfg, args)
     log.info("clustering %d branch MLPs (cache for %s)", len(mlps),

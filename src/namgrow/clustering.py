@@ -318,12 +318,26 @@ def clusters_to_json(table: list[list[BranchClassClusters]],
     })
 
 
-def _check_summary_record(rec: dict) -> None:
-    """A class index, at least one cluster, and at least one retained pair
-    per cluster."""
+def _flat(record: dict, prefix: str = "") -> dict:
+    """A record's fields, nested records' ones named `outer.inner`."""
+    fields = {}
+    for key, value in record.items():
+        if isinstance(value, dict):
+            fields.update(_flat(value, f"{prefix}{key}."))
+        else:
+            fields[f"{prefix}{key}"] = value
+    return fields
+
+
+def _check_summary_record(rec: dict, mlp: BranchMlp) -> None:
+    """A class index of `mlp`, at least one cluster, and at least one
+    retained pair per cluster."""
     c = rec["branch_class"]
     if not artifact.is_count(c, 0):
         raise ValueError(f"branch_class {c!r} is not a class index")
+    if c >= mlp.n_classes:
+        raise ValueError(f"branch_class {c} is not below the branch's "
+                         f"{mlp.n_classes} classes")
     k = rec["n_clusters"]
     if not artifact.is_count(k, 1):
         raise ValueError(f"n_clusters {k!r} is not an integer >= 1")
@@ -333,9 +347,12 @@ def _check_summary_record(rec: dict) -> None:
                          f"the {k} clusters")
 
 
-def clusters_from_json(text: str
-                       ) -> tuple[dict, list[list[BranchClassClusters]]]:
-    """Parse and check a cluster cache: (its source record, its table).
+def clusters_from_json(text: str, mlps: list[BranchMlp], source: dict
+                       ) -> list[list[BranchClassClusters]]:
+    """Parse a cluster cache and check it against the run that re-uses
+    `mlps`: its source record must be `source`, and it must hold one list
+    of summaries per MLP, each as wide as its MLP's input and of one of its
+    classes.  Returns the table.
 
     A malformed summary is a ValueError naming its branch, its summary and
     the field at fault; a malformed array names the array."""
@@ -348,11 +365,21 @@ def clusters_from_json(text: str
         raise ValueError(f"unsupported cluster cache version {version!r}")
     arrays = {name: artifact.read(doc[name], f"cluster cache {name}")
               for name in _CACHE_ARRAYS}
+    if not isinstance(doc["source"], dict):
+        raise ValueError("cluster cache source is not a record")
+    cached = _flat(doc["source"])
+    for name, value in _flat(source).items():
+        if cached.get(name) != value:
+            raise ValueError(f"cluster cache {name} is {cached.get(name)!r}, "
+                             f"the run's is {value!r}")
+    if len(doc["branches"]) != len(mlps):
+        raise ValueError(f"cluster cache covers {len(doc['branches'])} "
+                         f"branches, the run re-uses {len(mlps)}")
     records = []
-    for b, per_branch in enumerate(doc["branches"]):
+    for b, (per_branch, mlp) in enumerate(zip(doc["branches"], mlps)):
         for k, rec in enumerate(per_branch):
             artifact.checked(f"cluster cache branch {b} summary {k}",
-                             _check_summary_record, rec)
+                             _check_summary_record, rec, mlp)
             records.append((b, k, rec))
     centers = arrays["centers"]
     n_clusters = sum(rec["n_clusters"] for _, _, rec in records)
@@ -366,13 +393,16 @@ def clusters_from_json(text: str
         if arrays[name].shape != shape:
             raise ValueError(f"cluster cache {name} has shape "
                              f"{arrays[name].shape}, expected {shape}")
-    table = [[] for _ in doc["branches"]]
+    table = [[] for _ in mlps]
     lo = 0
     for row, (b, k, rec) in enumerate(records):
+        where = f"cluster cache branch {b} summary {k}"
         hi = lo + rec["n_clusters"]
+        if centers.shape[1] != mlps[b].in_dim:
+            raise ValueError(f"{where}: centers are {centers.shape[1]} wide, "
+                             f"the branch takes {mlps[b].in_dim} inputs")
         if np.any(arrays["sample_min"][row] > arrays["sample_max"][row]):
-            raise ValueError(f"cluster cache branch {b} summary {k}: "
-                             "sample_min exceeds sample_max")
+            raise ValueError(f"{where}: sample_min exceeds sample_max")
         table[b].append(BranchClassClusters(
             branch_class=rec["branch_class"],
             centers=centers[lo:hi],
@@ -383,4 +413,4 @@ def clusters_from_json(text: str
             n_pairs=rec["n_pairs"],
         ))
         lo = hi
-    return doc["source"], table
+    return table

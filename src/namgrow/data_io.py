@@ -61,9 +61,9 @@ class Dataset:
     def shape(self) -> tuple[int, int, int]:
         return self.pixels.shape[:3]
 
-    def subset(self, indices: np.ndarray, tag: str) -> "Dataset":
+    def subset(self, indices: np.ndarray) -> "Dataset":
         return Dataset(np.take(self.pixels, indices, axis=3),
-                       self.labels[indices], tag, self.n_classes)
+                       self.labels[indices], self.tag, self.n_classes)
 
 
 def normalize_pixels(raw: np.ndarray) -> np.ndarray:

@@ -234,8 +234,7 @@ def draw_reference_images(dataset: Dataset, per_class: int,
                           rng: np.random.Generator) -> dict[int, Dataset]:
     """Per-class reference images used on the distribution side of matching."""
     picks = _draw_per_class(dataset, per_class, rng, "matching")
-    return {c: dataset.subset(idx, tag=f"{dataset.tag}-reference-{c}")
-            for c, idx in enumerate(picks)}
+    return {c: dataset.subset(idx) for c, idx in enumerate(picks)}
 
 
 def check_draws(train_set: Dataset, config: GrowthConfig) -> None:
@@ -373,8 +372,7 @@ def start_growth(net: NamNetwork, selection_columns: np.ndarray,
         return ScoredSplit(data, scores)
 
     train = scored(train_set)
-    selection = train_set.subset(selection_columns,
-                                 tag=f"{train_set.tag}-selection")
+    selection = train_set.subset(selection_columns)
     sel = ScoredSplit(selection, train.scores[selection_columns])
     rest = np.setdiff1d(np.arange(train_set.n), selection_columns)
     return GrowthState(net=net, config=config, selection=sel, train=train,
@@ -680,11 +678,12 @@ def source_cluster_table(branch_mlps, config: GrowthConfig):
     return table
 
 
-def source_branches(net: NamNetwork, transfer: bool) -> list[Branch]:
-    """The branches a run re-uses: every branch of the network for a
-    transfer to a new task, only its trained base branches for growth on
-    its own task."""
-    sources = [br for br in net.branches if transfer or br.origin == "base"]
+def source_mlps(net: NamNetwork, transfer: bool) -> list[BranchMlp]:
+    """The MLPs of the branches a run re-uses: every branch of the network
+    for a transfer to a new task, only its trained base branches for growth
+    on its own task."""
+    sources = [br.mlp for br in net.branches
+               if transfer or br.origin == "base"]
     if not sources:
         raise ValueError(f"network has no {'' if transfer else 'base '}"
                          "branches to re-use")
@@ -741,10 +740,11 @@ def _grow(source_net: NamNetwork, net: NamNetwork, train_set: Dataset,
     has one stream per source branch, and each stream gets one iteration
     at least.
     A given `cluster_table` holds one list of summaries per source branch,
-    each fitting its branch; the CLI checks a cached one as it loads it.
+    each fitting its branch; `clusters_from_json` checks a cached one as it
+    reads it.
     """
     transfer = net.mode == "election"
-    sources = source_branches(source_net, transfer)
+    sources = source_mlps(source_net, transfer)
     seeds = np.random.SeedSequence(config.seed).spawn(4)
     columns = draw_selection(train_set, config.selection_size, seeds[0])
     state = start_growth(net, columns, config, train_set, test_set,
@@ -759,15 +759,13 @@ def _grow(source_net: NamNetwork, net: NamNetwork, train_set: Dataset,
                                  np.random.default_rng(seeds[2]))
     if cluster_table is None:
         log.info("clustering %d branch MLPs", len(sources))
-        cluster_table = source_cluster_table([br.mlp for br in sources],
-                                             config)
+        cluster_table = source_cluster_table(sources, config)
     pairs = [(i, summary) for i, summaries in enumerate(cluster_table)
              for summary in summaries]
     ranges = base_grid_ranges(net.input_shape, 1)
     log.info("matching %d ranges against %d cluster summaries",
              len(ranges), len(pairs))
-    for stream in candidate_streams(ranges, refs, pairs,
-                                    [br.mlp for br in sources],
+    for stream in candidate_streams(ranges, refs, pairs, sources,
                                     config.keep_fraction, transfer):
         ran = False
         while max_iterations is None or len(state.records) < max_iterations:

@@ -384,7 +384,7 @@ def transfer_cache_run(tmp_path_factory, config_file, base_run):
 
 def _mlps(checkpoint, transfer=False):
     net = load_checkpoint(checkpoint)
-    return [br.mlp for br in growth.source_branches(net, transfer)]
+    return growth.source_mlps(net, transfer)
 
 
 class TestClusterCache:
@@ -586,6 +586,14 @@ def _cache_version(value):
     return corrupt
 
 
+def _cache_no_branches(doc):
+    del doc["branches"]
+
+
+def _cache_int_branches(doc):
+    doc["branches"] = 5
+
+
 def _cache_source(name, value):
     def corrupt(doc):
         *outer, key = name.split(".")
@@ -655,6 +663,9 @@ class TestMalformedClusterCaches:
          "cluster cache cluster.bandwidth is 0.25, the run's is 0.3"),
         (_cache_source("seed", 12), "cluster cache seed is 12, the run's "
                                     "is "),
+        (_cache_no_branches, "cluster cache has no 'branches' key"),
+        (_cache_int_branches, "malformed cluster cache: object of type 'int' "
+                              "has no len()"),
     ])
     def test_is_a_data_error_naming_the_branch(
             self, tmp_path, config_file, base_run, cache_run,
@@ -1099,12 +1110,15 @@ class TestErrorPaths:
                           "holds no images"]
         assert not (tmp_path / "out" / "epochs.csv").exists()
 
+    @pytest.mark.parametrize("command", ["grow", "transfer"])
     def test_non_integer_max_iterations_is_usage_error(
-            self, tmp_path, data_dir, base_run, caplog):
+            self, tmp_path, data_dir, base_run, caplog, command):
+        """transfer ignores the limit, but refuses it as grow does when it
+        does not parse, before it writes anything."""
         cfg = tmp_path / "bad.ini"
         cfg.write_text(f"[data]\ndataset = mnist\ndata_dir = {data_dir}\n"
                        "[growth]\nmax_iterations = abc\n")
-        code = main(["grow", "--config", str(cfg),
+        code = main([command, "--config", str(cfg),
                      "--checkpoint", str(base_run / "checkpoint.json"),
                      "--out-dir", str(tmp_path / "out")])
         assert code == 1
@@ -1112,6 +1126,7 @@ class TestErrorPaths:
                   if r.levelname == "ERROR"]
         assert errors == ["[growth] max_iterations: invalid literal for "
                           "int() with base 10: 'abc'"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section, key", [
         (section, key) for section, values in DEFAULT_CONFIG.items()

@@ -457,8 +457,10 @@ def test_cluster_cache_json_roundtrip():
     table = cluster_network(mlps, cfg, seed=5)
     source = {"for": "grow", "mlp_sha256": source_digest(mlps)}
     text = clusters_to_json(table, source)
-    back_source, back = clusters_from_json(text)
-    assert back_source == source
+    back = clusters_from_json(text, mlps, source)
+    with pytest.raises(ValueError, match="^cluster cache for is 'grow', the "
+                                         "run's is 'transfer'$"):
+        clusters_from_json(text, mlps, {**source, "for": "transfer"})
     assert len(back) == 2
     for per_a, per_b in zip(table, back):
         for sa, sb in zip(per_a, per_b):
@@ -469,13 +471,14 @@ def test_cluster_cache_json_roundtrip():
             np.testing.assert_array_equal(sa.sample_min, sb.sample_min)
             np.testing.assert_array_equal(sa.sample_max, sb.sample_max)
             assert sa.n_pairs == sb.n_pairs
-    assert clusters_to_json(back, back_source) == text
+    assert clusters_to_json(back, source) == text
     with pytest.raises(ValueError):
-        clusters_from_json('{"format":"nope","version":1}')
+        clusters_from_json('{"format":"nope","version":1}', mlps, source)
     with pytest.raises(ValueError, match="^cluster cache version 1 is no "
                                          "longer read: rebuild it with "
                                          "`namgrow cluster-cache`$"):
-        clusters_from_json('{"format":"nam-cluster-cache","version":1}')
+        clusters_from_json('{"format":"nam-cluster-cache","version":1}',
+                           mlps, source)
 
 
 def test_source_digest_is_the_layer_bytes():

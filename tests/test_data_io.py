@@ -334,7 +334,7 @@ def test_dataset_refuses_pixels_that_are_not_4d_uint8(pixels, message):
 def test_subset_gathers_columns_pixel_major():
     ds = draw_dataset(np.random.default_rng(2), 9, (2, 4, 5))
     idx = np.array([7, 2, 2, 0])
-    sub = ds.subset(idx, "sub")
+    sub = ds.subset(idx)
     assert sub.pixels.flags.c_contiguous and sub.shape == ds.shape
     np.testing.assert_array_equal(sub.pixels, ds.pixels[..., idx])
     np.testing.assert_array_equal(sub.labels, ds.labels[idx])

@@ -124,8 +124,7 @@ def patch_mean_dataset(means_by_class, n_per_class, noise=0.02, seed=0,
 
 def selection_set(data, size, seed):
     """The selection set `draw_selection` picks from `data`."""
-    return data.subset(draw_selection(data, size, seed),
-                       tag=f"{data.tag}-selection")
+    return data.subset(draw_selection(data, size, seed))
 
 
 def fresh_state(mode="tuning", selection=None, test_set=None, train_set=None,
@@ -143,7 +142,7 @@ def fresh_state(mode="tuning", selection=None, test_set=None, train_set=None,
     net = NamNetwork(n_classes=train_set.n_classes,
                      input_shape=train_set.shape, mode=mode)
     if test_set is None:
-        test_set = train_set.subset(columns, tag="selection")
+        test_set = train_set.subset(columns)
     return start_growth(net, columns, config, train_set=train_set,
                         test_set=test_set,
                         rng=np.random.default_rng(config.seed))
