@@ -203,16 +203,17 @@ def cluster_branch_class(pairs: BranchPairs, config: ClusterConfig,
     variance = config.bandwidth ** 2
     variances = np.full(normed.shape[1], variance)
     isolated = _isolated_starts(normed, variance, config)
-    alive = np.arange(pairs.n)
+    # a list while starts are isolated, which drop out one at a time; an
+    # array for a start that shifts
+    alive = list(range(pairs.n))
     best = []
-    while alive.size > 0:
-        pick = int(rng.integers(alive.size))
+    while alive:
+        pick = int(rng.integers(len(alive)))
         start = alive[pick]
         if isolated[start]:
-            best.append(start)
-            alive[pick:-1] = alive[pick + 1:]   # drop it, keep the order
-            alive = alive[:-1]
+            best.append(alive.pop(pick))
             continue
+        alive = np.array(alive)
         point = normed[start].copy()
         for _ in range(config.max_shift_iterations):
             shifted = mean_shift_step(point, normed[alive], variances)
@@ -226,7 +227,7 @@ def cluster_branch_class(pairs: BranchPairs, config: ClusterConfig,
             near[int(np.argmin(dists))] = True  # claim the nearest: progress
         members = alive[near]
         best.append(members[int(np.argmax(pairs.outputs[members]))])
-        alive = alive[~near]
+        alive = alive[~near].tolist()
     return BranchClassClusters(
         branch_class=pairs.branch_class,
         centers=pairs.samples[best],
@@ -363,8 +364,7 @@ def clusters_from_json(text: str, mlps: list[BranchMlp], source: dict
                          "rebuild it with `namgrow cluster-cache`")
     if type(version) is not int or version != CACHE_VERSION:
         raise ValueError(f"unsupported cluster cache version {version!r}")
-    arrays = {name: artifact.read(doc[name], f"cluster cache {name}")
-              for name in _CACHE_ARRAYS}
+    # a stale cache is refused before any payload is decoded
     if not isinstance(doc["source"], dict):
         raise ValueError("cluster cache source is not a record")
     cached = _flat(doc["source"])
@@ -372,6 +372,8 @@ def clusters_from_json(text: str, mlps: list[BranchMlp], source: dict
         if cached.get(name) != value:
             raise ValueError(f"cluster cache {name} is {cached.get(name)!r}, "
                              f"the run's is {value!r}")
+    arrays = {name: artifact.read(doc[name], f"cluster cache {name}")
+              for name in _CACHE_ARRAYS}
     if len(doc["branches"]) != len(mlps):
         raise ValueError(f"cluster cache covers {len(doc['branches'])} "
                          f"branches, the run re-uses {len(mlps)}")

@@ -13,7 +13,8 @@ float images, and stored pixel-major as the loaders store them.
 
 The single-sample forward, backward and cross-entropy, the row-major
 batched forward, the per-image patch and the stacked forward are the
-per-sample references the batched library code is checked against.  The
+per-sample references the batched library code is checked against; the
+`np.where` training step is the reference for training's in-place one.  The
 MLP builder takes the hidden width and depth the library's fixed builder
 does not, the per-branch mask tuning is the reference for growth's stacked
 one (one mask at a time, read back from the branch after every step), and the dense and stride-1 window lists are the references for
@@ -248,6 +249,34 @@ def stacked_forward(params: list, patches: np.ndarray) -> np.ndarray:
     per-branch patches [n_branches, n, in_dim]."""
     logits, _ = _forward_with_cache(params, patches)
     return logits
+
+
+def where_loss_and_grads(params: list, patches: np.ndarray,
+                         labels: np.ndarray) -> tuple[float, list]:
+    """The stacked training step with `np.where` for the ReLU and its
+    backward mask and `sum(axis=1)` for the bias gradients, the same
+    matmuls otherwise: the formulation training's in-place step must
+    match bit for bit."""
+    h = np.asarray(patches, dtype=np.float64)
+    activations, masks = [h], []
+    for w, b in zip(params[:-1:2], params[1::2]):
+        pre = np.matmul(h, np.swapaxes(w, 1, 2)) + b[:, None, :]
+        mask = pre > 0.0
+        h = np.where(mask, pre, 0.0)
+        activations.append(h)
+        masks.append(mask)
+    logits = np.matmul(h, np.swapaxes(params[-1], 1, 2)).sum(axis=0)
+    loss, dlogits = softmax_cross_entropy_batch(logits, labels)
+    grads = [None] * len(params)
+    grads[-1] = np.matmul(dlogits.T, activations[-1])
+    dh = np.matmul(dlogits[None, :, :], params[-1])
+    for l in range(len(masks) - 1, -1, -1):
+        dpre = np.where(masks[l], dh, 0.0)
+        grads[2 * l] = np.matmul(dpre.transpose(0, 2, 1), activations[l])
+        grads[2 * l + 1] = dpre.sum(axis=1)
+        if l > 0:
+            dh = np.matmul(dpre, params[2 * l])
+    return loss, grads
 
 
 def ignore(report) -> None:

@@ -1,6 +1,7 @@
 """Mean-shift clustering tests on synthetic geometry and real branch MLPs."""
 
 import copy
+import json
 import math
 
 import numpy as np
@@ -479,6 +480,23 @@ def test_cluster_cache_json_roundtrip():
                                          "`namgrow cluster-cache`$"):
         clusters_from_json('{"format":"nam-cluster-cache","version":1}',
                            mlps, source)
+
+
+def test_stale_cache_is_refused_by_source_before_its_arrays_are_read():
+    rng = np.random.default_rng(8)
+    mlps = [init_branch_mlp(rng, n_classes=2) for _ in range(2)]
+    cfg = ClusterConfig(n_samples=40, max_shift_iterations=20)
+    source = {"for": "grow", "mlp_sha256": source_digest(mlps)}
+    doc = json.loads(clusters_to_json(cluster_network(mlps, cfg, seed=5),
+                                      source))
+    doc["centers"]["base64"] = "not base64!"
+    with pytest.raises(ValueError, match="^cluster cache centers is not "
+                                         "valid base64"):
+        clusters_from_json(json.dumps(doc), mlps, source)
+    with pytest.raises(ValueError, match="^cluster cache for is 'grow', the "
+                                         "run's is 'transfer'$"):
+        clusters_from_json(json.dumps(doc), mlps,
+                           {**source, "for": "transfer"})
 
 
 def test_source_digest_is_the_layer_bytes():

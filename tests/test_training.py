@@ -30,6 +30,7 @@ from oracles import (
     mlp_forward,
     row_major_patches,
     stacked_forward,
+    where_loss_and_grads,
 )
 
 N_CLASSES = 3
@@ -191,6 +192,47 @@ class TestStackedGradients:
         assert len(grads) == len(params)
         for g, p in zip(grads, params):
             assert g.shape == p.shape
+
+
+def random_params(rng, n_branches, n_classes):
+    """A stacked parameter list of 9-wide, four-hidden-layer branches with
+    nonzero biases."""
+    params = []
+    for _ in range(4):
+        params += [rng.normal(0.0, np.sqrt(2.0 / 9), (n_branches, 9, 9)),
+                   rng.normal(0.0, 0.5, (n_branches, 9))]
+    params.append(rng.normal(0.0, np.sqrt(1.0 / 9), (n_branches, n_classes, 9)))
+    return params
+
+
+class TestStepFormulation:
+    # one-row batches and one-branch networks may take BLAS's GEMV and GER
+    # paths in place of GEMM
+    @pytest.mark.parametrize("n_branches, n", [
+        (1, 1), (2, 7), (4, 16), (4, 64), (75, 32), (75, 128)])
+    def test_adam_steps_equal_the_where_formulation_bytewise(self, n_branches,
+                                                             n):
+        rng = np.random.default_rng(1000 * n_branches + n)
+        params = random_params(rng, n_branches, 10)
+        oracle_params = [p.copy() for p in params]
+        state = AdamState(params, lr=1e-2)
+        oracle_state = AdamState(oracle_params, lr=1e-2)
+        for _ in range(3):
+            patches = rng.normal(size=(n_branches, n, 9))
+            # zeros of both signs
+            zeros = rng.random(patches.shape) < 0.1
+            patches[zeros] = np.copysign(0.0, patches[zeros])
+            labels = rng.integers(0, 10, n)
+            loss, grads = stacked_loss_and_grads(params, patches, labels)
+            want_loss, want = where_loss_and_grads(oracle_params, patches,
+                                                   labels)
+            assert loss == want_loss
+            for got, expected in zip(grads, want):
+                assert got.tobytes() == expected.tobytes()
+            adam_step(state, params, grads)
+            adam_step(oracle_state, oracle_params, want)
+        for got, expected in zip(params, oracle_params):
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestTrainNetwork:
