@@ -66,17 +66,21 @@ DEFAULT_CONFIG = {
     },
 }
 
-# (argparse attribute, config section, config key)
-_OVERRIDES = [
-    ("seed", "run", "seed"),
-    ("out_dir", "run", "out_dir"),
-    ("threads", "run", "threads"),
-    ("data_dir", "data", "data_dir"),
-    ("dataset", "data", "dataset"),
-    ("grid", "model", "grid"),
-    ("epochs", "train", "epochs"),
-    ("max_iterations", "growth", "max_iterations"),
-]
+# Each override flag: the [section] key it sets and its argparse keywords;
+# its help is "override [section] key" unless the keywords give one.
+_FLAGS = {
+    "--seed": ("run", "seed", {"type": int}),
+    "--dataset": ("data", "dataset", {"choices": ["cifar10", "mnist"]}),
+    "--data-dir": ("data", "data_dir", {}),
+    "--out-dir": ("run", "out_dir", {}),
+    "--threads": ("run", "threads", {
+        "type": int, "help": "BLAS/OpenMP thread cap (0 = all cores)"}),
+    "--grid": ("model", "grid", {"choices": ["base", "full"]}),
+    "--epochs": ("train", "epochs", {"type": int}),
+    "--max-iterations": ("growth", "max_iterations", {
+        "type": int,
+        "help": "override [growth] max_iterations (-1 = no limit)"}),
+}
 
 
 class ConfigError(Exception):
@@ -90,7 +94,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def resolve_config(args) -> configparser.ConfigParser:
-    """Defaults <- config file <- command-line flags, in that order.
+    """Defaults <- config file <- command-line flags, in that order; each
+    flag's destination is the "section.key" it sets.
 
     A section or key the defaults lack is refused: a misspelt one would
     otherwise run silently with the default it meant to change."""
@@ -102,9 +107,9 @@ def resolve_config(args) -> configparser.ConfigParser:
             raise ConfigError(f"config file not found: {path}")
         cfg.read(path)
         _refuse_unknown_keys(cfg)
-    for attr, section, key in _OVERRIDES:
-        value = getattr(args, attr, None)
-        if value is not None:
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            section, key = dest.split(".")
             cfg[section][key] = str(value)
     return cfg
 
@@ -282,7 +287,7 @@ class _IterationWriter:
 def cmd_train_base(args, cfg) -> int:
     from .checkpoint import save_checkpoint
     from .nam_model import build_network, evaluate, parameter_count
-    from .nn_core import optimizer_step_count, reset_optimizer_step_count
+    from .nn_core import optimizer_step_count
     from .training import train_network
 
     train = _load_split(cfg, "train")
@@ -299,7 +304,7 @@ def cmd_train_base(args, cfg) -> int:
     log.info("training %d branches (%d parameters) for %d epochs",
              net.n_branches, parameter_count(net), train_config.epochs)
     out_dir = _prepare_out_dir(cfg, args)
-    reset_optimizer_step_count()
+    steps = optimizer_step_count()
     with open(out_dir / "epochs.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "train_loss", "eval_accuracy", "eval_loss"])
@@ -326,7 +331,7 @@ def cmd_train_base(args, cfg) -> int:
         "grid": grid,
         "seed": seed,
         "input_hashes": _input_hashes(cfg, args),
-        "optimizer_steps": optimizer_step_count(),
+        "optimizer_steps": optimizer_step_count() - steps,
         "branch_count": net.n_branches,
         "parameter_count": parameter_count(net),
         "test_accuracy": accuracy,
@@ -346,7 +351,7 @@ def cmd_growth(args, cfg) -> int:
     from .growth import check_draws, cluster_source, run_growth, \
         source_mlps, transfer_task
     from .nam_model import parameter_count
-    from .nn_core import optimizer_step_count, reset_optimizer_step_count
+    from .nn_core import optimizer_step_count
 
     transfer = args.command == "transfer"
     net = load_checkpoint(args.checkpoint)
@@ -354,11 +359,14 @@ def cmd_growth(args, cfg) -> int:
     test = _load_split(cfg, "test")
     # transfer reads the key too, so a bad value is refused, not recorded
     limit = _config_value(cfg, "growth", "max_iterations", int)
+    if limit < -1:
+        raise ConfigError("[growth] max_iterations must be >= -1 "
+                          "(-1 = no limit)")
     run = transfer_task
     if not transfer:
         _check_geometry(net, train)
         run = functools.partial(run_growth,
-                                max_iterations=None if limit < 0 else limit)
+                                max_iterations=None if limit == -1 else limit)
     growth_config = _growth_config(cfg)
     check_draws(train, growth_config)
     cluster_table = None
@@ -368,14 +376,14 @@ def cmd_growth(args, cfg) -> int:
             args.cluster_cache, "cluster cache", clusters_from_json, mlps,
             cluster_source(mlps, growth_config, args.command))
     out_dir = _prepare_out_dir(cfg, args)
-    reset_optimizer_step_count()
+    steps = optimizer_step_count()
     writer = _IterationWriter(out_dir, transfer)
     try:
         state = run(net, train, growth_config, test_set=test,
                     cluster_table=cluster_table, on_iteration=writer)
     finally:
         writer.close()
-    steps = optimizer_step_count()
+    steps = optimizer_step_count() - steps
     if transfer and steps != 0:
         raise RuntimeError(
             f"transfer must never train, but {steps} optimizer steps ran")
@@ -481,17 +489,13 @@ def cmd_eval(args, cfg) -> int:
     return EXIT_OK
 
 
-def _add_common_arguments(parser) -> None:
-    parser.add_argument("--config", help="INI config file")
-    parser.add_argument("--seed", type=int, help="override [run] seed")
-    parser.add_argument("--dataset", choices=["cifar10", "mnist"],
-                        help="override [data] dataset")
-    parser.add_argument("--data-dir", dest="data_dir",
-                        help="override [data] data_dir")
-    parser.add_argument("--out-dir", dest="out_dir",
-                        help="override [run] out_dir")
-    parser.add_argument("--threads", type=int,
-                        help="BLAS/OpenMP thread cap (0 = all cores)")
+def _offer(parser, *flags) -> None:
+    """Offer each of `flags` on `parser`, bound to its [section] key."""
+    for flag in flags:
+        section, key, keywords = _FLAGS[flag]
+        keywords = {"help": f"override [{section}] {key}", **keywords}
+        parser.add_argument(flag, dest=f"{section}.{key}", metavar=(
+            None if "choices" in keywords else key.upper()), **keywords)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -500,48 +504,46 @@ def build_parser() -> argparse.ArgumentParser:
         description="Grow neural additive models by re-using trained branches.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train-base",
-                       help="train a base or full-perception network")
-    _add_common_arguments(p)
-    p.add_argument("--grid", choices=["base", "full"],
-                   help="override [model] grid")
-    p.add_argument("--epochs", type=int, help="override [train] epochs")
-    p.set_defaults(handler=cmd_train_base)
+    def command(name, handler, summary, *flags):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        p.add_argument("--config", help="INI config file")
+        _offer(p, *flags)
+        return p
 
-    p = sub.add_parser("grow", help="grow a trained network on its own task")
-    _add_common_arguments(p)
+    common = ("--seed", "--dataset", "--data-dir", "--out-dir", "--threads")
+    command("train-base", cmd_train_base,
+            "train a base or full-perception network",
+            *common, "--grid", "--epochs")
+
+    p = command("grow", cmd_growth, "grow a trained network on its own task",
+                *common)
     p.add_argument("--checkpoint", required=True, help="base checkpoint JSON")
-    p.add_argument("--max-iterations", dest="max_iterations", type=int,
-                   help="override [growth] max_iterations (-1 = no limit)")
+    _offer(p, "--max-iterations")
     p.add_argument("--cluster-cache", dest="cluster_cache",
                    help="precomputed cluster_cache.json (skips clustering)")
-    p.set_defaults(handler=cmd_growth)
 
-    p = sub.add_parser("transfer",
-                       help="transfer branches to a new task (election mode)")
-    _add_common_arguments(p)
+    p = command("transfer", cmd_growth,
+                "transfer branches to a new task (election mode)", *common)
     p.add_argument("--checkpoint", required=True,
                    help="source-task checkpoint JSON")
     p.add_argument("--cluster-cache", dest="cluster_cache",
                    help="precomputed cluster_cache.json (skips clustering)")
-    p.set_defaults(handler=cmd_growth)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
-    _add_common_arguments(p)
+    p = command("eval", cmd_eval, "evaluate a checkpoint on a dataset split",
+                "--dataset", "--data-dir", "--threads")
     p.add_argument("--checkpoint", required=True, help="checkpoint JSON")
     p.add_argument("--split", choices=["train", "test"], default="test")
     p.add_argument("--out", help="also write the metrics JSON to this file")
-    p.set_defaults(handler=cmd_eval)
 
-    p = sub.add_parser("cluster-cache",
-                       help="precompute branch cluster summaries for re-use")
-    _add_common_arguments(p)
+    p = command("cluster-cache", cmd_cluster_cache,
+                "precompute branch cluster summaries for re-use",
+                "--seed", "--out-dir", "--threads")
     p.add_argument("--checkpoint", required=True, help="checkpoint JSON")
     p.add_argument("--for", dest="target_command",
                    choices=["grow", "transfer"], default="grow",
                    help="consumer command (grow clusters only the original "
                         "trained branches, transfer clusters all branches)")
-    p.set_defaults(handler=cmd_cluster_cache)
     return parser
 
 

@@ -59,7 +59,6 @@ from .nn_core import (
     BranchMlp,
     DenseLayer,
     adam_step,
-    mlp_arrays,
     mlp_forward_batch,
     softmax_cross_entropy_batch,
     softmax_cross_entropy_loss,
@@ -629,14 +628,12 @@ def tune_masks(branches: list[Branch], dataset: Dataset, epochs: int,
 
 
 def frozen_parameter_hash(branches: list[Branch]) -> str:
-    """SHA-256 over everything growth must never change in `branches`: MLP
-    weights, mask thresholds and spans, and the scale/bias of already-frozen
-    masks.  Kept branches share their source's deeper layer objects, so a
-    hash of the sources covers those layers too."""
-    h = hashlib.sha256()
+    """SHA-256 over everything growth must never change in `branches`: the
+    MLPs' `source_digest`, mask thresholds and spans, and the scale/bias of
+    already-frozen masks.  Kept branches share their source's deeper layer
+    objects, so a hash of the sources covers those layers too."""
+    h = hashlib.sha256(source_digest([b.mlp for b in branches]).encode())
     for branch in branches:
-        for a in mlp_arrays(branch.mlp):
-            h.update(np.ascontiguousarray(a).tobytes())
         if branch.mask is not None:
             h.update(np.float64([branch.mask.thd, branch.mask.v_span]).tobytes())
             if branch.mask_frozen:

@@ -167,11 +167,7 @@ def prepare_summaries(candidates: list[tuple[int, BranchClassClusters]]
                       dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     dim = candidates[0][1].centers.shape[1] if candidates else 0
-    # The layout `normalize_sorted` gives a summary's centers: column-major,
-    # unless every summary has one center.  The order in which einsum adds
-    # each |c|^2, and so its bits, depends on it.
-    order = "C" if offsets[-1] == len(candidates) else "F"
-    gram_rows = np.empty((offsets[-1], dim + 1), order=order)
+    gram_rows = np.empty((offsets[-1], dim + 1))
     centers = gram_rows[:, :dim]
     stats, weights = [], []
     for (_, summary), lo, hi in zip(candidates, offsets[:-1], offsets[1:]):

@@ -54,15 +54,14 @@ def _relu(x):
 def apply_class_mask(mask: ClassMask, y):
     """ReLU(a) * (ReLU((y - thd)/v_span) + 1[y > thd] * ReLU(b)).
 
-    Accepts a scalar or an ndarray of raw outputs.  The mask's a, b, thd
-    and v_span may also be [k, 1] columns, one row per mask, for raw
-    outputs [k, n]; each row then gets the bits its own mask would give.
+    Takes an ndarray of raw outputs.  The mask's a, b, thd and v_span may
+    also be [k, 1] columns, one row per mask, for raw outputs [k, n]; each
+    row then gets the bits its own mask would give.
     """
     y = np.asarray(y, dtype=np.float64)
     ramp = np.maximum((y - mask.thd) / mask.v_span, 0.0)
     flag = (y > mask.thd).astype(np.float64)
-    out = _relu(mask.a) * (ramp + flag * _relu(mask.b))
-    return float(out) if np.isscalar(out) or out.ndim == 0 else out
+    return _relu(mask.a) * (ramp + flag * _relu(mask.b))
 
 
 def class_mask_grads(mask: ClassMask, y, upstream):

@@ -13,6 +13,8 @@ import numpy as np
 
 # Module-level odometer so pipelines can prove they never trained anything.
 _OPTIMIZER_STEPS = 0
+# Adam's moment decay rates and denominator guard.
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 # Columns per hidden-layer pass of the forward.  A [9, 1024] float64
 # temporary is 72 KiB: below glibc's 128 KiB mmap threshold, so it is
@@ -22,13 +24,8 @@ _FORWARD_BLOCK = 1024
 
 
 def optimizer_step_count() -> int:
-    """Total adam_step invocations since process start (or last reset)."""
+    """Total adam_step invocations since process start."""
     return _OPTIMIZER_STEPS
-
-
-def reset_optimizer_step_count() -> None:
-    global _OPTIMIZER_STEPS
-    _OPTIMIZER_STEPS = 0
 
 
 @dataclass
@@ -188,34 +185,29 @@ def softmax_cross_entropy_batch(
 class AdamState:
     """Adam moment accumulators for a fixed list of parameter arrays."""
 
-    def __init__(self, params: list[np.ndarray], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[np.ndarray], lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
 
 
 def adam_step(state: AdamState, params: list[np.ndarray],
-              grads: list[np.ndarray]) -> list[np.ndarray]:
-    """One Adam update, in place on params. Returns params for convenience."""
+              grads: list[np.ndarray]) -> None:
+    """One Adam update, in place on params."""
     global _OPTIMIZER_STEPS
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ValueError("parameter/gradient/state length mismatch")
     state.step += 1
     _OPTIMIZER_STEPS += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - _BETA1 ** t
+    bc2 = 1.0 - _BETA2 ** t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    return params
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * np.square(g)
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)

@@ -21,7 +21,7 @@ import pytest
 import namgrow
 from namgrow import artifact, growth
 from namgrow.checkpoint import load_checkpoint
-from namgrow.cli import DEFAULT_CONFIG, main
+from namgrow.cli import DEFAULT_CONFIG, build_parser, main, resolve_config
 from namgrow.clustering import ClusterConfig, source_digest
 
 BLOCKS = [(0, 0), (0, 6), (6, 0), (6, 6), (0, 3),
@@ -1033,6 +1033,67 @@ class TestShippedConfigs:
         assert _growth_config(cfg) == GrowthConfig()
 
 
+# The [section] key each override flag sets, and the flags each command
+# offers: those whose keys it reads.
+FLAG_KEYS = {"--seed": ("run", "seed"), "--dataset": ("data", "dataset"),
+             "--data-dir": ("data", "data_dir"),
+             "--out-dir": ("run", "out_dir"), "--threads": ("run", "threads"),
+             "--grid": ("model", "grid"), "--epochs": ("train", "epochs"),
+             "--max-iterations": ("growth", "max_iterations")}
+COMMON_FLAGS = ["--seed", "--dataset", "--data-dir", "--out-dir", "--threads"]
+OFFERED_FLAGS = {
+    "train-base": [*COMMON_FLAGS, "--grid", "--epochs"],
+    "grow": [*COMMON_FLAGS, "--max-iterations"],
+    "transfer": COMMON_FLAGS,
+    "eval": ["--dataset", "--data-dir", "--threads"],
+    "cluster-cache": ["--seed", "--out-dir", "--threads"],
+}
+
+
+def _flag_value(flag):
+    return {"--dataset": "mnist", "--grid": "full"}.get(flag, "7")
+
+
+def _required_args(command):
+    return [] if command == "train-base" else ["--checkpoint", "c.json"]
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in OFFERED_FLAGS.items()
+        for flag in flags])
+    def test_flag_sets_only_its_config_key(self, command, flag):
+        value = _flag_value(flag)
+        cfg = resolve_config(build_parser().parse_args(
+            [command, *_required_args(command), flag, value]))
+        changed = [(section, key) for section, values in DEFAULT_CONFIG.items()
+                   for key, default in values.items()
+                   if cfg[section][key] != default]
+        assert changed == [FLAG_KEYS[flag]]
+        section, key = FLAG_KEYS[flag]
+        assert cfg[section][key] == value
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in OFFERED_FLAGS.items()
+        for flag in FLAG_KEYS if flag not in flags])
+    def test_flag_of_a_key_the_command_does_not_read_is_refused(
+            self, tmp_path, capsys, command, flag):
+        """eval reads no seed and writes no output directory, and
+        cluster-cache loads no dataset: each refuses such a flag as
+        unrecognized, exit code 1, before it creates anything."""
+        value = (str(tmp_path / "given") if flag in ("--data-dir", "--out-dir")
+                 else _flag_value(flag))
+        args = [command, *_required_args(command), flag, value]
+        if "--out-dir" in OFFERED_FLAGS[command]:
+            args += ["--out-dir", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as err:
+            main(args)
+        assert err.value.code == 1
+        assert f"unrecognized arguments: {flag} {value}" in \
+            capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestErrorPaths:
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -1126,6 +1187,31 @@ class TestErrorPaths:
                   if r.levelname == "ERROR"]
         assert errors == ["[growth] max_iterations: invalid literal for "
                           "int() with base 10: 'abc'"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, how", [
+        ("grow", "flag"), ("grow", "config"), ("transfer", "config")])
+    def test_max_iterations_below_minus_one_is_usage_error(
+            self, tmp_path, config_file, base_run, caplog, command, how):
+        """-1 is the only limit below 0: a lower one, which transfer does
+        not use either, is refused before the run writes anything."""
+        cfg = configparser.ConfigParser()
+        cfg.read(config_file)
+        if how == "config":
+            cfg["growth"]["max_iterations"] = "-5"
+        bad = tmp_path / "bad.ini"
+        with open(bad, "w") as fh:
+            cfg.write(fh)
+        args = [command, "--config", str(bad),
+                "--checkpoint", str(base_run / "checkpoint.json"),
+                "--out-dir", str(tmp_path / "out")]
+        if how == "flag":
+            args.append("--max-iterations=-5")
+        assert main(args) == 1
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert errors == ["[growth] max_iterations must be >= -1 "
+                          "(-1 = no limit)"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section, key", [

@@ -47,9 +47,9 @@ from namgrow.nn_core import (
     BranchMlp,
     DenseLayer,
     init_branch_mlp,
+    mlp_arrays,
     mlp_forward_batch,
     optimizer_step_count,
-    reset_optimizer_step_count,
 )
 from namgrow.qualification import qualify
 from oracles import draw_dataset, fit_election_stats, float_images, \
@@ -755,6 +755,14 @@ class TestFrozenParameterHash:
         net.branches[0].mlp.hidden_layers[0].weights[0, 0] += 1e-9
         assert frozen_parameter_hash(net.branches) != before
 
+    # 4 hidden layers' weights and biases, then the output weights
+    @pytest.mark.parametrize("array", range(9))
+    def test_sensitive_to_every_mlp_array(self, array):
+        net, _ = self.net()
+        before = frozen_parameter_hash(net.branches)
+        mlp_arrays(net.branches[0].mlp)[array].flat[0] += 1e-9
+        assert frozen_parameter_hash(net.branches) != before
+
     def test_ignores_unfrozen_scale_but_not_frozen_scale(self):
         net, _ = self.net()
         grown = net.branches[-1]
@@ -1030,9 +1038,9 @@ class TestGrowIterationElection:
         data = patch_mean_dataset([-0.2, -0.4, 0.4], 40, seed=1)
         selection = selection_set(data, 60, seed=0)
         state = fresh_state(mode="election", selection=selection)
-        reset_optimizer_step_count()
+        steps = optimizer_step_count()
         record = grow_iteration(state, [hand_candidate(ramp_mlp(1), 1, 2)])
-        assert optimizer_step_count() == 0
+        assert optimizer_step_count() - steps == 0
         assert record.accepted == 1
         net = state.net
         assert net.branches[0].origin == "transferred"

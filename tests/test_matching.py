@@ -431,7 +431,7 @@ def concatenating_build(candidates):
                for _, s in candidates]
     counts = np.array([c.shape[0] for c in centers], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(counts)])
-    centers = np.concatenate(centers)
+    centers = np.ascontiguousarray(np.concatenate(centers))
     sq_norms = np.einsum("ij,ij->i", centers, centers)
     return {
         "gram_rows": np.hstack([centers, sq_norms[:, None]]),

@@ -398,14 +398,12 @@ def test_adam_zero_gradient_is_noop():
 
 
 def test_adam_counter_increments():
-    nn_core.reset_optimizer_step_count()
+    before = nn_core.optimizer_step_count()
     params = [np.ones(3)]
     state = AdamState(params, lr=1e-3)
     adam_step(state, params, [np.ones(3)])
     adam_step(state, params, [np.ones(3)])
-    assert nn_core.optimizer_step_count() == 2
-    nn_core.reset_optimizer_step_count()
-    assert nn_core.optimizer_step_count() == 0
+    assert nn_core.optimizer_step_count() - before == 2
 
 
 def test_adam_rejects_shape_mismatch():

@@ -29,7 +29,6 @@ from namgrow.nam_model import (
 from namgrow.nn_core import (
     init_branch_mlp,
     optimizer_step_count,
-    reset_optimizer_step_count,
 )
 from namgrow.training import TrainConfig, train_network
 from oracles import ignore, rounded_dataset
@@ -301,7 +300,7 @@ def task_b(task_a):
 @pytest.fixture(scope="module")
 def transferred(grown, task_b):
     train, test = task_b
-    reset_optimizer_step_count()
+    steps = optimizer_step_count()
     accuracies = []
 
     def on_iteration(state):
@@ -310,7 +309,7 @@ def transferred(grown, task_b):
     state = transfer_task(grown.net, train, small_growth_config(),
                           test_set=test, cluster_table=None,
                           on_iteration=on_iteration)
-    state.optimizer_steps = optimizer_step_count()
+    state.optimizer_steps = optimizer_step_count() - steps
     state.selection_accuracies, state.train_accuracies = zip(*accuracies)
     return state
 
