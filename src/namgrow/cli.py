@@ -183,6 +183,18 @@ def _growth_config(cfg):
                            cluster=cluster)
 
 
+def _cluster_config(cfg):
+    """(ClusterConfig, run seed): all that clustering reads, and so all
+    that `cluster-cache` reads of a config."""
+    from .clustering import ClusterConfig
+
+    label = "cluster config"
+    seed = _config_value(cfg, "run", "seed", int)
+    if seed < 0:
+        raise ConfigError(f"{label}: seed must be >= 0")
+    return _section_config(cfg, ClusterConfig, "cluster", label), seed
+
+
 def _load_split(cfg, split):
     from . import data_io
 
@@ -374,7 +386,8 @@ def cmd_growth(args, cfg) -> int:
         mlps = source_mlps(net, transfer)
         cluster_table = artifact.load(
             args.cluster_cache, "cluster cache", clusters_from_json, mlps,
-            cluster_source(mlps, growth_config, args.command))
+            cluster_source(mlps, growth_config.cluster, growth_config.seed,
+                           args.command))
     out_dir = _prepare_out_dir(cfg, args)
     steps = optimizer_step_count()
     writer = _IterationWriter(out_dir, transfer)
@@ -428,12 +441,12 @@ def cmd_cluster_cache(args, cfg) -> int:
 
     net = load_checkpoint(args.checkpoint)
     mlps = source_mlps(net, transfer=args.target_command == "transfer")
-    growth_config = _growth_config(cfg)
+    cluster, seed = _cluster_config(cfg)
     out_dir = _prepare_out_dir(cfg, args)
     log.info("clustering %d branch MLPs (cache for %s)", len(mlps),
              args.target_command)
-    table = source_cluster_table(mlps, growth_config)
-    source = cluster_source(mlps, growth_config, args.target_command)
+    table = source_cluster_table(mlps, cluster, seed)
+    source = cluster_source(mlps, cluster, seed, args.target_command)
     (out_dir / "cluster_cache.json").write_text(
         clusters_to_json(table, source) + "\n")
     hashes = {"checkpoint": sha256_file(args.checkpoint)}
@@ -442,7 +455,7 @@ def cmd_cluster_cache(args, cfg) -> int:
     _write_json(out_dir / "run_meta.json", {
         "command": "cluster-cache",
         "for": args.target_command,
-        "seed": growth_config.seed,
+        "seed": seed,
         "input_hashes": hashes,
         "source_branches": len(mlps),
         "cluster_counts": [[s.n_clusters for s in per_branch]

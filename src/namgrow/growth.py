@@ -47,7 +47,7 @@ from .nam_model import (
     add_branch_output,
     added_branch_output,
     apply_class_mask,
-    branch_output,
+    branch_outputs,
     branch_parameter_count,
     class_mask_grads,
     network_scores,
@@ -538,8 +538,9 @@ def _finish_iteration(state: GrowthState,
     state.train.add(branches, raw_fit, mode)
     test = state.test
     points = []
-    for k, branch in enumerate(branches):
-        test.add([branch], [branch_output(branch, test.data)], mode)
+    outputs = branch_outputs(branches, test.data)
+    for k, (branch, y) in enumerate(zip(branches, outputs, strict=True)):
+        test.add([branch], [y], mode)
         points.append(BranchPoint(
             iteration=iteration, branch_count=base_count + k + 1,
             accuracy=test.accuracy, loss=test.loss))
@@ -552,10 +553,11 @@ def _train_values(state: GrowthState,
     branch [k, n], forwarding only the columns outside the selection set."""
     train = state.train.data
     raw = np.empty((len(tentative), train.n))
-    for row, t in zip(raw, tentative):
+    outputs = branch_outputs([t.branch for t in tentative], train,
+                             state.rest_columns)
+    for row, t, y in zip(raw, tentative, outputs, strict=True):
         row[state.selection_columns] = t.values_sel
-        row[state.rest_columns] = branch_output(t.branch, train,
-                                                state.rest_columns)
+        row[state.rest_columns] = y
     return raw
 
 
@@ -641,33 +643,33 @@ def frozen_parameter_hash(branches: list[Branch]) -> str:
     return h.hexdigest()
 
 
-def clustering_seed(config: GrowthConfig) -> int:
+def clustering_seed(seed: int) -> int:
     """The seed a run clusters with: child 1 of the four seeds it derives
-    from `config.seed` (selection, clustering, references, growth)."""
-    seeds = np.random.SeedSequence(config.seed).spawn(4)
+    from its run seed (selection, clustering, references, growth)."""
+    seeds = np.random.SeedSequence(seed).spawn(4)
     return int(seeds[1].generate_state(1)[0])
 
 
-def cluster_source(branch_mlps, config: GrowthConfig, target: str) -> dict:
-    """Everything `source_cluster_table(branch_mlps, config)` depends on,
-    for the `target` command (grow or transfer): the SHA-256 of the MLPs'
-    layer bytes, the cluster config and the clustering seed.  A cluster
-    cache records it, and `grow` and `transfer` refuse a cache whose
-    record is not their own."""
+def cluster_source(branch_mlps, cluster: ClusterConfig, seed: int,
+                   target: str) -> dict:
+    """Everything `source_cluster_table(branch_mlps, cluster, seed)`
+    depends on, for the `target` command (grow or transfer): the SHA-256 of
+    the MLPs' layer bytes, the cluster config and the clustering seed.  A
+    cluster cache records it, and `grow` and `transfer` refuse a cache
+    whose record is not their own."""
     return {"for": target, "mlp_sha256": source_digest(branch_mlps),
-            "cluster": asdict(config.cluster),
-            "seed": clustering_seed(config)}
+            "cluster": asdict(cluster), "seed": clustering_seed(seed)}
 
 
-def source_cluster_table(branch_mlps, config: GrowthConfig):
-    """Cluster source branches as `run_growth`/`transfer_task` do.
+def source_cluster_table(branch_mlps, cluster: ClusterConfig, seed: int):
+    """Cluster source branches as `run_growth`/`transfer_task` do under
+    the run seed `seed`.
 
     Both call this when they are given no `cluster_table`, so a table
     precomputed with it and passed back through that parameter reproduces
     the uncached run bit for bit.
     """
-    table = cluster_network(branch_mlps, config.cluster,
-                            clustering_seed(config))
+    table = cluster_network(branch_mlps, cluster, clustering_seed(seed))
     summaries = [s for per_branch in table for s in per_branch]
     log.info("clustered %d branches: %d retained pairs into %d clusters",
              len(table), sum(s.n_pairs for s in summaries),
@@ -756,7 +758,8 @@ def _grow(source_net: NamNetwork, net: NamNetwork, train_set: Dataset,
                                  np.random.default_rng(seeds[2]))
     if cluster_table is None:
         log.info("clustering %d branch MLPs", len(sources))
-        cluster_table = source_cluster_table(sources, config)
+        cluster_table = source_cluster_table(sources, config.cluster,
+                                             config.seed)
     pairs = [(i, summary) for i, summaries in enumerate(cluster_table)
              for summary in summaries]
     ranges = base_grid_ranges(net.input_shape, 1)

@@ -184,14 +184,27 @@ def parameter_count(net: NamNetwork) -> int:
     return sum(map(branch_parameter_count, net.branches))
 
 
-def branch_output(branch: Branch, data: Dataset,
-                  columns=slice(None)) -> np.ndarray:
-    """A branch's MLP output on the images of `data` that `columns`
-    selects: a base branch's class rows [n', n_classes], an added branch's
-    raw (pre-mask) scalars [n'] at its branch_class."""
-    y = mlp_forward_batch(branch.mlp,
-                          extract_patches(data, [branch.input_range], columns)[0])
-    return y if branch.origin == "base" else y[:, branch.branch_class]
+def branch_outputs(branches: list[Branch], data: Dataset,
+                   columns=slice(None)):
+    """Each branch's MLP output on the images of `data` that `columns`
+    selects, yielded in branch order: a base branch's class rows
+    [n', n_classes], an added branch's raw (pre-mask) scalars [n'] at its
+    branch_class.
+
+    Every output is a view of one [n', n_classes] row buffer, which the
+    next branch's forward overwrites, so read each before asking for the
+    next.  A window's patches are extracted once for each run of
+    consecutive branches on it.  The branches share one class count.
+    """
+    window, patches, rows = None, None, None
+    for br in branches:
+        if br.input_range != window:
+            window = br.input_range
+            patches = extract_patches(data, [window], columns)[0]
+        if rows is None:
+            rows = np.empty((patches.shape[1], br.mlp.n_classes))
+        y = mlp_forward_batch(br.mlp, patches, rows)
+        yield y if br.origin == "base" else y[:, br.branch_class]
 
 
 def added_branch_output(branch: Branch, raw: np.ndarray, mode: str) -> np.ndarray:
@@ -238,11 +251,12 @@ def _branch_sum(net: NamNetwork, data: Dataset) -> np.ndarray:
     """The forward engine: branch contributions summed into [n, n_classes].
 
     Walks the branches in list order over chunks of _EVAL_CHUNK images.
-    Each branch reads its window's 9 contiguous pixel rows of the chunk, so
-    the only per-branch temporaries are [9, chunk] and [chunk, n_classes].
-    `add_branch_output` adds each contribution under the network's mode.
-    Each output element receives its additions in branch order, whatever
-    the chunking.
+    `branch_outputs` reads each run of branches on one window from that
+    window's 9 contiguous pixel rows of the chunk, so the only temporaries
+    are one [9, chunk] patch block per run and one [chunk, n_classes] row
+    buffer per chunk.  `add_branch_output` adds each contribution under
+    the network's mode.  Each output element receives its additions in
+    branch order, whatever the chunking.
     """
     if not net.branches:
         raise ValueError("network has no branches")
@@ -251,9 +265,9 @@ def _branch_sum(net: NamNetwork, data: Dataset) -> np.ndarray:
     total = np.zeros((data.n, net.n_classes))
     for lo in range(0, data.n, _EVAL_CHUNK):
         hi = min(lo + _EVAL_CHUNK, data.n)
-        for br in net.branches:
-            add_branch_output(total[lo:hi], br,
-                              branch_output(br, data, slice(lo, hi)), net.mode)
+        outputs = branch_outputs(net.branches, data, slice(lo, hi))
+        for br, y in zip(net.branches, outputs, strict=True):
+            add_branch_output(total[lo:hi], br, y, net.mode)
     return total
 
 

@@ -119,7 +119,8 @@ def init_branch_mlp(rng: np.random.Generator, n_classes: int) -> BranchMlp:
     return BranchMlp(hidden, DenseLayer(w_out, None))
 
 
-def mlp_forward_batch(mlp: BranchMlp, x: np.ndarray) -> np.ndarray:
+def mlp_forward_batch(mlp: BranchMlp, x: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Vectorised forward over the columns of x [in_dim, n] -> [n, n_classes].
 
     The hidden layers run feature-major over blocks of _FORWARD_BLOCK
@@ -130,12 +131,21 @@ def mlp_forward_batch(mlp: BranchMlp, x: np.ndarray) -> np.ndarray:
     products whatever the block, so for the library's 9-wide MLPs the two
     agree bit for bit at any n and BLAS thread count and in either memory
     order of x; wider layers can differ in the last bits.
+
+    The result is written to `out`, a C-ordered float64 [n, n_classes]
+    buffer whose every element it overwrites, or to a new array if none is
+    given; the bits are the same either way.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != mlp.in_dim:
         raise ValueError(f"input shape {x.shape}, expected ({mlp.in_dim}, n)")
     n = x.shape[1]
-    out = np.empty((n, mlp.n_classes))
+    if out is None:
+        out = np.empty((n, mlp.n_classes))
+    elif (out.shape != (n, mlp.n_classes) or out.dtype != np.float64
+          or not out.flags.c_contiguous):
+        raise ValueError(f"output buffer is {out.dtype} {out.shape}, expected"
+                         f" C-ordered float64 ({n}, {mlp.n_classes})")
     w_out = mlp.output_layer.weights.T
     # A lone last column would take BLAS's matrix-vector kernels, whose sums
     # can round differently from the GEMM's, so it joins the block before.

@@ -59,6 +59,7 @@ from namgrow.nam_model import (
     NamNetwork,
     add_branch_output,
     apply_class_mask,
+    branch_outputs,
     class_mask_grads,
 )
 from namgrow.nn_core import (
@@ -504,6 +505,12 @@ def branch_output_batch(branch: Branch, patches: np.ndarray, mode: str,
     else:
         out[:, branch.target_class] = (raw > branch.mask.thd).astype(np.float64)
     return out
+
+
+def one_branch_output(branch: Branch, data: Dataset,
+                      columns=slice(None)) -> np.ndarray:
+    """`branch_outputs` of a lone branch, copied out of its row buffer."""
+    return next(branch_outputs([branch], data, columns)).copy()
 
 
 def _chunks(n: int):

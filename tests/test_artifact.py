@@ -24,7 +24,7 @@ from namgrow.checkpoint import load_checkpoint, network_from_json, \
     network_to_json, save_checkpoint
 from namgrow.clustering import source_digest
 from namgrow.data_io import Dataset
-from namgrow.nam_model import Branch, NamNetwork, branch_output, \
+from namgrow.nam_model import Branch, NamNetwork, branch_outputs, \
     network_scores
 from namgrow.nn_core import BranchMlp
 
@@ -241,9 +241,11 @@ def test_branch_outputs_are_bit_identical_after_a_round_trip():
     net = _shared(load_checkpoint(V1))
     loaded = network_from_json(network_to_json(net))
     data = _seeded_input()
-    for a, b in zip(net.branches, loaded.branches):
-        assert branch_output(a, data).tobytes() == \
-            branch_output(b, data).tobytes()
+    for a, b, ya, yb in zip(net.branches, loaded.branches,
+                            branch_outputs(net.branches, data),
+                            branch_outputs(loaded.branches, data),
+                            strict=True):
+        assert ya.tobytes() == yb.tobytes()
         assert a.mask == b.mask and a.mask_frozen == b.mask_frozen
         for sa, sb in zip(a.election_stats, b.election_stats):
             assert sa.tobytes() == sb.tobytes()

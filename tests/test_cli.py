@@ -22,7 +22,7 @@ import namgrow
 from namgrow import artifact, growth
 from namgrow.checkpoint import load_checkpoint
 from namgrow.cli import DEFAULT_CONFIG, build_parser, main, resolve_config
-from namgrow.clustering import ClusterConfig, source_digest
+from namgrow.clustering import source_digest
 
 BLOCKS = [(0, 0), (0, 6), (6, 0), (6, 6), (0, 3),
           (3, 0), (3, 3), (3, 6), (6, 3), (2, 2)]
@@ -399,14 +399,12 @@ class TestClusterCache:
         assert len(doc["branches"]) == 4
         assert all(len(per_branch) == 10 for per_branch in doc["branches"])
         mlps = _mlps(base_run / "checkpoint.json")
-        config = growth.GrowthConfig(seed=3,
-                                     cluster=ClusterConfig(n_samples=200))
         assert doc["source"] == {
             "for": "grow", "mlp_sha256": source_digest(mlps),
             "cluster": {"n_samples": 200, "top_fraction": 0.2,
                         "neighbor_distance": 0.5, "min_shift_distance": 1e-3,
                         "bandwidth": 0.3, "max_shift_iterations": 200},
-            "seed": growth.clustering_seed(config)}
+            "seed": growth.clustering_seed(3)}
         meta = json.loads((cache_run / "run_meta.json").read_text())
         assert meta["command"] == "cluster-cache"
         assert meta["for"] == "grow"
@@ -444,6 +442,23 @@ class TestClusterCache:
                 transfer_doc["source"]["for"]) == ("grow", "transfer")
         transfer_doc["source"]["for"] = "grow"
         assert transfer_doc == grow_doc
+
+    def test_growth_keys_do_not_bear_on_the_cache(self, tmp_path,
+                                                  config_file, base_run,
+                                                  cache_run):
+        """cluster-cache reads only [cluster] and [run] seed: a [growth]
+        value that grow would refuse changes nothing in the cache."""
+        cfg = configparser.ConfigParser()
+        cfg.read(config_file)
+        cfg["growth"]["mask_batch_size"] = "0"
+        cfg["growth"]["top_fraction"] = "2.0"
+        odd = tmp_path / "odd.ini"
+        with open(odd, "w") as fh:
+            cfg.write(fh)
+        out = _cluster_cache(tmp_path / "out", odd,
+                             base_run / "checkpoint.json")
+        assert ((out / "cluster_cache.json").read_bytes()
+                == (cache_run / "cluster_cache.json").read_bytes())
 
     def test_cached_grow_matches_uncached(self, tmp_path, config_file,
                                           base_run, grow_run, cache_run):
@@ -930,9 +945,9 @@ class TestEval:
         calls = []
         original = nam_model.mlp_forward_batch
 
-        def counting(mlp, x):
+        def counting(mlp, x, out=None):
             calls.append(x.shape[1])  # feature-major [9, chunk]
-            return original(mlp, x)
+            return original(mlp, x, out)
 
         monkeypatch.setattr(nam_model, "mlp_forward_batch", counting)
         assert main(["eval", "--checkpoint", str(checkpoint),
@@ -1303,7 +1318,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("how", ["flag", "config"])
     @pytest.mark.parametrize("command, section", [
         ("train-base", "train"), ("grow", "growth/cluster"),
-        ("transfer", "growth/cluster"), ("cluster-cache", "growth/cluster")])
+        ("transfer", "growth/cluster"), ("cluster-cache", "cluster")])
     def test_negative_seed_is_usage_error_naming_the_seed(
             self, tmp_path, config_file, base_run, caplog, how, command,
             section):

@@ -36,7 +36,6 @@ from namgrow.nam_model import (
     ClassMask,
     NamNetwork,
     apply_class_mask,
-    branch_output,
     evaluate,
     network_forward_batch,
     network_scores,
@@ -53,8 +52,8 @@ from namgrow.nn_core import (
 )
 from namgrow.qualification import qualify
 from oracles import draw_dataset, fit_election_stats, float_images, \
-    loop_forward_batch, normalized_refs, per_branch_scan, \
-    per_branch_tune_masks, rounded_dataset, row_major_patches
+    loop_forward_batch, normalized_refs, one_branch_output, \
+    per_branch_scan, per_branch_tune_masks, rounded_dataset, row_major_patches
 
 N_CLASSES = 3
 RANGE0 = InputRange(0, 0, 0)
@@ -420,10 +419,9 @@ def test_source_cluster_table_logs_its_totals(caplog):
     """One INFO line sums the table's retained pairs and clusters."""
     mlps = [init_branch_mlp(np.random.default_rng(k), n_classes=N_CLASSES)
             for k in range(2)]
-    config = GrowthConfig(cluster=ClusterConfig(n_samples=40,
-                                                neighbor_distance=3.0))
+    cluster = ClusterConfig(n_samples=40, neighbor_distance=3.0)
     with caplog.at_level("INFO", logger="namgrow.growth"):
-        table = growth.source_cluster_table(mlps, config)
+        table = growth.source_cluster_table(mlps, cluster, 0)
     summaries = [s for per_branch in table for s in per_branch]
     n_clusters = sum(s.n_clusters for s in summaries)
     assert n_clusters < 2 * N_CLASSES * 8    # some clusters hold several
@@ -886,6 +884,39 @@ class TestScoreCaches:
                 network_scores(net, test), test.labels)
         assert kept >= 2 and rolled_back >= 1
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_splits_stay_exact_when_a_batch_shares_a_window(self, mode):
+        """Kept batches that put several branches on one window are scored
+        from one patch extraction per run of them; the train and test
+        scores still equal a full forward of the grown network, bit for
+        bit, and each branch point the test metrics of the network up to
+        that branch."""
+        train = two_window_dataset(40, seed=1, tag="train")
+        test = two_window_dataset(20, seed=2, tag="test")
+        state = fresh_state(mode, test_set=test, train_set=train,
+                            columns=draw_selection(train, 60, seed=0),
+                            max_per_iteration=4, tuning_epochs=1)
+        # rising and falling ramps flag opposite ends of a window's classes
+        candidates = iter([hand_candidate(ramp_mlp(1, scale), 1, target, r)
+                           for r in base_grid_ranges(train.shape, 1)
+                           for scale in (1.0, -1.0)
+                           for target in range(N_CLASSES)])
+        shared = 0
+        while grow_iteration(state, candidates).candidates_seen:
+            net = state.net
+            kept = net.branches[net.n_branches - len(state.branch_points):]
+            shared += any(a.input_range == b.input_range
+                          for a, b in zip(kept, kept[1:]))
+            for split, data in ((state.train, train), (state.test, test)):
+                assert split.scores.tobytes() == \
+                    network_scores(net, data).tobytes()
+            for point in state.branch_points:
+                prefix = NamNetwork(N_CLASSES, net.input_shape, mode,
+                                    branches=net.branches[:point.branch_count])
+                assert (point.accuracy, point.loss) == score_metrics(
+                    network_scores(prefix, test), test.labels)
+        assert shared >= 1
+
     def grow_recording_train_fits(self, state, monkeypatch):
         """Run `state` over every window's candidates; returns each
         tentative branch with its train values, and the column count of
@@ -898,16 +929,16 @@ class TestScoreCaches:
             fits.extend((t.branch, row) for t, row in zip(tentative, values))
             return values
 
-        def counting_branch_output(branch, data, columns=slice(None)):
-            out = real_branch_output(branch, data, columns)
-            if data is train:
-                forwarded.append(len(out))
-            return out
+        def counting_branch_outputs(branches, data, columns=slice(None)):
+            for out in real_branch_outputs(branches, data, columns):
+                if data is train:
+                    forwarded.append(len(out))
+                yield out
 
         real_train_values = growth._train_values
-        real_branch_output = growth.branch_output
+        real_branch_outputs = growth.branch_outputs
         monkeypatch.setattr(growth, "_train_values", recording_train_values)
-        monkeypatch.setattr(growth, "branch_output", counting_branch_output)
+        monkeypatch.setattr(growth, "branch_outputs", counting_branch_outputs)
         candidates = iter([hand_candidate(ramp_mlp(1), 1, target, r)
                            for r in base_grid_ranges(train.shape, 1)
                            for target in range(N_CLASSES)])
@@ -928,7 +959,8 @@ class TestScoreCaches:
         fits, forwarded = self.grow_recording_train_fits(state, monkeypatch)
         assert len(fits) >= 2
         for branch, values in fits:
-            assert values.tobytes() == branch_output(branch, train).tobytes()
+            assert values.tobytes() == \
+                one_branch_output(branch, train).tobytes()
         assert forwarded == [train.n - 30] * len(fits)
 
     @pytest.mark.parametrize("mode", MODES)
@@ -944,7 +976,8 @@ class TestScoreCaches:
         fits, forwarded = self.grow_recording_train_fits(state, monkeypatch)
         assert state.net.n_branches >= 1
         for branch, values in fits:
-            assert values.tobytes() == branch_output(branch, train).tobytes()
+            assert values.tobytes() == \
+                one_branch_output(branch, train).tobytes()
         assert forwarded == [0] * len(fits)
         assert np.array_equal(state.train.scores,
                               network_scores(state.net, train))

@@ -1,6 +1,7 @@
 """Additive-forward, mask, election, and checkpoint round-trip tests."""
 
 import copy
+import itertools
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from namgrow.nam_model import (
     ClassMask,
     NamNetwork,
     apply_class_mask,
-    branch_output,
+    branch_outputs,
     build_network,
     class_mask_grads,
     elect_batch,
@@ -28,8 +29,8 @@ from namgrow.nam_model import (
 from namgrow.nn_core import init_branch_mlp
 from oracles import branch_outputs_batch, draw_dataset, extract_patch, \
     fit_election_stats, float_images, loop_elect_batch, loop_forward_batch, \
-    mlp_forward, mlp_forward_batch_row_major, pixel_dataset, \
-    row_major_patches, with_election_stats
+    mlp_forward, mlp_forward_batch_row_major, one_branch_output, \
+    pixel_dataset, row_major_patches, with_election_stats
 
 SHAPE = (3, 32, 32)
 
@@ -124,34 +125,66 @@ def test_grown_branch_contributes_only_target_class():
 MIXED_SHAPE = (2, 8, 8)
 
 
-def mixed_network(rng, mode, n_base=3, n_added=9):
-    """Base, grown and transferred branches in one list, on random windows,
-    with thresholds at a quantile of each added branch's raw outputs so that
-    masks and flags switch on part of the images."""
-    probe = random_dataset(rng, 64, MIXED_SHAPE)
-    ranges = [InputRange(int(rng.integers(2)), int(rng.integers(6)),
-                         int(rng.integers(6))) for _ in range(n_base + n_added)]
-    branches = [Branch(init_branch_mlp(rng, 10), r) for r in ranges[:n_base]]
-    for k, r in enumerate(ranges[n_base:]):
-        br = make_grown_branch(
-            rng, r, branch_class=int(rng.integers(10)),
-            # repeated targets: several branches add into one column
-            target_class=int(rng.integers(3)),
-            a=float(rng.uniform(-0.5, 2.0)), b=float(rng.uniform(-0.5, 1.0)),
-            origin=("grown", "transferred")[k % 2])
-        raw = branch_output(br, probe)
-        br.mask = ClassMask(br.mask.a, br.mask.b,
-                            float(np.quantile(raw, rng.uniform(0.2, 0.8))),
-                            float(rng.uniform(0.1, 2.0)))
-        branches.append(br)
-    # interleave base and added branches
-    order = rng.permutation(len(branches))
-    branches = [branches[i] for i in order]
+def added_branch(rng, input_range, origin, probe):
+    """A grown or transferred branch with drawn mask scalars and its
+    threshold at a drawn quantile of its raw outputs on `probe`, so that
+    its mask or flag switches on part of the images."""
+    br = make_grown_branch(
+        rng, input_range, branch_class=int(rng.integers(10)),
+        # repeated targets: several branches add into one column
+        target_class=int(rng.integers(3)),
+        a=float(rng.uniform(-0.5, 2.0)), b=float(rng.uniform(-0.5, 1.0)),
+        origin=origin)
+    raw = one_branch_output(br, probe)
+    br.mask = ClassMask(br.mask.a, br.mask.b,
+                        float(np.quantile(raw, rng.uniform(0.2, 0.8))),
+                        float(rng.uniform(0.1, 2.0)))
+    return br
+
+
+def mode_network(rng, mode, branches):
+    """A network of `branches` in `mode`, with drawn election stats in
+    election mode."""
     if mode == "election":
         branches = with_election_stats(
             branches, rng.normal(size=(len(branches), 10)),
             rng.uniform(0.1, 2.0, size=(len(branches), 10)))
     return NamNetwork(10, MIXED_SHAPE, mode=mode, branches=branches)
+
+
+def mixed_network(rng, mode, n_base=3, n_added=9):
+    """Base, grown and transferred branches in one list, on random
+    windows."""
+    probe = random_dataset(rng, 64, MIXED_SHAPE)
+    ranges = [InputRange(int(rng.integers(2)), int(rng.integers(6)),
+                         int(rng.integers(6))) for _ in range(n_base + n_added)]
+    branches = [Branch(init_branch_mlp(rng, 10), r) for r in ranges[:n_base]]
+    branches += [added_branch(rng, r, ("grown", "transferred")[k % 2], probe)
+                 for k, r in enumerate(ranges[n_base:])]
+    # interleave base and added branches
+    order = rng.permutation(len(branches))
+    return mode_network(rng, mode, [branches[i] for i in order])
+
+
+# Runs of consecutive branches on one window; window A comes back after
+# other windows, so it starts a second run.
+WINDOW_RUNS = [(InputRange(0, 1, 2), 3), (InputRange(1, 0, 0), 1),
+               (InputRange(1, 4, 5), 2), (InputRange(0, 1, 2), 2),
+               (InputRange(0, 5, 3), 4)]
+
+
+def window_run_network(rng, mode):
+    """Base, grown and transferred branches, mixed within each run of
+    WINDOW_RUNS."""
+    probe = random_dataset(rng, 64, MIXED_SHAPE)
+    origins = itertools.cycle(("base", "grown", "transferred", "grown"))
+    branches = []
+    for r, count in WINDOW_RUNS:
+        for origin in itertools.islice(origins, count):
+            branches.append(Branch(init_branch_mlp(rng, 10), r)
+                            if origin == "base"
+                            else added_branch(rng, r, origin, probe))
+    return mode_network(rng, mode, branches)
 
 
 @pytest.mark.parametrize("n", [1, 7, 25, 40])
@@ -185,6 +218,46 @@ def test_each_scorer_refuses_the_other_mode():
                               "tuning ones")
 
 
+@pytest.mark.parametrize("n", [1, 7, 25])
+@pytest.mark.parametrize("mode", ["tuning", "election"])
+def test_engine_reads_each_run_of_branches_on_a_window_once(
+        monkeypatch, mode, n):
+    """Consecutive branches on one window share one patch extraction per
+    chunk, and the sums keep the loop oracle's bits."""
+    monkeypatch.setattr(nam_model, "_EVAL_CHUNK", 7)
+    rng = np.random.default_rng(n)
+    net = window_run_network(rng, mode)
+    ds = random_dataset(rng, n, MIXED_SHAPE)
+    extracted = []
+    original = nam_model.extract_patches
+
+    def recording(data, ranges, columns=slice(None)):
+        extracted.append((tuple(ranges), columns))
+        return original(data, ranges, columns)
+
+    monkeypatch.setattr(nam_model, "extract_patches", recording)
+    want = (loop_forward_batch if mode == "tuning" else loop_elect_batch)(
+        net, ds)
+    assert network_scores(net, ds).tobytes() == want.tobytes()
+    chunks = [slice(lo, min(lo + 7, n)) for lo in range(0, n, 7)]
+    assert extracted == [((r,), chunk) for chunk in chunks
+                         for r, _ in WINDOW_RUNS]
+
+
+def test_branch_outputs_overwrite_one_row_buffer():
+    """Every output is a view of the same buffer; each equals a lone
+    branch's output when read before the next one is asked for."""
+    rng = np.random.default_rng(3)
+    net = window_run_network(rng, "tuning")
+    ds = random_dataset(rng, 9, MIXED_SHAPE)
+    bases = set()
+    for br, y in zip(net.branches, branch_outputs(net.branches, ds),
+                     strict=True):
+        assert y.tobytes() == one_branch_output(br, ds).tobytes()
+        bases.add(id(y.base if y.base is not None else y))
+    assert len(bases) == 1
+
+
 def test_engine_reads_one_chunk_of_windows_per_call(monkeypatch):
     """Each MLP call reads one branch's windows of one chunk, [9, <= chunk],
     chunk by chunk and, within a chunk, branch by branch."""
@@ -194,9 +267,9 @@ def test_engine_reads_one_chunk_of_windows_per_call(monkeypatch):
     rows = []
     original = nam_model.mlp_forward_batch
 
-    def recording(mlp, x):
+    def recording(mlp, x, out=None):
         rows.append(x.shape)
-        return original(mlp, x)
+        return original(mlp, x, out)
 
     monkeypatch.setattr(nam_model, "mlp_forward_batch", recording)
     network_forward_batch(net, random_dataset(rng, 25, MIXED_SHAPE))
@@ -212,11 +285,12 @@ def test_branch_output_reads_the_selected_columns():
     base = Branch(init_branch_mlp(rng, 10), r)
     grown = make_grown_branch(rng, r, branch_class=6, target_class=2)
     windows = row_major_patches(float_images(ds), [r])[0]
-    for br, want in (
-            (base, mlp_forward_batch_row_major(base.mlp, windows)),
-            (grown, mlp_forward_batch_row_major(grown.mlp, windows)[:, 6])):
-        assert np.array_equal(branch_output(br, ds), want)
-        assert np.array_equal(branch_output(br, ds, slice(4, 11)), want[4:11])
+    wants = [mlp_forward_batch_row_major(base.mlp, windows),
+             mlp_forward_batch_row_major(grown.mlp, windows)[:, 6]]
+    for columns in (slice(None), slice(4, 11), np.array([17, 3, 3, 0])):
+        for y, want in zip(branch_outputs([base, grown], ds, columns), wants,
+                           strict=True):
+            assert np.array_equal(y, want[columns])
 
 
 # ---------------------------------------------------------------- masks

@@ -174,6 +174,28 @@ def test_forward_temporaries_stay_within_two_blocks():
     assert peak <= 2 * 9 * BLOCK * 8 + 4096
 
 
+@pytest.mark.parametrize("n", [1, 2, 1024, 1025, 1026, 3000])
+def test_forward_into_a_buffer_equals_a_fresh_forward(n):
+    """A forward written into a caller's buffer returns that buffer with a
+    fresh call's bytes, whatever the buffer held: it starts full of NaN,
+    and a second MLP's forward into it leaves none of the first's rows."""
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-0.5, 0.5, size=(9, n))
+    buffer = np.full((n, 10), np.nan)
+    for mlp in (init_branch_mlp(rng, 10), init_branch_mlp(rng, 10)):
+        assert mlp_forward_batch(mlp, x, buffer) is buffer
+        assert buffer.tobytes() == mlp_forward_batch(mlp, x).tobytes()
+
+
+@pytest.mark.parametrize("buffer", [
+    np.empty((5, 9)), np.empty((4, 10)), np.empty((5, 10), dtype=np.float32),
+    np.empty((10, 5)).T], ids=["classes", "rows", "float32", "f-order"])
+def test_forward_refuses_a_buffer_of_another_layout(buffer):
+    mlp = init_branch_mlp(np.random.default_rng(0), 10)
+    with pytest.raises(ValueError, match="output buffer"):
+        mlp_forward_batch(mlp, np.zeros((9, 5)), buffer)
+
+
 def test_forward_batch_leaves_its_input_alone():
     rng = np.random.default_rng(8)
     mlp = _kernel_mlps()[0]
