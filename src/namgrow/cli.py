@@ -195,34 +195,32 @@ def _cluster_config(cfg):
     return _section_config(cfg, ClusterConfig, "cluster", label), seed
 
 
+def _dataset_name(cfg) -> str:
+    name = cfg["data"]["dataset"].strip().lower()
+    if name not in ("cifar10", "mnist"):
+        raise ConfigError(f"unknown dataset {name!r} (expected cifar10 or mnist)")
+    return name
+
+
 def _load_split(cfg, split):
     from . import data_io
 
-    name = cfg["data"]["dataset"].strip().lower()
-    data_dir = cfg["data"]["data_dir"]
-    loaders = {"cifar10": data_io.load_cifar10, "mnist": data_io.load_mnist}
-    if name not in loaders:
-        raise ConfigError(f"unknown dataset {name!r} (expected cifar10 or mnist)")
-    dataset = loaders[name](data_dir, split)
+    name = _dataset_name(cfg)
+    loader = data_io.load_cifar10 if name == "cifar10" else data_io.load_mnist
+    dataset = loader(cfg["data"]["data_dir"], split)
     log.info("loaded %s %s split: %d samples of shape %s", name, split,
              dataset.n, dataset.shape)
     return dataset
 
 
-def _data_hashes(cfg) -> dict:
+def _input_hashes(cfg, args) -> dict:
     from .data_io import sha256_file
 
     root = Path(cfg["data"]["data_dir"])
     if not root.is_dir():
         raise FileNotFoundError(f"data directory not found: {root}")
-    return {str(p.relative_to(root)): sha256_file(p)
-            for p in sorted(root.rglob("*")) if p.is_file()}
-
-
-def _input_hashes(cfg, args) -> dict:
-    from .data_io import sha256_file
-
-    hashes = {"data": _data_hashes(cfg)}
+    hashes = {"data": {str(p.relative_to(root)): sha256_file(p)
+                       for p in sorted(root.rglob("*")) if p.is_file()}}
     if getattr(args, "config", None):
         hashes["config"] = sha256_file(args.config)
     if getattr(args, "checkpoint", None):
@@ -232,12 +230,15 @@ def _input_hashes(cfg, args) -> dict:
     return hashes
 
 
-def _prepare_out_dir(cfg, args) -> Path:
+def _prepare_out_dir(cfg, args, sections) -> Path:
+    """Make the output directory; its config.ini records `sections`."""
     out_dir = Path(cfg["run"]["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
+    record = configparser.RawConfigParser()
+    record.read_dict({s: dict(cfg.items(s, raw=True)) for s in sections})
     with open(out_dir / "config.ini", "w") as fh:
         fh.write(f"# resolved configuration for: namgrow {args.command}\n")
-        cfg.write(fh)
+        record.write(fh)
     return out_dir
 
 
@@ -302,20 +303,20 @@ def cmd_train_base(args, cfg) -> int:
     from .nn_core import optimizer_step_count
     from .training import train_network
 
-    train = _load_split(cfg, "train")
-    test = _load_split(cfg, "test")
+    name = _dataset_name(cfg)
     grid = cfg["model"]["grid"].strip().lower()
     spacings = {"base": 6, "full": 3}
     if grid not in spacings:
         raise ConfigError(f"unknown grid {grid!r} (expected base or full)")
     train_config = _train_config(cfg)
     seed = train_config.seed
-    name = cfg["data"]["dataset"].strip().lower()
+    train = _load_split(cfg, "train")
+    test = _load_split(cfg, "test")
     net = build_network(train.shape, train.n_classes, seed, spacings[grid],
                         tag=f"{name}-{grid}")
     log.info("training %d branches (%d parameters) for %d epochs",
              net.n_branches, parameter_count(net), train_config.epochs)
-    out_dir = _prepare_out_dir(cfg, args)
+    out_dir = _prepare_out_dir(cfg, args, ("run", "data", "model", "train"))
     steps = optimizer_step_count()
     with open(out_dir / "epochs.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -366,20 +367,21 @@ def cmd_growth(args, cfg) -> int:
     from .nn_core import optimizer_step_count
 
     transfer = args.command == "transfer"
-    net = load_checkpoint(args.checkpoint)
-    train = _load_split(cfg, "train")
-    test = _load_split(cfg, "test")
+    name = _dataset_name(cfg)
     # transfer reads the key too, so a bad value is refused, not recorded
     limit = _config_value(cfg, "growth", "max_iterations", int)
     if limit < -1:
         raise ConfigError("[growth] max_iterations must be >= -1 "
                           "(-1 = no limit)")
+    growth_config = _growth_config(cfg)
+    net = load_checkpoint(args.checkpoint)
+    train = _load_split(cfg, "train")
+    test = _load_split(cfg, "test")
     run = transfer_task
     if not transfer:
         _check_geometry(net, train)
         run = functools.partial(run_growth,
                                 max_iterations=None if limit == -1 else limit)
-    growth_config = _growth_config(cfg)
     check_draws(train, growth_config)
     cluster_table = None
     if args.cluster_cache:
@@ -388,7 +390,7 @@ def cmd_growth(args, cfg) -> int:
             args.cluster_cache, "cluster cache", clusters_from_json, mlps,
             cluster_source(mlps, growth_config.cluster, growth_config.seed,
                            args.command))
-    out_dir = _prepare_out_dir(cfg, args)
+    out_dir = _prepare_out_dir(cfg, args, ("run", "data", "growth", "cluster"))
     steps = optimizer_step_count()
     writer = _IterationWriter(out_dir, transfer)
     try:
@@ -405,7 +407,7 @@ def cmd_growth(args, cfg) -> int:
     final = state.records[-1] if state.records else None
     meta = {
         "command": args.command,
-        "dataset": cfg["data"]["dataset"].strip().lower(),
+        "dataset": name,
         "seed": growth_config.seed,
         "input_hashes": _input_hashes(cfg, args),
         "optimizer_steps": steps,
@@ -439,10 +441,10 @@ def cmd_cluster_cache(args, cfg) -> int:
     from .data_io import sha256_file
     from .growth import cluster_source, source_cluster_table, source_mlps
 
+    cluster, seed = _cluster_config(cfg)
     net = load_checkpoint(args.checkpoint)
     mlps = source_mlps(net, transfer=args.target_command == "transfer")
-    cluster, seed = _cluster_config(cfg)
-    out_dir = _prepare_out_dir(cfg, args)
+    out_dir = _prepare_out_dir(cfg, args, ("run", "cluster"))
     log.info("clustering %d branch MLPs (cache for %s)", len(mlps),
              args.target_command)
     table = source_cluster_table(mlps, cluster, seed)
@@ -471,6 +473,7 @@ def cmd_eval(args, cfg) -> int:
     from .checkpoint import load_checkpoint
     from .nam_model import network_scores, parameter_count, score_metrics
 
+    name = _dataset_name(cfg)
     net = load_checkpoint(args.checkpoint)
     if net.n_branches == 0:
         raise ValueError(f"checkpoint {args.checkpoint} has no branches: "
@@ -486,7 +489,7 @@ def cmd_eval(args, cfg) -> int:
                  for c in range(net.n_classes)]
     doc = {
         "checkpoint": str(args.checkpoint),
-        "dataset": cfg["data"]["dataset"].strip().lower(),
+        "dataset": name,
         "split": args.split,
         "mode": net.mode,
         "accuracy": accuracy,

@@ -59,7 +59,6 @@ from .nn_core import (
     BranchMlp,
     DenseLayer,
     adam_step,
-    mlp_forward_batch,
     softmax_cross_entropy_batch,
     softmax_cross_entropy_loss,
 )
@@ -153,7 +152,8 @@ class Winner(NamedTuple):
 class CandidateBranch:
     """A matched placement: source branch, its class, and the target class
     at one input range.  `mlp` is the transferred first layer on top of the
-    source's own deeper layer objects; a kept branch holds it as it is."""
+    source's own deeper layer objects; a kept branch holds it as it is, and
+    its origin: grown (same-task growth) or transferred."""
 
     source_branch_id: int
     branch_class: int
@@ -161,6 +161,7 @@ class CandidateBranch:
     input_range: InputRange
     distance: float
     mlp: BranchMlp
+    origin: str
 
 
 @dataclass(eq=False)
@@ -340,6 +341,7 @@ def candidate_streams(ranges, ref_images_by_class, summary_pairs,
             distance=winner.distance,
             mlp=BranchMlp([first, *source.hidden_layers[1:]],
                           source.output_layer),
+            origin="transferred" if per_branch else "grown",
         )
 
     if not per_branch:
@@ -415,14 +417,9 @@ def grow_iteration(state: GrowthState, candidates) -> IterationRecord:
     tentative: list[_Tentative] = []
     rejected_records = []
     votes = state.votes.copy()
-    memo_range, memo_patches = None, None
-
-    for cand in candidates:
+    for cand, y in branch_outputs(candidates, selection):
         seen += 1
-        if cand.input_range != memo_range:
-            memo_range = cand.input_range
-            memo_patches = extract_patches(selection, [cand.input_range])[0]
-        values = mlp_forward_batch(cand.mlp, memo_patches)[:, cand.branch_class]
+        values = y.copy()  # owned: the engine's row buffer is reused
         thd = branch_threshold(values, config.top_fraction)
         v_span = float(values.max() - thd)
         record = {
@@ -451,7 +448,7 @@ def grow_iteration(state: GrowthState, candidates) -> IterationRecord:
                         branch_class=cand.branch_class,
                         target_class=cand.target_class,
                         mask=ClassMask(1.0, 0.0, thd, v_span),
-                        origin="grown" if mode == "tuning" else "transferred")
+                        origin=cand.origin)
         on = labels == cand.target_class
         votes[on] += added_branch_output(branch, values, mode)[on]
         tentative.append(_Tentative(branch, values, record))
@@ -538,8 +535,7 @@ def _finish_iteration(state: GrowthState,
     state.train.add(branches, raw_fit, mode)
     test = state.test
     points = []
-    outputs = branch_outputs(branches, test.data)
-    for k, (branch, y) in enumerate(zip(branches, outputs, strict=True)):
+    for k, (branch, y) in enumerate(branch_outputs(branches, test.data)):
         test.add([branch], [y], mode)
         points.append(BranchPoint(
             iteration=iteration, branch_count=base_count + k + 1,
@@ -555,9 +551,9 @@ def _train_values(state: GrowthState,
     raw = np.empty((len(tentative), train.n))
     outputs = branch_outputs([t.branch for t in tentative], train,
                              state.rest_columns)
-    for row, t, y in zip(raw, tentative, outputs, strict=True):
-        row[state.selection_columns] = t.values_sel
-        row[state.rest_columns] = y
+    for k, (_, y) in enumerate(outputs):
+        raw[k, state.selection_columns] = tentative[k].values_sel
+        raw[k, state.rest_columns] = y
     return raw
 
 

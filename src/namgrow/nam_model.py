@@ -184,12 +184,12 @@ def parameter_count(net: NamNetwork) -> int:
     return sum(map(branch_parameter_count, net.branches))
 
 
-def branch_outputs(branches: list[Branch], data: Dataset,
-                   columns=slice(None)):
-    """Each branch's MLP output on the images of `data` that `columns`
-    selects, yielded in branch order: a base branch's class rows
-    [n', n_classes], an added branch's raw (pre-mask) scalars [n'] at its
-    branch_class.
+def branch_outputs(branches, data: Dataset, columns=slice(None)):
+    """(branch, output) pairs, in order, of each branch's MLP output on the
+    images of `data` that `columns` selects: a base branch's class rows
+    [n', n_classes], any other's raw (pre-mask) scalars [n'] at its
+    branch_class.  `branches` may be any iterable of objects with a Branch's
+    mlp, input_range, origin and branch_class, read one per pair.
 
     Every output is a view of one [n', n_classes] row buffer, which the
     next branch's forward overwrites, so read each before asking for the
@@ -204,7 +204,7 @@ def branch_outputs(branches: list[Branch], data: Dataset,
         if rows is None:
             rows = np.empty((patches.shape[1], br.mlp.n_classes))
         y = mlp_forward_batch(br.mlp, patches, rows)
-        yield y if br.origin == "base" else y[:, br.branch_class]
+        yield br, (y if br.origin == "base" else y[:, br.branch_class])
 
 
 def added_branch_output(branch: Branch, raw: np.ndarray, mode: str) -> np.ndarray:
@@ -265,8 +265,7 @@ def _branch_sum(net: NamNetwork, data: Dataset) -> np.ndarray:
     total = np.zeros((data.n, net.n_classes))
     for lo in range(0, data.n, _EVAL_CHUNK):
         hi = min(lo + _EVAL_CHUNK, data.n)
-        outputs = branch_outputs(net.branches, data, slice(lo, hi))
-        for br, y in zip(net.branches, outputs, strict=True):
+        for br, y in branch_outputs(net.branches, data, slice(lo, hi)):
             add_branch_output(total[lo:hi], br, y, net.mode)
     return total
 

@@ -13,7 +13,9 @@ float images, and stored pixel-major as the loaders store them.
 
 The single-sample forward, backward and cross-entropy, the row-major
 batched forward, the per-image patch and the stacked forward are the
-per-sample references the batched library code is checked against; the
+per-sample references the batched library code is checked against, and
+the per-branch outputs, one extraction and one forward per branch, are the
+reference for the engine's window-run scoring of growth candidates; the
 `np.where` training step is the reference for training's in-place one.  The
 MLP builder takes the hidden width and depth the library's fixed builder
 does not, the per-branch mask tuning is the reference for growth's stacked
@@ -337,7 +339,8 @@ def per_branch_scan(ranges, ref_images_by_class, summary_pairs, source_mlps,
                 target_class=target, input_range=input_range,
                 distance=res.distance,
                 mlp=BranchMlp([DenseLayer(w, b), *source.hidden_layers[1:]],
-                              source.output_layer)))
+                              source.output_layer),
+                origin="transferred"))
     return candidates
 
 
@@ -510,7 +513,20 @@ def branch_output_batch(branch: Branch, patches: np.ndarray, mode: str,
 def one_branch_output(branch: Branch, data: Dataset,
                       columns=slice(None)) -> np.ndarray:
     """`branch_outputs` of a lone branch, copied out of its row buffer."""
-    return next(branch_outputs([branch], data, columns)).copy()
+    return next(branch_outputs([branch], data, columns))[1].copy()
+
+
+def per_branch_outputs(branches, data: Dataset, columns=slice(None)):
+    """(branch, output) pairs as `branch_outputs` yields them, each branch
+    forwarded on its own row-major windows by its own `mlp_forward_batch`
+    call into a fresh array: how growth scored each candidate before the
+    engine scored them.  Reads `branches` one at a time, as the engine
+    does."""
+    images = float_images(data)[columns]
+    for br in branches:
+        windows = row_major_patches(images, [br.input_range])[0]
+        y = mlp_forward_batch(br.mlp, windows.T)
+        yield br, (y if br.origin == "base" else y[:, br.branch_class])
 
 
 def _chunks(n: int):

@@ -241,10 +241,9 @@ def test_branch_outputs_are_bit_identical_after_a_round_trip():
     net = _shared(load_checkpoint(V1))
     loaded = network_from_json(network_to_json(net))
     data = _seeded_input()
-    for a, b, ya, yb in zip(net.branches, loaded.branches,
-                            branch_outputs(net.branches, data),
-                            branch_outputs(loaded.branches, data),
-                            strict=True):
+    for (a, ya), (b, yb) in zip(branch_outputs(net.branches, data),
+                                branch_outputs(loaded.branches, data),
+                                strict=True):
         assert ya.tobytes() == yb.tobytes()
         assert a.mask == b.mask and a.mask_frozen == b.mask_frozen
         for sa, sb in zip(a.election_stats, b.election_stats):

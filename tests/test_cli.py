@@ -1074,6 +1074,27 @@ def _required_args(command):
 
 
 class TestFlags:
+    @pytest.mark.parametrize("run, command, sections", [
+        ("base_run", "train-base", ("run", "data", "model", "train")),
+        ("grow_run", "grow", ("run", "data", "growth", "cluster")),
+        ("transfer_run", "transfer", ("run", "data", "growth", "cluster")),
+        ("cache_run", "cluster-cache", ("run", "cluster")),
+    ])
+    def test_config_ini_records_the_sections_the_command_reads(
+            self, request, config_file, run, command, sections):
+        """A run's config.ini holds exactly the sections its command reads,
+        as its config file and flags resolve them."""
+        out = request.getfixturevalue(run)
+        resolved = resolve_config(build_parser().parse_args(
+            [command, *_required_args(command), "--config", str(config_file),
+             "--out-dir", str(out), "--seed", "3"]))
+        recorded = configparser.RawConfigParser()
+        recorded.read(out / "config.ini")
+        assert recorded.sections() == list(sections)
+        for section in sections:
+            assert dict(recorded[section]) == dict(
+                resolved.items(section, raw=True))
+
     @pytest.mark.parametrize("command, flag", [
         (command, flag) for command, flags in OFFERED_FLAGS.items()
         for flag in flags])
@@ -1375,6 +1396,41 @@ class TestErrorPaths:
         assert errors == [message]
         assert clustered == []
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("train-base", "[model]\ngrid = bogus\n",
+         "unknown grid 'bogus' (expected base or full)"),
+        ("grow", "[growth]\nmask_batch_size = 0\n",
+         "growth/cluster config: mask_batch_size must be >= 1"),
+        ("transfer", "[cluster]\nmax_shift_iterations = 0\n",
+         "growth/cluster config: max_shift_iterations must be >= 1"),
+        ("cluster-cache", "[cluster]\nmax_shift_iterations = 0\n",
+         "cluster config: max_shift_iterations must be >= 1"),
+        ("eval", "[data]\ndataset = imagenet\n",
+         "unknown dataset 'imagenet' (expected cifar10 or mnist)"),
+    ])
+    def test_config_error_comes_before_any_input_is_read(
+            self, tmp_path, caplog, command, text, message):
+        """A bad config value is a usage error naming its key even when
+        the checkpoint and the data directory are missing too: every
+        command checks the config values it reads before it opens any
+        input, and creates nothing."""
+        cfg = configparser.ConfigParser()
+        cfg.read_dict({"data": {"data_dir": str(tmp_path / "nowhere")}})
+        cfg.read_string(text)
+        bad = tmp_path / "bad.ini"
+        with open(bad, "w") as fh:
+            cfg.write(fh)
+        args = [command, "--config", str(bad)]
+        if command != "train-base":
+            args += ["--checkpoint", str(tmp_path / "absent.json")]
+        if command != "eval":
+            args += ["--out-dir", str(tmp_path / "out")]
+        assert main(args) == 1
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert errors == [message]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ini"]
 
     def test_missing_data_dir_is_data_error(self, tmp_path, base_run):
         code = main(["eval", "--checkpoint",

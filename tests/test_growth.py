@@ -1,9 +1,11 @@
 """Tests for the growth loop: selection sets, iterations, tuning, rollback."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from namgrow import growth, matching
+from namgrow import growth, matching, nam_model
 from namgrow.checkpoint import network_to_json
 from namgrow.clustering import BranchClassClusters, ClusterConfig
 from namgrow.data_io import Dataset, InputRange, base_grid_ranges
@@ -53,7 +55,8 @@ from namgrow.nn_core import (
 from namgrow.qualification import qualify
 from oracles import draw_dataset, fit_election_stats, float_images, \
     loop_forward_batch, normalized_refs, one_branch_output, \
-    per_branch_scan, per_branch_tune_masks, rounded_dataset, row_major_patches
+    per_branch_outputs, per_branch_scan, per_branch_tune_masks, \
+    rounded_dataset, row_major_patches
 
 N_CLASSES = 3
 RANGE0 = InputRange(0, 0, 0)
@@ -80,12 +83,15 @@ def constant_mlp(branch_class, value=0.5, n_classes=N_CLASSES):
     return BranchMlp(hidden_layers=layers, output_layer=DenseLayer(out_w))
 
 
-def hand_candidate(mlp, branch_class, target_class, input_range=RANGE0):
-    """Candidate whose transferred first layer is the MLP's own (identity)."""
+def hand_candidate(mlp, branch_class, target_class, input_range=RANGE0,
+                   mode="tuning"):
+    """Candidate whose transferred first layer is the MLP's own (identity),
+    of the origin a run in `mode` gives its candidates: grown by same-task
+    growth (tuning), transferred by a transfer (election)."""
     return CandidateBranch(
         source_branch_id=0, branch_class=branch_class,
         target_class=target_class, input_range=input_range, distance=0.0,
-        mlp=mlp)
+        mlp=mlp, origin="grown" if mode == "tuning" else "transferred")
 
 
 def windows(data, input_range):
@@ -797,7 +803,8 @@ class TestAcceptanceRule:
             state.selection.accuracy = accuracy + shift[0]
             state.selection.loss = loss + shift[1]
         before = (state.selection.accuracy, state.selection.loss)
-        record = grow_iteration(state, [hand_candidate(ramp_mlp(1), 1, target)])
+        record = grow_iteration(
+            state, [hand_candidate(ramp_mlp(1), 1, target, mode=mode)])
         assert state.net.n_branches == record.accepted
         if not record.accepted:
             after = (state.selection.accuracy, state.selection.loss)
@@ -809,7 +816,8 @@ class TestAcceptanceRule:
         selection = selection_set(patch_mean_dataset(means, 40, seed=1),
                                         60, seed=0)
         state = fresh_state(mode, selection)
-        record = grow_iteration(state, [hand_candidate(ramp_mlp(1), 1, target)])
+        record = grow_iteration(
+            state, [hand_candidate(ramp_mlp(1), 1, target, mode=mode)])
         assert record.accepted == 1
         return state.selection.accuracy, state.selection.loss
 
@@ -855,7 +863,7 @@ class TestScoreCaches:
                             columns=draw_selection(train, 60, seed=0),
                             max_per_iteration=1, tuning_epochs=1)
         selection = state.selection.data
-        candidates = iter([hand_candidate(ramp_mlp(1), 1, target, r)
+        candidates = iter([hand_candidate(ramp_mlp(1), 1, target, r, mode)
                            for r in base_grid_ranges(selection.shape, 1)
                            for target in range(N_CLASSES)])
         kept = rolled_back = 0
@@ -897,7 +905,8 @@ class TestScoreCaches:
                             columns=draw_selection(train, 60, seed=0),
                             max_per_iteration=4, tuning_epochs=1)
         # rising and falling ramps flag opposite ends of a window's classes
-        candidates = iter([hand_candidate(ramp_mlp(1, scale), 1, target, r)
+        candidates = iter([hand_candidate(ramp_mlp(1, scale), 1, target, r,
+                                          mode)
                            for r in base_grid_ranges(train.shape, 1)
                            for scale in (1.0, -1.0)
                            for target in range(N_CLASSES)])
@@ -917,6 +926,74 @@ class TestScoreCaches:
                     network_scores(prefix, test), test.labels)
         assert shared >= 1
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_candidates_are_scored_through_the_engine(self, mode,
+                                                      monkeypatch):
+        """Candidates are scored by `branch_outputs`: an iteration extracts
+        the selection set's patches once per run of same-window candidates
+        it pulls, and each candidate's values are an owned contiguous
+        array.  Records, kept branches and scores are those of scoring each
+        candidate on its own windows with its own forward, bit for bit."""
+        train = two_window_dataset(40, seed=1, tag="train")
+        test = two_window_dataset(20, seed=2, tag="test")
+        extracted, values = [], []
+        real_extract = nam_model.extract_patches
+        real_finish = growth._finish_iteration
+
+        def recording_extract(data, ranges, columns=slice(None)):
+            extracted.append(data)
+            return real_extract(data, ranges, columns)
+
+        def recording_finish(state, tentative):
+            values.extend(t.values_sel for t in tentative)
+            return real_finish(state, tentative)
+
+        def grow():
+            """The state of a run over runs of six candidates per window,
+            and per iteration: the candidates pulled, their window runs,
+            the selection-set extractions and the candidate records."""
+            state = fresh_state(mode, test_set=test, train_set=train,
+                                columns=draw_selection(train, 60, seed=0),
+                                max_per_iteration=4, tuning_epochs=1)
+            candidates = [hand_candidate(ramp_mlp(1, scale), 1, target, r,
+                                         mode)
+                          for r in base_grid_ranges(train.shape, 1)
+                          for scale in (1.0, -1.0)
+                          for target in range(N_CLASSES)]
+            pulled = []
+
+            def stream():
+                for cand in candidates:
+                    pulled.append(cand.input_range)
+                    yield cand
+
+            stream, log = stream(), []
+            while True:
+                pulled.clear()
+                extracted.clear()
+                if not grow_iteration(state, stream).candidates_seen:
+                    return state, log
+                selection = state.selection.data
+                log.append((len(pulled), len(list(itertools.groupby(pulled))),
+                            sum(data is selection for data in extracted),
+                            state.candidate_records))
+
+        monkeypatch.setattr(nam_model, "extract_patches", recording_extract)
+        monkeypatch.setattr(growth, "_finish_iteration", recording_finish)
+        state, log = grow()
+        assert all(reads == runs for _, runs, reads, _ in log)
+        assert sum(seen for seen, *_ in log) > sum(runs for _, runs, *_ in log)
+        assert len(values) >= 2
+        assert all(v.flags.c_contiguous and v.base is None for v in values)
+        monkeypatch.setattr(growth, "branch_outputs", per_branch_outputs)
+        want, want_log = grow()
+        assert state.records == want.records
+        assert [recs for *_, recs in log] == [recs for *_, recs in want_log]
+        assert network_to_json(state.net) == network_to_json(want.net)
+        for split, other in ((state.train, want.train),
+                             (state.test, want.test)):
+            assert split.scores.tobytes() == other.scores.tobytes()
+
     def grow_recording_train_fits(self, state, monkeypatch):
         """Run `state` over every window's candidates; returns each
         tentative branch with its train values, and the column count of
@@ -930,16 +1007,17 @@ class TestScoreCaches:
             return values
 
         def counting_branch_outputs(branches, data, columns=slice(None)):
-            for out in real_branch_outputs(branches, data, columns):
+            for branch, y in real_branch_outputs(branches, data, columns):
                 if data is train:
-                    forwarded.append(len(out))
-                yield out
+                    forwarded.append(len(y))
+                yield branch, y
 
         real_train_values = growth._train_values
         real_branch_outputs = growth.branch_outputs
         monkeypatch.setattr(growth, "_train_values", recording_train_values)
         monkeypatch.setattr(growth, "branch_outputs", counting_branch_outputs)
-        candidates = iter([hand_candidate(ramp_mlp(1), 1, target, r)
+        candidates = iter([hand_candidate(ramp_mlp(1), 1, target, r,
+                                          state.net.mode)
                            for r in base_grid_ranges(train.shape, 1)
                            for target in range(N_CLASSES)])
         while grow_iteration(state, candidates).candidates_seen:
@@ -999,7 +1077,7 @@ class TestScoreCaches:
             own = DenseLayer(first.weights.copy(), first.bias.copy())
             mlp = BranchMlp([own, *source.hidden_layers[1:]],
                             source.output_layer)
-            return hand_candidate(mlp, 1, target, input_range)
+            return hand_candidate(mlp, 1, target, input_range, mode)
 
         candidates = [candidate(r, target)
                       for r in base_grid_ranges(selection.shape, 1)
@@ -1040,7 +1118,7 @@ class TestScoreCaches:
             return report
 
         monkeypatch.setattr(growth, "qualify", recording_qualify)
-        candidates = iter([hand_candidate(ramp_mlp(1), 1, target, r)
+        candidates = iter([hand_candidate(ramp_mlp(1), 1, target, r, mode)
                            for r in base_grid_ranges(selection.shape, 1)
                            for target in range(N_CLASSES)])
         rows = np.arange(selection.n)
@@ -1072,7 +1150,8 @@ class TestGrowIterationElection:
         selection = selection_set(data, 60, seed=0)
         state = fresh_state(mode="election", selection=selection)
         steps = optimizer_step_count()
-        record = grow_iteration(state, [hand_candidate(ramp_mlp(1), 1, 2)])
+        record = grow_iteration(
+            state, [hand_candidate(ramp_mlp(1), 1, 2, mode="election")])
         assert optimizer_step_count() - steps == 0
         assert record.accepted == 1
         net = state.net
@@ -1097,7 +1176,8 @@ class TestGrowIterationElection:
                             columns=draw_selection(train, 30, seed=0),
                             max_per_iteration=2)
         selection = state.selection.data
-        candidates = iter([hand_candidate(ramp_mlp(1), 1, target, r)
+        candidates = iter([hand_candidate(ramp_mlp(1), 1, target, r,
+                                          "election")
                            for r in base_grid_ranges(selection.shape, 1)
                            for target in range(N_CLASSES)])
         while grow_iteration(state, candidates).candidates_seen:
@@ -1118,10 +1198,11 @@ class TestGrowIterationElection:
         state = fresh_state(mode="election", selection=selection,
                             max_per_iteration=1)
         candidates = [
-            hand_candidate(ramp_mlp(1), 1, 2),
-            hand_candidate(ramp_mlp(0), 0, 2, InputRange(0, 1, 1)),
-            hand_candidate(ramp_mlp(2), 2, 0, InputRange(0, 2, 2)),
-            hand_candidate(constant_mlp(1), 1, 1, InputRange(0, 3, 3)),
+            hand_candidate(ramp_mlp(1), 1, 2, RANGE0, "election"),
+            hand_candidate(ramp_mlp(0), 0, 2, InputRange(0, 1, 1), "election"),
+            hand_candidate(ramp_mlp(2), 2, 0, InputRange(0, 2, 2), "election"),
+            hand_candidate(constant_mlp(1), 1, 1, InputRange(0, 3, 3),
+                           "election"),
         ]
         accs = [state.selection.accuracy]
         iterator = iter(candidates)
@@ -1153,9 +1234,9 @@ class TestGrowIterationElection:
                             max_per_iteration=2, top_fraction=0.5)
         range_b, range_c = InputRange(0, 3, 0), InputRange(0, 0, 3)
         candidates = [
-            hand_candidate(ramp_mlp(1), 1, 2),                 # range A
-            hand_candidate(ramp_mlp(1), 1, 0, range_b),
-            hand_candidate(ramp_mlp(1), 1, 1, range_c),
+            hand_candidate(ramp_mlp(1), 1, 2, RANGE0, "election"),  # range A
+            hand_candidate(ramp_mlp(1), 1, 0, range_b, "election"),
+            hand_candidate(ramp_mlp(1), 1, 1, range_c, "election"),
         ]
         iterator = iter(candidates)
         first = grow_iteration(state, iterator)
@@ -1178,9 +1259,9 @@ class TestGrowIterationElection:
         state = fresh_state(mode="election", selection=selection,
                             max_per_iteration=2, top_fraction=0.5)
         candidates = iter([
-            hand_candidate(ramp_mlp(1), 1, 2),
-            hand_candidate(ramp_mlp(1), 1, 0, InputRange(0, 3, 0)),
-            hand_candidate(ramp_mlp(1), 1, 1, InputRange(0, 0, 3)),
+            hand_candidate(ramp_mlp(1), 1, 2, RANGE0, "election"),
+            hand_candidate(ramp_mlp(1), 1, 0, InputRange(0, 3, 0), "election"),
+            hand_candidate(ramp_mlp(1), 1, 1, InputRange(0, 0, 3), "election"),
         ])
         assert grow_iteration(state, candidates).accepted == 2
         kept = list(state.net.branches)
@@ -1196,7 +1277,8 @@ class TestGrowIterationElection:
         data = patch_mean_dataset([-0.2, -0.4, 0.4], 20, seed=4)
         selection = selection_set(data, 30, seed=0)
         state = fresh_state(mode="election", selection=selection)
-        record = grow_iteration(state, [hand_candidate(constant_mlp(1), 1, 2)])
+        record = grow_iteration(
+            state, [hand_candidate(constant_mlp(1), 1, 2, mode="election")])
         assert record.accepted == 0
         assert state.net.n_branches == 0
 

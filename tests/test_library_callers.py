@@ -73,3 +73,26 @@ def test_every_traced_name_is_a_library_callable():
                if not callable(getattr(importlib.import_module(
                    f"namgrow.{module}"), name, None))]
     assert missing == []
+
+
+def _names(tree: ast.Module):
+    """Every name a module binds, imports or reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+def test_branch_mlps_are_forwarded_only_by_the_engine_and_clustering():
+    """One forward engine: `mlp_forward_batch` is named only where it is
+    defined (nn_core), in the engine that forwards branches on a dataset
+    split (nam_model) and in clustering's forward of its sampled pairs."""
+    users = sorted(path.stem for path in SRC.glob("*.py")
+                   if "mlp_forward_batch" in _names(ast.parse(
+                       path.read_text())))
+    assert users == ["clustering", "nam_model", "nn_core"]

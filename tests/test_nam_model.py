@@ -250,12 +250,13 @@ def test_branch_outputs_overwrite_one_row_buffer():
     rng = np.random.default_rng(3)
     net = window_run_network(rng, "tuning")
     ds = random_dataset(rng, 9, MIXED_SHAPE)
-    bases = set()
-    for br, y in zip(net.branches, branch_outputs(net.branches, ds),
-                     strict=True):
+    bases, yielded = set(), []
+    for br, y in branch_outputs(net.branches, ds):
         assert y.tobytes() == one_branch_output(br, ds).tobytes()
         bases.add(id(y.base if y.base is not None else y))
+        yielded.append(id(br))
     assert len(bases) == 1
+    assert yielded == list(map(id, net.branches))
 
 
 def test_engine_reads_one_chunk_of_windows_per_call(monkeypatch):
@@ -288,8 +289,8 @@ def test_branch_output_reads_the_selected_columns():
     wants = [mlp_forward_batch_row_major(base.mlp, windows),
              mlp_forward_batch_row_major(grown.mlp, windows)[:, 6]]
     for columns in (slice(None), slice(4, 11), np.array([17, 3, 3, 0])):
-        for y, want in zip(branch_outputs([base, grown], ds, columns), wants,
-                           strict=True):
+        for (_, y), want in zip(branch_outputs([base, grown], ds, columns),
+                                wants, strict=True):
             assert np.array_equal(y, want[columns])
 
 
