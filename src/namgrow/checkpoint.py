@@ -130,23 +130,16 @@ def _mlp(indices, table: list[DenseLayer]) -> BranchMlp:
 def _branch_from_record(rec: dict, table: list[DenseLayer], parts
                         ) -> Branch:
     indices, stats = parts(rec, table)
-    mlp = _mlp(indices, table)
-    mask = None
-    frozen = False
-    if rec["mask"] is not None:
-        m = rec["mask"]
-        mask = ClassMask(m["a"], m["b"], m["thd"], m["v_span"])
-        frozen = bool(m["frozen"])
-    return Branch(
-        mlp,
-        InputRange(*rec["input_range"]),
-        rec["branch_class"],
-        rec["target_class"],
-        mask,
-        rec["origin"],
-        frozen,
-        stats,
-    )
+    window, m = rec["input_range"], rec["mask"]
+    if not (isinstance(window, list) and len(window) == 4):
+        raise ValueError(f"input_range {window!r} is not a list of 4 integers")
+    if m is not None and not isinstance(m["frozen"], bool):
+        raise ValueError(f"mask frozen {m['frozen']!r} is not a boolean")
+    mask = None if m is None else ClassMask(m["a"], m["b"], m["thd"],
+                                            m["v_span"])
+    return Branch(_mlp(indices, table), InputRange(*window),
+                  rec["branch_class"], rec["target_class"], mask,
+                  rec["origin"], m is not None and m["frozen"], stats)
 
 
 def network_from_json(text: str) -> NamNetwork:

@@ -33,6 +33,8 @@ import os
 import sys
 from pathlib import Path
 
+from .config import DEFAULT_CONFIG, ClusterConfig, GrowthConfig, TrainConfig
+
 log = logging.getLogger("namgrow.cli")
 
 EXIT_OK = 0
@@ -40,42 +42,34 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
-DEFAULT_CONFIG = {
-    "run": {"seed": "0", "out_dir": "runs/run", "threads": "0"},
-    "data": {"dataset": "cifar10", "data_dir": "data"},
-    "model": {"grid": "base"},
-    "train": {"epochs": "40", "batch_size": "128", "learning_rate": "1e-3"},
-    "growth": {
-        "selection_size": "5000",
-        "max_per_iteration": "64",
-        "tuning_epochs": "2",
-        "mask_learning_rate": "1e-2",
-        "mask_batch_size": "128",
-        "keep_fraction": "0.8",
-        "top_fraction": "0.2",
-        "reference_per_class": "100",
-        "max_iterations": "-1",
-    },
-    "cluster": {
-        "n_samples": "10000",
-        "top_fraction": "0.2",
-        "neighbor_distance": "0.5",
-        "min_shift_distance": "1e-3",
-        "bandwidth": "0.3",
-        "max_shift_iterations": "200",
-    },
+DATASETS = ("cifar10", "mnist")
+GRID_SPACINGS = {"base": 6, "full": 3}  # window stride of each [model] grid
+
+# What each command reads of a config: whole sections, or single
+# "section.key" entries.  A command offers the flags of exactly these keys,
+# records them in its config.ini and hashes the data directory only if it
+# reads [data].  transfer applies every source branch, so of [growth] it
+# reads all but max_iterations.
+_READS = {
+    "train-base": ("run", "data", "model", "train"),
+    "grow": ("run", "data", "growth", "cluster"),
+    "transfer": ("run", "data", *(f"growth.{key}" for key in
+                                  DEFAULT_CONFIG["growth"]
+                                  if key != "max_iterations"), "cluster"),
+    "eval": ("data", "run.threads"),
+    "cluster-cache": ("run", "cluster"),
 }
 
 # Each override flag: the [section] key it sets and its argparse keywords;
 # its help is "override [section] key" unless the keywords give one.
 _FLAGS = {
     "--seed": ("run", "seed", {"type": int}),
-    "--dataset": ("data", "dataset", {"choices": ["cifar10", "mnist"]}),
+    "--dataset": ("data", "dataset", {"choices": DATASETS}),
     "--data-dir": ("data", "data_dir", {}),
     "--out-dir": ("run", "out_dir", {}),
     "--threads": ("run", "threads", {
         "type": int, "help": "BLAS/OpenMP thread cap (0 = all cores)"}),
-    "--grid": ("model", "grid", {"choices": ["base", "full"]}),
+    "--grid": ("model", "grid", {"choices": GRID_SPACINGS}),
     "--epochs": ("train", "epochs", {"type": int}),
     "--max-iterations": ("growth", "max_iterations", {
         "type": int,
@@ -154,10 +148,11 @@ def _set_thread_limit(cfg) -> None:
 
 def _section_config(cfg, cls, section: str, label: str, **given):
     """The config dataclass `cls`, built from `given` and, for each of its
-    other fields, the `section` key of that name parsed by the type of the
-    field's default; a value `cls` refuses is a ConfigError that begins
-    with `label`."""
-    values = {f.name: _config_value(cfg, section, f.name, type(f.default))
+    other fields, the `section` key of that name ([run] seed for the seed)
+    parsed by the type of the field's default; a value `cls` refuses is a
+    ConfigError that begins with `label`."""
+    values = {f.name: _config_value(cfg, "run" if f.name == "seed" else
+                                    section, f.name, type(f.default))
               for f in dataclasses.fields(cls) if f.name not in given}
     try:
         return cls(**values, **given)
@@ -166,28 +161,18 @@ def _section_config(cfg, cls, section: str, label: str, **given):
 
 
 def _train_config(cfg):
-    from .training import TrainConfig
-
-    return _section_config(cfg, TrainConfig, "train", "train config",
-                           seed=_config_value(cfg, "run", "seed", int))
+    return _section_config(cfg, TrainConfig, "train", "train config")
 
 
 def _growth_config(cfg):
-    from .clustering import ClusterConfig
-    from .growth import GrowthConfig
-
     label = "growth/cluster config"
-    cluster = _section_config(cfg, ClusterConfig, "cluster", label)
-    return _section_config(cfg, GrowthConfig, "growth", label,
-                           seed=_config_value(cfg, "run", "seed", int),
-                           cluster=cluster)
+    return _section_config(cfg, GrowthConfig, "growth", label, cluster=(
+        _section_config(cfg, ClusterConfig, "cluster", label)))
 
 
 def _cluster_config(cfg):
     """(ClusterConfig, run seed): all that clustering reads, and so all
     that `cluster-cache` reads of a config."""
-    from .clustering import ClusterConfig
-
     label = "cluster config"
     seed = _config_value(cfg, "run", "seed", int)
     if seed < 0:
@@ -195,47 +180,53 @@ def _cluster_config(cfg):
     return _section_config(cfg, ClusterConfig, "cluster", label), seed
 
 
-def _dataset_name(cfg) -> str:
-    name = cfg["data"]["dataset"].strip().lower()
-    if name not in ("cifar10", "mnist"):
-        raise ConfigError(f"unknown dataset {name!r} (expected cifar10 or mnist)")
-    return name
+def _choice(cfg, section: str, key: str, choices) -> str:
+    """The `section` `key` value, which must be one of `choices`."""
+    value = cfg[section][key].strip().lower()
+    if value not in choices:
+        raise ConfigError(f"unknown {key} {value!r} "
+                          f"(expected {' or '.join(choices)})")
+    return value
 
 
-def _load_split(cfg, split):
+def _load_split(cfg, name: str, split: str):
+    """The `split` of the dataset `name` from [data] data_dir."""
     from . import data_io
 
-    name = _dataset_name(cfg)
-    loader = data_io.load_cifar10 if name == "cifar10" else data_io.load_mnist
-    dataset = loader(cfg["data"]["data_dir"], split)
+    dataset = getattr(data_io, f"load_{name}")(cfg["data"]["data_dir"], split)
     log.info("loaded %s %s split: %d samples of shape %s", name, split,
              dataset.n, dataset.shape)
     return dataset
 
 
 def _input_hashes(cfg, args) -> dict:
+    """SHA-256 of each input of the run: every file of the data directory
+    if the command reads [data], then each input file given."""
     from .data_io import sha256_file
 
-    root = Path(cfg["data"]["data_dir"])
-    if not root.is_dir():
-        raise FileNotFoundError(f"data directory not found: {root}")
-    hashes = {"data": {str(p.relative_to(root)): sha256_file(p)
-                       for p in sorted(root.rglob("*")) if p.is_file()}}
-    if getattr(args, "config", None):
-        hashes["config"] = sha256_file(args.config)
-    if getattr(args, "checkpoint", None):
-        hashes["checkpoint"] = sha256_file(args.checkpoint)
-    if getattr(args, "cluster_cache", None):
-        hashes["cluster_cache"] = sha256_file(args.cluster_cache)
+    hashes = {}
+    if "data" in _READS[args.command]:
+        root = Path(cfg["data"]["data_dir"])
+        if not root.is_dir():
+            raise FileNotFoundError(f"data directory not found: {root}")
+        hashes["data"] = {str(p.relative_to(root)): sha256_file(p)
+                          for p in sorted(root.rglob("*")) if p.is_file()}
+    for name in ("config", "checkpoint", "cluster_cache"):
+        if getattr(args, name, None):
+            hashes[name] = sha256_file(getattr(args, name))
     return hashes
 
 
-def _prepare_out_dir(cfg, args, sections) -> Path:
-    """Make the output directory; its config.ini records `sections`."""
+def _prepare_out_dir(cfg, args) -> Path:
+    """Make the output directory; its config.ini records the keys the
+    command reads."""
     out_dir = Path(cfg["run"]["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     record = configparser.RawConfigParser()
-    record.read_dict({s: dict(cfg.items(s, raw=True)) for s in sections})
+    for section, _, key in (e.partition(".") for e in _READS[args.command]):
+        keys = [key] if key else cfg[section]
+        record.read_dict({section: {k: cfg.get(section, k, raw=True)
+                                    for k in keys}})
     with open(out_dir / "config.ini", "w") as fh:
         fh.write(f"# resolved configuration for: namgrow {args.command}\n")
         record.write(fh)
@@ -303,20 +294,16 @@ def cmd_train_base(args, cfg) -> int:
     from .nn_core import optimizer_step_count
     from .training import train_network
 
-    name = _dataset_name(cfg)
-    grid = cfg["model"]["grid"].strip().lower()
-    spacings = {"base": 6, "full": 3}
-    if grid not in spacings:
-        raise ConfigError(f"unknown grid {grid!r} (expected base or full)")
+    name = _choice(cfg, "data", "dataset", DATASETS)
+    grid = _choice(cfg, "model", "grid", GRID_SPACINGS)
     train_config = _train_config(cfg)
-    seed = train_config.seed
-    train = _load_split(cfg, "train")
-    test = _load_split(cfg, "test")
-    net = build_network(train.shape, train.n_classes, seed, spacings[grid],
-                        tag=f"{name}-{grid}")
+    train = _load_split(cfg, name, "train")
+    test = _load_split(cfg, name, "test")
+    net = build_network(train.shape, train.n_classes, train_config.seed,
+                        GRID_SPACINGS[grid], tag=f"{name}-{grid}")
     log.info("training %d branches (%d parameters) for %d epochs",
              net.n_branches, parameter_count(net), train_config.epochs)
-    out_dir = _prepare_out_dir(cfg, args, ("run", "data", "model", "train"))
+    out_dir = _prepare_out_dir(cfg, args)
     steps = optimizer_step_count()
     with open(out_dir / "epochs.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -342,7 +329,7 @@ def cmd_train_base(args, cfg) -> int:
         "command": "train-base",
         "dataset": name,
         "grid": grid,
-        "seed": seed,
+        "seed": train_config.seed,
         "input_hashes": _input_hashes(cfg, args),
         "optimizer_steps": optimizer_step_count() - steps,
         "branch_count": net.n_branches,
@@ -367,21 +354,21 @@ def cmd_growth(args, cfg) -> int:
     from .nn_core import optimizer_step_count
 
     transfer = args.command == "transfer"
-    name = _dataset_name(cfg)
-    # transfer reads the key too, so a bad value is refused, not recorded
-    limit = _config_value(cfg, "growth", "max_iterations", int)
-    if limit < -1:
-        raise ConfigError("[growth] max_iterations must be >= -1 "
-                          "(-1 = no limit)")
-    growth_config = _growth_config(cfg)
-    net = load_checkpoint(args.checkpoint)
-    train = _load_split(cfg, "train")
-    test = _load_split(cfg, "test")
+    name = _choice(cfg, "data", "dataset", DATASETS)
     run = transfer_task
     if not transfer:
+        limit = _config_value(cfg, "growth", "max_iterations", int)
+        if limit < -1:
+            raise ConfigError("[growth] max_iterations must be >= -1 "
+                              "(-1 = no limit)")
+        run = functools.partial(run_growth, max_iterations=(
+            None if limit == -1 else limit))
+    growth_config = _growth_config(cfg)
+    net = load_checkpoint(args.checkpoint)
+    train = _load_split(cfg, name, "train")
+    test = _load_split(cfg, name, "test")
+    if not transfer:
         _check_geometry(net, train)
-        run = functools.partial(run_growth,
-                                max_iterations=None if limit == -1 else limit)
     check_draws(train, growth_config)
     cluster_table = None
     if args.cluster_cache:
@@ -390,7 +377,7 @@ def cmd_growth(args, cfg) -> int:
             args.cluster_cache, "cluster cache", clusters_from_json, mlps,
             cluster_source(mlps, growth_config.cluster, growth_config.seed,
                            args.command))
-    out_dir = _prepare_out_dir(cfg, args, ("run", "data", "growth", "cluster"))
+    out_dir = _prepare_out_dir(cfg, args)
     steps = optimizer_step_count()
     writer = _IterationWriter(out_dir, transfer)
     try:
@@ -438,27 +425,23 @@ def cmd_growth(args, cfg) -> int:
 def cmd_cluster_cache(args, cfg) -> int:
     from .checkpoint import load_checkpoint
     from .clustering import clusters_to_json
-    from .data_io import sha256_file
     from .growth import cluster_source, source_cluster_table, source_mlps
 
     cluster, seed = _cluster_config(cfg)
     net = load_checkpoint(args.checkpoint)
     mlps = source_mlps(net, transfer=args.target_command == "transfer")
-    out_dir = _prepare_out_dir(cfg, args, ("run", "cluster"))
+    out_dir = _prepare_out_dir(cfg, args)
     log.info("clustering %d branch MLPs (cache for %s)", len(mlps),
              args.target_command)
     table = source_cluster_table(mlps, cluster, seed)
     source = cluster_source(mlps, cluster, seed, args.target_command)
     (out_dir / "cluster_cache.json").write_text(
         clusters_to_json(table, source) + "\n")
-    hashes = {"checkpoint": sha256_file(args.checkpoint)}
-    if getattr(args, "config", None):
-        hashes["config"] = sha256_file(args.config)
     _write_json(out_dir / "run_meta.json", {
         "command": "cluster-cache",
         "for": args.target_command,
         "seed": seed,
-        "input_hashes": hashes,
+        "input_hashes": _input_hashes(cfg, args),
         "source_branches": len(mlps),
         "cluster_counts": [[s.n_clusters for s in per_branch]
                            for per_branch in table],
@@ -473,12 +456,12 @@ def cmd_eval(args, cfg) -> int:
     from .checkpoint import load_checkpoint
     from .nam_model import network_scores, parameter_count, score_metrics
 
-    name = _dataset_name(cfg)
+    name = _choice(cfg, "data", "dataset", DATASETS)
     net = load_checkpoint(args.checkpoint)
     if net.n_branches == 0:
         raise ValueError(f"checkpoint {args.checkpoint} has no branches: "
                          f"there is nothing to evaluate")
-    dataset = _load_split(cfg, args.split)
+    dataset = _load_split(cfg, name, args.split)
     _check_geometry(net, dataset)
     scores = network_scores(net, dataset)
     accuracy, loss = score_metrics(scores, dataset.labels)
@@ -505,56 +488,46 @@ def cmd_eval(args, cfg) -> int:
     return EXIT_OK
 
 
-def _offer(parser, *flags) -> None:
-    """Offer each of `flags` on `parser`, bound to its [section] key."""
-    for flag in flags:
-        section, key, keywords = _FLAGS[flag]
-        keywords = {"help": f"override [{section}] {key}", **keywords}
-        parser.add_argument(flag, dest=f"{section}.{key}", metavar=(
-            None if "choices" in keywords else key.upper()), **keywords)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="namgrow",
         description="Grow neural additive models by re-using trained branches.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, summary, *flags):
+    def command(name, handler, summary):
+        """The subcommand `name`, offering the flag of each key it reads."""
         p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
         p.add_argument("--config", help="INI config file")
-        _offer(p, *flags)
+        reads = _READS[name]
+        for flag, (section, key, keywords) in _FLAGS.items():
+            if section in reads or f"{section}.{key}" in reads:
+                keywords = {"help": f"override [{section}] {key}", **keywords}
+                p.add_argument(flag, dest=f"{section}.{key}", metavar=(
+                    None if "choices" in keywords else key.upper()),
+                    **keywords)
         return p
 
-    common = ("--seed", "--dataset", "--data-dir", "--out-dir", "--threads")
     command("train-base", cmd_train_base,
-            "train a base or full-perception network",
-            *common, "--grid", "--epochs")
+            "train a base or full-perception network")
+    for name, summary, source in (
+            ("grow", "grow a trained network on its own task", "base"),
+            ("transfer", "transfer branches to a new task (election mode)",
+             "source-task")):
+        p = command(name, cmd_growth, summary)
+        p.add_argument("--checkpoint", required=True,
+                       help=f"{source} checkpoint JSON")
+        p.add_argument("--cluster-cache", dest="cluster_cache",
+                       help="precomputed cluster_cache.json "
+                            "(skips clustering)")
 
-    p = command("grow", cmd_growth, "grow a trained network on its own task",
-                *common)
-    p.add_argument("--checkpoint", required=True, help="base checkpoint JSON")
-    _offer(p, "--max-iterations")
-    p.add_argument("--cluster-cache", dest="cluster_cache",
-                   help="precomputed cluster_cache.json (skips clustering)")
-
-    p = command("transfer", cmd_growth,
-                "transfer branches to a new task (election mode)", *common)
-    p.add_argument("--checkpoint", required=True,
-                   help="source-task checkpoint JSON")
-    p.add_argument("--cluster-cache", dest="cluster_cache",
-                   help="precomputed cluster_cache.json (skips clustering)")
-
-    p = command("eval", cmd_eval, "evaluate a checkpoint on a dataset split",
-                "--dataset", "--data-dir", "--threads")
+    p = command("eval", cmd_eval, "evaluate a checkpoint on a dataset split")
     p.add_argument("--checkpoint", required=True, help="checkpoint JSON")
     p.add_argument("--split", choices=["train", "test"], default="test")
     p.add_argument("--out", help="also write the metrics JSON to this file")
 
     p = command("cluster-cache", cmd_cluster_cache,
-                "precompute branch cluster summaries for re-use",
-                "--seed", "--out-dir", "--threads")
+                "precompute branch cluster summaries for re-use")
     p.add_argument("--checkpoint", required=True, help="checkpoint JSON")
     p.add_argument("--for", dest="target_command",
                    choices=["grow", "transfer"], default="grow",

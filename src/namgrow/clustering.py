@@ -18,35 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifact
+from .config import ClusterConfig
 from .nn_core import BranchMlp, mlp_arrays, mlp_forward_batch
 
 _STD_FLOOR = 1e-12  # degenerate dimension guard; cancels in the round-trip
 ISOLATION_BLOCK_ENTRIES = 1 << 16  # 512 KiB block arrays stay in cache
-
-
-@dataclass
-class ClusterConfig:
-    n_samples: int = 10000
-    top_fraction: float = 0.2
-    neighbor_distance: float = 0.5       # d_nb, in standardized space
-    min_shift_distance: float = 1e-3     # d_min, in standardized space
-    bandwidth: float = 0.3               # kernel std per dimension
-    max_shift_iterations: int = 200
-
-    def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        if not 0.0 < self.top_fraction <= 1.0:
-            raise ValueError("top_fraction must be in (0, 1]")
-        if self.neighbor_distance <= 0 or self.min_shift_distance <= 0:
-            raise ValueError("distances must be positive")
-        if not self.min_shift_distance < self.neighbor_distance:
-            raise ValueError("min shift distance must be below neighbor distance")
-        if not self.bandwidth ** 2 >= np.finfo(np.float64).tiny:
-            raise ValueError("bandwidth must be positive, with a normal "
-                             "float square")
-        if self.max_shift_iterations < 1:
-            raise ValueError("max_shift_iterations must be >= 1")
 
 
 @dataclass

@@ -212,7 +212,8 @@ def range_flat_indices(input_range: InputRange,
     are derived once per window and image shape."""
     channels, height, width = shape
     r = input_range
-    if not all(isinstance(v, (int, np.integer)) for v in r.as_tuple()):
+    if not all(type(v) is int or isinstance(v, np.integer)
+               for v in r.as_tuple()):
         raise ValueError(f"input range {r.as_tuple()} has non-integer fields")
     if not (0 <= r.channel < channels and r.size >= 1
             and 0 <= r.row_start <= height - r.size

@@ -28,7 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clustering import ClusterConfig, cluster_network, source_digest
+from .clustering import cluster_network, source_digest
+from .config import ClusterConfig, GrowthConfig
 from .data_io import Dataset, InputRange, base_grid_ranges, extract_patches
 from .matching import (
     NormalizationStats,
@@ -65,43 +66,6 @@ from .nn_core import (
 from .qualification import branch_threshold, qualify
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class GrowthConfig:
-    """Knobs of the growth loop; the network's mode picks tuning or election
-    behaviour."""
-
-    selection_size: int = 5000
-    max_per_iteration: int = 64
-    tuning_epochs: int = 2
-    mask_learning_rate: float = 1e-2
-    mask_batch_size: int = 128
-    keep_fraction: float = 0.8       # matching partial-average keep share
-    top_fraction: float = 0.2        # samples above the branch threshold
-    reference_per_class: int = 100   # images per class used for matching
-    seed: int = 0
-    cluster: ClusterConfig = field(default_factory=ClusterConfig)
-
-    def __post_init__(self):
-        if self.selection_size < 1:
-            raise ValueError("selection_size must be >= 1")
-        if self.max_per_iteration < 1:
-            raise ValueError("max_per_iteration must be >= 1")
-        if self.tuning_epochs < 0:
-            raise ValueError("tuning_epochs must be >= 0")
-        if not self.mask_learning_rate > 0.0:
-            raise ValueError("mask_learning_rate must be positive")
-        if self.mask_batch_size < 1:
-            raise ValueError("mask_batch_size must be >= 1")
-        if not 0.0 < self.top_fraction < 1.0:
-            raise ValueError("top_fraction must be in (0, 1)")
-        if not 0.0 < self.keep_fraction <= 1.0:
-            raise ValueError("keep_fraction must be in (0, 1]")
-        if self.reference_per_class < 2:
-            raise ValueError("reference_per_class must be >= 2")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 @dataclass

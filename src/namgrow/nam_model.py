@@ -39,7 +39,10 @@ class ClassMask:
 
     def __post_init__(self):
         for name in ("a", "b", "thd", "v_span"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ValueError(f"mask {name} {value!r} is not a number")
+            if not math.isfinite(value):
                 raise ValueError(f"mask {name} is not finite")
         if not self.v_span > 0.0:
             raise ValueError(f"v_span must be positive, got {self.v_span}")
@@ -111,9 +114,8 @@ class Branch:
                              f"window {self.input_range} has {window} pixels")
         for name in ("branch_class", "target_class"):
             c = getattr(self, name)
-            if c is not None and not (isinstance(c, (int, np.integer))
-                                      and not isinstance(c, bool)
-                                      and 0 <= c < self.mlp.n_classes):
+            if c is not None and not (is_count(c, 0)
+                                      and c < self.mlp.n_classes):
                 raise ValueError(f"{name} {c!r} is not a class index below "
                                  f"{self.mlp.n_classes}")
         if self.election_stats is not None:
@@ -142,6 +144,8 @@ class NamNetwork:
     def __post_init__(self):
         if self.mode not in ("tuning", "election"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not isinstance(self.tag, str):
+            raise ValueError(f"tag {self.tag!r} is not a string")
         if not is_count(self.n_classes, 1):
             raise ValueError(f"n_classes {self.n_classes!r} is not an "
                              "integer >= 1")
@@ -157,7 +161,7 @@ class NamNetwork:
                                  f"outputs, the network {self.n_classes}")
             try:
                 range_flat_indices(br.input_range, self.input_shape)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ValueError(f"branch {k}: {exc}") from exc
             fitted = self.mode == "election"
             if (br.election_stats is not None) != fitted:

@@ -34,26 +34,6 @@ from .nn_core import (AdamState, DenseLayer, adam_step,
 
 
 @dataclass
-class TrainConfig:
-    """Hyperparameters for joint branch training."""
-
-    epochs: int = 40
-    batch_size: int = 128
-    learning_rate: float = 1e-3
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not self.learning_rate > 0.0:
-            raise ValueError("learning_rate must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-
-
-@dataclass
 class EpochMetrics:
     """Metrics recorded after one pass over the training set."""
 

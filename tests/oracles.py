@@ -40,10 +40,10 @@ import numpy as np
 from namgrow import nam_model
 from namgrow.clustering import (
     BranchPairs,
-    ClusterConfig,
     mean_shift_step,
     standardize,
 )
+from namgrow.config import ClusterConfig
 from namgrow.data_io import Dataset, InputRange, normalize_pixels, \
     range_flat_indices
 from namgrow.growth import CandidateBranch

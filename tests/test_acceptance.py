@@ -24,13 +24,12 @@ import pytest
 from namgrow.checkpoint import load_checkpoint, save_checkpoint
 from namgrow.clustering import (
     BranchPairs,
-    ClusterConfig,
     cluster_branch_class,
     cluster_branch_mlp,
 )
+from namgrow.config import ClusterConfig, GrowthConfig, TrainConfig
 from namgrow.data_io import InputRange, load_cifar10, load_mnist
-from namgrow.growth import GrowthConfig, MaskColumns, run_growth, \
-    transfer_task
+from namgrow.growth import MaskColumns, run_growth, transfer_task
 from namgrow.matching import NormalizationStats, transfer_first_layer
 from namgrow.nam_model import (
     Branch,
@@ -48,7 +47,7 @@ from namgrow.nn_core import (
     optimizer_step_count,
 )
 from namgrow.qualification import qualify
-from namgrow.training import TrainConfig, train_network
+from namgrow.training import train_network
 from oracles import (
     binary_hoeffding_bound,
     branch_outputs_batch,

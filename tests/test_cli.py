@@ -58,16 +58,20 @@ def _parser_of(value):
     return None
 
 
-def _run_in_subprocess(args, threads, cwd=None):
-    """Run the CLI in its own process: the --threads cap only takes effect
-    before NumPy is first imported."""
+def _python(*args, cwd=None):
+    """The finished process of `python *args`, which imports this namgrow."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(namgrow.__file__).parents[1]), env.get("PYTHONPATH", "")])
-    proc = subprocess.run(
-        [sys.executable, "-m", "namgrow.cli", *args,
-         "--threads", str(threads)],
-        env=env, cwd=cwd, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=300)
+
+
+def _run_in_subprocess(args, threads, cwd=None):
+    """Run the CLI in its own process: the --threads cap only takes effect
+    before NumPy is first imported."""
+    proc = _python("-m", "namgrow.cli", *args, "--threads", str(threads),
+                   cwd=cwd)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -457,6 +461,23 @@ class TestClusterCache:
             cfg.write(fh)
         out = _cluster_cache(tmp_path / "out", odd,
                              base_run / "checkpoint.json")
+        assert ((out / "cluster_cache.json").read_bytes()
+                == (cache_run / "cluster_cache.json").read_bytes())
+
+    def test_reads_no_data_directory(self, tmp_path, config_file, base_run,
+                                     cache_run):
+        """cluster-cache reads no [data]: it neither opens nor hashes a
+        data directory, even one that does not exist."""
+        cfg = configparser.ConfigParser()
+        cfg.read(config_file)
+        cfg["data"]["data_dir"] = str(tmp_path / "nowhere")
+        odd = tmp_path / "odd.ini"
+        with open(odd, "w") as fh:
+            cfg.write(fh)
+        out = _cluster_cache(tmp_path / "out", odd,
+                             base_run / "checkpoint.json")
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert set(meta["input_hashes"]) == {"checkpoint", "config"}
         assert ((out / "cluster_cache.json").read_bytes()
                 == (cache_run / "cluster_cache.json").read_bytes())
 
@@ -862,6 +883,38 @@ class TestTransfer:
         assert code == 3
         assert "changed the branches it started from" in caplog.text
 
+    @pytest.mark.parametrize("limit", ["0", "abc"])
+    def test_reads_no_max_iterations(self, tmp_path, config_file, base_run,
+                                     transfer_run, limit):
+        """transfer applies every source branch whatever [growth]
+        max_iterations says, and neither parses nor records it: its outputs
+        are transfer_run's but config.ini's out_dir and the config's hash."""
+        cfg = configparser.ConfigParser()
+        cfg.read(config_file)
+        cfg["growth"]["max_iterations"] = limit
+        limited = tmp_path / "limited.ini"
+        with open(limited, "w") as fh:
+            cfg.write(fh)
+        out = tmp_path / "limited"
+        code = main(["transfer", "--config", str(limited),
+                     "--checkpoint", str(base_run / "checkpoint.json"),
+                     "--out-dir", str(out), "--seed", "3"])
+        assert code == 0
+        names = sorted(path.name for path in transfer_run.iterdir())
+        assert sorted(path.name for path in out.iterdir()) == names
+        for name in names:
+            ours, theirs = ((run / name).read_text()
+                            for run in (out, transfer_run))
+            if name == "config.ini":
+                ours, theirs = (text.replace(str(run), "")
+                                for text, run in ((ours, out),
+                                                  (theirs, transfer_run)))
+            if name == "run_meta.json":
+                ours, theirs = (json.loads(text) for text in (ours, theirs))
+                ours["input_hashes"].pop("config")
+                theirs["input_hashes"].pop("config")
+            assert ours == theirs, name
+
     def test_transfer_series_tracks_iterations(self, transfer_run):
         meta = json.loads((transfer_run / "run_meta.json").read_text())
         lines = (transfer_run / "transfer_series.csv").read_text().splitlines()
@@ -1040,8 +1093,7 @@ class TestShippedConfigs:
         import argparse
 
         from namgrow.cli import _growth_config, _train_config, resolve_config
-        from namgrow.growth import GrowthConfig
-        from namgrow.training import TrainConfig
+        from namgrow.config import GrowthConfig, TrainConfig
 
         cfg = resolve_config(argparse.Namespace())
         assert _train_config(cfg) == TrainConfig()
@@ -1082,8 +1134,9 @@ class TestFlags:
     ])
     def test_config_ini_records_the_sections_the_command_reads(
             self, request, config_file, run, command, sections):
-        """A run's config.ini holds exactly the sections its command reads,
-        as its config file and flags resolve them."""
+        """A run's config.ini holds exactly the keys its command reads, as
+        its config file and flags resolve them: transfer runs every source
+        branch, so it reads every [growth] key but max_iterations."""
         out = request.getfixturevalue(run)
         resolved = resolve_config(build_parser().parse_args(
             [command, *_required_args(command), "--config", str(config_file),
@@ -1092,8 +1145,10 @@ class TestFlags:
         recorded.read(out / "config.ini")
         assert recorded.sections() == list(sections)
         for section in sections:
-            assert dict(recorded[section]) == dict(
-                resolved.items(section, raw=True))
+            expected = dict(resolved.items(section, raw=True))
+            if (command, section) == ("transfer", "growth"):
+                del expected["max_iterations"]
+            assert dict(recorded[section]) == expected
 
     @pytest.mark.parametrize("command, flag", [
         (command, flag) for command, flags in OFFERED_FLAGS.items()
@@ -1114,9 +1169,10 @@ class TestFlags:
         for flag in FLAG_KEYS if flag not in flags])
     def test_flag_of_a_key_the_command_does_not_read_is_refused(
             self, tmp_path, capsys, command, flag):
-        """eval reads no seed and writes no output directory, and
-        cluster-cache loads no dataset: each refuses such a flag as
-        unrecognized, exit code 1, before it creates anything."""
+        """eval reads no seed and writes no output directory, transfer
+        reads no iteration limit and cluster-cache loads no dataset: each
+        refuses such a flag as unrecognized, exit code 1, before it creates
+        anything."""
         value = (str(tmp_path / "given") if flag in ("--data-dir", "--out-dir")
                  else _flag_value(flag))
         args = [command, *_required_args(command), flag, value]
@@ -1128,6 +1184,53 @@ class TestFlags:
         assert f"unrecognized arguments: {flag} {value}" in \
             capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+# Runs the CLI with the arguments it is given, but stops it as soon as the
+# thread cap is set, and prints whether NumPy had been imported by then.
+_THREAD_CAP_PROBE = """
+import sys
+from namgrow import cli
+
+set_thread_limit = cli._set_thread_limit
+
+def probe(cfg):
+    print("numpy" in sys.modules)
+    set_thread_limit(cfg)
+    raise SystemExit(0)
+
+cli._set_thread_limit = probe
+cli.main(sys.argv[1:])
+"""
+
+
+class TestImports:
+    @pytest.mark.parametrize("command", list(OFFERED_FLAGS))
+    def test_threads_are_capped_before_numpy_is_imported(self, command):
+        """--threads only caps BLAS if it is set before NumPy is first
+        imported: importing the CLI and resolving the config import none."""
+        proc = _python("-c", _THREAD_CAP_PROBE, command,
+                       *_required_args(command), "--threads", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    def test_eval_imports_no_growth_training_or_clustering(
+            self, data_dir, base_run):
+        """eval loads a checkpoint and scores it; it imports none of the
+        code that trains, clusters, matches or grows."""
+        proc = _python("-c", "import sys\n"
+                       "from namgrow import cli\n"
+                       "code = cli.main(sys.argv[1:])\n"
+                       "print(code, *sorted(sys.modules))",
+                       "eval", "--checkpoint",
+                       str(base_run / "checkpoint.json"), "--dataset",
+                       "mnist", "--data-dir", str(data_dir))
+        assert proc.returncode == 0, proc.stderr
+        code, *modules = proc.stdout.splitlines()[-1].split()
+        assert code == "0" and "namgrow.nam_model" in modules
+        assert [m for m in modules if m in (
+            "namgrow.growth", "namgrow.training", "namgrow.clustering",
+            "namgrow.matching", "namgrow.qualification")] == []
 
 
 class TestErrorPaths:
@@ -1207,11 +1310,11 @@ class TestErrorPaths:
                           "holds no images"]
         assert not (tmp_path / "out" / "epochs.csv").exists()
 
-    @pytest.mark.parametrize("command", ["grow", "transfer"])
+    @pytest.mark.parametrize("command", ["grow"])
     def test_non_integer_max_iterations_is_usage_error(
             self, tmp_path, data_dir, base_run, caplog, command):
-        """transfer ignores the limit, but refuses it as grow does when it
-        does not parse, before it writes anything."""
+        """grow refuses a limit that does not parse before it writes
+        anything (transfer reads no limit)."""
         cfg = tmp_path / "bad.ini"
         cfg.write_text(f"[data]\ndataset = mnist\ndata_dir = {data_dir}\n"
                        "[growth]\nmax_iterations = abc\n")
@@ -1226,11 +1329,11 @@ class TestErrorPaths:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, how", [
-        ("grow", "flag"), ("grow", "config"), ("transfer", "config")])
+        ("grow", "flag"), ("grow", "config")])
     def test_max_iterations_below_minus_one_is_usage_error(
             self, tmp_path, config_file, base_run, caplog, command, how):
-        """-1 is the only limit below 0: a lower one, which transfer does
-        not use either, is refused before the run writes anything."""
+        """-1 is the only limit below 0: a lower one is refused before the
+        run writes anything."""
         cfg = configparser.ConfigParser()
         cfg.read(config_file)
         if how == "config":
@@ -1492,6 +1595,15 @@ def _move_window_off_image(doc, k):
     doc["branches"][k]["input_range"][1] = 10  # rows 10..12 of 12
 
 
+def _three_entry_window(doc, k):
+    doc["branches"][k]["input_range"] = doc["branches"][k]["input_range"][:3]
+
+
+def _bool_window_channel(doc, k):
+    assert doc["branches"][k]["input_range"][0] == 0
+    doc["branches"][k]["input_range"][0] = False
+
+
 def _branch_class_out_of_range(doc, k):
     doc["branches"][k]["branch_class"] = 10
 
@@ -1521,6 +1633,10 @@ def _non_finite_mask(name, value):
     def corrupt(doc, k):
         doc["branches"][k]["mask"][name] = value
     return corrupt
+
+
+def _int_mask_frozen(doc, k):
+    doc["branches"][k]["mask"]["frozen"] = 1
 
 
 def _drop_hidden_layers(doc, k):
@@ -1637,6 +1753,8 @@ SHARED_CORRUPTIONS = [
     (_shrink_window, "checkpoint branch {k}: MLP takes 9 inputs, its "
                      "window c0[{row}:{row_end},"),
     (_move_window_off_image, "branch {k}: input range c0[10:13,"),
+    (_three_entry_window, "checkpoint branch {k}: input_range [0, {row}, "),
+    (_bool_window_channel, "branch {k}: input range (False, {row}, "),
     (_negative_window_size, "branch {k}: input range c0[12:9,12:9] out of "
                             "bounds for shape (1, 12, 12)"),
     (_branch_class_out_of_range, "checkpoint branch {k}: branch_class "
@@ -1656,6 +1774,10 @@ SHARED_CORRUPTIONS = [
                                                "finite"),
     (_non_finite_mask("a", 10 ** 400), "checkpoint branch {k}: int too "
                                        "large to convert to float"),
+    (_non_finite_mask("thd", True), "checkpoint branch {k}: mask thd True "
+                                    "is not a number"),
+    (_int_mask_frozen, "checkpoint branch {k}: mask frozen 1 is not a "
+                       "boolean"),
 ]
 
 
@@ -1837,6 +1959,8 @@ class TestMalformedCheckpoints:
         ("n_classes", True, True, "n_classes True is not an integer >= 1"),
         ("input_shape", [12, 12], True,
          "input_shape [12, 12] is not three positive integers"),
+        ("tag", None, False, "tag None is not a string"),
+        ("tag", [1], False, "tag [1] is not a string"),
     ])
     def test_mistyped_network_field_is_a_data_error(
             self, tmp_path, data_dir, base_run, caplog, field, value,
@@ -1853,3 +1977,15 @@ class TestMalformedCheckpoints:
         errors = [r.getMessage() for r in caplog.records
                   if r.levelname == "ERROR"]
         assert errors == [f"{message} (checkpoint {bad})"]
+
+    def test_window_index_past_int64_is_a_data_error(
+            self, tmp_path, data_dir, base_run, caplog):
+        """An image row so wide that a window's flat pixel index does not
+        fit NumPy's integers is refused, naming the branch, not an internal
+        error."""
+        doc = json.loads((base_run / "checkpoint.json").read_text())
+        doc["input_shape"][2] = 10 ** 19
+        code, errors, bad = _eval_errors(tmp_path, data_dir, caplog, doc)
+        assert code == 2
+        assert len(errors) == 1 and errors[0].startswith("branch 0: ")
+        assert errors[0].endswith(f" (checkpoint {bad})"), errors

@@ -10,7 +10,6 @@ import pytest
 from namgrow import clustering
 from namgrow.clustering import (
     BranchPairs,
-    ClusterConfig,
     cluster_branch_class,
     cluster_branch_mlp,
     cluster_network,
@@ -21,6 +20,7 @@ from namgrow.clustering import (
     source_digest,
     standardize,
 )
+from namgrow.config import ClusterConfig
 from namgrow.nn_core import init_branch_mlp
 from oracles import destandardize, gaussian_weight, reference_mean_shift
 

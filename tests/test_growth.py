@@ -7,12 +7,12 @@ import pytest
 
 from namgrow import growth, matching, nam_model
 from namgrow.checkpoint import network_to_json
-from namgrow.clustering import BranchClassClusters, ClusterConfig
+from namgrow.clustering import BranchClassClusters
+from namgrow.config import ClusterConfig, GrowthConfig
 from namgrow.data_io import Dataset, InputRange, base_grid_ranges
 from namgrow.growth import (
     BranchPoint,
     CandidateBranch,
-    GrowthConfig,
     IterationRecord,
     MaskColumns,
     candidate_streams,

@@ -18,6 +18,7 @@ otherwise break only the traced benchmark runs.
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -96,3 +97,16 @@ def test_branch_mlps_are_forwarded_only_by_the_engine_and_clustering():
                    if "mlp_forward_batch" in _names(ast.parse(
                        path.read_text())))
     assert users == ["clustering", "nam_model", "nn_core"]
+
+
+def test_config_imports_only_the_standard_library():
+    """The command line resolves its config, and caps the BLAS threads
+    from it, before NumPy is first imported: the config module imports
+    nothing but the standard library."""
+    tree = ast.parse((SRC / "config.py").read_text())
+    modules = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names]
+    modules += ["." * node.level + (node.module or "")
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert modules and [m for m in modules if m.split(".")[0]
+                        not in sys.stdlib_module_names] == []

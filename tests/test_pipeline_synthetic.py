@@ -17,9 +17,9 @@ import pytest
 
 from namgrow import growth
 from namgrow.checkpoint import network_from_json, network_to_json
-from namgrow.clustering import ClusterConfig
+from namgrow.config import ClusterConfig, GrowthConfig, TrainConfig
 from namgrow.data_io import Dataset, base_grid_ranges
-from namgrow.growth import GrowthConfig, run_growth, transfer_task
+from namgrow.growth import run_growth, transfer_task
 from namgrow.nam_model import (
     Branch,
     NamNetwork,
@@ -30,7 +30,7 @@ from namgrow.nn_core import (
     init_branch_mlp,
     optimizer_step_count,
 )
-from namgrow.training import TrainConfig, train_network
+from namgrow.training import train_network
 from oracles import ignore, rounded_dataset
 
 N_CLASSES = 3

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from namgrow.config import TrainConfig
 from namgrow.data_io import Dataset, InputRange
 from namgrow.nam_model import Branch, NamNetwork, evaluate, network_forward_batch
 from namgrow.nn_core import (
@@ -14,7 +15,6 @@ from namgrow.nn_core import (
 )
 from namgrow.training import (
     EpochMetrics,
-    TrainConfig,
     evaluate_stacked,
     stack_network,
     stacked_loss_and_grads,
